@@ -5,6 +5,7 @@
 package care_test
 
 import (
+	"context"
 	"io"
 	"testing"
 
@@ -101,7 +102,7 @@ func benchSimulationTelemetry(b *testing.B, policy care.Policy, format string) {
 				Sink:     sink,
 			})
 		}
-		if _, err := care.RunSimulation(cfg, traces, 5_000, instr); err != nil {
+		if _, err := care.Run(context.Background(), cfg, traces, care.RunOpts{Warmup: 5_000, Measure: instr}); err != nil {
 			b.Fatal(err)
 		}
 	}

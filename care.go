@@ -43,7 +43,6 @@ import (
 	"care/internal/harness"
 	"care/internal/mem"
 	"care/internal/policy"
-	"care/internal/replacement"
 	"care/internal/sim"
 	"care/internal/synth"
 	"care/internal/telemetry"
@@ -64,7 +63,7 @@ type CacheGeom = sim.CacheGeom
 type Result = sim.Result
 
 // System is a runnable simulation instance for callers that need
-// cycle-level control; most users should call RunSimulation.
+// cycle-level control; most users should call Run.
 type System = sim.System
 
 // DefaultConfig returns the paper's full-size configuration (Table
@@ -136,17 +135,6 @@ func Run(ctx context.Context, cfg SystemConfig, traces []TraceReader, opts RunOp
 		err = errors.Join(err, ctx.Err())
 	}
 	return r, err
-}
-
-// RunSimulation builds a system, warms it up, measures, and returns
-// the result.
-//
-// Deprecated: use Run, which adds context cancellation, telemetry,
-// and checkpoint scheduling through RunOpts. RunSimulation(cfg,
-// traces, w, m) is exactly Run(context.Background(), cfg, traces,
-// RunOpts{Warmup: w, Measure: m}).
-func RunSimulation(cfg SystemConfig, traces []TraceReader, warmup, measure uint64) (Result, error) {
-	return Run(context.Background(), cfg, traces, RunOpts{Warmup: warmup, Measure: measure})
 }
 
 // ---- traces and workloads ----
@@ -267,12 +255,6 @@ func ParsePolicy(name string) (Policy, error) { return policy.Parse(name) }
 
 // AllPolicies returns every valid Policy in sorted order.
 func AllPolicies() []Policy { return policy.All() }
-
-// Policies lists every registered LLC replacement policy name,
-// including "care" and "m-care".
-//
-// Deprecated: use AllPolicies, which returns typed Policy values.
-func Policies() []string { return replacement.Names() }
 
 // CAREConfig tunes the CARE policy (sampled sets, DTRM period and
 // thresholds); the zero value is the paper's configuration.

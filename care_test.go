@@ -2,6 +2,7 @@ package care_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -15,11 +16,11 @@ func TestPublicAPISmoke(t *testing.T) {
 	if len(care.GAPKernels()) != 5 || len(care.GAPDatasets()) != 3 {
 		t.Fatal("5 GAP kernels over 3 datasets expected")
 	}
-	found := map[string]bool{}
-	for _, p := range care.Policies() {
+	found := map[care.Policy]bool{}
+	for _, p := range care.AllPolicies() {
 		found[p] = true
 	}
-	for _, want := range []string{"lru", "ship++", "hawkeye", "glider", "mockingjay", "sbar", "care", "m-care", "lacs", "rlr", "eaf", "pacman"} {
+	for _, want := range []care.Policy{"lru", "ship++", "hawkeye", "glider", "mockingjay", "sbar", "care", "m-care", "lacs", "rlr", "eaf", "pacman"} {
 		if !found[want] {
 			t.Fatalf("policy %q missing from public registry", want)
 		}
@@ -54,7 +55,7 @@ func TestPublicSimulation(t *testing.T) {
 	traces := []care.TraceReader{care.MustSPECTrace("429.mcf", 1, 32)}
 	cfg := care.ScaledConfig(1, 32)
 	cfg.LLCPolicy = "care"
-	r, err := care.RunSimulation(cfg, traces, 2_000, 15_000)
+	r, err := care.Run(context.Background(), cfg, traces, care.RunOpts{Warmup: 2_000, Measure: 15_000})
 	if err != nil {
 		t.Fatal(err)
 	}

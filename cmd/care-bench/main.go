@@ -26,7 +26,6 @@ import (
 	"care/internal/faultinject"
 	"care/internal/harness"
 	"care/internal/policy"
-	"care/internal/sim"
 	"care/internal/telemetry"
 )
 
@@ -46,7 +45,6 @@ func main() {
 		maxCycles = flag.Uint64("max-cycles", 0, "abort any single simulation after this many cycles (0 = unlimited)")
 		timeout   = flag.Duration("timeout", 0, "abort any single simulation after this much wall-clock time (0 = unlimited)")
 		checkInv  = flag.Bool("check-invariants", false, "verify runtime invariants in every simulation")
-		engine    = flag.String("engine", "", "cycle engine for every simulation: sequential (default) or parallel; results are byte-identical, only wall clock differs. In -perf mode this restricts the engine axis (default: both)")
 
 		telFormat   = flag.String("telemetry", "", "record per-simulation interval telemetry in this format: "+strings.Join(telemetry.Formats(), ", ")+" (empty = off)")
 		telInterval = flag.Uint64("telemetry-interval", telemetry.DefaultInterval, "telemetry sampling interval in cycles")
@@ -110,14 +108,8 @@ func main() {
 		return
 	}
 
-	if *engine != "" && !sim.Engine(*engine).Valid() {
-		fmt.Fprintf(os.Stderr, "care-bench: -engine %s: unknown engine (have %s, %s)\n",
-			*engine, sim.EngineSequential, sim.EngineParallel)
-		os.Exit(2)
-	}
-
 	if *perf {
-		if err := runPerf(*perfOut, *perfBaseline, *perfTol, *schemes, *engine); err != nil {
+		if err := runPerf(*perfOut, *perfBaseline, *perfTol, *schemes); err != nil {
 			fmt.Fprintln(os.Stderr, "care-bench:", err)
 			os.Exit(1)
 		}
@@ -146,7 +138,6 @@ func main() {
 		MaxCycles:       *maxCycles,
 		Timeout:         *timeout,
 		CheckInvariants: *checkInv,
-		Engine:          *engine,
 		MaxAttempts:     *retries + 1,
 		CheckpointDir:   *ckptDir,
 		CheckpointEvery: *ckptEvery,
@@ -259,11 +250,8 @@ func main() {
 
 // runPerf executes the performance-regression sweep, writes the
 // report, and optionally compares it against a committed baseline.
-func runPerf(outPath, baselinePath string, tol float64, schemes, engine string) error {
+func runPerf(outPath, baselinePath string, tol float64, schemes string) error {
 	opts := harness.PerfOptions{Out: os.Stdout}
-	if engine != "" {
-		opts.Engines = []string{engine}
-	}
 	if schemes != "" {
 		for _, s := range strings.Split(schemes, ",") {
 			p, err := policy.Parse(strings.TrimSpace(s))

@@ -50,8 +50,6 @@ func main() {
 		maxCycles     = flag.Uint64("max-cycles", 0, "abort after this many simulated cycles (0 = unlimited)")
 		timeout       = flag.Duration("timeout", 0, "abort after this much wall-clock time, e.g. 30s (0 = unlimited)")
 		checkInv      = flag.Bool("check-invariants", false, "verify runtime invariants (cache accounting, EPV range, PMC conservation) during the run")
-		engine        = flag.String("engine", "", "cycle engine: sequential (default) or parallel (per-core lanes on worker goroutines; byte-identical results)")
-		engineWorkers = flag.Int("engine-workers", 0, "worker goroutines for -engine parallel (0 = GOMAXPROCS)")
 		faults        = flag.String("faults", "", "deterministic fault-injection spec, e.g. seed=1,dram-drop=200 (keys: seed, trace-corrupt, trace-flip, dram-drop, dram-delay, dram-delay-cycles, mshr-saturate, meta-flip, kill-at, ckpt-corrupt)")
 		telFormat     = flag.String("telemetry", "", "record interval-resolved telemetry in this format: "+strings.Join(telemetry.Formats(), ", ")+" (empty = off)")
 		telInterval   = flag.Uint64("telemetry-interval", telemetry.DefaultInterval, "telemetry sampling interval in cycles")
@@ -114,13 +112,6 @@ func main() {
 	cfg.MaxCycles = *maxCycles
 	cfg.WallClockTimeout = *timeout
 	cfg.CheckInvariants = *checkInv
-	cfg.Engine = sim.Engine(*engine)
-	cfg.EngineWorkers = *engineWorkers
-	if !cfg.Engine.Valid() {
-		fmt.Fprintf(os.Stderr, "care-sim: -engine %s: unknown engine (have %s, %s)\n",
-			*engine, sim.EngineSequential, sim.EngineParallel)
-		os.Exit(2)
-	}
 	if *faults != "" {
 		fc, err := faultinject.ParseSpec(*faults)
 		if err != nil {

@@ -637,16 +637,3 @@ func (c *Cache) infoFor(req *mem.Request, cycle uint64) AccessInfo {
 // Drained reports whether the cache has no queued or outstanding
 // work; the simulator uses it to decide when a run has quiesced.
 func (c *Cache) Drained() bool { return c.inq.Len() == 0 && c.mshr.Len() == 0 }
-
-// NextQueuedReady returns the ready cycle of the oldest queued access
-// and whether the input queue is non-empty. Queue entries carry
-// nondecreasing ready cycles (arrival order plus a fixed latency), so
-// this is the earliest cycle at which the cache can next act on its
-// queue. The parallel engine uses it to bound how far the lanes may
-// run before this cache could answer anyone.
-func (c *Cache) NextQueuedReady() (uint64, bool) {
-	if c.inq.Len() == 0 {
-		return 0, false
-	}
-	return c.inq.Front().ready, true
-}

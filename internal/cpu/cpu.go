@@ -129,9 +129,6 @@ type Core struct {
 	// can reposition a freshly constructed copy of the same trace by
 	// replaying (and discarding) exactly this many records.
 	recsRead uint64
-	// srcBound is src's trace.Bounded view when it has one (resolved
-	// once at construction; DoneLowerBound runs every epoch).
-	srcBound trace.Bounded
 	// frozen stops dispatch (retirement continues) while the system
 	// drains to a checkpointable quiescent point.
 	frozen bool
@@ -143,9 +140,7 @@ func New(id int, p Params, src trace.Reader, l1 Level) *Core {
 	if p.IssueWidth <= 0 || p.ROBSize <= 0 {
 		panic(fmt.Sprintf("cpu: invalid params %+v", p))
 	}
-	c := &Core{Params: p, id: id, src: src, l1: l1}
-	c.srcBound, _ = src.(trace.Bounded)
-	return c
+	return &Core{Params: p, id: id, src: src, l1: l1}
 }
 
 // ID returns the core index.
@@ -173,48 +168,6 @@ func (c *Core) Err() error { return c.err }
 
 // Retired returns the retired instruction count.
 func (c *Core) Retired() uint64 { return c.stats.Retired }
-
-// DoneLowerBound returns a lower bound on how many further Tick calls
-// this core needs before it either retires up to target or satisfies
-// Exhausted; 0 means it already has. The parallel engine uses the
-// bound to size epochs, so it must never overestimate — a core that
-// becomes done mid-epoch would let lanes tick past the cycle at which
-// the sequential loop stops.
-//
-// Two paths end a core's pending state, and the true finish time is
-// bounded below by each:
-//
-//   - retirement: at most IssueWidth instructions retire per cycle,
-//     so reaching target takes at least ceil(deficit/width) cycles;
-//   - exhaustion: dispatch consumes at most IssueWidth instructions
-//     (hence at most IssueWidth records) per cycle, and the EOF read
-//     itself needs leftover dispatch budget, so with n records still
-//     guaranteed to succeed (trace.Bounded) the stream cannot end for
-//     at least n/width + 1 cycles. Once EOF has been seen, the ROB
-//     drains at most IssueWidth per cycle. Without a Bounded source
-//     no promise exists and the bound collapses to one cycle.
-func (c *Core) DoneLowerBound(target uint64) uint64 {
-	if c.stats.Retired >= target || c.Exhausted() {
-		return 0
-	}
-	w := uint64(c.IssueWidth)
-	bound := (target - c.stats.Retired + w - 1) / w
-	var exh uint64 = 1
-	if c.exhausted {
-		exh = (uint64(c.robLen) + w - 1) / w
-	} else if c.srcBound != nil {
-		if rem, ok := c.srcBound.RemainingRecords(); ok {
-			exh = rem/w + 1
-		}
-	}
-	if exh < bound {
-		bound = exh
-	}
-	if bound == 0 {
-		bound = 1
-	}
-	return bound
-}
 
 // ROBHead describes the oldest in-flight memory instruction, for
 // forward-progress diagnostics.
@@ -286,8 +239,7 @@ func (c *Core) retire() {
 		if budget == 0 {
 			// A non-memory batch that exactly consumed the budget must
 			// not sneak its memory instruction into the same cycle:
-			// that would retire IssueWidth+1 instructions, breaking the
-			// width contract DoneLowerBound's epoch sizing depends on.
+			// that would retire IssueWidth+1 instructions in one cycle.
 			return
 		}
 		if !it.mem.done {

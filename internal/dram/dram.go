@@ -286,17 +286,6 @@ func (d *DRAM) Tick(cycle uint64) {
 // Drained reports whether no reads are in flight.
 func (d *DRAM) Drained() bool { return len(d.inflight) == 0 }
 
-// MinReady returns the earliest completion cycle among in-flight
-// reads and whether any read is in flight. The parallel engine uses
-// it to bound epochs: no read response can be delivered before this
-// cycle.
-func (d *DRAM) MinReady() (uint64, bool) {
-	if len(d.inflight) == 0 {
-		return 0, false
-	}
-	return d.minReady, true
-}
-
 // PendingReads returns the number of reads in flight, for the
 // watchdog's diagnostic dump.
 func (d *DRAM) PendingReads() int { return len(d.inflight) }

@@ -31,7 +31,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"care/internal/cache"
 	"care/internal/mem"
@@ -265,11 +264,7 @@ type Stats struct {
 }
 
 // Injector owns the fault state for one simulation. Each System gets
-// its own. It is not safe for concurrent use except as the parallel
-// engine partitions it: each wrapped trace reader owns a private RNG
-// stream and bumps its Stats counters atomically, so per-core lanes
-// may read their traces concurrently while the injector's own state
-// (OnCycle, ShouldKill, checkpoint hooks) stays coordinator-only.
+// its own; it is not safe for concurrent use.
 type Injector struct {
 	cfg          Config
 	rng          uint64
@@ -324,10 +319,10 @@ func (in *Injector) next() uint64 {
 // reader counts its own records, so multi-core systems corrupt every
 // stream at the same per-stream position. Each reader also owns a
 // private RNG stream seeded from the wrap order, so flip positions are
-// a pure function of (seed, reader index, records served): per-core
-// lanes can read concurrently, and a checkpoint restore that replays
-// records through freshly wrapped readers reproduces every stream
-// exactly.
+// a pure function of (seed, reader index, records served), however
+// the cores interleave their reads, and a checkpoint restore that
+// replays records through freshly wrapped readers reproduces every
+// stream exactly.
 func (in *Injector) WrapTrace(r trace.Reader) trace.Reader {
 	if in.cfg.TraceCorruptAfter == 0 && in.cfg.TraceFlipEvery == 0 {
 		return r
@@ -357,13 +352,11 @@ func (f *faultReader) next() uint64 {
 	return v
 }
 
-// Next implements trace.Reader. Stats counters are bumped atomically:
-// readers on different lanes share the Stats struct, and totals are
-// order-independent.
+// Next implements trace.Reader.
 func (f *faultReader) Next() (trace.Record, error) {
 	cfg := &f.in.cfg
 	if cfg.TraceCorruptAfter > 0 && f.n >= cfg.TraceCorruptAfter {
-		atomic.AddUint64(&f.in.stats.TraceCorruptions, 1)
+		f.in.stats.TraceCorruptions++
 		return trace.Record{}, fmt.Errorf("faultinject: injected stream corruption after %d records: %w",
 			f.n, trace.ErrCorrupt)
 	}
@@ -376,7 +369,7 @@ func (f *faultReader) Next() (trace.Record, error) {
 		// Flip a bit within a 40-bit address space: garbage addresses
 		// that stay physically plausible.
 		rec.Addr ^= 1 << (f.next() % 40)
-		atomic.AddUint64(&f.in.stats.RecordsFlipped, 1)
+		f.in.stats.RecordsFlipped++
 	}
 	return rec, nil
 }
@@ -494,22 +487,6 @@ func (m *Memory) Tick(cycle uint64) {
 
 // Held returns the number of responses currently being delayed.
 func (m *Memory) Held() int { return len(m.held) }
-
-// MinHeldAt returns the earliest release cycle among delayed
-// responses and whether any is held; the parallel engine uses it to
-// bound epochs, like dram.MinReady.
-func (m *Memory) MinHeldAt() (uint64, bool) {
-	if len(m.held) == 0 {
-		return 0, false
-	}
-	at := m.held[0].at
-	for _, h := range m.held[1:] {
-		if h.at < at {
-			at = h.at
-		}
-	}
-	return at, true
-}
 
 // ---- structural faults ----
 

@@ -64,13 +64,6 @@ type Options struct {
 	// CheckInvariants enables the opt-in runtime invariant checker in
 	// every simulation the experiment launches.
 	CheckInvariants bool
-	// Engine selects the cycle engine for every simulation ("" or
-	// "sequential" = single-threaded loop, "parallel" = per-core
-	// lanes). Results are byte-identical either way; this only trades
-	// wall clock. EngineWorkers caps the parallel engine's workers
-	// (0 = GOMAXPROCS).
-	Engine        string
-	EngineWorkers int
 	// Telemetry selects an interval-telemetry output format ("csv",
 	// "jsonl", "prom"; empty = off). Every simulation the experiment
 	// actually executes gets its own collector; the per-run series are
@@ -389,11 +382,6 @@ type runKey struct {
 	warmup   uint64
 	measure  uint64
 	gapRecs  int
-	// engine selects the cycle engine. It stays in the memo key for
-	// hygiene even though both engines produce byte-identical results
-	// (the perf suite must not recall a cross-engine timing's result
-	// memo and skip real work).
-	engine string
 }
 
 var (
@@ -602,8 +590,6 @@ func (o *Options) applyGuards(cfg *sim.Config) {
 	cfg.MaxCycles = o.MaxCycles
 	cfg.WallClockTimeout = o.Timeout
 	cfg.CheckInvariants = o.CheckInvariants
-	cfg.Engine = sim.Engine(o.Engine)
-	cfg.EngineWorkers = o.EngineWorkers
 }
 
 // parallel runs n jobs over a bounded worker pool. Every job runs to

@@ -7,7 +7,6 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"strings"
 	"testing"
 
 	"care/internal/policy"
@@ -18,15 +17,14 @@ import (
 // simulator itself — wall-clock per simulation, heap allocations per
 // simulation, and simulated cycles per second — over a fixed sweep of
 // the paper's two headline figures (Fig. 7 SPEC and Fig. 9 GAP) at
-// 1/4/8 cores, under both the sequential and the parallel cycle
-// engine. The sweep parameters are pinned by Defaults so two
+// 1/4/8 cores. The sweep parameters are pinned by Defaults so two
 // invocations on the same machine measure the same work and a
 // committed BENCH_8.json stays comparable across commits.
 
 // PerfSchema versions the BENCH_8.json layout. Schema 2 added the
-// engine axis and the aggregate core_cycles_per_sec column (schema 1
-// reported only sim_cycles_per_sec, which hides per-core throughput:
-// a c8 simulation does eight cores of work per simulated cycle, so
+// aggregate core_cycles_per_sec column (schema 1 reported only
+// sim_cycles_per_sec, which hides per-core throughput: a c8
+// simulation does eight cores of work per simulated cycle, so
 // comparing raw sim-cycles/sec across core counts understated
 // multi-core configurations by the core count).
 const PerfSchema = 2
@@ -52,8 +50,6 @@ type PerfOptions struct {
 	CoreCounts []int
 	// GAPRecords caps the Fig. 9 kernel trace.
 	GAPRecords int
-	// Engines is the cycle-engine axis ("sequential", "parallel").
-	Engines []string
 }
 
 // Defaults pins the reproducible sweep.
@@ -79,9 +75,6 @@ func (o *PerfOptions) Defaults() {
 	if o.GAPRecords <= 0 {
 		o.GAPRecords = 250_000
 	}
-	if len(o.Engines) == 0 {
-		o.Engines = []string{string(sim.EngineSequential), string(sim.EngineParallel)}
-	}
 }
 
 // PerfParams records the sweep parameters inside the report so a
@@ -92,9 +85,6 @@ type PerfParams struct {
 	Warmup     uint64 `json:"warmup"`
 	Measure    uint64 `json:"measure"`
 	GAPRecords int    `json:"gap_records"`
-	// Engines is the comma-joined engine axis (kept a string so
-	// PerfParams stays comparable with ==).
-	Engines string `json:"engines"`
 }
 
 // PerfRecord is one timed configuration.
@@ -140,14 +130,11 @@ func perfSweep(o *PerfOptions) []runKey {
 	} {
 		for _, cores := range o.CoreCounts {
 			for _, s := range o.Schemes {
-				for _, e := range o.Engines {
-					keys = append(keys, runKey{
-						kind: wl.kind, workload: wl.workload, scheme: s,
-						cores: cores, prefetch: true, scale: o.Scale,
-						warmup: o.Warmup, measure: o.Measure, gapRecs: o.GAPRecords,
-						engine: e,
-					})
-				}
+				keys = append(keys, runKey{
+					kind: wl.kind, workload: wl.workload, scheme: s,
+					cores: cores, prefetch: true, scale: o.Scale,
+					warmup: o.Warmup, measure: o.Measure, gapRecs: o.GAPRecords,
+				})
 			}
 		}
 	}
@@ -155,18 +142,12 @@ func perfSweep(o *PerfOptions) []runKey {
 }
 
 // perfName labels a sweep entry; the figure name keys comparisons.
-// Sequential entries keep the schema-1 bare name; other engines are
-// suffixed (".../parallel") so the two series gate independently.
 func perfName(k runKey) string {
 	fig := "fig7"
 	if k.kind == "gap" {
 		fig = "fig9"
 	}
-	name := fmt.Sprintf("%s/%s/%s/c%d", fig, k.workload, k.scheme, k.cores)
-	if k.engine != "" && k.engine != string(sim.EngineSequential) {
-		name += "/" + k.engine
-	}
-	return name
+	return fmt.Sprintf("%s/%s/%s/c%d", fig, k.workload, k.scheme, k.cores)
 }
 
 // RunPerf executes the sweep and returns the report. Every scheme
@@ -178,11 +159,6 @@ func RunPerf(o PerfOptions) (PerfReport, error) {
 			return PerfReport{}, err
 		}
 	}
-	for _, e := range o.Engines {
-		if !sim.Engine(e).Valid() {
-			return PerfReport{}, fmt.Errorf("harness: unknown engine %q", e)
-		}
-	}
 	report := PerfReport{
 		Schema:    PerfSchema,
 		GoVersion: runtime.Version(),
@@ -190,7 +166,7 @@ func RunPerf(o PerfOptions) (PerfReport, error) {
 		GOARCH:    runtime.GOARCH,
 		Params: PerfParams{
 			Scale: o.Scale, Warmup: o.Warmup, Measure: o.Measure,
-			GAPRecords: o.GAPRecords, Engines: strings.Join(o.Engines, ","),
+			GAPRecords: o.GAPRecords,
 		},
 	}
 	for _, key := range perfSweep(&o) {
@@ -253,7 +229,6 @@ func timeRun(key runKey) (PerfRecord, error) {
 			cfg := sim.ScaledConfig(key.cores, key.scale)
 			cfg.LLCPolicy = policy.Policy(key.scheme)
 			cfg.Prefetch = key.prefetch
-			cfg.Engine = sim.Engine(key.engine)
 			r, err := sim.Run(cfg, traces, key.warmup, key.measure)
 			if err != nil {
 				simErr = err

@@ -169,6 +169,27 @@ func TestCycleLimit(t *testing.T) {
 	}
 }
 
+// TestInterruptLandsOnStrideBoundary: the guard polls an interrupt
+// only on the watchdog stride, so a run interrupted between calls
+// stops at the first stride boundary and reports ErrInterrupted.
+func TestInterruptLandsOnStrideBoundary(t *testing.T) {
+	s, err := New(ScaledConfig(2, 16), mcfTraces(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustRun(t, s, 2000)
+	before := s.Cycle()
+	s.Interrupt()
+	_, err = s.RunInstructions(50_000)
+	if !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("want ErrInterrupted, got %v", err)
+	}
+	if c := s.Cycle(); c%watchdogStride != 0 || c <= before || c > before+watchdogStride {
+		t.Fatalf("interrupt observed at cycle %d, want the first multiple of %d after %d",
+			c, watchdogStride, before)
+	}
+}
+
 func TestAddressBitFlipsDoNotWedge(t *testing.T) {
 	// Flipped trace addresses are garbage but legal: the run must
 	// complete, with the flips visible in the fault counters.

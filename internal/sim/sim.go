@@ -66,18 +66,6 @@ type Config struct {
 	// the private L1/L2 copies. The paper's ChampSim hierarchy is
 	// non-inclusive (the default here).
 	InclusiveLLC bool
-	// Engine selects the cycle engine: "" or EngineSequential for the
-	// single-threaded loop, EngineParallel for the deterministic
-	// lane/barrier engine (see DESIGN.md §12). Results are
-	// byte-identical either way; the parallel engine trades per-epoch
-	// coordination for multi-core wall-clock scaling. The CLIs expose
-	// it as -engine.
-	Engine Engine
-	// EngineWorkers caps the parallel engine's phase-A worker
-	// goroutines (0 = min(Cores, GOMAXPROCS)). Values above Cores are
-	// clamped; the sequential engine ignores it. Tests use it to force
-	// real goroutine concurrency on single-CPU machines.
-	EngineWorkers int
 
 	// ---- simulation integrity (all off-by-default or passive) ----
 
@@ -173,9 +161,6 @@ type System struct {
 	// Interval telemetry (nil unless cfg.Telemetry is set).
 	tele *telemetry.Collector
 
-	// Parallel engine state (nil unless cfg.Engine is EngineParallel).
-	par *parEngine
-
 	// Forward-progress watchdog state.
 	watchSig  uint64
 	watchLast uint64
@@ -205,10 +190,6 @@ func New(cfg Config, traces []trace.Reader) (*System, error) {
 
 	if err := cfg.LLCPolicy.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
-	}
-	if !cfg.Engine.Valid() {
-		return nil, fmt.Errorf("sim: unknown engine %q (want %q or %q)",
-			cfg.Engine, EngineSequential, EngineParallel)
 	}
 
 	var llcPolicy cache.Policy
@@ -316,12 +297,6 @@ func New(cfg Config, traces []trace.Reader) (*System, error) {
 			return nil, err
 		}
 		s.tele = cfg.Telemetry
-	}
-	if cfg.Engine == EngineParallel {
-		// Interpose the staging ports between each L2 and the LLC and
-		// arm the epoch planner. The sequential engine never reaches
-		// this code, so its hot path keeps the direct L2→LLC edge.
-		s.par = newParEngine(s, cfg.EngineWorkers)
 	}
 	return s, nil
 }
@@ -468,12 +443,8 @@ func (s *System) RunInstructions(n uint64) (uint64, error) {
 // runTargets advances until every core reaches its absolute
 // retirement target or exhausts its trace, bounded by maxCycles. Both
 // run loops (RunInstructions and the checkpoint schedule's
-// runUntilRetired) funnel through here, which is also where the
-// parallel engine takes over when configured.
+// runUntilRetired) funnel through here.
 func (s *System) runTargets(targets []uint64, maxCycles uint64) error {
-	if s.par != nil {
-		return s.par.run(targets, maxCycles)
-	}
 	for s.cycle < maxCycles {
 		done := true
 		for i, c := range s.cores {

@@ -290,8 +290,13 @@ func TestPrefetcherOverrides(t *testing.T) {
 	cfg.Prefetch = true
 	cfg.L1Prefetcher = "none"
 	cfg.L2Prefetcher = "stream"
-	if _, err := New(cfg, mcfTraces(1)); err != nil {
+	s, err := New(cfg, mcfTraces(1))
+	if err != nil {
 		t.Fatal(err)
+	}
+	mustRun(t, s, 10000)
+	if s.LLC().Stats().PrefetchAccesses == 0 {
+		t.Fatal("the stream prefetcher sent no prefetches to the LLC")
 	}
 	cfg.L2Prefetcher = "bogus"
 	if _, err := New(cfg, mcfTraces(1)); err == nil {

@@ -279,14 +279,6 @@ func NewCollector(opts Options) *Collector {
 // Interval returns the configured collection period in cycles.
 func (c *Collector) Interval() uint64 { return c.interval }
 
-// NextSnapshot returns the cycle at which the next interval snapshot
-// will fire. Snapshots read per-core counters, so the parallel engine
-// ends an epoch exactly there, making the collector observe every
-// component at the same cycle the sequential loop would. (Occupancy
-// sub-sampling between snapshots reads only LLC MSHR state, which the
-// coordinator owns, and needs no alignment.)
-func (c *Collector) NextSnapshot() uint64 { return c.next }
-
 // Meta returns the series metadata (valid after Bind).
 func (c *Collector) Meta() Meta { return c.meta }
 

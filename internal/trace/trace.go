@@ -78,13 +78,10 @@ type Resetter interface {
 // bound is known. Unbounded streams (loops over non-empty sources,
 // synthetic generators) return (math.MaxUint64, true).
 //
-// The bound must never overestimate: the parallel simulation engine
-// sizes its epochs with it, and an optimistic answer would let lanes
-// tick past the cycle at which a core's stream actually ended,
-// breaking byte-identity with the sequential loop. Readers that
+// The bound must never overestimate: a caller may rely on it to
+// know that a stream cannot end within the next n reads. Readers that
 // cannot promise anything simply do not implement the interface (or
-// return false), which degrades the engine to single-cycle epochs
-// rather than to wrong answers.
+// return false), and wrappers forward their source's promise.
 type Bounded interface {
 	RemainingRecords() (uint64, bool)
 }

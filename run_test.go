@@ -27,24 +27,6 @@ func mcfConfig() care.SystemConfig {
 	return cfg
 }
 
-// TestRunMatchesRunSimulation pins the deprecation contract: the old
-// positional entry point and the new option-struct one produce
-// byte-identical results for the same schedule.
-func TestRunMatchesRunSimulation(t *testing.T) {
-	want, err := care.RunSimulation(mcfConfig(), mcf4(t), 5_000, 20_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := care.Run(context.Background(), mcfConfig(), mcf4(t),
-		care.RunOpts{Warmup: 5_000, Measure: 20_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Run diverged from RunSimulation:\nRun:           %+v\nRunSimulation: %+v", got, want)
-	}
-}
-
 // TestRunContextCancellation: a cancelled context interrupts the run,
 // surfacing both ErrInterrupted and the context's error.
 func TestRunContextCancellation(t *testing.T) {
