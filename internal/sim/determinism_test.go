@@ -1,0 +1,197 @@
+package sim
+
+import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"care/internal/faultinject"
+	"care/internal/policy"
+	"care/internal/telemetry"
+	"care/internal/trace"
+)
+
+// The TestParallelEngine* names below date from the opt-in parallel
+// cycle engine (DESIGN.md §12), whose tests compared it with the
+// sequential loop. With one engine left, each keeps the sequential
+// half of its comparison: the run it made must be reproducible, byte
+// for byte, and must not depend on how its inputs are wrapped.
+
+// runWithTelemetry builds a system for cfg with fresh mcf traces,
+// attaches a retain-only telemetry collector, and runs warmup+measure,
+// returning the Result, the completed telemetry intervals, and the run
+// error.
+func runWithTelemetry(t *testing.T, cfg Config, warmup, measure uint64) (Result, []telemetry.Interval, error) {
+	t.Helper()
+	col := telemetry.NewCollector(telemetry.Options{Interval: 700, Capacity: 64})
+	cfg.Telemetry = col
+	res, err := Run(cfg, mcfTraces(cfg.Cores), warmup, measure)
+	series := make([]telemetry.Interval, col.Count())
+	copy(series, col.Series())
+	return res, series, err
+}
+
+// TestParallelEngineMatchesSequentialFeatureMatrix covers the
+// structural options the default config leaves off: TLBs, inclusive
+// LLC back-invalidation, the invariant sweep, and the stream
+// prefetchers. Each run must repeat exactly; the invariant sweep only
+// observes, so it must leave the run unchanged, while every other
+// option must change it.
+func TestParallelEngineMatchesSequentialFeatureMatrix(t *testing.T) {
+	const warmup, measure = 2000, 6000
+	base := ScaledConfig(4, 16)
+	base.LLCPolicy = policy.CARE
+	baseRes, baseSeries, err := runWithTelemetry(t, base, warmup, measure)
+	if err != nil {
+		t.Fatalf("base: %v", err)
+	}
+	for _, tc := range []struct {
+		name        string
+		mut         func(*Config)
+		transparent bool
+	}{
+		{"tlb", func(c *Config) { c.TLB = true }, false},
+		{"inclusive", func(c *Config) { c.InclusiveLLC = true }, false},
+		{"invariants", func(c *Config) { c.CheckInvariants = true; c.InvariantEvery = 512 }, true},
+		{"stream-prefetch", func(c *Config) { c.L1Prefetcher = "stream"; c.L2Prefetcher = "stream" }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := base
+			tc.mut(&cfg)
+			aRes, aSeries, err := runWithTelemetry(t, cfg, warmup, measure)
+			if err != nil {
+				t.Fatalf("first run: %v", err)
+			}
+			bRes, bSeries, err := runWithTelemetry(t, cfg, warmup, measure)
+			if err != nil {
+				t.Fatalf("second run: %v", err)
+			}
+			if !reflect.DeepEqual(aRes, bRes) {
+				t.Fatalf("results diverge:\nfirst:  %+v\nsecond: %+v", aRes, bRes)
+			}
+			if !reflect.DeepEqual(aSeries, bSeries) {
+				t.Fatalf("telemetry diverges:\nfirst:  %+v\nsecond: %+v", aSeries, bSeries)
+			}
+			same := reflect.DeepEqual(aRes, baseRes) && reflect.DeepEqual(aSeries, baseSeries)
+			if tc.transparent && !same {
+				t.Fatalf("%s changed the run:\nwith:    %+v\nwithout: %+v", tc.name, aRes, baseRes)
+			}
+			if !tc.transparent && same {
+				t.Fatalf("%s left the run unchanged; the option is not wired in", tc.name)
+			}
+		})
+	}
+}
+
+// TestParallelEngineFaultChaos runs the injector's chaos classes —
+// flipped trace addresses, delayed DRAM responses, saturated MSHRs,
+// corrupt trace records — and requires the outcome, Result and any
+// failure, to repeat exactly: the fault RNG is seeded per reader, so a
+// fault-injected run is as reproducible as a clean one.
+func TestParallelEngineFaultChaos(t *testing.T) {
+	for _, spec := range []string{
+		"seed=7,trace-flip=64",
+		"seed=11,dram-delay=40,dram-delay-cycles=97",
+		"seed=3,trace-flip=96,dram-delay=150",
+		"seed=5,mshr-saturate=9000",
+		"seed=9,trace-corrupt=2500",
+	} {
+		spec := spec
+		t.Run(spec, func(t *testing.T) {
+			fcfg, err := faultinject.ParseSpec(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func() (Result, string) {
+				cfg := ScaledConfig(4, 16)
+				cfg.LLCPolicy = policy.CARE
+				cfg.Prefetch = true
+				f := fcfg
+				cfg.Faults = &f
+				// Chaos that wedges the hierarchy must abort the same
+				// way each time; keep the watchdog armed but bounded.
+				cfg.MaxCycles = 60_000
+				res, err := Run(cfg, mcfTraces(cfg.Cores), 1500, 6000)
+				msg := ""
+				if err != nil {
+					msg = err.Error()
+				}
+				return res, msg
+			}
+			aRes, aErr := run()
+			bRes, bErr := run()
+			if aErr != bErr {
+				t.Fatalf("errors diverge:\nfirst:  %s\nsecond: %s", aErr, bErr)
+			}
+			if !reflect.DeepEqual(aRes, bRes) {
+				t.Fatalf("results diverge under %q:\nfirst:  %+v\nsecond: %+v", spec, aRes, bRes)
+			}
+		})
+	}
+}
+
+// TestParallelEngineCheckpointDiff requires the checkpoint files of two
+// identical checkpointed runs, live and rotated, to be byte-identical
+// at one, four, and eight cores: a checkpoint is a pure function of
+// the simulator state. Resuming from those files is covered by
+// TestResumeEquivalence.
+func TestParallelEngineCheckpointDiff(t *testing.T) {
+	for _, cores := range []int{1, 4, 8} {
+		t.Run(fmt.Sprintf("c%d", cores), func(t *testing.T) {
+			dir := t.TempDir()
+			pathA, pathB := filepath.Join(dir, "a.ckpt"), filepath.Join(dir, "b.ckpt")
+			a, _ := runFull(t, "care", cores, pathA, false)
+			b, _ := runFull(t, "care", cores, pathB, false)
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("checkpointed runs disagree:\n%+v\n%+v", a, b)
+			}
+			for _, pair := range [][2]string{{pathA, pathB}, {RotatedPath(pathA), RotatedPath(pathB)}} {
+				fa, err := os.ReadFile(pair[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				fb, err := os.ReadFile(pair[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(fa, fb) {
+					t.Fatalf("%s and %s differ (%d vs %d bytes)",
+						filepath.Base(pair[0]), filepath.Base(pair[1]), len(fa), len(fb))
+				}
+			}
+		})
+	}
+}
+
+// trickleReader yields records with no lookahead promise: it does not
+// implement trace.Bounded.
+type trickleReader struct{ src trace.Reader }
+
+func (r *trickleReader) Next() (trace.Record, error) { return r.src.Next() }
+
+// TestParallelEngineUnboundedSourceFallback: trace.Bounded is only a
+// promise about the future, so hiding it behind a wrapper must leave
+// the simulation unchanged.
+func TestParallelEngineUnboundedSourceFallback(t *testing.T) {
+	run := func(hide bool) Result {
+		traces := mcfTraces(2)
+		if hide {
+			for i, r := range traces {
+				traces[i] = &trickleReader{src: r}
+			}
+		}
+		s, err := New(ScaledConfig(2, 16), traces)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustRun(t, s, 3000)
+		return s.Snapshot()
+	}
+	bounded, hidden := run(false), run(true)
+	if !reflect.DeepEqual(bounded, hidden) {
+		t.Fatalf("hiding trace.Bounded changed the run:\nbounded: %+v\nhidden:  %+v", bounded, hidden)
+	}
+}
