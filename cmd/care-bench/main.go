@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"syscall"
@@ -70,6 +71,8 @@ func main() {
 		ckptDir   = flag.String("checkpoint-dir", "", "directory for per-simulation checkpoints (enables supervised runs)")
 		ckptEvery = flag.Uint64("checkpoint-every", 0, "measured instructions between checkpoints (0 = a quarter of -measure; requires -checkpoint-dir)")
 		faults    = flag.String("faults", "", "deterministic fault-injection spec for every simulation (chaos testing), e.g. seed=1,kill-at=50000,ckpt-corrupt=1")
+
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the experiments, -perf or -cache run to this file (inspect with go tool pprof)")
 	)
 	flag.Parse()
 
@@ -101,7 +104,10 @@ func main() {
 				opts.Workloads = append(opts.Workloads, strings.TrimSpace(w))
 			}
 		}
-		if err := runCacheBench(opts); err != nil {
+		stopProfile := startCPUProfile(*cpuProfile)
+		err := runCacheBench(opts)
+		stopProfile()
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "care-bench:", err)
 			os.Exit(1)
 		}
@@ -109,7 +115,10 @@ func main() {
 	}
 
 	if *perf {
-		if err := runPerf(*perfOut, *perfBaseline, *perfTol, *schemes); err != nil {
+		stopProfile := startCPUProfile(*cpuProfile)
+		err := runPerf(*perfOut, *perfBaseline, *perfTol, *schemes)
+		stopProfile()
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "care-bench:", err)
 			os.Exit(1)
 		}
@@ -223,6 +232,7 @@ func main() {
 		os.Exit(130)
 	}()
 
+	stopProfile := startCPUProfile(*cpuProfile)
 	failed := false
 	for _, e := range exps {
 		if harness.Interrupted() {
@@ -239,12 +249,37 @@ func main() {
 		}
 		fmt.Printf("(%s in %s)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
+	stopProfile()
 	if harness.Interrupted() {
 		fmt.Fprintln(os.Stderr, "care-bench: interrupted — results above are partial")
 		os.Exit(1)
 	}
 	if failed {
 		os.Exit(1)
+	}
+}
+
+// startCPUProfile starts profiling the CPU into path and returns the
+// function that stops the profile and closes the file; with an empty
+// path both are no-ops.
+func startCPUProfile(path string) (stop func()) {
+	if path == "" {
+		return func() {}
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "care-bench: -cpuprofile:", err)
+		os.Exit(2)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		fmt.Fprintln(os.Stderr, "care-bench: -cpuprofile:", err)
+		os.Exit(2)
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "care-bench: -cpuprofile:", err)
+		}
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"io/fs"
 	"os"
 	"os/signal"
+	"runtime/pprof"
 	"strings"
 	"syscall"
 
@@ -57,6 +58,7 @@ func main() {
 		ckptPath      = flag.String("checkpoint", "", "checkpoint file; the previous checkpoint rotates to <path>.1 before each write")
 		ckptEvery     = flag.Uint64("checkpoint-every", 0, "write a checkpoint every N measured instructions (requires -checkpoint)")
 		resume        = flag.Bool("resume", false, "resume from the -checkpoint file (falling back to <path>.1) instead of starting fresh")
+		cpuProfile    = flag.String("cpuprofile", "", "write a CPU profile of the simulation run to this file (inspect with go tool pprof)")
 	)
 	flag.Parse()
 
@@ -197,6 +199,7 @@ func main() {
 		r   sim.Result
 		err error
 	)
+	stopProfile := startCPUProfile(*cpuProfile)
 	if *resume {
 		// Fall back from the live checkpoint to its rotated
 		// predecessor; a failed restore leaves a system unusable, so
@@ -225,6 +228,7 @@ func main() {
 		interruptOn(s)
 		r, err = s.RunSchedule(*warmup, *instr, opts)
 	}
+	stopProfile()
 	interrupted := errors.Is(err, sim.ErrInterrupted)
 	if err != nil && !interrupted {
 		failSim(err)
@@ -427,6 +431,30 @@ func buildTraces(workload string, cores, scale int) ([]trace.Reader, error) {
 		out[i] = synth.NewScaledGenerator(p, uint64(i+1), scale)
 	}
 	return out, nil
+}
+
+// startCPUProfile starts profiling the CPU into path and returns the
+// function that stops the profile and closes the file; with an empty
+// path both are no-ops.
+func startCPUProfile(path string) (stop func()) {
+	if path == "" {
+		return func() {}
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "care-sim: -cpuprofile:", err)
+		os.Exit(2)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		fmt.Fprintln(os.Stderr, "care-sim: -cpuprofile:", err)
+		os.Exit(2)
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "care-sim: -cpuprofile:", err)
+		}
+	}
 }
 
 // failSim reports a failed simulation (the error embeds the

@@ -13,6 +13,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 
 	"care/internal/mem"
 	"care/internal/ring"
@@ -157,6 +158,12 @@ type Cache struct {
 	evictHook func(mem.Addr, uint64)
 	stats     Stats
 	failure   error
+	// parked is set when the queue head failed its lookup on a full
+	// MSHR file. The outcome cannot change until an MSHR entry is
+	// released or allocated, a tag is written, or the cache is
+	// restored, and each of those clears it; until then Tick only
+	// counts the stall instead of repeating the lookup.
+	parked bool
 
 	// pool recycles the requests this cache issues (fetches to the
 	// lower level, writebacks, self-prefetches).
@@ -228,11 +235,12 @@ func (c *Cache) Invalidate(a mem.Addr, cycle uint64) bool {
 	}
 	blk := &c.sets[set][way]
 	if blk.Dirty && c.lower != nil {
-		c.writeback(*blk, blk.Core, cycle)
+		c.writeback(*blk, cycle)
 	}
 	c.stats.Invalidations++
 	*blk = Block{}
 	c.tags[set*c.Ways+way] = 0
+	c.parked = false
 	return true
 }
 
@@ -295,10 +303,17 @@ func (c *Cache) probe(a mem.Addr) (int, int) {
 }
 
 // Tick advances the cache by one cycle: runs trackers and drains the
-// input queue entries whose base access phase has completed.
+// input queue entries whose base access phase has completed. A head
+// that misses on a full MSHR file blocks the queue and parks it; a
+// parked queue only counts the stall each cycle, without repeating
+// the lookup, until an event that can change its outcome un-parks it.
 func (c *Cache) Tick(cycle uint64) {
 	for _, t := range c.trackers {
 		t.Tick(cycle, c.mshr)
+	}
+	if c.parked {
+		c.stats.MSHRStallCycles++
+		return
 	}
 	for c.inq.Len() > 0 {
 		front := c.inq.Front()
@@ -307,9 +322,40 @@ func (c *Cache) Tick(cycle uint64) {
 		}
 		if !c.lookup(front.req, cycle) {
 			c.stats.MSHRStallCycles++
-			break // head-of-line blocking on a full MSHR
+			c.parked = true // head-of-line blocking on a full MSHR
+			break
 		}
 		c.inq.PopFront()
+	}
+}
+
+// NextEvent returns the earliest cycle at which Tick can do more than
+// run the trackers and count a stall: the ready cycle of an un-parked
+// queue head (which may already have passed), or math.MaxUint64 when
+// the queue is empty or parked. Besides Tick itself, only Access,
+// Complete and the un-parking paths move it, so it bounds the
+// simulator's fast-forward.
+func (c *Cache) NextEvent() uint64 {
+	if c.parked || c.inq.Len() == 0 {
+		return math.MaxUint64
+	}
+	return c.inq.Front().ready
+}
+
+// SkipCycles accounts for the cycles [from, to) in which Tick would
+// only have run the trackers and counted stalls (every one of them
+// before NextEvent): each tracker still ticks once per cycle, in
+// cycle order, and a parked queue counts every cycle as a stall.
+func (c *Cache) SkipCycles(from, to uint64) {
+	if len(c.trackers) > 0 {
+		for cycle := from; cycle < to; cycle++ {
+			for _, t := range c.trackers {
+				t.Tick(cycle, c.mshr)
+			}
+		}
+	}
+	if c.parked {
+		c.stats.MSHRStallCycles += to - from
 	}
 }
 
@@ -468,6 +514,7 @@ func (c *Cache) fill(e *MSHREntry, cycle uint64) {
 
 	c.installBlock(mem.Addr(e.Block<<mem.BlockBits), e.PC, e.Core, e.Kind, e.PMC, e.MLPCost, cycle-e.AllocCycle, cycle)
 
+	c.parked = false
 	for _, w := range c.mshr.Release(e) {
 		w.PMC = e.PMC
 		w.MLPCost = e.MLPCost
@@ -508,7 +555,7 @@ func (c *Cache) installBlock(addr, pc mem.Addr, core int, kind mem.Kind, pmc, ml
 		c.stats.Evictions++
 		c.policy.OnEvict(set, way, *blk, info)
 		if blk.Dirty && c.lower != nil {
-			c.writeback(*blk, core, cycle)
+			c.writeback(*blk, cycle)
 		}
 		if c.evictHook != nil {
 			c.evictHook(mem.Addr(blk.Tag<<mem.BlockBits), cycle)
@@ -527,6 +574,7 @@ func (c *Cache) installBlock(addr, pc mem.Addr, core int, kind mem.Kind, pmc, ml
 		LastTouch:  cycle,
 	}
 	c.tags[set*c.Ways+way] = addr.BlockID()<<1 | 1
+	c.parked = false
 	c.stats.Fills++
 	c.policy.OnFill(set, way, c.sets[set], info)
 }
@@ -551,7 +599,7 @@ func (c *Cache) findVictim(set int, info AccessInfo) int {
 }
 
 // writeback sends an evicted dirty block to the next level.
-func (c *Cache) writeback(blk Block, core int, cycle uint64) {
+func (c *Cache) writeback(blk Block, cycle uint64) {
 	c.stats.WritebacksIssued++
 	c.nextReqID++
 	wb := c.pool.Get()
@@ -561,7 +609,6 @@ func (c *Cache) writeback(blk Block, core int, cycle uint64) {
 	wb.Core = blk.Core
 	wb.Kind = mem.Writeback
 	wb.IssueCycle = cycle
-	_ = core
 	c.lower.Access(wb, cycle)
 }
 

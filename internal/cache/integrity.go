@@ -110,6 +110,7 @@ func (c *Cache) FlipTagBit(set, way int, bit uint) bool {
 	}
 	blk.Tag ^= 1 << bit
 	c.tags[set*c.Ways+way] = blk.Tag<<1 | 1
+	c.parked = false
 	return true
 }
 
@@ -147,5 +148,6 @@ func (c *Cache) SaturateMSHR(cycle uint64) int {
 		}
 		claimed++
 	}
+	c.parked = false
 	return claimed
 }

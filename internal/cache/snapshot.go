@@ -103,6 +103,7 @@ func (c *Cache) Restore(snap any) error {
 	c.stats.PerCoreDemandAccesses = append([]uint64(nil), st.Stats.PerCoreDemandAccesses...)
 	c.stats.PerCoreDemandMisses = append([]uint64(nil), st.Stats.PerCoreDemandMisses...)
 	c.nextReqID = st.NextReqID
+	c.parked = false
 	if st.Policy != nil {
 		s, ok := c.policy.(checkpoint.Snapshotter)
 		if !ok {

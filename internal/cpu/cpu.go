@@ -213,6 +213,31 @@ func (c *Core) Tick(cycle uint64) {
 	c.dispatch(cycle)
 }
 
+// Stalled reports whether a Tick now would change nothing but the
+// cycle and ROB-stall counters: the ROB head cannot retire (it is a
+// memory instruction still waiting for data), and dispatch is frozen,
+// blocked by a full ROB, or out of trace. The simulator's
+// fast-forward only skips cycles in which every core is Stalled;
+// within a run loop a stalled core wakes only through a Complete from
+// the hierarchy.
+func (c *Core) Stalled() bool {
+	if c.rob.Len() > 0 {
+		if it := c.rob.Front(); it.nonMem > 0 || it.mem == nil || it.mem.done {
+			return false
+		}
+	}
+	return c.frozen || c.robLen >= c.ROBSize || (c.exhausted && !c.recValid)
+}
+
+// SkipCycles accounts for k cycles in which the core stayed Stalled:
+// the counter updates k Ticks would have made.
+func (c *Core) SkipCycles(k uint64) {
+	c.stats.Cycles += k
+	if !c.frozen && c.robLen >= c.ROBSize {
+		c.stats.ROBStallCycles += k
+	}
+}
+
 // retire removes up to IssueWidth completed instructions in order.
 func (c *Core) retire() {
 	budget := c.IssueWidth

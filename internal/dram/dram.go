@@ -9,6 +9,7 @@ package dram
 
 import (
 	"fmt"
+	"math"
 
 	"care/internal/mem"
 )
@@ -281,6 +282,21 @@ func (d *DRAM) Tick(cycle uint64) {
 	}
 	d.inflight = rest
 	d.minReady = next
+}
+
+// NextEvent returns the earliest cycle, from now on, at which Tick
+// changes state: now when a write drain is due, else the earliest
+// in-flight read completion (which may already have passed), else
+// math.MaxUint64. Nothing but Access moves it, so it bounds the
+// simulator's fast-forward.
+func (d *DRAM) NextEvent(now uint64) uint64 {
+	if queued := len(d.writeQ) - d.wqHead; queued > 0 && (len(d.inflight) == 0 || queued >= writeQueueHigh) {
+		return now
+	}
+	if len(d.inflight) == 0 {
+		return math.MaxUint64
+	}
+	return d.minReady
 }
 
 // Drained reports whether no reads are in flight.

@@ -27,6 +27,7 @@ package faultinject
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -485,6 +486,16 @@ func (m *Memory) Tick(cycle uint64) {
 	m.held = rest
 }
 
+// NextRelease returns the earliest cycle at which Tick releases a held
+// response (math.MaxUint64 when none is held).
+func (m *Memory) NextRelease() uint64 {
+	next := uint64(math.MaxUint64)
+	for _, h := range m.held {
+		next = min(next, h.at)
+	}
+	return next
+}
+
 // Held returns the number of responses currently being delayed.
 func (m *Memory) Held() int { return len(m.held) }
 
@@ -511,6 +522,24 @@ func (in *Injector) OnCycle(cycle uint64, llc *cache.Cache) {
 			in.stats.MetadataFlips++
 		}
 	}
+}
+
+// NextFault returns the earliest cycle, from now on, at which OnCycle
+// acts: now once MSHR saturation has begun (it re-claims entries every
+// cycle), else the saturation onset or the metadata flip, whichever
+// comes first (math.MaxUint64 when neither is pending).
+func (in *Injector) NextFault(now uint64) uint64 {
+	next := uint64(math.MaxUint64)
+	if at := in.cfg.MSHRSaturateAt; at > 0 {
+		if at <= now {
+			return now
+		}
+		next = at
+	}
+	if at := in.cfg.MetaFlipAt; at > 0 && at >= now {
+		next = min(next, at)
+	}
+	return next
 }
 
 // ---- crash faults ----

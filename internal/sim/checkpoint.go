@@ -111,7 +111,7 @@ func (s *System) Quiesce() error {
 		if s.quiescent() {
 			return s.componentErr()
 		}
-		s.step()
+		s.advance(limit)
 		if err := s.guard(); err != nil {
 			return err
 		}

@@ -338,6 +338,79 @@ func (s *System) CAREStats() *careplc.Stats {
 	return nil
 }
 
+// advance moves the system forward by at least one cycle, never past
+// limit. When no component can change state before some later cycle
+// it jumps straight there (see horizon); otherwise it steps one cycle.
+// Either way the state it reaches is the one plain stepping reaches.
+func (s *System) advance(limit uint64) {
+	if t := s.horizon(limit); t > s.cycle {
+		s.skipTo(t)
+		return
+	}
+	s.step()
+}
+
+// horizon returns the earliest cycle T in [s.cycle, limit] at which a
+// step can change more than counters and the LLC trackers'
+// accumulators: every step from the current cycle up to T is dead.
+// The bounds, one per component that can act on its own:
+//
+//   - a core that can retire or dispatch: now;
+//   - each cache's un-parked queue head: its ready cycle;
+//   - DRAM: now when a write drain is due, else its next read completion;
+//   - the fault clock: held DRAM responses, the MSHR-saturation onset
+//     (now from then on), and the metadata flip;
+//   - telemetry: one cycle before its next sample or snapshot, since
+//     step(c) ticks the collector with c+1;
+//   - the guard: the next watchdogStride multiple and MaxCycles, so
+//     every check guard makes after a step still runs at its cycle.
+//
+// A dead step cannot move any of these bounds: only a live step does.
+func (s *System) horizon(limit uint64) uint64 {
+	now := s.cycle
+	for _, c := range s.cores {
+		if !c.Stalled() {
+			return now
+		}
+	}
+	t := min(limit, (now/watchdogStride+1)*watchdogStride)
+	if m := s.cfg.MaxCycles; m > 0 {
+		t = min(t, m)
+	}
+	for _, c := range s.allCaches() {
+		if t = min(t, c.NextEvent()); t <= now {
+			return now
+		}
+	}
+	t = min(t, s.mem.NextEvent(now))
+	if s.injector != nil {
+		t = min(t, s.injector.NextFault(now), s.faultMem.NextRelease())
+	}
+	if s.tele != nil {
+		next := s.tele.NextTick()
+		if next <= now+1 {
+			return now
+		}
+		t = min(t, next-1)
+	}
+	return max(t, now)
+}
+
+// skipTo jumps from the current cycle to t across dead steps (see
+// horizon), making in bulk exactly the counter updates those steps
+// would have made: core cycle and ROB-stall counts, parked queues'
+// MSHR-stall counts, and one tracker Tick per cache per cycle, in
+// cycle order, so the PML accumulates its floats in the same order.
+func (s *System) skipTo(t uint64) {
+	for _, c := range s.cores {
+		c.SkipCycles(t - s.cycle)
+	}
+	for _, c := range s.allCaches() {
+		c.SkipCycles(s.cycle, t)
+	}
+	s.cycle = t
+}
+
 // step advances the whole system one cycle.
 func (s *System) step() {
 	if s.injector != nil {
@@ -456,7 +529,7 @@ func (s *System) runTargets(targets []uint64, maxCycles uint64) error {
 		if done {
 			break
 		}
-		s.step()
+		s.advance(maxCycles)
 		if err := s.guard(); err != nil {
 			return err
 		}
@@ -483,7 +556,7 @@ func (s *System) Drain() error {
 		if idle {
 			return s.componentErr()
 		}
-		s.step()
+		s.advance(limit)
 		if err := s.guard(); err != nil {
 			return err
 		}

@@ -350,6 +350,12 @@ func (c *Collector) Tick(cycle uint64) {
 	}
 }
 
+// NextTick returns the smallest cycle argument for which Tick does
+// work (an occupancy sample or an interval snapshot); Tick is a no-op
+// for every smaller cycle. The simulator's fast-forward stops short of
+// it.
+func (c *Collector) NextTick() uint64 { return min(c.next, c.nextOcc) }
+
 // sampleOcc buckets the LLC MSHR occupancy fraction into the current
 // interval's histogram.
 func (c *Collector) sampleOcc() {
