@@ -28,6 +28,12 @@ const (
 	StateCancelled = "cancelled"
 )
 
+// LocalWorker is the worker name reserved for care-server's
+// in-process worker. Its leases die with the server process, so a
+// restart re-pends them at once; a remote claim under this name is
+// rejected with CodeBadRequest.
+const LocalWorker = "local"
+
 // Machine-readable error codes, stable for programmatic dispatch.
 // Every non-2xx response from any /api/v1 endpoint carries one.
 const (

@@ -45,8 +45,8 @@ type JobSpec struct {
 	// equal priority claim in submission order. Range [-100, 100].
 	Priority int `json:"priority,omitempty"`
 	// Constraints restrict which workers may claim the job. A nil
-	// Constraints runs anywhere (including the server's local pool);
-	// a constrained job runs only on remote workers whose registered
+	// Constraints runs anywhere (including the server's in-process
+	// worker); a constrained job runs only on workers whose registered
 	// capabilities satisfy it.
 	Constraints *Constraints `json:"constraints,omitempty"`
 }
@@ -165,15 +165,16 @@ type Job struct {
 	// State is one of the State* constants.
 	State string `json:"state"`
 	// Attempts counts server-level executions: how many times a worker
-	// (local or remote) claimed this job. For remote claims the attempt
-	// number doubles as the lease's **fencing token**: a worker may only
+	// claimed this job. The attempt number doubles as the lease's
+	// **fencing token**: a worker may only
 	// heartbeat, upload artifacts for, or complete the job while quoting
 	// the attempt number of its own claim, so a worker whose lease
 	// expired (and whose job was re-claimed at a higher attempt) is
 	// rejected no matter how late its requests arrive.
 	Attempts int `json:"attempts"`
-	// Worker names the remote worker holding (or, on a done job, the
-	// one that completed) the lease; "" for local executions.
+	// Worker names the worker holding (or, on a done job, the one that
+	// completed) the lease; "" for executions journaled before every
+	// job ran under a lease.
 	Worker string `json:"worker,omitempty"`
 	// LeaseTTLMS is the lease duration granted at claim/renew time.
 	LeaseTTLMS int64 `json:"lease_ttl_ms,omitempty"`
@@ -184,7 +185,7 @@ type Job struct {
 	// the holder learns on its next heartbeat and unwinds.
 	CancelRequested bool `json:"cancel_requested,omitempty"`
 	// Progress is the holder's latest heartbeat watermark (running
-	// remote jobs only).
+	// jobs only).
 	Progress *Progress `json:"progress,omitempty"`
 	// Result is the canonical result JSON (terminal done state only).
 	Result json.RawMessage `json:"result,omitempty"`
@@ -195,7 +196,7 @@ type Job struct {
 	Seq uint64 `json:"seq"`
 }
 
-// Leased reports whether the job is running under a remote lease.
+// Leased reports whether the job is running under a lease.
 func (jb *Job) Leased() bool {
 	return jb.State == StateRunning && jb.Worker != ""
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // ---- job endpoints ----
@@ -230,17 +229,7 @@ func (ev *JobEvent) After(c EventCursor) bool {
 
 // ---- health / observability ----
 
-// WorkerStatus is one local pool worker's row in /healthz.
-type WorkerStatus struct {
-	Worker int    `json:"worker"`
-	Job    string `json:"job,omitempty"`
-	Busy   bool   `json:"busy"`
-	// LastProgress is the time of the worker's last job transition
-	// (claim or finish), RFC 3339.
-	LastProgress time.Time `json:"last_progress"`
-}
-
-// WorkerFleet is one remote worker's row in /healthz: when it last
+// WorkerFleet is one worker's row in /healthz: when it last
 // contacted the server, and the capability envelope it registered on
 // its most recent claim.
 type WorkerFleet struct {
@@ -255,13 +244,12 @@ type Health struct {
 	Draining   bool           `json:"draining"`
 	QueueDepth int            `json:"queue_depth"`
 	Jobs       map[string]int `json:"jobs"`
-	Workers    []WorkerStatus `json:"workers"`
 	JournalSeq uint64         `json:"journal_seq"`
 	UptimeSec  float64        `json:"uptime_sec"`
-	// Remote-fleet view: jobs currently leased to remote workers, how
-	// many leases the manager has expired this process lifetime, each
-	// known worker's last-contact age, and the checkpoint artifact
-	// store's footprint.
+	// Fleet view: jobs currently leased to workers (the in-process
+	// one included), how many leases the manager has expired this
+	// process lifetime, each known worker's last-contact age, and the
+	// checkpoint artifact store's footprint.
 	ActiveLeases     int           `json:"active_leases"`
 	LeaseExpirations uint64        `json:"lease_expirations"`
 	Fleet            []WorkerFleet `json:"fleet,omitempty"`

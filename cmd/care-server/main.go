@@ -1,10 +1,12 @@
 // Command care-server runs the campaign-execution daemon: an
 // HTTP/JSON API for submitting, inspecting, and cancelling simulation
-// jobs over a durable journal-backed queue. Jobs execute on a worker
-// pool through the harness supervisor (checkpointed, retried with
-// jittered backoff), so a crash — or a kill -9 — loses nothing: on
-// restart the journal replays and interrupted jobs resume from their
-// checkpoints.
+// jobs over a durable journal-backed queue. Jobs execute on care-worker
+// processes; -workers N also runs one in-process care-worker with N
+// slots, which claims over loopback through the same leased, fenced
+// worker API. Every job runs under the harness supervisor
+// (checkpointed, retried with jittered backoff), so a crash — or a
+// kill -9 — loses nothing: on restart the journal replays and
+// interrupted jobs resume from their checkpoints.
 //
 // Usage:
 //
@@ -44,7 +46,7 @@ func run() int {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:7077", "HTTP listen address")
 		dataDir  = flag.String("data", "care-server-data", "data directory (journal, checkpoints, telemetry)")
-		workers  = flag.Int("workers", 2, "local worker-pool size (0 = no local workers; jobs run only on remote care-worker processes)")
+		workers  = flag.Int("workers", 2, "slots of the in-process care-worker (0 = none; jobs run only on remote care-worker processes)")
 		drainFor = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for in-flight jobs to reach their next checkpoint")
 		leaseChk = flag.Duration("lease-check-every", time.Second, "remote-lease expiry sweep period")
 		compact  = flag.Int("compact-min-events", 512, "compact the journal at startup once it holds this many records (negative disables)")

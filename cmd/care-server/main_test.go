@@ -16,6 +16,7 @@ import (
 
 	"care"
 	"care/careapi"
+	"care/internal/harness"
 	"care/internal/policy"
 	"care/internal/server"
 )
@@ -150,7 +151,7 @@ func directResult(t *testing.T, workload, pol string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := server.MarshalResult(r)
+	b, err := harness.MarshalResult(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +313,7 @@ func TestServerChaosExactlyOnce(t *testing.T) {
 	}
 	completes := map[string]int{}
 	resultBytes := map[string]string{}
-	starts := 0
+	claims := 0
 	for _, line := range bytes.Split(journal, []byte("\n")) {
 		if len(line) == 0 {
 			continue
@@ -326,8 +327,8 @@ func TestServerChaosExactlyOnce(t *testing.T) {
 		case "complete":
 			completes[ev.Job]++
 			resultBytes[ev.Job] = string(ev.Result)
-		case "start":
-			starts++
+		case "claim":
+			claims++
 		}
 	}
 	for _, jb := range finished {
@@ -336,8 +337,8 @@ func TestServerChaosExactlyOnce(t *testing.T) {
 				jb.ID, completes[jb.ID], journal)
 		}
 	}
-	if starts <= len(finished) {
-		t.Logf("note: campaign finished with no crash-forced re-starts (%d starts)", starts)
+	if claims <= len(finished) {
+		t.Logf("note: campaign finished with no crash-forced re-claims (%d claims)", claims)
 	}
 	// The contained worker panic left its durable trace: a requeue
 	// whose reason names the panic.

@@ -26,6 +26,7 @@ import (
 	"syscall"
 	"time"
 
+	"care/careapi"
 	"care/internal/faultinject"
 	"care/internal/sim"
 	"care/internal/worker"
@@ -47,11 +48,15 @@ func run() int {
 		cores     = flag.Int("cores", 0, "declared core count for constraint matching (0 = undeclared)")
 		memMB     = flag.Int64("mem-mb", 0, "declared memory in MiB for constraint matching (0 = undeclared)")
 		labels    = flag.String("labels", "", "comma-separated placement labels (e.g. ssd,numa)")
-		faults    = flag.String("faults", "", "deterministic fault-injection spec; net-* classes act on this worker's HTTP transport, simulation classes run inside every job")
+		faults    = flag.String("faults", "", "deterministic fault-injection spec; net-* classes act on this worker's HTTP transport, worker-panic on its job slots, simulation classes run inside every job")
 	)
 	flag.Parse()
 	if *name == "" {
 		fmt.Fprintln(os.Stderr, "care-worker: -name is required")
+		return 2
+	}
+	if *name == careapi.LocalWorker {
+		fmt.Fprintf(os.Stderr, "care-worker: -name %s is reserved for care-server's in-process worker\n", *name)
 		return 2
 	}
 	if *dataDir == "" {

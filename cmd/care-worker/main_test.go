@@ -20,6 +20,7 @@ import (
 
 	"care"
 	"care/careapi"
+	"care/internal/harness"
 	"care/internal/policy"
 	"care/internal/server"
 )
@@ -399,7 +400,7 @@ func workerDirectResult(t *testing.T, workload, pol string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := server.MarshalResult(r)
+	b, err := harness.MarshalResult(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -659,6 +660,7 @@ func TestWorkerFlagValidation(t *testing.T) {
 	}{
 		{"missing-name", nil, "-name is required"},
 		{"bad-faults", []string{"-name", "w", "-faults", "gremlins=1"}, "unknown fault"},
+		{"reserved-name", []string{"-name", careapi.LocalWorker}, "reserved"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cmd := exec.Command(os.Args[0], tc.args...)

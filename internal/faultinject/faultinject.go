@@ -87,9 +87,10 @@ type Config struct {
 	// a torn write during a crash. Replay must discard the torn tail
 	// and recover everything before it.
 	ServerTearAppendNth uint64
-	// ServerWorkerPanicNth panics the worker executing the Nth job the
-	// server starts, 1-based (0 = off). The pool must contain the
-	// panic, requeue the job, and complete it on a later attempt.
+	// ServerWorkerPanicNth panics the worker executing the Nth job it
+	// starts, 1-based (0 = off): care-server's in-process worker, or a
+	// care-worker given the class. The worker must contain the panic,
+	// requeue the job, and complete it on a later attempt.
 	ServerWorkerPanicNth uint64
 	// ServerAppendErrNth makes the Nth journal append attempt fail with
 	// an error instead of committing, 1-based (0 = off). Unlike the

@@ -1,7 +1,7 @@
 // Server-level crash classes: deterministic process kills, torn
 // journal writes, and worker panics for care-server's chaos tests.
 // Unlike the simulation faults, these hooks are called from multiple
-// goroutines (HTTP handlers appending to the journal, pool workers
+// goroutines (HTTP handlers appending to the journal, worker slots
 // starting jobs), so their counters are mutex-guarded.
 package faultinject
 
@@ -94,7 +94,7 @@ func (in *Injector) OnJournalAppendAttempt() error {
 }
 
 // BeginServerJob counts job executions and panics the worker running
-// the Nth one, once. The pool's recover turns it into a requeue.
+// the Nth one, once. The worker's recover turns it into a requeue.
 func (in *Injector) BeginServerJob() {
 	if in.cfg.ServerWorkerPanicNth == 0 {
 		return

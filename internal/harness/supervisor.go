@@ -6,6 +6,7 @@ package harness
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -17,6 +18,7 @@ import (
 	"sync"
 	"time"
 
+	"care/careapi"
 	"care/internal/checkpoint"
 	"care/internal/policy"
 	"care/internal/sim"
@@ -49,6 +51,34 @@ type RunSpec struct {
 	Warmup, Measure uint64
 	// GAPRecords caps GAP kernel traces (0 = the harness default).
 	GAPRecords int
+}
+
+// RunSpecOf converts a job spec to the run identity it executes as.
+func RunSpecOf(s *careapi.JobSpec) RunSpec {
+	return RunSpec{
+		Kind:       s.Kind,
+		Workload:   s.Workload,
+		Scheme:     s.Policy,
+		Cores:      s.Cores,
+		Prefetch:   s.Prefetch,
+		Scale:      s.Scale,
+		Warmup:     s.Warmup,
+		Measure:    s.Measure,
+		GAPRecords: s.GAPRecords,
+	}
+}
+
+// MarshalResult renders a simulation result as the canonical bytes a
+// job completes with (journaled and served by care-server). Chaos
+// tests compare these bytes against an unsupervised run's, so the
+// encoding must be deterministic (encoding/json is, for a fixed
+// struct).
+func MarshalResult(r sim.Result) (json.RawMessage, error) {
+	b, err := json.Marshal(r)
+	if err != nil {
+		return nil, fmt.Errorf("harness: encode result: %w", err)
+	}
+	return b, nil
 }
 
 // Validate rejects malformed specs up front with typed errors, so a

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"care/careapi"
 )
 
 // buildHistory produces a queue with a few journal-heavy jobs: one
@@ -20,15 +22,18 @@ func buildHistory(t *testing.T, path string) map[string]Job {
 	d, _ := q.Submit(testSpec())
 	e, _ := q.Submit(testSpec())
 
-	q.Claim() // a attempt 1
-	q.Requeue(a.ID, "injected crash")
-	q.Claim() // b attempt 1... claims pop FIFO: order a,b,c,d,e; after requeue, ready = c,d,e,a
-	// Simplest to drive by explicit remote claims instead.
+	// In-process history: a is claimed and requeued, then b (next in
+	// line: the requeue sent a to the back) is left running when the
+	// process dies.
+	q.ClaimFor(careapi.LocalWorker, 60_000, "", nil)
+	q.FailRemote(a.ID, careapi.LocalWorker, 1, "requeue", "injected crash")
+	q.ClaimFor(careapi.LocalWorker, 60_000, "", nil)
 	q.Close()
 
 	q2 := openTestQueue(t, path)
 	// Reopen replays: a pending (requeued), b pending (implicit requeue
-	// of the crashed local run), c/d/e pending.
+	// of the in-process lease that died with the process), c/d/e
+	// pending.
 	complete := func(id string, worker string, result string) {
 		t.Helper()
 		for {

@@ -39,7 +39,7 @@ const maxPriority = 100
 
 // ValidateSpec rejects malformed specs at the API boundary.
 func ValidateSpec(s *JobSpec) error {
-	rs := RunSpecOf(s)
+	rs := harness.RunSpecOf(s)
 	if err := rs.Validate(); err != nil {
 		return err
 	}
@@ -70,32 +70,13 @@ func ValidateSpec(s *JobSpec) error {
 	return nil
 }
 
-// RunSpecOf converts the job spec to the harness's public run identity.
-func RunSpecOf(s *JobSpec) harness.RunSpec {
-	return harness.RunSpec{
-		Kind:       s.Kind,
-		Workload:   s.Workload,
-		Scheme:     s.Policy,
-		Cores:      s.Cores,
-		Prefetch:   s.Prefetch,
-		Scale:      s.Scale,
-		Warmup:     s.Warmup,
-		Measure:    s.Measure,
-		GAPRecords: s.GAPRecords,
-	}
-}
+// RunSpecOf forwards to harness.RunSpecOf for the perfbench module,
+// which calls it through this package.
+func RunSpecOf(s *JobSpec) harness.RunSpec { return harness.RunSpecOf(s) }
 
-// MarshalResult renders a simulation result as the canonical bytes
-// stored in the journal and served by the API. Chaos tests compare
-// these bytes against an unsupervised run's, so the encoding must be
-// deterministic (encoding/json is, for a fixed struct).
-func MarshalResult(r sim.Result) (json.RawMessage, error) {
-	b, err := json.Marshal(r)
-	if err != nil {
-		return nil, fmt.Errorf("server: encode result: %w", err)
-	}
-	return b, nil
-}
+// MarshalResult forwards to harness.MarshalResult for the perfbench
+// module, which calls it through this package.
+func MarshalResult(r sim.Result) (json.RawMessage, error) { return harness.MarshalResult(r) }
 
 // applyEvent folds one journal event into the job, enforcing the
 // exactly-once invariant: a terminal job never transitions again.
@@ -107,6 +88,9 @@ func applyEvent(jb *Job, ev Event) error {
 	}
 	switch ev.Op {
 	case opStart:
+		// Legacy: the in-process pool that predates leases journaled its
+		// claims as start records, naming no worker. Replay re-pends a
+		// job left running by one (OpenQueue).
 		jb.State = StateRunning
 		jb.Attempts = ev.Attempt
 		jb.Worker = ""

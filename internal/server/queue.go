@@ -20,7 +20,6 @@ import (
 // the checkpoint/resume layer closes into exactly-once execution.
 type Queue struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
 	jnl    *Journal
 	jobs   map[string]*Job
 	order  []string // submission order, for listings
@@ -59,14 +58,15 @@ const (
 )
 
 // OpenQueue opens the journal at path and replays it into a queue.
-// Jobs that were running under a *local* worker when the previous
-// process died have a start event with no terminal event after it;
-// replay moves them back to pending (an implicit requeue — the local
-// pool died with the process). Jobs running under a *remote* lease
-// stay running: the worker may well have survived the server restart,
-// so its lease is re-armed at now+TTL and the lease manager expires
-// it only if the worker never heartbeats again. inj may be nil; when
-// set, its server crash classes fire inside journal appends.
+// Jobs that were running in-process when the previous process died —
+// leased to careapi.LocalWorker, or started by a legacy start record —
+// move back to pending (an implicit requeue: their executor died with
+// the process, so there is no point waiting out a lease TTL). Jobs
+// running under a remote lease stay running: the worker may well have
+// survived the server restart, so its lease is re-armed at now+TTL and
+// the lease manager expires it only if the worker never heartbeats
+// again. inj may be nil; when set, its server crash classes fire
+// inside journal appends.
 func OpenQueue(journalPath string, inj *faultinject.Injector) (*Queue, error) {
 	jnl, events, err := openJournalWithFallback(journalPath, inj)
 	if err != nil {
@@ -80,22 +80,24 @@ func OpenQueue(journalPath string, inj *faultinject.Injector) (*Queue, error) {
 		deadlines:      make(map[string]time.Time),
 		replayedEvents: len(events),
 	}
-	q.cond = sync.NewCond(&q.mu)
 	for _, ev := range events {
 		if err := q.replayEvent(ev); err != nil {
 			jnl.Close()
 			return nil, err
 		}
 	}
-	// Crash recovery: re-pend locally interrupted jobs, re-arm remote
-	// leases, and rebuild the ready list in submission order.
+	// Crash recovery: re-pend in-process jobs, re-arm remote leases,
+	// and rebuild the ready list in submission order.
 	now := time.Now()
 	for _, id := range q.order {
 		jb := q.jobs[id]
 		switch {
-		case jb.State == StateRunning && jb.Worker == "":
+		case jb.State == StateRunning && (jb.Worker == "" || jb.Worker == careapi.LocalWorker):
 			jb.State = StatePending
+			jb.Worker = ""
+			jb.LeaseTTLMS = 0
 			jb.Error = "requeued: server restarted mid-run"
+			q.dropIdem(id)
 		case jb.Leased():
 			ttl := time.Duration(jb.LeaseTTLMS) * time.Millisecond
 			if ttl <= 0 {
@@ -271,7 +273,6 @@ func (q *Queue) Submit(spec JobSpec) (Job, error) {
 	q.order = append(q.order, id)
 	q.ready = append(q.ready, id)
 	q.publish(jb, ev)
-	q.cond.Broadcast()
 	return *jb, nil
 }
 
@@ -316,7 +317,6 @@ func (q *Queue) SubmitSweep(specs []JobSpec) ([]Job, error) {
 			})
 		}
 	}
-	q.cond.Broadcast()
 	return jobs, nil
 }
 
@@ -346,8 +346,8 @@ func claimBefore(a, b *Job) bool {
 // pickReady compacts q.ready (lazily dropping entries whose job is no
 // longer pending) and returns the index of the best claimable job for
 // a claimant with caps, or -1 when nothing matches. A nil caps
-// claimant (the local pool, or an unregistered remote worker) only
-// matches unconstrained jobs. Callers hold q.mu.
+// claimant (a worker that registered nothing) only matches
+// unconstrained jobs. Callers hold q.mu.
 func (q *Queue) pickReady(caps *WorkerCaps) int {
 	live := q.ready[:0]
 	best := -1
@@ -376,48 +376,16 @@ func (q *Queue) takeReady(i int) *Job {
 	return q.jobs[id]
 }
 
-// Claim blocks until a pending job is available for the local pool
-// (or the queue is closed), commits its start event, and returns it
-// for execution. The local pool registers no capabilities, so it only
-// executes unconstrained jobs — constrained jobs wait for a remote
-// worker that satisfies them. The second return is false when the
-// queue has shut down.
-func (q *Queue) Claim() (Job, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for {
-		// closed wins over ready: a drain requeues running jobs, and
-		// the draining workers must not immediately re-claim them.
-		if q.closed {
-			return Job{}, false
-		}
-		if i := q.pickReady(nil); i >= 0 {
-			jb := q.takeReady(i)
-			ev := Event{Op: opStart, Job: jb.ID, Attempt: jb.Attempts + 1}
-			if err := q.commit(jb, ev); err != nil {
-				// The start never committed; leave the job pending and
-				// surface the journal failure to whoever shuts us down.
-				q.ready = append([]string{jb.ID}, q.ready...)
-				q.closed = true
-				q.cond.Broadcast()
-				return Job{}, false
-			}
-			return *jb, true
-		}
-		q.cond.Wait()
-	}
-}
-
-// ---- remote leases ----
+// ---- leases ----
 //
-// A remote worker's custody of a job is a time-bounded lease,
-// identified by the pair (worker, token) where the token is the
-// attempt number journaled in the claim event. Every lease operation
-// is fenced: it succeeds only while that pair is the job's *current*
-// lease. The decisive comparisons all happen under q.mu, so a lease
-// expiry racing a complete is settled deterministically by whichever
-// commit wins the lock — and the loser is rejected with ErrStaleLease
-// rather than applied twice. Leases are per-job, so one worker
+// A worker's custody of a job is a time-bounded lease, identified by
+// the pair (worker, token) where the token is the attempt number
+// journaled in the claim event. Every lease operation is fenced: it
+// succeeds only while that pair is the job's *current* lease. The
+// decisive comparisons all happen under q.mu, so a lease expiry racing
+// a complete is settled deterministically by whichever commit wins the
+// lock — and the loser is rejected with ErrStaleLease rather than
+// applied twice. Leases are per-job, so one worker
 // process running several slots holds several independent leases;
 // fencing never couples them.
 
@@ -439,10 +407,9 @@ func (q *Queue) ClaimRemote(worker string, ttlMS int64, idem string) (Job, bool,
 	return q.ClaimFor(worker, ttlMS, idem, nil)
 }
 
-// ClaimFor hands the best matching pending job to a remote worker
-// under a fresh lease, scheduling by priority, then constraint
-// demand, then submission order, among the jobs whose constraints
-// caps satisfies. It does not block: ok is false when nothing is
+// ClaimFor hands the best matching pending job to a worker under a
+// fresh lease, scheduling by priority, then constraint demand, then
+// submission order, among the jobs whose constraints caps satisfies. It does not block: ok is false when nothing is
 // claimable. A non-empty idem key makes the claim idempotent — if the
 // key already maps to a lease this worker still holds (the response
 // to an earlier identical claim was lost in the network), the same
@@ -581,7 +548,6 @@ func (q *Queue) FailRemote(id, worker string, token int, kind, reason string) er
 			return err
 		}
 		q.ready = append(q.ready, id)
-		q.cond.Broadcast()
 		return nil
 	case "fail":
 		return q.commit(jb, Event{Op: opFail, Job: id, Attempt: token, Worker: worker, Error: reason})
@@ -638,7 +604,6 @@ func (q *Queue) ExpireLeases(now time.Time) []string {
 				continue
 			}
 			q.ready = append(q.ready, id)
-			q.cond.Broadcast()
 		}
 		q.expirations++
 		expired = append(expired, id)
@@ -653,7 +618,8 @@ func (q *Queue) Expirations() uint64 {
 	return q.expirations
 }
 
-// ActiveLeases counts jobs currently running under a remote lease.
+// ActiveLeases counts jobs currently running under a lease (the
+// in-process worker's included).
 func (q *Queue) ActiveLeases() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -678,65 +644,19 @@ func (q *Queue) view(jb *Job) Job {
 	return cp
 }
 
-// Complete commits the job's canonical result. This append is THE
-// exactly-once commit point: a crash before it reruns the job (from
-// its checkpoint, deterministically); a crash after it replays as
-// done and the job never runs again.
-func (q *Queue) Complete(id string, result []byte) error {
-	return q.transition(id, StateRunning, Event{Op: opComplete, Job: id, Result: result})
-}
-
-// Fail commits a permanent failure (retry budgets exhausted, or the
-// spec turned out to be unrunnable).
-func (q *Queue) Fail(id string, reason string) error {
-	return q.transition(id, StateRunning, Event{Op: opFail, Job: id, Error: reason})
-}
-
-// Requeue commits a running job back to pending (drain, worker panic,
-// injected crash) so a later claim resumes it.
-func (q *Queue) Requeue(id string, reason string) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	jb, ok := q.jobs[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownJob, id)
-	}
-	if jb.State != StateRunning {
-		return fmt.Errorf("%w: requeue of %s job %s", ErrBadTransition, jb.State, id)
-	}
-	if err := q.commit(jb, Event{Op: opRequeue, Job: id, Error: reason}); err != nil {
-		return err
-	}
-	q.ready = append(q.ready, id)
-	q.cond.Broadcast()
-	return nil
-}
-
-// Cancel commits a pending job to cancelled. Cancelling a running job
-// is coordinated by the pool (which interrupts the worker first and
-// then commits); the queue only handles the queued case.
+// Cancel commits a pending job to cancelled. A running job is
+// cancelled through its lease (RequestCancelLeased).
 func (q *Queue) Cancel(id string) error {
-	return q.transition(id, StatePending, Event{Op: opCancel, Job: id})
-}
-
-// CancelRunning commits the cancel event for a job the pool has
-// already interrupted.
-func (q *Queue) CancelRunning(id string) error {
-	return q.transition(id, StateRunning, Event{Op: opCancel, Job: id})
-}
-
-// transition commits ev provided the job currently sits in want.
-func (q *Queue) transition(id, want string, ev Event) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	jb, ok := q.jobs[id]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownJob, id)
 	}
-	if jb.State != want {
-		return fmt.Errorf("%w: %s of %s job %s", ErrBadTransition, ev.Op, jb.State, id)
+	if jb.State != StatePending {
+		return fmt.Errorf("%w: cancel of %s job %s", ErrBadTransition, jb.State, id)
 	}
-	return q.commit(jb, ev)
+	return q.commit(jb, Event{Op: opCancel, Job: id})
 }
 
 // Get returns a copy of the job.
@@ -845,13 +765,11 @@ func (q *Queue) Seq() uint64 {
 	return q.jnl.Seq()
 }
 
-// Stop ends claiming: blocked Claim calls return false and workers
-// wind down. The journal stays open so in-flight jobs can still
-// commit their requeue/complete events while draining.
+// Stop ends claiming. The journal stays open so in-flight jobs can
+// still commit their requeue/complete events while draining.
 func (q *Queue) Stop() {
 	q.mu.Lock()
 	q.closed = true
-	q.cond.Broadcast()
 	q.mu.Unlock()
 }
 

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"path/filepath"
 	"testing"
+
+	"care/careapi"
 )
 
 func testSpec() JobSpec {
@@ -30,20 +32,25 @@ func TestQueueSubmitClaimComplete(t *testing.T) {
 	if jb.ID != "j000001" || jb.State != StatePending {
 		t.Fatalf("submitted job = %+v", jb)
 	}
-	claimed, ok := q.Claim()
-	if !ok || claimed.ID != jb.ID || claimed.State != StateRunning || claimed.Attempts != 1 {
-		t.Fatalf("claimed = %+v ok=%v", claimed, ok)
+	claimed, ok, err := q.ClaimRemote("w1", 60_000, "")
+	if err != nil || !ok || claimed.ID != jb.ID || claimed.State != StateRunning || claimed.Attempts != 1 {
+		t.Fatalf("claimed = %+v ok=%v err=%v", claimed, ok, err)
 	}
-	if err := q.Complete(jb.ID, []byte(`{"ok":true}`)); err != nil {
+	if err := q.CompleteRemote(jb.ID, "w1", 1, []byte(`{"ok":true}`)); err != nil {
 		t.Fatal(err)
 	}
 	got, err := q.Get(jb.ID)
 	if err != nil || got.State != StateDone || string(got.Result) != `{"ok":true}` {
 		t.Fatalf("completed job = %+v err=%v", got, err)
 	}
-	// Exactly-once: no further transitions are accepted.
-	if err := q.Complete(jb.ID, nil); !errors.Is(err, ErrBadTransition) {
-		t.Fatalf("double complete returned %v, want ErrBadTransition", err)
+	// Exactly-once: the winning lease's repeat is a no-op, and nobody
+	// else can complete the job again.
+	seq := q.Seq()
+	if err := q.CompleteRemote(jb.ID, "w1", 1, []byte(`{"ok":false}`)); err != nil || q.Seq() != seq {
+		t.Fatalf("repeated complete: err=%v seq %d -> %d", err, seq, q.Seq())
+	}
+	if err := q.CompleteRemote(jb.ID, "w2", 2, []byte(`{}`)); !errors.Is(err, ErrStaleLease) {
+		t.Fatalf("second complete returned %v, want ErrStaleLease", err)
 	}
 }
 
@@ -65,14 +72,15 @@ func TestQueueReplayRestoresState(t *testing.T) {
 	a, _ := q.Submit(testSpec())
 	b, _ := q.Submit(testSpec())
 	c, _ := q.Submit(testSpec())
-	ca, _ := q.Claim() // a starts
+	ca, _, _ := q.ClaimFor(careapi.LocalWorker, 60_000, "", nil) // a starts
 	if ca.ID != a.ID {
 		t.Fatalf("claimed %s, want %s", ca.ID, a.ID)
 	}
-	if err := q.Complete(a.ID, []byte(`{"r":1}`)); err != nil {
+	if err := q.CompleteRemote(a.ID, careapi.LocalWorker, 1, []byte(`{"r":1}`)); err != nil {
 		t.Fatal(err)
 	}
-	q.Claim() // b starts and is left running (simulated crash)
+	// b starts in-process and is left running (simulated crash).
+	q.ClaimFor(careapi.LocalWorker, 60_000, "", nil)
 	if err := q.Cancel(c.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -85,15 +93,16 @@ func TestQueueReplayRestoresState(t *testing.T) {
 	if ga.State != StateDone || string(ga.Result) != `{"r":1}` {
 		t.Fatalf("job a after replay = %+v", ga)
 	}
-	if gb.State != StatePending {
-		t.Fatalf("crashed-running job b replayed as %s, want pending (implicit requeue)", gb.State)
+	// The in-process lease died with the process: no TTL to wait out.
+	if gb.State != StatePending || gb.Worker != "" || q2.ActiveLeases() != 0 {
+		t.Fatalf("crashed-running job b replayed as %+v, want pending (implicit requeue)", gb)
 	}
 	if gc.State != StateCancelled {
 		t.Fatalf("job c after replay = %+v", gc)
 	}
 	// The interrupted job is claimable again, with the attempt counter
 	// advancing past the crashed execution.
-	rb, ok := q2.Claim()
+	rb, ok, _ := q2.ClaimRemote("w1", 60_000, "")
 	if !ok || rb.ID != b.ID || rb.Attempts != 2 {
 		t.Fatalf("reclaim after replay = %+v ok=%v", rb, ok)
 	}
@@ -104,33 +113,81 @@ func TestQueueReplayRestoresState(t *testing.T) {
 	}
 }
 
+// TestLegacyStartRecordsReplayAndCompact replays a journal written
+// before every execution ran under a lease: the in-process pool
+// journaled a start record naming no worker, and its complete,
+// requeue and fail records quoted no lease.
+func TestLegacyStartRecordsReplayAndCompact(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal")
+	jnl, _, err := OpenJournal(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := testSpec()
+	events := []Event{
+		{Op: opSweep, Specs: []JobSpec{spec, spec, spec}, IDs: []string{"j000001", "j000002", "j000003"}},
+		{Op: opStart, Job: "j000001", Attempt: 1},
+		{Op: opComplete, Job: "j000001", Result: []byte(`{"r":1}`)},
+		{Op: opStart, Job: "j000002", Attempt: 1},
+		{Op: opRequeue, Job: "j000002", Error: "drained: server shutting down"},
+		{Op: opStart, Job: "j000002", Attempt: 2}, // running when the process died
+		{Op: opStart, Job: "j000003", Attempt: 1},
+		{Op: opFail, Job: "j000003", Error: "permanent"},
+	}
+	for i := range events {
+		if err := jnl.Append(&events[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jnl.Close()
+
+	want := map[string]Job{
+		"j000001": {State: StateDone, Attempts: 1, Result: []byte(`{"r":1}`)},
+		"j000002": {State: StatePending, Attempts: 2, Error: "requeued: server restarted mid-run"},
+		"j000003": {State: StateFailed, Attempts: 1, Error: "permanent"},
+	}
+	check := func(q *Queue, stage string) {
+		t.Helper()
+		for id, w := range want {
+			if got, err := q.Get(id); err != nil || !sameJob(got, w) {
+				t.Fatalf("%s: %s = %+v err=%v, want %+v", stage, id, got, err, w)
+			}
+		}
+	}
+	q := openTestQueue(t, path)
+	check(q, "replay")
+	if err := q.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if q.Seq() != 3 {
+		t.Fatalf("compacted journal has %d records, want 3 (one per job)", q.Seq())
+	}
+	check(q, "compact")
+	q.Close()
+
+	q2 := openTestQueue(t, path)
+	check(q2, "reopen")
+	// The interrupted job claims again past its legacy attempts.
+	jb, ok, err := q2.ClaimRemote("w1", 60_000, "")
+	if err != nil || !ok || jb.ID != "j000002" || jb.Attempts != 3 {
+		t.Fatalf("claim after legacy replay = %+v ok=%v err=%v", jb, ok, err)
+	}
+}
+
 func TestQueueRequeueMakesJobClaimable(t *testing.T) {
 	q := openTestQueue(t, filepath.Join(t.TempDir(), "journal"))
 	jb, _ := q.Submit(testSpec())
-	q.Claim()
-	if err := q.Requeue(jb.ID, "drained"); err != nil {
+	q.ClaimRemote("w1", 60_000, "")
+	if err := q.FailRemote(jb.ID, "w1", 1, "requeue", "drained"); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := q.Get(jb.ID)
 	if got.State != StatePending || got.Error != "drained" {
 		t.Fatalf("requeued job = %+v", got)
 	}
-	re, ok := q.Claim()
+	re, ok, _ := q.ClaimRemote("w1", 60_000, "")
 	if !ok || re.ID != jb.ID || re.Attempts != 2 {
 		t.Fatalf("re-claim = %+v ok=%v", re, ok)
-	}
-}
-
-func TestQueueClaimUnblocksOnClose(t *testing.T) {
-	q := openTestQueue(t, filepath.Join(t.TempDir(), "journal"))
-	done := make(chan bool)
-	go func() {
-		_, ok := q.Claim()
-		done <- ok
-	}()
-	q.Close()
-	if ok := <-done; ok {
-		t.Fatal("Claim returned a job from a closed empty queue")
 	}
 }
 
@@ -141,7 +198,7 @@ func TestQueueCancelSkipsClaim(t *testing.T) {
 	if err := q.Cancel(a.ID); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := q.Claim()
+	got, ok, _ := q.ClaimRemote("w1", 60_000, "")
 	if !ok || got.ID != b.ID {
 		t.Fatalf("claim after cancel = %+v ok=%v, want %s", got, ok, b.ID)
 	}

@@ -2,11 +2,16 @@ package server
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"log"
 	"net"
 	"net/http"
+	"net/url"
 	"os"
 	"path/filepath"
 	"sort"
@@ -17,7 +22,9 @@ import (
 	"care/careapi"
 	"care/internal/faultinject"
 	"care/internal/harness"
+	"care/internal/sim"
 	"care/internal/telemetry"
+	"care/internal/worker"
 )
 
 // Config configures a care-server instance.
@@ -28,7 +35,7 @@ type Config struct {
 	// DataDir holds the journal, per-job checkpoint directories, and
 	// the telemetry stream. It is created if absent.
 	DataDir string
-	// Workers is the local worker-pool size (0 = 2).
+	// Workers is the in-process worker's slot count (0 = 2).
 	Workers int
 	// NoLocalWorkers runs the server queue-only: jobs execute solely on
 	// remote care-worker processes over the worker API.
@@ -60,28 +67,39 @@ type (
 )
 
 // Server is the care-server daemon: an HTTP API over a durable job
-// queue and a checkpoint-supervised worker pool.
+// queue, plus (unless NoLocalWorkers) an in-process worker.Worker that
+// claims from that API over loopback like any remote care-worker.
 type Server struct {
 	cfg         Config
 	q           *Queue
-	pool        *pool
 	artifacts   *ArtifactStore
 	leases      *leaseManager
 	hub         *eventHub
 	inj         *faultinject.Injector
 	registry    *telemetry.Registry
-	report      *harness.Report
 	http        *http.Server
 	ln          net.Listener
 	journalPath string
 	started     time.Time
 	draining    atomic.Bool
 	serveErr    chan error
+
+	// localKey authenticates the in-process worker's claims under the
+	// reserved careapi.LocalWorker name (see loopbackURL).
+	localKey  string
+	local     *worker.Worker // nil when queue-only
+	stopLocal context.CancelCauseFunc
+	localDone chan struct{}
 }
 
-// New creates the server: it ensures DataDir, opens and replays the
-// journal (restoring every job committed before the last shutdown or
-// crash), and prepares — but does not start — the worker pool.
+// localPoll is the in-process worker's idle claim period: a loopback
+// claim on an empty queue is cheap, and a short poll keeps the wait
+// between submit and claim small.
+const localPoll = 20 * time.Millisecond
+
+// New creates the server: it ensures DataDir and opens and replays the
+// journal, restoring every job committed before the last shutdown or
+// crash. Start launches the listener and the in-process worker.
 func New(cfg Config) (*Server, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
@@ -122,24 +140,24 @@ func New(cfg Config) (*Server, error) {
 		q.Close()
 		return nil, err
 	}
-	registry := telemetry.NewRegistry()
-	report := harness.NewReport()
+	key := make([]byte, 16)
+	if _, err := rand.Read(key); err != nil {
+		q.Close()
+		return nil, fmt.Errorf("server: local worker key: %w", err)
+	}
 	s := &Server{
 		cfg:         cfg,
 		q:           q,
 		artifacts:   artifacts,
 		hub:         newEventHub(),
 		inj:         inj,
-		registry:    registry,
-		report:      report,
+		registry:    telemetry.NewRegistry(),
 		journalPath: journalPath,
 		serveErr:    make(chan error, 1),
+		localKey:    hex.EncodeToString(key),
 	}
 	q.SetNotify(s.hub.publish)
 	s.leases = newLeaseManager(q, artifacts, cfg.LeaseCheckEvery)
-	if !cfg.NoLocalWorkers {
-		s.pool = newPool(q, cfg.DataDir, cfg.Workers, inj, cfg.Faults.SimOnly(), registry, report)
-	}
 	s.http = &http.Server{Handler: s.routes()}
 	return s, nil
 }
@@ -165,8 +183,9 @@ func (s *Server) routes() http.Handler {
 	return mux
 }
 
-// Start listens and serves in the background and launches the worker
-// pool. It returns once the listener is bound, so Addr() is valid.
+// Start listens and serves in the background and launches the
+// in-process worker. It returns once the listener is bound, so Addr()
+// is valid.
 func (s *Server) Start() error {
 	ln, err := net.Listen("tcp", s.cfg.Addr)
 	if err != nil {
@@ -174,16 +193,86 @@ func (s *Server) Start() error {
 	}
 	s.ln = ln
 	s.started = time.Now()
-	s.leases.start()
-	if s.pool != nil {
-		s.pool.start()
+	if !s.cfg.NoLocalWorkers {
+		if err := s.startLocal(); err != nil {
+			ln.Close()
+			return err
+		}
 	}
+	s.leases.start()
 	go func() {
 		if err := s.http.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			s.serveErr <- err
 		}
 	}()
 	return nil
+}
+
+// startLocal runs the in-process worker: the worker.Worker remote
+// machines run, with Workers slots, claiming over loopback HTTP under
+// the reserved name careapi.LocalWorker. Its job scratch lives under
+// DataDir, so a job killed with the process resumes from its last
+// on-schedule checkpoint.
+func (s *Server) startLocal() error {
+	w, err := worker.New(worker.Config{
+		Server:    s.loopbackURL(),
+		Name:      careapi.LocalWorker,
+		DataDir:   s.cfg.DataDir,
+		Poll:      localPoll,
+		Slots:     s.cfg.Workers,
+		Faults:    localFaults(s.cfg.Faults),
+		Telemetry: s.registry,
+		Log:       log.New(io.Discard, "", 0),
+	})
+	if err != nil {
+		return err
+	}
+	ctx, cancel := context.WithCancelCause(context.Background())
+	s.local, s.stopLocal, s.localDone = w, cancel, make(chan struct{})
+	go func() {
+		defer close(s.localDone)
+		w.Run(ctx)
+	}()
+	return nil
+}
+
+// loopbackURL is the listener's address as the in-process worker
+// dials it. The URL's userinfo carries localKey, which net/http sends
+// as basic auth: that is how a claim under careapi.LocalWorker is told
+// apart from a remote worker borrowing the name.
+func (s *Server) loopbackURL() string {
+	addr := s.ln.Addr().(*net.TCPAddr)
+	ip := addr.IP
+	if ip.IsUnspecified() {
+		ip = net.IPv4(127, 0, 0, 1)
+	}
+	u := url.URL{
+		Scheme: "http",
+		User:   url.UserPassword(careapi.LocalWorker, s.localKey),
+		Host:   net.JoinHostPort(ip.String(), strconv.Itoa(addr.Port)),
+	}
+	return u.String()
+}
+
+// isLocal reports whether r comes from the in-process worker.
+func (s *Server) isLocal(r *http.Request) bool {
+	_, key, ok := r.BasicAuth()
+	return ok && key == s.localKey
+}
+
+// localFaults is what the in-process worker injects: the simulation
+// classes and worker-panic. The journal classes act on the server's
+// own injector, and the network classes do not apply to loopback.
+func localFaults(c *faultinject.Config) *faultinject.Config {
+	if c == nil || c.ServerWorkerPanicNth == 0 {
+		return c.SimOnly()
+	}
+	var lf faultinject.Config
+	if sim := c.SimOnly(); sim != nil {
+		lf = *sim
+	}
+	lf.ServerWorkerPanicNth = c.ServerWorkerPanicNth
+	return &lf
 }
 
 // Addr returns the bound listen address.
@@ -198,21 +287,26 @@ func (s *Server) Addr() string {
 func (s *Server) ServeErr() <-chan error { return s.serveErr }
 
 // Shutdown drains the server gracefully: readiness flips to 503, the
-// queue stops handing out jobs, every running simulation is
-// interrupted at its next checkpoint boundary and durably requeued,
-// then the HTTP listener closes and the journal is synced shut. A
-// subsequent New on the same DataDir resumes the requeued jobs from
-// their checkpoints.
+// queue stops handing out jobs, the in-process worker stops every
+// running simulation at its next scheduled checkpoint, uploads it and
+// requeues the job, then the HTTP listener closes and the journal is
+// synced shut. A subsequent New on the same DataDir resumes the
+// requeued jobs from their checkpoints.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	s.q.Stop()
 	s.leases.Stop()
-	drainCtx, cancel := context.WithTimeout(ctx, s.cfg.DrainTimeout)
-	defer cancel()
 	var errs []error
-	if s.pool != nil {
-		if err := s.pool.Drain(drainCtx); err != nil {
-			errs = append(errs, err)
+	if s.local != nil {
+		// The worker settles over loopback, so the listener must stay
+		// open until it has gone.
+		drainCtx, cancel := context.WithTimeout(ctx, s.cfg.DrainTimeout)
+		defer cancel()
+		s.stopLocal(sim.ErrDrain)
+		select {
+		case <-s.localDone:
+		case <-drainCtx.Done():
+			errs = append(errs, fmt.Errorf("server: drain timed out: %w", drainCtx.Err()))
 		}
 	}
 	// Streams must end before http.Shutdown: it waits for in-flight
@@ -345,21 +439,10 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	case StateRunning:
-		if jb.Worker != "" {
-			// Remotely leased: flag the lease; the holder learns on its
-			// next heartbeat and acknowledges, or the lease expires into
-			// the cancel if the holder never comes back.
-			if !s.q.RequestCancelLeased(id) {
-				jb, _ = s.q.Get(id)
-				writeJSON(w, http.StatusConflict, jb)
-				return
-			}
-			w.WriteHeader(http.StatusAccepted)
-			return
-		}
-		// Interrupt the local worker; it commits the cancel event when
-		// the simulation unwinds. Report accepted, not yet terminal.
-		if s.pool == nil || !s.pool.CancelJob(id) {
+		// Flag the lease; the holder learns on its next heartbeat and
+		// acknowledges, or the lease expires into the cancel if the
+		// holder never comes back. Report accepted, not yet terminal.
+		if !s.q.RequestCancelLeased(id) {
 			// Raced with completion: report the terminal state.
 			jb, _ = s.q.Get(id)
 			writeJSON(w, http.StatusConflict, jb)
@@ -391,9 +474,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		ArtifactBytes:    s.artifacts.Bytes(),
 		SSESubscribers:   s.hub.Count(),
 	}
-	if s.pool != nil {
-		h.Workers = s.pool.Status()
-	}
 	writeJSON(w, http.StatusOK, h)
 }
 
@@ -405,20 +485,24 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
+// handleReport describes the runs of the in-process worker (an empty
+// ledger when queue-only; remote workers keep their own).
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	completed, retried, dropped := s.report.Counts()
-	rep := DegradationReport{
-		Jobs:       s.q.Counts(),
-		JournalSeq: s.q.Seq(),
-		Completed:  completed,
-		Retried:    retried,
-		Dropped:    dropped,
-		Summary:    s.report.Summary(),
+	var report *harness.Report
+	var panics uint64
+	if s.local != nil {
+		report, panics = s.local.Report(), s.local.Panics()
 	}
-	if s.inj != nil {
-		rep.WorkerPanics = s.inj.Stats().WorkerPanics
-	}
-	writeJSON(w, http.StatusOK, rep)
+	completed, retried, dropped := report.Counts()
+	writeJSON(w, http.StatusOK, DegradationReport{
+		Jobs:         s.q.Counts(),
+		JournalSeq:   s.q.Seq(),
+		Completed:    completed,
+		Retried:      retried,
+		Dropped:      dropped,
+		WorkerPanics: panics,
+		Summary:      report.Summary(),
+	})
 }
 
 // handleMetrics serves Prometheus text format: server gauges followed
@@ -441,7 +525,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	fmt.Fprintf(w, "care_server_sse_subscribers %d\n", s.hub.Count())
 	fmt.Fprintf(w, "care_server_journal_seq %d\n", s.q.Seq())
-	fmt.Fprintf(w, "care_server_workers %d\n", s.cfg.Workers)
+	slots := 0
+	if s.local != nil {
+		slots = s.cfg.Workers
+	}
+	fmt.Fprintf(w, "care_server_workers %d\n", slots)
 	fmt.Fprintf(w, "care_server_uptime_seconds %f\n", time.Since(s.started).Seconds())
 	fmt.Fprintf(w, "care_server_active_leases %d\n", s.q.ActiveLeases())
 	fmt.Fprintf(w, "care_server_lease_expirations_total %d\n", s.q.Expirations())

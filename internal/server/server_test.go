@@ -2,14 +2,14 @@ package server
 
 import (
 	"bytes"
-	"care/careapi"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
+
+	"care/careapi"
 )
 
 // startTestServer boots a server on a free port over dir.
@@ -122,7 +122,8 @@ func TestServerRunsSweepToCompletion(t *testing.T) {
 	// Health and metrics reflect the finished campaign.
 	var h Health
 	httpJSON(t, "GET", base+"/healthz", nil, &h)
-	if h.Jobs[StateDone] != 2 || h.QueueDepth != 0 || len(h.Workers) != 2 {
+	if h.Jobs[StateDone] != 2 || h.QueueDepth != 0 || len(h.Fleet) != 1 ||
+		h.Fleet[0].Name != careapi.LocalWorker || h.Fleet[0].Caps == nil || h.Fleet[0].Caps.Slots != 2 {
 		t.Fatalf("healthz = %+v", h)
 	}
 	resp, err := http.Get(base + "/metrics")
@@ -132,8 +133,10 @@ func TestServerRunsSweepToCompletion(t *testing.T) {
 	var metrics bytes.Buffer
 	metrics.ReadFrom(resp.Body)
 	resp.Body.Close()
-	if !strings.Contains(metrics.String(), `care_server_jobs{state="done"} 2`) {
-		t.Fatalf("metrics missing done gauge:\n%s", metrics.String())
+	for _, want := range []string{`care_server_jobs{state="done"} 2`, "care_server_workers 2\n"} {
+		if !strings.Contains(metrics.String(), want) {
+			t.Fatalf("metrics missing %q:\n%s", want, metrics.String())
+		}
 	}
 
 	var rep DegradationReport
@@ -301,5 +304,3 @@ func fetchCode(url string) int {
 	resp.Body.Close()
 	return resp.StatusCode
 }
-
-var _ = fmt.Sprintf // keep fmt if assertions change

@@ -1,4 +1,5 @@
-// Worker API: the HTTP surface remote care-worker processes drive.
+// Worker API: the HTTP surface care-worker processes drive — remote
+// ones, and the server's own in-process worker over loopback.
 // Claim hands out a job under a time-bounded lease; heartbeat renews
 // it; complete/fail end it; the artifact endpoints move checkpoint
 // files so a job can migrate between machines. Every mutating call
@@ -78,6 +79,11 @@ func decodeInto(w http.ResponseWriter, r *http.Request, v any) bool {
 func (s *Server) handleWorkerClaim(w http.ResponseWriter, r *http.Request) {
 	var req ClaimRequest
 	if !decodeInto(w, r, &req) {
+		return
+	}
+	if req.Worker == careapi.LocalWorker && !s.isLocal(r) {
+		writeError(w, http.StatusBadRequest, CodeBadRequest,
+			fmt.Errorf("worker name %q is reserved for the server's in-process worker", req.Worker))
 		return
 	}
 	// Register the worker's capability envelope even when nothing is

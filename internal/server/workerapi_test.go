@@ -10,7 +10,7 @@ import (
 	"time"
 )
 
-// startRemoteServer boots a server with no local worker pool, so
+// startRemoteServer boots a server with no in-process worker, so
 // submitted jobs sit pending until a (test-driven) remote claims them.
 func startRemoteServer(t *testing.T, dir string) *Server {
 	t.Helper()
@@ -280,6 +280,8 @@ func TestHealthzAndMetricsExposeLeaseState(t *testing.T) {
 		"care_server_artifact_store_files",
 		"care_server_artifact_store_bytes",
 		`care_server_worker_last_heartbeat_age_seconds{worker="w-obs"}`,
+		// Queue-only: no in-process slots, whatever Workers defaulted to.
+		"care_server_workers 0\n",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics output missing %q:\n%s", want, body)

@@ -1,8 +1,9 @@
-// Package worker implements care-worker: a remote execution client
-// that claims jobs from a care-server over HTTP, runs them under the
-// same checkpoint-supervised harness the server's local pool uses,
-// heartbeats its leases, and ships checkpoint artifacts so a job can
-// migrate between machines without losing progress or determinism.
+// Package worker implements care-worker: the one job executor. It
+// claims jobs from a care-server over HTTP, runs them under the
+// checkpoint-supervised harness, heartbeats its leases, and ships
+// checkpoint artifacts so a job can migrate between machines without
+// losing progress or determinism. care-server's own -workers slots run
+// this same worker in-process, over loopback.
 package worker
 
 import (

@@ -11,8 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"care/careapi"
 	"care/internal/faultinject"
-	"care/internal/server"
 )
 
 func fastClient(base string, inj *faultinject.Injector) *Client {
@@ -29,7 +29,7 @@ func TestClientRetriesTransientServerErrors(t *testing.T) {
 			http.Error(w, "boom", http.StatusInternalServerError)
 			return
 		}
-		json.NewEncoder(w).Encode(server.HeartbeatResponse{LeaseMSLeft: 1234})
+		json.NewEncoder(w).Encode(careapi.HeartbeatResponse{LeaseMSLeft: 1234})
 	}))
 	defer srv.Close()
 
@@ -48,7 +48,7 @@ func TestClientReturnsTypedErrorImmediatelyOn4xx(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
 		w.WriteHeader(http.StatusConflict)
-		json.NewEncoder(w).Encode(server.APIError{Code: server.CodeStaleLease, Message: "lease lost"})
+		json.NewEncoder(w).Encode(careapi.Error{Code: careapi.CodeStaleLease, Message: "lease lost"})
 	}))
 	defer srv.Close()
 
@@ -58,7 +58,7 @@ func TestClientReturnsTypedErrorImmediatelyOn4xx(t *testing.T) {
 		t.Fatalf("err = %v, want stale-lease", err)
 	}
 	var re *RemoteError
-	if !errors.As(err, &re) || re.Status != http.StatusConflict || re.Code != server.CodeStaleLease {
+	if !errors.As(err, &re) || re.Status != http.StatusConflict || re.Code != careapi.CodeStaleLease {
 		t.Fatalf("err = %#v, want typed RemoteError{409, stale_lease}", err)
 	}
 	// 4xx is a semantic answer, not a network hiccup: no retries.
@@ -72,7 +72,7 @@ func TestClientRetriesThroughInjectedNetFaults(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
 		io.Copy(io.Discard, r.Body)
-		json.NewEncoder(w).Encode(server.HeartbeatResponse{LeaseMSLeft: 99})
+		json.NewEncoder(w).Encode(careapi.HeartbeatResponse{LeaseMSLeft: 99})
 	}))
 	defer srv.Close()
 
@@ -116,7 +116,7 @@ func TestClientClaimNoJobAndDraining(t *testing.T) {
 			w.WriteHeader(http.StatusNoContent)
 		case "draining":
 			w.WriteHeader(http.StatusServiceUnavailable)
-			json.NewEncoder(w).Encode(server.APIError{Code: server.CodeDraining, Message: "shutting down"})
+			json.NewEncoder(w).Encode(careapi.Error{Code: careapi.CodeDraining, Message: "shutting down"})
 		}
 	}))
 	defer srv.Close()

@@ -11,14 +11,15 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"care/careapi"
 	"care/internal/checkpoint"
 	"care/internal/faultinject"
 	"care/internal/harness"
-	"care/internal/server"
 	"care/internal/sim"
+	"care/internal/telemetry"
 )
 
 // Config configures one care-worker process.
@@ -48,8 +49,12 @@ type Config struct {
 	MemMB  int64
 	Labels []string
 	// Faults configures fault injection: network classes wrap the HTTP
-	// transport; simulation classes run inside every job.
+	// transport, worker-panic fires as jobs start, and simulation
+	// classes run inside every job.
 	Faults *faultinject.Config
+	// Telemetry, when set, collects every job's interval series,
+	// tagged with the job ID (nil = off).
+	Telemetry *telemetry.Registry
 	// Log receives progress lines (nil = standard logger).
 	Log *log.Logger
 }
@@ -71,9 +76,21 @@ func (c *Config) caps() *careapi.WorkerCaps {
 type Worker struct {
 	cfg    Config
 	client *Client
+	inj    *faultinject.Injector // nil when no faults are configured
 	report *harness.Report
+	panics atomic.Uint64
 	logf   func(format string, args ...any)
 }
+
+// maxPanicRequeues bounds how many executions a job that keeps
+// panicking its worker gets before it is failed permanently; without
+// the cap a deterministic panic would loop forever.
+const maxPanicRequeues = 5
+
+// panicError is a job execution's contained panic.
+type panicError struct{ v any }
+
+func (p panicError) Error() string { return fmt.Sprintf("worker panic: %v", p.v) }
 
 // errLeaseLost and errCancelRequested are job-context cancel causes.
 var (
@@ -108,6 +125,7 @@ func New(cfg Config) (*Worker, error) {
 	return &Worker{
 		cfg:    cfg,
 		client: NewClient(cfg.Server, inj, h.Sum64()),
+		inj:    inj,
 		report: harness.NewReport(),
 		logf:   logf,
 	}, nil
@@ -115,6 +133,9 @@ func New(cfg Config) (*Worker, error) {
 
 // Report returns this worker's campaign outcome ledger.
 func (w *Worker) Report() *harness.Report { return w.report }
+
+// Panics returns how many job executions panicked and were contained.
+func (w *Worker) Panics() uint64 { return w.panics.Load() }
 
 // heartbeatEvery resolves the renew period.
 func (w *Worker) heartbeatEvery() time.Duration {
@@ -254,7 +275,7 @@ func (w *Worker) runJob(ctx context.Context, slot int, claim careapi.ClaimRespon
 		return
 	}
 	defer os.RemoveAll(dir)
-	spec := server.RunSpecOf(&jb.Spec)
+	spec := harness.RunSpecOf(&jb.Spec)
 	ckptPath := filepath.Join(dir, spec.CheckpointFile())
 
 	// Seed the local checkpoint from the server artifact so this
@@ -287,11 +308,7 @@ func (w *Worker) runJob(ctx context.Context, slot int, claim careapi.ClaimRespon
 	hbStop := make(chan struct{})
 	go w.heartbeat(jobCtx, jb.ID, token, slot, ckptPath, &jb.Spec, st, cancelJob, hbStop, hbDone)
 
-	opts, err := w.jobOptions(jb, dir)
-	var result sim.Result
-	if err == nil {
-		result, err = opts.Supervise(runCtx, spec)
-	}
+	result, err := w.execute(runCtx, jb, dir, spec)
 
 	close(hbStop)
 	<-hbDone
@@ -312,7 +329,7 @@ func (w *Worker) runJob(ctx context.Context, slot int, claim careapi.ClaimRespon
 		// would be rejected; drop our work on the floor.
 		w.logf("care-worker %s: %s lease lost (token %d); abandoning", w.cfg.Name, jb.ID, token)
 	case err == nil:
-		bytes, merr := server.MarshalResult(result)
+		bytes, merr := harness.MarshalResult(result)
 		if merr != nil {
 			w.settle(outCtx, jb.ID, token, "fail", merr.Error())
 			return
@@ -326,6 +343,14 @@ func (w *Worker) runJob(ctx context.Context, slot int, claim careapi.ClaimRespon
 			return
 		}
 		w.logf("care-worker %s: completed %s (token %d)", w.cfg.Name, jb.ID, token)
+	case errors.As(err, new(panicError)):
+		// Contained: requeue so the job runs again, unless it keeps
+		// panicking.
+		kind := "requeue"
+		if token > maxPanicRequeues {
+			kind = "fail"
+		}
+		w.settle(outCtx, jb.ID, token, kind, err.Error())
 	case cancelled:
 		w.settle(outCtx, jb.ID, token, "cancel", "")
 	case errors.Is(err, context.DeadlineExceeded) && runCtx.Err() != nil && jobCtx.Err() == nil:
@@ -342,6 +367,26 @@ func (w *Worker) runJob(ctx context.Context, slot int, claim careapi.ClaimRespon
 	default:
 		w.settle(outCtx, jb.ID, token, "fail", err.Error())
 	}
+}
+
+// execute runs one job through the harness supervisor. A panic in it
+// (injected by worker-panic, or real) is contained and returned as a
+// panicError, so the slot keeps serving.
+func (w *Worker) execute(ctx context.Context, jb careapi.Job, dir string, spec harness.RunSpec) (_ sim.Result, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			w.panics.Add(1)
+			err = panicError{v}
+		}
+	}()
+	if w.inj != nil {
+		w.inj.BeginServerJob()
+	}
+	opts, err := w.jobOptions(jb, dir)
+	if err != nil {
+		return sim.Result{}, err
+	}
+	return opts.Supervise(ctx, spec)
 }
 
 // settle reports a job's non-complete outcome, tolerating fencing.
@@ -487,10 +532,12 @@ func (w *Worker) maybeUpload(ctx context.Context, job string, token int, ckptPat
 	st.flag(func(s *jobState) { s.lastUploadSum = sum })
 }
 
-// jobOptions mirrors the server pool's harness supervision options so
-// a job executes identically whether it runs locally or remotely —
-// which is what makes migrated results byte-identical.
-func (w *Worker) jobOptions(jb server.Job, dir string) (*harness.Options, error) {
+// jobOptions builds the harness supervision options for one job. Each
+// job gets a private checkpoint directory (two jobs with identical
+// specs must not share resume state) and a jitter seed of its own, and
+// nothing here depends on which worker runs the job — which is what
+// makes migrated results byte-identical.
+func (w *Worker) jobOptions(jb careapi.Job, dir string) (*harness.Options, error) {
 	faults := w.cfg.Faults.SimOnly()
 	if jb.Spec.Faults != "" {
 		cfg, err := faultinject.ParseSpec(jb.Spec.Faults)
@@ -502,14 +549,16 @@ func (w *Worker) jobOptions(jb server.Job, dir string) (*harness.Options, error)
 	h := fnv.New64a()
 	h.Write([]byte(jb.ID))
 	return &harness.Options{
-		Measure:         jb.Spec.Measure,
-		Warmup:          jb.Spec.Warmup,
-		MaxAttempts:     jb.Spec.Retries + 1,
-		CheckpointDir:   dir,
-		CheckpointEvery: jb.Spec.CheckpointEvery,
-		ResumeExisting:  true,
-		RetryJitterSeed: h.Sum64(),
-		Faults:          faults,
-		Report:          w.report,
+		Measure:           jb.Spec.Measure,
+		Warmup:            jb.Spec.Warmup,
+		MaxAttempts:       jb.Spec.Retries + 1,
+		CheckpointDir:     dir,
+		CheckpointEvery:   jb.Spec.CheckpointEvery,
+		ResumeExisting:    true,
+		RetryJitterSeed:   h.Sum64(),
+		Faults:            faults,
+		Report:            w.report,
+		TelemetryRegistry: w.cfg.Telemetry,
+		TelemetryTag:      jb.ID + "/",
 	}, nil
 }
