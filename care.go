@@ -33,7 +33,6 @@ package care
 
 import (
 	"context"
-	"errors"
 	"io"
 
 	careplc "care/internal/core/care"
@@ -118,22 +117,18 @@ func Run(ctx context.Context, cfg SystemConfig, traces []TraceReader, opts RunOp
 	if opts.Telemetry != nil {
 		cfg.Telemetry = opts.Telemetry
 	}
-	s, err := sim.New(cfg, traces)
-	if err != nil {
-		return Result{}, err
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	defer s.WatchContext(ctx)()
-	var ck sim.CheckpointOptions
+	job := sim.Job{
+		Build:   func() (*System, error) { return sim.New(cfg, traces) },
+		Warmup:  opts.Warmup,
+		Measure: opts.Measure,
+	}
 	if opts.Checkpoint != nil {
-		ck = *opts.Checkpoint
+		job.Checkpoint = *opts.Checkpoint
 	}
-	r, err := s.RunSchedule(opts.Warmup, opts.Measure, ck)
-	if errors.Is(err, sim.ErrInterrupted) && ctx.Err() != nil {
-		err = errors.Join(err, ctx.Err())
-	}
+	r, _, err := sim.Execute(ctx, job)
 	return r, err
 }
 

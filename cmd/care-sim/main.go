@@ -11,21 +11,21 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"io/fs"
 	"os"
 	"os/signal"
 	"runtime/pprof"
 	"strings"
 	"syscall"
 
-	"care/internal/checkpoint"
 	"care/internal/core/care"
 	"care/internal/faultinject"
 	"care/internal/graph"
+	"care/internal/harness"
 	"care/internal/mem"
 	"care/internal/policy"
 	"care/internal/replacement"
@@ -94,7 +94,18 @@ func main() {
 		if *traceFile != "" {
 			return loadTraceFile(*traceFile, *cores)
 		}
-		return buildTraces(*workload, *cores, *scale)
+		spec := harness.RunSpec{
+			Kind:       "spec",
+			Workload:   *workload,
+			Cores:      *cores,
+			Scale:      *scale,
+			GAPRecords: 200_000,
+		}
+		// GAP workloads are named kernel-dataset, e.g. bfs-or.
+		if kernel, _, ok := strings.Cut(*workload, "-"); ok && len(kernel) <= 4 {
+			spec.Kind = "gap"
+		}
+		return spec.Traces()
 	}
 	if *traceFile != "" {
 		*workload = *traceFile
@@ -128,7 +139,6 @@ func main() {
 	// the selected sink.
 	var (
 		sink    telemetry.Sink
-		col     *telemetry.Collector
 		telPath string
 		telFile *os.File
 	)
@@ -165,70 +175,53 @@ func main() {
 		}
 	}
 
-	// newSystem builds a complete system over fresh traces (and a
-	// fresh collector over the shared sink): resume needs an
-	// identically constructed system per restore attempt.
-	newSystem := func() (*sim.System, *telemetry.Collector, error) {
-		traces, err := makeTraces()
-		if err != nil {
-			return nil, nil, err
-		}
-		runCfg := cfg
-		var c *telemetry.Collector
-		if sink != nil {
-			c = telemetry.NewCollector(telemetry.Options{
-				Interval: *telInterval,
-				Tag:      fmt.Sprintf("%s/%s/c%d", *workload, pol, *cores),
-				Sink:     sink,
-			})
-			runCfg.Telemetry = c
-		}
-		s, err := sim.New(runCfg, traces)
-		return s, c, err
-	}
-
-	opts := sim.CheckpointOptions{Path: *ckptPath, Every: *ckptEvery}
 	// A simulation failure (watchdog, cycle/time limit, invariant
 	// violation, corrupt trace) carries its own diagnostic dump; print
 	// it and exit nonzero so scripted runs notice. SIGINT/SIGTERM
 	// request a clean stop: the run quiesces, writes a final
 	// checkpoint (when -checkpoint is set), flushes telemetry, prints
 	// the partial summary, and exits nonzero.
-	var (
-		s   *sim.System
-		r   sim.Result
-		err error
-	)
 	stopProfile := startCPUProfile(*cpuProfile)
-	if *resume {
-		// Fall back from the live checkpoint to its rotated
-		// predecessor; a failed restore leaves a system unusable, so
-		// each attempt gets a fresh one.
-		sources := resumeSources(*ckptPath)
-		for i, from := range sources {
-			s, col, err = newSystem()
+	r, out, err := sim.Execute(interruptContext(), sim.Job{
+		// Each restore attempt gets a system over fresh traces and a
+		// fresh collector over the shared sink.
+		Build: func() (*sim.System, error) {
+			traces, err := makeTraces()
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "care-sim:", err)
-				os.Exit(2)
+				return nil, err
 			}
-			interruptOn(s)
-			r, err = s.ResumeSchedule(*warmup, *instr, opts, from)
-			if err == nil || !isCheckpointError(err) || i == len(sources)-1 {
-				break
+			runCfg := cfg
+			if sink != nil {
+				runCfg.Telemetry = telemetry.NewCollector(telemetry.Options{
+					Interval: *telInterval,
+					Tag:      fmt.Sprintf("%s/%s/c%d", *workload, pol, *cores),
+					Sink:     sink,
+				})
 			}
-			fmt.Fprintf(os.Stderr, "care-sim: checkpoint %s unusable (%v), trying %s\n",
-				from, firstLine(err), sources[i+1])
-		}
-	} else {
-		s, col, err = newSystem()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "care-sim:", err)
-			os.Exit(2)
-		}
-		interruptOn(s)
-		r, err = s.RunSchedule(*warmup, *instr, opts)
-	}
+			return sim.New(runCfg, traces)
+		},
+		Warmup:     *warmup,
+		Measure:    *instr,
+		Checkpoint: sim.CheckpointOptions{Path: *ckptPath, Every: *ckptEvery},
+		Resume:     *resume,
+	})
 	stopProfile()
+	for i, sk := range out.Skipped {
+		next := out.From
+		if i+1 < len(out.Skipped) {
+			next = out.Skipped[i+1].Path
+		}
+		if next == "" {
+			break
+		}
+		fmt.Fprintf(os.Stderr, "care-sim: checkpoint %s unusable (%v), trying %s\n",
+			sk.Path, firstLine(sk.Err), next)
+	}
+	s := out.System
+	if s == nil {
+		fmt.Fprintln(os.Stderr, "care-sim:", err)
+		os.Exit(2)
+	}
 	interrupted := errors.Is(err, sim.ErrInterrupted)
 	if err != nil && !interrupted {
 		failSim(err)
@@ -249,7 +242,7 @@ func main() {
 	fmt.Printf("workload=%s cores=%d policy=%s prefetch=%v scale=%d\n",
 		*workload, *cores, pol, *prefetch, *scale)
 	fmt.Printf("cycles: %d\n", r.Cycles)
-	if col != nil {
+	if col := s.Telemetry(); col != nil {
 		dest := telPath
 		if dest == "" {
 			dest = "stdout"
@@ -333,28 +326,6 @@ func validateFlags(ckptPath string, ckptEvery uint64, resume bool) error {
 	return nil
 }
 
-// resumeSources lists the restore candidates, newest first.
-func resumeSources(ckptPath string) []string {
-	var out []string
-	for _, p := range []string{ckptPath, sim.RotatedPath(ckptPath)} {
-		if _, err := os.Stat(p); err == nil {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// isCheckpointError reports whether the failure is the checkpoint's
-// fault (corrupt, truncated, wrong version, wrong configuration)
-// rather than the resumed simulation's.
-func isCheckpointError(err error) bool {
-	return errors.Is(err, checkpoint.ErrCorrupt) ||
-		errors.Is(err, checkpoint.ErrVersion) ||
-		errors.Is(err, checkpoint.ErrMismatch) ||
-		errors.Is(err, checkpoint.ErrNotCheckpointable) ||
-		errors.Is(err, fs.ErrNotExist)
-}
-
 // firstLine trims multi-line errors (diagnostic dumps) for stderr.
 func firstLine(err error) string {
 	s := err.Error()
@@ -364,18 +335,21 @@ func firstLine(err error) string {
 	return s
 }
 
-// interruptOn routes SIGINT/SIGTERM to a clean stop of s; a second
-// signal aborts immediately.
-func interruptOn(s *sim.System) {
+// interruptContext returns a context the first SIGINT/SIGTERM
+// cancels, stopping the run cleanly; a second signal aborts
+// immediately.
+func interruptContext() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-sigc
 		fmt.Fprintln(os.Stderr, "care-sim: stop requested — quiescing (interrupt again to abort)")
-		s.Interrupt()
+		cancel()
 		<-sigc
 		os.Exit(130)
 	}()
+	return ctx
 }
 
 // loadTraceFile materialises a binary trace and hands each core a
@@ -398,37 +372,6 @@ func loadTraceFile(path string, cores int) ([]trace.Reader, error) {
 		out[i] = trace.NewOffset(
 			trace.NewLooping(trace.NewSliceAt(records, i*len(records)/cores)),
 			mem.Addr(uint64(i)<<36))
-	}
-	return out, nil
-}
-
-// buildTraces resolves a workload name to per-core trace readers.
-func buildTraces(workload string, cores, scale int) ([]trace.Reader, error) {
-	if kernel, dataset, ok := strings.Cut(workload, "-"); ok && len(kernel) <= 4 {
-		g, err := graph.LoadDataset(dataset)
-		if err != nil {
-			return nil, err
-		}
-		base, err := graph.Trace(kernel, g, 200_000, 1)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]trace.Reader, cores)
-		for i := range out {
-			start := i * base.Len() / cores
-			out[i] = trace.NewOffset(
-				trace.NewLooping(trace.NewSliceAt(base.Records, start)),
-				mem.Addr(uint64(i)<<36))
-		}
-		return out, nil
-	}
-	p, err := synth.Lookup(workload)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]trace.Reader, cores)
-	for i := range out {
-		out[i] = synth.NewScaledGenerator(p, uint64(i+1), scale)
 	}
 	return out, nil
 }

@@ -36,7 +36,7 @@ func runCAREVariant(o *Options, workload string, cfgMod func(*sim.Config)) (sim.
 	if cfgMod != nil {
 		cfgMod(&cfg)
 	}
-	return sim.Run(cfg, specTraces(p, 4, o.Scale), o.Warmup, o.Measure)
+	return runPlain(cfg, specTraces(p, 4, o.Scale), o.Warmup, o.Measure)
 }
 
 // runAblDTRM compares DTRM against frozen thresholds: the paper's
@@ -179,7 +179,7 @@ func runAblMSHR(o *Options) error {
 				cfg.Prefetch = true
 				cfg.LLC.MSHREntries = n
 				o.applyGuards(&cfg)
-				return sim.Run(cfg, specTraces(p, 4, o.Scale), o.Warmup, o.Measure)
+				return runPlain(cfg, specTraces(p, 4, o.Scale), o.Warmup, o.Measure)
 			}
 			base, err := run("lru")
 			if err != nil {
@@ -232,7 +232,7 @@ func runAblPrefetch(o *Options) error {
 				cfg.Prefetch = true
 				cfg.L2Prefetcher = pf
 				o.applyGuards(&cfg)
-				return sim.Run(cfg, specTraces(p, 4, o.Scale), o.Warmup, o.Measure)
+				return runPlain(cfg, specTraces(p, 4, o.Scale), o.Warmup, o.Measure)
 			}
 			base, err := run("lru")
 			if err != nil {

@@ -476,20 +476,16 @@ func buildTraces(key runKey) ([]trace.Reader, error) {
 	}
 }
 
-// runAttempt executes one attempt of the keyed simulation, optionally
-// resuming from the checkpoint at resumeFrom. Retry attempts run with
-// crash-class faults disabled: an injected kill or checkpoint
+// runAttempt executes one attempt of the keyed simulation. With resume
+// set it continues from the newest usable checkpoint at ckptPath (live
+// file, then its rotated predecessor) and, when neither is usable,
+// starts fresh; it reports whether the attempt resumed. Retry attempts
+// run with crash-class faults disabled: an injected kill or checkpoint
 // corruption models the first execution crashing, and a real re-run
 // would not deterministically re-crash. Cancelling ctx interrupts the
 // simulation at its next guard point (writing a final checkpoint when
-// checkpointing is configured) — the same semantics care.Run gives
-// its context, via the same sim.System.WatchContext mechanism.
-func runAttempt(ctx context.Context, key runKey, o *Options, ckptPath, resumeFrom string, attempt int) (sim.Result, error) {
-	traces, err := buildTraces(key)
-	if err != nil {
-		return sim.Result{}, err
-	}
-
+// checkpointing is configured), as it does for care.Run.
+func runAttempt(ctx context.Context, key runKey, o *Options, ckptPath string, resume bool, attempt int) (sim.Result, bool, error) {
 	cfg := sim.ScaledConfig(key.cores, key.scale)
 	cfg.LLCPolicy = policy.Policy(key.scheme)
 	cfg.Prefetch = key.prefetch
@@ -508,38 +504,42 @@ func runAttempt(ctx context.Context, key runKey, o *Options, ckptPath, resumeFro
 	// shared (mutex-guarded) registry, so workers never race.
 	registry := o.telemetryRegistry()
 	var telSink *telemetry.Memory
-	var col *telemetry.Collector
-	if registry != nil {
-		telSink = telemetry.NewMemory()
-		col = telemetry.NewCollector(telemetry.Options{
-			Interval: o.TelemetryInterval,
-			Tag:      o.TelemetryTag + key.tag(),
-			Sink:     telSink,
-		})
-		cfg.Telemetry = col
+	job := sim.Job{
+		Build: func() (*sim.System, error) {
+			traces, err := buildTraces(key)
+			if err != nil {
+				return nil, err
+			}
+			cfg := cfg
+			if registry != nil {
+				telSink = telemetry.NewMemory()
+				cfg.Telemetry = telemetry.NewCollector(telemetry.Options{
+					Interval: o.TelemetryInterval,
+					Tag:      o.TelemetryTag + key.tag(),
+					Sink:     telSink,
+				})
+			}
+			return sim.New(cfg, traces)
+		},
+		Warmup:  key.warmup,
+		Measure: key.measure,
+		Resume:  resume,
 	}
-
-	s, err := sim.New(cfg, traces)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	defer s.WatchContext(ctx)()
-
-	var r sim.Result
-	schedOpts := sim.CheckpointOptions{}
 	if ckptPath != "" {
-		schedOpts = sim.CheckpointOptions{Path: ckptPath, Every: o.checkpointEvery()}
+		job.Checkpoint = sim.CheckpointOptions{Path: ckptPath, Every: o.checkpointEvery()}
 	}
-	if resumeFrom != "" {
-		r, err = s.ResumeSchedule(key.warmup, key.measure, schedOpts, resumeFrom)
-	} else {
-		r, err = s.RunSchedule(key.warmup, key.measure, schedOpts)
+	r, out, err := sim.Execute(ctx, job)
+	if errors.Is(err, sim.ErrNoCheckpoint) {
+		job.Resume = false
+		r, out, err = sim.Execute(ctx, job)
 	}
+	resumed := out.From != ""
 	if err != nil {
-		return sim.Result{}, err
+		return sim.Result{}, resumed, err
 	}
-	if col != nil {
-		if resumeFrom != "" {
+	if registry != nil {
+		col := out.System.Telemetry()
+		if resumed {
 			// The fresh sink only saw post-resume intervals; the
 			// restored ring holds the full retained series.
 			registry.Add(col.Meta(), col.Series())
@@ -547,7 +547,17 @@ func runAttempt(ctx context.Context, key runKey, o *Options, ckptPath, resumeFro
 			registry.Add(col.Meta(), telSink.Intervals())
 		}
 	}
-	return r, nil
+	return r, resumed, nil
+}
+
+// runPlain runs one unsupervised warmup+measure simulation over traces.
+func runPlain(cfg sim.Config, traces []trace.Reader, warmup, measure uint64) (sim.Result, error) {
+	r, _, err := sim.Execute(context.Background(), sim.Job{
+		Build:   func() (*sim.System, error) { return sim.New(cfg, traces) },
+		Warmup:  warmup,
+		Measure: measure,
+	})
+	return r, err
 }
 
 // runSim executes (or recalls) one simulation. With supervision
@@ -565,7 +575,7 @@ func runSim(key runKey, o *Options) (sim.Result, error) {
 	}
 	memoMu.Unlock()
 
-	r, err := runAttempt(context.Background(), key, o, "", "", 1)
+	r, _, err := runAttempt(context.Background(), key, o, "", false, 1)
 	if err != nil {
 		return sim.Result{}, err
 	}
@@ -582,6 +592,11 @@ func (k runKey) tag() string {
 		t += "/pf"
 	}
 	return t
+}
+
+// checkpointFile names the run's checkpoint file.
+func (k runKey) checkpointFile() string {
+	return strings.ReplaceAll(k.tag(), "/", "_") + ".ckpt"
 }
 
 // applyGuards threads the runaway-simulation guard rails from the

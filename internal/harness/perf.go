@@ -229,7 +229,7 @@ func timeRun(key runKey) (PerfRecord, error) {
 			cfg := sim.ScaledConfig(key.cores, key.scale)
 			cfg.LLCPolicy = policy.Policy(key.scheme)
 			cfg.Prefetch = key.prefetch
-			r, err := sim.Run(cfg, traces, key.warmup, key.measure)
+			r, err := runPlain(cfg, traces, key.warmup, key.measure)
 			if err != nil {
 				simErr = err
 				b.FailNow()

@@ -378,7 +378,7 @@ func runFig10(o *Options) error {
 			cfg.LLCPolicy = policy.Policy(scheme)
 			cfg.Prefetch = true
 			o.applyGuards(&cfg)
-			return sim.Run(cfg, traces, o.Warmup, o.Measure)
+			return runPlain(cfg, traces, o.Warmup, o.Measure)
 		}
 		base, err := run("lru")
 		if err != nil {

@@ -10,8 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io/fs"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -19,9 +17,9 @@ import (
 	"time"
 
 	"care/careapi"
-	"care/internal/checkpoint"
 	"care/internal/policy"
 	"care/internal/sim"
+	"care/internal/trace"
 )
 
 // ErrRetryBudget marks a run whose retries were cut short because the
@@ -112,9 +110,11 @@ func (r *RunSpec) Tag() string { return r.key().tag() }
 // CheckpointFile returns the file name Supervise uses for this run's
 // checkpoint inside Options.CheckpointDir. Remote workers use it to
 // seed a downloaded artifact where the supervisor will look for it.
-func (r *RunSpec) CheckpointFile() string {
-	return strings.ReplaceAll(r.key().tag(), "/", "_") + ".ckpt"
-}
+func (r *RunSpec) CheckpointFile() string { return r.key().checkpointFile() }
+
+// Traces builds the run's per-core trace readers, freshly positioned
+// on every call.
+func (r *RunSpec) Traces() ([]trace.Reader, error) { return buildTraces(r.key()) }
 
 // key converts the public spec to the internal run key.
 func (r *RunSpec) key() runKey {
@@ -279,19 +279,7 @@ func (o *Options) checkpointPath(key runKey) string {
 	if o.CheckpointDir == "" {
 		return ""
 	}
-	name := strings.ReplaceAll(key.tag(), "/", "_") + ".ckpt"
-	return filepath.Join(o.CheckpointDir, name)
-}
-
-// badCheckpoint reports whether err means the checkpoint itself is
-// unusable (corrupt, truncated, wrong version, wrong configuration,
-// or missing) as opposed to the resumed run failing on its own.
-func badCheckpoint(err error) bool {
-	return errors.Is(err, checkpoint.ErrCorrupt) ||
-		errors.Is(err, checkpoint.ErrVersion) ||
-		errors.Is(err, checkpoint.ErrMismatch) ||
-		errors.Is(err, checkpoint.ErrNotCheckpointable) ||
-		errors.Is(err, fs.ErrNotExist)
+	return filepath.Join(o.CheckpointDir, key.checkpointFile())
 }
 
 // retryDelay computes the jittered backoff before retry attempt n
@@ -371,8 +359,15 @@ func (o *Options) superviseSim(ctx context.Context, key runKey) (sim.Result, err
 			}
 		}
 		oc.Attempts = attempt
-		r, resumed, err := o.attemptWithFallback(ctx, key, ckptPath, attempt)
-		oc.Resumed += resumed
+		// First attempts resume too when ResumeExisting is set
+		// (care-server restarting after a crash continues drained or
+		// killed jobs from their last checkpoint instead of starting
+		// over).
+		resume := (attempt > 1 || o.ResumeExisting) && ckptPath != ""
+		r, resumed, err := runAttempt(ctx, key, o, ckptPath, resume, attempt)
+		if resumed {
+			oc.Resumed++
+		}
 		if err == nil {
 			oc.Completed = true
 			o.Report.add(oc)
@@ -382,7 +377,7 @@ func (o *Options) superviseSim(ctx context.Context, key runKey) (sim.Result, err
 		if errors.Is(err, sim.ErrInterrupted) && ctx.Err() != nil {
 			// Cancelled mid-run: the final checkpoint (when configured)
 			// is already on disk; hand the interruption straight back.
-			return r, errors.Join(err, ctx.Err())
+			return r, err
 		}
 	}
 	if err := ctx.Err(); err != nil {
@@ -416,33 +411,4 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	case <-ctx.Done():
 		return false
 	}
-}
-
-// attemptWithFallback makes one attempt, resuming from the newest
-// usable checkpoint. Unusable checkpoints (corrupt, truncated,
-// mismatched) cascade: live file, rotated predecessor, fresh start.
-// First attempts resume too when ResumeExisting is set (care-server
-// restarting after a crash continues drained or killed jobs from
-// their last checkpoint instead of starting over). It returns how
-// many resume attempts actually restored state.
-func (o *Options) attemptWithFallback(ctx context.Context, key runKey, ckptPath string, attempt int) (sim.Result, int, error) {
-	resumed := 0
-	if (attempt > 1 || o.ResumeExisting) && ckptPath != "" {
-		for _, from := range []string{ckptPath, sim.RotatedPath(ckptPath)} {
-			if _, err := os.Stat(from); err != nil {
-				continue
-			}
-			r, err := runAttempt(ctx, key, o, ckptPath, from, attempt)
-			if err == nil {
-				return r, 1, nil
-			}
-			if badCheckpoint(err) {
-				// This checkpoint is unusable; fall to the next source.
-				continue
-			}
-			return sim.Result{}, 1, err
-		}
-	}
-	r, err := runAttempt(ctx, key, o, ckptPath, "", attempt)
-	return r, resumed, err
 }

@@ -115,7 +115,7 @@ func TestSupervisorChaosRecovery(t *testing.T) {
 	}
 }
 
-// TestAttemptFallbackSkipsCorruptCheckpoint drives the resume cascade
+// TestAttemptFallbackSkipsCorruptCheckpoint drives a resumed attempt
 // directly: with the live checkpoint bit-flipped on disk, a retry must
 // fall back to the rotated predecessor and still complete correctly.
 func TestAttemptFallbackSkipsCorruptCheckpoint(t *testing.T) {
@@ -134,12 +134,12 @@ func TestAttemptFallbackSkipsCorruptCheckpoint(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, resumed, err := o.attemptWithFallback(context.Background(), key, path, 2)
+	got, resumed, err := runAttempt(context.Background(), key, o, path, true, 2)
 	if err != nil {
 		t.Fatalf("fallback attempt failed: %v", err)
 	}
-	if resumed != 1 {
-		t.Fatalf("resumed=%d, want 1 (rotated checkpoint)", resumed)
+	if !resumed {
+		t.Fatal("attempt restarted fresh, want a resume from the rotated checkpoint")
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("fallback run diverged:\nfallback: %+v\nbaseline: %+v", got, want)

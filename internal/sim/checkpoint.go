@@ -1,7 +1,7 @@
 // Checkpoint/restore orchestration: quiescing the pipeline, writing
-// every component's snapshot into one framed checkpoint file, and the
-// segment-structured run drivers whose schedules make a resumed run
-// bit-identical to an uninterrupted one (see DESIGN.md §8).
+// every component's snapshot into one framed checkpoint file, and
+// Execute, the one run driver, whose segment schedule makes a resumed
+// run bit-identical to an uninterrupted one (see DESIGN.md §8).
 package sim
 
 import (
@@ -9,11 +9,11 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"time"
 
 	"care/internal/checkpoint"
-	"care/internal/trace"
 )
 
 // Checkpoint-specific sentinels; like the integrity sentinels they
@@ -25,8 +25,11 @@ var (
 	// ErrQuiesce means the system could not drain to a quiescent point
 	// within the quiesce cycle budget (something is wedged).
 	ErrQuiesce = errors.New("sim: quiesce did not drain")
+	// ErrNoCheckpoint means a resumed Job found no usable checkpoint:
+	// every candidate file was missing or unusable.
+	ErrNoCheckpoint = errors.New("sim: no usable checkpoint")
 	// ErrDrain, used as a context cancellation *cause* (see
-	// context.WithCancelCause), asks WatchContext for a graceful drain
+	// context.WithCancelCause), asks Execute for a graceful drain
 	// instead of a hard interrupt: the run continues to its next
 	// scheduled checkpoint boundary, writes that checkpoint on
 	// schedule, and only then stops with ErrInterrupted. Because the
@@ -57,16 +60,15 @@ func (s *System) Interrupt() { s.interrupted.Store(true) }
 // undisturbed run bit-for-bit.
 func (s *System) DrainAtNextCheckpoint() { s.drainReq.Store(true) }
 
-// WatchContext interrupts the system when ctx is cancelled, giving
-// every run driver the same deadline/cancellation semantics as
-// care.Run: the run loop stops at its next guard point with
-// ErrInterrupted (writing a final checkpoint when one is scheduled).
+// watchContext interrupts the system when ctx is cancelled: the run
+// loop stops at its next guard point with ErrInterrupted (writing a
+// final checkpoint when one is scheduled).
 // A ctx cancelled with ErrDrain as its cause (context.WithCancelCause)
 // instead triggers DrainAtNextCheckpoint — stop at the next scheduled
 // boundary, preserving bit-identical resumability.
 // The returned stop function releases the watcher; call it once the
 // run has returned. A ctx without a Done channel costs nothing.
-func (s *System) WatchContext(ctx context.Context) (stop func()) {
+func (s *System) watchContext(ctx context.Context) (stop func()) {
 	done := ctx.Done()
 	if done == nil {
 		return func() {}
@@ -413,7 +415,7 @@ func (s *System) LoadCheckpoint(path string) (RunMeta, error) {
 	return m, err
 }
 
-// CheckpointOptions configures the checkpointed run drivers.
+// CheckpointOptions configures a Job's checkpoint schedule.
 type CheckpointOptions struct {
 	// Path is the checkpoint file; the previous checkpoint rotates to
 	// Path+".1" before each new write, so one known-good predecessor
@@ -433,55 +435,124 @@ type CheckpointOptions struct {
 // checkpoint.
 func RotatedPath(path string) string { return path + ".1" }
 
-// RunCheckpointed is sim.Run with a checkpoint schedule: the measured
-// region executes in segments of opts.Every instructions with a
-// quiesce+checkpoint between segments. The segment targets are
-// absolute (anchored at the measure-phase start), so a run resumed
-// from any of its checkpoints replays the identical remaining
-// schedule and produces bit-identical results. On ErrInterrupted a
-// final checkpoint is written before returning.
-func RunCheckpointed(cfg Config, traces []trace.Reader, warmup, measure uint64, opts CheckpointOptions) (Result, error) {
-	s, err := New(cfg, traces)
-	if err != nil {
-		return Result{}, err
-	}
-	return s.RunSchedule(warmup, measure, opts)
+// Job is one simulation for Execute: a warmup, then a measured region
+// run on the checkpoint schedule, started fresh or resumed.
+type Job struct {
+	// Build constructs the system over freshly positioned traces. A
+	// failed restore leaves a system unusable, so Execute calls Build
+	// once per restore attempt.
+	Build func() (*System, error)
+	// Warmup and Measure are per-core instruction budgets.
+	Warmup, Measure uint64
+	// Checkpoint sets the measured region's segment schedule and where
+	// its checkpoints go.
+	Checkpoint CheckpointOptions
+	// Resume continues the run checkpointed at Checkpoint.Path (which
+	// must be set), falling back to RotatedPath(Checkpoint.Path).
+	// Warmup, Measure and Checkpoint.Every must match that run.
+	Resume bool
 }
 
-// RunSchedule runs the full warmup+measure schedule on an
-// already-built system (the CLI uses this form so it can keep the
-// System for signal hookup and post-run inspection).
-func (s *System) RunSchedule(warmup, measure uint64, opts CheckpointOptions) (Result, error) {
-	m := RunMeta{Phase: phaseWarmup, Warmup: warmup, Measure: measure, Every: opts.Every}
-	return s.runSchedule(m, opts.Path)
+// Outcome reports how Execute produced its result.
+type Outcome struct {
+	// System is the system the last attempt ran, for post-run
+	// inspection; nil when Build failed.
+	System *System
+	// From is the checkpoint the returned attempt resumed from ("" for
+	// a fresh run).
+	From string
+	// Skipped lists the checkpoints passed over as unusable, in the
+	// order they were tried.
+	Skipped []SkippedCheckpoint
 }
 
-// ResumeSchedule restores the checkpoint at from into an
-// already-built system and completes the remaining schedule. warmup,
-// measure, and opts.Every must match the checkpointed run.
-func (s *System) ResumeSchedule(warmup, measure uint64, opts CheckpointOptions, from string) (Result, error) {
-	m, err := s.LoadCheckpoint(from)
-	if err != nil {
-		return Result{}, err
-	}
-	if m.Warmup != warmup || m.Measure != measure || m.Every != opts.Every {
-		return Result{}, checkpoint.Mismatchf(
-			"resume schedule differs: checkpoint warmup=%d measure=%d every=%d, flags warmup=%d measure=%d every=%d",
-			m.Warmup, m.Measure, m.Every, warmup, measure, opts.Every)
-	}
-	return s.runSchedule(m, opts.Path)
+// SkippedCheckpoint is a checkpoint file a resume could not use.
+type SkippedCheckpoint struct {
+	Path string
+	Err  error
 }
 
-// Resume rebuilds a system from cfg and freshly constructed traces
-// (identical to the original run's), restores the checkpoint at from,
-// and completes the remaining schedule. warmup, measure, and
-// opts.Every must match the checkpointed run.
-func Resume(cfg Config, traces []trace.Reader, warmup, measure uint64, opts CheckpointOptions, from string) (Result, error) {
-	s, err := New(cfg, traces)
-	if err != nil {
-		return Result{}, err
+// Execute runs job under ctx. The segment targets are absolute
+// (anchored at the measure-phase start), so a run resumed from any of
+// its checkpoints replays the identical remaining schedule and
+// produces bit-identical results. A resume tries Checkpoint.Path, then
+// its rotated predecessor, skipping missing files; a checkpoint-class
+// failure (corrupt, truncated, wrong version, wrong configuration)
+// rebuilds the system and tries the next file, and any other failure
+// returns at once. With no usable checkpoint the error wraps
+// ErrNoCheckpoint and the last restore error.
+//
+// Cancelling ctx interrupts the run at its next guard point, writes a
+// final checkpoint when Checkpoint.Path is set, and returns the
+// partial result with an error wrapping both ErrInterrupted and the
+// context's error; a ctx cancelled with ErrDrain as its cause stops at
+// the next scheduled checkpoint instead. Integrity failures also
+// return the partial result alongside their error.
+func Execute(ctx context.Context, job Job) (Result, Outcome, error) {
+	if !job.Resume {
+		s, r, err := execute(ctx, job, "")
+		return r, Outcome{System: s}, err
 	}
-	return s.ResumeSchedule(warmup, measure, opts, from)
+	var out Outcome
+	path := job.Checkpoint.Path
+	for _, from := range []string{path, RotatedPath(path)} {
+		if _, err := os.Stat(from); err != nil {
+			continue
+		}
+		s, r, err := execute(ctx, job, from)
+		out.System = s
+		if s == nil {
+			return r, out, err
+		}
+		if !badCheckpoint(err) {
+			out.From = from
+			return r, out, err
+		}
+		out.Skipped = append(out.Skipped, SkippedCheckpoint{Path: from, Err: err})
+	}
+	if len(out.Skipped) == 0 {
+		return Result{}, out, fmt.Errorf("%w: no file at %s or %s", ErrNoCheckpoint, path, RotatedPath(path))
+	}
+	return Result{}, out, fmt.Errorf("%w: %w", ErrNoCheckpoint, out.Skipped[len(out.Skipped)-1].Err)
+}
+
+// execute makes one attempt at job on a freshly built system, resuming
+// from the checkpoint at from when it is set.
+func execute(ctx context.Context, job Job, from string) (*System, Result, error) {
+	s, err := job.Build()
+	if err != nil {
+		return nil, Result{}, err
+	}
+	defer s.watchContext(ctx)()
+	m := RunMeta{Phase: phaseWarmup, Warmup: job.Warmup, Measure: job.Measure, Every: job.Checkpoint.Every}
+	if from != "" {
+		saved, err := s.LoadCheckpoint(from)
+		if err != nil {
+			return s, Result{}, err
+		}
+		if saved.Warmup != m.Warmup || saved.Measure != m.Measure || saved.Every != m.Every {
+			return s, Result{}, checkpoint.Mismatchf(
+				"resume schedule differs: checkpoint warmup=%d measure=%d every=%d, flags warmup=%d measure=%d every=%d",
+				saved.Warmup, saved.Measure, saved.Every, m.Warmup, m.Measure, m.Every)
+		}
+		m = saved
+	}
+	r, err := s.runSchedule(m, job.Checkpoint.Path)
+	if errors.Is(err, ErrInterrupted) && ctx.Err() != nil {
+		err = errors.Join(err, ctx.Err())
+	}
+	return s, r, err
+}
+
+// badCheckpoint reports whether err means the checkpoint itself is
+// unusable (corrupt, truncated, wrong version, wrong configuration,
+// or missing) as opposed to the resumed run failing on its own.
+func badCheckpoint(err error) bool {
+	return errors.Is(err, checkpoint.ErrCorrupt) ||
+		errors.Is(err, checkpoint.ErrVersion) ||
+		errors.Is(err, checkpoint.ErrMismatch) ||
+		errors.Is(err, checkpoint.ErrNotCheckpointable) ||
+		errors.Is(err, fs.ErrNotExist)
 }
 
 // runSchedule executes the (possibly mid-run) schedule in m.

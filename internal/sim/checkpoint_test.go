@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -25,12 +26,10 @@ const (
 	ckptEvery   = 4000
 )
 
-// runFull executes the complete checkpointed schedule for one policy
-// and core count, leaving the live checkpoint (2/3 point) and its
-// rotated predecessor (1/3 point) at path. It returns the result and
-// the full telemetry series when tele is set.
-func runFull(t *testing.T, policy policypkg.Policy, cores int, path string, tele bool) (Result, []telemetry.Interval) {
-	t.Helper()
+// ckptJob is the checkpoint tests' schedule for one policy and core
+// count, checkpointing to path, with a telemetry collector attached
+// when tele is set.
+func ckptJob(policy policypkg.Policy, cores int, path string, tele bool) (Job, *telemetry.Collector) {
 	cfg := ScaledConfig(cores, 16)
 	cfg.LLCPolicy = policy
 	var col *telemetry.Collector
@@ -42,8 +41,22 @@ func runFull(t *testing.T, policy policypkg.Policy, cores int, path string, tele
 		})
 		cfg.Telemetry = col
 	}
-	r, err := RunCheckpointed(cfg, mcfTraces(cores), ckptWarmup, ckptMeasure,
-		CheckpointOptions{Path: path, Every: ckptEvery})
+	return Job{
+		Build:      func() (*System, error) { return New(cfg, mcfTraces(cores)) },
+		Warmup:     ckptWarmup,
+		Measure:    ckptMeasure,
+		Checkpoint: CheckpointOptions{Path: path, Every: ckptEvery},
+	}, col
+}
+
+// runFull executes the complete checkpointed schedule for one policy
+// and core count, leaving the live checkpoint (2/3 point) and its
+// rotated predecessor (1/3 point) at path. It returns the result and
+// the full telemetry series when tele is set.
+func runFull(t *testing.T, policy policypkg.Policy, cores int, path string, tele bool) (Result, []telemetry.Interval) {
+	t.Helper()
+	job, col := ckptJob(policy, cores, path, tele)
+	r, _, err := Execute(context.Background(), job)
 	if err != nil {
 		t.Fatalf("%s/c%d full run: %v", policy, cores, err)
 	}
@@ -54,23 +67,28 @@ func runFull(t *testing.T, policy policypkg.Policy, cores int, path string, tele
 	return r, series
 }
 
+// soleCopy copies the checkpoint at from into a fresh directory with
+// no rotated file beside it, so a resume can only restore from it.
+func soleCopy(t *testing.T, from string) string {
+	t.Helper()
+	raw, err := os.ReadFile(from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "resume.ckpt")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // resumeFrom restores the checkpoint at from into a freshly built
 // system over freshly constructed traces and completes the schedule.
 func resumeFrom(t *testing.T, policy policypkg.Policy, cores int, from string, tele bool) (Result, []telemetry.Interval) {
 	t.Helper()
-	cfg := ScaledConfig(cores, 16)
-	cfg.LLCPolicy = policy
-	var col *telemetry.Collector
-	if tele {
-		col = telemetry.NewCollector(telemetry.Options{
-			Interval: 2000,
-			Tag:      fmt.Sprintf("%s/c%d", policy, cores),
-			Sink:     telemetry.NewMemory(),
-		})
-		cfg.Telemetry = col
-	}
-	r, err := Resume(cfg, mcfTraces(cores), ckptWarmup, ckptMeasure,
-		CheckpointOptions{Path: "", Every: ckptEvery}, from)
+	job, col := ckptJob(policy, cores, soleCopy(t, from), tele)
+	job.Resume = true
+	r, _, err := Execute(context.Background(), job)
 	if err != nil {
 		t.Fatalf("%s/c%d resume from %s: %v", policy, cores, filepath.Base(from), err)
 	}
@@ -134,10 +152,9 @@ func TestRoundTripEveryPolicy(t *testing.T) {
 // error.
 func resumeErr(t *testing.T, policy policypkg.Policy, cores int, from string) error {
 	t.Helper()
-	cfg := ScaledConfig(cores, 16)
-	cfg.LLCPolicy = policy
-	_, err := Resume(cfg, mcfTraces(cores), ckptWarmup, ckptMeasure,
-		CheckpointOptions{Path: "", Every: ckptEvery}, from)
+	job, _ := ckptJob(policy, cores, soleCopy(t, from), false)
+	job.Resume = true
+	_, _, err := Execute(context.Background(), job)
 	return err
 }
 
@@ -188,29 +205,26 @@ func TestCorruptCheckpointsRejected(t *testing.T) {
 	if err := resumeErr(t, "lru", 2, path); !errors.Is(err, checkpoint.ErrMismatch) {
 		t.Fatalf("core-count mismatch: got %v, want ErrMismatch", err)
 	}
-	cfg := ScaledConfig(1, 16)
-	cfg.LLCPolicy = "lru"
-	if _, err := Resume(cfg, mcfTraces(1), ckptWarmup, ckptMeasure+1,
-		CheckpointOptions{Every: ckptEvery}, path); !errors.Is(err, checkpoint.ErrMismatch) {
+	job, _ := ckptJob("lru", 1, soleCopy(t, path), false)
+	job.Resume = true
+	job.Measure++
+	if _, _, err := Execute(context.Background(), job); !errors.Is(err, checkpoint.ErrMismatch) {
 		t.Fatalf("schedule mismatch: got %v, want ErrMismatch", err)
 	}
 }
 
-// TestInterruptWritesFinalCheckpoint verifies the SIGINT path: an
-// interrupted run fails with ErrInterrupted but leaves a resumable
-// final checkpoint behind.
+// TestInterruptWritesFinalCheckpoint verifies the cancellation path:
+// a run under a cancelled context fails with an error matching both
+// ErrInterrupted and context.Canceled, but leaves a resumable final
+// checkpoint behind.
 func TestInterruptWritesFinalCheckpoint(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	cfg := ScaledConfig(1, 16)
-	cfg.LLCPolicy = "care"
-	s, err := New(cfg, mcfTraces(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Interrupt()
-	_, err = s.RunSchedule(ckptWarmup, ckptMeasure, CheckpointOptions{Path: path, Every: ckptEvery})
-	if !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("interrupted run: got %v, want ErrInterrupted", err)
+	job, _ := ckptJob("care", 1, path, false)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, _, err := Execute(ctx, job)
+	if !errors.Is(err, ErrInterrupted) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted run: got %v, want ErrInterrupted and context.Canceled", err)
 	}
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("no final checkpoint written: %v", err)
@@ -222,13 +236,114 @@ func TestInterruptWritesFinalCheckpoint(t *testing.T) {
 	}
 }
 
+// copyCheckpoints copies the live checkpoint at src and its rotated
+// predecessor into a fresh directory and returns the new live path.
+func copyCheckpoints(t *testing.T, src string) string {
+	t.Helper()
+	dst := filepath.Join(t.TempDir(), "run.ckpt")
+	for _, p := range [][2]string{{src, dst}, {RotatedPath(src), RotatedPath(dst)}} {
+		raw, err := os.ReadFile(p[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p[1], raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+// flipByte corrupts one byte in the middle of the file at path.
+func flipByte(t *testing.T, path string) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0x20
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestExecuteResumeCascade drives Execute's resume cascade: live
+// checkpoint, then its rotated predecessor, skipping missing files and
+// checkpoint-class failures but no other failure.
+func TestExecuteResumeCascade(t *testing.T) {
+	src := filepath.Join(t.TempDir(), "run.ckpt")
+	want, _ := runFull(t, "care", 2, src, false)
+	resume := func(path string, maxCycles uint64) (Result, Outcome, error) {
+		cfg := ScaledConfig(2, 16)
+		cfg.LLCPolicy = "care"
+		cfg.MaxCycles = maxCycles
+		job, _ := ckptJob("care", 2, path, false)
+		job.Build = func() (*System, error) { return New(cfg, mcfTraces(2)) }
+		job.Resume = true
+		return Execute(context.Background(), job)
+	}
+
+	t.Run("corrupt live", func(t *testing.T) {
+		path := copyCheckpoints(t, src)
+		flipByte(t, path)
+		got, out, err := resume(path, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.From != RotatedPath(path) || len(out.Skipped) != 1 || out.Skipped[0].Path != path ||
+			!errors.Is(out.Skipped[0].Err, checkpoint.ErrCorrupt) {
+			t.Fatalf("outcome %+v, want a resume from the rotated file after skipping the corrupt live one", out)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("fallback run diverged:\nfallback: %+v\nfull:     %+v", got, want)
+		}
+	})
+	t.Run("missing live", func(t *testing.T) {
+		path := copyCheckpoints(t, src)
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
+		got, out, err := resume(path, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.From != RotatedPath(path) || len(out.Skipped) != 0 {
+			t.Fatalf("outcome %+v, want a resume from the rotated file with nothing skipped", out)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("fallback run diverged:\nfallback: %+v\nfull:     %+v", got, want)
+		}
+	})
+	t.Run("both corrupt", func(t *testing.T) {
+		path := copyCheckpoints(t, src)
+		flipByte(t, path)
+		flipByte(t, RotatedPath(path))
+		_, out, err := resume(path, 0)
+		if !errors.Is(err, checkpoint.ErrCorrupt) || !errors.Is(err, ErrNoCheckpoint) {
+			t.Fatalf("got %v, want ErrNoCheckpoint wrapping ErrCorrupt", err)
+		}
+		if out.From != "" || len(out.Skipped) != 2 {
+			t.Fatalf("outcome %+v, want both files skipped", out)
+		}
+	})
+	t.Run("run failure does not fall back", func(t *testing.T) {
+		path := copyCheckpoints(t, src)
+		_, out, err := resume(path, 1)
+		if !errors.Is(err, ErrCycleLimit) || errors.Is(err, ErrNoCheckpoint) {
+			t.Fatalf("got %v, want the resumed run's ErrCycleLimit", err)
+		}
+		if out.From != path || len(out.Skipped) != 0 {
+			t.Fatalf("outcome %+v, want the failure from the live checkpoint with nothing skipped", out)
+		}
+	})
+}
+
 // TestKillFaultFailsRun verifies the injected mid-run kill surfaces as
 // a typed, diagnosable failure.
 func TestKillFaultFailsRun(t *testing.T) {
 	cfg := ScaledConfig(1, 16)
 	cfg.LLCPolicy = "lru"
 	cfg.Faults = &faultinject.Config{Seed: 3, KillAtCycle: 2000}
-	_, err := Run(cfg, mcfTraces(1), ckptWarmup, ckptMeasure)
+	_, err := runFresh(cfg, mcfTraces(1), ckptWarmup, ckptMeasure)
 	if !errors.Is(err, faultinject.ErrKilled) {
 		t.Fatalf("kill fault: got %v, want ErrKilled", err)
 	}

@@ -28,7 +28,7 @@ func runWithTelemetry(t *testing.T, cfg Config, warmup, measure uint64) (Result,
 	t.Helper()
 	col := telemetry.NewCollector(telemetry.Options{Interval: 700, Capacity: 64})
 	cfg.Telemetry = col
-	res, err := Run(cfg, mcfTraces(cfg.Cores), warmup, measure)
+	res, err := runFresh(cfg, mcfTraces(cfg.Cores), warmup, measure)
 	series := make([]telemetry.Interval, col.Count())
 	copy(series, col.Series())
 	return res, series, err
@@ -114,7 +114,7 @@ func TestParallelEngineFaultChaos(t *testing.T) {
 				// Chaos that wedges the hierarchy must abort the same
 				// way each time; keep the watchdog armed but bounded.
 				cfg.MaxCycles = 60_000
-				res, err := Run(cfg, mcfTraces(cfg.Cores), 1500, 6000)
+				res, err := runFresh(cfg, mcfTraces(cfg.Cores), 1500, 6000)
 				msg := ""
 				if err != nil {
 					msg = err.Error()

@@ -3,6 +3,7 @@ package sim
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"flag"
@@ -182,7 +183,12 @@ func goldenDigest(t *testing.T, gc goldenCase) string {
 			t.Fatal(err)
 		}
 		ckpt = filepath.Join(t.TempDir(), "run.ckpt")
-		res, err = s.RunSchedule(2000, 6000, CheckpointOptions{Path: ckpt, Every: 2000})
+		res, _, err = Execute(context.Background(), Job{
+			Build:      func() (*System, error) { return s, nil },
+			Warmup:     2000,
+			Measure:    6000,
+			Checkpoint: CheckpointOptions{Path: ckpt, Every: 2000},
+		})
 	}
 
 	h := sha256.New()

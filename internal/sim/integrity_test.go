@@ -216,7 +216,7 @@ func TestIntegrityLayerPreservesDeterminism(t *testing.T) {
 		if mod != nil {
 			mod(&cfg)
 		}
-		r, err := Run(cfg, mcfTraces(2), 5000, 20000)
+		r, err := runFresh(cfg, mcfTraces(2), 5000, 20000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,7 +242,7 @@ func TestInvariantsHoldOnHealthyRuns(t *testing.T) {
 		cfg.LLCPolicy = policy
 		cfg.CheckInvariants = true
 		cfg.InvariantEvery = 256
-		if _, err := Run(cfg, mcfTraces(2), 5000, 20000); err != nil {
+		if _, err := runFresh(cfg, mcfTraces(2), 5000, 20000); err != nil {
 			t.Fatalf("%s: healthy run violated an invariant: %v", policy, err)
 		}
 	}

@@ -19,7 +19,7 @@ func BenchmarkFourCoreRun(b *testing.B) {
 		cfg := ScaledConfig(4, 16)
 		cfg.LLCPolicy = "care"
 		cfg.Prefetch = true
-		if _, err := Run(cfg, traces, 5000, 25000); err != nil {
+		if _, err := runFresh(cfg, traces, 5000, 25000); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -326,7 +326,7 @@ func (s *System) Core(i int) *cpu.Core { return s.cores[i] }
 
 // Telemetry returns the attached interval collector, or nil. Callers
 // driving RunInstructions directly must Close it themselves to flush
-// the final partial interval (sim.Run does this automatically).
+// the final partial interval (sim.Execute does this automatically).
 func (s *System) Telemetry() *telemetry.Collector { return s.tele }
 
 // CAREStats returns the CARE policy counters when the LLC runs
@@ -639,36 +639,6 @@ func (r Result) IPCSum() float64 {
 		sum += v
 	}
 	return sum
-}
-
-// Run is the one-call entry point used by experiments: build a
-// system, warm it up, measure, and return the result. Integrity
-// failures (watchdog, invariant checker, corrupt traces, cycle and
-// wall-clock caps) surface as errors; the partial Result is still
-// returned alongside them for post-mortem inspection.
-func Run(cfg Config, traces []trace.Reader, warmup, measure uint64) (Result, error) {
-	s, err := New(cfg, traces)
-	if err != nil {
-		return Result{}, err
-	}
-	if warmup > 0 {
-		if s.tele != nil {
-			s.tele.MarkWarmup()
-		}
-		if _, err := s.RunInstructions(warmup); err != nil {
-			s.closeTelemetry()
-			return s.Snapshot(), err
-		}
-	}
-	s.ResetStats()
-	if _, err := s.RunInstructions(measure); err != nil {
-		s.closeTelemetry()
-		return s.Snapshot(), err
-	}
-	if err := s.closeTelemetry(); err != nil {
-		return s.Snapshot(), err
-	}
-	return s.Snapshot(), nil
 }
 
 // closeTelemetry flushes the final partial interval and closes the

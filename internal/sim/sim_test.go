@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -18,6 +19,16 @@ func mcfTraces(n int) []trace.Reader {
 		out[i] = synth.NewGenerator(p, uint64(i+1))
 	}
 	return out
+}
+
+// runFresh executes a fresh warmup+measure job over traces.
+func runFresh(cfg Config, traces []trace.Reader, warmup, measure uint64) (Result, error) {
+	r, _, err := Execute(context.Background(), Job{
+		Build:   func() (*System, error) { return New(cfg, traces) },
+		Warmup:  warmup,
+		Measure: measure,
+	})
+	return r, err
 }
 
 // mustRun advances the system and fails the test on any simulation
@@ -77,7 +88,7 @@ func TestDeterminism(t *testing.T) {
 	run := func() Result {
 		cfg := ScaledConfig(2, 16)
 		cfg.LLCPolicy = "care"
-		r, err := Run(cfg, mcfTraces(2), 5000, 20000)
+		r, err := runFresh(cfg, mcfTraces(2), 5000, 20000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +116,7 @@ func TestWarmupResetsStats(t *testing.T) {
 
 func TestPMCMeasuredAtLLC(t *testing.T) {
 	cfg := ScaledConfig(1, 16)
-	r, err := Run(cfg, mcfTraces(1), 2000, 30000)
+	r, err := runFresh(cfg, mcfTraces(1), 2000, 30000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +185,7 @@ func TestPrefetchImprovesStreamingIPC(t *testing.T) {
 	mk := func(pf bool) float64 {
 		cfg := ScaledConfig(1, 16)
 		cfg.Prefetch = pf
-		r, err := Run(cfg, []trace.Reader{synth.NewGenerator(p, 1)}, 5000, 40000)
+		r, err := runFresh(cfg, []trace.Reader{synth.NewGenerator(p, 1)}, 5000, 40000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,13 +201,13 @@ func TestMultiCoreSharedLLCPressure(t *testing.T) {
 	// Four copies of mcf share the LLC: per-core IPC must drop versus
 	// running alone (the contention the paper's multi-core evaluation
 	// relies on).
-	single, err := Run(ScaledConfig(1, 16), mcfTraces(1), 2000, 20000)
+	single, err := runFresh(ScaledConfig(1, 16), mcfTraces(1), 2000, 20000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg4 := ScaledConfig(4, 16)
 	cfg4.LLC.Sets = ScaledConfig(1, 16).LLC.Sets // force a 1-core-sized LLC for 4 cores
-	quad, err := Run(cfg4, mcfTraces(4), 2000, 20000)
+	quad, err := runFresh(cfg4, mcfTraces(4), 2000, 20000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +222,7 @@ func TestMultiCoreSharedLLCPressure(t *testing.T) {
 
 func TestAllCoreCountsRun(t *testing.T) {
 	for _, cores := range []int{1, 2, 4} {
-		r, err := Run(ScaledConfig(cores, 32), mcfTraces(cores), 1000, 5000)
+		r, err := runFresh(ScaledConfig(cores, 32), mcfTraces(cores), 1000, 5000)
 		if err != nil {
 			t.Fatalf("cores=%d: %v", cores, err)
 		}
@@ -265,7 +276,7 @@ func TestTLBEnabledRunWorks(t *testing.T) {
 		t.Fatalf("TLB accounting broken: %+v", ts)
 	}
 	// Translation slows things down versus the untranslated run.
-	plain, err := Run(ScaledConfig(1, 32), mcfTraces(1), 2000, 15000)
+	plain, err := runFresh(ScaledConfig(1, 32), mcfTraces(1), 2000, 15000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +318,7 @@ func TestPrefetcherOverrides(t *testing.T) {
 func TestInclusiveLLCRuns(t *testing.T) {
 	cfg := ScaledConfig(2, 32)
 	cfg.InclusiveLLC = true
-	r, err := Run(cfg, mcfTraces(2), 2000, 15000)
+	r, err := runFresh(cfg, mcfTraces(2), 2000, 15000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +327,7 @@ func TestInclusiveLLCRuns(t *testing.T) {
 	}
 	// Inclusion pressure should cost (or at least not improve much)
 	// versus non-inclusive, given private-copy invalidations.
-	plain, err := Run(ScaledConfig(2, 32), mcfTraces(2), 2000, 15000)
+	plain, err := runFresh(ScaledConfig(2, 32), mcfTraces(2), 2000, 15000)
 	if err != nil {
 		t.Fatal(err)
 	}

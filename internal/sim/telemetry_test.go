@@ -18,7 +18,7 @@ func telemetryRun(t *testing.T, cfg Config, cores int, interval, warmup, measure
 		Tag:      "test",
 		Sink:     mem,
 	})
-	r, err := Run(cfg, mcfTraces(cores), warmup, measure)
+	r, err := runFresh(cfg, mcfTraces(cores), warmup, measure)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func telemetryRun(t *testing.T, cfg Config, cores int, interval, warmup, measure
 func TestTelemetryResultsIdentical(t *testing.T) {
 	cfg := ScaledConfig(2, 16)
 	cfg.LLCPolicy = "care"
-	base, err := Run(cfg, mcfTraces(2), 5000, 20000)
+	base, err := runFresh(cfg, mcfTraces(2), 5000, 20000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -334,7 +334,7 @@ func (c *Collector) Bind(cores []*cpu.Core, llc *cache.Cache, mem *dram.DRAM) er
 }
 
 // MarkWarmup marks intervals collected from now until the next Rebase
-// as warmup; sim.Run calls it before the warmup region.
+// as warmup; sim.Execute calls it before the warmup region.
 func (c *Collector) MarkWarmup() { c.warm = true }
 
 // Tick is the per-cycle hook. It is designed to cost two integer
@@ -561,7 +561,7 @@ func (c *Collector) emit(iv *Interval) {
 
 // Close flushes the final partial interval (if any cycles elapsed
 // since the last boundary), closes the sink, and returns the first
-// error the collector latched. sim.Run calls it automatically; users
+// error the collector latched. sim.Execute calls it automatically; users
 // driving System.RunInstructions directly call it themselves.
 func (c *Collector) Close(cycle uint64) error {
 	if !c.bound || c.closed {
