@@ -32,7 +32,10 @@ type Level interface {
 // Tracker observes a cache's cycle-by-cycle activity to compute
 // concurrency metrics (PMC, MLP-based cost). The paper attaches its
 // PMC measurement logic (PML) to the LLC; the simulator supports any
-// number of trackers per cache.
+// number of trackers per cache. A tracker may defer its per-entry
+// updates (see BulkTracker): an entry's metrics are final once
+// OnMissComplete has returned, and readers of in-flight entries must
+// ask the tracker to bring them current first (pmc.Logic.Sync).
 type Tracker interface {
 	// OnAccessStart is told that an access from core begins its base
 	// access phase at cycle (the phase lasts the cache's latency).
@@ -43,6 +46,18 @@ type Tracker interface {
 	// OnMissComplete is invoked when an outstanding miss is served,
 	// before the block is installed, so accumulated metrics are final.
 	OnMissComplete(e *MSHREntry, cycle uint64)
+}
+
+// BulkTracker is a Tracker that can account a run of cycles in one
+// call. SkipCycles gives it the whole dead window instead of one Tick
+// per cycle; trackers that do not implement it are still ticked once
+// per cycle.
+type BulkTracker interface {
+	Tracker
+	// TickSpan accounts the cycles [from, to) exactly as Tick(from)
+	// ... Tick(to-1) would. It is only called for windows in which no
+	// access starts and the MSHR file does not change.
+	TickSpan(from, to uint64, m *MSHR)
 }
 
 // Params is the geometry and timing of one cache.
@@ -344,14 +359,17 @@ func (c *Cache) NextEvent() uint64 {
 
 // SkipCycles accounts for the cycles [from, to) in which Tick would
 // only have run the trackers and counted stalls (every one of them
-// before NextEvent): each tracker still ticks once per cycle, in
-// cycle order, and a parked queue counts every cycle as a stall.
+// before NextEvent): a BulkTracker accounts the window in one
+// TickSpan, any other tracker still ticks once per cycle in cycle
+// order, and a parked queue counts every cycle as a stall.
 func (c *Cache) SkipCycles(from, to uint64) {
-	if len(c.trackers) > 0 {
+	for _, t := range c.trackers {
+		if b, ok := t.(BulkTracker); ok {
+			b.TickSpan(from, to, c.mshr)
+			continue
+		}
 		for cycle := from; cycle < to; cycle++ {
-			for _, t := range c.trackers {
-				t.Tick(cycle, c.mshr)
-			}
+			t.Tick(cycle, c.mshr)
 		}
 	}
 	if c.parked {

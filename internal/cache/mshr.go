@@ -22,10 +22,10 @@ var ErrMSHRDuplicate = errors.New("cache: duplicate MSHR allocation")
 // accumulated directly on the entry by the attached Tracker, exactly
 // as the paper adds a PMC field to each MSHR entry (§IV-B).
 type MSHREntry struct {
-	// The fields the per-cycle tracker sweep touches (Core to select
-	// the per-core state, then the accumulated metrics) are laid out
-	// first so they share cache lines; the sweep visits every live
-	// entry every cycle and dominates the simulator's profile.
+	// The fields the tracker's flush touches (Core to select the
+	// per-core state, then the accumulated metrics and the tick mark)
+	// are laid out first so they share cache lines; the flush walks
+	// the live entries on the simulator's hottest path.
 
 	// Core is the core whose access allocated the entry. Merged
 	// requesters from other cores do not re-attribute the entry; the
@@ -42,6 +42,10 @@ type MSHREntry struct {
 	// access cycles overlapped a base access cycle from the same core
 	// (the hit-miss overlapping of Figure 3).
 	HitOverlapped bool
+	// TickMark belongs to the one tracker that accounts the entry's
+	// cycles lazily (the PML): the tick up to which the metrics above
+	// are current. Allocate zeroes it; 0 means "not yet seen".
+	TickMark uint64
 
 	// Block is the missing block number.
 	Block uint64
@@ -64,9 +68,9 @@ func (e *MSHREntry) Slot() uint32 { return e.slot }
 
 // MSHR is a bounded miss status holding register file. Entries live
 // in a fixed slab (stable pointers, stable slot indices) with a dense
-// slot list iterated every cycle by the trackers and a parallel
-// packed block-number list scanned on lookup — with at most a few
-// dozen entries, a linear scan of 8-byte block numbers beats hashing.
+// slot list walked by the trackers and a parallel packed block-number
+// list scanned on lookup — with at most a few dozen entries, a linear
+// scan of 8-byte block numbers beats hashing.
 // Allocation and release recycle slab slots through a free list, so
 // the steady state allocates nothing.
 type MSHR struct {
@@ -78,6 +82,7 @@ type MSHR struct {
 	// lockstep with live (append on allocate, swap-remove on release).
 	liveBlocks []uint64
 	perCore    []int // outstanding entries per core
+	allocs     uint64
 }
 
 // NewMSHR creates an MSHR file with the given entry capacity serving
@@ -151,11 +156,17 @@ func (m *MSHR) Allocate(req *mem.Request, cycle uint64) (*MSHREntry, error) {
 	}
 	m.live = append(m.live, slot)
 	m.liveBlocks = append(m.liveBlocks, block)
+	m.allocs++
 	if e.Core >= 0 && e.Core < len(m.perCore) {
 		m.perCore[e.Core]++
 	}
 	return e, nil
 }
+
+// Allocs returns the number of successful Allocate calls so far. A
+// tracker that compares it with the value it last saw knows whether
+// new entries appeared without walking the file.
+func (m *MSHR) Allocs() uint64 { return m.allocs }
 
 // Merge adds req as an additional waiter on an outstanding entry. A
 // demand requester upgrades a prefetch-allocated entry's kind so the
@@ -212,12 +223,12 @@ func (m *MSHR) ForEach(fn func(*MSHREntry)) {
 	}
 }
 
-// Entries exposes the entry slab and the live slot list for per-cycle
-// trackers that walk every outstanding miss on the simulator's
-// hottest path (fused iteration avoids a closure call per entry).
+// Entries exposes the entry slab and the live slot list for trackers
+// that walk every outstanding miss on the simulator's hottest path
+// (fused iteration avoids a closure call per entry).
 // Callers must treat both slices as read-only structure: they may
-// update metric fields of slab[slot] for live slots but must not
-// append, reorder, or retain either slice.
+// update the metric fields and TickMark of slab[slot] for live slots
+// but must not append, reorder, or retain either slice.
 func (m *MSHR) Entries() (slab []MSHREntry, live []uint32) {
 	return m.slab, m.live
 }

@@ -210,15 +210,26 @@ func (l *cycleLog) OnAccessStart(int, mem.Kind, uint64) {}
 func (l *cycleLog) Tick(cycle uint64, _ *MSHR)          { l.cycles = append(l.cycles, cycle) }
 func (l *cycleLog) OnMissComplete(*MSHREntry, uint64)   {}
 
+// spanLog is a BulkTracker that also records the spans it is given.
+type spanLog struct {
+	cycleLog
+	spans [][2]uint64
+}
+
+func (l *spanLog) TickSpan(from, to uint64, _ *MSHR) { l.spans = append(l.spans, [2]uint64{from, to}) }
+
 // TestSkipCyclesMatchesTicks: skipping a window that is dead for the
-// queue ticks every tracker once per cycle, in order, and counts a
-// parked queue's stalls, exactly as per-cycle Ticks would.
+// queue hands a BulkTracker the whole window in one TickSpan, ticks
+// every other tracker once per cycle, in order, and counts a parked
+// queue's stalls, exactly as per-cycle Ticks would.
 func TestSkipCyclesMatchesTicks(t *testing.T) {
 	var doneA, doneB [3]uint64
 	a, _ := parkedL1(t, &doneA)
 	b, _ := parkedL1(t, &doneB)
 	la, lb := &cycleLog{}, &cycleLog{}
+	bulk := &spanLog{}
 	a.AddTracker(la)
+	b.AddTracker(bulk)
 	b.AddTracker(lb)
 	for cy := uint64(10); cy < 14; cy++ {
 		a.Tick(cy)
@@ -226,6 +237,9 @@ func TestSkipCyclesMatchesTicks(t *testing.T) {
 	b.SkipCycles(10, 14)
 	if !reflect.DeepEqual(la.cycles, lb.cycles) || len(lb.cycles) != 4 {
 		t.Fatalf("tracker ticks: per-cycle %v, skipped %v", la.cycles, lb.cycles)
+	}
+	if want := [][2]uint64{{10, 14}}; !reflect.DeepEqual(bulk.spans, want) || len(bulk.cycles) != 0 {
+		t.Fatalf("bulk tracker: spans %v and ticks %v, want spans %v and no ticks", bulk.spans, bulk.cycles, want)
 	}
 	if !reflect.DeepEqual(*a.Stats(), *b.Stats()) {
 		t.Fatalf("stats diverge:\nticked:  %+v\nskipped: %+v", *a.Stats(), *b.Stats())

@@ -12,6 +12,16 @@
 // field. A miss that accumulated at least one pure miss cycle is a
 // *pure miss*.
 //
+// The per-core counters are kept cycle by cycle, but the per-entry
+// additions follow events. Between events a core's state (a base
+// phase active or not, N_x) is constant, so each of its entries gains
+// the same 1/N_x in every cycle. Logic counts ticks and gives an entry
+// its pending additions in one run when its core's state changes, when
+// the miss completes, or on Sync. Each entry still gets the same float
+// additions in the same order as a per-cycle walk, so every value is
+// bitwise identical to it. An entry's metrics are current only after
+// OnMissComplete or Sync.
+//
 // The same per-cycle scan also computes the two secondary statistics
 // the paper reports: hit-miss overlapping (Figure 3) and the Average
 // Overlapping Cycles Per Access, AOCPA (Table XI).
@@ -38,7 +48,8 @@ type Sample struct {
 }
 
 // Logic is the PMC measurement logic for one cache level. It
-// implements cache.Tracker.
+// implements cache.BulkTracker and owns the TickMark of the level's
+// MSHR entries.
 type Logic struct {
 	// latency is the level's base access (tag lookup) duration; the
 	// AD "monitors for a fixed amount of cycles" (§IV-B).
@@ -60,39 +71,43 @@ type Logic struct {
 	// distribution and predictability experiments (Fig. 5, Table III).
 	OnSample func(Sample)
 
-	// TrackMLP makes the same per-cycle pass also accumulate the
-	// MLP-based cost on each entry (what internal/core/mlp computes
-	// standalone), saving a second MSHR sweep on the simulator's
-	// hottest path.
+	// TrackMLP makes the same pass also accumulate the MLP-based cost
+	// on each entry (what internal/core/mlp computes standalone),
+	// saving a second MSHR sweep on the simulator's hottest path.
 	TrackMLP bool
-
-	// states is the per-core scratch buffer reused every Tick to
-	// avoid a per-cycle allocation on the simulator's hottest path.
-	states []coreState
 
 	// basePhases counts base-access phases in flight across all cores
 	// (sum of len(baseEnds[x])). When it is zero and the MSHR file is
-	// empty, a Tick is a provable no-op and is skipped outright —
-	// idle-level cycles dominate many mixes, and the PML runs every
-	// cycle of the simulation.
+	// empty, a tick is a provable no-op and is skipped outright —
+	// idle-level cycles dominate many mixes.
 	basePhases int
 
 	// invTable caches 1/float64(n) for the per-core divisor (bounded
-	// by the MSHR capacity), replacing a float division per core per
-	// cycle with a load of the identical precomputed quotient.
+	// by the MSHR capacity), replacing a float division with a load of
+	// the identical precomputed quotient.
 	invTable []float64
+
+	// state is, per core, the state the core's live entries have been
+	// in since their tick marks: their pending additions are made
+	// under it.
+	state []coreState
+	// tick counts the cycles accounted so far. It starts at 1, so an
+	// entry whose TickMark is 0 has not been seen yet.
+	tick uint64
+	// allocs is the MSHR file's Allocs() when its live entries were
+	// last stamped with a tick mark.
+	allocs uint64
 }
 
 type coreState struct {
 	baseActive bool
-	pure       bool
 	n          int
-	// inv is 1/n, computed once per cycle so the per-entry PCU pass
-	// adds a precomputed reciprocal instead of dividing per entry.
+	// inv is 1/n, the share each of the core's entries gains per
+	// cycle.
 	inv float64
 }
 
-var _ cache.Tracker = (*Logic)(nil)
+var _ cache.BulkTracker = (*Logic)(nil)
 
 // New creates the measurement logic for a level with the given base
 // access latency serving cores cores.
@@ -107,7 +122,8 @@ func New(latency uint64, cores int) *Logic {
 		activePureMissCycles: make([]uint64, cores),
 		overlapCycles:        make([]uint64, cores),
 		accessCount:          make([]uint64, cores),
-		states:               make([]coreState, cores),
+		state:                make([]coreState, cores),
+		tick:                 1,
 	}
 }
 
@@ -141,101 +157,82 @@ func (l *Logic) expireBase(x int, cycle uint64) int {
 	return len(ends)
 }
 
-// Tick implements cache.Tracker and is Algorithm 1: called every
-// cycle with the level's MSHR file.
-func (l *Logic) Tick(cycle uint64, m *cache.MSHR) {
+// Tick implements cache.Tracker and is Algorithm 1 for one cycle.
+func (l *Logic) Tick(cycle uint64, m *cache.MSHR) { l.advance(cycle, 1, m) }
+
+// TickSpan implements cache.BulkTracker: it splits [from, to) where a
+// base phase ends, so that each piece has one state per core.
+func (l *Logic) TickSpan(from, to uint64, m *cache.MSHR) {
+	for from < to {
+		end := to
+		if l.basePhases > 0 {
+			for _, ends := range l.baseEnds {
+				for _, e := range ends {
+					if e > from {
+						end = min(end, e)
+						break
+					}
+				}
+			}
+		}
+		l.advance(from, end-from, m)
+		from = end
+	}
+}
+
+// advance is Algorithm 1 for the k cycles [cycle, cycle+k), in which
+// no base phase starts or ends and the MSHR file does not change. The
+// AD and PMD run once per core and the per-core counters grow by k at
+// once; the PCU's per-entry additions are left pending, except that a
+// core whose state differs from its cached one first gets its entries
+// brought up to date under the old state.
+func (l *Logic) advance(cycle, k uint64, m *cache.MSHR) {
 	if l.basePhases == 0 && m.Len() == 0 {
-		// No base phase in flight and no outstanding miss: both passes
-		// are no-ops (no counter can change), so skip the per-core scan.
+		// No base phase in flight and no outstanding miss: no counter
+		// or entry can change.
 		return
 	}
-	// First pass (AD + PMD): per-core NoNewAccess bit and N_x.
-	states := l.states
-	anyMiss := false
+	if a := m.Allocs(); a != l.allocs {
+		// New entries start accruing at the current tick.
+		l.allocs = a
+		slab, live := m.Entries()
+		for _, slot := range live {
+			if e := &slab[slot]; e.TickMark == 0 {
+				e.TickMark = l.tick
+			}
+		}
+	}
 	for x := 0; x < l.cores; x++ {
 		active := l.expireBase(x, cycle)
 		n := m.OutstandingForCore(x)
-		st := coreState{
-			baseActive: active > 0,
-			n:          n,
-			// NoNewAccess_x set and outstanding misses present ⇒
-			// active pure miss cycle for core x.
-			pure: active == 0 && n > 0,
+		if st := &l.state[x]; st.baseActive != (active > 0) || st.n != n {
+			l.flushCore(x, m)
+			*st = coreState{baseActive: active > 0, n: n, inv: l.inv(n)}
 		}
-		if n > 0 {
-			if n >= len(l.invTable) {
-				l.growInvTable(n)
-			}
-			st.inv = l.invTable[n]
-		}
-		states[x] = st
-		if states[x].pure {
-			l.activePureMissCycles[x]++
-		}
-		if n > 0 {
-			anyMiss = true
+		// NoNewAccess_x set and outstanding misses present ⇒ active
+		// pure miss cycle for core x.
+		if active == 0 && n > 0 {
+			l.activePureMissCycles[x] += k
 		}
 		// AOCPA: cycles in which more than one access from the core
 		// is in flight at this level (base phases + outstanding
 		// misses) are overlapping cycles.
 		if inFlight := active + n; inFlight > 1 {
-			l.overlapCycles[x] += uint64(inFlight - 1)
+			l.overlapCycles[x] += k * uint64(inFlight-1)
 		}
 	}
-	if !anyMiss {
-		return
+	l.tick += k
+}
+
+// inv returns 1/n from the table, or 0 for n <= 0.
+func (l *Logic) inv(n int) float64 {
+	if n <= 0 {
+		return 0
 	}
-	// Second pass (PCU): update each outstanding miss. The slab walk
-	// is fused here (rather than going through MSHR.ForEach) because
-	// it runs once per simulated cycle over every outstanding miss —
-	// the single hottest loop in the simulator. The walk is duplicated
-	// per TrackMLP setting to keep the loop-invariant branch out of
-	// the per-entry body.
-	cores := l.cores
-	slab, live := m.Entries()
-	if l.TrackMLP {
-		for _, slot := range live {
-			e := &slab[slot]
-			x := e.Core
-			if x < 0 || x >= cores {
-				x = 0
-			}
-			st := &states[x]
-			if st.n <= 0 {
-				continue
-			}
-			// MLP-based cost charges every miss cycle, hidden or not.
-			e.MLPCost += st.inv
-			if st.baseActive {
-				// A miss access cycle overlapped by a base access cycle
-				// from the same core: hit-miss overlapping (Figure 3).
-				e.HitOverlapped = true
-				continue
-			}
-			// Active pure miss cycle: the PCU's lookup-table divider
-			// spreads the cycle across all concurrent pure misses.
-			e.PMC += st.inv
-			e.PureCycles++
-		}
-		return
+	if n >= len(l.invTable) {
+		l.growInvTable(n)
 	}
-	for _, slot := range live {
-		e := &slab[slot]
-		x := e.Core
-		if x < 0 || x >= cores {
-			x = 0
-		}
-		st := &states[x]
-		if st.n <= 0 {
-			continue
-		}
-		if st.baseActive {
-			e.HitOverlapped = true
-			continue
-		}
-		e.PMC += st.inv
-		e.PureCycles++
-	}
+	return l.invTable[n]
 }
 
 // growInvTable extends invTable to cover divisor n.
@@ -249,8 +246,85 @@ func (l *Logic) growInvTable(n int) {
 	}
 }
 
-// OnMissComplete implements cache.Tracker.
+// coreOf is the core whose state e's cycles follow; entries of an
+// out-of-range core count as core 0's.
+func (l *Logic) coreOf(e *cache.MSHREntry) int {
+	if x := e.Core; x >= 0 && x < l.cores {
+		return x
+	}
+	return 0
+}
+
+// flushCore brings every live entry of core x up to date.
+func (l *Logic) flushCore(x int, m *cache.MSHR) {
+	slab, live := m.Entries()
+	for _, slot := range live {
+		if e := &slab[slot]; l.coreOf(e) == x {
+			l.flush(e)
+		}
+	}
+}
+
+// flush gives e the additions of the cycles since its tick mark, all
+// made under its core's cached state: the PCU's per-cycle work, one
+// cycle after another, in a tight loop.
+func (l *Logic) flush(e *cache.MSHREntry) {
+	if e.TickMark == 0 || e.TickMark == l.tick {
+		return
+	}
+	k := l.tick - e.TickMark
+	e.TickMark = l.tick
+	st := &l.state[l.coreOf(e)]
+	if st.n <= 0 {
+		return
+	}
+	inv := st.inv
+	switch {
+	case st.baseActive:
+		// Miss access cycles overlapped by a base access cycle from the
+		// same core: hit-miss overlapping (Figure 3). MLP-based cost
+		// still charges them.
+		e.HitOverlapped = true
+		if l.TrackMLP {
+			c := e.MLPCost
+			for i := k; i > 0; i-- {
+				c += inv
+			}
+			e.MLPCost = c
+		}
+	case l.TrackMLP:
+		// Active pure miss cycles: the PCU's lookup-table divider
+		// spreads each across all concurrent pure misses.
+		p, c := e.PMC, e.MLPCost
+		for i := k; i > 0; i-- {
+			p += inv
+			c += inv
+		}
+		e.PMC, e.MLPCost = p, c
+		e.PureCycles += k
+	default:
+		p := e.PMC
+		for i := k; i > 0; i-- {
+			p += inv
+		}
+		e.PMC = p
+		e.PureCycles += k
+	}
+}
+
+// Sync brings every outstanding entry of m up to date, so their PMC,
+// MLPCost, PureCycles and HitOverlapped can be read between ticks.
+func (l *Logic) Sync(m *cache.MSHR) {
+	slab, live := m.Entries()
+	for _, slot := range live {
+		l.flush(&slab[slot])
+	}
+}
+
+// OnMissComplete implements cache.Tracker: the entry's metrics are
+// final once it returns.
 func (l *Logic) OnMissComplete(e *cache.MSHREntry, cycle uint64) {
+	l.flush(e)
 	if l.OnSample == nil {
 		return
 	}

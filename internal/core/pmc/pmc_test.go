@@ -30,6 +30,7 @@ func TestPureCycleDetection(t *testing.T) {
 	for cy := uint64(0); cy < 4; cy++ {
 		l.Tick(cy, m)
 	}
+	l.Sync(m)
 	if e.PMC != 4 {
 		t.Fatalf("PMC = %v, want 4", e.PMC)
 	}
@@ -48,6 +49,7 @@ func TestBaseAccessHidesMissCycles(t *testing.T) {
 	l.OnAccessStart(0, mem.Load, 0) // base phase covers cycles 0,1
 	l.Tick(0, m)
 	l.Tick(1, m)
+	l.Sync(m)
 	if e.PMC != 0 || e.PureCycles != 0 {
 		t.Fatalf("hidden cycles must not add PMC: pmc=%v pure=%d", e.PMC, e.PureCycles)
 	}
@@ -55,6 +57,7 @@ func TestBaseAccessHidesMissCycles(t *testing.T) {
 		t.Fatal("entry should be flagged hit-overlapped")
 	}
 	l.Tick(2, m) // base expired
+	l.Sync(m)
 	if e.PMC != 1 {
 		t.Fatalf("PMC after base expiry = %v, want 1", e.PMC)
 	}
@@ -66,6 +69,7 @@ func TestConcurrentMissesSplitCycle(t *testing.T) {
 	e1 := alloc(m, 0, 1, 0x100, 0)
 	e2 := alloc(m, 0, 2, 0x108, 0)
 	l.Tick(0, m)
+	l.Sync(m)
 	if math.Abs(e1.PMC-0.5) > 1e-12 || math.Abs(e2.PMC-0.5) > 1e-12 {
 		t.Fatalf("two concurrent misses should each get 1/2: %v %v", e1.PMC, e2.PMC)
 	}
@@ -83,6 +87,7 @@ func TestPerCoreIsolation(t *testing.T) {
 	// Core 1 has a base phase; core 0 does not.
 	l.OnAccessStart(1, mem.Load, 0)
 	l.Tick(0, m)
+	l.Sync(m)
 	if e0.PMC != 1 {
 		t.Fatalf("core 0 entry PMC = %v, want 1 (N_0 = 1)", e0.PMC)
 	}
@@ -174,10 +179,12 @@ func TestPMCSumInvariant(t *testing.T) {
 			if next(5) == 0 && len(entries) > 0 {
 				e := entries[0]
 				entries = entries[1:]
+				l.OnMissComplete(e, cy)
 				m.Release(e)
 				donePMC = append(donePMC, e.PMC)
 			}
 		}
+		l.Sync(m)
 		var sum float64
 		for _, p := range donePMC {
 			sum += p

@@ -289,6 +289,7 @@ func (s *System) CheckInvariants() error {
 
 // inflightPMC sums the PMC accrued by outstanding LLC misses.
 func (s *System) inflightPMC() float64 {
+	s.pml.Sync(s.llc.MSHRFile())
 	var sum float64
 	s.llc.MSHRFile().ForEach(func(e *cache.MSHREntry) { sum += e.PMC })
 	return sum
