@@ -1,0 +1,74 @@
+package cache_test
+
+import (
+	"math/rand"
+	"testing"
+
+	"care/cache"
+)
+
+// benchWrappers runs fn as one sub-benchmark per wrapper, handing
+// each call a new CARE cache of the given capacity.
+func benchWrappers(b *testing.B, capacity int, fn func(b *testing.B, c mixedCache)) {
+	o := cache.Options[uint64, uint64]{Capacity: capacity, Policy: "care", Shards: 8}
+	b.Run("Cache", func(b *testing.B) {
+		c, err := cache.New(o)
+		if err != nil {
+			b.Fatal(err)
+		}
+		fn(b, c)
+	})
+	b.Run("ShardedCache", func(b *testing.B) {
+		c, err := cache.NewSharded(o)
+		if err != nil {
+			b.Fatal(err)
+		}
+		fn(b, c)
+	})
+}
+
+// BenchmarkGetHit: Gets of resident keys, in a shuffled order, from a
+// full 2^16-entry cache, so every op is a hit and most miss the CPU
+// caches as service traffic would.
+func BenchmarkGetHit(b *testing.B) {
+	const n = 1 << 16
+	benchWrappers(b, n, func(b *testing.B, c mixedCache) {
+		for k := uint64(0); k < 2*n; k++ {
+			c.Put(k, k)
+		}
+		var keys []uint64
+		c.Range(func(k, _ uint64) bool { keys = append(keys, k); return true })
+		rng := rand.New(rand.NewSource(1))
+		rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, ok := c.Get(keys[i%len(keys)]); !ok {
+				b.Fatal("miss")
+			}
+		}
+	})
+}
+
+// BenchmarkPutEvict: PutCosts of fresh keys into a full 2^12-entry
+// cache, so every op is an insert that makes the policy pick and
+// evict a victim.
+func BenchmarkPutEvict(b *testing.B) {
+	const n = 1 << 12
+	benchWrappers(b, n, func(b *testing.B, c mixedCache) {
+		for k := uint64(0); k < 4*n; k++ {
+			c.Put(k, k)
+		}
+		before := c.Stats().Evictions
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := uint64(1<<32 + i)
+			c.PutCost(k, k, float64(i%400))
+		}
+		b.StopTimer()
+		if got := c.Stats().Evictions - before; got != uint64(b.N) {
+			b.Fatalf("%d evictions for %d fresh inserts", got, b.N)
+		}
+	})
+}

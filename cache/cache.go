@@ -6,7 +6,8 @@
 //
 // Two types share one implementation (the shared-segment pattern): a
 // segment holds all algorithm state — the set-associative slot
-// arrays, the key index, and the policy adapter — and is wrapped by
+// arrays (a key is found by comparing the tags in its set's ways,
+// with no side index) and the policy adapter — and is wrapped by
 //
 //   - Cache: a zero-overhead single-threaded wrapper (no locks, no
 //     runtime dispatch), and
@@ -229,7 +230,7 @@ func New[K comparable, V any](o Options[K, V]) (*Cache[K, V], error) {
 
 // Get returns the value cached for k, updating the policy's recency/
 // reuse state on a hit.
-func (c *Cache[K, V]) Get(k K) (V, bool) { return c.seg.get(k) }
+func (c *Cache[K, V]) Get(k K) (V, bool) { return c.seg.get(k, c.seg.hash(k)) }
 
 // Put inserts or updates k with the configured DefaultCost.
 func (c *Cache[K, V]) Put(k K, v V) { c.seg.put(k, c.seg.hash(k), v, c.seg.defaultCost) }
@@ -241,7 +242,7 @@ func (c *Cache[K, V]) Put(k K, v V) { c.seg.put(k, c.seg.hash(k), v, c.seg.defau
 func (c *Cache[K, V]) PutCost(k K, v V, cost float64) { c.seg.put(k, c.seg.hash(k), v, cost) }
 
 // Delete removes k, reporting whether it was present.
-func (c *Cache[K, V]) Delete(k K) bool { return c.seg.del(k) }
+func (c *Cache[K, V]) Delete(k K) bool { return c.seg.del(k, c.seg.hash(k)) }
 
 // Len returns the number of live entries.
 func (c *Cache[K, V]) Len() int { return c.seg.len() }
@@ -256,6 +257,6 @@ func (c *Cache[K, V]) Policy() string { return c.seg.ad.PolicyName() }
 // order is unspecified but deterministic for a given history.
 func (c *Cache[K, V]) Range(fn func(K, V) bool) { c.seg.rangeEntries(fn) }
 
-// CheckIntegrity validates the internal index/occupancy invariants;
-// it is cheap enough for tests and paranoid embedders.
+// CheckIntegrity validates the internal slot/occupancy/policy
+// invariants; it is cheap enough for tests and paranoid embedders.
 func (c *Cache[K, V]) CheckIntegrity() error { return c.seg.checkIntegrity() }

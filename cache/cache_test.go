@@ -217,34 +217,57 @@ func TestDeterministicPlacement(t *testing.T) {
 	}
 }
 
-// TestGetHitAllocs: the steady-state hit path must not allocate (the
-// repo's zero-alloc hot-path discipline extends to the library).
+// TestGetHitAllocs: the steady-state hot paths must not allocate
+// (the repo's zero-alloc hot-path discipline extends to the library):
+// Get hits, Put-updates, Delete with the re-insert into the freed
+// way, and PutCost inserts that evict from a full set, on both
+// wrappers.
 func TestGetHitAllocs(t *testing.T) {
-	c, err := cache.New(cache.Options[uint64, int]{Capacity: 512, Policy: "care"})
+	flat, err := cache.New(cache.Options[uint64, uint64]{Capacity: 512, Policy: "care"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := uint64(0); i < 256; i++ {
-		c.Put(i, int(i))
-	}
-	var k uint64
-	if avg := testing.AllocsPerRun(1000, func() {
-		c.Get(k % 256)
-		k++
-	}); avg != 0 {
-		t.Fatalf("Get hit allocates %.1f/op", avg)
-	}
-	sc, err := cache.NewSharded(cache.Options[uint64, int]{Capacity: 512, Policy: "care", Shards: 4})
+	sharded, err := cache.NewSharded(cache.Options[uint64, uint64]{Capacity: 512, Policy: "care", Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := uint64(0); i < 256; i++ {
-		sc.Put(i, int(i))
-	}
-	if avg := testing.AllocsPerRun(1000, func() {
-		sc.Get(k % 256)
-		k++
-	}); avg != 0 {
-		t.Fatalf("sharded Get hit allocates %.1f/op", avg)
+	for _, w := range []struct {
+		name string
+		c    mixedCache
+	}{{"Cache", flat}, {"ShardedCache", sharded}} {
+		c := w.c
+		for i := uint64(0); i < 256; i++ {
+			c.Put(i, i)
+		}
+		var k uint64
+		gate := func(op string, f func()) {
+			t.Helper()
+			if avg := testing.AllocsPerRun(1000, f); avg != 0 {
+				t.Errorf("%s %s allocates %.1f/op", w.name, op, avg)
+			}
+		}
+		gate("Get hit", func() {
+			if _, ok := c.Get(k % 256); !ok {
+				t.Fatalf("%s: key %d missing", w.name, k%256)
+			}
+			k++
+		})
+		gate("Put update", func() { c.Put(k%256, k); k++ })
+		gate("Delete", func() {
+			if !c.Delete(k % 256) {
+				t.Fatalf("%s: Delete(%d) missed", w.name, k%256)
+			}
+			c.Put(k%256, k)
+			k++
+		})
+		for i := uint64(1000); i < 5000; i++ { // fill every set
+			c.Put(i, i)
+		}
+		before := c.Stats()
+		gate("PutCost evict", func() { c.PutCost(1<<20+k, k, float64(k%400)); k++ })
+		if st := c.Stats(); st.Evictions-before.Evictions != st.Inserts-before.Inserts {
+			t.Errorf("%s: %d PutCost inserts but %d evictions", w.name,
+				st.Inserts-before.Inserts, st.Evictions-before.Evictions)
+		}
 	}
 }

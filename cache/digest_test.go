@@ -1,0 +1,208 @@
+package cache_test
+
+import (
+	"cmp"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"hash"
+	"slices"
+	"testing"
+
+	"care/cache"
+)
+
+// mixedCache is the full surface the digest stream and the model
+// checks drive: Cache and ShardedCache both satisfy it.
+type mixedCache interface {
+	Get(uint64) (uint64, bool)
+	Put(uint64, uint64)
+	PutCost(uint64, uint64, float64)
+	Delete(uint64) bool
+	Len() int
+	Stats() cache.Stats
+	Range(func(uint64, uint64) bool)
+	CheckIntegrity() error
+}
+
+// digestOps is the length of the seeded stream each digest replays.
+const digestOps = 100_000
+
+// digestRun replays a seeded single-threaded stream of Gets (read-
+// through on a miss), Puts that insert or update, Put-updates of the
+// hot head, PutCosts and Deletes, and summarises the outcome: a hash
+// of the OnEvict key sequence and of every Get result, the Stats, Len,
+// and a hash of the sorted Range contents.
+func digestRun(t *testing.T, build func(onEvict func(uint64, uint64)) (mixedCache, error)) string {
+	t.Helper()
+	evictH := sha256.New()
+	evictions := 0
+	c, err := build(func(k, v uint64) {
+		writeU64(evictH, k, v)
+		evictions++
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	getH := sha256.New()
+	rng := uint64(0x2545f4914f6cdd1d)
+	for i := uint64(0); i < digestOps; i++ {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		r := rng
+		k := 64 + r%4096 // cold tail, four times the capacity
+		if r%3 == 0 {
+			k = r % 64 // hot head
+		}
+		cost := float64(r % 450)
+		switch op := (r >> 20) % 16; {
+		case op < 7:
+			v, ok := c.Get(k)
+			writeU64(getH, v, b2u(ok))
+			if !ok {
+				c.PutCost(k, i, cost)
+			}
+		case op < 10:
+			c.Put(k, i)
+		case op < 12:
+			c.Put(r%64, i) // hot head: almost always an update
+		case op < 15:
+			c.PutCost(k, i, cost)
+		default:
+			c.Delete(k)
+		}
+	}
+	if err := c.CheckIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+	type kv struct{ k, v uint64 }
+	var entries []kv
+	c.Range(func(k, v uint64) bool { entries = append(entries, kv{k, v}); return true })
+	slices.SortFunc(entries, func(a, b kv) int { return cmp.Compare(a.k, b.k) })
+	rangeH := sha256.New()
+	for _, e := range entries {
+		writeU64(rangeH, e.k, e.v)
+	}
+	return fmt.Sprintf("evict=%d/%s gets=%s stats=%+v len=%d range=%s",
+		evictions, short(evictH), short(getH), c.Stats(), c.Len(), short(rangeH))
+}
+
+func writeU64(h hash.Hash, xs ...uint64) {
+	var b [8]byte
+	for _, x := range xs {
+		binary.LittleEndian.PutUint64(b[:], x)
+		h.Write(b[:])
+	}
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func short(h hash.Hash) string { return hex.EncodeToString(h.Sum(nil)[:8]) }
+
+// TestGoldenDigest is the library's byte-identity oracle: for every
+// supported policy, on a flat Cache and on a 4-shard ShardedCache, the
+// seeded stream must reproduce the summary recorded below. Eviction
+// order, Get results, counters and contents are all behaviour; a
+// change that only makes the cache faster must leave every line as it
+// is. (TestSingleShardParity cannot catch a change to the shared
+// segment code, since both wrappers change together.)
+func TestGoldenDigest(t *testing.T) {
+	for _, pol := range cache.Supported() {
+		t.Run(pol, func(t *testing.T) {
+			opts := cache.Options[uint64, uint64]{
+				Capacity: 1024, Ways: 8, Policy: pol, Seed: 11, DefaultCost: 120,
+			}
+			flat := digestRun(t, func(onEvict func(uint64, uint64)) (mixedCache, error) {
+				o := opts
+				o.OnEvict = onEvict
+				return cache.New(o)
+			})
+			sharded := digestRun(t, func(onEvict func(uint64, uint64)) (mixedCache, error) {
+				o := opts
+				o.OnEvict, o.Shards = onEvict, 4
+				return cache.NewSharded(o)
+			})
+			want, ok := goldenDigests[pol]
+			if !ok {
+				t.Fatalf("no digest recorded for %s:\n\t%q: {\n\t\t%q,\n\t\t%q,\n\t},", pol, pol, flat, sharded)
+			}
+			if flat != want[0] {
+				t.Errorf("flat Cache\n got %s\nwant %s", flat, want[0])
+			}
+			if sharded != want[1] {
+				t.Errorf("4-shard ShardedCache\n got %s\nwant %s", sharded, want[1])
+			}
+		})
+	}
+}
+
+// goldenDigests maps each policy to its {flat, 4-shard} summaries.
+var goldenDigests = map[string][2]string{
+	"bip": {
+		"evict=40527/1b0d1b59b2086450 gets=59e796f3cbadd350 stats={Hits:20256 Misses:23564 Inserts:44420 Updates:29064 Evictions:40527 Deletes:2872} len=1021 range=d51b985875edab62",
+		"evict=40524/b7063ea78cf7c296 gets=a1300d18ee0221b6 stats={Hits:20245 Misses:23575 Inserts:44461 Updates:29034 Evictions:40524 Deletes:2917} len=1020 range=259a75e0dc9c6974",
+	},
+	"brrip": {
+		"evict=40543/3b7608034ad440a4 gets=cb1b4286802de6cb stats={Hits:20239 Misses:23581 Inserts:44478 Updates:29023 Evictions:40543 Deletes:2915} len=1020 range=f438ac2083f0b192",
+		"evict=40625/8d9a03907e8e07f0 gets=b181a8c94b76105f stats={Hits:20166 Misses:23654 Inserts:44517 Updates:29057 Evictions:40625 Deletes:2872} len=1020 range=24ac149d1cb0e14d",
+	},
+	"care": {
+		"evict=39749/f71afe3239fc6798 gets=13ecfe1d49a5d915 stats={Hits:20567 Misses:23253 Inserts:43637 Updates:29536 Evictions:39749 Deletes:2868} len=1020 range=4f6f4124a8c65bd0",
+		"evict=39647/170972c6c7a66bc6 gets=00c23bd101315111 stats={Hits:20559 Misses:23261 Inserts:43578 Updates:29603 Evictions:39647 Deletes:2911} len=1020 range=b9baaf5621337894",
+	},
+	"dip": {
+		"evict=40158/2e6ea6c45037417d gets=b4161f493af33364 stats={Hits:20351 Misses:23469 Inserts:44077 Updates:29312 Evictions:40158 Deletes:2901} len=1018 range=5f2ffa51b50b577f",
+		"evict=39990/9beb7b28dcdcb407 gets=62634f540d1d4c9b stats={Hits:20449 Misses:23371 Inserts:43955 Updates:29336 Evictions:39990 Deletes:2946} len=1019 range=f5d826d5f7c4526d",
+	},
+	"drrip": {
+		"evict=40185/7b9d205987d08469 gets=1b591d1b274526b0 stats={Hits:20395 Misses:23425 Inserts:44085 Updates:29260 Evictions:40185 Deletes:2880} len=1020 range=e8e826f2b72b3921",
+		"evict=40162/fd6bbeb03eb501a9 gets=5fa421e7c0031990 stats={Hits:20328 Misses:23492 Inserts:44112 Updates:29300 Evictions:40162 Deletes:2931} len=1019 range=7384ec325670e0ec",
+	},
+	"eaf": {
+		"evict=40507/4028a1026b563452 gets=f885c9a3a5901f9f stats={Hits:20235 Misses:23585 Inserts:44419 Updates:29086 Evictions:40507 Deletes:2892} len=1020 range=b39325c26a0dec2c",
+		"evict=40524/9bc27116bbd6a534 gets=fb41fc8c49ec7016 stats={Hits:20269 Misses:23551 Inserts:44418 Updates:29053 Evictions:40524 Deletes:2874} len=1020 range=3cda5a6c95da0c6f",
+	},
+	"lip": {
+		"evict=40590/a84b9570b5c7170a gets=cff027356419b5c5 stats={Hits:20207 Misses:23613 Inserts:44501 Updates:29032 Evictions:40590 Deletes:2893} len=1018 range=5a3efc584ab6069c",
+		"evict=40403/d08307283517d24f gets=297d381d4215cb44 stats={Hits:20288 Misses:23532 Inserts:44319 Updates:29133 Evictions:40403 Deletes:2895} len=1021 range=37b3c6626d10c555",
+	},
+	"lru": {
+		"evict=39598/10e2d3b8ae6107e8 gets=33a34aa3fa7e0ca7 stats={Hits:20582 Misses:23238 Inserts:43553 Updates:29605 Evictions:39598 Deletes:2937} len=1018 range=a2d4cfaa8216ffdd",
+		"evict=39632/16f7f1a232a81c0c gets=74feacd8298cbd77 stats={Hits:20550 Misses:23270 Inserts:43597 Updates:29593 Evictions:39632 Deletes:2946} len=1019 range=d3e2bff9c240c155",
+	},
+	"m-care": {
+		"evict=39749/f71afe3239fc6798 gets=13ecfe1d49a5d915 stats={Hits:20567 Misses:23253 Inserts:43637 Updates:29536 Evictions:39749 Deletes:2868} len=1020 range=4f6f4124a8c65bd0",
+		"evict=39647/170972c6c7a66bc6 gets=00c23bd101315111 stats={Hits:20559 Misses:23261 Inserts:43578 Updates:29603 Evictions:39647 Deletes:2911} len=1020 range=b9baaf5621337894",
+	},
+	"pacman": {
+		"evict=39770/9580f011e7bd1d3c gets=255b9bb1f1800912 stats={Hits:20498 Misses:23322 Inserts:43703 Updates:29539 Evictions:39770 Deletes:2913} len=1020 range=9af258fc7fad963d",
+		"evict=39752/2f2a7d7ac23ca7b7 gets=aadba6b5c5668ec0 stats={Hits:20492 Misses:23328 Inserts:43691 Updates:29557 Evictions:39752 Deletes:2920} len=1019 range=ce57063c0e8e6c3e",
+	},
+	"random": {
+		"evict=42039/ec46e6be65c6f8f6 gets=7e4611ad15ada3db stats={Hits:19666 Misses:24154 Inserts:45908 Updates:28166 Evictions:42039 Deletes:2851} len=1018 range=b31a6f72ce8d9725",
+		"evict=41779/3202bb078eb05f54 gets=edc134127ad25da6 stats={Hits:19794 Misses:24026 Inserts:45627 Updates:28319 Evictions:41779 Deletes:2827} len=1021 range=ca3ff49ba9cf47fe",
+	},
+	"rlr": {
+		"evict=39838/a7522e4999f1526b gets=4305bf2ca40d21d9 stats={Hits:20491 Misses:23329 Inserts:43762 Updates:29487 Evictions:39838 Deletes:2905} len=1019 range=fa9a9a277c7a6196",
+		"evict=39905/d002ca848b7d6bdb gets=4d5d0ad49bfd74f7 stats={Hits:20428 Misses:23392 Inserts:43868 Updates:29444 Evictions:39905 Deletes:2943} len=1020 range=719885d7c088a186",
+	},
+	"ship": {
+		"evict=39688/59cd40289abf2081 gets=108bc0cdd47e3ecd stats={Hits:20563 Misses:23257 Inserts:43582 Updates:29595 Evictions:39688 Deletes:2874} len=1020 range=7709ac9e04f34486",
+		"evict=39658/a8e474c38fece4ef gets=d60b6e63fc3c5cd0 stats={Hits:20559 Misses:23261 Inserts:43614 Updates:29567 Evictions:39658 Deletes:2935} len=1021 range=e8d22ea7cfb64fe9",
+	},
+	"ship++": {
+		"evict=39668/234c3d9c4838de36 gets=56cf3ac362a6b6fd stats={Hits:20577 Misses:23243 Inserts:43558 Updates:29605 Evictions:39668 Deletes:2871} len=1019 range=c3cdc55779bb0518",
+		"evict=39644/d944f6701bd9a145 gets=57852573b9dfd97a stats={Hits:20564 Misses:23256 Inserts:43599 Updates:29577 Evictions:39644 Deletes:2934} len=1021 range=0ad63f7b8826a86e",
+	},
+	"srrip": {
+		"evict=39770/9580f011e7bd1d3c gets=255b9bb1f1800912 stats={Hits:20498 Misses:23322 Inserts:43703 Updates:29539 Evictions:39770 Deletes:2913} len=1020 range=9af258fc7fad963d",
+		"evict=39752/2f2a7d7ac23ca7b7 gets=aadba6b5c5668ec0 stats={Hits:20492 Misses:23328 Inserts:43691 Updates:29557 Evictions:39752 Deletes:2920} len=1019 range=ce57063c0e8e6c3e",
+	},
+}

@@ -64,9 +64,10 @@ func (s *ShardedCache[K, V]) shardFor(h uint64) *shard[K, V] {
 
 // Get returns the value cached for k.
 func (s *ShardedCache[K, V]) Get(k K) (V, bool) {
-	sh := s.shardFor(s.hash(k))
+	h := s.hash(k)
+	sh := s.shardFor(h)
 	sh.mu.Lock()
-	v, ok := sh.seg.get(k)
+	v, ok := sh.seg.get(k, h)
 	sh.mu.Unlock()
 	return v, ok
 }
@@ -92,9 +93,10 @@ func (s *ShardedCache[K, V]) PutCost(k K, v V, cost float64) {
 
 // Delete removes k, reporting whether it was present.
 func (s *ShardedCache[K, V]) Delete(k K) bool {
-	sh := s.shardFor(s.hash(k))
+	h := s.hash(k)
+	sh := s.shardFor(h)
 	sh.mu.Lock()
-	ok := sh.seg.del(k)
+	ok := sh.seg.del(k, h)
 	sh.mu.Unlock()
 	return ok
 }

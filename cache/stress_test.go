@@ -16,7 +16,8 @@ import (
 // Delete) — while all goroutines also pound a shared hot range for
 // real cross-shard contention. Invariants checked at the end: owned
 // keys gone, Len consistent with Range and with the conservation
-// counters, per-shard integrity (index ↔ occupancy ↔ policy blocks).
+// counters, per-shard integrity (slot sigs ↔ set probe ↔ occupancy ↔
+// policy blocks).
 func TestShardedStress(t *testing.T) {
 	for _, pol := range []string{"lru", "ship++", "care"} {
 		t.Run(pol, func(t *testing.T) {
