@@ -76,10 +76,11 @@ func benchSimulation(b *testing.B, policy care.Policy) {
 	benchSimulationTelemetry(b, policy, "")
 }
 
-// benchSimulationTelemetry runs the 4-core mcf/CARE workload with an
+// benchSimulationTelemetry runs the 4-core mcf workload with an
 // optional streaming telemetry sink, reporting simulated instructions
-// per second. Comparing the "" and "jsonl" variants quantifies the
-// collector's overhead (DESIGN.md §7 records the expectation: <2%).
+// per second. Comparing BenchmarkSimulationCARE (no sink) with
+// BenchmarkSimulationTelemetryJSONL quantifies the collector's
+// overhead (DESIGN.md §7 records the expectation: <2%).
 func benchSimulationTelemetry(b *testing.B, policy care.Policy, format string) {
 	b.Helper()
 	const instr = 50_000
@@ -107,12 +108,6 @@ func benchSimulationTelemetry(b *testing.B, policy care.Policy, format string) {
 		}
 	}
 	b.ReportMetric(float64(instr*4*b.N)/b.Elapsed().Seconds(), "instr/s")
-}
-
-// BenchmarkSimulationTelemetryOff is the baseline for the telemetry
-// overhead comparison (identical to BenchmarkSimulationCARE).
-func BenchmarkSimulationTelemetryOff(b *testing.B) {
-	benchSimulationTelemetry(b, "care", "")
 }
 
 // BenchmarkSimulationTelemetryJSONL runs the same workload with a

@@ -51,11 +51,6 @@ func main() {
 		telInterval = flag.Uint64("telemetry-interval", telemetry.DefaultInterval, "telemetry sampling interval in cycles")
 		telOut      = flag.String("telemetry-out", "", "telemetry output file (empty = care-bench-telemetry.<ext>, \"-\" = stdout); experiments append to one stream")
 
-		perf         = flag.Bool("perf", false, "run the performance-regression suite (Fig.7/Fig.9 sweeps at 1/4/8 cores) instead of accuracy experiments")
-		perfOut      = flag.String("perf-out", "", "write the perf report to this JSON file (default BENCH_8.json; \"-\" = stdout only)")
-		perfBaseline = flag.String("perf-baseline", "", "compare the perf report against this baseline JSON; exit 1 on regression")
-		perfTol      = flag.Float64("perf-tolerance", 0.10, "fractional ns/op regression tolerated against -perf-baseline")
-
 		cacheMode      = flag.Bool("cache", false, "benchmark the care/cache library on service traffic (zipfian, scan-flood, key-churn) instead of running simulator experiments")
 		cacheOps       = flag.Int("cache-ops", 2_000_000, "operations per policy×workload cell in -cache mode")
 		cacheCapacity  = flag.Int("cache-capacity", 1<<16, "cache capacity (entries) in -cache mode")
@@ -72,7 +67,7 @@ func main() {
 		ckptEvery = flag.Uint64("checkpoint-every", 0, "measured instructions between checkpoints (0 = a quarter of -measure; requires -checkpoint-dir)")
 		faults    = flag.String("faults", "", "deterministic fault-injection spec for every simulation (chaos testing), e.g. seed=1,kill-at=50000,ckpt-corrupt=1")
 
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the experiments, -perf or -cache run to this file (inspect with go tool pprof)")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the experiments or -cache run to this file (inspect with go tool pprof)")
 	)
 	flag.Parse()
 
@@ -106,17 +101,6 @@ func main() {
 		}
 		stopProfile := startCPUProfile(*cpuProfile)
 		err := runCacheBench(opts)
-		stopProfile()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "care-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *perf {
-		stopProfile := startCPUProfile(*cpuProfile)
-		err := runPerf(*perfOut, *perfBaseline, *perfTol, *schemes)
 		stopProfile()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "care-bench:", err)
@@ -281,55 +265,6 @@ func startCPUProfile(path string) (stop func()) {
 			fmt.Fprintln(os.Stderr, "care-bench: -cpuprofile:", err)
 		}
 	}
-}
-
-// runPerf executes the performance-regression sweep, writes the
-// report, and optionally compares it against a committed baseline.
-func runPerf(outPath, baselinePath string, tol float64, schemes string) error {
-	opts := harness.PerfOptions{Out: os.Stdout}
-	if schemes != "" {
-		for _, s := range strings.Split(schemes, ",") {
-			p, err := policy.Parse(strings.TrimSpace(s))
-			if err != nil {
-				return fmt.Errorf("-schemes: %w", err)
-			}
-			opts.Schemes = append(opts.Schemes, string(p))
-		}
-	}
-	report, err := harness.RunPerf(opts)
-	if err != nil {
-		return err
-	}
-	switch outPath {
-	case "-":
-	default:
-		if outPath == "" {
-			outPath = "BENCH_8.json"
-		}
-		if err := harness.WritePerfReport(outPath, report); err != nil {
-			return err
-		}
-		fmt.Printf("perf report -> %s\n", outPath)
-	}
-	if baselinePath == "" {
-		return nil
-	}
-	base, err := harness.LoadPerfReport(baselinePath)
-	if err != nil {
-		return err
-	}
-	violations, notes := harness.ComparePerf(report, base, tol)
-	for _, n := range notes {
-		fmt.Println("note:", n)
-	}
-	if len(violations) > 0 {
-		for _, v := range violations {
-			fmt.Fprintln(os.Stderr, "REGRESSION:", v)
-		}
-		return fmt.Errorf("%d performance regression(s) vs %s", len(violations), baselinePath)
-	}
-	fmt.Printf("perf: no regressions vs %s (tolerance %.0f%%)\n", baselinePath, 100*tol)
-	return nil
 }
 
 // errFlagConflict tags invalid flag combinations so they fail at

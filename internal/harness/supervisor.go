@@ -11,14 +11,17 @@ import (
 	"fmt"
 	"hash/fnv"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"care/careapi"
+	"care/internal/graph"
 	"care/internal/policy"
 	"care/internal/sim"
+	"care/internal/synth"
 	"care/internal/trace"
 )
 
@@ -79,28 +82,47 @@ func MarshalResult(r sim.Result) (json.RawMessage, error) {
 	return b, nil
 }
 
+// MaxCores bounds a run spec's core count: four times the paper's
+// largest system. The LLC grows with the cores, so an unbounded count
+// would let one job submission exhaust the executing process's memory.
+const MaxCores = 64
+
 // Validate rejects malformed specs up front with typed errors, so a
 // bad job submission fails at the API boundary rather than inside a
 // worker.
 func (r *RunSpec) Validate() error {
 	switch r.Kind {
-	case "spec", "gap":
+	case "spec":
+		if _, err := synth.Lookup(r.Workload); err != nil {
+			return err
+		}
+	case "gap":
+		if !knownGAP(r.Workload) {
+			return fmt.Errorf("harness: GAP workload %q (want kernel-dataset, one of %v)", r.Workload, gapWorkloads())
+		}
 	default:
 		return fmt.Errorf("harness: run kind %q (want \"spec\" or \"gap\")", r.Kind)
-	}
-	if r.Workload == "" {
-		return errors.New("harness: run spec needs a workload")
 	}
 	if _, err := policy.Parse(r.Scheme); err != nil {
 		return err
 	}
-	if r.Cores < 1 {
-		return fmt.Errorf("harness: run spec needs at least one core, got %d", r.Cores)
+	if r.Cores < 1 || r.Cores > MaxCores {
+		return fmt.Errorf("harness: run spec needs 1 to %d cores, got %d", MaxCores, r.Cores)
 	}
 	if r.Measure == 0 {
 		return errors.New("harness: run spec needs a measure budget")
 	}
 	return nil
+}
+
+// knownGAP reports whether workload is a "kernel-dataset" pair naming
+// a known GAP kernel and dataset, without building its trace.
+func knownGAP(workload string) bool {
+	kernel, dataset, _ := strings.Cut(workload, "-")
+	return slices.Contains(graph.Kernels(), kernel) &&
+		slices.ContainsFunc(graph.Datasets(), func(d graph.DatasetSpec) bool {
+			return dataset == d.Short || dataset == d.Name
+		})
 }
 
 // Tag renders the run identity (workload/scheme/cores) used for

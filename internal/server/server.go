@@ -358,26 +358,45 @@ func writeError(w http.ResponseWriter, status int, code string, err error) {
 	writeJSON(w, status, careapi.Err(code, "%s", err.Error()))
 }
 
+// maxSweep bounds the cells one submission expands to, so a short
+// body cannot make the server materialize a huge cross product.
+const maxSweep = 4096
+
+// decodeSubmit decodes a POST /api/v1/jobs body and expands it into
+// validated specs. The whole sweep is validated before any of it is
+// committed, so a bad cell cannot leave a half-submitted cross
+// product behind.
+func decodeSubmit(body io.Reader) ([]JobSpec, error) {
+	var req SubmitRequest
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return nil, fmt.Errorf("bad submission: %w", err)
+	}
+	cells := 1
+	for _, n := range []int{len(req.Workloads), len(req.Policies), len(req.CoreCounts)} {
+		if cells *= max(n, 1); cells > maxSweep {
+			return nil, fmt.Errorf("bad submission: sweep exceeds %d cells", maxSweep)
+		}
+	}
+	specs := req.Specs()
+	for i := range specs {
+		if err := ValidateSpec(&specs[i]); err != nil {
+			return nil, err
+		}
+	}
+	return specs, nil
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, careapi.CodeDraining, errors.New("server is draining"))
 		return
 	}
-	var req SubmitRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, careapi.CodeBadRequest, fmt.Errorf("bad submission: %w", err))
+	specs, err := decodeSubmit(r.Body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, careapi.CodeBadRequest, err)
 		return
-	}
-	specs := req.Specs()
-	// Validate the whole sweep before committing any of it, so a bad
-	// cell cannot leave a half-submitted cross product behind.
-	for i := range specs {
-		if err := ValidateSpec(&specs[i]); err != nil {
-			writeError(w, http.StatusBadRequest, careapi.CodeBadRequest, err)
-			return
-		}
 	}
 	// The whole sweep commits as ONE journal record, so a crash — or a
 	// refused append — mid-submission can never leave a partial cross

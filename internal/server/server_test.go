@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"care/careapi"
+	"care/internal/harness"
 )
 
 // startTestServer boots a server on a free port over dir.
@@ -165,6 +166,54 @@ func TestServerValidatesSubmissions(t *testing.T) {
 	}
 	if code := httpJSON(t, "GET", base+"/api/v1/jobs/j999999", nil, &errBody); code != http.StatusNotFound {
 		t.Fatalf("unknown job returned %d", code)
+	}
+}
+
+// TestServerRejectsUnboundedSpecs checks that specs the harness could
+// never run, or that would size the LLC past any host's memory, get a
+// typed 400 at submission and never become jobs a worker could claim.
+func TestServerRejectsUnboundedSpecs(t *testing.T) {
+	s := startTestServer(t, t.TempDir(), 1)
+	defer s.Shutdown(context.Background())
+	base := "http://" + s.Addr()
+
+	cases := map[string]func(*SubmitRequest){
+		"million cores":      func(r *SubmitRequest) { r.Cores, r.Scale = 1_000_000, 1 },
+		"core sweep":         func(r *SubmitRequest) { r.CoreCounts = []int{4, harness.MaxCores + 1} },
+		"unknown spec":       func(r *SubmitRequest) { r.Workload = "999.nope" },
+		"gap without kernel": func(r *SubmitRequest) { r.Kind, r.Workload = "gap", "orkut" },
+		"unknown kernel":     func(r *SubmitRequest) { r.Kind, r.Workload = "gap", "dfs-or" },
+		"unknown dataset":    func(r *SubmitRequest) { r.Kind, r.Workload = "gap", "bfs-xx" },
+		"huge sweep": func(r *SubmitRequest) {
+			// 2 policies × 50 × 50 valid cells.
+			for i := 0; i < 50; i++ {
+				r.Workloads = append(r.Workloads, "429.mcf")
+				r.CoreCounts = append(r.CoreCounts, 1)
+			}
+		},
+	}
+	for name, mutate := range cases {
+		req := tinySubmit()
+		mutate(&req)
+		var errBody careapi.Error
+		code := httpJSON(t, "POST", base+"/api/v1/jobs", req, &errBody)
+		if code != http.StatusBadRequest || errBody.Code != careapi.CodeBadRequest {
+			t.Errorf("%s: got %d %+v, want 400 %s", name, code, errBody, careapi.CodeBadRequest)
+		}
+	}
+	var list careapi.ListResponse
+	httpJSON(t, "GET", base+"/api/v1/jobs", nil, &list)
+	if len(list.Jobs) != 0 {
+		t.Fatalf("rejected specs became jobs: %+v", list.Jobs)
+	}
+
+	// The bounds themselves are accepted.
+	ok := tinySubmit()
+	ok.Policies = nil
+	ok.Policy, ok.Cores, ok.Kind, ok.Workload = "lru", harness.MaxCores, "gap", "bfs-orkut"
+	body, _ := json.Marshal(ok)
+	if specs, err := decodeSubmit(bytes.NewReader(body)); err != nil || len(specs) != 1 {
+		t.Fatalf("in-bounds spec rejected: %v", err)
 	}
 }
 
