@@ -94,7 +94,8 @@ type Stats struct {
 	MSHRStallCycles uint64
 	// PrefetchesDropped counts prefetches discarded for MSHR headroom.
 	PrefetchesDropped uint64
-	// Invalidations counts blocks removed by back-invalidation.
+	// Invalidations is always 0: the hierarchy is non-inclusive and
+	// never back-invalidates. It keeps the Result JSON shape stable.
 	Invalidations uint64
 	// Fills and Evictions count block installs and displacements.
 	Fills, Evictions uint64
@@ -165,14 +166,13 @@ type Cache struct {
 	// tags mirrors sets as a flat packed array (tag<<1|1 when valid,
 	// 0 when not): probing scans 8 bytes per way instead of a full
 	// Block, cutting the tag-match loop's cache footprint ~10×. It is
-	// updated wherever Valid/Tag change: installBlock, Invalidate,
-	// and snapshot restore.
-	tags      []uint64
-	inq       ring.Ring[queued]
-	trackers  []Tracker
-	evictHook func(mem.Addr, uint64)
-	stats     Stats
-	failure   error
+	// updated wherever Valid/Tag change: installBlock and snapshot
+	// restore.
+	tags     []uint64
+	inq      ring.Ring[queued]
+	trackers []Tracker
+	stats    Stats
+	failure  error
 	// parked is set when the queue head failed its lookup on a full
 	// MSHR file. The outcome cannot change until an MSHR entry is
 	// released or allocated, a tag is written, or the cache is
@@ -233,31 +233,6 @@ func (c *Cache) SetLower(l Level) { c.lower = l }
 // SetPrefetcher attaches a hardware prefetcher that injects requests
 // into this cache.
 func (c *Cache) SetPrefetcher(p Prefetcher) { c.prefetcher = p }
-
-// SetEvictionHook installs a callback fired whenever a valid block is
-// displaced. Inclusive hierarchies use it to back-invalidate the
-// upper levels.
-func (c *Cache) SetEvictionHook(fn func(blockAddr mem.Addr, cycle uint64)) { c.evictHook = fn }
-
-// Invalidate removes the block holding a, if present, returning
-// whether it was resident. Dirty data is written back to the next
-// level first (the path a back-invalidation takes in an inclusive
-// hierarchy).
-func (c *Cache) Invalidate(a mem.Addr, cycle uint64) bool {
-	set, way := c.probe(a)
-	if way < 0 {
-		return false
-	}
-	blk := &c.sets[set][way]
-	if blk.Dirty && c.lower != nil {
-		c.writeback(*blk, cycle)
-	}
-	c.stats.Invalidations++
-	*blk = Block{}
-	c.tags[set*c.Ways+way] = 0
-	c.parked = false
-	return true
-}
 
 // AddTracker attaches a concurrency-metric tracker (e.g. the PMC
 // measurement logic).
@@ -574,9 +549,6 @@ func (c *Cache) installBlock(addr, pc mem.Addr, core int, kind mem.Kind, pmc, ml
 		c.policy.OnEvict(set, way, *blk, info)
 		if blk.Dirty && c.lower != nil {
 			c.writeback(*blk, cycle)
-		}
-		if c.evictHook != nil {
-			c.evictHook(mem.Addr(blk.Tag<<mem.BlockBits), cycle)
 		}
 	}
 	*blk = Block{

@@ -533,44 +533,3 @@ func TestMSHRExhaustionBlocksInputQueue(t *testing.T) {
 		t.Fatalf("cache latched failure on a legal exhaustion path: %v", err)
 	}
 }
-
-func TestInvalidate(t *testing.T) {
-	c, lower := newTestCache(t, 16, 4, 8, 5)
-	c.Access(&mem.Request{Addr: 0xA000, Kind: mem.Store}, 0)
-	run(c, lower, 0, 20)
-	if !c.Contains(0xA000) {
-		t.Fatal("setup: block resident")
-	}
-	if !c.Invalidate(0xA000, 30) {
-		t.Fatal("Invalidate should report the block was present")
-	}
-	if c.Contains(0xA000) {
-		t.Fatal("block must be gone")
-	}
-	if lower.writes != 1 {
-		t.Fatalf("dirty invalidation must write back, lower saw %d writes", lower.writes)
-	}
-	if c.Stats().Invalidations != 1 {
-		t.Fatal("invalidation not counted")
-	}
-	if c.Invalidate(0xA000, 31) {
-		t.Fatal("second invalidate must be a no-op")
-	}
-}
-
-func TestEvictionHookFires(t *testing.T) {
-	c, lower := newTestCache(t, 1, 2, 8, 5)
-	var evicted []mem.Addr
-	c.SetEvictionHook(func(a mem.Addr, cycle uint64) { evicted = append(evicted, a) })
-	c.Access(load(0x0000, nil), 0)
-	c.Access(load(0x1000, nil), 0)
-	run(c, lower, 0, 30)
-	c.Access(load(0x2000, nil), 50) // forces an eviction in the 2-way set
-	run(c, lower, 50, 80)
-	if len(evicted) != 1 {
-		t.Fatalf("eviction hook fired %d times, want 1", len(evicted))
-	}
-	if evicted[0] != 0x0000 && evicted[0] != 0x1000 {
-		t.Fatalf("hook got unexpected address %#x", uint64(evicted[0]))
-	}
-}

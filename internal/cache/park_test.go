@@ -115,11 +115,6 @@ func TestUnparkPaths(t *testing.T) {
 				panic("no block to flip")
 			}
 		}},
-		{"Invalidate", func(c *Cache) {
-			if !c.Invalidate(0x7000, 10) {
-				panic("block 0x7000 not resident")
-			}
-		}},
 		{"SaturateMSHR", func(c *Cache) { c.SaturateMSHR(10) }},
 		{"Restore", func(c *Cache) {
 			fresh, _ := newTestCache(t, 16, 4, 2, 10)

@@ -33,13 +33,6 @@ type Level interface {
 	Access(req *mem.Request, cycle uint64)
 }
 
-// Translator maps virtual to physical addresses before issue
-// (satisfied by *vmem.TLB). A nil translator means the simulation
-// runs on untranslated addresses, the paper's configuration.
-type Translator interface {
-	Translate(vaddr mem.Addr, cycle uint64, done func(paddr mem.Addr, cycle uint64))
-}
-
 // Params configures a core.
 type Params struct {
 	// IssueWidth is the dispatch and retire width per cycle.
@@ -124,7 +117,6 @@ type Core struct {
 	slots []*robEntry
 	// pool recycles the requests this core issues.
 	pool mem.RequestPool
-	tlb  Translator
 	// recsRead counts records consumed from src, so a restored core
 	// can reposition a freshly constructed copy of the same trace by
 	// replaying (and discarding) exactly this many records.
@@ -145,10 +137,6 @@ func New(id int, p Params, src trace.Reader, l1 Level) *Core {
 
 // ID returns the core index.
 func (c *Core) ID() int { return c.id }
-
-// SetTranslator attaches a TLB; loads and stores then issue with
-// translated addresses (and wait for page walks on TLB misses).
-func (c *Core) SetTranslator(t Translator) { c.tlb = t }
 
 // Stats returns the live counters.
 func (c *Core) Stats() *Stats { return &c.stats }
@@ -398,7 +386,7 @@ func (c *Core) dispatch(cycle uint64) {
 			// still goes to the hierarchy for coherence/allocation.
 			e.done = true
 			e.issued = true
-			c.issue(e, mem.Store, cycle)
+			c.issueStore(e, cycle)
 		} else if rec.DependsPrev && c.lastMem != nil && !c.lastMem.done {
 			// Pointer chase: wait for the producer's data.
 			c.lastMem.dependent = e
@@ -422,52 +410,34 @@ func (c *Core) Complete(tag uint32, cycle uint64) {
 	}
 }
 
-// issueLoad sends a load into the hierarchy (translating first when
-// a TLB is attached); completion marks the entry done and releases a
-// waiting dependent chase.
+// issueLoad sends a load into the hierarchy with this core as its
+// completer; completion marks the entry done and releases a waiting
+// dependent chase.
 func (c *Core) issueLoad(e *robEntry, cycle uint64) {
 	e.issued = true
-	if c.tlb == nil {
-		c.sendLoad(e, e.addr, cycle)
-		return
-	}
-	c.tlb.Translate(e.addr, cycle, func(addr mem.Addr, at uint64) { c.sendLoad(e, addr, at) })
-}
-
-// sendLoad issues the translated load with this core as its completer.
-func (c *Core) sendLoad(e *robEntry, addr mem.Addr, at uint64) {
 	c.nextReqID++
 	req := c.pool.Get()
 	req.ID = c.nextReqID
-	req.Addr = addr
+	req.Addr = e.addr
 	req.PC = e.pc
 	req.Core = c.id
 	req.Kind = mem.Load
-	req.IssueCycle = at
+	req.IssueCycle = cycle
 	req.Owner = c
 	req.Tag = e.slot
-	c.l1.Access(req, at)
+	c.l1.Access(req, cycle)
 }
 
-// issue sends a non-load access (store) into the hierarchy. Stores
-// retire through the write buffer, so no completion route is set.
-func (c *Core) issue(e *robEntry, kind mem.Kind, cycle uint64) {
-	if c.tlb == nil {
-		c.sendStore(e, kind, e.addr, cycle)
-		return
-	}
-	c.tlb.Translate(e.addr, cycle, func(addr mem.Addr, at uint64) { c.sendStore(e, kind, addr, at) })
-}
-
-// sendStore issues the translated non-load access.
-func (c *Core) sendStore(e *robEntry, kind mem.Kind, addr mem.Addr, at uint64) {
+// issueStore sends a store into the hierarchy. Stores retire through
+// the write buffer, so no completion route is set.
+func (c *Core) issueStore(e *robEntry, cycle uint64) {
 	c.nextReqID++
 	req := c.pool.Get()
 	req.ID = c.nextReqID
-	req.Addr = addr
+	req.Addr = e.addr
 	req.PC = e.pc
 	req.Core = c.id
-	req.Kind = kind
-	req.IssueCycle = at
-	c.l1.Access(req, at)
+	req.Kind = mem.Store
+	req.IssueCycle = cycle
+	c.l1.Access(req, cycle)
 }

@@ -263,37 +263,3 @@ func TestEOFIsNotAnError(t *testing.T) {
 		t.Fatalf("clean EOF must not be an error, got %v", err)
 	}
 }
-
-// fakeTLB translates by adding a fixed offset after a delay of one
-// callback hop, recording lookups.
-type fakeTLB struct {
-	lookups int
-	shift   mem.Addr
-}
-
-func (f *fakeTLB) Translate(vaddr mem.Addr, cycle uint64, done func(mem.Addr, uint64)) {
-	f.lookups++
-	done(vaddr+f.shift, cycle)
-}
-
-func TestTranslatorAppliedToLoadsAndStores(t *testing.T) {
-	recs := []trace.Record{
-		{PC: 1, Addr: 0x1000},
-		{PC: 2, Addr: 0x2000, IsWrite: true},
-	}
-	m := &instantMem{lat: 2}
-	c := New(0, DefaultParams(), trace.NewSlice(recs), m)
-	tlb := &fakeTLB{shift: 0x100000}
-	c.SetTranslator(tlb)
-	runCore(c, m, 1000)
-	if tlb.lookups != 2 {
-		t.Fatalf("TLB lookups = %d, want 2", tlb.lookups)
-	}
-	// The load reached memory with the translated address.
-	if len(m.serialized) != 1 || m.serialized[0] != 0x101000 {
-		t.Fatalf("translated load addr = %#x", uint64(m.serialized[0]))
-	}
-	if m.stores != 1 {
-		t.Fatal("store must still be issued")
-	}
-}

@@ -42,9 +42,6 @@ const (
 	Prefetch
 	// Writeback is a dirty block evicted from an upper level.
 	Writeback
-	// Translation marks a page-walk access; kept for extension work,
-	// treated as a demand load by the hierarchy.
-	Translation
 )
 
 // String implements fmt.Stringer.
@@ -58,8 +55,6 @@ func (k Kind) String() string {
 		return "prefetch"
 	case Writeback:
 		return "writeback"
-	case Translation:
-		return "translation"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
@@ -68,7 +63,7 @@ func (k Kind) String() string {
 // IsDemand reports whether the access was directly issued by a core
 // (as opposed to a prefetcher or a writeback). Demand accesses train
 // predictors and contribute to IPC; non-demand accesses do not.
-func (k Kind) IsDemand() bool { return k == Load || k == Store || k == Translation }
+func (k Kind) IsDemand() bool { return k == Load || k == Store }
 
 // Completer is the response side of a request: the component that
 // issued it. Completion is routed as an (owner, tag) pair instead of a

@@ -45,12 +45,11 @@ func TestAddrProperties(t *testing.T) {
 
 func TestKindString(t *testing.T) {
 	cases := map[Kind]string{
-		Load:        "load",
-		Store:       "store",
-		Prefetch:    "prefetch",
-		Writeback:   "writeback",
-		Translation: "translation",
-		Kind(99):    "kind(99)",
+		Load:      "load",
+		Store:     "store",
+		Prefetch:  "prefetch",
+		Writeback: "writeback",
+		Kind(99):  "kind(99)",
 	}
 	for k, want := range cases {
 		if got := k.String(); got != want {
@@ -60,8 +59,8 @@ func TestKindString(t *testing.T) {
 }
 
 func TestKindIsDemand(t *testing.T) {
-	if !Load.IsDemand() || !Store.IsDemand() || !Translation.IsDemand() {
-		t.Fatal("loads, stores and translations are demand accesses")
+	if !Load.IsDemand() || !Store.IsDemand() {
+		t.Fatal("loads and stores are demand accesses")
 	}
 	if Prefetch.IsDemand() || Writeback.IsDemand() {
 		t.Fatal("prefetches and writebacks are not demand accesses")

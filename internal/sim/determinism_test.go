@@ -14,12 +14,6 @@ import (
 	"care/internal/trace"
 )
 
-// The TestParallelEngine* names below date from the opt-in parallel
-// cycle engine (DESIGN.md §12), whose tests compared it with the
-// sequential loop. With one engine left, each keeps the sequential
-// half of its comparison: the run it made must be reproducible, byte
-// for byte, and must not depend on how its inputs are wrapped.
-
 // runWithTelemetry builds a system for cfg with fresh mcf traces,
 // attaches a retain-only telemetry collector, and runs warmup+measure,
 // returning the Result, the completed telemetry intervals, and the run
@@ -34,13 +28,11 @@ func runWithTelemetry(t *testing.T, cfg Config, warmup, measure uint64) (Result,
 	return res, series, err
 }
 
-// TestParallelEngineMatchesSequentialFeatureMatrix covers the
-// structural options the default config leaves off: TLBs, inclusive
-// LLC back-invalidation, the invariant sweep, and the stream
-// prefetchers. Each run must repeat exactly; the invariant sweep only
-// observes, so it must leave the run unchanged, while every other
-// option must change it.
-func TestParallelEngineMatchesSequentialFeatureMatrix(t *testing.T) {
+// TestFeatureMatrixRepeatable covers the options the default config
+// leaves off: the invariant sweep and the stream prefetchers. Each
+// run must repeat exactly; the invariant sweep only observes, so it
+// must leave the run unchanged, while the prefetchers must change it.
+func TestFeatureMatrixRepeatable(t *testing.T) {
 	const warmup, measure = 2000, 6000
 	base := ScaledConfig(4, 16)
 	base.LLCPolicy = policy.CARE
@@ -53,8 +45,6 @@ func TestParallelEngineMatchesSequentialFeatureMatrix(t *testing.T) {
 		mut         func(*Config)
 		transparent bool
 	}{
-		{"tlb", func(c *Config) { c.TLB = true }, false},
-		{"inclusive", func(c *Config) { c.InclusiveLLC = true }, false},
 		{"invariants", func(c *Config) { c.CheckInvariants = true; c.InvariantEvery = 512 }, true},
 		{"stream-prefetch", func(c *Config) { c.L1Prefetcher = "stream"; c.L2Prefetcher = "stream" }, false},
 	} {
@@ -86,12 +76,12 @@ func TestParallelEngineMatchesSequentialFeatureMatrix(t *testing.T) {
 	}
 }
 
-// TestParallelEngineFaultChaos runs the injector's chaos classes —
+// TestFaultChaosRepeatable runs the injector's chaos classes —
 // flipped trace addresses, delayed DRAM responses, saturated MSHRs,
 // corrupt trace records — and requires the outcome, Result and any
 // failure, to repeat exactly: the fault RNG is seeded per reader, so a
 // fault-injected run is as reproducible as a clean one.
-func TestParallelEngineFaultChaos(t *testing.T) {
+func TestFaultChaosRepeatable(t *testing.T) {
 	for _, spec := range []string{
 		"seed=7,trace-flip=64",
 		"seed=11,dram-delay=40,dram-delay-cycles=97",
@@ -133,12 +123,12 @@ func TestParallelEngineFaultChaos(t *testing.T) {
 	}
 }
 
-// TestParallelEngineCheckpointDiff requires the checkpoint files of two
+// TestCheckpointFilesByteIdentical requires the checkpoint files of two
 // identical checkpointed runs, live and rotated, to be byte-identical
 // at one, four, and eight cores: a checkpoint is a pure function of
 // the simulator state. Resuming from those files is covered by
 // TestResumeEquivalence.
-func TestParallelEngineCheckpointDiff(t *testing.T) {
+func TestCheckpointFilesByteIdentical(t *testing.T) {
 	for _, cores := range []int{1, 4, 8} {
 		t.Run(fmt.Sprintf("c%d", cores), func(t *testing.T) {
 			dir := t.TempDir()
@@ -172,10 +162,10 @@ type trickleReader struct{ src trace.Reader }
 
 func (r *trickleReader) Next() (trace.Record, error) { return r.src.Next() }
 
-// TestParallelEngineUnboundedSourceFallback: trace.Bounded is only a
+// TestHiddenBoundIsTransparent: trace.Bounded is only a
 // promise about the future, so hiding it behind a wrapper must leave
 // the simulation unchanged.
-func TestParallelEngineUnboundedSourceFallback(t *testing.T) {
+func TestHiddenBoundIsTransparent(t *testing.T) {
 	run := func(hide bool) Result {
 		traces := mcfTraces(2)
 		if hide {

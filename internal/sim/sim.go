@@ -16,13 +16,11 @@ import (
 	"care/internal/cpu"
 	"care/internal/dram"
 	"care/internal/faultinject"
-	"care/internal/mem"
 	"care/internal/policy"
 	"care/internal/prefetch"
 	"care/internal/replacement"
 	"care/internal/telemetry"
 	"care/internal/trace"
-	"care/internal/vmem"
 )
 
 // CacheGeom describes one cache level.
@@ -54,18 +52,6 @@ type Config struct {
 	L1, L2, LLC CacheGeom
 	// CARE tunes the CARE/M-CARE policy when selected.
 	CARE careplc.Config
-	// DRAMChannels overrides the channel count (0 = 1 for one core,
-	// 2 otherwise, per Table VII).
-	DRAMChannels int
-	// TLB enables per-core address translation: loads and stores go
-	// through a data TLB and misses trigger radix page walks whose
-	// accesses travel through the hierarchy. Off in the paper's
-	// configuration; available for extension studies.
-	TLB bool
-	// InclusiveLLC enforces inclusion: LLC evictions back-invalidate
-	// the private L1/L2 copies. The paper's ChampSim hierarchy is
-	// non-inclusive (the default here).
-	InclusiveLLC bool
 
 	// ---- simulation integrity (all off-by-default or passive) ----
 
@@ -151,7 +137,6 @@ type System struct {
 	targets []uint64
 	mem     *dram.DRAM
 	pml     *pmc.Logic
-	tlbs    []*vmem.TLB
 	cycle   uint64
 
 	// Fault injection (nil unless cfg.Faults is enabled).
@@ -216,12 +201,10 @@ func New(cfg Config, traces []trace.Reader) (*System, error) {
 		traces = wrapped
 	}
 
-	channels := cfg.DRAMChannels
-	if channels == 0 {
-		channels = 2
-		if cfg.Cores == 1 {
-			channels = 1
-		}
+	// One DRAM channel for one core, two otherwise (Table VII).
+	channels := 2
+	if cfg.Cores == 1 {
+		channels = 1
 	}
 	s.mem = dram.New(dram.DefaultParams(channels))
 
@@ -274,23 +257,9 @@ func New(cfg Config, traces []trace.Reader) (*System, error) {
 		} else if pf != nil {
 			l2.SetPrefetcher(pf)
 		}
-		core := cpu.New(i, cpu.DefaultParams(), traces[i], l1)
-		if cfg.TLB {
-			tlb := vmem.New(i, vmem.DefaultParams(), l1)
-			core.SetTranslator(tlb)
-			s.tlbs = append(s.tlbs, tlb)
-		}
-		s.cores = append(s.cores, core)
+		s.cores = append(s.cores, cpu.New(i, cpu.DefaultParams(), traces[i], l1))
 		s.l1s = append(s.l1s, l1)
 		s.l2s = append(s.l2s, l2)
-	}
-	if cfg.InclusiveLLC {
-		s.llc.SetEvictionHook(func(addr mem.Addr, cycle uint64) {
-			for i := range s.l1s {
-				s.l1s[i].Invalidate(addr, cycle)
-				s.l2s[i].Invalidate(addr, cycle)
-			}
-		})
 	}
 	if cfg.Telemetry != nil {
 		if err := cfg.Telemetry.Bind(s.cores, s.llc, s.mem); err != nil {
@@ -299,14 +268,6 @@ func New(cfg Config, traces []trace.Reader) (*System, error) {
 		s.tele = cfg.Telemetry
 	}
 	return s, nil
-}
-
-// TLBFor returns core i's TLB when translation is enabled, else nil.
-func (s *System) TLBFor(i int) *vmem.TLB {
-	if i < 0 || i >= len(s.tlbs) {
-		return nil
-	}
-	return s.tlbs[i]
 }
 
 // Cycle returns the current simulation cycle.

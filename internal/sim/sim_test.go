@@ -254,48 +254,6 @@ func TestDrainFinishes(t *testing.T) {
 	}
 }
 
-func TestTLBEnabledRunWorks(t *testing.T) {
-	cfg := ScaledConfig(1, 32)
-	cfg.TLB = true
-	s, err := New(cfg, mcfTraces(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.TLBFor(0) == nil {
-		t.Fatal("TLB should be attached")
-	}
-	if s.TLBFor(5) != nil {
-		t.Fatal("out-of-range TLB query must be nil")
-	}
-	mustRun(t, s, 15000)
-	ts := s.TLBFor(0).Stats()
-	if ts.Lookups == 0 || ts.WalksIssued == 0 {
-		t.Fatalf("translation activity expected, got %+v", ts)
-	}
-	if ts.Hits+ts.Misses != ts.Lookups {
-		t.Fatalf("TLB accounting broken: %+v", ts)
-	}
-	// Translation slows things down versus the untranslated run.
-	plain, err := runFresh(ScaledConfig(1, 32), mcfTraces(1), 2000, 15000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := s.Snapshot()
-	if r.CoreIPC[0] > plain.CoreIPC[0]*1.5 {
-		t.Fatalf("TLB run implausibly faster: %v vs %v", r.CoreIPC[0], plain.CoreIPC[0])
-	}
-}
-
-func TestNoTLBByDefault(t *testing.T) {
-	s, err := New(ScaledConfig(1, 32), mcfTraces(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.TLBFor(0) != nil {
-		t.Fatal("TLB must be opt-in")
-	}
-}
-
 func TestPrefetcherOverrides(t *testing.T) {
 	cfg := ScaledConfig(1, 32)
 	cfg.Prefetch = true
@@ -312,26 +270,5 @@ func TestPrefetcherOverrides(t *testing.T) {
 	cfg.L2Prefetcher = "bogus"
 	if _, err := New(cfg, mcfTraces(1)); err == nil {
 		t.Fatal("unknown prefetcher name should error")
-	}
-}
-
-func TestInclusiveLLCRuns(t *testing.T) {
-	cfg := ScaledConfig(2, 32)
-	cfg.InclusiveLLC = true
-	r, err := runFresh(cfg, mcfTraces(2), 2000, 15000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.IPCSum() <= 0 {
-		t.Fatal("inclusive run made no progress")
-	}
-	// Inclusion pressure should cost (or at least not improve much)
-	// versus non-inclusive, given private-copy invalidations.
-	plain, err := runFresh(ScaledConfig(2, 32), mcfTraces(2), 2000, 15000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.IPCSum() > plain.IPCSum()*1.25 {
-		t.Fatalf("inclusive implausibly faster: %v vs %v", r.IPCSum(), plain.IPCSum())
 	}
 }
