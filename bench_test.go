@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"care"
+	"care/internal/harness"
 )
 
 // benchOptions returns a reduced-budget configuration so the full
@@ -31,6 +32,9 @@ func benchOptions() care.ExperimentOptions {
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
+		// Start every iteration cold, so each one times the
+		// simulations rather than memo hits.
+		harness.ResetCache()
 		if err := care.RunExperiment(id, io.Discard, benchOptions()); err != nil {
 			b.Fatal(err)
 		}

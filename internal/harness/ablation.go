@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	careplc "care/internal/core/care"
-	"care/internal/policy"
 	"care/internal/sim"
 	"care/internal/stats"
-	"care/internal/synth"
 )
 
 func init() {
@@ -21,22 +19,14 @@ func ablWorkloads() []string {
 	return []string{"429.mcf", "450.soplex", "482.sphinx3", "483.xalancbmk", "462.libquantum", "403.gcc"}
 }
 
-// runCAREVariant runs a 4-core multi-copy workload with a CARE config
-// variant (bypassing the memo cache, which does not key on CARE
-// internals).
-func runCAREVariant(o *Options, workload string, cfgMod func(*sim.Config)) (sim.Result, error) {
-	p, err := synth.Lookup(workload)
-	if err != nil {
-		return sim.Result{}, err
+// ablKey is the 4-core multi-copy run of workload under scheme, with
+// the paper's prefetchers, that the ablations vary.
+func ablKey(o *Options, workload, scheme string) runKey {
+	return runKey{
+		kind: "spec", workload: workload, scheme: scheme,
+		cores: 4, prefetch: true, scale: o.Scale,
+		warmup: o.Warmup, measure: o.Measure,
 	}
-	cfg := sim.ScaledConfig(4, o.Scale)
-	cfg.LLCPolicy = "care"
-	cfg.Prefetch = true
-	o.applyGuards(&cfg)
-	if cfgMod != nil {
-		cfgMod(&cfg)
-	}
-	return runPlain(cfg, specTraces(p, 4, o.Scale), o.Warmup, o.Measure)
 }
 
 // runAblDTRM compares DTRM against frozen thresholds: the paper's
@@ -48,12 +38,12 @@ func runAblDTRM(o *Options) error {
 	}
 	variants := []struct {
 		name string
-		mod  func(*sim.Config)
+		care careplc.Config
 	}{
-		{"dtrm (paper)", nil},
-		{"static 50/350", func(c *sim.Config) { c.CARE = careplc.Config{DisableDTRM: true} }},
-		{"static 20/140", func(c *sim.Config) { c.CARE = careplc.Config{DisableDTRM: true, PMCLow: 20, PMCHigh: 140} }},
-		{"static 100/700", func(c *sim.Config) { c.CARE = careplc.Config{DisableDTRM: true, PMCLow: 100, PMCHigh: 700} }},
+		{"dtrm (paper)", careplc.Config{}},
+		{"static 50/350", careplc.Config{DisableDTRM: true}},
+		{"static 20/140", careplc.Config{DisableDTRM: true, PMCLow: 20, PMCHigh: 140}},
+		{"static 100/700", careplc.Config{DisableDTRM: true, PMCLow: 100, PMCHigh: 700}},
 	}
 	header := []string{"workload"}
 	for _, v := range variants {
@@ -74,7 +64,9 @@ func runAblDTRM(o *Options) error {
 	}
 	err := parallel(len(jobs), o.Parallelism, func(i int) error {
 		j := jobs[i]
-		r, err := runCAREVariant(o, workloads[j.wl], variants[j.vi].mod)
+		k := ablKey(o, workloads[j.wl], "care")
+		k.care = variants[j.vi].care
+		r, err := runSim(k, o)
 		if err != nil {
 			return err
 		}
@@ -124,10 +116,9 @@ func runAblSample(o *Options) error {
 	}
 	err := parallel(len(jobs), o.Parallelism, func(i int) error {
 		j := jobs[i]
-		n := sampleCounts[j.si]
-		r, err := runCAREVariant(o, workloads[j.wl], func(c *sim.Config) {
-			c.CARE = careplc.Config{SampledSets: n}
-		})
+		k := ablKey(o, workloads[j.wl], "care")
+		k.care = careplc.Config{SampledSets: sampleCounts[j.si]}
+		r, err := runSim(k, o)
 		if err != nil {
 			return err
 		}
@@ -169,17 +160,10 @@ func runAblMSHR(o *Options) error {
 	for _, n := range sizes {
 		ratios := make([]float64, len(workloads))
 		err := parallel(len(workloads), o.Parallelism, func(wi int) error {
-			p, err := synth.Lookup(workloads[wi])
-			if err != nil {
-				return err
-			}
-			run := func(pol policy.Policy) (sim.Result, error) {
-				cfg := sim.ScaledConfig(4, o.Scale)
-				cfg.LLCPolicy = pol
-				cfg.Prefetch = true
-				cfg.LLC.MSHREntries = n
-				o.applyGuards(&cfg)
-				return runPlain(cfg, specTraces(p, 4, o.Scale), o.Warmup, o.Measure)
+			run := func(scheme string) (sim.Result, error) {
+				k := ablKey(o, workloads[wi], scheme)
+				k.llcMSHR = n
+				return runSim(k, o)
 			}
 			base, err := run("lru")
 			if err != nil {
@@ -222,17 +206,10 @@ func runAblPrefetch(o *Options) error {
 		rs := make([]float64, len(workloads))
 		ipcs := make([]float64, len(workloads))
 		err := parallel(len(workloads), o.Parallelism, func(wi int) error {
-			p, err := synth.Lookup(workloads[wi])
-			if err != nil {
-				return err
-			}
-			run := func(pol policy.Policy) (sim.Result, error) {
-				cfg := sim.ScaledConfig(4, o.Scale)
-				cfg.LLCPolicy = pol
-				cfg.Prefetch = true
-				cfg.L2Prefetcher = pf
-				o.applyGuards(&cfg)
-				return runPlain(cfg, specTraces(p, 4, o.Scale), o.Warmup, o.Measure)
+			run := func(scheme string) (sim.Result, error) {
+				k := ablKey(o, workloads[wi], scheme)
+				k.l2Prefetch = pf
+				return runSim(k, o)
 			}
 			base, err := run("lru")
 			if err != nil {

@@ -12,11 +12,13 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	careplc "care/internal/core/care"
 	"care/internal/faultinject"
 	"care/internal/graph"
 	"care/internal/mem"
@@ -84,22 +86,16 @@ type Options struct {
 	// faulted simulation is retried, resuming from its last good
 	// checkpoint when one exists (0 or 1 = no retries).
 	MaxAttempts int
-	// RetryBackoff is the base delay before the first retry; it doubles
-	// per attempt up to MaxRetryBackoff (defaults 100ms / 2s). The
-	// actual sleep is "equal jitter": at least half the capped delay,
-	// the rest randomised deterministically from RetryJitterSeed so
-	// parallel workers never retry in lockstep yet campaigns replay on
-	// an identical schedule.
-	RetryBackoff    time.Duration
-	MaxRetryBackoff time.Duration
+	// RetryBackoff is the base delay before the first retry (default
+	// 100ms); it doubles per attempt up to maxRetryBackoff. The actual
+	// sleep is "equal jitter": at least half the capped delay, the rest
+	// randomised deterministically from RetryJitterSeed so parallel
+	// workers never retry in lockstep yet campaigns replay on an
+	// identical schedule.
+	RetryBackoff time.Duration
 	// RetryJitterSeed varies the deterministic backoff jitter (0 is a
 	// valid seed; the schedule is always reproducible).
 	RetryJitterSeed uint64
-	// RetryBudget bounds the total wall clock one supervised run may
-	// spend across all attempts and backoff sleeps (0 = unlimited;
-	// only the attempt count caps retries). A run cut short by the
-	// budget fails with an error wrapping ErrRetryBudget.
-	RetryBudget time.Duration
 	// ResumeExisting makes even a run's first attempt resume from its
 	// checkpoint file when one exists. Campaign experiments leave this
 	// off (a fresh campaign starts fresh); care-server sets it so jobs
@@ -373,7 +369,9 @@ func (o *Options) flushTelemetry() error {
 // runKey identifies one simulation for memoisation: several
 // experiments (fig7/fig8/tab10) share the same runs.
 type runKey struct {
-	kind     string // "spec" or "gap"
+	kind string // "spec", "gap" or "mix"
+	// workload is a synthetic profile name ("spec"), a kernel-dataset
+	// pair ("gap"), or the index of a fig10 mixed workload ("mix").
 	workload string
 	scheme   string
 	cores    int
@@ -382,6 +380,12 @@ type runKey struct {
 	warmup   uint64
 	measure  uint64
 	gapRecs  int
+
+	// Ablation variants of the paper's system; zero values leave it
+	// as it is, and a non-zero value adds a tag suffix.
+	care       careplc.Config // CARE tuning
+	llcMSHR    int            // LLC MSHR entries
+	l2Prefetch string         // L2 prefetcher name
 }
 
 var (
@@ -471,6 +475,16 @@ func buildTraces(key runKey) ([]trace.Reader, error) {
 			return nil, fmt.Errorf("harness: bad GAP workload %q", key.workload)
 		}
 		return gapTraces(kernel, dataset, key.cores, key.gapRecs)
+	case "mix":
+		m, err := strconv.Atoi(key.workload)
+		if err != nil {
+			return nil, fmt.Errorf("harness: bad mix index %q", key.workload)
+		}
+		out := make([]trace.Reader, key.cores)
+		for i, p := range synth.MixedWorkload(key.cores, m) {
+			out[i] = synth.NewScaledGenerator(p, key.seed()+uint64(i), key.scale)
+		}
+		return out, nil
 	default:
 		return nil, fmt.Errorf("harness: bad run kind %q", key.kind)
 	}
@@ -489,6 +503,11 @@ func runAttempt(ctx context.Context, key runKey, o *Options, ckptPath string, re
 	cfg := sim.ScaledConfig(key.cores, key.scale)
 	cfg.LLCPolicy = policy.Policy(key.scheme)
 	cfg.Prefetch = key.prefetch
+	cfg.CARE = key.care
+	if key.llcMSHR > 0 {
+		cfg.LLC.MSHREntries = key.llcMSHR
+	}
+	cfg.L2Prefetcher = key.l2Prefetch
 	o.applyGuards(&cfg)
 	if o.Faults != nil {
 		faults := *o.Faults
@@ -550,16 +569,6 @@ func runAttempt(ctx context.Context, key runKey, o *Options, ckptPath string, re
 	return r, resumed, nil
 }
 
-// runPlain runs one unsupervised warmup+measure simulation over traces.
-func runPlain(cfg sim.Config, traces []trace.Reader, warmup, measure uint64) (sim.Result, error) {
-	r, _, err := sim.Execute(context.Background(), sim.Job{
-		Build:   func() (*sim.System, error) { return sim.New(cfg, traces) },
-		Warmup:  warmup,
-		Measure: measure,
-	})
-	return r, err
-}
-
 // runSim executes (or recalls) one simulation. With supervision
 // enabled (retries, checkpointing, or fault injection configured) the
 // run goes through the supervisor; plain runs are memoised, since
@@ -591,7 +600,30 @@ func (k runKey) tag() string {
 	if k.prefetch {
 		t += "/pf"
 	}
+	if c := k.care; c != (careplc.Config{}) {
+		t += fmt.Sprintf("/care-sets%d-period%d-static%t-low%g-high%g-seed%d",
+			c.SampledSets, c.DTRMPeriod, c.DisableDTRM, c.PMCLow, c.PMCHigh, c.Seed)
+	}
+	if k.llcMSHR > 0 {
+		t += fmt.Sprintf("/mshr%d", k.llcMSHR)
+	}
+	if k.l2Prefetch != "" {
+		t += "/l2pf-" + k.l2Prefetch
+	}
 	return t
+}
+
+// seed is the trace seed of the run's first core (core i streams from
+// seed+i); GAP traces are seedless and report 0.
+func (k runKey) seed() uint64 {
+	switch k.kind {
+	case "spec":
+		return 1
+	case "mix":
+		m, _ := strconv.Atoi(k.workload)
+		return uint64(100*m + 1)
+	}
+	return 0
 }
 
 // checkpointFile names the run's checkpoint file.

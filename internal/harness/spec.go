@@ -3,11 +3,11 @@ package harness
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 
 	"care/internal/core/pmc"
 	"care/internal/mem"
-	"care/internal/policy"
 	"care/internal/sim"
 	"care/internal/stats"
 	"care/internal/synth"
@@ -368,17 +368,12 @@ func runFig10(o *Options) error {
 	}
 	mixes := make([]mixResult, o.Mixes)
 	err := parallel(o.Mixes, o.Parallelism, func(m int) error {
-		profiles := synth.MixedWorkload(4, m)
 		run := func(scheme string) (sim.Result, error) {
-			traces := make([]trace.Reader, len(profiles))
-			for i, p := range profiles {
-				traces[i] = synth.NewScaledGenerator(p, uint64(100*m+i+1), o.Scale)
-			}
-			cfg := sim.ScaledConfig(4, o.Scale)
-			cfg.LLCPolicy = policy.Policy(scheme)
-			cfg.Prefetch = true
-			o.applyGuards(&cfg)
-			return runPlain(cfg, traces, o.Warmup, o.Measure)
+			return runSim(runKey{
+				kind: "mix", workload: strconv.Itoa(m), scheme: scheme,
+				cores: 4, prefetch: true, scale: o.Scale,
+				warmup: o.Warmup, measure: o.Measure,
+			}, o)
 		}
 		base, err := run("lru")
 		if err != nil {

@@ -7,44 +7,55 @@ import (
 	"care/internal/telemetry"
 )
 
-// TestTelemetryMergedOutput runs a parallel experiment with telemetry
-// on and checks the merged JSONL stream has one well-formed series per
-// (workload, scheme) simulation. Under -race this also exercises the
-// per-simulation collector / shared registry split.
+// TestTelemetryMergedOutput runs parallel experiments with telemetry
+// on and checks each merged JSONL stream has one well-formed series
+// per simulation, the mixed-workload and ablation runs included. Under
+// -race this also exercises the per-simulation collector / shared
+// registry split.
 func TestTelemetryMergedOutput(t *testing.T) {
-	ResetCache() // memoised runs skip collection; start cold
-	var tel bytes.Buffer
-	o := tiny()
-	o.Parallelism = 4
-	o.Telemetry = "jsonl"
-	o.TelemetryInterval = 2000
-	o.TelemetryOut = &tel
-	runExp(t, "fig7", o)
+	for _, tc := range []struct {
+		id     string
+		series int
+	}{
+		{"fig7", 4},      // 2 workloads x 2 schemes
+		{"fig10", 4},     // 2 mixes x 2 schemes
+		{"abl-mshr", 16}, // 4 MSHR sizes x 2 workloads x {lru, care}
+	} {
+		t.Run(tc.id, func(t *testing.T) {
+			ResetCache() // memoised runs skip collection; start cold
+			var tel bytes.Buffer
+			o := tiny()
+			o.Parallelism = 4
+			o.Telemetry = "jsonl"
+			o.TelemetryInterval = 2000
+			o.TelemetryOut = &tel
+			runExp(t, tc.id, o)
 
-	series, err := telemetry.ReadJSONL(&tel)
-	if err != nil {
-		t.Fatalf("merged telemetry does not parse: %v", err)
-	}
-	// 2 workloads x 2 schemes.
-	if len(series) != 4 {
-		tags := make([]string, 0, len(series))
-		for _, s := range series {
-			tags = append(tags, s.Meta.Tag)
-		}
-		t.Fatalf("got %d series %v, want 4", len(series), tags)
-	}
-	for i := 1; i < len(series); i++ {
-		if series[i-1].Meta.Tag >= series[i].Meta.Tag {
-			t.Errorf("series not sorted by tag: %q before %q", series[i-1].Meta.Tag, series[i].Meta.Tag)
-		}
-	}
-	for _, s := range series {
-		if s.Meta.Interval != 2000 || s.Meta.Cores != 4 || s.Meta.Policy == "" {
-			t.Errorf("series %q has bad meta %+v", s.Meta.Tag, s.Meta)
-		}
-		if len(telemetry.Measured(s.Intervals)) == 0 {
-			t.Errorf("series %q has no measured intervals", s.Meta.Tag)
-		}
+			series, err := telemetry.ReadJSONL(&tel)
+			if err != nil {
+				t.Fatalf("merged telemetry does not parse: %v", err)
+			}
+			if len(series) != tc.series {
+				tags := make([]string, 0, len(series))
+				for _, s := range series {
+					tags = append(tags, s.Meta.Tag)
+				}
+				t.Fatalf("got %d series %v, want %d", len(series), tags, tc.series)
+			}
+			for i := 1; i < len(series); i++ {
+				if series[i-1].Meta.Tag >= series[i].Meta.Tag {
+					t.Errorf("series not sorted by tag: %q before %q", series[i-1].Meta.Tag, series[i].Meta.Tag)
+				}
+			}
+			for _, s := range series {
+				if s.Meta.Interval != 2000 || s.Meta.Cores != 4 || s.Meta.Policy == "" {
+					t.Errorf("series %q has bad meta %+v", s.Meta.Tag, s.Meta)
+				}
+				if len(telemetry.Measured(s.Intervals)) == 0 {
+					t.Errorf("series %q has no measured intervals", s.Meta.Tag)
+				}
+			}
+		})
 	}
 }
 

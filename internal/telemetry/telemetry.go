@@ -42,9 +42,9 @@ const DefaultCapacity = 4096
 // i covers occupancy fractions [i/8, (i+1)/8).
 const occBuckets = 8
 
-// defaultOccSamples is how many times per interval the collector
-// samples MSHR occupancy into the interval's histogram.
-const defaultOccSamples = 16
+// occSamples is how many times per interval the collector samples
+// MSHR occupancy into the interval's histogram.
+const occSamples = 16
 
 // Options configures a Collector.
 type Options struct {
@@ -58,9 +58,6 @@ type Options struct {
 	Sink Sink
 	// Capacity is the ring-buffer size in intervals (0 = DefaultCapacity).
 	Capacity int
-	// OccSamples is the number of MSHR occupancy samples per interval
-	// (0 = 16).
-	OccSamples int
 }
 
 // CoreSample is one core's activity during one interval (all counters
@@ -266,10 +263,7 @@ func NewCollector(opts Options) *Collector {
 	if opts.Capacity <= 0 {
 		opts.Capacity = DefaultCapacity
 	}
-	if opts.OccSamples <= 0 {
-		opts.OccSamples = defaultOccSamples
-	}
-	stride := opts.Interval / uint64(opts.OccSamples)
+	stride := opts.Interval / occSamples
 	if stride == 0 {
 		stride = 1
 	}
