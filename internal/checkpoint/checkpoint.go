@@ -1,6 +1,6 @@
 // Package checkpoint defines the on-disk container format for
-// simulator checkpoints and the common interface stateful components
-// implement to participate in them.
+// simulator checkpoints and the walk stateful components use to save
+// and restore their state in it.
 //
 // A checkpoint file is a fixed header followed by a sequence of named,
 // individually CRC32-checksummed frames and a terminating end marker:
@@ -8,15 +8,24 @@
 //	header:  magic "CARECKP1" (8 bytes) · format version (uint32 LE)
 //	frame:   name length (uint16 LE) · name bytes
 //	         payload length (uint32 LE) · CRC32-IEEE of payload (uint32 LE)
-//	         payload (gob-encoded component state)
+//	         payload (one component's state walk)
 //	trailer: end marker (uint16 LE 0xFFFF)
+//
+// A payload is what a Component's Checkpoint method writes through a
+// State: its fields in a fixed order, integers as uvarints (zigzag for
+// signed types), floats as their eight IEEE-754 bytes, bools as one
+// byte, lengths before elements and map entries in ascending key
+// order. There are no type descriptors and no iteration-order
+// freedom, so the bytes are a pure function of the state.
 //
 // Every failure mode maps to a typed sentinel: a flipped bit fails the
 // frame CRC (ErrCorrupt), a truncated file runs out of bytes before
 // the end marker (ErrCorrupt), a future format version is refused
-// (ErrVersion), and state that does not fit the restoring system's
-// configuration is refused by the component (ErrMismatch). A corrupt
-// checkpoint is therefore always *rejected*, never silently restored.
+// (ErrVersion), a payload that is malformed, holds a count larger than
+// its remaining bytes or has bytes left over is ErrCorrupt, and state
+// that does not fit the restoring system's configuration is refused
+// by the component (ErrMismatch). A corrupt checkpoint is therefore
+// always *rejected*, never silently restored.
 //
 // Files are written atomically: the writer streams into a temporary
 // file in the destination directory, fsyncs, and renames into place,
@@ -43,7 +52,7 @@ const Magic = "CARECKP1"
 // exactly this version: state layout is tied to the simulator build,
 // so cross-version restore is refused rather than guessed at (see
 // DESIGN.md §8 for the compatibility rules).
-const Version uint32 = 1
+const Version uint32 = 2
 
 // Sentinel errors; match with errors.Is. They are wrapped with
 // context (path, frame, detail) by the reader and writer.
@@ -68,23 +77,6 @@ var (
 	// corrupt-state failure.
 	ErrNoSpace = errors.New("checkpoint: no space left on device")
 )
-
-// Snapshotter is the common interface stateful components implement.
-// Snapshot returns a gob-encodable value capturing the component's
-// complete dynamic state at a quiescent point; Restore replaces the
-// state of an identically-configured component from such a value.
-// Restore must validate dimensions and types and return an error
-// wrapping ErrMismatch rather than restore partially.
-//
-// Concrete snapshot types must be registered with gob (each package
-// does so in init) because frames carry them as interface values.
-type Snapshotter interface {
-	Snapshot() any
-	Restore(snap any) error
-}
-
-// frameValue boxes a snapshot so gob encodes its dynamic type.
-type frameValue struct{ V any }
 
 // endMarker terminates the frame sequence; no frame name can be this
 // long (names are component identifiers).
@@ -113,13 +105,12 @@ func NewWriter(w io.Writer) (*Writer, error) {
 	return &Writer{w: w}, nil
 }
 
-// Frame writes one named frame holding state. State must be a
-// gob-registered type.
-func (w *Writer) Frame(name string, state any) error {
+// Frame writes one named frame holding the state walk saves.
+func (w *Writer) Frame(name string, walk func(*State)) error {
 	if len(name) >= maxFrameName {
 		return fmt.Errorf("checkpoint: frame name %q too long", name)
 	}
-	payload, err := encodeGob(frameValue{V: state})
+	payload, err := Encode(walk)
 	if err != nil {
 		return fmt.Errorf("checkpoint: encode frame %q: %w", name, err)
 	}
@@ -179,25 +170,25 @@ func NewReader(r io.Reader) (*Reader, error) {
 	return &Reader{r: br}, nil
 }
 
-// Frame reads the next frame, which must be named name, and returns
-// its decoded state. Reaching the end marker, a name mismatch, a CRC
-// mismatch, or truncation all yield an error wrapping ErrCorrupt.
-func (r *Reader) Frame(name string) (any, error) {
+// Frame reads the next frame, which must be named name, and restores
+// its payload through walk. Reaching the end marker, a name mismatch,
+// a CRC mismatch, or truncation all yield an error wrapping
+// ErrCorrupt; so does a payload walk does not consume exactly.
+func (r *Reader) Frame(name string, walk func(*State)) error {
 	gotName, payload, err := r.next()
 	if errors.Is(err, errEndMarker) {
-		return nil, corruptf(r.path, "unexpected end marker (want frame %q)", name)
+		return corruptf(r.path, "unexpected end marker (want frame %q)", name)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if gotName != name {
-		return nil, corruptf(r.path, "frame order: want %q, file has %q", name, gotName)
+		return corruptf(r.path, "frame order: want %q, file has %q", name, gotName)
 	}
-	var fv frameValue
-	if err := decodeGob(payload, &fv); err != nil {
-		return nil, corruptf(r.path, "frame %q: undecodable payload: %v", name, err)
+	if err := Decode(payload, walk); err != nil {
+		return fmt.Errorf("checkpoint: frame %q: %w", name, err)
 	}
-	return fv.V, nil
+	return nil
 }
 
 // errEndMarker signals the frame walker reached the trailer; Frame
@@ -255,7 +246,7 @@ func (r *Reader) End() error {
 }
 
 // Verify walks an entire checkpoint container structurally — header,
-// every frame's name/length/CRC, and the end marker — without gob-
+// every frame's name/length/CRC, and the end marker — without
 // decoding any payload. It is how untrusted checkpoint bytes (e.g.
 // artifacts uploaded by remote workers) are validated before being
 // stored: damage anywhere surfaces as ErrCorrupt/ErrVersion, and a

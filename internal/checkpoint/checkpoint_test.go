@@ -3,7 +3,6 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"io/fs"
 	"os"
@@ -17,17 +16,17 @@ type testState struct {
 	S []byte
 }
 
-func init() { gob.Register(testState{}) }
+func (ts *testState) Checkpoint(s *State) { Plain(s, ts) }
 
 // writeFile builds a two-frame checkpoint file and returns its path.
 func writeFile(t *testing.T) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "test.ckpt")
 	err := Save(path, func(w *Writer) error {
-		if err := w.Frame("alpha", testState{N: 42, S: []byte("hello")}); err != nil {
+		if err := w.Frame("alpha", (&testState{N: 42, S: []byte("hello")}).Checkpoint); err != nil {
 			return err
 		}
-		return w.Frame("beta", testState{N: 7})
+		return w.Frame("beta", (&testState{N: 7}).Checkpoint)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -38,18 +37,14 @@ func writeFile(t *testing.T) string {
 func TestRoundTrip(t *testing.T) {
 	path := writeFile(t)
 	err := Load(path, func(r *Reader) error {
-		raw, err := r.Frame("alpha")
-		if err != nil {
-			return err
-		}
-		st, err := As[testState](raw, "alpha")
-		if err != nil {
+		var st testState
+		if err := r.Frame("alpha", st.Checkpoint); err != nil {
 			return err
 		}
 		if st.N != 42 || string(st.S) != "hello" {
 			t.Fatalf("frame alpha decoded as %+v", st)
 		}
-		if _, err := r.Frame("beta"); err != nil {
+		if err := r.Frame("beta", st.Checkpoint); err != nil {
 			return err
 		}
 		return r.End()
@@ -82,10 +77,11 @@ func TestBitFlipRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 		err := Load(path, func(r *Reader) error {
-			if _, err := r.Frame("alpha"); err != nil {
+			var st testState
+			if err := r.Frame("alpha", st.Checkpoint); err != nil {
 				return err
 			}
-			if _, err := r.Frame("beta"); err != nil {
+			if err := r.Frame("beta", st.Checkpoint); err != nil {
 				return err
 			}
 			return r.End()
@@ -107,10 +103,11 @@ func TestTruncationRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 		err := Load(path, func(r *Reader) error {
-			if _, err := r.Frame("alpha"); err != nil {
+			var st testState
+			if err := r.Frame("alpha", st.Checkpoint); err != nil {
 				return err
 			}
-			if _, err := r.Frame("beta"); err != nil {
+			if err := r.Frame("beta", st.Checkpoint); err != nil {
 				return err
 			}
 			return r.End()
@@ -153,8 +150,7 @@ func TestBadMagicRejected(t *testing.T) {
 func TestFrameOrderEnforced(t *testing.T) {
 	path := writeFile(t)
 	err := Load(path, func(r *Reader) error {
-		_, err := r.Frame("beta") // file has "alpha" first
-		return err
+		return r.Frame("beta", new(testState).Checkpoint) // file has "alpha" first
 	})
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("out-of-order frame: got %v, want ErrCorrupt", err)
@@ -164,7 +160,7 @@ func TestFrameOrderEnforced(t *testing.T) {
 func TestSaveIsAtomic(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "atomic.ckpt")
 	if err := Save(path, func(w *Writer) error {
-		return w.Frame("alpha", testState{N: 1})
+		return w.Frame("alpha", (&testState{N: 1}).Checkpoint)
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -191,13 +187,6 @@ func TestSaveIsAtomic(t *testing.T) {
 	}
 	if len(ents) != 1 {
 		t.Fatalf("temp files left behind: %v", ents)
-	}
-}
-
-func TestAsTypeMismatch(t *testing.T) {
-	_, err := As[int]("not an int", "frame")
-	if !errors.Is(err, ErrMismatch) {
-		t.Fatalf("As on wrong type: got %v, want ErrMismatch", err)
 	}
 }
 
@@ -237,17 +226,12 @@ func TestSaveSyncsDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := testState{N: 42, S: []byte("dir-sync")}
-	if err := Save(path, func(w *Writer) error { return w.Frame("state", want) }); err != nil {
+	if err := Save(path, func(w *Writer) error { return w.Frame("state", want.Checkpoint) }); err != nil {
 		t.Fatal(err)
 	}
 	var got testState
 	err := Load(path, func(r *Reader) error {
-		raw, err := r.Frame("state")
-		if err != nil {
-			return err
-		}
-		got, err = As[testState](raw, "state")
-		if err != nil {
+		if err := r.Frame("state", got.Checkpoint); err != nil {
 			return err
 		}
 		return r.End()

@@ -1,116 +1,46 @@
 package care
 
 import (
-	"encoding/gob"
+	"fmt"
 
 	"care/internal/checkpoint"
 )
 
-func init() { gob.Register(State{}) }
-
-// SHTEntryState mirrors one Signature History Table row.
-type SHTEntryState struct {
-	RC, PD uint8
+// Checkpoint implements checkpoint.Component on a freshly Init'd
+// policy of identical geometry and configuration. It walks the SHT,
+// the per-block metadata, the tie-break RNG, and the full DTRM
+// threshold/epoch machinery (§V-F); configuration (sampling stride,
+// period length, cost signal) is rebuilt by New/NewMCARE + Init.
+func (p *Policy) Checkpoint(s *checkpoint.State) {
+	checkpoint.Each(s, p.sht, func(s *checkpoint.State, e *shtEntry) {
+		checkpoint.Uint(s, &e.rc)
+		checkpoint.Uint(s, &e.pd)
+	})
+	checkpoint.Each(s, p.sigFills, checkpoint.Uint)
+	checkpoint.Each(s, p.meta, func(s *checkpoint.State, row *[]blockMeta) {
+		checkpoint.Each(s, *row, p.walkMeta)
+	})
+	checkpoint.Uint(s, &p.rng)
+	s.Float64(&p.pmcLow)
+	s.Float64(&p.pmcHigh)
+	checkpoint.Uint(s, &p.tcm)
+	checkpoint.Uint(s, &p.missesInPeriod)
+	checkpoint.Uint(s, &p.epochs)
+	checkpoint.Plain(s, &p.stats)
 }
 
-// BlockMetaState mirrors CARE's per-block metadata.
-type BlockMetaState struct {
-	EPV        uint8
-	Sig        uint16
-	Reused     bool
-	PMCS       uint8
-	Prefetched bool
-	Writeback  bool
-	Valid      bool
-}
-
-// State is CARE's dynamic state: the SHT, the per-block metadata, the
-// tie-break RNG, and the full DTRM threshold/epoch machinery (§V-F).
-// Configuration (sampling stride, period length, cost signal) is
-// rebuilt by New/NewMCARE + Init and is not serialized.
-type State struct {
-	SHT      []SHTEntryState
-	SigFills []uint32
-	Meta     [][]BlockMetaState
-	RNG      uint64
-
-	PMCLow, PMCHigh float64
-	TCM             uint64
-	MissesInPeriod  uint64
-	Epochs          uint64
-
-	Stats Stats
-}
-
-// Snapshot implements checkpoint.Snapshotter.
-func (p *Policy) Snapshot() any {
-	st := State{
-		SHT:            make([]SHTEntryState, len(p.sht)),
-		SigFills:       append([]uint32(nil), p.sigFills...),
-		Meta:           make([][]BlockMetaState, len(p.meta)),
-		RNG:            uint64(p.rng),
-		PMCLow:         p.pmcLow,
-		PMCHigh:        p.pmcHigh,
-		TCM:            p.tcm,
-		MissesInPeriod: p.missesInPeriod,
-		Epochs:         p.epochs,
-		Stats:          p.stats,
+// walkMeta walks one block's metadata. A signature or EPV that would
+// index outside the SHT or the EPV counters is corrupt.
+func (p *Policy) walkMeta(s *checkpoint.State, m *blockMeta) {
+	checkpoint.Uint(s, &m.epv)
+	checkpoint.Uint(s, &m.sig)
+	s.Bool(&m.reused)
+	checkpoint.Uint(s, &m.pmcs)
+	s.Bool(&m.prefetched)
+	s.Bool(&m.writeback)
+	s.Bool(&m.valid)
+	if s.Restoring() && (int(m.sig) >= len(p.sht) || int(m.epv) >= len(p.stats.InsertEPV)) {
+		s.Fail(fmt.Errorf("%w: %s: block signature %d or EPV %d out of range",
+			checkpoint.ErrCorrupt, p.name, m.sig, m.epv))
 	}
-	for i, e := range p.sht {
-		st.SHT[i] = SHTEntryState{RC: e.rc, PD: e.pd}
-	}
-	for i, row := range p.meta {
-		out := make([]BlockMetaState, len(row))
-		for w, m := range row {
-			out[w] = BlockMetaState{
-				EPV: m.epv, Sig: m.sig, Reused: m.reused, PMCS: m.pmcs,
-				Prefetched: m.prefetched, Writeback: m.writeback, Valid: m.valid,
-			}
-		}
-		st.Meta[i] = out
-	}
-	return st
-}
-
-// Restore implements checkpoint.Snapshotter on a freshly Init'd
-// policy of identical geometry and configuration.
-func (p *Policy) Restore(snap any) error {
-	st, err := checkpoint.As[State](snap, p.name)
-	if err != nil {
-		return err
-	}
-	if len(st.SHT) != len(p.sht) || len(st.SigFills) != len(p.sigFills) {
-		return checkpoint.Mismatchf("%s: snapshot SHT has %d entries, policy has %d",
-			p.name, len(st.SHT), len(p.sht))
-	}
-	if len(st.Meta) != len(p.meta) {
-		return checkpoint.Mismatchf("%s: snapshot has %d sets, policy has %d",
-			p.name, len(st.Meta), len(p.meta))
-	}
-	for i, row := range st.Meta {
-		if len(row) != len(p.meta[i]) {
-			return checkpoint.Mismatchf("%s: snapshot set %d has %d ways, policy has %d",
-				p.name, i, len(row), len(p.meta[i]))
-		}
-	}
-	for i, e := range st.SHT {
-		p.sht[i] = shtEntry{rc: e.RC, pd: e.PD}
-	}
-	copy(p.sigFills, st.SigFills)
-	for i, row := range st.Meta {
-		for w, m := range row {
-			p.meta[i][w] = blockMeta{
-				epv: m.EPV, sig: m.Sig, reused: m.Reused, pmcs: m.PMCS,
-				prefetched: m.Prefetched, writeback: m.Writeback, valid: m.Valid,
-			}
-		}
-	}
-	p.rng = rng(st.RNG)
-	p.pmcLow = st.PMCLow
-	p.pmcHigh = st.PMCHigh
-	p.tcm = st.TCM
-	p.missesInPeriod = st.MissesInPeriod
-	p.epochs = st.Epochs
-	p.stats = st.Stats
-	return nil
 }

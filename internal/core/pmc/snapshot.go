@@ -1,55 +1,22 @@
 package pmc
 
-import (
-	"encoding/gob"
+import "care/internal/checkpoint"
 
-	"care/internal/checkpoint"
-)
-
-func init() { gob.Register(State{}) }
-
-// State is the PML's dynamic state. Base-access phases can outlive a
-// quiesce drain (their end cycles sit in the future), so BaseEnds must
-// travel with the checkpoint even though the MSHRs are empty.
-type State struct {
-	BaseEnds             [][]uint64
-	ActivePureMissCycles []uint64
-	OverlapCycles        []uint64
-	AccessCount          []uint64
-}
-
-// Snapshot implements checkpoint.Snapshotter.
-func (l *Logic) Snapshot() any {
-	st := State{
-		BaseEnds:             make([][]uint64, len(l.baseEnds)),
-		ActivePureMissCycles: append([]uint64(nil), l.activePureMissCycles...),
-		OverlapCycles:        append([]uint64(nil), l.overlapCycles...),
-		AccessCount:          append([]uint64(nil), l.accessCount...),
+// Checkpoint implements checkpoint.Component on a Logic built for the
+// same core count. Base-access phases can outlive a quiesce drain
+// (their end cycles sit in the future), so their end cycles travel
+// with the checkpoint even though the MSHRs are empty.
+func (l *Logic) Checkpoint(s *checkpoint.State) {
+	checkpoint.Each(s, l.baseEnds, func(s *checkpoint.State, ends *[]uint64) {
+		checkpoint.Slice(s, ends, checkpoint.Uint)
+	})
+	checkpoint.Each(s, l.activePureMissCycles, checkpoint.Uint)
+	checkpoint.Each(s, l.overlapCycles, checkpoint.Uint)
+	checkpoint.Each(s, l.accessCount, checkpoint.Uint)
+	if s.Restoring() {
+		l.basePhases = 0
+		for _, ends := range l.baseEnds {
+			l.basePhases += len(ends)
+		}
 	}
-	for i, ends := range l.baseEnds {
-		st.BaseEnds[i] = append([]uint64(nil), ends...)
-	}
-	return st
-}
-
-// Restore implements checkpoint.Snapshotter on a Logic built for the
-// same core count.
-func (l *Logic) Restore(snap any) error {
-	st, err := checkpoint.As[State](snap, "pmc logic")
-	if err != nil {
-		return err
-	}
-	if len(st.ActivePureMissCycles) != l.cores {
-		return checkpoint.Mismatchf("pmc: snapshot sized for %d cores, logic has %d",
-			len(st.ActivePureMissCycles), l.cores)
-	}
-	l.basePhases = 0
-	for i := range l.baseEnds {
-		l.baseEnds[i] = append(l.baseEnds[i][:0], st.BaseEnds[i]...)
-		l.basePhases += len(st.BaseEnds[i])
-	}
-	copy(l.activePureMissCycles, st.ActivePureMissCycles)
-	copy(l.overlapCycles, st.OverlapCycles)
-	copy(l.accessCount, st.AccessCount)
-	return nil
 }

@@ -1,30 +1,12 @@
 package cpu
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 
 	"care/internal/checkpoint"
-	"care/internal/trace"
 )
-
-func init() { gob.Register(State{}) }
-
-// State is a core's checkpointable state at a quiescent point (empty
-// ROB, no in-flight accesses). The trace position is recorded as the
-// number of records consumed; Restore replays that many records
-// through a freshly constructed copy of the same trace source.
-type State struct {
-	Stats      Stats
-	Rec        trace.Record
-	RecValid   bool
-	NonMemLeft int
-	Exhausted  bool
-	NextReqID  uint64
-	RecsRead   uint64
-}
 
 // SetFetchFrozen stops (or resumes) dispatch while retirement keeps
 // draining the ROB; the simulator uses it to reach a quiescent point.
@@ -33,49 +15,41 @@ func (c *Core) SetFetchFrozen(frozen bool) { c.frozen = frozen }
 // Quiesced reports whether the core holds no in-flight instructions.
 func (c *Core) Quiesced() bool { return c.robLen == 0 && c.rob.Len() == 0 }
 
-// Snapshot implements checkpoint.Snapshotter. The core must be
-// quiescent and error-free; the simulator guarantees both before
-// asking.
-func (c *Core) Snapshot() any {
-	return State{
-		Stats:      c.stats,
-		Rec:        c.rec,
-		RecValid:   c.recValid,
-		NonMemLeft: c.nonMemLeft,
-		Exhausted:  c.exhausted,
-		NextReqID:  c.nextReqID,
-		RecsRead:   c.recsRead,
+// Checkpoint implements checkpoint.Component at a quiescent point
+// (empty ROB, no in-flight accesses). The trace position is the number
+// of records consumed: a restore replays that many records through
+// the core's freshly constructed, unread copy of the same trace.
+func (c *Core) Checkpoint(s *checkpoint.State) {
+	if s.Restoring() && (c.recsRead != 0 || c.robLen != 0) {
+		s.Fail(checkpoint.Mismatchf("core %d: restore target is not freshly constructed", c.id))
+		return
+	}
+	checkpoint.Plain(s, &c.stats)
+	checkpoint.Plain(s, &c.rec)
+	s.Bool(&c.recValid)
+	checkpoint.Int(s, &c.nonMemLeft)
+	s.Bool(&c.exhausted)
+	checkpoint.Uint(s, &c.nextReqID)
+	recs := c.recsRead
+	checkpoint.Uint(s, &recs)
+	if s.Restoring() && s.Err() == nil {
+		s.Fail(c.reposition(recs))
 	}
 }
 
-// Restore implements checkpoint.Snapshotter. The core must be freshly
-// constructed over an unread copy of the same trace source; Restore
-// repositions the source by consuming the snapshot's record count.
-func (c *Core) Restore(snap any) error {
-	st, err := checkpoint.As[State](snap, fmt.Sprintf("core %d", c.id))
-	if err != nil {
-		return err
-	}
-	if c.recsRead != 0 || c.robLen != 0 {
-		return checkpoint.Mismatchf("core %d: restore target is not freshly constructed", c.id)
-	}
-	for i := uint64(0); i < st.RecsRead; i++ {
+// reposition consumes n records from the trace source.
+func (c *Core) reposition(n uint64) error {
+	for i := uint64(0); i < n; i++ {
 		if _, err := c.src.Next(); err != nil {
 			if errors.Is(err, io.EOF) {
 				return checkpoint.Mismatchf(
 					"core %d: trace ended after %d records, checkpoint consumed %d — different trace?",
-					c.id, i, st.RecsRead)
+					c.id, i, n)
 			}
 			return fmt.Errorf("%w: core %d: repositioning trace: %v",
 				checkpoint.ErrNotCheckpointable, c.id, err)
 		}
 	}
-	c.stats = st.Stats
-	c.rec = st.Rec
-	c.recValid = st.RecValid
-	c.nonMemLeft = st.NonMemLeft
-	c.exhausted = st.Exhausted
-	c.nextReqID = st.NextReqID
-	c.recsRead = st.RecsRead
+	c.recsRead = n
 	return nil
 }

@@ -1,37 +1,10 @@
 package dram
 
 import (
-	"encoding/gob"
 	"fmt"
 
 	"care/internal/checkpoint"
-	"care/internal/mem"
 )
-
-func init() { gob.Register(State{}) }
-
-// BankState mirrors one bank's open-row and timing state.
-type BankState struct {
-	OpenRow   uint64
-	HasOpen   bool
-	BusyUntil uint64
-}
-
-// ChannelState mirrors one channel's banks and data-bus occupancy.
-type ChannelState struct {
-	Banks    []BankState
-	BusUntil uint64
-}
-
-// State is the DRAM model's checkpointable state at a quiescent point
-// (no reads in flight; posted writes are plain addresses and are
-// carried over).
-type State struct {
-	Channels []ChannelState
-	WriteQ   []mem.Addr
-	MinReady uint64
-	Stats    Stats
-}
 
 // Checkpointable reports whether the model can snapshot now. The
 // error wraps checkpoint.ErrNotCheckpointable.
@@ -43,51 +16,23 @@ func (d *DRAM) Checkpointable() error {
 	return nil
 }
 
-// Snapshot implements checkpoint.Snapshotter.
-func (d *DRAM) Snapshot() any {
-	st := State{
-		Channels: make([]ChannelState, len(d.channels)),
-		WriteQ:   append([]mem.Addr(nil), d.writeQ[d.wqHead:]...),
-		MinReady: d.minReady,
-		Stats:    d.stats,
+// Checkpoint implements checkpoint.Component at a quiescent point: no
+// reads in flight, and the posted writes are plain addresses carried
+// over.
+func (d *DRAM) Checkpoint(s *checkpoint.State) {
+	checkpoint.Each(s, d.channels, func(s *checkpoint.State, ch *channel) {
+		checkpoint.Each(s, ch.banks, func(s *checkpoint.State, b *bank) {
+			checkpoint.Uint(s, &b.openRow)
+			s.Bool(&b.hasOpen)
+			checkpoint.Uint(s, &b.busyUntil)
+		})
+		checkpoint.Uint(s, &ch.busUntil)
+	})
+	wq := d.writeQ[d.wqHead:]
+	checkpoint.Slice(s, &wq, checkpoint.Uint)
+	if s.Restoring() {
+		d.writeQ, d.wqHead = wq, 0
 	}
-	for i := range d.channels {
-		ch := &d.channels[i]
-		cs := ChannelState{Banks: make([]BankState, len(ch.banks)), BusUntil: ch.busUntil}
-		for b, bk := range ch.banks {
-			cs.Banks[b] = BankState{OpenRow: bk.openRow, HasOpen: bk.hasOpen, BusyUntil: bk.busyUntil}
-		}
-		st.Channels[i] = cs
-	}
-	return st
-}
-
-// Restore implements checkpoint.Snapshotter on an identically
-// configured model.
-func (d *DRAM) Restore(snap any) error {
-	st, err := checkpoint.As[State](snap, "dram")
-	if err != nil {
-		return err
-	}
-	if len(st.Channels) != len(d.channels) {
-		return checkpoint.Mismatchf("dram: snapshot has %d channels, model has %d", len(st.Channels), len(d.channels))
-	}
-	for i := range st.Channels {
-		if len(st.Channels[i].Banks) != len(d.channels[i].banks) {
-			return checkpoint.Mismatchf("dram: channel %d snapshot has %d banks, model has %d",
-				i, len(st.Channels[i].Banks), len(d.channels[i].banks))
-		}
-	}
-	for i := range st.Channels {
-		cs := &st.Channels[i]
-		d.channels[i].busUntil = cs.BusUntil
-		for b, bk := range cs.Banks {
-			d.channels[i].banks[b] = bank{openRow: bk.OpenRow, hasOpen: bk.HasOpen, busyUntil: bk.BusyUntil}
-		}
-	}
-	d.writeQ = append(d.writeQ[:0], st.WriteQ...)
-	d.wqHead = 0
-	d.minReady = st.MinReady
-	d.stats = st.Stats
-	return nil
+	checkpoint.Uint(s, &d.minReady)
+	checkpoint.Plain(s, &d.stats)
 }

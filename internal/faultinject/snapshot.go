@@ -1,51 +1,21 @@
 package faultinject
 
 import (
-	"encoding/gob"
 	"fmt"
 
 	"care/internal/checkpoint"
 )
 
-func init() {
-	gob.Register(State{})
-	gob.Register(MemoryState{})
-}
-
-// State is the injector's dynamic state. It is restored AFTER the
-// cores reposition their traces (replaying records through the
-// fault-wrapping readers advances rng and the flip counters), so the
-// checkpointed values overwrite the replay's side effects.
-type State struct {
-	RNG          uint64
-	Stats        Stats
-	Killed       bool
-	CkptsWritten uint64
-}
-
-// Snapshot implements checkpoint.Snapshotter.
-func (in *Injector) Snapshot() any {
-	return State{RNG: in.rng, Stats: in.stats, Killed: in.killed, CkptsWritten: in.ckptsWritten}
-}
-
-// Restore implements checkpoint.Snapshotter.
-func (in *Injector) Restore(snap any) error {
-	st, err := checkpoint.As[State](snap, "fault injector")
-	if err != nil {
-		return err
-	}
-	in.rng = st.RNG
-	in.stats = st.Stats
-	in.killed = st.Killed
-	in.ckptsWritten = st.CkptsWritten
-	return nil
-}
-
-// MemoryState is the fault-injecting memory shim's dynamic state (the
-// read counter driving every-Nth drop/delay selection). Held responses
-// are closures and must be empty at a quiescent point.
-type MemoryState struct {
-	Reads uint64
+// Checkpoint implements checkpoint.Component. The injector is
+// restored AFTER the cores reposition their traces (replaying records
+// through the fault-wrapping readers advances rng and the flip
+// counters), so the checkpointed values overwrite the replay's side
+// effects.
+func (in *Injector) Checkpoint(s *checkpoint.State) {
+	checkpoint.Uint(s, &in.rng)
+	checkpoint.Plain(s, &in.stats)
+	s.Bool(&in.killed)
+	checkpoint.Uint(s, &in.ckptsWritten)
 }
 
 // Checkpointable reports whether the shim can snapshot now. The error
@@ -58,15 +28,7 @@ func (m *Memory) Checkpointable() error {
 	return nil
 }
 
-// Snapshot implements checkpoint.Snapshotter.
-func (m *Memory) Snapshot() any { return MemoryState{Reads: m.reads} }
-
-// Restore implements checkpoint.Snapshotter.
-func (m *Memory) Restore(snap any) error {
-	st, err := checkpoint.As[MemoryState](snap, "fault memory")
-	if err != nil {
-		return err
-	}
-	m.reads = st.Reads
-	return nil
-}
+// Checkpoint implements checkpoint.Component: the read counter driving
+// every-Nth drop/delay selection. Held responses are completion
+// routes and must be empty at a quiescent point.
+func (m *Memory) Checkpoint(s *checkpoint.State) { checkpoint.Uint(s, &m.reads) }

@@ -50,23 +50,14 @@ func supervisedOpts(t *testing.T, dir string) *Options {
 // just past the final scheduled checkpoint.
 func lastCheckpointCycle(t *testing.T, path string) uint64 {
 	t.Helper()
-	var cycle uint64
+	var m sim.RunMeta
 	err := checkpoint.Load(path, func(r *checkpoint.Reader) error {
-		raw, err := r.Frame("meta")
-		if err != nil {
-			return err
-		}
-		m, err := checkpoint.As[sim.RunMeta](raw, "meta")
-		if err != nil {
-			return err
-		}
-		cycle = m.Cycle
-		return nil
+		return r.Frame("meta", m.Checkpoint)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cycle
+	return m.Cycle
 }
 
 // TestSupervisorChaosRecovery is the acceptance chaos test: with a

@@ -1,119 +1,30 @@
 package prefetch
 
-import (
-	"encoding/gob"
+import "care/internal/checkpoint"
 
-	"care/internal/checkpoint"
-)
+// Checkpoint implements checkpoint.Component; NextLine has no dynamic
+// state, so every attached prefetcher checkpoints the same way.
+func (p *NextLine) Checkpoint(*checkpoint.State) {}
 
-func init() {
-	gob.Register(NextLineState{})
-	gob.Register(IPStrideState{})
-	gob.Register(StreamState{})
+// Checkpoint implements checkpoint.Component.
+func (p *IPStride) Checkpoint(s *checkpoint.State) {
+	checkpoint.Each(s, p.table, func(s *checkpoint.State, e *ipEntry) {
+		s.Bool(&e.valid)
+		checkpoint.Uint(s, &e.tag)
+		checkpoint.Uint(s, &e.lastBlock)
+		checkpoint.Int(s, &e.stride)
+		checkpoint.Int(s, &e.confidence)
+	})
 }
 
-// NextLineState marks a (stateless) next-line prefetcher frame.
-type NextLineState struct{}
-
-// Snapshot implements checkpoint.Snapshotter; NextLine has no dynamic
-// state, the marker just lets the container treat all prefetchers
-// uniformly.
-func (p *NextLine) Snapshot() any { return NextLineState{} }
-
-// Restore implements checkpoint.Snapshotter.
-func (p *NextLine) Restore(snap any) error {
-	_, err := checkpoint.As[NextLineState](snap, "next-line prefetcher")
-	return err
-}
-
-// IPEntryState mirrors one IP-stride table row.
-type IPEntryState struct {
-	Valid      bool
-	Tag        uint64
-	LastBlock  uint64
-	Stride     int64
-	Confidence int8
-}
-
-// IPStrideState is the IP-stride prefetcher's dynamic state.
-type IPStrideState struct {
-	Table []IPEntryState
-}
-
-// Snapshot implements checkpoint.Snapshotter.
-func (p *IPStride) Snapshot() any {
-	st := IPStrideState{Table: make([]IPEntryState, len(p.table))}
-	for i, e := range p.table {
-		st.Table[i] = IPEntryState{
-			Valid: e.valid, Tag: e.tag, LastBlock: e.lastBlock,
-			Stride: e.stride, Confidence: e.confidence,
-		}
-	}
-	return st
-}
-
-// Restore implements checkpoint.Snapshotter.
-func (p *IPStride) Restore(snap any) error {
-	st, err := checkpoint.As[IPStrideState](snap, "ip-stride prefetcher")
-	if err != nil {
-		return err
-	}
-	if len(st.Table) != len(p.table) {
-		return checkpoint.Mismatchf("ip-stride: snapshot table has %d entries, prefetcher has %d",
-			len(st.Table), len(p.table))
-	}
-	for i, e := range st.Table {
-		p.table[i] = ipEntry{
-			valid: e.Valid, tag: e.Tag, lastBlock: e.LastBlock,
-			stride: e.Stride, confidence: e.Confidence,
-		}
-	}
-	return nil
-}
-
-// StreamEntryState mirrors one tracked stream.
-type StreamEntryState struct {
-	Valid     bool
-	LastBlock uint64
-	Direction int64
-	Confirms  int
-	LastUse   uint64
-}
-
-// StreamState is the stream prefetcher's dynamic state.
-type StreamState struct {
-	Entries []StreamEntryState
-	Clock   uint64
-}
-
-// Snapshot implements checkpoint.Snapshotter.
-func (s *Stream) Snapshot() any {
-	st := StreamState{Entries: make([]StreamEntryState, len(s.entries)), Clock: s.clock}
-	for i, e := range s.entries {
-		st.Entries[i] = StreamEntryState{
-			Valid: e.valid, LastBlock: e.lastBlock, Direction: e.direction,
-			Confirms: e.confirms, LastUse: e.lastUse,
-		}
-	}
-	return st
-}
-
-// Restore implements checkpoint.Snapshotter.
-func (s *Stream) Restore(snap any) error {
-	st, err := checkpoint.As[StreamState](snap, "stream prefetcher")
-	if err != nil {
-		return err
-	}
-	if len(st.Entries) != len(s.entries) {
-		return checkpoint.Mismatchf("stream: snapshot has %d streams, prefetcher has %d",
-			len(st.Entries), len(s.entries))
-	}
-	for i, e := range st.Entries {
-		s.entries[i] = streamEntry{
-			valid: e.Valid, lastBlock: e.LastBlock, direction: e.Direction,
-			confirms: e.Confirms, lastUse: e.LastUse,
-		}
-	}
-	s.clock = st.Clock
-	return nil
+// Checkpoint implements checkpoint.Component.
+func (p *Stream) Checkpoint(s *checkpoint.State) {
+	checkpoint.Each(s, p.entries, func(s *checkpoint.State, e *streamEntry) {
+		s.Bool(&e.valid)
+		checkpoint.Uint(s, &e.lastBlock)
+		checkpoint.Int(s, &e.direction)
+		checkpoint.Int(s, &e.confirms)
+		checkpoint.Uint(s, &e.lastUse)
+	})
+	checkpoint.Uint(s, &p.clock)
 }

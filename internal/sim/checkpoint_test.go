@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -211,45 +210,6 @@ func TestCorruptCheckpointsRejected(t *testing.T) {
 	job.Measure++
 	if _, _, err := Execute(context.Background(), job); !errors.Is(err, checkpoint.ErrMismatch) {
 		t.Fatalf("schedule mismatch: got %v, want ErrMismatch", err)
-	}
-}
-
-// TestTLBCheckpointRefused: the simulator no longer models address
-// translation, so a checkpoint whose meta frame says it ran with a TLB
-// is refused as a mismatch, while the same meta without it gets past
-// the fingerprint check (and only then fails on the missing frames).
-func TestTLBCheckpointRefused(t *testing.T) {
-	cfg := ScaledConfig(1, 16)
-	read := func(tlb bool) error {
-		var buf bytes.Buffer
-		w, err := checkpoint.NewWriter(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := RunMeta{Cores: cfg.Cores, LLCPolicy: string(cfg.LLCPolicy),
-			L1: cfg.L1, L2: cfg.L2, LLC: cfg.LLC, TLB: tlb, Phase: phaseWarmup}
-		if err := w.Frame("meta", m); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		r, err := checkpoint.NewReader(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := New(cfg, mcfTraces(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = s.ReadCheckpoint(r)
-		return err
-	}
-	if err := read(true); !errors.Is(err, checkpoint.ErrMismatch) {
-		t.Fatalf("TLB checkpoint: got %v, want ErrMismatch", err)
-	}
-	if err := read(false); errors.Is(err, checkpoint.ErrMismatch) || !errors.Is(err, checkpoint.ErrCorrupt) {
-		t.Fatalf("meta-only checkpoint: got %v, want ErrCorrupt", err)
 	}
 }
 

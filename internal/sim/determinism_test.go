@@ -124,33 +124,44 @@ func TestFaultChaosRepeatable(t *testing.T) {
 }
 
 // TestCheckpointFilesByteIdentical requires the checkpoint files of two
-// identical checkpointed runs, live and rotated, to be byte-identical
-// at one, four, and eight cores: a checkpoint is a pure function of
-// the simulator state. Resuming from those files is covered by
-// TestResumeEquivalence.
+// identical checkpointed runs, live and rotated, to be byte-identical:
+// a checkpoint is a pure function of the simulator state. It covers
+// every policy at one core, the default schemes at four and CARE at
+// eight. Resuming from those files is covered by TestResumeEquivalence.
 func TestCheckpointFilesByteIdentical(t *testing.T) {
-	for _, cores := range []int{1, 4, 8} {
-		t.Run(fmt.Sprintf("c%d", cores), func(t *testing.T) {
-			dir := t.TempDir()
-			pathA, pathB := filepath.Join(dir, "a.ckpt"), filepath.Join(dir, "b.ckpt")
-			a, _ := runFull(t, "care", cores, pathA, false)
-			b, _ := runFull(t, "care", cores, pathB, false)
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("checkpointed runs disagree:\n%+v\n%+v", a, b)
-			}
-			for _, pair := range [][2]string{{pathA, pathB}, {RotatedPath(pathA), RotatedPath(pathB)}} {
-				fa, err := os.ReadFile(pair[0])
-				if err != nil {
-					t.Fatal(err)
-				}
-				fb, err := os.ReadFile(pair[1])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(fa, fb) {
-					t.Fatalf("%s and %s differ (%d vs %d bytes)",
-						filepath.Base(pair[0]), filepath.Base(pair[1]), len(fa), len(fb))
-				}
+	for _, tc := range []struct {
+		cores    int
+		policies []policy.Policy
+	}{
+		{1, policy.All()},
+		{4, []policy.Policy{policy.LRU, policy.SHiPPP, policy.CARE}},
+		{8, []policy.Policy{policy.CARE}},
+	} {
+		t.Run(fmt.Sprintf("c%d", tc.cores), func(t *testing.T) {
+			for _, p := range tc.policies {
+				t.Run(string(p), func(t *testing.T) {
+					dir := t.TempDir()
+					pathA, pathB := filepath.Join(dir, "a.ckpt"), filepath.Join(dir, "b.ckpt")
+					a, _ := runFull(t, p, tc.cores, pathA, false)
+					b, _ := runFull(t, p, tc.cores, pathB, false)
+					if !reflect.DeepEqual(a, b) {
+						t.Fatalf("checkpointed runs disagree:\n%+v\n%+v", a, b)
+					}
+					for _, pair := range [][2]string{{pathA, pathB}, {RotatedPath(pathA), RotatedPath(pathB)}} {
+						fa, err := os.ReadFile(pair[0])
+						if err != nil {
+							t.Fatal(err)
+						}
+						fb, err := os.ReadFile(pair[1])
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(fa, fb) {
+							t.Fatalf("%s and %s differ (%d vs %d bytes)",
+								filepath.Base(pair[0]), filepath.Base(pair[1]), len(fa), len(fb))
+						}
+					}
+				})
 			}
 		})
 	}

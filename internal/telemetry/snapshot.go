@@ -1,147 +1,90 @@
 package telemetry
 
 import (
-	"encoding/gob"
 	"fmt"
 
 	"care/internal/checkpoint"
 )
 
-func init() { gob.Register(State{}) }
-
-// PrevState mirrors the delta baseline at the last interval boundary.
-type PrevState struct {
-	CoreInstr   []uint64
-	CoreCycles  []uint64
-	CoreMem     []uint64
-	CoreStall   []uint64
-	CoreLLCMiss []uint64
-
-	LLCAccesses, LLCHits, LLCMisses, LLCPure, LLCMSHRStall uint64
-	LLCPMCSum                                              float64
-
-	DRAMReads, DRAMWrites, DRAMRowHits, DRAMRowMisses uint64
-
-	CARERaises, CARELowers, CARECostly uint64
-	CAREEPV                            [4]uint64
-}
-
-// State is the collector's dynamic state: watermarks, the delta
-// baseline, the in-progress occupancy histogram, and the retained
-// interval ring (oldest first). The sink is deliberately NOT part of
-// the state — a resumed run attaches a fresh sink and the collector
+// Checkpoint implements checkpoint.Component on a bound collector
+// with identical interval, capacity, and core count. It walks the
+// retained interval ring (first: the frame opens with the completed
+// interval count), the watermarks, the delta baseline and the
+// in-progress occupancy histogram. The sink is deliberately NOT part
+// of the state: a resumed run attaches a fresh sink and the collector
 // re-emits BeginSeries on the first post-resume interval.
-type State struct {
-	Next, NextOcc, Start uint64
-	Index, Count         int
-	Warm                 bool
-	OccHist              [occBuckets]uint32
-	Prev                 PrevState
-	Intervals            []Interval
-}
-
-// Snapshot implements checkpoint.Snapshotter.
-func (c *Collector) Snapshot() any {
+func (c *Collector) Checkpoint(s *checkpoint.State) {
+	if s.Restoring() && !c.bound {
+		s.Fail(fmt.Errorf("%w: telemetry: restore target is unbound", checkpoint.ErrNotCheckpointable))
+		return
+	}
+	c.walkRing(s)
+	checkpoint.Uint(s, &c.next)
+	checkpoint.Uint(s, &c.nextOcc)
+	checkpoint.Uint(s, &c.start)
+	checkpoint.Int(s, &c.index)
+	s.Bool(&c.warm)
+	for i := range c.occHist {
+		checkpoint.Uint(s, &c.occHist[i])
+	}
 	p := &c.prev
-	return State{
-		Next:    c.next,
-		NextOcc: c.nextOcc,
-		Start:   c.start,
-		Index:   c.index,
-		Count:   c.count,
-		Warm:    c.warm,
-		OccHist: c.occHist,
-		Prev: PrevState{
-			CoreInstr:     append([]uint64(nil), p.coreInstr...),
-			CoreCycles:    append([]uint64(nil), p.coreCycles...),
-			CoreMem:       append([]uint64(nil), p.coreMem...),
-			CoreStall:     append([]uint64(nil), p.coreStall...),
-			CoreLLCMiss:   append([]uint64(nil), p.coreLLCMiss...),
-			LLCAccesses:   p.llcAccesses,
-			LLCHits:       p.llcHits,
-			LLCMisses:     p.llcMisses,
-			LLCPure:       p.llcPure,
-			LLCMSHRStall:  p.llcMSHRStall,
-			LLCPMCSum:     p.llcPMCSum,
-			DRAMReads:     p.dramReads,
-			DRAMWrites:    p.dramWrites,
-			DRAMRowHits:   p.dramRowHits,
-			DRAMRowMisses: p.dramRowMisses,
-			CARERaises:    p.careRaises,
-			CARELowers:    p.careLowers,
-			CARECostly:    p.careCostly,
-			CAREEPV:       p.careEPV,
-		},
-		Intervals: c.Series(),
+	for _, xs := range [][]uint64{p.coreInstr, p.coreCycles, p.coreMem, p.coreStall, p.coreLLCMiss} {
+		checkpoint.Each(s, xs, checkpoint.Uint)
+	}
+	for _, x := range []*uint64{
+		&p.llcAccesses, &p.llcHits, &p.llcMisses, &p.llcPure, &p.llcMSHRStall,
+		&p.dramReads, &p.dramWrites, &p.dramRowHits, &p.dramRowMisses,
+		&p.careRaises, &p.careLowers, &p.careCostly,
+	} {
+		checkpoint.Uint(s, x)
+	}
+	s.Float64(&p.llcPMCSum)
+	for i := range p.careEPV {
+		checkpoint.Uint(s, &p.careEPV[i])
+	}
+	if s.Restoring() {
+		c.began, c.closed, c.err = false, false, nil
 	}
 }
 
-// Restore implements checkpoint.Snapshotter on a freshly bound
-// collector with identical interval, capacity, and core count.
-func (c *Collector) Restore(snap any) error {
-	st, err := checkpoint.As[State](snap, "telemetry collector")
-	if err != nil {
-		return err
-	}
-	if !c.bound {
-		return fmt.Errorf("%w: telemetry: restore target is unbound", checkpoint.ErrNotCheckpointable)
-	}
-	if len(st.Prev.CoreInstr) != len(c.cores) {
-		return checkpoint.Mismatchf("telemetry: snapshot sized for %d cores, collector has %d",
-			len(st.Prev.CoreInstr), len(c.cores))
-	}
-	if len(st.Intervals) > len(c.ring) {
-		return checkpoint.Mismatchf("telemetry: snapshot retains %d intervals, ring capacity is %d",
-			len(st.Intervals), len(c.ring))
-	}
-
-	c.next = st.Next
-	c.nextOcc = st.NextOcc
-	c.start = st.Start
-	c.index = st.Index
-	c.count = st.Count
-	c.warm = st.Warm
-	c.occHist = st.OccHist
-	copy(c.prev.coreInstr, st.Prev.CoreInstr)
-	copy(c.prev.coreCycles, st.Prev.CoreCycles)
-	copy(c.prev.coreMem, st.Prev.CoreMem)
-	copy(c.prev.coreStall, st.Prev.CoreStall)
-	copy(c.prev.coreLLCMiss, st.Prev.CoreLLCMiss)
-	c.prev.llcAccesses = st.Prev.LLCAccesses
-	c.prev.llcHits = st.Prev.LLCHits
-	c.prev.llcMisses = st.Prev.LLCMisses
-	c.prev.llcPure = st.Prev.LLCPure
-	c.prev.llcMSHRStall = st.Prev.LLCMSHRStall
-	c.prev.llcPMCSum = st.Prev.LLCPMCSum
-	c.prev.dramReads = st.Prev.DRAMReads
-	c.prev.dramWrites = st.Prev.DRAMWrites
-	c.prev.dramRowHits = st.Prev.DRAMRowHits
-	c.prev.dramRowMisses = st.Prev.DRAMRowMisses
-	c.prev.careRaises = st.Prev.CARERaises
-	c.prev.careLowers = st.Prev.CARELowers
-	c.prev.careCostly = st.Prev.CARECostly
-	c.prev.careEPV = st.Prev.CAREEPV
-
-	// Refill the ring so Series() after a resume matches the
-	// uninterrupted run. Slot i%len(ring) holds interval i; the
-	// snapshot's Intervals are the last min(count, cap) of them.
-	first := st.Count - len(st.Intervals)
-	for j, iv := range st.Intervals {
-		slot := &c.ring[(first+j)%len(c.ring)]
-		cores := slot.Cores
-		carePtr := slot.CARE
-		*slot = iv
-		slot.Cores = cores
-		copy(slot.Cores, iv.Cores)
-		slot.CARE = carePtr
-		if carePtr != nil && iv.CARE != nil {
-			*carePtr = *iv.CARE
+// walkRing walks the completed-interval count and the retained
+// intervals, oldest first. Slot i%len(ring) holds interval i, so the
+// retained intervals are the last min(count, capacity). Restoring
+// fills the slots in place, keeping their preallocated core and CARE
+// samples, so Series() after a resume matches the uninterrupted run.
+func (c *Collector) walkRing(s *checkpoint.State) {
+	checkpoint.Int(s, &c.count)
+	n := s.Count(min(c.count, len(c.ring)))
+	if s.Restoring() && s.Err() == nil {
+		switch {
+		case n > len(c.ring):
+			s.Fail(checkpoint.Mismatchf("telemetry: checkpoint retains %d intervals, ring capacity is %d", n, len(c.ring)))
+		case n > c.count:
+			s.Fail(fmt.Errorf("%w: telemetry: %d retained intervals of %d completed", checkpoint.ErrCorrupt, n, c.count))
 		}
 	}
-	// A resumed run writes to a fresh sink: re-announce the series on
-	// the first emitted interval.
-	c.began = false
-	c.closed = false
-	c.err = nil
-	return nil
+	for j := 0; j < n && s.Err() == nil; j++ {
+		slot := &c.ring[(c.count-n+j)%len(c.ring)]
+		if !s.Restoring() {
+			checkpoint.Plain(s, slot)
+			continue
+		}
+		var iv Interval
+		checkpoint.Plain(s, &iv)
+		cores, care := slot.Cores, slot.CARE
+		if s.Err() == nil && (len(iv.Cores) != len(cores) || (iv.CARE == nil) != (care == nil)) {
+			s.Fail(checkpoint.Mismatchf("telemetry: interval %d has %d cores (CARE %v), collector has %d (CARE %v)",
+				iv.Index, len(iv.Cores), iv.CARE != nil, len(cores), care != nil))
+		}
+		if s.Err() != nil {
+			return
+		}
+		*slot = iv
+		slot.Cores = cores
+		copy(cores, iv.Cores)
+		slot.CARE = care
+		if care != nil {
+			*care = *iv.CARE
+		}
+	}
 }

@@ -473,20 +473,10 @@ func (w *Worker) heartbeat(ctx context.Context, job string, token, slot int, ckp
 // heartbeat repeats the previous watermark's schedule position.
 func (w *Worker) progress(slot int, ckptPath string, spec *careapi.JobSpec, start time.Time) *careapi.Progress {
 	p := &careapi.Progress{Slot: slot, ElapsedMS: time.Since(start).Milliseconds()}
-	data, err := os.ReadFile(ckptPath)
-	if err != nil {
-		return p
-	}
-	r, err := checkpoint.NewReader(bytes.NewReader(data))
-	if err != nil {
-		return p
-	}
-	raw, err := r.Frame("meta")
-	if err != nil {
-		return p
-	}
-	m, err := checkpoint.As[sim.RunMeta](raw, "meta")
-	if err != nil {
+	var m sim.RunMeta
+	if err := checkpoint.Load(ckptPath, func(r *checkpoint.Reader) error {
+		return r.Frame("meta", m.Checkpoint)
+	}); err != nil {
 		return p
 	}
 	p.Phase, p.Cycles, p.Instructions = m.Phase, m.Cycle, m.Done
