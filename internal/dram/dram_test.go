@@ -7,6 +7,11 @@ import (
 	"care/internal/mem"
 )
 
+// request builds a request whose completion calls done.
+func request(addr mem.Addr, kind mem.Kind, done func(uint64)) *mem.Request {
+	return &mem.Request{Addr: addr, Kind: kind, Owner: mem.CompleteFunc(func(_ uint32, cy uint64) { done(cy) })}
+}
+
 func drive(d *DRAM, upTo uint64) {
 	for cy := uint64(0); cy <= upTo; cy++ {
 		d.Tick(cy)
@@ -26,7 +31,7 @@ func TestRowMissThenRowHitLatency(t *testing.T) {
 	p := DefaultParams(1)
 	d := New(p)
 	var first, second uint64
-	d.Access(&mem.Request{Addr: 0x0, Kind: mem.Load, Done: func(cy uint64) { first = cy }}, 0)
+	d.Access(request(0x0, mem.Load, func(cy uint64) { first = cy }), 0)
 	drive(d, 1000)
 	// First access to a closed bank: tRCD + tCAS + burst.
 	want := p.TRCD + p.TCAS + p.BurstCycles
@@ -36,12 +41,12 @@ func TestRowMissThenRowHitLatency(t *testing.T) {
 	// Same row again: tCAS + burst only.
 	d2 := New(p)
 	done := make([]uint64, 2)
-	d2.Access(&mem.Request{Addr: 0x0, Kind: mem.Load, Done: func(cy uint64) { done[0] = cy }}, 0)
+	d2.Access(request(0x0, mem.Load, func(cy uint64) { done[0] = cy }), 0)
 	for cy := uint64(0); cy <= 2000; cy++ {
 		d2.Tick(cy)
 		if cy == 500 {
 			// Same bank (stride = channels*banks blocks), same row.
-			d2.Access(&mem.Request{Addr: mem.Addr(p.Channels * p.BanksPerChannel * mem.BlockSize), Kind: mem.Load, Done: func(c uint64) { done[1] = c }}, cy)
+			d2.Access(request(mem.Addr(p.Channels*p.BanksPerChannel*mem.BlockSize), mem.Load, func(c uint64) { done[1] = c }), cy)
 		}
 	}
 	second = done[1] - 500
@@ -59,12 +64,12 @@ func TestRowConflictLatency(t *testing.T) {
 	// Two different rows in the same bank, far apart in address space.
 	rowStride := mem.Addr(uint64(p.RowBytes) * uint64(p.Channels) * uint64(p.BanksPerChannel))
 	var d1, d2 uint64
-	d.Access(&mem.Request{Addr: 0x0, Kind: mem.Load, Done: func(cy uint64) { d1 = cy }}, 0)
+	d.Access(request(0x0, mem.Load, func(cy uint64) { d1 = cy }), 0)
 	drive(d, 2000)
 	start := uint64(1000)
 	for cy := uint64(0); cy <= 3000; cy++ {
 		if cy == start {
-			d.Access(&mem.Request{Addr: rowStride, Kind: mem.Load, Done: func(c uint64) { d2 = c }}, cy)
+			d.Access(request(rowStride, mem.Load, func(c uint64) { d2 = c }), cy)
 		}
 		d.Tick(cy)
 	}
@@ -82,8 +87,8 @@ func TestBankContentionSerialises(t *testing.T) {
 	rowStride := mem.Addr(uint64(p.RowBytes) * uint64(p.Channels) * uint64(p.BanksPerChannel))
 	var done [2]uint64
 	// Same bank, different rows, issued the same cycle.
-	d.Access(&mem.Request{Addr: 0, Kind: mem.Load, Done: func(cy uint64) { done[0] = cy }}, 0)
-	d.Access(&mem.Request{Addr: rowStride, Kind: mem.Load, Done: func(cy uint64) { done[1] = cy }}, 0)
+	d.Access(request(0, mem.Load, func(cy uint64) { done[0] = cy }), 0)
+	d.Access(request(rowStride, mem.Load, func(cy uint64) { done[1] = cy }), 0)
 	drive(d, 5000)
 	if done[1] <= done[0] {
 		t.Fatalf("second conflicting access should finish later: %v", done)
@@ -95,8 +100,8 @@ func TestDifferentBanksOverlap(t *testing.T) {
 	d := New(p)
 	var done [2]uint64
 	// Adjacent blocks map to different banks (block interleaving).
-	d.Access(&mem.Request{Addr: 0, Kind: mem.Load, Done: func(cy uint64) { done[0] = cy }}, 0)
-	d.Access(&mem.Request{Addr: mem.BlockSize, Kind: mem.Load, Done: func(cy uint64) { done[1] = cy }}, 0)
+	d.Access(request(0, mem.Load, func(cy uint64) { done[0] = cy }), 0)
+	d.Access(request(mem.BlockSize, mem.Load, func(cy uint64) { done[1] = cy }), 0)
 	drive(d, 5000)
 	// Bank access overlaps; only the bus serialises, so the second
 	// finishes one burst later, not a full access later.
@@ -109,7 +114,7 @@ func TestWritesArePostedButOccupyBank(t *testing.T) {
 	p := DefaultParams(1)
 	d := New(p)
 	responded := false
-	d.Access(&mem.Request{Addr: 0, Kind: mem.Writeback, Done: func(uint64) { responded = true }}, 0)
+	d.Access(request(0, mem.Writeback, func(uint64) { responded = true }), 0)
 	if !responded {
 		t.Fatal("write should respond immediately (posted)")
 	}
@@ -118,7 +123,7 @@ func TestWritesArePostedButOccupyBank(t *testing.T) {
 	}
 	// A read right behind the write to the same bank waits for it.
 	var done uint64
-	d.Access(&mem.Request{Addr: 0, Kind: mem.Load, Done: func(cy uint64) { done = cy }}, 1)
+	d.Access(request(0, mem.Load, func(cy uint64) { done = cy }), 1)
 	drive(d, 5000)
 	if done <= p.TCAS {
 		t.Fatalf("read should queue behind posted write, done=%d", done)

@@ -116,7 +116,7 @@ func TestDropSwallowsResponse(t *testing.T) {
 	for i := range responded {
 		i := i
 		m.Access(&mem.Request{Addr: mem.Addr(i << 6), Kind: mem.Load,
-			Done: func(uint64) { responded[i] = true }}, 0)
+			Owner: mem.CompleteFunc(func(uint32, uint64) { responded[i] = true })}, 0)
 	}
 	for _, req := range lower.reqs {
 		req.Respond(10)
@@ -138,7 +138,7 @@ func TestDelayDefersResponseUntilTick(t *testing.T) {
 	m := in.WrapMemory(lower)
 	var doneAt uint64
 	m.Access(&mem.Request{Addr: 0x40, Kind: mem.Load,
-		Done: func(cy uint64) { doneAt = cy }}, 0)
+		Owner: mem.CompleteFunc(func(_ uint32, cy uint64) { doneAt = cy })}, 0)
 	lower.reqs[0].Respond(10)
 	if doneAt != 0 {
 		t.Fatal("delayed response fired early")
@@ -162,7 +162,7 @@ func TestWritebacksNeverFaulted(t *testing.T) {
 	m := in.WrapMemory(lower)
 	ok := false
 	m.Access(&mem.Request{Addr: 0x40, Kind: mem.Writeback,
-		Done: func(uint64) { ok = true }}, 0)
+		Owner: mem.CompleteFunc(func(uint32, uint64) { ok = true })}, 0)
 	lower.reqs[0].Respond(1)
 	if !ok {
 		t.Fatal("writeback responses must never be dropped")

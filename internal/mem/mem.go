@@ -78,6 +78,13 @@ type Completer interface {
 	Complete(tag uint32, cycle uint64)
 }
 
+// CompleteFunc adapts a function to Completer, for drivers that want
+// a callback per request instead of a completion table.
+type CompleteFunc func(tag uint32, cycle uint64)
+
+// Complete implements Completer.
+func (f CompleteFunc) Complete(tag uint32, cycle uint64) { f(tag, cycle) }
+
 // Request is a memory access travelling down the hierarchy.
 //
 // A single Request object is reused as the access descends (L1 → L2 →
@@ -115,10 +122,6 @@ type Request struct {
 	Owner Completer
 	// Tag is the owner's completion-table index for this request.
 	Tag uint32
-	// Done is a closure-based completion fallback for tests and
-	// ad-hoc drivers; the simulator's hot path uses Owner/Tag, which
-	// allocates nothing. Owner takes precedence when both are set.
-	Done func(completeCycle uint64)
 	// PrefetchHit records that a demand access hit a block that was
 	// brought in by a prefetcher (used by prefetch-aware policies).
 	PrefetchHit bool
@@ -127,23 +130,16 @@ type Request struct {
 	pool *RequestPool
 }
 
-// HasDone reports whether a completion route (Owner/Tag or Done) is
-// installed: the issuer is waiting for this request's data.
-func (r *Request) HasDone() bool { return r.Owner != nil || r.Done != nil }
+// HasDone reports whether a completion route is installed: the
+// issuer is waiting for this request's data.
+func (r *Request) HasDone() bool { return r.Owner != nil }
 
 // Respond invokes the completion route, if any, and clears it so a
 // double response is detectable during testing.
 func (r *Request) Respond(cycle uint64) {
 	if o := r.Owner; o != nil {
-		tag := r.Tag
 		r.Owner = nil
-		r.Done = nil
-		o.Complete(tag, cycle)
-		return
-	}
-	if cb := r.Done; cb != nil {
-		r.Done = nil
-		cb(cycle)
+		o.Complete(r.Tag, cycle)
 	}
 }
 
@@ -154,29 +150,23 @@ func (r *Request) Respond(cycle uint64) {
 type Completion struct {
 	owner Completer
 	tag   uint32
-	fn    func(uint64)
 }
 
 // TakeCompletion removes and returns r's completion route; the
 // request will no longer respond to anyone.
 func (r *Request) TakeCompletion() Completion {
-	c := Completion{owner: r.Owner, tag: r.Tag, fn: r.Done}
+	c := Completion{owner: r.Owner, tag: r.Tag}
 	r.Owner = nil
-	r.Done = nil
 	return c
 }
 
 // Valid reports whether the captured route leads anywhere.
-func (c Completion) Valid() bool { return c.owner != nil || c.fn != nil }
+func (c Completion) Valid() bool { return c.owner != nil }
 
 // Deliver fires the captured completion route.
 func (c Completion) Deliver(cycle uint64) {
 	if c.owner != nil {
 		c.owner.Complete(c.tag, cycle)
-		return
-	}
-	if c.fn != nil {
-		c.fn(cycle)
 	}
 }
 

@@ -69,11 +69,11 @@ func TestKindIsDemand(t *testing.T) {
 
 func TestRequestRespondOnce(t *testing.T) {
 	calls := 0
-	r := &Request{Done: func(uint64) { calls++ }}
+	r := &Request{Owner: CompleteFunc(func(uint32, uint64) { calls++ })}
 	r.Respond(10)
 	r.Respond(11)
 	if calls != 1 {
-		t.Fatalf("Done invoked %d times, want exactly 1", calls)
+		t.Fatalf("Owner completed %d times, want exactly 1", calls)
 	}
 }
 
