@@ -23,7 +23,7 @@ import (
 // level or the DRAM model.
 type Level interface {
 	// Access submits a request at the given cycle. The request's
-	// completion route (Owner/Tag, or a Done closure in tests) fires
+	// completion route (Owner/Tag) fires
 	// when data is available. Ownership of req transfers to the level:
 	// it releases the request to its pool once fully consumed.
 	Access(req *mem.Request, cycle uint64)
@@ -166,7 +166,7 @@ type Cache struct {
 	// tags mirrors sets as a flat packed array (tag<<1|1 when valid,
 	// 0 when not): probing scans 8 bytes per way instead of a full
 	// Block, cutting the tag-match loop's cache footprint ~10×. It is
-	// updated wherever Valid/Tag change: installBlock and snapshot
+	// updated wherever Valid/Tag change: installBlock and checkpoint
 	// restore.
 	tags     []uint64
 	inq      ring.Ring[queued]
