@@ -51,23 +51,12 @@ func main() {
 		telInterval = flag.Uint64("telemetry-interval", telemetry.DefaultInterval, "telemetry sampling interval in cycles")
 		telOut      = flag.String("telemetry-out", "", "telemetry output file (empty = care-bench-telemetry.<ext>, \"-\" = stdout); experiments append to one stream")
 
-		cacheMode      = flag.Bool("cache", false, "benchmark the care/cache library on service traffic (zipfian, scan-flood, key-churn) instead of running simulator experiments")
-		cacheOps       = flag.Int("cache-ops", 2_000_000, "operations per policy×workload cell in -cache mode")
-		cacheCapacity  = flag.Int("cache-capacity", 1<<16, "cache capacity (entries) in -cache mode")
-		cacheWays      = flag.Int("cache-ways", 0, "set associativity in -cache mode (0 = default)")
-		cacheShards    = flag.Int("cache-shards", 0, "shard count for the concurrent pass (0 = auto)")
-		cacheConc      = flag.Int("cache-conc", 0, "goroutines for the concurrent pass (0 = GOMAXPROCS)")
-		cacheSeed      = flag.Uint64("cache-seed", 1, "workload seed in -cache mode")
-		cachePolicies  = flag.String("cache-policies", "", "policies to compare in -cache mode (comma-separated; default lru,srrip,ship++,care)")
-		cacheWorkloads = flag.String("cache-workloads", "", "restrict -cache workloads (comma-separated; default all)")
-		cacheOut       = flag.String("cache-out", "", "write the -cache JSON report to this file (empty = none)")
-
 		retries   = flag.Int("retries", 0, "retry crashed/faulted simulations up to this many extra attempts, resuming from their last good checkpoint")
 		ckptDir   = flag.String("checkpoint-dir", "", "directory for per-simulation checkpoints (enables supervised runs)")
 		ckptEvery = flag.Uint64("checkpoint-every", 0, "measured instructions between checkpoints (0 = a quarter of -measure; requires -checkpoint-dir)")
 		faults    = flag.String("faults", "", "deterministic fault-injection spec for every simulation (chaos testing), e.g. seed=1,kill-at=50000,ckpt-corrupt=1")
 
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the experiments or -cache run to this file (inspect with go tool pprof)")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the experiments to this file (inspect with go tool pprof)")
 	)
 	flag.Parse()
 
@@ -75,38 +64,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "care-bench:", err)
 		os.Exit(2)
-	}
-
-	if *cacheMode {
-		opts := cacheBenchOptions{
-			Ops: *cacheOps, Capacity: *cacheCapacity, Ways: *cacheWays,
-			Shards: *cacheShards, Conc: *cacheConc, Seed: *cacheSeed,
-			Report: *cacheOut, Out: os.Stdout,
-		}
-		if *cachePolicies != "" {
-			for _, s := range strings.Split(*cachePolicies, ",") {
-				// Same up-front typed validation as -schemes.
-				p, err := policy.Parse(strings.TrimSpace(s))
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "care-bench: -cache-policies:", err)
-					os.Exit(2)
-				}
-				opts.Policies = append(opts.Policies, string(p))
-			}
-		}
-		if *cacheWorkloads != "" {
-			for _, w := range strings.Split(*cacheWorkloads, ",") {
-				opts.Workloads = append(opts.Workloads, strings.TrimSpace(w))
-			}
-		}
-		stopProfile := startCPUProfile(*cpuProfile)
-		err := runCacheBench(opts)
-		stopProfile()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "care-bench:", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	if *list || *runIDs == "" {

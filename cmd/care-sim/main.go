@@ -26,7 +26,6 @@ import (
 	"care/internal/faultinject"
 	"care/internal/graph"
 	"care/internal/harness"
-	"care/internal/mem"
 	"care/internal/policy"
 	"care/internal/replacement"
 	"care/internal/sim"
@@ -367,13 +366,7 @@ func loadTraceFile(path string, cores int) ([]trace.Reader, error) {
 	if len(records) == 0 {
 		return nil, fmt.Errorf("trace %s is empty", path)
 	}
-	out := make([]trace.Reader, cores)
-	for i := range out {
-		out[i] = trace.NewOffset(
-			trace.NewLooping(trace.NewSliceAt(records, i*len(records)/cores)),
-			mem.Addr(uint64(i)<<36))
-	}
-	return out, nil
+	return trace.Copies(records, cores), nil
 }
 
 // startCPUProfile starts profiling the CPU into path and returns the

@@ -55,7 +55,6 @@ func pmlStream(steps int) (stream []pmlStep, cycles uint64) {
 func BenchmarkPML(b *testing.B) {
 	stream, cycles := pmlStream(20000)
 	l := New(20, 4)
-	l.TrackMLP = true
 	m := cache.NewMSHR(32, 4)
 	// Request i misses on block i; free holds the requests whose block
 	// is not outstanding.

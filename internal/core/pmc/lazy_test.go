@@ -16,7 +16,6 @@ import (
 type perCycle struct {
 	latency              uint64
 	cores                int
-	trackMLP             bool
 	baseEnds             [][]uint64
 	basePhases           int
 	activePureMissCycles []uint64
@@ -25,11 +24,10 @@ type perCycle struct {
 	samples              []Sample
 }
 
-func newPerCycle(latency uint64, cores int, trackMLP bool) *perCycle {
+func newPerCycle(latency uint64, cores int) *perCycle {
 	return &perCycle{
 		latency:              latency,
 		cores:                cores,
-		trackMLP:             trackMLP,
 		baseEnds:             make([][]uint64, cores),
 		activePureMissCycles: make([]uint64, cores),
 		overlapCycles:        make([]uint64, cores),
@@ -85,9 +83,7 @@ func (r *perCycle) Tick(cycle uint64, m *cache.MSHR) {
 		if st.n <= 0 {
 			return
 		}
-		if r.trackMLP {
-			e.MLPCost += st.inv
-		}
+		e.MLPCost += st.inv
 		if st.baseActive {
 			e.HitOverlapped = true
 			return
@@ -130,13 +126,14 @@ func checkLazyMatchesPerCycle(t *testing.T, data []byte) lazyCoverage {
 	cores := 1 + in.next(4)
 	latency := uint64(in.next(6))
 	capacity := 1 + in.next(16)
-	trackMLP := in.next(2) == 1
+	// This byte once switched MLP tracking, which is now always on;
+	// consuming it keeps the seeded streams decoding as they did.
+	in.next(2)
 
 	lazy := New(latency, cores)
-	lazy.TrackMLP = trackMLP
 	var lazySamples []Sample
 	lazy.OnSample = func(s Sample) { lazySamples = append(lazySamples, s) }
-	ref := newPerCycle(latency, cores, trackMLP)
+	ref := newPerCycle(latency, cores)
 	ml, mr := cache.NewMSHR(capacity, cores), cache.NewMSHR(capacity, cores)
 
 	var cov lazyCoverage

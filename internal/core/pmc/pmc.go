@@ -25,6 +25,14 @@
 // The same per-cycle scan also computes the two secondary statistics
 // the paper reports: hit-miss overlapping (Figure 3) and the Average
 // Overlapping Cycles Per Access, AOCPA (Table XI).
+//
+// It also accumulates each entry's MLPCost, the MLP-based cost of
+// Qureshi et al. ("A Case for MLP-Aware Cache Replacement", ISCA
+// 2006): every miss access cycle is divided equally among the core's
+// outstanding misses, whether or not a base access phase hides it.
+// The study case's Table I and the M-CARE and SBAR comparison points
+// read it; comparing CARE (PMC) against M-CARE isolates the value of
+// modelling hit-miss overlap.
 package pmc
 
 import (
@@ -70,11 +78,6 @@ type Logic struct {
 	// OnSample, if set, receives every completed miss. Used by the
 	// distribution and predictability experiments (Fig. 5, Table III).
 	OnSample func(Sample)
-
-	// TrackMLP makes the same pass also accumulate the MLP-based cost
-	// on each entry (what internal/core/mlp computes standalone),
-	// saving a second MSHR sweep on the simulator's hottest path.
-	TrackMLP bool
 
 	// basePhases counts base-access phases in flight across all cores
 	// (sum of len(baseEnds[x])). When it is zero and the MSHR file is
@@ -279,37 +282,27 @@ func (l *Logic) flush(e *cache.MSHREntry) {
 		return
 	}
 	inv := st.inv
-	switch {
-	case st.baseActive:
+	if st.baseActive {
 		// Miss access cycles overlapped by a base access cycle from the
 		// same core: hit-miss overlapping (Figure 3). MLP-based cost
 		// still charges them.
 		e.HitOverlapped = true
-		if l.TrackMLP {
-			c := e.MLPCost
-			for i := k; i > 0; i-- {
-				c += inv
-			}
-			e.MLPCost = c
-		}
-	case l.TrackMLP:
-		// Active pure miss cycles: the PCU's lookup-table divider
-		// spreads each across all concurrent pure misses.
-		p, c := e.PMC, e.MLPCost
+		c := e.MLPCost
 		for i := k; i > 0; i-- {
-			p += inv
 			c += inv
 		}
-		e.PMC, e.MLPCost = p, c
-		e.PureCycles += k
-	default:
-		p := e.PMC
-		for i := k; i > 0; i-- {
-			p += inv
-		}
-		e.PMC = p
-		e.PureCycles += k
+		e.MLPCost = c
+		return
 	}
+	// Active pure miss cycles: the PCU's lookup-table divider
+	// spreads each across all concurrent pure misses.
+	p, c := e.PMC, e.MLPCost
+	for i := k; i > 0; i-- {
+		p += inv
+		c += inv
+	}
+	e.PMC, e.MLPCost = p, c
+	e.PureCycles += k
 }
 
 // Sync brings every outstanding entry of m up to date, so their PMC,

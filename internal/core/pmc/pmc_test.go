@@ -37,6 +37,9 @@ func TestPureCycleDetection(t *testing.T) {
 	if e.PureCycles != 4 {
 		t.Fatalf("PureCycles = %d, want 4", e.PureCycles)
 	}
+	if e.MLPCost != 4 {
+		t.Fatalf("isolated miss MLP cost = %v, want 4 (every miss cycle)", e.MLPCost)
+	}
 	if l.ActivePureMissCycles(0) != 4 {
 		t.Fatalf("active pure miss cycles = %d", l.ActivePureMissCycles(0))
 	}
@@ -56,10 +59,16 @@ func TestBaseAccessHidesMissCycles(t *testing.T) {
 	if !e.HitOverlapped {
 		t.Fatal("entry should be flagged hit-overlapped")
 	}
+	if e.MLPCost != 2 {
+		t.Fatalf("MLP cost must ignore base phases: %v, want 2", e.MLPCost)
+	}
 	l.Tick(2, m) // base expired
 	l.Sync(m)
 	if e.PMC != 1 {
 		t.Fatalf("PMC after base expiry = %v, want 1", e.PMC)
+	}
+	if e.MLPCost != 3 {
+		t.Fatalf("MLP cost after base expiry = %v, want 3", e.MLPCost)
 	}
 }
 
@@ -68,10 +77,13 @@ func TestConcurrentMissesSplitCycle(t *testing.T) {
 	m := cache.NewMSHR(8, 1)
 	e1 := alloc(m, 0, 1, 0x100, 0)
 	e2 := alloc(m, 0, 2, 0x108, 0)
+	e3 := alloc(m, 0, 3, 0x110, 0)
 	l.Tick(0, m)
 	l.Sync(m)
-	if math.Abs(e1.PMC-0.5) > 1e-12 || math.Abs(e2.PMC-0.5) > 1e-12 {
-		t.Fatalf("two concurrent misses should each get 1/2: %v %v", e1.PMC, e2.PMC)
+	for _, e := range []*cache.MSHREntry{e1, e2, e3} {
+		if math.Abs(e.PMC-1.0/3.0) > 1e-12 || math.Abs(e.MLPCost-1.0/3.0) > 1e-12 {
+			t.Fatalf("three concurrent misses should each get 1/3: PMC %v, MLP cost %v", e.PMC, e.MLPCost)
+		}
 	}
 	// Sum of PMC equals active pure miss cycles.
 	if l.ActivePureMissCycles(0) != 1 {
@@ -83,16 +95,22 @@ func TestPerCoreIsolation(t *testing.T) {
 	l := New(2, 2)
 	m := cache.NewMSHR(8, 2)
 	e0 := alloc(m, 0, 1, 0x100, 0)
+	e0b := alloc(m, 0, 3, 0x108, 0)
 	e1 := alloc(m, 1, 2, 0x200, 0)
 	// Core 1 has a base phase; core 0 does not.
 	l.OnAccessStart(1, mem.Load, 0)
 	l.Tick(0, m)
 	l.Sync(m)
-	if e0.PMC != 1 {
-		t.Fatalf("core 0 entry PMC = %v, want 1 (N_0 = 1)", e0.PMC)
+	for _, e := range []*cache.MSHREntry{e0, e0b} {
+		if e.PMC != 0.5 || e.MLPCost != 0.5 {
+			t.Fatalf("core 0 entry PMC = %v, MLP cost = %v, want 1/2 each (N_0 = 2)", e.PMC, e.MLPCost)
+		}
 	}
 	if e1.PMC != 0 {
 		t.Fatalf("core 1 entry PMC = %v, want 0 (hidden by own base phase)", e1.PMC)
+	}
+	if e1.MLPCost != 1 {
+		t.Fatalf("core 1's lone miss MLP cost = %v, want the full cycle (N_1 = 1)", e1.MLPCost)
 	}
 	if !e1.HitOverlapped || e0.HitOverlapped {
 		t.Fatal("hit-overlap flags must be per core")
@@ -157,7 +175,9 @@ func TestOutOfRangeCoreClamped(t *testing.T) {
 }
 
 // Property: over random schedules the sum of all entries' PMC always
-// equals the total active pure miss cycles (the Table II invariant).
+// equals the total active pure miss cycles (the Table II invariant),
+// and the sum of their MLP costs equals the cycles with at least one
+// outstanding miss.
 func TestPMCSumInvariant(t *testing.T) {
 	f := func(seed uint32) bool {
 		rng := seed
@@ -165,8 +185,9 @@ func TestPMCSumInvariant(t *testing.T) {
 		l := New(2, 1)
 		m := cache.NewMSHR(16, 1)
 		var entries []*cache.MSHREntry
-		var donePMC []float64 // released slots are recycled, so capture PMC at release
-		block := uint64(0)
+		// Released slots are recycled, so capture the metrics at release.
+		var donePMC, doneMLP []float64
+		block, missCycles := uint64(0), 0
 		for cy := uint64(0); cy < 100; cy++ {
 			if next(4) == 0 && !m.Full() {
 				block++
@@ -175,6 +196,9 @@ func TestPMCSumInvariant(t *testing.T) {
 			if next(4) == 0 {
 				l.OnAccessStart(0, mem.Load, cy)
 			}
+			if m.Len() > 0 {
+				missCycles++
+			}
 			l.Tick(cy, m)
 			if next(5) == 0 && len(entries) > 0 {
 				e := entries[0]
@@ -182,17 +206,21 @@ func TestPMCSumInvariant(t *testing.T) {
 				l.OnMissComplete(e, cy)
 				m.Release(e)
 				donePMC = append(donePMC, e.PMC)
+				doneMLP = append(doneMLP, e.MLPCost)
 			}
 		}
 		l.Sync(m)
-		var sum float64
-		for _, p := range donePMC {
-			sum += p
+		var sum, mlpSum float64
+		for i := range donePMC {
+			sum += donePMC[i]
+			mlpSum += doneMLP[i]
 		}
 		for _, e := range entries {
 			sum += e.PMC
+			mlpSum += e.MLPCost
 		}
-		return math.Abs(sum-float64(l.ActivePureMissCycles(0))) < 1e-6
+		return math.Abs(sum-float64(l.ActivePureMissCycles(0))) < 1e-6 &&
+			math.Abs(mlpSum-float64(missCycles)) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)

@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"care/internal/cache"
-	"care/internal/core/mlp"
 	"care/internal/core/pmc"
 	"care/internal/mem"
 )
@@ -65,12 +64,11 @@ var PaperAccesses = []Access{
 }
 
 // Run replays the access stream through the PMC measurement logic
-// (Algorithm 1) and the MLP-cost tracker, all attributed to a single
-// core, and returns per-access results plus the total active pure
-// miss cycles.
+// (Algorithm 1), which also measures the MLP-based cost, all
+// attributed to a single core, and returns per-access results plus
+// the total active pure miss cycles.
 func Run(cfg Config, accesses []Access) ([]Result, uint64) {
 	logic := pmc.New(cfg.BaseCycles, 1)
-	mlpTracker := mlp.New(1)
 	mshr := cache.NewMSHR(len(accesses)+1, 1)
 
 	type missState struct {
@@ -139,7 +137,6 @@ func Run(cfg Config, accesses []Access) ([]Result, uint64) {
 			}
 		}
 		logic.Tick(cycle, mshr)
-		mlpTracker.Tick(cycle, mshr)
 	}
 	return results, logic.ActivePureMissCycles(0)
 }

@@ -21,7 +21,6 @@ import (
 	careplc "care/internal/core/care"
 	"care/internal/faultinject"
 	"care/internal/graph"
-	"care/internal/mem"
 	"care/internal/policy"
 	"care/internal/sim"
 	"care/internal/stats"
@@ -120,26 +119,12 @@ type Options struct {
 	// TelemetryRegistry, when non-nil, receives every supervised run's
 	// interval series (tagged TelemetryTag + run tag). care-server
 	// shares one registry across jobs and streams it to its sinks;
-	// experiment campaigns instead use the internal registry Run
-	// creates from the Telemetry format options.
+	// with Telemetry set, Run replaces it with a fresh registry for the
+	// experiment and writes that to TelemetryOut.
 	TelemetryRegistry *telemetry.Registry
 	// TelemetryTag prefixes the series tags of supervised runs (e.g. a
 	// job ID), distinguishing repeated submissions of the same config.
 	TelemetryTag string
-
-	// registry accumulates per-simulation series while the experiment
-	// runs; Run creates it when Telemetry is set.
-	registry *telemetry.Registry
-}
-
-// telemetryRegistry resolves the destination for per-run series: the
-// experiment-scoped registry when one exists, else the caller-shared
-// one (care-server), else nil (telemetry off).
-func (o *Options) telemetryRegistry() *telemetry.Registry {
-	if o.registry != nil {
-		return o.registry
-	}
-	return o.TelemetryRegistry
 }
 
 // supervised reports whether runs go through the retry supervisor.
@@ -319,7 +304,7 @@ func Run(id string, o Options) (err error) {
 			return fmt.Errorf("harness: telemetry format %q (have %s)",
 				o.Telemetry, strings.Join(telemetry.Formats(), ", "))
 		}
-		o.registry = telemetry.NewRegistry()
+		o.TelemetryRegistry = telemetry.NewRegistry()
 	}
 	if o.supervised() && o.Report == nil {
 		o.Report = NewReport()
@@ -347,7 +332,7 @@ func Run(id string, o Options) (err error) {
 // during the experiment. Single-goroutine: the parallel workers only
 // Add to the registry; merging happens after they have all joined.
 func (o *Options) flushTelemetry() error {
-	if o.registry == nil || o.registry.Len() == 0 {
+	if o.Telemetry == "" || o.TelemetryRegistry.Len() == 0 {
 		return nil
 	}
 	w := o.TelemetryOut
@@ -358,7 +343,7 @@ func (o *Options) flushTelemetry() error {
 	if err != nil {
 		return err
 	}
-	if err := o.registry.WriteTo(sink); err != nil {
+	if err := o.TelemetryRegistry.WriteTo(sink); err != nil {
 		return fmt.Errorf("harness: telemetry: %w", err)
 	}
 	return nil
@@ -439,24 +424,6 @@ func gapBase(kernel, dataset string, maxRecords int) (*trace.Slice, error) {
 	return s, nil
 }
 
-// gapTraces builds cores desynchronised, address-shifted copies of a
-// GAP kernel trace (multi-copy methodology, §VI).
-func gapTraces(kernel, dataset string, cores, maxRecords int) ([]trace.Reader, error) {
-	base, err := gapBase(kernel, dataset, maxRecords)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]trace.Reader, cores)
-	for i := range out {
-		start := i * base.Len() / cores
-		out[i] = trace.NewOffset(
-			trace.NewLooping(trace.NewSliceAt(base.Records, start)),
-			mem.Addr(uint64(i)<<36),
-		)
-	}
-	return out, nil
-}
-
 // buildTraces constructs the keyed simulation's trace readers. Every
 // call returns freshly positioned readers over the same deterministic
 // streams, which is what checkpoint restore needs to reposition into.
@@ -474,7 +441,11 @@ func buildTraces(key runKey) ([]trace.Reader, error) {
 		if !ok {
 			return nil, fmt.Errorf("harness: bad GAP workload %q", key.workload)
 		}
-		return gapTraces(kernel, dataset, key.cores, key.gapRecs)
+		base, err := gapBase(kernel, dataset, key.gapRecs)
+		if err != nil {
+			return nil, err
+		}
+		return trace.Copies(base.Records, key.cores), nil
 	case "mix":
 		m, err := strconv.Atoi(key.workload)
 		if err != nil {
@@ -521,7 +492,7 @@ func runAttempt(ctx context.Context, key runKey, o *Options, ckptPath string, re
 	// Each concurrently running simulation gets a private collector
 	// and in-memory sink; only the finished, copied series touches the
 	// shared (mutex-guarded) registry, so workers never race.
-	registry := o.telemetryRegistry()
+	registry := o.TelemetryRegistry
 	var telSink *telemetry.Memory
 	job := sim.Job{
 		Build: func() (*sim.System, error) {

@@ -42,7 +42,7 @@ func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"fig3", "fig5", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
 		"fig13", "fig14", "tab1", "tab2", "tab3", "tab5", "tab6", "tab8",
-		"tab7", "tab10", "tab11",
+		"tab7", "tab10", "tab11", "svc",
 	}
 	have := map[string]bool{}
 	for _, id := range IDs() {

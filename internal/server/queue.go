@@ -120,17 +120,6 @@ func (q *Queue) SetNotify(fn func(careapi.JobEvent)) {
 	q.mu.Unlock()
 }
 
-// JournalPath returns the path of the backing journal file (the event
-// stream reads it for Last-Event-ID resume).
-func (q *Queue) JournalPath() string {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.jnl == nil {
-		return ""
-	}
-	return q.jnl.path
-}
-
 // replayEvent folds one journal record into the rebuilding queue.
 func (q *Queue) replayEvent(ev Event) error {
 	switch ev.Op {

@@ -19,7 +19,6 @@ import (
 	"care/internal/checkpoint"
 	"care/internal/faultinject"
 	"care/internal/graph"
-	"care/internal/mem"
 	"care/internal/policy"
 	"care/internal/synth"
 	"care/internal/telemetry"
@@ -102,7 +101,6 @@ func goldenCases() []goldenCase {
 // SPEC-like generators, or desynchronised copies of a GAP kernel trace.
 func goldenTraces(t *testing.T, workload string, cores int) []trace.Reader {
 	t.Helper()
-	out := make([]trace.Reader, cores)
 	if kernel, dataset, ok := strings.Cut(workload, "-"); ok && len(kernel) <= 4 {
 		g, err := graph.LoadDataset(dataset)
 		if err != nil {
@@ -112,17 +110,13 @@ func goldenTraces(t *testing.T, workload string, cores int) []trace.Reader {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range out {
-			out[i] = trace.NewOffset(
-				trace.NewLooping(trace.NewSliceAt(base.Records, i*base.Len()/cores)),
-				mem.Addr(uint64(i)<<36))
-		}
-		return out
+		return trace.Copies(base.Records, cores)
 	}
 	p, err := synth.Lookup(workload)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := make([]trace.Reader, cores)
 	for i := range out {
 		out[i] = synth.NewScaledGenerator(p, uint64(i+1), 16)
 	}

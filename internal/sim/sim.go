@@ -224,7 +224,6 @@ func New(cfg Config, traces []trace.Reader) (*System, error) {
 	// The PML measures PMC at the LLC (the paper's target level) and,
 	// in the same pass, the MLP-based cost SBAR/M-CARE consume.
 	s.pml = pmc.New(cfg.LLC.Latency, cfg.Cores)
-	s.pml.TrackMLP = true
 	s.llc.AddTracker(s.pml)
 
 	for i := 0; i < cfg.Cores; i++ {

@@ -194,32 +194,6 @@ func (l *Looping) RemainingRecords() (uint64, bool) {
 	return 0, false
 }
 
-// Generator adapts a pure function to the Reader interface. Generators
-// are how synthetic workloads avoid materialising giant traces; the
-// function must be deterministic given its captured state.
-type Generator struct {
-	fn    func() (Record, error)
-	reset func()
-}
-
-// NewGenerator builds a Reader from next/reset functions. reset may be
-// nil for non-resettable generators.
-func NewGenerator(next func() (Record, error), reset func()) *Generator {
-	return &Generator{fn: next, reset: reset}
-}
-
-// Next implements Reader.
-func (g *Generator) Next() (Record, error) { return g.fn() }
-
-// Reset implements Resetter; it panics if the generator was built
-// without a reset function.
-func (g *Generator) Reset() {
-	if g.reset == nil {
-		panic("trace: generator is not resettable")
-	}
-	g.reset()
-}
-
 // binary trace file format:
 //
 //	magic "CARETRC1" (8 bytes)
@@ -300,6 +274,20 @@ type OffsetReader struct {
 // NewOffset wraps src, adding delta to every address.
 func NewOffset(src Reader, delta mem.Addr) *OffsetReader {
 	return &OffsetReader{src: src, delta: delta}
+}
+
+// Copies builds cores copies of one trace, the multi-copy methodology
+// of the paper (§VI): copy i starts at record i·len/cores so the
+// copies run desynchronised, loops forever, and has its addresses
+// shifted by i<<36 so each copy has its own address space.
+func Copies(records []Record, cores int) []Reader {
+	out := make([]Reader, cores)
+	for i := range out {
+		out[i] = NewOffset(
+			NewLooping(NewSliceAt(records, i*len(records)/cores)),
+			mem.Addr(uint64(i)<<36))
+	}
+	return out
 }
 
 // Next implements Reader.

@@ -105,33 +105,6 @@ func TestLoopingRequiresResetter(t *testing.T) {
 	NewLooping(bareReader{})
 }
 
-func TestGeneratorReset(t *testing.T) {
-	i := 0
-	g := NewGenerator(
-		func() (Record, error) {
-			i++
-			return Record{NonMem: uint16(i)}, nil
-		},
-		func() { i = 0 },
-	)
-	r1, _ := g.Next()
-	g.Reset()
-	r2, _ := g.Next()
-	if r1 != r2 {
-		t.Fatalf("generator not deterministic across Reset: %v vs %v", r1, r2)
-	}
-}
-
-func TestGeneratorNonResettablePanics(t *testing.T) {
-	g := NewGenerator(func() (Record, error) { return Record{}, nil }, nil)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Reset on non-resettable generator should panic")
-		}
-	}()
-	g.Reset()
-}
-
 func TestWriteReadRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Write(&buf, sampleRecords()); err != nil {
@@ -288,6 +261,30 @@ func TestOffsetReader(t *testing.T) {
 	r2, _ := o.Next()
 	if r2 != r {
 		t.Fatal("Reset should restart the shifted stream")
+	}
+}
+
+func TestCopies(t *testing.T) {
+	recs := sampleRecords()
+	copies := Copies(recs, 2)
+	if len(copies) != 2 {
+		t.Fatalf("%d copies, want 2", len(copies))
+	}
+	// Copy 1 starts half-way through, shifted into its own address
+	// space, and loops past the end of the trace.
+	for i := 0; i < 2*len(recs); i++ {
+		r, err := copies[1].Next()
+		if err != nil {
+			t.Fatalf("copy 1 record %d: %v", i, err)
+		}
+		want := recs[(len(recs)/2+i)%len(recs)]
+		want.Addr += mem.Addr(1) << 36
+		if r != want {
+			t.Fatalf("copy 1 record %d = %v, want %v", i, r, want)
+		}
+	}
+	if r, _ := copies[0].Next(); r != recs[0] {
+		t.Fatalf("copy 0 starts with %v, want the unshifted first record %v", r, recs[0])
 	}
 }
 
