@@ -523,6 +523,18 @@ func TestWorkerChaosExactlyOnce(t *testing.T) {
 	if !drained {
 		t.Fatal("no drain ever landed mid-job across 5 attempts")
 	}
+	// The drain uploaded its final checkpoint before requeueing, and
+	// no worker is alive to consume it yet: the server must hold it
+	// for the job's next claimant.
+	for _, ev := range cr.journal() {
+		if ev.Op != "requeue" || !strings.Contains(ev.Error, "draining") {
+			continue
+		}
+		if _, err := os.Stat(filepath.Join(cr.dataDir, "artifacts", ev.Job+".ckpt")); err != nil {
+			t.Fatalf("drained job %s left no artifact on the server: %v\nserver log:\n%s",
+				ev.Job, err, cr.server.log.String())
+		}
+	}
 
 	// Phase 3 — server crash mid-campaign: a healthy worker drives the
 	// remaining jobs while the server is SIGKILLed and restarted under

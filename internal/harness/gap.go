@@ -1,11 +1,5 @@
 package harness
 
-import (
-	"fmt"
-
-	"care/internal/stats"
-)
-
 func init() {
 	register(Experiment{ID: "fig9", Title: "Normalized IPC, 4-core multi-copy GAP with prefetching", Run: runFig9})
 	register(Experiment{ID: "fig12", Title: "GAP speedup at 4/8/16 cores with prefetching", Run: runScalabilityGAP(true)})
@@ -16,72 +10,25 @@ func init() {
 // kernel-dataset workloads (4-core multi-copy, prefetching on).
 func runFig9(o *Options) error {
 	workloads := gapWorkloads()
-	schemes := o.schemes()
-	type res struct{ norm map[string]float64 }
-	rows := make([]res, len(workloads))
-	err := parallel(len(workloads), o.Parallelism, func(i int) error {
-		rows[i].norm = map[string]float64{}
-		base := 0.0
-		for _, s := range append([]string{"lru"}, schemes...) {
-			if s == "lru" && base != 0 {
-				continue
-			}
-			r, err := runSim(runKey{
-				kind: "gap", workload: workloads[i], scheme: s,
-				cores: 4, prefetch: true, scale: o.Scale,
-				warmup: o.Warmup, measure: o.Measure, gapRecs: o.GAPRecords,
-			}, o)
-			if err != nil {
-				return err
-			}
-			if s == "lru" {
-				base = r.IPCSum()
-				rows[i].norm["lru"] = 1
-				continue
-			}
-			rows[i].norm[s] = r.IPCSum() / base
-		}
-		return nil
+	cols := withLRU(o.schemes())
+	res, err := grid(o, len(workloads), len(cols), func(i, j int) runKey {
+		k := o.simKey("gap", workloads[i], cols[j], 4, true)
+		k.gapRecs = o.GAPRecords
+		return k
 	})
 	if err != nil {
 		return err
 	}
-	header := append([]string{"workload"}, schemes...)
-	t := stats.NewTable(header...)
-	per := map[string][]float64{}
-	for i, wl := range workloads {
-		cells := []interface{}{wl}
-		for _, s := range schemes {
-			v := rows[i].norm[s]
-			per[s] = append(per[s], v)
-			cells = append(cells, fmt.Sprintf("%.4f", v))
-		}
-		t.AddRow(cells...)
-	}
-	gm := []interface{}{"GEOMEAN"}
-	for _, s := range schemes {
-		gm = append(gm, fmt.Sprintf("%.4f", stats.GeoMean(per[s])))
-	}
-	t.AddRow(gm...)
-	emitTable(o, t)
+	emitMatrix(o, append([]string{"workload"}, cols[1:]...), workloads, overBase(res, ipcOver), "GEOMEAN")
 	return nil
 }
 
 // runScalabilityGAP builds fig12 (prefetch) / fig14 (no prefetch,
-// plus Mockingjay).
+// plus Mockingjay). Scalability sweeps 3 core counts x 7 schemes, so
+// it defaults to a representative 6-workload subset (two per dataset);
+// the full 15 run via fig9.
 func runScalabilityGAP(prefetch bool) func(o *Options) error {
 	return func(o *Options) error {
-		schemes := o.schemes()
-		if !prefetch && len(o.Schemes) == 0 {
-			schemes = append(append([]string{}, schemes...), "mockingjay")
-		}
-		// Scalability sweeps 3 core counts x 7 schemes, so default to
-		// a representative 6-workload subset (two per dataset); the
-		// full 15 run via fig9 and remain selectable one at a time.
-		var wls []scaleWorkload
-		for _, w := range []string{"bfs-or", "pr-or", "cc-tw", "sssp-tw", "bfs-ur", "pr-ur"} {
-			wls = append(wls, scaleWorkload{kind: "gap", name: w})
-		}
-		return runScalability(o, wls, schemes, prefetch)
+		return runScalability(o, "gap", []string{"bfs-or", "pr-or", "cc-tw", "sssp-tw", "bfs-ur", "pr-ur"}, prefetch)
 	}
 }

@@ -540,29 +540,26 @@ func runAttempt(ctx context.Context, key runKey, o *Options, ckptPath string, re
 	return r, resumed, nil
 }
 
-// runSim executes (or recalls) one simulation. With supervision
-// enabled (retries, checkpointing, or fault injection configured) the
-// run goes through the supervisor; plain runs are memoised, since
-// several experiments share them.
+// runSim executes (or recalls) one simulation through the
+// supervisor, which with no retries, checkpoint directory or faults
+// configured is exactly one attempt. Several experiments share runs,
+// so every result of a run without injected faults is memoised (and
+// recalled without simulating again); faults perturb a run, so faulted
+// runs neither read nor fill the memo.
 func runSim(key runKey, o *Options) (sim.Result, error) {
-	if o.supervised() {
-		return o.superviseSim(context.Background(), key)
-	}
 	memoMu.Lock()
-	if r, ok := memo[key]; ok {
-		memoMu.Unlock()
+	r, ok := memo[key]
+	memoMu.Unlock()
+	if ok && o.Faults == nil {
 		return r, nil
 	}
-	memoMu.Unlock()
-
-	r, _, err := runAttempt(context.Background(), key, o, "", false, 1)
-	if err != nil {
-		return sim.Result{}, err
+	r, err := o.superviseSim(context.Background(), key)
+	if err == nil && o.Faults == nil {
+		memoMu.Lock()
+		memo[key] = r
+		memoMu.Unlock()
 	}
-	memoMu.Lock()
-	memo[key] = r
-	memoMu.Unlock()
-	return r, nil
+	return r, err
 }
 
 // tag renders the run identity used to label its telemetry series.
@@ -600,6 +597,132 @@ func (k runKey) seed() uint64 {
 // checkpointFile names the run's checkpoint file.
 func (k runKey) checkpointFile() string {
 	return strings.ReplaceAll(k.tag(), "/", "_") + ".ckpt"
+}
+
+// simKey is the run of workload (of kind "spec", "gap" or "mix")
+// under scheme on a cores-core system at the options' scale and
+// instruction budgets.
+func (o *Options) simKey(kind, workload, scheme string, cores int, prefetch bool) runKey {
+	return runKey{
+		kind: kind, workload: workload, scheme: scheme,
+		cores: cores, prefetch: prefetch, scale: o.Scale,
+		warmup: o.Warmup, measure: o.Measure,
+	}
+}
+
+// grid runs an experiment's rows × cols matrix of simulations, where
+// key(i, j) names the run of cell (i, j), and returns its results as
+// res[i][j]. Each distinct key runs once, in one parallel fan-out, so
+// a baseline column may repeat a compared column without a second
+// simulation.
+func grid(o *Options, rows, cols int, key func(i, j int) runKey) ([][]sim.Result, error) {
+	var keys []runKey
+	index := map[runKey]int{}
+	cell := make([]int, rows*cols)
+	for c := range cell {
+		k := key(c/cols, c%cols)
+		n, ok := index[k]
+		if !ok {
+			n = len(keys)
+			index[k] = n
+			keys = append(keys, k)
+		}
+		cell[c] = n
+	}
+	runs := make([]sim.Result, len(keys))
+	err := parallel(len(keys), o.Parallelism, func(n int) (err error) {
+		runs[n], err = runSim(keys[n], o)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	res := make([][]sim.Result, rows)
+	for i := range res {
+		res[i] = make([]sim.Result, cols)
+		for j := range res[i] {
+			res[i][j] = runs[cell[i*cols+j]]
+		}
+	}
+	return res, nil
+}
+
+// matrix maps every result of a grid through f.
+func matrix(res [][]sim.Result, f func(sim.Result) float64) [][]float64 {
+	out := make([][]float64, len(res))
+	for i, row := range res {
+		for _, r := range row {
+			out[i] = append(out[i], f(r))
+		}
+	}
+	return out
+}
+
+// overBase maps columns 1.. of every grid row through f against the
+// row's column-0 baseline run.
+func overBase(res [][]sim.Result, f func(r, base sim.Result) float64) [][]float64 {
+	out := make([][]float64, len(res))
+	for i, row := range res {
+		for _, r := range row[1:] {
+			out[i] = append(out[i], f(r, row[0]))
+		}
+	}
+	return out
+}
+
+// ipcOver is a run's IPC normalised to its baseline's.
+func ipcOver(r, base sim.Result) float64 { return r.IPCSum() / base.IPCSum() }
+
+// column returns column j of vals.
+func column(vals [][]float64, j int) []float64 {
+	out := make([]float64, len(vals))
+	for i, row := range vals {
+		out[i] = row[j]
+	}
+	return out
+}
+
+// summarise applies f to every column of vals.
+func summarise(vals [][]float64, f func([]float64) float64) []float64 {
+	out := make([]float64, len(vals[0]))
+	for j := range out {
+		out[j] = f(column(vals, j))
+	}
+	return out
+}
+
+// groupGeoMean folds each n consecutive rows of vals into one row of
+// column-wise geometric means.
+func groupGeoMean(vals [][]float64, n int) [][]float64 {
+	out := make([][]float64, len(vals)/n)
+	for g := range out {
+		out[g] = summarise(vals[g*n:(g+1)*n], stats.GeoMean)
+	}
+	return out
+}
+
+// emitMatrix prints vals[i] as the row named names[i] under header,
+// then, when summary is "GEOMEAN" or "MEAN", that column-wise
+// summary row.
+func emitMatrix(o *Options, header, names []string, vals [][]float64, summary string) {
+	t := stats.NewTable(header...)
+	row := func(name string, vs []float64) {
+		cells := []interface{}{name}
+		for _, v := range vs {
+			cells = append(cells, v)
+		}
+		t.AddRow(cells...)
+	}
+	for i, name := range names {
+		row(name, vals[i])
+	}
+	switch summary {
+	case "GEOMEAN":
+		row(summary, summarise(vals, stats.GeoMean))
+	case "MEAN":
+		row(summary, summarise(vals, stats.Mean))
+	}
+	emitTable(o, t)
 }
 
 // applyGuards threads the runaway-simulation guard rails from the

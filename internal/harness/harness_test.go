@@ -2,8 +2,11 @@ package harness
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -36,6 +39,38 @@ func runExp(t *testing.T, id string, o Options) string {
 		t.Fatalf("Run(%s) produced no output", id)
 	}
 	return buf.String()
+}
+
+// tableDigests pins the SHA-256 of each experiment's output at the
+// tiny() budgets, so the experiment layer can be restructured only if
+// every table stays byte-identical. A change that moves simulator
+// output re-records these along with internal/sim's golden.txt; the
+// failure message prints the new digest.
+var tableDigests = map[string]string{
+	"fig3":       "d2d0f246873318dc355d9a374a713d0593c3490363da2e46cd70a0a4f114b249",
+	"fig5":       "fa400be1e07dbc610414e7d4453c40c3f55d8511dc26f4cc2ca4cb950f62d0e3",
+	"tab3":       "90e038f5816d637fccd85f81cefae824dcef42f551d7e2f025a00bf10f15ddc5",
+	"tab8":       "7eabc74c42e722503d77800ce4723bae2924e64af6e46a9749f1116f6506e88a",
+	"fig7":       "d19d6aee80d3d39fc915b061b061745a1d48e1cd743c1a828943433df0026b6b",
+	"fig8":       "fd319a32bde132948eb398a3d85db09c6554707404679c5582082ef426beb014",
+	"tab10":      "28174581ed3496bf5c7c367ac430fe90a1574e416e503369b424323e5ca39d6c",
+	"fig10":      "a3bba0a7100a3e164b9f3c6111e5b2606a6887a3e3fb8139bcfd92c336fe5569",
+	"fig11":      "140c73f89f8cbd2176b7acab5525183d30f27d158a88b7f5942f4db5ad9bb050",
+	"fig13":      "b668796e804a19398dc5345a32917f473457dd65f77f20eb0041d9f8531ac63c",
+	"fig9":       "a517ac5f8f4d551d3d7dddca350ab4e54d976dd97b4634ebe3a9e63728789124",
+	"tab11":      "e6bd6ec35eabbf247b342a70028ed005a13e4a4ce1404f4e8ddbc54eb22e0d9d",
+	"abl-dtrm":   "ff5fb6d0b46b416edacdbb2c99ef628fb15e3036ad7070d83e385611bdd901e0",
+	"abl-sample": "1aa8088e08fe5c9d28c0c07de8c4f8415c694751e94af04d0b572db17164a6c4",
+	"abl-mshr":   "afbe06787aa84e05f397c504b5644add02cc199695e94aea334c84fd0d596eee",
+}
+
+// checkDigest compares out with id's pinned table digest.
+func checkDigest(t *testing.T, id, out string) {
+	t.Helper()
+	sum := sha256.Sum256([]byte(out))
+	if got := hex.EncodeToString(sum[:]); got != tableDigests[id] {
+		t.Errorf("%s output digest %s, want %s:\n%s", id, got, tableDigests[id], out)
+	}
 }
 
 func TestRegistryComplete(t *testing.T) {
@@ -87,6 +122,7 @@ func TestFig3(t *testing.T) {
 	if !strings.Contains(out, "429.mcf") || !strings.Contains(out, "MEAN") {
 		t.Fatalf("fig3 output malformed:\n%s", out)
 	}
+	checkDigest(t, "fig3", out)
 }
 
 func TestFig5AndTab3(t *testing.T) {
@@ -95,10 +131,12 @@ func TestFig5AndTab3(t *testing.T) {
 	if !strings.Contains(out, "350+") {
 		t.Fatalf("fig5 must include the open-ended bin:\n%s", out)
 	}
+	checkDigest(t, "fig5", out)
 	out = runExp(t, "tab3", o)
 	if !strings.Contains(out, "median") {
 		t.Fatalf("tab3 must report medians:\n%s", out)
 	}
+	checkDigest(t, "tab3", out)
 }
 
 func TestTab8(t *testing.T) {
@@ -106,6 +144,7 @@ func TestTab8(t *testing.T) {
 	if !strings.Contains(out, "MPKI") {
 		t.Fatalf("tab8 malformed:\n%s", out)
 	}
+	checkDigest(t, "tab8", out)
 }
 
 func TestFig7Fig8Tab10ShareRuns(t *testing.T) {
@@ -115,15 +154,35 @@ func TestFig7Fig8Tab10ShareRuns(t *testing.T) {
 	if !strings.Contains(out, "GEOMEAN") || !strings.Contains(out, "care") {
 		t.Fatalf("fig7 malformed:\n%s", out)
 	}
+	checkDigest(t, "fig7", out)
 	// fig8 and tab10 reuse the memoised runs: they must be fast and
 	// consistent.
 	out8 := runExp(t, "fig8", o)
 	if !strings.Contains(out8, "MEAN") {
 		t.Fatalf("fig8 malformed:\n%s", out8)
 	}
+	checkDigest(t, "fig8", out8)
 	out10 := runExp(t, "tab10", o)
 	if !strings.Contains(out10, "pMR") || !strings.Contains(out10, "PMC") {
 		t.Fatalf("tab10 malformed:\n%s", out10)
+	}
+	checkDigest(t, "tab10", out10)
+
+	// Without lru among the schemes, fig7 still normalises to an LRU
+	// baseline it runs itself.
+	o.Schemes = []string{"care"}
+	o.CSV = true
+	out = runExp(t, "fig7", o)
+	rows := strings.Split(strings.TrimSpace(out), "\n")
+	if len(rows) != len(o.Workloads)+2 {
+		t.Fatalf("fig7 -schemes care has %d lines, want %d:\n%s", len(rows), len(o.Workloads)+2, out)
+	}
+	for _, row := range rows[1:] {
+		cells := strings.Split(row, ",")
+		v, err := strconv.ParseFloat(cells[len(cells)-1], 64)
+		if err != nil || math.IsInf(v, 0) || math.IsNaN(v) || v <= 0 {
+			t.Fatalf("fig7 -schemes care cell %q is not a finite ratio:\n%s", cells[len(cells)-1], out)
+		}
 	}
 }
 
@@ -178,6 +237,7 @@ func TestFig10(t *testing.T) {
 	if !strings.Contains(out, "GEOMEAN") || !strings.Contains(out, "best for") {
 		t.Fatalf("fig10 malformed:\n%s", out)
 	}
+	checkDigest(t, "fig10", out)
 }
 
 func TestScalability(t *testing.T) {
@@ -186,10 +246,12 @@ func TestScalability(t *testing.T) {
 	if !strings.Contains(out, "cores") {
 		t.Fatalf("fig11 malformed:\n%s", out)
 	}
+	checkDigest(t, "fig11", out)
 	out = runExp(t, "fig13", o)
 	if !strings.Contains(out, "care") {
 		t.Fatalf("fig13 malformed:\n%s", out)
 	}
+	checkDigest(t, "fig13", out)
 }
 
 func TestGAPExperiments(t *testing.T) {
@@ -201,6 +263,7 @@ func TestGAPExperiments(t *testing.T) {
 			t.Fatalf("fig9 missing %s:\n%s", wl, out)
 		}
 	}
+	checkDigest(t, "fig9", out)
 }
 
 func TestTab11(t *testing.T) {
@@ -208,6 +271,7 @@ func TestTab11(t *testing.T) {
 	if !strings.Contains(out, "AOCPA") {
 		t.Fatalf("tab11 malformed:\n%s", out)
 	}
+	checkDigest(t, "tab11", out)
 }
 
 func TestUnknownWorkloadErrors(t *testing.T) {
@@ -228,6 +292,7 @@ func TestAblations(t *testing.T) {
 		if !strings.Contains(out, "GEOMEAN") && !strings.Contains(out, "MSHR") {
 			t.Fatalf("%s output malformed:\n%s", id, out)
 		}
+		checkDigest(t, id, out)
 	}
 }
 
@@ -249,6 +314,7 @@ func TestRunRecoversExperimentPanic(t *testing.T) {
 		Title: "test-only: panics on purpose",
 		Run:   func(o *Options) error { panic("policy exploded") },
 	})
+	defer delete(experiments, "zz-test-panic")
 	err := Run("zz-test-panic", tiny())
 	var pe *PanicError
 	if !errors.As(err, &pe) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"sync"
 
 	"care/internal/core/pmc"
 	"care/internal/mem"
@@ -23,8 +22,8 @@ func init() {
 	register(Experiment{ID: "fig8", Title: "LLC pure miss rate (pMR), 4-core multi-copy SPEC with prefetching", Run: runFig8})
 	register(Experiment{ID: "tab10", Title: "Average pMR and PMC per scheme (4-core SPEC with prefetching)", Run: runTab10})
 	register(Experiment{ID: "fig10", Title: "Weighted speedup over 4-core mixed workloads with prefetching", Run: runFig10})
-	register(Experiment{ID: "fig11", Title: "SPEC speedup at 4/8/16 cores with prefetching", Run: runScalabilitySpec(true, "fig11")})
-	register(Experiment{ID: "fig13", Title: "SPEC speedup at 4/8/16 cores without prefetching (incl. Mockingjay)", Run: runScalabilitySpec(false, "fig13")})
+	register(Experiment{ID: "fig11", Title: "SPEC speedup at 4/8/16 cores with prefetching", Run: runScalabilitySpec(true)})
+	register(Experiment{ID: "fig13", Title: "SPEC speedup at 4/8/16 cores without prefetching (incl. Mockingjay)", Run: runScalabilitySpec(false)})
 	register(Experiment{ID: "tab11", Title: "Average Overlapping Cycles Per Access (AOCPA) vs core count", Run: runTab11})
 }
 
@@ -35,38 +34,19 @@ func runFig3(o *Options) error {
 	if err != nil {
 		return err
 	}
-	type row struct {
-		name string
-		pct  float64
-	}
-	rows := make([]row, len(profiles))
-	err = parallel(len(profiles), o.Parallelism, func(i int) error {
-		r, err := runSim(runKey{
-			kind: "spec", workload: profiles[i].Name, scheme: "lru",
-			cores: 4, prefetch: false, scale: o.Scale,
-			warmup: o.Warmup, measure: o.Measure,
-		}, o)
-		if err != nil {
-			return err
-		}
-		pct := 0.0
-		if m := r.LLC.Misses(); m > 0 {
-			pct = 100 * float64(r.LLC.HitOverlapMisses) / float64(m)
-		}
-		rows[i] = row{name: profiles[i].Name, pct: pct}
-		return nil
+	res, err := grid(o, len(profiles), 1, func(i, _ int) runKey {
+		return o.simKey("spec", profiles[i].Name, "lru", 4, false)
 	})
 	if err != nil {
 		return err
 	}
-	t := stats.NewTable("workload", "misses w/ hit-miss overlap (%)")
-	sum := 0.0
-	for _, r := range rows {
-		t.AddRow(r.name, r.pct)
-		sum += r.pct
-	}
-	t.AddRow("MEAN", sum/float64(len(rows)))
-	emitTable(o, t)
+	pct := matrix(res, func(r sim.Result) float64 {
+		if m := r.LLC.Misses(); m > 0 {
+			return 100 * float64(r.LLC.HitOverlapMisses) / float64(m)
+		}
+		return 0
+	})
+	emitMatrix(o, []string{"workload", "misses w/ hit-miss overlap (%)"}, names(profiles), pct, "MEAN")
 	return nil
 }
 
@@ -204,61 +184,31 @@ func runTab8(o *Options) error {
 	if err != nil {
 		return err
 	}
-	mpki := make([]float64, len(profiles))
-	err = parallel(len(profiles), o.Parallelism, func(i int) error {
-		r, err := runSim(runKey{
-			kind: "spec", workload: profiles[i].Name, scheme: "lru",
-			cores: 1, prefetch: false, scale: o.Scale,
-			warmup: o.Warmup, measure: o.Measure,
-		}, o)
-		if err != nil {
-			return err
-		}
-		mpki[i] = stats.MPKI(r.LLC.DemandMisses, r.CoreInstructions[0])
-		return nil
+	res, err := grid(o, len(profiles), 1, func(i, _ int) runKey {
+		return o.simKey("spec", profiles[i].Name, "lru", 1, false)
 	})
 	if err != nil {
 		return err
 	}
 	t := stats.NewTable("workload", "suite", "LLC MPKI")
 	for i, p := range profiles {
-		t.AddRow(p.Name, p.Suite, fmt.Sprintf("%.2f", mpki[i]))
+		r := res[i][0]
+		t.AddRow(p.Name, p.Suite, fmt.Sprintf("%.2f", stats.MPKI(r.LLC.DemandMisses, r.CoreInstructions[0])))
 	}
 	emitTable(o, t)
 	return nil
 }
 
-// spec4coreResults runs the Figure 7/8 / Table X matrix: every
-// workload under every scheme, 4-core multi-copy with prefetching.
-func spec4coreResults(o *Options, profiles []synth.Profile, schemes []string) (map[string]map[string]sim.Result, error) {
-	results := make(map[string]map[string]sim.Result, len(profiles))
-	for _, p := range profiles {
-		results[p.Name] = make(map[string]sim.Result, len(schemes))
-	}
-	type job struct{ wl, scheme string }
-	var jobs []job
-	for _, p := range profiles {
-		for _, s := range schemes {
-			jobs = append(jobs, job{p.Name, s})
-		}
-	}
-	var mu syncMap
-	err := parallel(len(jobs), o.Parallelism, func(i int) error {
-		j := jobs[i]
-		r, err := runSim(runKey{
-			kind: "spec", workload: j.wl, scheme: j.scheme,
-			cores: 4, prefetch: true, scale: o.Scale,
-			warmup: o.Warmup, measure: o.Measure,
-		}, o)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		results[j.wl][j.scheme] = r
-		mu.Unlock()
-		return nil
-	})
-	return results, err
+// spec4Key is the 4-core multi-copy run with the paper's prefetchers
+// that Figures 7/8, Table X and the ablations compare schemes on.
+func (o *Options) spec4Key(workload, scheme string) runKey {
+	return o.simKey("spec", workload, scheme, 4, true)
+}
+
+// withLRU puts the LRU baseline in front of the compared schemes:
+// column 0 of every normalised grid.
+func withLRU(schemes []string) []string {
+	return append([]string{"lru"}, schemes...)
 }
 
 // runFig7 reproduces Figure 7: per-workload normalized IPC and the
@@ -268,90 +218,58 @@ func runFig7(o *Options) error {
 	if err != nil {
 		return err
 	}
-	schemes := o.schemes()
-	results, err := spec4coreResults(o, profiles, schemes)
+	cols := withLRU(o.schemes())
+	res, err := grid(o, len(profiles), len(cols), func(i, j int) runKey {
+		return o.spec4Key(profiles[i].Name, cols[j])
+	})
 	if err != nil {
 		return err
 	}
-	header := append([]string{"workload"}, schemes...)
-	t := stats.NewTable(header...)
-	norm := map[string][]float64{}
-	for _, p := range profiles {
-		base := results[p.Name]["lru"].IPCSum()
-		cells := []interface{}{p.Name}
-		for _, s := range schemes {
-			v := results[p.Name][s].IPCSum() / base
-			cells = append(cells, fmt.Sprintf("%.4f", v))
-			norm[s] = append(norm[s], v)
-		}
-		t.AddRow(cells...)
-	}
-	gm := []interface{}{"GEOMEAN"}
-	for _, s := range schemes {
-		gm = append(gm, fmt.Sprintf("%.4f", stats.GeoMean(norm[s])))
-	}
-	t.AddRow(gm...)
-	emitTable(o, t)
+	emitMatrix(o, append([]string{"workload"}, cols[1:]...), names(profiles), overBase(res, ipcOver), "GEOMEAN")
 	return nil
 }
 
-// runFig8 reproduces Figure 8: LLC pMR per workload and scheme.
-func runFig8(o *Options) error {
+// spec4Grid runs every workload under every scheme, the Figure 8 /
+// Table X matrix (shared, through the memo, with Figure 7).
+func spec4Grid(o *Options) ([]synth.Profile, []string, [][]sim.Result, error) {
 	profiles, err := o.specProfiles(synth.All())
 	if err != nil {
-		return err
+		return nil, nil, nil, err
 	}
 	schemes := o.schemes()
-	results, err := spec4coreResults(o, profiles, schemes)
+	res, err := grid(o, len(profiles), len(schemes), func(i, j int) runKey {
+		return o.spec4Key(profiles[i].Name, schemes[j])
+	})
+	return profiles, schemes, res, err
+}
+
+func llcPMR(r sim.Result) float64 { return r.LLCPMR }
+
+// runFig8 reproduces Figure 8: LLC pMR per workload and scheme.
+func runFig8(o *Options) error {
+	profiles, schemes, res, err := spec4Grid(o)
 	if err != nil {
 		return err
 	}
-	header := append([]string{"workload"}, schemes...)
-	t := stats.NewTable(header...)
-	sums := map[string]float64{}
-	for _, p := range profiles {
-		cells := []interface{}{p.Name}
-		for _, s := range schemes {
-			v := results[p.Name][s].LLCPMR
-			cells = append(cells, fmt.Sprintf("%.4f", v))
-			sums[s] += v
-		}
-		t.AddRow(cells...)
-	}
-	mean := []interface{}{"MEAN"}
-	for _, s := range schemes {
-		mean = append(mean, fmt.Sprintf("%.4f", sums[s]/float64(len(profiles))))
-	}
-	t.AddRow(mean...)
-	emitTable(o, t)
+	emitMatrix(o, append([]string{"workload"}, schemes...), names(profiles), matrix(res, llcPMR), "MEAN")
 	return nil
 }
 
 // runTab10 reproduces Table X: per-scheme average pMR and average PMC
 // over the 4-core SPEC runs.
 func runTab10(o *Options) error {
-	profiles, err := o.specProfiles(synth.All())
+	_, schemes, res, err := spec4Grid(o)
 	if err != nil {
 		return err
 	}
-	schemes := o.schemes()
-	results, err := spec4coreResults(o, profiles, schemes)
-	if err != nil {
-		return err
-	}
-	header := append([]string{"metric"}, schemes...)
-	t := stats.NewTable(header...)
+	pmr := matrix(res, llcPMR)
+	pmc := matrix(res, func(r sim.Result) float64 { return r.MeanPMC })
+	t := stats.NewTable(append([]string{"metric"}, schemes...)...)
 	pmrRow := []interface{}{"pMR"}
 	pmcRow := []interface{}{"PMC"}
-	for _, s := range schemes {
-		var pmr, meanPMC float64
-		for _, p := range profiles {
-			pmr += results[p.Name][s].LLCPMR
-			meanPMC += results[p.Name][s].MeanPMC
-		}
-		n := float64(len(profiles))
-		pmrRow = append(pmrRow, fmt.Sprintf("%.4f", pmr/n))
-		pmcRow = append(pmcRow, fmt.Sprintf("%.2f", meanPMC/n))
+	for j := range schemes {
+		pmrRow = append(pmrRow, stats.Mean(column(pmr, j)))
+		pmcRow = append(pmcRow, fmt.Sprintf("%.2f", stats.Mean(column(pmc, j))))
 	}
 	t.AddRow(pmrRow...)
 	t.AddRow(pmcRow...)
@@ -363,69 +281,35 @@ func runTab10(o *Options) error {
 // random 4-core mixed workloads.
 func runFig10(o *Options) error {
 	schemes := o.schemes()
-	type mixResult struct {
-		ws map[string]float64
-	}
-	mixes := make([]mixResult, o.Mixes)
-	err := parallel(o.Mixes, o.Parallelism, func(m int) error {
-		run := func(scheme string) (sim.Result, error) {
-			return runSim(runKey{
-				kind: "mix", workload: strconv.Itoa(m), scheme: scheme,
-				cores: 4, prefetch: true, scale: o.Scale,
-				warmup: o.Warmup, measure: o.Measure,
-			}, o)
-		}
-		base, err := run("lru")
-		if err != nil {
-			return err
-		}
-		mixes[m].ws = map[string]float64{}
-		for _, s := range schemes {
-			if s == "lru" {
-				mixes[m].ws[s] = 1
-				continue
-			}
-			r, err := run(s)
-			if err != nil {
-				return err
-			}
-			mixes[m].ws[s] = stats.NormalizedWeightedSpeedup(r.CoreIPC, base.CoreIPC)
-		}
-		return nil
+	cols := withLRU(schemes)
+	res, err := grid(o, o.Mixes, len(cols), func(m, j int) runKey {
+		return o.simKey("mix", strconv.Itoa(m), cols[j], 4, true)
 	})
 	if err != nil {
 		return err
 	}
-	header := append([]string{"mix"}, schemes...)
-	t := stats.NewTable(header...)
-	per := map[string][]float64{}
+	ws := overBase(res, func(r, base sim.Result) float64 {
+		return stats.NormalizedWeightedSpeedup(r.CoreIPC, base.CoreIPC)
+	})
+	mixes := make([]string, o.Mixes)
 	best := map[string]int{}
-	for m := range mixes {
-		cells := []interface{}{fmt.Sprintf("mix%02d", m)}
+	for m, row := range ws {
+		mixes[m] = fmt.Sprintf("mix%02d", m)
 		bestScheme, bestVal := "", 0.0
-		for _, s := range schemes {
-			v := mixes[m].ws[s]
-			per[s] = append(per[s], v)
-			cells = append(cells, fmt.Sprintf("%.4f", v))
+		for j, v := range row {
 			if v > bestVal {
-				bestScheme, bestVal = s, v
+				bestScheme, bestVal = schemes[j], v
 			}
 		}
 		best[bestScheme]++
-		t.AddRow(cells...)
 	}
-	gm := []interface{}{"GEOMEAN"}
-	for _, s := range schemes {
-		gm = append(gm, fmt.Sprintf("%.4f", stats.GeoMean(per[s])))
-	}
-	t.AddRow(gm...)
-	emitTable(o, t)
-	var names []string
+	emitMatrix(o, append([]string{"mix"}, schemes...), mixes, ws, "GEOMEAN")
+	var winners []string
 	for s := range best {
-		names = append(names, s)
+		winners = append(winners, s)
 	}
-	sort.Strings(names)
-	for _, s := range names {
+	sort.Strings(winners)
+	for _, s := range winners {
 		fmt.Fprintf(o.Out, "best for %d mixes: %s\n", best[s], s)
 	}
 	return nil
@@ -433,145 +317,83 @@ func runFig10(o *Options) error {
 
 // runScalabilitySpec builds fig11 (with prefetch) / fig13 (without,
 // plus Mockingjay): geomean speedup over LRU at each core count.
-func runScalabilitySpec(prefetch bool, id string) func(o *Options) error {
+func runScalabilitySpec(prefetch bool) func(o *Options) error {
 	return func(o *Options) error {
-		subset, err := subsetProfiles(ScalabilitySubset())
+		profiles, err := o.specProfiles(scalabilityProfiles())
 		if err != nil {
 			return err
 		}
-		profiles, err := o.specProfiles(subset)
-		if err != nil {
-			return err
-		}
-		schemes := o.schemes()
-		if !prefetch && len(o.Schemes) == 0 {
-			schemes = append(append([]string{}, schemes...), "mockingjay")
-		}
-		return runScalability(o, profiles2names(profiles, "spec"), schemes, prefetch)
+		return runScalability(o, "spec", names(profiles), prefetch)
 	}
 }
 
-// runScalability is shared by fig11-fig14.
-func runScalability(o *Options, workloads []scaleWorkload, schemes []string, prefetch bool) error {
-	results := map[int]map[string][]float64{} // cores -> scheme -> per-workload speedup
-	for _, c := range o.CoreCounts {
-		results[c] = map[string][]float64{}
+// runScalability is shared by fig11-fig14: each row is one core count
+// (with or without prefetching), each column a scheme's geomean IPC
+// speedup over LRU across the workloads of kind. Without prefetching
+// the default scheme set adds Mockingjay, as the paper does.
+func runScalability(o *Options, kind string, workloads []string, prefetch bool) error {
+	schemes := o.schemes()
+	if !prefetch && len(o.Schemes) == 0 {
+		schemes = append(schemes, "mockingjay")
 	}
-	type job struct {
-		cores int
-		wl    scaleWorkload
-	}
-	var jobs []job
-	for _, c := range o.CoreCounts {
-		for _, wl := range workloads {
-			jobs = append(jobs, job{c, wl})
-		}
-	}
-	var mu syncMap
-	err := parallel(len(jobs), o.Parallelism, func(i int) error {
-		j := jobs[i]
-		per := map[string]float64{}
-		base := 0.0
-		for _, s := range append([]string{"lru"}, schemes...) {
-			if s == "lru" && base != 0 {
-				continue
-			}
-			r, err := runSim(runKey{
-				kind: j.wl.kind, workload: j.wl.name, scheme: s,
-				cores: j.cores, prefetch: prefetch, scale: o.Scale,
-				warmup: o.Warmup, measure: o.Measure, gapRecs: o.GAPRecords,
-			}, o)
-			if err != nil {
-				return err
-			}
-			if s == "lru" {
-				base = r.IPCSum()
-				per["lru"] = 1
-				continue
-			}
-			per[s] = r.IPCSum() / base
-		}
-		mu.Lock()
-		for s, v := range per {
-			results[j.cores][s] = append(results[j.cores][s], v)
-		}
-		mu.Unlock()
-		return nil
+	cols := withLRU(schemes)
+	nw := len(workloads)
+	res, err := grid(o, len(o.CoreCounts)*nw, len(cols), func(i, j int) runKey {
+		k := o.simKey(kind, workloads[i%nw], cols[j], o.CoreCounts[i/nw], prefetch)
+		k.gapRecs = o.GAPRecords
+		return k
 	})
 	if err != nil {
 		return err
 	}
-	header := append([]string{"cores"}, schemes...)
-	t := stats.NewTable(header...)
-	for _, c := range o.CoreCounts {
-		cells := []interface{}{fmt.Sprintf("%d", c)}
-		for _, s := range schemes {
-			cells = append(cells, fmt.Sprintf("%.4f", stats.GeoMean(results[c][s])))
-		}
-		t.AddRow(cells...)
+	cores := make([]string, len(o.CoreCounts))
+	for c, n := range o.CoreCounts {
+		cores[c] = strconv.Itoa(n)
 	}
-	emitTable(o, t)
+	emitMatrix(o, append([]string{"cores"}, schemes...), cores, groupGeoMean(overBase(res, ipcOver), nw), "")
 	return nil
 }
 
 // runTab11 reproduces Table XI: AOCPA per core count (LRU with
 // prefetching), averaged over the scalability subset.
 func runTab11(o *Options) error {
-	subset, err := subsetProfiles(ScalabilitySubset())
+	profiles, err := o.specProfiles(scalabilityProfiles())
 	if err != nil {
 		return err
 	}
-	profiles, err := o.specProfiles(subset)
+	res, err := grid(o, len(o.CoreCounts), len(profiles), func(c, i int) runKey {
+		return o.simKey("spec", profiles[i].Name, "lru", o.CoreCounts[c], true)
+	})
 	if err != nil {
 		return err
 	}
+	aocpa := matrix(res, func(r sim.Result) float64 { return stats.Mean(r.AOCPA) })
 	t := stats.NewTable("cores", "AOCPA (SPEC mean)")
-	for _, c := range o.CoreCounts {
-		vals := make([]float64, len(profiles))
-		err := parallel(len(profiles), o.Parallelism, func(i int) error {
-			r, err := runSim(runKey{
-				kind: "spec", workload: profiles[i].Name, scheme: "lru",
-				cores: c, prefetch: true, scale: o.Scale,
-				warmup: o.Warmup, measure: o.Measure,
-			}, o)
-			if err != nil {
-				return err
-			}
-			vals[i] = stats.Mean(r.AOCPA)
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		t.AddRow(fmt.Sprintf("%d", c), fmt.Sprintf("%.2f", stats.Mean(vals)))
+	for c, n := range o.CoreCounts {
+		t.AddRow(strconv.Itoa(n), fmt.Sprintf("%.2f", stats.Mean(aocpa[c])))
 	}
 	emitTable(o, t)
 	return nil
 }
 
-// ---- small shared helpers ----
-
-type scaleWorkload struct{ kind, name string }
-
-func profiles2names(ps []synth.Profile, kind string) []scaleWorkload {
-	out := make([]scaleWorkload, len(ps))
-	for i, p := range ps {
-		out[i] = scaleWorkload{kind: kind, name: p.Name}
+// scalabilityProfiles resolves ScalabilitySubset.
+func scalabilityProfiles() []synth.Profile {
+	var out []synth.Profile
+	for _, n := range ScalabilitySubset() {
+		p, err := synth.Lookup(n)
+		if err != nil {
+			panic("harness: scalability subset: " + err.Error())
+		}
+		out = append(out, p)
 	}
 	return out
 }
 
-func subsetProfiles(names []string) ([]synth.Profile, error) {
-	var out []synth.Profile
-	for _, n := range names {
-		p, err := synth.Lookup(n)
-		if err != nil {
-			return nil, fmt.Errorf("harness: workload subset: %w", err)
-		}
-		out = append(out, p)
+// names lists the profiles' workload names.
+func names(ps []synth.Profile) []string {
+	out := make([]string, len(ps))
+	for i, p := range ps {
+		out[i] = p.Name
 	}
-	return out, nil
+	return out
 }
-
-// syncMap guards the shared result maps built by parallel jobs.
-type syncMap = sync.Mutex

@@ -16,8 +16,8 @@ import (
 )
 
 // ArtifactStore keeps one checkpoint file per job under
-// DataDir/artifacts. Writes are atomic (tmp + rename) and verified
-// structurally before they replace the previous artifact, so a
+// DataDir/artifacts. Writes are atomic (private tmp + rename) and
+// verified structurally before they replace the previous artifact, so a
 // half-uploaded or bit-flipped checkpoint can never shadow a good
 // one. Concurrency control lives with the caller: the worker API
 // only lets the current lease holder touch a job's artifact, and the
@@ -31,6 +31,11 @@ type ArtifactStore struct {
 func NewArtifactStore(dir string) (*ArtifactStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("server: artifact dir: %w", err)
+	}
+	// Uploads cut short by a crash leave their private tmp files.
+	stale, _ := filepath.Glob(filepath.Join(dir, "*.tmp"))
+	for _, f := range stale {
+		os.Remove(f)
 	}
 	return &ArtifactStore{dir: dir}, nil
 }
@@ -46,46 +51,47 @@ func (st *ArtifactStore) path(job string) (string, error) {
 }
 
 // Put stores r as job's checkpoint artifact. The upload lands in a
-// tmp file, is verified as a structurally complete checkpoint
-// container (header, per-frame CRCs, end marker), and only then
-// renamed over the previous artifact. Returns the stored size.
-func (st *ArtifactStore) Put(job string, r io.Reader) (int64, error) {
+// tmp file of its own, is verified as a structurally complete
+// checkpoint container (header, per-frame CRCs, end marker), and only
+// then renamed over the previous artifact, with the directory fsynced
+// so the rename survives a crash. Overlapping uploads for one job (an
+// old lease holder's slow upload racing the new holder's) each write
+// a private file, so the artifact left in place is always one whole,
+// verified upload. Returns the stored size.
+func (st *ArtifactStore) Put(job string, r io.Reader) (n int64, err error) {
 	path, err := st.path(job)
 	if err != nil {
 		return 0, err
 	}
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := os.CreateTemp(st.dir, job+".*.tmp")
 	if err != nil {
 		return 0, fmt.Errorf("server: artifact upload: %w", err)
 	}
-	n, err := io.Copy(f, r)
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(f.Name())
+		}
+	}()
+	if n, err = io.Copy(f, r); err != nil {
 		return 0, fmt.Errorf("server: artifact upload: %w", err)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
+	if err = f.Sync(); err != nil {
 		return 0, fmt.Errorf("server: artifact sync: %w", err)
 	}
-	if _, err := f.Seek(0, 0); err != nil {
-		f.Close()
-		os.Remove(tmp)
+	if _, err = f.Seek(0, io.SeekStart); err != nil {
 		return 0, fmt.Errorf("server: artifact verify: %w", err)
 	}
-	if _, err := checkpoint.Verify(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
+	if _, err = checkpoint.Verify(f); err != nil {
 		return 0, fmt.Errorf("server: artifact rejected: %w", err)
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
+	if err = f.Close(); err != nil {
 		return 0, fmt.Errorf("server: artifact close: %w", err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err = os.Rename(f.Name(), path); err != nil {
+		return 0, fmt.Errorf("server: artifact install: %w", err)
+	}
+	if err = fsyncDir(st.dir); err != nil {
 		return 0, fmt.Errorf("server: artifact install: %w", err)
 	}
 	return n, nil

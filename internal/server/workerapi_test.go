@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -182,7 +183,9 @@ func TestWorkerAPIArtifactRoundTripAndLeaseChecks(t *testing.T) {
 	defer s.Shutdown(t.Context())
 	base := "http://" + s.Addr()
 
-	if code := httpJSON(t, "POST", base+"/api/v1/jobs", tinySubmit(), nil); code != http.StatusCreated {
+	sub := tinySubmit()
+	sub.Policies = []string{"care"}
+	if code := httpJSON(t, "POST", base+"/api/v1/jobs", sub, nil); code != http.StatusCreated {
 		t.Fatalf("submit: %d", code)
 	}
 	c, code := claimHTTP(t, base, "w1", 60_000, "")
@@ -225,6 +228,34 @@ func TestWorkerAPIArtifactRoundTripAndLeaseChecks(t *testing.T) {
 	// A wrong fencing token cannot upload at all.
 	if code := put(artURL("w1", c.Job.Attempts+1), "whatever"); code != http.StatusConflict {
 		t.Fatalf("upload with stale token = %d, want 409", code)
+	}
+
+	// A valid checkpoint is stored and served back byte for byte.
+	ckpt := testCheckpoint(t, 7)
+	if code := put(artURL("w1", c.Job.Attempts), string(ckpt)); code != http.StatusOK {
+		t.Fatalf("valid upload = %d, want 200", code)
+	}
+	resp, err := http.Get(artURL("w1", c.Job.Attempts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(got, ckpt) {
+		t.Fatalf("GET artifact = %d, %d bytes (err %v), want 200 and the %d uploaded bytes",
+			resp.StatusCode, len(got), err, len(ckpt))
+	}
+
+	// Requeued, the job's next claim is told to resume from it.
+	if code := httpJSON(t, "POST", base+"/api/v1/worker/fail", FailRequest{
+		Worker: "w1", Job: c.Job.ID, Token: c.Job.Attempts, Kind: "requeue", Reason: "draining",
+	}, nil); code != http.StatusOK {
+		t.Fatalf("requeue: %d", code)
+	}
+	c2, code := claimHTTP(t, base, "w2", 60_000, "")
+	if code != http.StatusOK || c2.Job.ID != c.Job.ID || !c2.HasArtifact {
+		t.Fatalf("next claim = %d %s has_artifact=%v, want %s with its artifact",
+			code, c2.Job.ID, c2.HasArtifact, c.Job.ID)
 	}
 }
 
