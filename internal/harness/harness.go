@@ -125,6 +125,11 @@ type Options struct {
 	// TelemetryTag prefixes the series tags of supervised runs (e.g. a
 	// job ID), distinguishing repeated submissions of the same config.
 	TelemetryTag string
+
+	// traceSeed, when non-zero, replaces the base trace seed of every
+	// run (see runKey.seed), so in-package tests can check that a
+	// verdict holds beyond the default streams.
+	traceSeed uint64
 }
 
 // supervised reports whether runs go through the retry supervisor.
@@ -365,6 +370,8 @@ type runKey struct {
 	warmup   uint64
 	measure  uint64
 	gapRecs  int
+	// traceSeed is Options.traceSeed (0 = the default seeds).
+	traceSeed uint64
 
 	// Ablation variants of the paper's system; zero values leave it
 	// as it is, and a non-zero value adds a tag suffix.
@@ -385,11 +392,12 @@ func ResetCache() {
 	memo = map[runKey]sim.Result{}
 }
 
-// specTraces builds cores copies of one synthetic workload.
-func specTraces(p synth.Profile, cores, scale int) []trace.Reader {
+// specTraces builds cores copies of one synthetic workload, core i
+// streaming from seed+i.
+func specTraces(p synth.Profile, cores, scale int, seed uint64) []trace.Reader {
 	out := make([]trace.Reader, cores)
 	for i := range out {
-		out[i] = synth.NewScaledGenerator(p, uint64(i+1), scale)
+		out[i] = synth.NewScaledGenerator(p, seed+uint64(i), scale)
 	}
 	return out
 }
@@ -401,9 +409,10 @@ var (
 	gapCache = map[string]*trace.Slice{}
 )
 
-// gapBase returns the shared record slice for kernel-dataset.
-func gapBase(kernel, dataset string, maxRecords int) (*trace.Slice, error) {
-	key := fmt.Sprintf("%s-%s-%d", kernel, dataset, maxRecords)
+// gapBase returns the shared record slice for kernel-dataset; seed
+// picks the source vertex of source-based kernels.
+func gapBase(kernel, dataset string, maxRecords int, seed uint64) (*trace.Slice, error) {
+	key := fmt.Sprintf("%s-%s-%d-%d", kernel, dataset, maxRecords, seed)
 	gapMu.Lock()
 	if s, ok := gapCache[key]; ok {
 		gapMu.Unlock()
@@ -414,7 +423,7 @@ func gapBase(kernel, dataset string, maxRecords int) (*trace.Slice, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := graph.Trace(kernel, g, maxRecords, 1)
+	s, err := graph.Trace(kernel, g, maxRecords, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -434,14 +443,14 @@ func buildTraces(key runKey) ([]trace.Reader, error) {
 		if err != nil {
 			return nil, err
 		}
-		return specTraces(p, key.cores, key.scale), nil
+		return specTraces(p, key.cores, key.scale, key.seed()), nil
 	case "gap":
 		// workload is encoded as "kernel-dataset" (e.g. "bfs-or").
 		kernel, dataset, ok := strings.Cut(key.workload, "-")
 		if !ok {
 			return nil, fmt.Errorf("harness: bad GAP workload %q", key.workload)
 		}
-		base, err := gapBase(kernel, dataset, key.gapRecs)
+		base, err := gapBase(kernel, dataset, key.gapRecs, key.baseSeed())
 		if err != nil {
 			return nil, err
 		}
@@ -578,20 +587,33 @@ func (k runKey) tag() string {
 	if k.l2Prefetch != "" {
 		t += "/l2pf-" + k.l2Prefetch
 	}
+	if k.traceSeed != 0 {
+		t += fmt.Sprintf("/seed%d", k.traceSeed)
+	}
 	return t
 }
 
+// baseSeed is the seed every trace of the run derives from: 1 unless
+// an in-package test set another.
+func (k runKey) baseSeed() uint64 {
+	if k.traceSeed != 0 {
+		return k.traceSeed
+	}
+	return 1
+}
+
 // seed is the trace seed of the run's first core (core i streams from
-// seed+i); GAP traces are seedless and report 0.
+// seed+i); GAP traces report 0 unless a test moved their source
+// vertex off the default.
 func (k runKey) seed() uint64 {
 	switch k.kind {
 	case "spec":
-		return 1
+		return k.baseSeed()
 	case "mix":
 		m, _ := strconv.Atoi(k.workload)
-		return uint64(100*m + 1)
+		return uint64(100*m) + k.baseSeed()
 	}
-	return 0
+	return k.traceSeed
 }
 
 // checkpointFile names the run's checkpoint file.
@@ -606,7 +628,7 @@ func (o *Options) simKey(kind, workload, scheme string, cores int, prefetch bool
 	return runKey{
 		kind: kind, workload: workload, scheme: scheme,
 		cores: cores, prefetch: prefetch, scale: o.Scale,
-		warmup: o.Warmup, measure: o.Measure,
+		warmup: o.Warmup, measure: o.Measure, traceSeed: o.traceSeed,
 	}
 }
 
