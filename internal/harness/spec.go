@@ -340,7 +340,11 @@ func runScalability(o *Options, kind string, workloads []string, prefetch bool) 
 	nw := len(workloads)
 	res, err := grid(o, len(o.CoreCounts)*nw, len(cols), func(i, j int) runKey {
 		k := o.simKey(kind, workloads[i%nw], cols[j], o.CoreCounts[i/nw], prefetch)
-		k.gapRecs = o.GAPRecords
+		if kind == "gap" {
+			// Only GAP traces depend on the record cap; a spec key
+			// carrying it would miss fig7's and tab11's runs.
+			k.gapRecs = o.GAPRecords
+		}
 		return k
 	})
 	if err != nil {

@@ -2,6 +2,8 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
+	"strings"
 	"testing"
 
 	"care/internal/telemetry"
@@ -84,5 +86,42 @@ func TestTelemetryMemoisedRunsSkipCollection(t *testing.T) {
 	runExp(t, "fig7", o2)
 	if tel.Len() != 0 {
 		t.Errorf("memoised rerun emitted %d bytes of telemetry, want none", tel.Len())
+	}
+}
+
+// TestScalabilitySharesFig7Runs: fig11's 4-core runs are fig7's, so
+// fig11 after fig7 at -cores 4 simulates nothing new, and the stream
+// both write begins one series per run, with no tag twice.
+func TestScalabilitySharesFig7Runs(t *testing.T) {
+	ResetCache()
+	var tel bytes.Buffer
+	o := tiny()
+	o.CoreCounts = []int{4}
+	o.Telemetry = "jsonl"
+	o.TelemetryInterval = 2000
+	o.TelemetryOut = &tel
+	runExp(t, "fig7", o)
+	runExp(t, "fig11", o)
+
+	// ReadJSONL folds series that share a tag, so count the meta lines
+	// that begin each series.
+	seen := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(tel.String()), "\n") {
+		var ml struct {
+			Meta *telemetry.Meta `json:"meta"`
+		}
+		if err := json.Unmarshal([]byte(line), &ml); err != nil {
+			t.Fatalf("telemetry line %q: %v", line, err)
+		}
+		if ml.Meta == nil {
+			continue
+		}
+		if seen[ml.Meta.Tag] {
+			t.Errorf("run %s simulated twice", ml.Meta.Tag)
+		}
+		seen[ml.Meta.Tag] = true
+	}
+	if want := len(o.Workloads) * len(o.Schemes); len(seen) != want {
+		t.Errorf("fig7 then fig11 at 4 cores simulated %d distinct runs, want %d", len(seen), want)
 	}
 }
