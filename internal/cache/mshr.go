@@ -19,14 +19,9 @@ var ErrMSHRDuplicate = errors.New("cache: duplicate MSHR allocation")
 
 // MSHREntry tracks one outstanding miss in a Miss Status Holding
 // Register file. The concurrency metrics (PMC, MLP-based cost) are
-// accumulated directly on the entry by the attached Tracker, exactly
-// as the paper adds a PMC field to each MSHR entry (§IV-B).
+// kept on the entry by the attached Tracker, as the paper adds a PMC
+// field to each MSHR entry (§IV-B).
 type MSHREntry struct {
-	// The fields the tracker's flush touches (Core to select the
-	// per-core state, then the accumulated metrics and the tick mark)
-	// are laid out first so they share cache lines; the flush walks
-	// the live entries on the simulator's hottest path.
-
 	// Core is the core whose access allocated the entry. Merged
 	// requesters from other cores do not re-attribute the entry; the
 	// paper tracks concurrency per allocating core.
@@ -42,10 +37,11 @@ type MSHREntry struct {
 	// access cycles overlapped a base access cycle from the same core
 	// (the hit-miss overlapping of Figure 3).
 	HitOverlapped bool
-	// TickMark belongs to the one tracker that accounts the entry's
-	// cycles lazily (the PML): the tick up to which the metrics above
-	// are current. Allocate zeroes it; 0 means "not yet seen".
-	TickMark uint64
+	// Marks and Marked belong to the one tracker that derives the
+	// metrics above from running sums (the PML): the sums it recorded
+	// when it first saw the entry. Allocate clears both.
+	Marks  [4]uint64
+	Marked bool
 
 	// Block is the missing block number.
 	Block uint64
@@ -224,11 +220,11 @@ func (m *MSHR) ForEach(fn func(*MSHREntry)) {
 }
 
 // Entries exposes the entry slab and the live slot list for trackers
-// that walk every outstanding miss on the simulator's hottest path
-// (fused iteration avoids a closure call per entry).
+// that walk every outstanding miss (fused iteration avoids a closure
+// call per entry).
 // Callers must treat both slices as read-only structure: they may
-// update the metric fields and TickMark of slab[slot] for live slots
-// but must not append, reorder, or retain either slice.
+// update the metric fields and Marks of slab[slot] for live slots but
+// must not append, reorder, or retain either slice.
 func (m *MSHR) Entries() (slab []MSHREntry, live []uint32) {
 	return m.slab, m.live
 }

@@ -11,8 +11,9 @@ import (
 )
 
 // perCycle is Algorithm 1 as a plain per-cycle walk: every Tick adds
-// each outstanding miss's share for that cycle. It is the reference
-// the event-driven Logic must match bit for bit.
+// each outstanding miss's fixed-point share for that cycle to the
+// miss's own accumulators. It is the reference the running sums of
+// Logic must match exactly.
 type perCycle struct {
 	latency              uint64
 	cores                int
@@ -22,6 +23,15 @@ type perCycle struct {
 	overlapCycles        []uint64
 	accessCount          []uint64
 	samples              []Sample
+	// acc holds each outstanding miss's metrics, keyed by block.
+	acc map[uint64]*fixedMetrics
+}
+
+// fixedMetrics is one miss's metrics as the per-cycle walk adds them
+// up, in the PCU's fixed-point format.
+type fixedMetrics struct {
+	pmc, mlp, pure uint64
+	overlapped     bool
 }
 
 func newPerCycle(latency uint64, cores int) *perCycle {
@@ -32,6 +42,7 @@ func newPerCycle(latency uint64, cores int) *perCycle {
 		activePureMissCycles: make([]uint64, cores),
 		overlapCycles:        make([]uint64, cores),
 		accessCount:          make([]uint64, cores),
+		acc:                  map[uint64]*fixedMetrics{},
 	}
 }
 
@@ -59,14 +70,15 @@ func (r *perCycle) Tick(cycle uint64, m *cache.MSHR) {
 	if r.basePhases == 0 && m.Len() == 0 {
 		return
 	}
+	type coreState struct {
+		baseActive bool
+		n          int
+	}
 	states := make([]coreState, r.cores)
 	for x := range states {
 		active := r.expireBase(x, cycle)
 		n := m.OutstandingForCore(x)
 		states[x] = coreState{baseActive: active > 0, n: n}
-		if n > 0 {
-			states[x].inv = 1.0 / float64(n)
-		}
 		if active == 0 && n > 0 {
 			r.activePureMissCycles[x]++
 		}
@@ -83,17 +95,41 @@ func (r *perCycle) Tick(cycle uint64, m *cache.MSHR) {
 		if st.n <= 0 {
 			return
 		}
-		e.MLPCost += st.inv
+		a := r.acc[e.Block]
+		if a == nil {
+			a = &fixedMetrics{}
+			r.acc[e.Block] = a
+		}
+		// 1/N rounded to nearest, as the PCU's lookup table holds it.
+		n := uint64(st.n)
+		share := (1<<fracBits + n/2) / n
+		a.mlp += share
 		if st.baseActive {
-			e.HitOverlapped = true
+			a.overlapped = true
 			return
 		}
-		e.PMC += st.inv
-		e.PureCycles++
+		a.pmc += share
+		a.pure++
 	})
 }
 
+// publish sets e's metrics from its accumulators.
+func (r *perCycle) publish(e *cache.MSHREntry) {
+	a := r.acc[e.Block]
+	if a == nil {
+		a = &fixedMetrics{}
+	}
+	e.PMC = float64(a.pmc) / (1 << fracBits)
+	e.MLPCost = float64(a.mlp) / (1 << fracBits)
+	e.PureCycles = a.pure
+	e.HitOverlapped = a.overlapped
+}
+
+func (r *perCycle) Sync(m *cache.MSHR) { m.ForEach(r.publish) }
+
 func (r *perCycle) OnMissComplete(e *cache.MSHREntry, cycle uint64) {
+	r.publish(e)
+	delete(r.acc, e.Block)
 	r.samples = append(r.samples, Sample{Core: e.Core, PC: e.PC, PMC: e.PMC, Pure: e.PureCycles > 0, Cycle: cycle})
 }
 
@@ -118,7 +154,7 @@ type lazyCoverage struct {
 // checkLazyMatchesPerCycle replays the operation stream encoded in
 // data through Logic and the per-cycle reference, each on its own
 // MSHR file fed the identical allocations, and fails t on the first
-// difference in an entry's metrics (bitwise, at every completion and
+// difference in an entry's metrics (exact, at every completion and
 // after every Sync), a per-core counter or the samples.
 func checkLazyMatchesPerCycle(t *testing.T, data []byte) lazyCoverage {
 	t.Helper()
@@ -187,6 +223,7 @@ func checkLazyMatchesPerCycle(t *testing.T, data []byte) lazyCoverage {
 	}
 	sync := func() {
 		lazy.Sync(ml)
+		ref.Sync(mr)
 		for _, b := range live {
 			sameEntry("sync", ml.Lookup(b), mr.Lookup(b))
 		}
@@ -254,9 +291,9 @@ func checkLazyMatchesPerCycle(t *testing.T, data []byte) lazyCoverage {
 	return cov
 }
 
-// TestLazyMatchesPerCycle: over random multi-core streams, the
-// event-driven PML gives every entry bitwise the metrics a per-cycle
-// walk gives it, and the same counters and samples.
+// TestLazyMatchesPerCycle: over random multi-core streams, the PML's
+// running sums give every entry exactly the fixed-point metrics a
+// per-cycle walk adds up for it, and the same counters and samples.
 func TestLazyMatchesPerCycle(t *testing.T) {
 	var cov lazyCoverage
 	for seed := int64(1); seed <= 200; seed++ {
