@@ -29,35 +29,50 @@ type Level interface {
 	Access(req *mem.Request, cycle uint64)
 }
 
-// Tracker observes a cache's cycle-by-cycle activity to compute
-// concurrency metrics (PMC, MLP-based cost). The paper attaches its
-// PMC measurement logic (PML) to the LLC; the simulator supports any
-// number of trackers per cache. A tracker may defer its per-entry
-// updates (see BulkTracker): an entry's metrics are final once
-// OnMissComplete has returned, and readers of in-flight entries must
-// ask the tracker to bring them current first (pmc.Logic.Sync).
+// Tracker observes a cache cycle by cycle. Tick runs on every cycle
+// the cache steps. Cycles the cache skips (SkipCycles) are not
+// ticked: in them no access starts and the MSHR file does not change.
 type Tracker interface {
 	// OnAccessStart is told that an access from core begins its base
 	// access phase at cycle (the phase lasts the cache's latency).
 	OnAccessStart(core int, kind mem.Kind, cycle uint64)
-	// Tick runs once per cycle with the cache's MSHR file so the
-	// tracker can update outstanding-miss metrics in place.
+	// Tick runs once per stepped cycle with the cache's MSHR file.
 	Tick(cycle uint64, m *MSHR)
 	// OnMissComplete is invoked when an outstanding miss is served,
-	// before the block is installed, so accumulated metrics are final.
+	// before the block is installed.
 	OnMissComplete(e *MSHREntry, cycle uint64)
 }
 
-// BulkTracker is a Tracker that can account a run of cycles in one
-// call. SkipCycles gives it the whole dead window instead of one Tick
-// per cycle; trackers that do not implement it are still ticked once
-// per cycle.
+// BulkTracker computes per-core concurrency metrics (PMC, MLP-based
+// cost) without being ticked. It keeps a clock per core and accounts a
+// core's cycles in bulk, up to the cache's clock, only when the cache
+// is about to change something that core can see: an access of the
+// core starts its base phase, or a miss of the core is allocated or
+// completed. Between those events the core's state can only change
+// where one of its own base phases ends, which the tracker knows. The
+// paper attaches its PMC measurement logic (PML) to the LLC as one
+// (pmc.Logic). An entry's metrics are final once OnMissComplete has
+// returned; readers of in-flight entries or of the tracker's counters
+// call the cache's SyncTrackers first.
 type BulkTracker interface {
-	Tracker
-	// TickSpan accounts the cycles [from, to) exactly as Tick(from)
-	// ... Tick(to-1) would. It is only called for windows in which no
-	// access starts and the MSHR file does not change.
-	TickSpan(from, to uint64, m *MSHR)
+	// CatchUp accounts core's cycles from its clock up to clock
+	// (exclusive) with the MSHR file as it stands. The cache calls it
+	// before every change that core can see.
+	CatchUp(core int, clock uint64, m *MSHR)
+	// OnAccessStart is Tracker's, called right after CatchUp.
+	OnAccessStart(core int, kind mem.Kind, cycle uint64)
+	// OnMissAlloc is told of a new entry right after CatchUp of its
+	// core, so the entry counts from that core's clock.
+	OnMissAlloc(e *MSHREntry)
+	// OnMissComplete is Tracker's, called right after CatchUp and
+	// before the entry is released.
+	OnMissComplete(e *MSHREntry, cycle uint64)
+	// Sync catches every core up to clock and brings the metrics of
+	// every outstanding entry of m current.
+	Sync(clock uint64, m *MSHR)
+	// SetClock moves every core's clock to clock without accounting
+	// anything, for a restored system.
+	SetClock(clock uint64)
 }
 
 // Params is the geometry and timing of one cache.
@@ -171,8 +186,13 @@ type Cache struct {
 	tags     []uint64
 	inq      ring.Ring[queued]
 	trackers []Tracker
-	stats    Stats
-	failure  error
+	bulk     []BulkTracker
+	// clock is the first cycle the trackers have not seen: Tick(cycle)
+	// sets it to cycle+1 as it starts, SkipCycles to the window's end.
+	// Bulk trackers are caught up to it before every change.
+	clock   uint64
+	stats   Stats
+	failure error
 	// parked is set when the queue head failed its lookup on a full
 	// MSHR file. The outcome cannot change until an MSHR entry is
 	// released or allocated, a tag is written, or the cache is
@@ -234,9 +254,31 @@ func (c *Cache) SetLower(l Level) { c.lower = l }
 // into this cache.
 func (c *Cache) SetPrefetcher(p Prefetcher) { c.prefetcher = p }
 
-// AddTracker attaches a concurrency-metric tracker (e.g. the PMC
-// measurement logic).
+// AddTracker attaches a tracker that is ticked every stepped cycle.
 func (c *Cache) AddTracker(t Tracker) { c.trackers = append(c.trackers, t) }
+
+// AddBulkTracker attaches a concurrency-metric tracker that is caught
+// up per core at events (e.g. the PMC measurement logic).
+func (c *Cache) AddBulkTracker(b BulkTracker) { c.bulk = append(c.bulk, b) }
+
+// SyncTrackers catches every bulk tracker up to the clock on every
+// core and brings the metrics of outstanding entries current. Readers
+// of a bulk tracker's counters or of in-flight entries call it first.
+func (c *Cache) SyncTrackers() {
+	for _, b := range c.bulk {
+		b.Sync(c.clock, c.mshr)
+	}
+}
+
+// SetClock restarts the clock, and every bulk tracker's per-core
+// clocks, at cycle without accounting anything: a restored system
+// resumes there.
+func (c *Cache) SetClock(cycle uint64) {
+	c.clock = cycle
+	for _, b := range c.bulk {
+		b.SetClock(cycle)
+	}
+}
 
 // Stats returns a pointer to the live counters.
 func (c *Cache) Stats() *Stats { return &c.stats }
@@ -265,6 +307,10 @@ func (c *Cache) Access(req *mem.Request, cycle uint64) {
 	for _, t := range c.trackers {
 		t.OnAccessStart(req.Core, req.Kind, cycle)
 	}
+	for _, b := range c.bulk {
+		b.CatchUp(req.Core, c.clock, c.mshr)
+		b.OnAccessStart(req.Core, req.Kind, cycle)
+	}
 	c.inq.PushBack(queued{req: req, ready: cycle + c.Latency})
 }
 
@@ -292,12 +338,14 @@ func (c *Cache) probe(a mem.Addr) (int, int) {
 	return set, -1
 }
 
-// Tick advances the cache by one cycle: runs trackers and drains the
-// input queue entries whose base access phase has completed. A head
-// that misses on a full MSHR file blocks the queue and parks it; a
-// parked queue only counts the stall each cycle, without repeating
-// the lookup, until an event that can change its outcome un-parks it.
+// Tick advances the cache by one cycle: moves the clock past it, runs
+// the ticked trackers and drains the input queue entries whose base
+// access phase has completed. A head that misses on a full MSHR file
+// blocks the queue and parks it; a parked queue only counts the stall
+// each cycle, without repeating the lookup, until an event that can
+// change its outcome un-parks it.
 func (c *Cache) Tick(cycle uint64) {
+	c.clock = cycle + 1
 	for _, t := range c.trackers {
 		t.Tick(cycle, c.mshr)
 	}
@@ -320,11 +368,11 @@ func (c *Cache) Tick(cycle uint64) {
 }
 
 // NextEvent returns the earliest cycle at which Tick can do more than
-// run the trackers and count a stall: the ready cycle of an un-parked
-// queue head (which may already have passed), or math.MaxUint64 when
-// the queue is empty or parked. Besides Tick itself, only Access,
-// Complete and the un-parking paths move it, so it bounds the
-// simulator's fast-forward.
+// run the ticked trackers and count a stall: the ready cycle of an
+// un-parked queue head (which may already have passed), or
+// math.MaxUint64 when the queue is empty or parked. Besides Tick
+// itself, only Access, Complete and the un-parking paths move it, so
+// it bounds the simulator's fast-forward.
 func (c *Cache) NextEvent() uint64 {
 	if c.parked || c.inq.Len() == 0 {
 		return math.MaxUint64
@@ -332,21 +380,12 @@ func (c *Cache) NextEvent() uint64 {
 	return c.inq.Front().ready
 }
 
-// SkipCycles accounts for the cycles [from, to) in which Tick would
-// only have run the trackers and counted stalls (every one of them
-// before NextEvent): a BulkTracker accounts the window in one
-// TickSpan, any other tracker still ticks once per cycle in cycle
-// order, and a parked queue counts every cycle as a stall.
+// SkipCycles accounts for the cycles [from, to), every one of them
+// before NextEvent, in which nothing a tracker can see changes: the
+// clock moves to to, no tracker is called, and a parked queue counts
+// every cycle as a stall.
 func (c *Cache) SkipCycles(from, to uint64) {
-	for _, t := range c.trackers {
-		if b, ok := t.(BulkTracker); ok {
-			b.TickSpan(from, to, c.mshr)
-			continue
-		}
-		for cycle := from; cycle < to; cycle++ {
-			t.Tick(cycle, c.mshr)
-		}
-	}
+	c.clock = to
 	if c.parked {
 		c.stats.MSHRStallCycles += to - from
 	}
@@ -414,7 +453,7 @@ func (c *Cache) lookup(req *mem.Request, cycle uint64) bool {
 		return false
 	}
 	c.countAccess(req, false)
-	e, err := c.mshr.Allocate(req, cycle)
+	e, err := c.allocate(req, cycle)
 	if err != nil {
 		// Full and Lookup were checked above, so this is an internal
 		// invariant violation (or injected fault): latch it for the
@@ -448,6 +487,21 @@ func (c *Cache) lookup(req *mem.Request, cycle uint64) bool {
 	}
 	c.lower.Access(down, cycle)
 	return true
+}
+
+// allocate claims an MSHR entry for req's block. The bulk trackers
+// catch req's core up first and mark the entry after.
+func (c *Cache) allocate(req *mem.Request, cycle uint64) (*MSHREntry, error) {
+	for _, b := range c.bulk {
+		b.CatchUp(req.Core, c.clock, c.mshr)
+	}
+	e, err := c.mshr.Allocate(req, cycle)
+	if err == nil {
+		for _, b := range c.bulk {
+			b.OnMissAlloc(e)
+		}
+	}
+	return e, err
 }
 
 // lookupWriteback handles a dirty block arriving from the level
@@ -494,6 +548,10 @@ func (c *Cache) Complete(tag uint32, cycle uint64) { c.fill(c.mshr.At(tag), cycl
 // is chosen, dirty victims are written back, the block is installed,
 // and every merged requester is answered.
 func (c *Cache) fill(e *MSHREntry, cycle uint64) {
+	for _, b := range c.bulk {
+		b.CatchUp(e.Core, c.clock, c.mshr)
+		b.OnMissComplete(e, cycle)
+	}
 	for _, t := range c.trackers {
 		t.OnMissComplete(e, cycle)
 	}

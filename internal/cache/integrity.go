@@ -141,7 +141,7 @@ func (c *Cache) SaturateMSHR(cycle uint64) int {
 		if c.mshr.Lookup(addr.BlockID()) != nil {
 			continue // already claimed by an earlier call
 		}
-		if _, err := c.mshr.Allocate(&mem.Request{
+		if _, err := c.allocate(&mem.Request{
 			Addr: addr, Core: 0, Kind: mem.Prefetch, IssueCycle: cycle,
 		}, cycle); err != nil {
 			break

@@ -37,11 +37,10 @@ type MSHREntry struct {
 	// access cycles overlapped a base access cycle from the same core
 	// (the hit-miss overlapping of Figure 3).
 	HitOverlapped bool
-	// Marks and Marked belong to the one tracker that derives the
-	// metrics above from running sums (the PML): the sums it recorded
-	// when it first saw the entry. Allocate clears both.
-	Marks  [4]uint64
-	Marked bool
+	// Marks belongs to the one bulk tracker that derives the metrics
+	// above from running sums (the PML): the sums it recorded when the
+	// entry was allocated. Allocate clears it.
+	Marks [4]uint64
 
 	// Block is the missing block number.
 	Block uint64
@@ -78,7 +77,6 @@ type MSHR struct {
 	// lockstep with live (append on allocate, swap-remove on release).
 	liveBlocks []uint64
 	perCore    []int // outstanding entries per core
-	allocs     uint64
 }
 
 // NewMSHR creates an MSHR file with the given entry capacity serving
@@ -152,17 +150,11 @@ func (m *MSHR) Allocate(req *mem.Request, cycle uint64) (*MSHREntry, error) {
 	}
 	m.live = append(m.live, slot)
 	m.liveBlocks = append(m.liveBlocks, block)
-	m.allocs++
 	if e.Core >= 0 && e.Core < len(m.perCore) {
 		m.perCore[e.Core]++
 	}
 	return e, nil
 }
-
-// Allocs returns the number of successful Allocate calls so far. A
-// tracker that compares it with the value it last saw knows whether
-// new entries appeared without walking the file.
-func (m *MSHR) Allocs() uint64 { return m.allocs }
 
 // Merge adds req as an additional waiter on an outstanding entry. A
 // demand requester upgrades a prefetch-allocated entry's kind so the

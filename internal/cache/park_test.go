@@ -2,6 +2,7 @@ package cache
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -210,45 +211,96 @@ func (l *cycleLog) OnAccessStart(int, mem.Kind, uint64) {}
 func (l *cycleLog) Tick(cycle uint64, _ *MSHR)          { l.cycles = append(l.cycles, cycle) }
 func (l *cycleLog) OnMissComplete(*MSHREntry, uint64)   {}
 
-// spanLog is a BulkTracker that also records the spans it is given.
-type spanLog struct {
-	cycleLog
-	spans [][2]uint64
-}
+// eventLog is a BulkTracker that records every call it gets.
+type eventLog struct{ calls []string }
 
-func (l *spanLog) TickSpan(from, to uint64, _ *MSHR) { l.spans = append(l.spans, [2]uint64{from, to}) }
+func (l *eventLog) add(format string, args ...any) {
+	l.calls = append(l.calls, fmt.Sprintf(format, args...))
+}
+func (l *eventLog) CatchUp(core int, clock uint64, _ *MSHR) {
+	l.add("catch up core %d to %d", core, clock)
+}
+func (l *eventLog) OnAccessStart(core int, _ mem.Kind, cycle uint64) {
+	l.add("access core %d at %d", core, cycle)
+}
+func (l *eventLog) OnMissAlloc(e *MSHREntry) { l.add("allocate %#x", e.Block) }
+func (l *eventLog) OnMissComplete(e *MSHREntry, cycle uint64) {
+	l.add("complete %#x at %d", e.Block, cycle)
+}
+func (l *eventLog) Sync(clock uint64, _ *MSHR) { l.add("sync to %d", clock) }
+func (l *eventLog) SetClock(clock uint64)      { l.add("clock %d", clock) }
 
 // TestSkipCyclesMatchesTicks: skipping a window that is dead for the
-// queue hands a BulkTracker the whole window in one TickSpan, ticks
-// every other tracker once per cycle, in order, and counts a parked
-// queue's stalls, exactly as per-cycle Ticks would.
+// queue counts a parked queue's stalls exactly as per-cycle Ticks
+// would and calls no tracker: ticked trackers see only stepped cycles,
+// and bulk trackers get no call during ticks or skips alike. Both
+// leave the clock at the window's end, so the next event catches a
+// bulk tracker's core up to the same cycle.
 func TestSkipCyclesMatchesTicks(t *testing.T) {
 	var doneA, doneB [3]uint64
 	a, _ := parkedL1(t, &doneA)
 	b, _ := parkedL1(t, &doneB)
 	la, lb := &cycleLog{}, &cycleLog{}
-	bulk := &spanLog{}
+	ba, bb := &eventLog{}, &eventLog{}
 	a.AddTracker(la)
-	b.AddTracker(bulk)
+	a.AddBulkTracker(ba)
 	b.AddTracker(lb)
+	b.AddBulkTracker(bb)
 	for cy := uint64(10); cy < 14; cy++ {
 		a.Tick(cy)
 	}
 	b.SkipCycles(10, 14)
-	if !reflect.DeepEqual(la.cycles, lb.cycles) || len(lb.cycles) != 4 {
-		t.Fatalf("tracker ticks: per-cycle %v, skipped %v", la.cycles, lb.cycles)
+	if want := []uint64{10, 11, 12, 13}; !reflect.DeepEqual(la.cycles, want) || len(lb.cycles) != 0 {
+		t.Fatalf("tracker ticks: stepped %v (want %v), skipped %v (want none)", la.cycles, want, lb.cycles)
 	}
-	if want := [][2]uint64{{10, 14}}; !reflect.DeepEqual(bulk.spans, want) || len(bulk.cycles) != 0 {
-		t.Fatalf("bulk tracker: spans %v and ticks %v, want spans %v and no ticks", bulk.spans, bulk.cycles, want)
+	if len(ba.calls) != 0 || len(bb.calls) != 0 {
+		t.Fatalf("bulk trackers called while nothing changed: stepped %q, skipped %q", ba.calls, bb.calls)
 	}
 	if !reflect.DeepEqual(*a.Stats(), *b.Stats()) {
 		t.Fatalf("stats diverge:\nticked:  %+v\nskipped: %+v", *a.Stats(), *b.Stats())
+	}
+	for _, c := range []*Cache{a, b} {
+		c.Access(&mem.Request{Addr: 0x5000, Core: 1, Kind: mem.Load}, 14)
+		c.SyncTrackers()
+	}
+	want := []string{"catch up core 1 to 14", "access core 1 at 14", "sync to 14"}
+	if !reflect.DeepEqual(ba.calls, want) || !reflect.DeepEqual(bb.calls, want) {
+		t.Fatalf("after the window: stepped %q, skipped %q, want %q", ba.calls, bb.calls, want)
 	}
 	// An idle, un-parked cache counts no stalls over a skip.
 	idle, _ := newTestCache(t, 16, 4, 2, 10)
 	idle.SkipCycles(0, 100)
 	if got := idle.Stats().MSHRStallCycles; got != 0 {
 		t.Fatalf("idle cache counted %d stall cycles", got)
+	}
+}
+
+// TestBulkTrackerCaughtUpAtEvents: a bulk tracker is called only at the
+// events that change what a core sees — an access starting, a miss
+// allocated (also by SaturateMSHR, on core 0), a miss completed — and
+// each time the event's core is caught up to the clock first: the
+// event's cycle before the cache's Tick of that cycle, the next cycle
+// after it.
+func TestBulkTrackerCaughtUpAtEvents(t *testing.T) {
+	c, lower := newTestCache(t, 16, 4, 2, 10)
+	log := &eventLog{}
+	c.AddBulkTracker(log)
+	c.Access(&mem.Request{Addr: 0x1000, Core: 1, Kind: mem.Load}, 0)
+	// Looked up during Tick(2), answered during the lower level's
+	// tick of cycle 12, after the cache's.
+	run(c, lower, 0, 12)
+	c.SaturateMSHR(13)
+	c.SetClock(40)
+	want := []string{
+		"catch up core 1 to 0", "access core 1 at 0",
+		"catch up core 1 to 3", "allocate 0x40",
+		"catch up core 1 to 13", "complete 0x40 at 12",
+		"catch up core 0 to 13", "allocate 0xfa0000000000",
+		"catch up core 0 to 13", "allocate 0xfa0000000001",
+		"clock 40",
+	}
+	if !reflect.DeepEqual(log.calls, want) {
+		t.Fatalf("bulk tracker calls:\n got %q\nwant %q", log.calls, want)
 	}
 }
 

@@ -15,26 +15,27 @@ import (
 	"care/internal/mem"
 )
 
-func alloc(m *cache.MSHR, core int, block uint64) *cache.MSHREntry {
+// alloc allocates a miss of core on block at clock as the cache does:
+// the core is caught up first and the entry marked after.
+func alloc(l *pmc.Logic, m *cache.MSHR, core int, block, clock uint64) *cache.MSHREntry {
+	l.CatchUp(core, clock, m)
 	e, err := m.Allocate(&mem.Request{
 		Addr: mem.Addr(block << mem.BlockBits),
 		Core: core,
 		Kind: mem.Load,
-	}, 0)
+	}, clock)
 	if err != nil {
 		panic(err)
 	}
+	l.OnMissAlloc(e)
 	return e
 }
 
 func TestIsolatedMissCostsFullCycles(t *testing.T) {
 	l := pmc.New(1, 1)
 	m := cache.NewMSHR(8, 1)
-	e := alloc(m, 0, 1)
-	for cy := uint64(0); cy < 6; cy++ {
-		l.Tick(cy, m)
-	}
-	l.Sync(m)
+	e := alloc(l, m, 0, 1, 0)
+	l.Sync(6, m)
 	if e.MLPCost != 6 {
 		t.Fatalf("isolated miss MLP cost = %v, want 6", e.MLPCost)
 	}
@@ -43,11 +44,10 @@ func TestIsolatedMissCostsFullCycles(t *testing.T) {
 func TestConcurrentMissesShareCost(t *testing.T) {
 	l := pmc.New(1, 1)
 	m := cache.NewMSHR(8, 1)
-	e1 := alloc(m, 0, 1)
-	e2 := alloc(m, 0, 2)
-	e3 := alloc(m, 0, 3)
-	l.Tick(0, m)
-	l.Sync(m)
+	e1 := alloc(l, m, 0, 1, 0)
+	e2 := alloc(l, m, 0, 2, 0)
+	e3 := alloc(l, m, 0, 3, 0)
+	l.Sync(1, m)
 	for _, e := range []*cache.MSHREntry{e1, e2, e3} {
 		if math.Abs(e.MLPCost-1.0/3.0) > 1e-12 {
 			t.Fatalf("three concurrent misses should each get 1/3, got %v", e.MLPCost)
@@ -58,10 +58,9 @@ func TestConcurrentMissesShareCost(t *testing.T) {
 func TestBaseAccessDoesNotHideMLPCost(t *testing.T) {
 	l := pmc.New(1, 1)
 	m := cache.NewMSHR(8, 1)
-	e := alloc(m, 0, 1)
+	e := alloc(l, m, 0, 1, 0)
 	l.OnAccessStart(0, mem.Load, 0) // hides the cycle from PMC only
-	l.Tick(0, m)
-	l.Sync(m)
+	l.Sync(1, m)
 	if e.PMC != 0 {
 		t.Fatalf("PMC under a base phase = %v, want 0", e.PMC)
 	}
@@ -73,11 +72,10 @@ func TestBaseAccessDoesNotHideMLPCost(t *testing.T) {
 func TestPerCoreDivision(t *testing.T) {
 	l := pmc.New(1, 2)
 	m := cache.NewMSHR(8, 2)
-	a := alloc(m, 0, 1)
-	b := alloc(m, 0, 2)
-	c := alloc(m, 1, 3)
-	l.Tick(0, m)
-	l.Sync(m)
+	a := alloc(l, m, 0, 1, 0)
+	b := alloc(l, m, 0, 2, 0)
+	c := alloc(l, m, 1, 3, 0)
+	l.Sync(1, m)
 	if math.Abs(a.MLPCost-0.5) > 1e-12 || math.Abs(b.MLPCost-0.5) > 1e-12 {
 		t.Fatalf("core 0 entries should split: %v %v", a.MLPCost, b.MLPCost)
 	}
@@ -91,15 +89,14 @@ func TestCostSumEqualsMissCycles(t *testing.T) {
 	// number of cycles with at least one outstanding miss.
 	l := pmc.New(1, 1)
 	m := cache.NewMSHR(8, 1)
-	e1 := alloc(m, 0, 1)
-	l.Tick(0, m)
-	e2 := alloc(m, 0, 2)
-	l.Tick(1, m)
+	e1 := alloc(l, m, 0, 1, 0)
+	e2 := alloc(l, m, 0, 2, 1)
+	// e1 completes after cycle 1 is accounted.
+	l.CatchUp(0, 2, m)
 	l.OnMissComplete(e1, 1)
 	done := e1.MLPCost // the slot is recycled after release
 	m.Release(e1)
-	l.Tick(2, m)
-	l.Sync(m)
+	l.Sync(3, m)
 	if total := done + e2.MLPCost; math.Abs(total-3) > 1e-12 {
 		t.Fatalf("cost sum = %v, want 3 (three miss cycles)", total)
 	}

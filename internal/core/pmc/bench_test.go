@@ -9,7 +9,7 @@ import (
 )
 
 // pmlStep is one step of a benchmark stream: the events of one cycle,
-// then either one Tick or a dead window of span cycles.
+// then span cycles (one, or a dead window) in which nothing happens.
 type pmlStep struct {
 	accessCore int // -1: no base phase starts
 	complete   int // index into the live entries to complete, -1: none
@@ -49,9 +49,10 @@ func pmlStream(steps int) (stream []pmlStep, cycles uint64) {
 	return stream, cycles
 }
 
-// BenchmarkPML replays pmlStream through the PML alone (Tick for
-// single cycles, TickSpan for dead windows, OnMissComplete for fills)
-// and reports its cost per simulated cycle.
+// BenchmarkPML replays pmlStream through the PML alone, driven as the
+// cache drives it: each event catches its core up first, the cycles
+// between events cost nothing until then, and every pass ends with a
+// Sync. It reports the PML's cost per simulated cycle.
 func BenchmarkPML(b *testing.B) {
 	stream, cycles := pmlStream(20000)
 	l := New(20, 4)
@@ -71,11 +72,13 @@ func BenchmarkPML(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, st := range stream {
 			if st.accessCore >= 0 {
+				l.CatchUp(st.accessCore, cycle, m)
 				l.OnAccessStart(st.accessCore, mem.Load, cycle)
 			}
 			if st.complete >= 0 {
 				e := live[st.complete]
 				live = append(live[:st.complete], live[st.complete+1:]...)
+				l.CatchUp(e.Core, cycle, m)
 				l.OnMissComplete(e, cycle)
 				m.Release(e)
 				free = append(free, int(e.Block))
@@ -84,19 +87,17 @@ func BenchmarkPML(b *testing.B) {
 				req := &reqs[free[len(free)-1]]
 				free = free[:len(free)-1]
 				req.Core = st.allocCore
+				l.CatchUp(req.Core, cycle, m)
 				e, err := m.Allocate(req, cycle)
 				if err != nil {
 					b.Fatal(err)
 				}
+				l.OnMissAlloc(e)
 				live = append(live, e)
-			}
-			if st.span == 1 {
-				l.Tick(cycle, m)
-			} else {
-				l.TickSpan(cycle, cycle+st.span, m)
 			}
 			cycle += st.span
 		}
+		l.Sync(cycle, m)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*cycles), "ns/cycle")
 }

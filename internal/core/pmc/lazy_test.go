@@ -148,7 +148,7 @@ func (s *byteStream) next(n int) int {
 // lazyCoverage counts what a stream exercised, so the fixed-seed test
 // can show it is not vacuous.
 type lazyCoverage struct {
-	completions, pure, overlapped, syncs, crossingSpans int
+	completions, pure, overlapped, syncs, crossingSpans, lateEvents int
 }
 
 // checkLazyMatchesPerCycle replays the operation stream encoded in
@@ -156,6 +156,13 @@ type lazyCoverage struct {
 // MSHR file fed the identical allocations, and fails t on the first
 // difference in an entry's metrics (exact, at every completion and
 // after every Sync), a per-core counter or the samples.
+//
+// Time runs as in a cache: events happen at cycle now, and clock is
+// the first cycle the reference has not ticked — now before the
+// cycle's tick, now+1 after it. Logic is never ticked. As the cache
+// does, it catches a core up to clock before every event of that core
+// (and, with no event, at random points), and Sync catches every core
+// up.
 func checkLazyMatchesPerCycle(t *testing.T, data []byte) lazyCoverage {
 	t.Helper()
 	in := byteStream(data)
@@ -163,7 +170,7 @@ func checkLazyMatchesPerCycle(t *testing.T, data []byte) lazyCoverage {
 	latency := uint64(in.next(6))
 	capacity := 1 + in.next(16)
 	// This byte once switched MLP tracking, which is now always on;
-	// consuming it keeps the seeded streams decoding as they did.
+	// consuming it keeps the stream's layout.
 	in.next(2)
 
 	lazy := New(latency, cores)
@@ -174,16 +181,21 @@ func checkLazyMatchesPerCycle(t *testing.T, data []byte) lazyCoverage {
 
 	var cov lazyCoverage
 	var live []uint64 // outstanding blocks, in allocation order
-	block, cycle := uint64(0), uint64(0)
+	block, now, clock := uint64(0), uint64(0), uint64(0)
 
 	sameEntry := func(what string, el, er *cache.MSHREntry) {
 		t.Helper()
 		if math.Float64bits(el.PMC) != math.Float64bits(er.PMC) ||
 			math.Float64bits(el.MLPCost) != math.Float64bits(er.MLPCost) ||
 			el.PureCycles != er.PureCycles || el.HitOverlapped != er.HitOverlapped {
-			t.Fatalf("cycle %d, %s of block %d: lazy PMC=%v MLP=%v pure=%d hit=%v, per-cycle PMC=%v MLP=%v pure=%d hit=%v",
-				cycle, what, el.Block, el.PMC, el.MLPCost, el.PureCycles, el.HitOverlapped,
+			t.Fatalf("clock %d, %s of block %d: lazy PMC=%v MLP=%v pure=%d hit=%v, per-cycle PMC=%v MLP=%v pure=%d hit=%v",
+				clock, what, el.Block, el.PMC, el.MLPCost, el.PureCycles, el.HitOverlapped,
 				er.PMC, er.MLPCost, er.PureCycles, er.HitOverlapped)
+		}
+	}
+	event := func() {
+		if clock > now {
+			cov.lateEvents++
 		}
 	}
 	allocate := func() {
@@ -192,13 +204,17 @@ func checkLazyMatchesPerCycle(t *testing.T, data []byte) lazyCoverage {
 		}
 		block++
 		req := &mem.Request{Addr: mem.Addr(block << mem.BlockBits), PC: mem.Addr(block), Core: in.next(cores+2) - 1, Kind: mem.Load}
-		if _, err := ml.Allocate(req, cycle); err != nil {
+		lazy.CatchUp(req.Core, clock, ml)
+		el, err := ml.Allocate(req, now)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := mr.Allocate(req, cycle); err != nil {
+		lazy.OnMissAlloc(el)
+		if _, err := mr.Allocate(req, now); err != nil {
 			t.Fatal(err)
 		}
 		live = append(live, block)
+		event()
 	}
 	complete := func() {
 		if len(live) == 0 {
@@ -208,8 +224,9 @@ func checkLazyMatchesPerCycle(t *testing.T, data []byte) lazyCoverage {
 		b := live[i]
 		live = append(live[:i], live[i+1:]...)
 		el, er := ml.Lookup(b), mr.Lookup(b)
-		lazy.OnMissComplete(el, cycle)
-		ref.OnMissComplete(er, cycle)
+		lazy.CatchUp(el.Core, clock, ml)
+		lazy.OnMissComplete(el, now)
+		ref.OnMissComplete(er, now)
 		sameEntry("completion", el, er)
 		cov.completions++
 		if el.PureCycles > 0 {
@@ -220,34 +237,35 @@ func checkLazyMatchesPerCycle(t *testing.T, data []byte) lazyCoverage {
 		}
 		ml.Release(el)
 		mr.Release(er)
+		event()
 	}
 	sync := func() {
-		lazy.Sync(ml)
+		lazy.Sync(clock, ml)
 		ref.Sync(mr)
 		for _, b := range live {
 			sameEntry("sync", ml.Lookup(b), mr.Lookup(b))
 		}
-		cov.syncs++
-	}
-	sameCounters := func() {
-		t.Helper()
 		for x := 0; x < cores; x++ {
 			if lazy.activePureMissCycles[x] != ref.activePureMissCycles[x] ||
 				lazy.overlapCycles[x] != ref.overlapCycles[x] ||
-				lazy.accessCount[x] != ref.accessCount[x] {
-				t.Fatalf("cycle %d, core %d counters: lazy (pure %d, overlap %d, accesses %d), per-cycle (%d, %d, %d)",
-					cycle, x, lazy.activePureMissCycles[x], lazy.overlapCycles[x], lazy.accessCount[x],
-					ref.activePureMissCycles[x], ref.overlapCycles[x], ref.accessCount[x])
+				lazy.accessCount[x] != ref.accessCount[x] ||
+				!reflect.DeepEqual(append([]uint64{}, lazy.baseEnds[x]...), append([]uint64{}, ref.baseEnds[x]...)) {
+				t.Fatalf("clock %d, core %d: lazy (pure %d, overlap %d, accesses %d, base ends %v), per-cycle (%d, %d, %d, %v)",
+					clock, x, lazy.activePureMissCycles[x], lazy.overlapCycles[x], lazy.accessCount[x], lazy.baseEnds[x],
+					ref.activePureMissCycles[x], ref.overlapCycles[x], ref.accessCount[x], ref.baseEnds[x])
 			}
 		}
+		cov.syncs++
 	}
 
 	for len(in) > 0 {
 		switch in.next(8) {
 		case 0:
 			core := in.next(cores+2) - 1
-			lazy.OnAccessStart(core, mem.Load, cycle)
-			ref.OnAccessStart(core, mem.Load, cycle)
+			lazy.CatchUp(core, clock, ml)
+			lazy.OnAccessStart(core, mem.Load, now)
+			ref.OnAccessStart(core, mem.Load, now)
+			event()
 		case 1:
 			allocate()
 		case 2:
@@ -259,26 +277,32 @@ func checkLazyMatchesPerCycle(t *testing.T, data []byte) lazyCoverage {
 			allocate()
 		case 4:
 			sync()
-		case 5, 6:
-			lazy.Tick(cycle, ml)
-			ref.Tick(cycle, mr)
-			cycle++
-			sameCounters()
+		case 5:
+			// A catch-up with no event, on a random core.
+			lazy.CatchUp(in.next(cores+2)-1, clock, ml)
+		case 6:
+			// Tick the current cycle, or move on to the next one.
+			if clock == now {
+				ref.Tick(now, mr)
+				clock++
+			} else {
+				now = clock
+			}
 		case 7:
-			// A dead window, as the cache's SkipCycles hands it over.
-			to := cycle + 1 + uint64(in.next(24))
+			// A dead window: the reference ticks every cycle of it,
+			// Logic sees only the clock move.
+			to := clock + 1 + uint64(in.next(24))
 			for _, ends := range ref.baseEnds {
 				for _, e := range ends {
-					if e > cycle && e < to {
+					if e > clock && e < to {
 						cov.crossingSpans++
 					}
 				}
 			}
-			lazy.TickSpan(cycle, to, ml)
-			for ; cycle < to; cycle++ {
-				ref.Tick(cycle, mr)
+			for ; clock < to; clock++ {
+				ref.Tick(clock, mr)
 			}
-			sameCounters()
+			now = clock
 		}
 	}
 	sync()
@@ -291,9 +315,10 @@ func checkLazyMatchesPerCycle(t *testing.T, data []byte) lazyCoverage {
 	return cov
 }
 
-// TestLazyMatchesPerCycle: over random multi-core streams, the PML's
-// running sums give every entry exactly the fixed-point metrics a
-// per-cycle walk adds up for it, and the same counters and samples.
+// TestLazyMatchesPerCycle: over random multi-core streams, the PML,
+// caught up per core at events, gives every entry exactly the
+// fixed-point metrics a per-cycle walk adds up for it, and the same
+// counters, base phases and samples.
 func TestLazyMatchesPerCycle(t *testing.T) {
 	var cov lazyCoverage
 	for seed := int64(1); seed <= 200; seed++ {
@@ -305,8 +330,9 @@ func TestLazyMatchesPerCycle(t *testing.T) {
 		cov.overlapped += c.overlapped
 		cov.syncs += c.syncs
 		cov.crossingSpans += c.crossingSpans
+		cov.lateEvents += c.lateEvents
 	}
-	if cov.pure == 0 || cov.overlapped == 0 || cov.syncs == 0 || cov.crossingSpans == 0 {
+	if cov.pure == 0 || cov.overlapped == 0 || cov.syncs == 0 || cov.crossingSpans == 0 || cov.lateEvents == 0 {
 		t.Fatalf("streams did not exercise every path: %+v", cov)
 	}
 }

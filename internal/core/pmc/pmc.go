@@ -3,13 +3,12 @@
 // Miss Detector (PMD), and the PMC Calculation Unit (PCU) of
 // Algorithm 1.
 //
-// The PML attaches to a cache level (the LLC in the paper) as a
-// cache.Tracker. Every cycle it decides, per core, whether the cycle
-// is an *active pure miss cycle* — the core has outstanding misses
-// and no access from that core is inside its base-access (tag lookup)
-// phase — and if so it divides the cycle equally among the core's
-// outstanding misses, accumulating 1/N_x on each MSHR entry's PMC
-// field. A miss that accumulated at least one pure miss cycle is a
+// Algorithm 1 is stated per cycle. For each core it decides whether
+// the cycle is an *active pure miss cycle* — the core has outstanding
+// misses and no access from that core is inside its base-access (tag
+// lookup) phase — and if so it divides the cycle equally among the
+// core's outstanding misses, accumulating 1/N_x on each MSHR entry's
+// PMC field. A miss that accumulated at least one pure miss cycle is a
 // *pure miss*.
 //
 // As in the paper's PCU, the shares are fixed-point numbers: 1/N_x
@@ -17,15 +16,22 @@
 // core keeps four running sums: 1/N_x over its active pure miss
 // cycles, 1/N_x over all its miss cycles, and the counts of its pure
 // cycles and of its miss cycles overlapped by a base phase. An MSHR
-// entry records its core's sums when the PML first sees it; its
-// metrics are the differences between the sums and those marks.
-// Integer addition is exact and associative, so k cycles in one state
-// add k times the share at once and the result equals a per-cycle
-// walk's exactly. An entry's metrics are set when the miss completes
-// or on Sync.
+// entry records its core's sums when it is allocated; its metrics are
+// the differences between the sums and those marks. Integer addition
+// is exact and associative, so k cycles in one state add k times the
+// share at once and the result equals a per-cycle walk's exactly.
 //
-// The same per-cycle scan also computes the two secondary statistics
-// the paper reports: hit-miss overlapping (Figure 3) and the Average
+// The PML is therefore not ticked. It attaches to a cache level (the
+// LLC in the paper) as a cache.BulkTracker and keeps a clock per core.
+// A core's state changes only at four events: one of its base phases
+// starts or ends, or one of its misses is allocated or completed. The
+// cache catches the core up (CatchUp) to its own clock before the
+// three events it causes; CatchUp splits the span only where the
+// core's base phases end. An entry's metrics are set when the miss
+// completes or on Sync, which catches every core up first.
+//
+// The same accounting also computes the two secondary statistics the
+// paper reports: hit-miss overlapping (Figure 3) and the Average
 // Overlapping Cycles Per Access, AOCPA (Table XI).
 //
 // It also accumulates each entry's MLPCost, the MLP-based cost of
@@ -81,9 +87,9 @@ type Logic struct {
 	cores   int
 
 	// baseEnds holds, per core, the end cycles (exclusive) of base
-	// access phases currently in flight. The AD uses it to set the
-	// per-core NoNewAccess bit; its length is also the number of
-	// concurrently active base phases, which feeds AOCPA.
+	// access phases not yet over at the core's clock. The AD uses it
+	// to set the per-core NoNewAccess bit; its length is also the
+	// number of concurrently active base phases, which feeds AOCPA.
 	baseEnds [][]uint64
 
 	// Per-core aggregate counters.
@@ -95,12 +101,6 @@ type Logic struct {
 	// distribution and predictability experiments (Fig. 5, Table III).
 	OnSample func(Sample)
 
-	// basePhases counts base-access phases in flight across all cores
-	// (sum of len(baseEnds[x])). When it is zero and the MSHR file is
-	// empty, a tick is a provable no-op and is skipped outright —
-	// idle-level cycles dominate many mixes.
-	basePhases int
-
 	// invTable is the PCU's lookup table: invTable[n] is 1/n in
 	// fixed point, rounded to nearest, for n > 0.
 	invTable []uint64
@@ -109,9 +109,9 @@ type Logic struct {
 	// 2^64; statistics resets leave them alone, since entries count
 	// from their marks.
 	sums [][4]uint64
-	// allocs is the MSHR file's Allocs() when its live entries were
-	// last marked.
-	allocs uint64
+	// clocks holds each core's clock: the first cycle not yet
+	// accounted for it.
+	clocks []uint64
 }
 
 var _ cache.BulkTracker = (*Logic)(nil)
@@ -131,110 +131,91 @@ func New(latency uint64, cores int) *Logic {
 		accessCount:          make([]uint64, cores),
 		invTable:             []uint64{0},
 		sums:                 make([][4]uint64, cores),
+		clocks:               make([]uint64, cores),
 	}
 }
 
-// OnAccessStart implements cache.Tracker: the AD observes a new
-// access from core entering its base access phase.
-func (l *Logic) OnAccessStart(core int, kind mem.Kind, cycle uint64) {
+// index is the core whose state an event of core belongs to; events
+// of an out-of-range core count as core 0's.
+func (l *Logic) index(core int) int {
 	if core < 0 || core >= l.cores {
-		core = 0
+		return 0
 	}
-	l.baseEnds[core] = append(l.baseEnds[core], cycle+l.latency)
-	l.basePhases++
-	l.accessCount[core]++
+	return core
 }
 
-// expireBase drops finished base phases and returns how many remain
-// active at cycle for core x. Base phases are recorded at
-// monotonically non-decreasing cycles with a fixed latency, so ends
-// is sorted and expiry removes a prefix; the common no-expiry case
-// costs one comparison and no writes.
-func (l *Logic) expireBase(x int, cycle uint64) int {
-	ends := l.baseEnds[x]
-	i := 0
-	for i < len(ends) && ends[i] <= cycle {
-		i++
-	}
-	if i > 0 {
-		ends = append(ends[:0], ends[i:]...)
-		l.baseEnds[x] = ends
-		l.basePhases -= i
-	}
-	return len(ends)
+// OnAccessStart implements cache.BulkTracker: the AD observes a new
+// access from core entering its base access phase. The core must be
+// caught up to the access.
+func (l *Logic) OnAccessStart(core int, kind mem.Kind, cycle uint64) {
+	x := l.index(core)
+	l.baseEnds[x] = append(l.baseEnds[x], cycle+l.latency)
+	l.accessCount[x]++
 }
 
-// Tick implements cache.Tracker and is Algorithm 1 for one cycle.
-func (l *Logic) Tick(cycle uint64, m *cache.MSHR) { l.advance(cycle, 1, m) }
-
-// TickSpan implements cache.BulkTracker: it splits [from, to) where a
-// base phase ends, so that each piece has one state per core.
-func (l *Logic) TickSpan(from, to uint64, m *cache.MSHR) {
-	for from < to {
-		end := to
-		if l.basePhases > 0 {
-			for _, ends := range l.baseEnds {
-				for _, e := range ends {
-					if e > from {
-						end = min(end, e)
-						break
-					}
-				}
-			}
-		}
-		l.advance(from, end-from, m)
-		from = end
-	}
-}
-
-// advance is Algorithm 1 for the k cycles [cycle, cycle+k), in which
-// no base phase starts or ends and the MSHR file does not change. The
-// AD and PMD run once per core, and the core's counters and running
-// sums grow by k cycles' worth at once.
-func (l *Logic) advance(cycle, k uint64, m *cache.MSHR) {
-	if l.basePhases == 0 && m.Len() == 0 {
-		// No base phase in flight and no outstanding miss: no counter
-		// or sum can change.
+// CatchUp implements cache.BulkTracker: Algorithm 1 for core's cycles
+// from its clock up to clock. In those cycles no access of the core
+// started and none of its misses was allocated or completed, so N_x is
+// constant and the NoNewAccess bit changes only where a base phase
+// ends. Base phases are recorded at non-decreasing cycles with a fixed
+// latency, so the ends are sorted: CatchUp drops the expired prefix
+// and accounts each piece up to the next end in one step.
+func (l *Logic) CatchUp(core int, clock uint64, m *cache.MSHR) {
+	x := l.index(core)
+	from := l.clocks[x]
+	if from >= clock {
 		return
 	}
-	if a := m.Allocs(); a != l.allocs {
-		// New entries count from the sums as they stand now.
-		l.allocs = a
-		slab, live := m.Entries()
-		for _, slot := range live {
-			if e := &slab[slot]; !e.Marked {
-				e.Marks, e.Marked = l.sums[l.coreOf(e)], true
-			}
+	l.clocks[x] = clock
+	n := m.OutstandingForCore(x)
+	all := l.baseEnds[x]
+	ends := all
+	for from < clock && (n > 0 || len(ends) > 0) {
+		i := 0
+		for i < len(ends) && ends[i] <= from {
+			i++
+		}
+		ends = ends[i:]
+		to := clock
+		if len(ends) > 0 && ends[0] < to {
+			to = ends[0]
+		}
+		l.account(x, len(ends), n, to-from)
+		from = to
+	}
+	if len(ends) != len(all) {
+		l.baseEnds[x] = append(all[:0], ends...)
+	}
+}
+
+// account is Algorithm 1 for k cycles of core x with active base
+// phases and n outstanding misses: the core's counters and running
+// sums grow by k cycles' worth at once.
+func (l *Logic) account(x, active, n int, k uint64) {
+	if n > 0 {
+		// Every miss access cycle costs each of the core's N_x misses
+		// 1/N_x of MLP-based cost.
+		s := &l.sums[x]
+		share := l.inv(n) * k
+		s[sumMLP] += share
+		if active == 0 {
+			// NoNewAccess_x set and outstanding misses present ⇒ active
+			// pure miss cycle for core x, spread across its N_x pure
+			// misses.
+			s[sumPMC] += share
+			s[sumPure] += k
+			l.activePureMissCycles[x] += k
+		} else {
+			// Miss access cycles overlapped by a base access cycle from
+			// the same core: hit-miss overlapping (Figure 3).
+			s[sumOverlap] += k
 		}
 	}
-	for x := 0; x < l.cores; x++ {
-		active := l.expireBase(x, cycle)
-		n := m.OutstandingForCore(x)
-		if n > 0 {
-			// Every miss access cycle costs each of the core's N_x
-			// misses 1/N_x of MLP-based cost.
-			s := &l.sums[x]
-			share := l.inv(n) * k
-			s[sumMLP] += share
-			if active == 0 {
-				// NoNewAccess_x set and outstanding misses present ⇒
-				// active pure miss cycle for core x, spread across its
-				// N_x pure misses.
-				s[sumPMC] += share
-				s[sumPure] += k
-				l.activePureMissCycles[x] += k
-			} else {
-				// Miss access cycles overlapped by a base access cycle
-				// from the same core: hit-miss overlapping (Figure 3).
-				s[sumOverlap] += k
-			}
-		}
-		// AOCPA: cycles in which more than one access from the core
-		// is in flight at this level (base phases + outstanding
-		// misses) are overlapping cycles.
-		if inFlight := active + n; inFlight > 1 {
-			l.overlapCycles[x] += k * uint64(inFlight-1)
-		}
+	// AOCPA: cycles in which more than one access from the core is in
+	// flight at this level (base phases + outstanding misses) are
+	// overlapping cycles.
+	if inFlight := active + n; inFlight > 1 {
+		l.overlapCycles[x] += k * uint64(inFlight-1)
 	}
 }
 
@@ -247,22 +228,15 @@ func (l *Logic) inv(n int) uint64 {
 	return l.invTable[n]
 }
 
-// coreOf is the core whose sums e counts from; entries of an
-// out-of-range core count as core 0's.
-func (l *Logic) coreOf(e *cache.MSHREntry) int {
-	if x := e.Core; x >= 0 && x < l.cores {
-		return x
-	}
-	return 0
+// OnMissAlloc implements cache.BulkTracker: the new entry counts from
+// its core's sums as they stand, the core having just been caught up.
+func (l *Logic) OnMissAlloc(e *cache.MSHREntry) {
+	e.Marks = l.sums[l.index(e.Core)]
 }
 
-// settle sets e's metrics from its core's running sums. An entry not
-// yet marked has seen no cycle since its allocation zeroed them.
+// settle sets e's metrics from its core's running sums.
 func (l *Logic) settle(e *cache.MSHREntry) {
-	if !e.Marked {
-		return
-	}
-	s := &l.sums[l.coreOf(e)]
+	s := &l.sums[l.index(e.Core)]
 	e.PMC = fixedToFloat(s[sumPMC] - e.Marks[sumPMC])
 	e.MLPCost = fixedToFloat(s[sumMLP] - e.Marks[sumMLP])
 	e.PureCycles = s[sumPure] - e.Marks[sumPure]
@@ -272,18 +246,31 @@ func (l *Logic) settle(e *cache.MSHREntry) {
 // fixedToFloat converts a fixed-point value to cycles.
 func fixedToFloat(v uint64) float64 { return float64(v) / (1 << fracBits) }
 
-// Sync sets the metrics of every outstanding entry of m, so their
-// PMC, MLPCost, PureCycles and HitOverlapped can be read between
-// ticks.
-func (l *Logic) Sync(m *cache.MSHR) {
+// Sync implements cache.BulkTracker: it catches every core up to
+// clock and sets the metrics of every outstanding entry of m, so the
+// counters and the entries' PMC, MLPCost, PureCycles and HitOverlapped
+// can be read.
+func (l *Logic) Sync(clock uint64, m *cache.MSHR) {
+	for x := range l.clocks {
+		l.CatchUp(x, clock, m)
+	}
 	slab, live := m.Entries()
 	for _, slot := range live {
 		l.settle(&slab[slot])
 	}
 }
 
-// OnMissComplete implements cache.Tracker: the entry's metrics are
-// final once it returns.
+// SetClock implements cache.BulkTracker: every core's clock restarts
+// at clock.
+func (l *Logic) SetClock(clock uint64) {
+	for x := range l.clocks {
+		l.clocks[x] = clock
+	}
+}
+
+// OnMissComplete implements cache.BulkTracker: the entry's metrics
+// are final once it returns. The entry's core must be caught up to the
+// completion.
 func (l *Logic) OnMissComplete(e *cache.MSHREntry, cycle uint64) {
 	l.settle(e)
 	if l.OnSample == nil {
@@ -299,7 +286,9 @@ func (l *Logic) OnMissComplete(e *cache.MSHREntry, cycle uint64) {
 }
 
 // ResetStats zeroes the aggregate counters (end of warmup) without
-// disturbing the in-flight base-phase tracking.
+// disturbing the in-flight base-phase tracking. Every core must be
+// caught up first (Sync), so the cycles before the reset stay out of
+// the new counts.
 func (l *Logic) ResetStats() {
 	for i := range l.activePureMissCycles {
 		l.activePureMissCycles[i] = 0
@@ -309,8 +298,9 @@ func (l *Logic) ResetStats() {
 }
 
 // ActivePureMissCycles returns core x's accumulated active pure miss
-// cycle count. By construction this equals the sum of the PMC values
-// of all of x's misses (the invariant of Table II).
+// cycle count, as of x's last catch-up (Sync catches every core up).
+// By construction this equals the sum of the PMC values of all of x's
+// misses (the invariant of Table II).
 func (l *Logic) ActivePureMissCycles(x int) uint64 {
 	if x < 0 || x >= l.cores {
 		return 0
@@ -319,7 +309,8 @@ func (l *Logic) ActivePureMissCycles(x int) uint64 {
 }
 
 // AOCPA returns core x's Average Overlapping Cycles Per Access
-// (Table XI): total overlapping cycles divided by accesses observed.
+// (Table XI): total overlapping cycles, as of x's last catch-up,
+// divided by accesses observed.
 func (l *Logic) AOCPA(x int) float64 {
 	if x < 0 || x >= l.cores || l.accessCount[x] == 0 {
 		return 0

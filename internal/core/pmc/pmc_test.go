@@ -9,7 +9,10 @@ import (
 	"care/internal/mem"
 )
 
-func alloc(m *cache.MSHR, core int, block uint64, pc mem.Addr, cycle uint64) *cache.MSHREntry {
+// alloc allocates a miss as the cache does: the core is caught up to
+// cycle first and the entry marked after.
+func alloc(l *Logic, m *cache.MSHR, core int, block uint64, pc mem.Addr, cycle uint64) *cache.MSHREntry {
+	l.CatchUp(core, cycle, m)
 	e, err := m.Allocate(&mem.Request{
 		Addr: mem.Addr(block << mem.BlockBits),
 		PC:   pc,
@@ -19,18 +22,16 @@ func alloc(m *cache.MSHR, core int, block uint64, pc mem.Addr, cycle uint64) *ca
 	if err != nil {
 		panic(err)
 	}
+	l.OnMissAlloc(e)
 	return e
 }
 
 func TestPureCycleDetection(t *testing.T) {
 	l := New(2, 1)
 	m := cache.NewMSHR(8, 1)
-	e := alloc(m, 0, 1, 0x100, 0)
-	// No base phase active: every tick is a pure miss cycle.
-	for cy := uint64(0); cy < 4; cy++ {
-		l.Tick(cy, m)
-	}
-	l.Sync(m)
+	e := alloc(l, m, 0, 1, 0x100, 0)
+	// No base phase active: every cycle is a pure miss cycle.
+	l.Sync(4, m)
 	if e.PMC != 4 {
 		t.Fatalf("PMC = %v, want 4", e.PMC)
 	}
@@ -48,11 +49,9 @@ func TestPureCycleDetection(t *testing.T) {
 func TestBaseAccessHidesMissCycles(t *testing.T) {
 	l := New(2, 1)
 	m := cache.NewMSHR(8, 1)
-	e := alloc(m, 0, 1, 0x100, 0)
+	e := alloc(l, m, 0, 1, 0x100, 0)
 	l.OnAccessStart(0, mem.Load, 0) // base phase covers cycles 0,1
-	l.Tick(0, m)
-	l.Tick(1, m)
-	l.Sync(m)
+	l.Sync(2, m)
 	if e.PMC != 0 || e.PureCycles != 0 {
 		t.Fatalf("hidden cycles must not add PMC: pmc=%v pure=%d", e.PMC, e.PureCycles)
 	}
@@ -62,8 +61,8 @@ func TestBaseAccessHidesMissCycles(t *testing.T) {
 	if e.MLPCost != 2 {
 		t.Fatalf("MLP cost must ignore base phases: %v, want 2", e.MLPCost)
 	}
-	l.Tick(2, m) // base expired
-	l.Sync(m)
+	l.Sync(3, m) // base expired at cycle 2
+
 	if e.PMC != 1 {
 		t.Fatalf("PMC after base expiry = %v, want 1", e.PMC)
 	}
@@ -75,11 +74,10 @@ func TestBaseAccessHidesMissCycles(t *testing.T) {
 func TestConcurrentMissesSplitCycle(t *testing.T) {
 	l := New(2, 1)
 	m := cache.NewMSHR(8, 1)
-	e1 := alloc(m, 0, 1, 0x100, 0)
-	e2 := alloc(m, 0, 2, 0x108, 0)
-	e3 := alloc(m, 0, 3, 0x110, 0)
-	l.Tick(0, m)
-	l.Sync(m)
+	e1 := alloc(l, m, 0, 1, 0x100, 0)
+	e2 := alloc(l, m, 0, 2, 0x108, 0)
+	e3 := alloc(l, m, 0, 3, 0x110, 0)
+	l.Sync(1, m)
 	for _, e := range []*cache.MSHREntry{e1, e2, e3} {
 		if math.Abs(e.PMC-1.0/3.0) > 1e-12 || math.Abs(e.MLPCost-1.0/3.0) > 1e-12 {
 			t.Fatalf("three concurrent misses should each get 1/3: PMC %v, MLP cost %v", e.PMC, e.MLPCost)
@@ -94,13 +92,12 @@ func TestConcurrentMissesSplitCycle(t *testing.T) {
 func TestPerCoreIsolation(t *testing.T) {
 	l := New(2, 2)
 	m := cache.NewMSHR(8, 2)
-	e0 := alloc(m, 0, 1, 0x100, 0)
-	e0b := alloc(m, 0, 3, 0x108, 0)
-	e1 := alloc(m, 1, 2, 0x200, 0)
+	e0 := alloc(l, m, 0, 1, 0x100, 0)
+	e0b := alloc(l, m, 0, 3, 0x108, 0)
+	e1 := alloc(l, m, 1, 2, 0x200, 0)
 	// Core 1 has a base phase; core 0 does not.
 	l.OnAccessStart(1, mem.Load, 0)
-	l.Tick(0, m)
-	l.Sync(m)
+	l.Sync(1, m)
 	for _, e := range []*cache.MSHREntry{e0, e0b} {
 		if e.PMC != 0.5 || e.MLPCost != 0.5 {
 			t.Fatalf("core 0 entry PMC = %v, MLP cost = %v, want 1/2 each (N_0 = 2)", e.PMC, e.MLPCost)
@@ -122,8 +119,8 @@ func TestSampleCallback(t *testing.T) {
 	var got []Sample
 	l.OnSample = func(s Sample) { got = append(got, s) }
 	m := cache.NewMSHR(8, 1)
-	e := alloc(m, 0, 1, 0xabc, 0)
-	l.Tick(0, m)
+	e := alloc(l, m, 0, 1, 0xabc, 0)
+	l.CatchUp(0, 1, m)
 	l.OnMissComplete(e, 5)
 	if len(got) != 1 {
 		t.Fatalf("OnSample called %d times", len(got))
@@ -137,7 +134,7 @@ func TestSampleCallback(t *testing.T) {
 func TestNoSampleCallbackIsSafe(t *testing.T) {
 	l := New(2, 1)
 	m := cache.NewMSHR(8, 1)
-	e := alloc(m, 0, 1, 0x100, 0)
+	e := alloc(l, m, 0, 1, 0x100, 0)
 	l.OnMissComplete(e, 1) // must not panic without OnSample
 }
 
@@ -146,10 +143,9 @@ func TestAOCPAGrowsWithOverlap(t *testing.T) {
 	seq := New(2, 1)
 	m := cache.NewMSHR(8, 1)
 	seq.OnAccessStart(0, mem.Load, 0)
-	seq.Tick(0, m)
-	seq.Tick(1, m)
+	seq.CatchUp(0, 10, m)
 	seq.OnAccessStart(0, mem.Load, 10)
-	seq.Tick(10, m)
+	seq.Sync(11, m)
 	if seq.AOCPA(0) != 0 {
 		t.Fatalf("sequential AOCPA = %v, want 0", seq.AOCPA(0))
 	}
@@ -157,7 +153,7 @@ func TestAOCPAGrowsWithOverlap(t *testing.T) {
 	con := New(2, 1)
 	con.OnAccessStart(0, mem.Load, 0)
 	con.OnAccessStart(0, mem.Load, 0)
-	con.Tick(0, m)
+	con.Sync(1, m)
 	if con.AOCPA(0) <= 0 {
 		t.Fatalf("concurrent AOCPA = %v, want > 0", con.AOCPA(0))
 	}
@@ -191,25 +187,27 @@ func TestPMCSumInvariant(t *testing.T) {
 		for cy := uint64(0); cy < 100; cy++ {
 			if next(4) == 0 && !m.Full() {
 				block++
-				entries = append(entries, alloc(m, 0, block, mem.Addr(block), cy))
+				entries = append(entries, alloc(l, m, 0, block, mem.Addr(block), cy))
 			}
 			if next(4) == 0 {
+				l.CatchUp(0, cy, m)
 				l.OnAccessStart(0, mem.Load, cy)
 			}
 			if m.Len() > 0 {
 				missCycles++
 			}
-			l.Tick(cy, m)
+			// Cycle cy is accounted before the completion.
 			if next(5) == 0 && len(entries) > 0 {
 				e := entries[0]
 				entries = entries[1:]
+				l.CatchUp(0, cy+1, m)
 				l.OnMissComplete(e, cy)
 				m.Release(e)
 				donePMC = append(donePMC, e.PMC)
 				doneMLP = append(doneMLP, e.MLPCost)
 			}
 		}
-		l.Sync(m)
+		l.Sync(100, m)
 		var sum, mlpSum float64
 		for i := range donePMC {
 			sum += donePMC[i]

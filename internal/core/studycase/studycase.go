@@ -97,12 +97,15 @@ func Run(cfg Config, accesses []Access) ([]Result, uint64) {
 		}
 	}
 
+	// Every event of a cycle happens before the cycle is accounted, so
+	// the core is caught up to the cycle before each one.
 	for cycle := uint64(1); cycle <= last; cycle++ {
 		// Retire misses whose final miss cycle has passed.
 		for _, m := range misses {
 			if m.entry != nil && cycle > m.end {
 				e := m.entry
 				m.entry = nil
+				logic.CatchUp(0, cycle, mshr)
 				logic.OnMissComplete(e, cycle)
 				results[m.idx].MLPCost = e.MLPCost
 				results[m.idx].PMC = e.PMC
@@ -112,10 +115,10 @@ func Run(cfg Config, accesses []Access) ([]Result, uint64) {
 			}
 		}
 		// Start base phases.
-		for i, a := range accesses {
+		for _, a := range accesses {
 			if a.Arrive == cycle {
+				logic.CatchUp(0, cycle, mshr)
 				logic.OnAccessStart(0, mem.Load, cycle)
-				_ = i
 			}
 		}
 		// Allocate MSHR entries at the start of the miss phase.
@@ -127,17 +130,19 @@ func Run(cfg Config, accesses []Access) ([]Result, uint64) {
 					Core: 0,
 					Kind: mem.Load,
 				}
+				logic.CatchUp(0, cycle, mshr)
 				e, err := mshr.Allocate(req, cycle)
 				if err != nil {
 					// The hand-worked study case never exceeds the
 					// MSHR file; an error here is a broken scenario.
 					panic(err)
 				}
+				logic.OnMissAlloc(e)
 				m.entry = e
 			}
 		}
-		logic.Tick(cycle, mshr)
 	}
+	logic.Sync(last+1, mshr)
 	return results, logic.ActivePureMissCycles(0)
 }
 

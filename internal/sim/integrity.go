@@ -275,6 +275,7 @@ func (s *System) CheckInvariants() error {
 			return err
 		}
 	}
+	s.llc.SyncTrackers()
 	var apmc uint64
 	for x := 0; x < s.cfg.Cores; x++ {
 		apmc += s.pml.ActivePureMissCycles(x)
@@ -289,7 +290,7 @@ func (s *System) CheckInvariants() error {
 
 // inflightPMC sums the PMC accrued by outstanding LLC misses.
 func (s *System) inflightPMC() float64 {
-	s.pml.Sync(s.llc.MSHRFile())
+	s.llc.SyncTrackers()
 	var sum float64
 	s.llc.MSHRFile().ForEach(func(e *cache.MSHREntry) { sum += e.PMC })
 	return sum
