@@ -121,6 +121,8 @@ type Core struct {
 	// can reposition a freshly constructed copy of the same trace by
 	// replaying (and discarding) exactly this many records.
 	recsRead uint64
+	// replayLimit bounds recsRead on restore (see LimitReplay).
+	replayLimit uint64
 	// frozen stops dispatch (retirement continues) while the system
 	// drains to a checkpointable quiescent point.
 	frozen bool

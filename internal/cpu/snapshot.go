@@ -15,10 +15,18 @@ func (c *Core) SetFetchFrozen(frozen bool) { c.frozen = frozen }
 // Quiesced reports whether the core holds no in-flight instructions.
 func (c *Core) Quiesced() bool { return c.robLen == 0 && c.rob.Len() == 0 }
 
+// LimitReplay bounds the record count a restore of this core may
+// replay. Synthetic traces never end, so a forged count would replay
+// for hours; Checkpoint refuses a count above the limit with
+// ErrCorrupt before it reads any record. A core whose limit was never
+// set restores no record at all.
+func (c *Core) LimitReplay(records uint64) { c.replayLimit = records }
+
 // Checkpoint implements checkpoint.Component at a quiescent point
 // (empty ROB, no in-flight accesses). The trace position is the number
-// of records consumed: a restore replays that many records through
-// the core's freshly constructed, unread copy of the same trace.
+// of records consumed: a restore replays that many records, at most
+// the LimitReplay bound, through the core's freshly constructed,
+// unread copy of the same trace.
 func (c *Core) Checkpoint(s *checkpoint.State) {
 	if s.Restoring() && (c.recsRead != 0 || c.robLen != 0) {
 		s.Fail(checkpoint.Mismatchf("core %d: restore target is not freshly constructed", c.id))
@@ -33,6 +41,11 @@ func (c *Core) Checkpoint(s *checkpoint.State) {
 	recs := c.recsRead
 	checkpoint.Uint(s, &recs)
 	if s.Restoring() && s.Err() == nil {
+		if recs > c.replayLimit {
+			s.Fail(fmt.Errorf("%w: core %d: checkpoint consumed %d trace records, the run can have read at most %d",
+				checkpoint.ErrCorrupt, c.id, recs, c.replayLimit))
+			return
+		}
 		s.Fail(c.reposition(recs))
 	}
 }

@@ -9,46 +9,75 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"care/internal/checkpoint"
+	"care/internal/core/pmc"
+	"care/internal/cpu"
+	"care/internal/mem"
 	"care/internal/policy"
 	"care/internal/synth"
 	"care/internal/telemetry"
 	"care/internal/trace"
 )
 
-// restoreFixture is a small CARE system with telemetry over finite
-// traces, and a valid checkpoint of it. Finite traces make a restore
-// whose record count is too large end at EOF instead of replaying
-// forever.
+// restoreFixture is a small CARE system with telemetry, the job it
+// ran, and a valid checkpoint of that run.
 type restoreFixture struct {
-	records [][]trace.Record
-	file    []byte
+	cores int
+	// trace returns a fresh, unread copy of core's trace.
+	trace func(core int) trace.Reader
+	job   Job
+	file  []byte
 }
 
+// newRestoreFixture runs the fixture over finite traces, so a restore
+// whose record count is too large for the trace ends at EOF.
 func newRestoreFixture(tb testing.TB, cores int) *restoreFixture {
 	tb.Helper()
 	p, err := synth.Lookup("429.mcf")
 	if err != nil {
 		tb.Fatal(err)
 	}
-	fx := &restoreFixture{records: make([][]trace.Record, cores)}
-	for i := range fx.records {
+	records := make([][]trace.Record, cores)
+	for i := range records {
 		sl, err := trace.Collect(synth.NewScaledGenerator(p, uint64(i+1), 64), 6000)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		fx.records[i] = sl.Records
+		records[i] = sl.Records
 	}
+	return runRestoreFixture(tb, cores, func(core int) trace.Reader { return trace.NewSlice(records[core]) })
+}
+
+// newEndlessFixture runs the fixture over endless synthetic
+// generators, as every workload is: no trace end stops a replay.
+func newEndlessFixture(tb testing.TB, cores int) *restoreFixture {
+	tb.Helper()
+	p, err := synth.Lookup("429.mcf")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return runRestoreFixture(tb, cores, func(core int) trace.Reader {
+		return synth.NewScaledGenerator(p, uint64(core+1), 64)
+	})
+}
+
+// runRestoreFixture runs the fixture's job and keeps its checkpoint.
+func runRestoreFixture(tb testing.TB, cores int, tr func(int) trace.Reader) *restoreFixture {
+	tb.Helper()
 	path := filepath.Join(tb.TempDir(), "run.ckpt")
-	if _, _, err := Execute(context.Background(), Job{
+	fx := &restoreFixture{cores: cores, trace: tr}
+	fx.job = Job{
 		Build:      fx.build,
 		Warmup:     2000,
 		Measure:    6000,
 		Checkpoint: CheckpointOptions{Path: path, Every: 2000},
-	}); err != nil {
+	}
+	if _, _, err := Execute(context.Background(), fx.job); err != nil {
 		tb.Fatal(err)
 	}
+	var err error
 	if fx.file, err = os.ReadFile(path); err != nil {
 		tb.Fatal(err)
 	}
@@ -57,14 +86,14 @@ func newRestoreFixture(tb testing.TB, cores int) *restoreFixture {
 
 // build constructs a fresh system over unread copies of the traces.
 func (fx *restoreFixture) build() (*System, error) {
-	cfg := ScaledConfig(len(fx.records), 64)
+	cfg := ScaledConfig(fx.cores, 64)
 	cfg.LLCPolicy = policy.CARE
 	cfg.Telemetry = telemetry.NewCollector(telemetry.Options{
 		Interval: 1000, Tag: "restore", Sink: telemetry.NewMemory(),
 	})
-	traces := make([]trace.Reader, len(fx.records))
-	for i, recs := range fx.records {
-		traces[i] = trace.NewSlice(recs)
+	traces := make([]trace.Reader, fx.cores)
+	for i := range traces {
+		traces[i] = fx.trace(i)
 	}
 	return New(cfg, traces)
 }
@@ -79,7 +108,7 @@ func (fx *restoreFixture) read(data []byte) error {
 	if err != nil {
 		return err
 	}
-	_, err = s.ReadCheckpoint(r)
+	_, err = s.ReadCheckpoint(r, fx.job)
 	return err
 }
 
@@ -218,4 +247,104 @@ func FuzzCheckpointRestore(f *testing.F) {
 			t.Fatalf("frame %q: untyped restore error: %v", mut[int(idx)%len(mut)].name, err)
 		}
 	})
+}
+
+// withRecords returns a core frame payload whose stored trace record
+// count, the frame's last uvarint, is n.
+func withRecords(payload []byte, n uint64) []byte {
+	i := len(payload) - 1
+	for i > 0 && payload[i-1]&0x80 != 0 {
+		i--
+	}
+	return binary.AppendUvarint(append([]byte(nil), payload[:i]...), n)
+}
+
+// TestRestoreBoundsTraceReplay: over endless traces, a checkpoint whose
+// record count or cycle no run of the job can reach, or whose schedule
+// is not the job's, is refused with a typed error before any trace is
+// repositioned, so the restore returns at once instead of replaying
+// forged records for hours.
+func TestRestoreBoundsTraceReplay(t *testing.T) {
+	fx := newEndlessFixture(t, 2)
+	frames := splitFrames(t, fx.file)
+	var meta RunMeta
+	if err := checkpoint.Decode(payloadOf(t, frames, "meta"), meta.Checkpoint); err != nil {
+		t.Fatal(err)
+	}
+	metaWith := func(edit func(*RunMeta)) []byte {
+		m := meta
+		edit(&m)
+		b, err := checkpoint.Encode(m.Checkpoint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	core0 := payloadOf(t, frames, "core-0")
+	// Dispatch pulls at most one record per issue slot and cycle.
+	perCycle := uint64(cpu.DefaultParams().IssueWidth)
+	for _, tc := range []struct {
+		name string
+		file []byte
+		want error
+	}{
+		{"valid", fx.file, nil},
+		{"records-forged", joinFrames(t, replace(t, frames, "core-0", withRecords(core0, 1<<62))), checkpoint.ErrCorrupt},
+		{"records-one-past-bound", joinFrames(t, replace(t, frames, "core-0",
+			withRecords(core0, perCycle*meta.Cycle+1))), checkpoint.ErrCorrupt},
+		{"cycle-beyond-job", joinFrames(t, replace(t, frames, "meta",
+			metaWith(func(m *RunMeta) { m.Cycle = 1 << 50 }))), checkpoint.ErrCorrupt},
+		{"other-schedule", joinFrames(t, replace(t, frames, "meta",
+			metaWith(func(m *RunMeta) { m.Measure *= 2 }))), checkpoint.ErrMismatch},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			done := make(chan error, 1)
+			go func() { done <- fx.read(tc.file) }()
+			select {
+			case err := <-done:
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("got %v, want %v", err, tc.want)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("restore still replaying after 10s")
+			}
+		})
+	}
+}
+
+// TestRestoreRestartsPMLClock: a restore restarts the PML's per-core
+// clocks at the checkpoint's cycle. Two base phases of core 0 still
+// open at the checkpoint overlap for one cycle in the first step after
+// it; had the clocks stayed at zero, the next catch-up would count
+// them open since cycle 0.
+func TestRestoreRestartsPMLClock(t *testing.T) {
+	fx := newRestoreFixture(t, 2)
+	frames := splitFrames(t, fx.file)
+	var meta RunMeta
+	if err := checkpoint.Decode(payloadOf(t, frames, "meta"), meta.Checkpoint); err != nil {
+		t.Fatal(err)
+	}
+	s, err := fx.build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := pmc.New(s.cfg.LLC.Latency, fx.cores)
+	open.OnAccessStart(0, mem.Load, meta.Cycle)
+	open.OnAccessStart(0, mem.Load, meta.Cycle)
+	payload, err := checkpoint.Encode(open.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := checkpoint.NewReader(bytes.NewReader(joinFrames(t, replace(t, frames, "pmc", payload))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ReadCheckpoint(r, fx.job); err != nil {
+		t.Fatal(err)
+	}
+	s.step()
+	s.llc.SyncTrackers()
+	if got := s.pml.AOCPA(0); got > 1 {
+		t.Fatalf("core 0 AOCPA %v one cycle after the restore at cycle %d, want at most 1", got, meta.Cycle)
+	}
 }
