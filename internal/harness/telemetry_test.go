@@ -2,8 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"encoding/json"
-	"strings"
 	"testing"
 
 	"care/internal/telemetry"
@@ -103,23 +101,17 @@ func TestScalabilitySharesFig7Runs(t *testing.T) {
 	runExp(t, "fig7", o)
 	runExp(t, "fig11", o)
 
-	// ReadJSONL folds series that share a tag, so count the meta lines
-	// that begin each series.
+	// ReadJSONL parses each run as its own series.
+	series, err := telemetry.ReadJSONL(&tel)
+	if err != nil {
+		t.Fatal(err)
+	}
 	seen := map[string]bool{}
-	for _, line := range strings.Split(strings.TrimSpace(tel.String()), "\n") {
-		var ml struct {
-			Meta *telemetry.Meta `json:"meta"`
+	for _, sr := range series {
+		if seen[sr.Meta.Tag] {
+			t.Errorf("run %s simulated twice", sr.Meta.Tag)
 		}
-		if err := json.Unmarshal([]byte(line), &ml); err != nil {
-			t.Fatalf("telemetry line %q: %v", line, err)
-		}
-		if ml.Meta == nil {
-			continue
-		}
-		if seen[ml.Meta.Tag] {
-			t.Errorf("run %s simulated twice", ml.Meta.Tag)
-		}
-		seen[ml.Meta.Tag] = true
+		seen[sr.Meta.Tag] = true
 	}
 	if want := len(o.Workloads) * len(o.Schemes); len(seen) != want {
 		t.Errorf("fig7 then fig11 at 4 cores simulated %d distinct runs, want %d", len(seen), want)

@@ -10,26 +10,32 @@ import (
 
 // ReadJSONL parses a JSONL telemetry stream (as written by the JSONL
 // sink, possibly several concatenated or merged runs) and groups the
-// intervals into per-tag series, preserving first-seen tag order.
-// A line that is neither a meta line nor a well-formed interval is an
-// error (with its line number), so corrupted streams fail loudly —
-// cmd/care-report and the CI smoke job rely on that.
+// intervals into per-run series, in the order the series first appear.
+// A meta line begins a run: an interval belongs to the latest run of
+// its tag, and a second meta line for a tag that already has one
+// begins a new series, so a stream holding a run twice parses as two
+// runs. A line that is neither a meta line nor a well-formed interval
+// is an error (with its line number), so corrupted streams fail loudly
+// — cmd/care-report and the CI smoke job rely on that.
 func ReadJSONL(r io.Reader) ([]Series, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	var (
-		order []string
-		byTag = map[string]*Series{}
-		line  int
+		out []Series
+		// latest maps a tag to the index in out of its latest series,
+		// hasMeta to whether that series has had its meta line.
+		latest  = map[string]int{}
+		hasMeta = map[string]bool{}
+		line    int
 	)
 	get := func(tag string) *Series {
-		s, ok := byTag[tag]
+		i, ok := latest[tag]
 		if !ok {
-			s = &Series{Meta: Meta{Tag: tag}}
-			byTag[tag] = s
-			order = append(order, tag)
+			i = len(out)
+			out = append(out, Series{Meta: Meta{Tag: tag}})
+			latest[tag] = i
 		}
-		return s
+		return &out[i]
 	}
 	for sc.Scan() {
 		line++
@@ -42,8 +48,12 @@ func ReadJSONL(r io.Reader) ([]Series, error) {
 			return nil, fmt.Errorf("telemetry: line %d: %w", line, err)
 		}
 		if ml.Meta != nil {
-			s := get(ml.Meta.Tag)
-			s.Meta = *ml.Meta
+			tag := ml.Meta.Tag
+			if hasMeta[tag] {
+				delete(latest, tag)
+			}
+			hasMeta[tag] = true
+			get(tag).Meta = *ml.Meta
 			continue
 		}
 		var iv Interval
@@ -59,10 +69,6 @@ func ReadJSONL(r io.Reader) ([]Series, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("telemetry: read: %w", err)
-	}
-	out := make([]Series, 0, len(order))
-	for _, tag := range order {
-		out = append(out, *byTag[tag])
 	}
 	return out, nil
 }

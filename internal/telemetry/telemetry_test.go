@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -90,6 +91,40 @@ func TestReadJSONLMultipleTags(t *testing.T) {
 		if len(s.Intervals) != 3 {
 			t.Errorf("tag %s: %d intervals, want 3", s.Meta.Tag, len(s.Intervals))
 		}
+	}
+}
+
+// TestReadJSONLDuplicateRuns: a stream that holds a run twice — tag a,
+// then b, then a again — parses as three runs: the second meta line of
+// a begins a new series instead of extending the first.
+func TestReadJSONLDuplicateRuns(t *testing.T) {
+	var buf bytes.Buffer
+	s := NewJSONL(&buf)
+	for _, run := range []struct {
+		tag       string
+		interval  uint64
+		intervals int
+	}{{"a", 1000, 2}, {"b", 1000, 1}, {"a", 500, 3}} {
+		if err := s.BeginSeries(Meta{Tag: run.tag, Cores: 2, Interval: run.interval}); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < run.intervals; i++ {
+			iv := fakeInterval(run.tag, i, 1.0, false)
+			if err := s.Emit(&iv); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	series, err := ReadJSONL(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, sr := range series {
+		got = append(got, fmt.Sprintf("%s/%d:%d", sr.Meta.Tag, sr.Meta.Interval, len(sr.Intervals)))
+	}
+	if want := []string{"a/1000:2", "b/1000:1", "a/500:3"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("series (tag/interval:intervals) = %v, want %v", got, want)
 	}
 }
 
