@@ -19,13 +19,14 @@
 // to a Cache — a property the tests enforce for every supported
 // policy.
 //
-// Policies are selected by name (see Supported). PC-signature-trained
-// policies (SHiP++, CARE) are driven with a stable per-key hash in
-// place of the program counter, turning them into per-key reuse/cost
-// predictors; policies that require cycle-accurate simulator state
-// (Hawkeye, Mockingjay, SBAR, LACS, ...) are rejected at construction
-// with *ErrUnsupportedPolicy, per the capability metadata in
-// internal/policy.
+// Policies are selected by name (see Supported): LRU, SRRIP, the
+// set-dueling insertion policies (LIP, BIP, DIP, BRRIP, DRRIP),
+// SHiP++, CARE and M-CARE. PC-signature-trained policies (SHiP++,
+// CARE) are driven with a stable per-key hash in place of the program
+// counter, turning them into per-key reuse/cost predictors; the
+// policies that require cycle-accurate simulator state (Hawkeye,
+// Glider, Mockingjay) are rejected at construction with
+// *ErrUnsupportedPolicy, per policy.Policy.Portable.
 package cache
 
 import (
@@ -39,8 +40,8 @@ import (
 )
 
 // ErrUnsupportedPolicy reports a policy the cache library cannot
-// drive: either a name outside the zoo, or a zoo policy whose
-// capability metadata says it needs cycle-accurate simulator state.
+// drive: either a name outside the zoo, or a zoo policy that needs
+// cycle-accurate simulator state.
 type ErrUnsupportedPolicy struct {
 	// Policy is the offending name.
 	Policy string
@@ -140,11 +141,7 @@ func resolve[K comparable, V any](o Options[K, V], sharded bool) (config[K, V], 
 		return c, &ErrUnsupportedPolicy{Policy: name,
 			Reason: fmt.Sprintf("unknown policy (supported: %v)", Supported())}
 	}
-	caps, err := p.Capabilities()
-	if err != nil {
-		return c, &ErrUnsupportedPolicy{Policy: name, Reason: err.Error()}
-	}
-	if !caps.Portable() {
+	if !p.Portable() {
 		return c, &ErrUnsupportedPolicy{Policy: name,
 			Reason: "requires cycle-accurate simulator state (see internal/policy capability metadata)"}
 	}

@@ -86,20 +86,16 @@ func TestCapacityBound(t *testing.T) {
 }
 
 // TestPolicyCapabilityLockstep: construction succeeds for exactly the
-// policies whose capability metadata says they are portable; the rest
-// fail with *ErrUnsupportedPolicy. This is the cross-layer lockstep
+// policies that report Portable; the rest fail with
+// *ErrUnsupportedPolicy. This is the cross-layer lockstep
 // between internal/policy and the library.
 func TestPolicyCapabilityLockstep(t *testing.T) {
 	for _, p := range policy.All() {
-		caps, err := p.Capabilities()
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = cache.New(cache.Options[uint64, int]{Capacity: 256, Policy: string(p)})
-		if caps.Portable() && err != nil {
+		_, err := cache.New(cache.Options[uint64, int]{Capacity: 256, Policy: string(p)})
+		if p.Portable() && err != nil {
 			t.Errorf("%q: portable but New failed: %v", p, err)
 		}
-		if !caps.Portable() {
+		if !p.Portable() {
 			var unsupported *cache.ErrUnsupportedPolicy
 			if !errors.As(err, &unsupported) {
 				t.Errorf("%q: want *ErrUnsupportedPolicy, got %v", p, err)

@@ -165,10 +165,6 @@ var goldenDigests = map[string][2]string{
 		"evict=40185/7b9d205987d08469 gets=1b591d1b274526b0 stats={Hits:20395 Misses:23425 Inserts:44085 Updates:29260 Evictions:40185 Deletes:2880} len=1020 range=e8e826f2b72b3921",
 		"evict=40162/fd6bbeb03eb501a9 gets=5fa421e7c0031990 stats={Hits:20328 Misses:23492 Inserts:44112 Updates:29300 Evictions:40162 Deletes:2931} len=1019 range=7384ec325670e0ec",
 	},
-	"eaf": {
-		"evict=40507/4028a1026b563452 gets=f885c9a3a5901f9f stats={Hits:20235 Misses:23585 Inserts:44419 Updates:29086 Evictions:40507 Deletes:2892} len=1020 range=b39325c26a0dec2c",
-		"evict=40524/9bc27116bbd6a534 gets=fb41fc8c49ec7016 stats={Hits:20269 Misses:23551 Inserts:44418 Updates:29053 Evictions:40524 Deletes:2874} len=1020 range=3cda5a6c95da0c6f",
-	},
 	"lip": {
 		"evict=40590/a84b9570b5c7170a gets=cff027356419b5c5 stats={Hits:20207 Misses:23613 Inserts:44501 Updates:29032 Evictions:40590 Deletes:2893} len=1018 range=5a3efc584ab6069c",
 		"evict=40403/d08307283517d24f gets=297d381d4215cb44 stats={Hits:20288 Misses:23532 Inserts:44319 Updates:29133 Evictions:40403 Deletes:2895} len=1021 range=37b3c6626d10c555",
@@ -180,22 +176,6 @@ var goldenDigests = map[string][2]string{
 	"m-care": {
 		"evict=39749/f71afe3239fc6798 gets=13ecfe1d49a5d915 stats={Hits:20567 Misses:23253 Inserts:43637 Updates:29536 Evictions:39749 Deletes:2868} len=1020 range=4f6f4124a8c65bd0",
 		"evict=39647/170972c6c7a66bc6 gets=00c23bd101315111 stats={Hits:20559 Misses:23261 Inserts:43578 Updates:29603 Evictions:39647 Deletes:2911} len=1020 range=b9baaf5621337894",
-	},
-	"pacman": {
-		"evict=39770/9580f011e7bd1d3c gets=255b9bb1f1800912 stats={Hits:20498 Misses:23322 Inserts:43703 Updates:29539 Evictions:39770 Deletes:2913} len=1020 range=9af258fc7fad963d",
-		"evict=39752/2f2a7d7ac23ca7b7 gets=aadba6b5c5668ec0 stats={Hits:20492 Misses:23328 Inserts:43691 Updates:29557 Evictions:39752 Deletes:2920} len=1019 range=ce57063c0e8e6c3e",
-	},
-	"random": {
-		"evict=42039/ec46e6be65c6f8f6 gets=7e4611ad15ada3db stats={Hits:19666 Misses:24154 Inserts:45908 Updates:28166 Evictions:42039 Deletes:2851} len=1018 range=b31a6f72ce8d9725",
-		"evict=41779/3202bb078eb05f54 gets=edc134127ad25da6 stats={Hits:19794 Misses:24026 Inserts:45627 Updates:28319 Evictions:41779 Deletes:2827} len=1021 range=ca3ff49ba9cf47fe",
-	},
-	"rlr": {
-		"evict=39838/a7522e4999f1526b gets=4305bf2ca40d21d9 stats={Hits:20491 Misses:23329 Inserts:43762 Updates:29487 Evictions:39838 Deletes:2905} len=1019 range=fa9a9a277c7a6196",
-		"evict=39905/d002ca848b7d6bdb gets=4d5d0ad49bfd74f7 stats={Hits:20428 Misses:23392 Inserts:43868 Updates:29444 Evictions:39905 Deletes:2943} len=1020 range=719885d7c088a186",
-	},
-	"ship": {
-		"evict=39688/59cd40289abf2081 gets=108bc0cdd47e3ecd stats={Hits:20563 Misses:23257 Inserts:43582 Updates:29595 Evictions:39688 Deletes:2874} len=1020 range=7709ac9e04f34486",
-		"evict=39658/a8e474c38fece4ef gets=d60b6e63fc3c5cd0 stats={Hits:20559 Misses:23261 Inserts:43614 Updates:29567 Evictions:39658 Deletes:2935} len=1021 range=e8d22ea7cfb64fe9",
 	},
 	"ship++": {
 		"evict=39668/234c3d9c4838de36 gets=56cf3ac362a6b6fd stats={Hits:20577 Misses:23243 Inserts:43558 Updates:29605 Evictions:39668 Deletes:2871} len=1019 range=c3cdc55779bb0518",

@@ -11,9 +11,10 @@
 //   - the paper's Pure Miss Contribution (PMC) measurement logic and
 //     the MLP-based cost metric it improves upon;
 //   - the CARE replacement framework (SHT, SBP, EPV policies, DTRM)
-//     and its M-CARE ablation, alongside a full baseline zoo (LRU,
-//     DIP, SRRIP/DRRIP, SHiP, SHiP++, Hawkeye, Glider, Mockingjay,
-//     SBAR);
+//     and its M-CARE ablation, alongside the baselines the paper
+//     compares against (LRU, SHiP++, Hawkeye, Glider, Mockingjay),
+//     SRRIP, and the set-dueling insertion policies (LIP, BIP, DIP,
+//     BRRIP, DRRIP);
 //   - synthetic SPEC-like workload generators and instrumented GAP
 //     graph kernels as trace sources;
 //   - an experiment harness that regenerates every table and figure
@@ -225,20 +226,12 @@ const (
 	PolicyCARE       = policy.CARE
 	PolicyDIP        = policy.DIP
 	PolicyDRRIP      = policy.DRRIP
-	PolicyEAF        = policy.EAF
 	PolicyGlider     = policy.Glider
 	PolicyHawkeye    = policy.Hawkeye
-	PolicyLACS       = policy.LACS
 	PolicyLIP        = policy.LIP
-	PolicyLin        = policy.Lin
 	PolicyLRU        = policy.LRU
 	PolicyMCARE      = policy.MCARE
 	PolicyMockingjay = policy.Mockingjay
-	PolicyPacman     = policy.Pacman
-	PolicyRandom     = policy.Random
-	PolicyRLR        = policy.RLR
-	PolicySBAR       = policy.SBAR
-	PolicySHiP       = policy.SHiP
 	PolicySHiPPP     = policy.SHiPPP
 	PolicySRRIP      = policy.SRRIP
 )

@@ -20,7 +20,7 @@ func TestPublicAPISmoke(t *testing.T) {
 	for _, p := range care.AllPolicies() {
 		found[p] = true
 	}
-	for _, want := range []care.Policy{"lru", "ship++", "hawkeye", "glider", "mockingjay", "sbar", "care", "m-care", "lacs", "rlr", "eaf", "pacman"} {
+	for _, want := range []care.Policy{"lru", "srrip", "ship++", "hawkeye", "glider", "mockingjay", "care", "m-care"} {
 		if !found[want] {
 			t.Fatalf("policy %q missing from public registry", want)
 		}

@@ -90,7 +90,7 @@ func TestMSHRAllocReleaseZeroAllocs(t *testing.T) {
 		req.Core = 1
 		req.Kind = mem.Load
 		req.Owner = owner
-		e, err := m.Allocate(req, 1)
+		e, err := m.Allocate(req)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -495,7 +495,7 @@ func (c *Cache) allocate(req *mem.Request, cycle uint64) (*MSHREntry, error) {
 	for _, b := range c.bulk {
 		b.CatchUp(req.Core, c.clock, c.mshr)
 	}
-	e, err := c.mshr.Allocate(req, cycle)
+	e, err := c.mshr.Allocate(req)
 	if err == nil {
 		for _, b := range c.bulk {
 			b.OnMissAlloc(e)
@@ -535,7 +535,7 @@ func (c *Cache) lookupWriteback(req *mem.Request, cycle uint64) {
 		req.Release()
 		return
 	}
-	c.installBlock(req.Addr, req.PC, req.Core, mem.Writeback, 0, 0, 0, cycle)
+	c.installBlock(req.Addr, req.PC, req.Core, mem.Writeback, 0, 0, cycle)
 	req.Respond(cycle)
 	req.Release()
 }
@@ -563,7 +563,7 @@ func (c *Cache) fill(e *MSHREntry, cycle uint64) {
 	}
 	c.stats.PMCSum += e.PMC
 
-	c.installBlock(mem.Addr(e.Block<<mem.BlockBits), e.PC, e.Core, e.Kind, e.PMC, e.MLPCost, cycle-e.AllocCycle, cycle)
+	c.installBlock(mem.Addr(e.Block<<mem.BlockBits), e.PC, e.Core, e.Kind, e.PMC, e.MLPCost, cycle)
 
 	c.parked = false
 	for _, w := range c.mshr.Release(e) {
@@ -575,7 +575,7 @@ func (c *Cache) fill(e *MSHREntry, cycle uint64) {
 }
 
 // installBlock places a block into its set, evicting if necessary.
-func (c *Cache) installBlock(addr, pc mem.Addr, core int, kind mem.Kind, pmc, mlpCost float64, missLatency, cycle uint64) {
+func (c *Cache) installBlock(addr, pc mem.Addr, core int, kind mem.Kind, pmc, mlpCost float64, cycle uint64) {
 	set, way := c.probe(addr)
 	if way >= 0 {
 		// Block raced in via another path (e.g. writeback after a
@@ -588,14 +588,13 @@ func (c *Cache) installBlock(addr, pc mem.Addr, core int, kind mem.Kind, pmc, ml
 		return
 	}
 	info := AccessInfo{
-		PC:          pc,
-		Addr:        addr,
-		Core:        core,
-		Kind:        kind,
-		Cycle:       cycle,
-		PMC:         pmc,
-		MLPCost:     mlpCost,
-		MissLatency: missLatency,
+		PC:      pc,
+		Addr:    addr,
+		Core:    core,
+		Kind:    kind,
+		Cycle:   cycle,
+		PMC:     pmc,
+		MLPCost: mlpCost,
 	}
 	way = c.findVictim(set, info)
 	if way < 0 {

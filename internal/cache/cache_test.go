@@ -434,12 +434,12 @@ func TestMSHRAccounting(t *testing.T) {
 		t.Fatal("fresh MSHR state wrong")
 	}
 	r1 := &mem.Request{Addr: 0x1000, Core: 0, Kind: mem.Load, Owner: mem.CompleteFunc(func(uint32, uint64) {})}
-	e1 := mustAllocate(t, m, r1, 5)
+	e1 := mustAllocate(t, m, r1)
 	if m.Len() != 1 || m.OutstandingForCore(0) != 1 {
 		t.Fatal("allocation accounting wrong")
 	}
 	r2 := &mem.Request{Addr: 0x2000, Core: 1, Kind: mem.Prefetch}
-	e2 := mustAllocate(t, m, r2, 6)
+	e2 := mustAllocate(t, m, r2)
 	if !m.Full() {
 		t.Fatal("MSHR should be full")
 	}
@@ -464,9 +464,9 @@ func TestMSHRAccounting(t *testing.T) {
 }
 
 // mustAllocate fails the test on an allocation error.
-func mustAllocate(t *testing.T, m *MSHR, req *mem.Request, cycle uint64) *MSHREntry {
+func mustAllocate(t *testing.T, m *MSHR, req *mem.Request) *MSHREntry {
 	t.Helper()
-	e, err := m.Allocate(req, cycle)
+	e, err := m.Allocate(req)
 	if err != nil {
 		t.Fatalf("Allocate(%v): %v", req, err)
 	}
@@ -475,8 +475,8 @@ func mustAllocate(t *testing.T, m *MSHR, req *mem.Request, cycle uint64) *MSHREn
 
 func TestMSHRAllocateWhenFull(t *testing.T) {
 	m := NewMSHR(1, 1)
-	mustAllocate(t, m, &mem.Request{Addr: 0x1000}, 0)
-	if e, err := m.Allocate(&mem.Request{Addr: 0x2000}, 0); !errors.Is(err, ErrMSHRFull) {
+	mustAllocate(t, m, &mem.Request{Addr: 0x1000})
+	if e, err := m.Allocate(&mem.Request{Addr: 0x2000}); !errors.Is(err, ErrMSHRFull) {
 		t.Fatalf("Allocate on full MSHR = (%v, %v), want ErrMSHRFull", e, err)
 	}
 	// The failed allocation must not disturb the accounting.
@@ -485,15 +485,15 @@ func TestMSHRAllocateWhenFull(t *testing.T) {
 	}
 	// Releasing frees the entry for a new allocation.
 	m.Release(m.Lookup(mem.Addr(0x1000).BlockID()))
-	if _, err := m.Allocate(&mem.Request{Addr: 0x2000}, 1); err != nil {
+	if _, err := m.Allocate(&mem.Request{Addr: 0x2000}); err != nil {
 		t.Fatalf("Allocate after Release: %v", err)
 	}
 }
 
 func TestMSHRDuplicateAllocate(t *testing.T) {
 	m := NewMSHR(4, 1)
-	mustAllocate(t, m, &mem.Request{Addr: 0x1000}, 0)
-	e, err := m.Allocate(&mem.Request{Addr: 0x1008}, 0) // same block
+	mustAllocate(t, m, &mem.Request{Addr: 0x1000})
+	e, err := m.Allocate(&mem.Request{Addr: 0x1008}) // same block
 	if !errors.Is(err, ErrMSHRDuplicate) {
 		t.Fatalf("duplicate Allocate = (%v, %v), want ErrMSHRDuplicate", e, err)
 	}

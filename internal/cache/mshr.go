@@ -49,9 +49,6 @@ type MSHREntry struct {
 	Kind mem.Kind
 	// PC is the program counter of the allocating access.
 	PC mem.Addr
-	// AllocCycle is when the entry was allocated (end of the base
-	// access / tag lookup phase; miss access cycles start here).
-	AllocCycle uint64
 
 	waiters []*mem.Request
 	slot    uint32 // index of this entry in the file's slab
@@ -125,7 +122,7 @@ func (m *MSHR) At(tag uint32) *MSHREntry { return &m.slab[tag] }
 // Full and Lookup first; Allocate returns ErrMSHRFull or
 // ErrMSHRDuplicate on those programming errors instead of silently
 // over-committing the hardware structure.
-func (m *MSHR) Allocate(req *mem.Request, cycle uint64) (*MSHREntry, error) {
+func (m *MSHR) Allocate(req *mem.Request) (*MSHREntry, error) {
 	block := req.Addr.BlockID()
 	if m.Full() {
 		return nil, ErrMSHRFull
@@ -137,13 +134,12 @@ func (m *MSHR) Allocate(req *mem.Request, cycle uint64) (*MSHREntry, error) {
 	m.free = m.free[:len(m.free)-1]
 	e := &m.slab[slot]
 	*e = MSHREntry{
-		Block:      block,
-		Core:       req.Core,
-		Kind:       req.Kind,
-		PC:         req.PC,
-		AllocCycle: cycle,
-		waiters:    e.waiters[:0],
-		slot:       slot,
+		Block:   block,
+		Core:    req.Core,
+		Kind:    req.Kind,
+		PC:      req.PC,
+		waiters: e.waiters[:0],
+		slot:    slot,
 	}
 	if req.HasDone() {
 		e.waiters = append(e.waiters, req)

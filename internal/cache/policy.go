@@ -52,10 +52,6 @@ type AccessInfo struct {
 	PMC float64
 	// MLPCost is the measured MLP-based cost of the completing miss.
 	MLPCost float64
-	// MissLatency is, on OnFill for a fetched miss, the cycles
-	// between MSHR allocation and fill (cost-sensitive policies like
-	// LACS use it as their stall estimate).
-	MissLatency uint64
 	// HitPrefetched reports, on OnHit, that the block being hit is
 	// still in prefetched state (first demand touch of a prefetch).
 	HitPrefetched bool

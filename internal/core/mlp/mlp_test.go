@@ -23,7 +23,7 @@ func alloc(l *pmc.Logic, m *cache.MSHR, core int, block, clock uint64) *cache.MS
 		Addr: mem.Addr(block << mem.BlockBits),
 		Core: core,
 		Kind: mem.Load,
-	}, clock)
+	})
 	if err != nil {
 		panic(err)
 	}

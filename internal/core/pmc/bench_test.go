@@ -88,7 +88,7 @@ func BenchmarkPML(b *testing.B) {
 				free = free[:len(free)-1]
 				req.Core = st.allocCore
 				l.CatchUp(req.Core, cycle, m)
-				e, err := m.Allocate(req, cycle)
+				e, err := m.Allocate(req)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -205,12 +205,12 @@ func checkLazyMatchesPerCycle(t *testing.T, data []byte) lazyCoverage {
 		block++
 		req := &mem.Request{Addr: mem.Addr(block << mem.BlockBits), PC: mem.Addr(block), Core: in.next(cores+2) - 1, Kind: mem.Load}
 		lazy.CatchUp(req.Core, clock, ml)
-		el, err := ml.Allocate(req, now)
+		el, err := ml.Allocate(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		lazy.OnMissAlloc(el)
-		if _, err := mr.Allocate(req, now); err != nil {
+		if _, err := mr.Allocate(req); err != nil {
 			t.Fatal(err)
 		}
 		live = append(live, block)

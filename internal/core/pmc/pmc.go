@@ -38,9 +38,9 @@
 // Qureshi et al. ("A Case for MLP-Aware Cache Replacement", ISCA
 // 2006): every miss access cycle is divided equally among the core's
 // outstanding misses, whether or not a base access phase hides it.
-// The study case's Table I and the M-CARE and SBAR comparison points
-// read it; comparing CARE (PMC) against M-CARE isolates the value of
-// modelling hit-miss overlap.
+// The study case's Table I and the M-CARE comparison point read it;
+// comparing CARE (PMC) against M-CARE isolates the value of modelling
+// hit-miss overlap.
 package pmc
 
 import (

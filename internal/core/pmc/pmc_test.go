@@ -18,7 +18,7 @@ func alloc(l *Logic, m *cache.MSHR, core int, block uint64, pc mem.Addr, cycle u
 		PC:   pc,
 		Core: core,
 		Kind: mem.Load,
-	}, cycle)
+	})
 	if err != nil {
 		panic(err)
 	}

@@ -131,7 +131,7 @@ func Run(cfg Config, accesses []Access) ([]Result, uint64) {
 					Kind: mem.Load,
 				}
 				logic.CatchUp(0, cycle, mshr)
-				e, err := mshr.Allocate(req, cycle)
+				e, err := mshr.Allocate(req)
 				if err != nil {
 					// The hand-worked study case never exceeds the
 					// MSHR file; an error here is a broken scenario.

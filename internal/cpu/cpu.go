@@ -17,6 +17,7 @@
 package cpu
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -121,8 +122,10 @@ type Core struct {
 	// can reposition a freshly constructed copy of the same trace by
 	// replaying (and discarding) exactly this many records.
 	recsRead uint64
-	// replayLimit bounds recsRead on restore (see LimitReplay).
+	// replayLimit bounds recsRead on restore, and replayCtx cancels
+	// the replay (see LimitReplay).
 	replayLimit uint64
+	replayCtx   context.Context
 	// frozen stops dispatch (retirement continues) while the system
 	// drains to a checkpointable quiescent point.
 	frozen bool

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -16,11 +17,19 @@ func (c *Core) SetFetchFrozen(frozen bool) { c.frozen = frozen }
 func (c *Core) Quiesced() bool { return c.robLen == 0 && c.rob.Len() == 0 }
 
 // LimitReplay bounds the record count a restore of this core may
-// replay. Synthetic traces never end, so a forged count would replay
-// for hours; Checkpoint refuses a count above the limit with
-// ErrCorrupt before it reads any record. A core whose limit was never
-// set restores no record at all.
-func (c *Core) LimitReplay(records uint64) { c.replayLimit = records }
+// replay, and sets the context that cancels the replay. Synthetic
+// traces never end, so a forged count would replay for hours;
+// Checkpoint refuses a count above the limit with ErrCorrupt before it
+// reads any record. A count within the limit can still take minutes,
+// so the replay stops with ctx's error once ctx is done. A core whose
+// limit was never set restores no record at all.
+func (c *Core) LimitReplay(ctx context.Context, records uint64) {
+	c.replayCtx, c.replayLimit = ctx, records
+}
+
+// replayPoll is the number of records reposition replays between looks
+// at its context: about a tenth of a second of synthetic trace.
+const replayPoll = 1 << 21
 
 // Checkpoint implements checkpoint.Component at a quiescent point
 // (empty ROB, no in-flight accesses). The trace position is the number
@@ -50,9 +59,15 @@ func (c *Core) Checkpoint(s *checkpoint.State) {
 	}
 }
 
-// reposition consumes n records from the trace source.
+// reposition consumes n records from the trace source, returning the
+// replay context's error if it is done first.
 func (c *Core) reposition(n uint64) error {
 	for i := uint64(0); i < n; i++ {
+		if i%replayPoll == 0 {
+			if err := c.replayCtx.Err(); err != nil {
+				return err
+			}
+		}
 		if _, err := c.src.Next(); err != nil {
 			if errors.Is(err, io.EOF) {
 				return checkpoint.Mismatchf(

@@ -173,11 +173,14 @@ func (o *Options) Defaults() {
 	}
 }
 
-// DefaultSchemes is the comparison set of Figures 7-12 (the paper
-// adds Mockingjay in the no-prefetch scalability study).
+// DefaultSchemes is the comparison set of Figures 7-12.
 func DefaultSchemes() []string {
 	return []string{"lru", "ship++", "hawkeye", "glider", "m-care", "care"}
 }
+
+// noPrefetchScheme is the scheme the no-prefetch scalability study
+// (fig13, fig14) adds to DefaultSchemes, as the paper does.
+const noPrefetchScheme = "mockingjay"
 
 // schemes returns the option override or the default set.
 func (o *Options) schemes() []string {

@@ -22,6 +22,9 @@ const (
 	svcSeed     = 1 // cache seed; the key streams use svcSeed+1
 )
 
+// svcSchemes is svc's default comparison set.
+var svcSchemes = []string{"lru", "srrip", "ship++", "care"}
+
 // runSvc compares replacement policies inside the care/cache library
 // on the service-traffic workloads of synth.ServiceTraces. Each
 // workload × scheme cell replays a read-through key stream
@@ -30,7 +33,7 @@ const (
 func runSvc(o *Options) error {
 	schemes := o.Schemes
 	if len(schemes) == 0 {
-		schemes = []string{"lru", "srrip", "ship++", "care"}
+		schemes = svcSchemes
 	}
 	t := stats.NewTable("workload", "policy", "hit%", "evictions", "Δ vs lru (points)")
 	for i, tr := range synth.ServiceTraces(svcCapacity, svcSeed+1) {

@@ -334,7 +334,7 @@ func runScalabilitySpec(prefetch bool) func(o *Options) error {
 func runScalability(o *Options, kind string, workloads []string, prefetch bool) error {
 	schemes := o.schemes()
 	if !prefetch && len(o.Schemes) == 0 {
-		schemes = append(schemes, "mockingjay")
+		schemes = append(schemes, noPrefetchScheme)
 	}
 	cols := withLRU(schemes)
 	nw := len(workloads)

@@ -115,7 +115,7 @@ type Request struct {
 	// policy can see it at fill time.
 	PMC float64
 	// MLPCost is the analogous MLP-based cost (Qureshi et al.), used
-	// by SBAR and M-CARE.
+	// by M-CARE.
 	MLPCost float64
 	// Owner, if non-nil, receives Complete(Tag, cycle) exactly once
 	// when the request's data is available to the requester.

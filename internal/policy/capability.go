@@ -1,79 +1,22 @@
 package policy
 
-// Capabilities describes what a replacement policy needs from its
-// host. The simulator supplies everything; the care/cache service
-// library (which has keys and values, not program counters and
-// cycle-accurate miss measurements) uses this metadata to reject
-// policies it cannot drive faithfully — at construction, with a typed
-// error, instead of silently running a degenerate predictor.
-type Capabilities struct {
-	// NeedsPC marks policies whose predictions are keyed on the
-	// program counter of the accessing instruction (SHiP's signature
-	// lineage). The cache library substitutes a stable per-key hash
-	// for the PC — turning the PC-indexed predictor into a per-key
-	// reuse/cost predictor, which is exactly the analogous structure
-	// for service traffic — so NeedsPC alone does not make a policy
-	// unsupported.
-	NeedsPC bool
-	// NeedsSimulatorState marks policies that consume measurements
-	// only the cycle-accurate simulator produces and a service cache
-	// cannot emulate: measured MLP-based cost from MSHR occupancy
-	// (SBAR, LIN), MSHR-allocation-to-fill miss latency (LACS),
-	// OPTgen-style reconstruction over cycle-timestamped access quanta
-	// (Hawkeye, Mockingjay), or per-core PC history registers
-	// (Glider). These are rejected by the cache library.
-	NeedsSimulatorState bool
-}
-
-// Portable reports whether the policy can drive the care/cache
-// library: everything except policies needing simulator state.
-func (c Capabilities) Portable() bool { return !c.NeedsSimulatorState }
-
-// capabilities is the per-policy metadata table. The lockstep test
-// asserts it covers exactly the policy zoo in All().
-var capabilities = map[Policy]Capabilities{
-	// Recency/insertion policies: no PC, no simulator state.
-	LRU:    {},
-	Random: {},
-	LIP:    {},
-	BIP:    {},
-	DIP:    {},
-	SRRIP:  {},
-	BRRIP:  {},
-	DRRIP:  {},
-	// EAF filters on evicted block addresses; the library's key hash
-	// is the address. RLR ranks on age/was-hit features it counts
-	// itself. PACMan without a prefetch stream degenerates (harmlessly)
-	// to its SRRIP backbone.
-	EAF:    {},
-	RLR:    {},
-	Pacman: {},
-	// Signature-trained: the library feeds a per-key hash as the PC.
-	SHiP:   {NeedsPC: true},
-	SHiPPP: {NeedsPC: true},
-	// CARE and M-CARE are signature-trained and cost-driven; the cost
-	// channel generalises from the simulator's PMC/MLP measurement to
-	// any caller-supplied miss cost (e.g. backend load latency), so
-	// they port to service traffic.
-	CARE:  {NeedsPC: true},
-	MCARE: {NeedsPC: true},
-	// Simulator-bound predictors.
-	Hawkeye:    {NeedsPC: true, NeedsSimulatorState: true},
-	Glider:     {NeedsPC: true, NeedsSimulatorState: true},
-	Mockingjay: {NeedsPC: true, NeedsSimulatorState: true},
-	LACS:       {NeedsSimulatorState: true},
-	SBAR:       {NeedsSimulatorState: true},
-	Lin:        {NeedsSimulatorState: true},
-}
-
-// Capabilities returns the policy's capability metadata, or
-// *ErrUnknown for names outside the zoo.
-func (p Policy) Capabilities() (Capabilities, error) {
-	c, ok := capabilities[p]
-	if !ok {
-		return Capabilities{}, &ErrUnknown{Name: string(p)}
+// Portable reports whether the care/cache service library can drive
+// p. The library has keys and values, not program counters and
+// cycle-accurate miss measurements. The recency and insertion
+// policies (LRU, SRRIP and the set-dueling family) need neither. For
+// the rest the library substitutes a stable per-key hash for the PC,
+// which turns the signature-trained predictors (SHiP++, CARE, M-CARE)
+// into per-key reuse/cost predictors, and a caller-supplied miss cost
+// (e.g. backend load latency) for the measured PMC/MLP cost. Hawkeye, Glider and Mockingjay reconstruct
+// OPT over cycle-timestamped access quanta, and Glider also keeps
+// per-core PC history: their inputs do not exist outside the
+// simulator, so the library rejects them.
+func (p Policy) Portable() bool {
+	switch p {
+	case LRU, SRRIP, LIP, BIP, DIP, BRRIP, DRRIP, SHiPPP, CARE, MCARE:
+		return true
 	}
-	return c, nil
+	return false
 }
 
 // Portable returns every policy the cache library supports, in sorted
@@ -81,7 +24,7 @@ func (p Policy) Capabilities() (Capabilities, error) {
 func Portable() []Policy {
 	var out []Policy
 	for _, p := range All() {
-		if c := capabilities[p]; c.Portable() {
+		if p.Portable() {
 			out = append(out, p)
 		}
 	}

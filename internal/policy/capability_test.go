@@ -1,66 +1,49 @@
 package policy_test
 
 import (
-	"errors"
+	"reflect"
 	"testing"
 
-	_ "care/internal/core/care" // registers "care" and "m-care"
 	"care/internal/policy"
-	"care/internal/replacement"
 )
 
-// TestCapabilitiesLockstep: every policy in the zoo (and therefore,
-// by TestLockstepWithReplacementRegistry, every registered factory)
-// has capability metadata, and unknown names fail with *ErrUnknown.
-// This is the guarantee care/cache relies on to reject unsupported
-// policies at construction instead of panicking at first access.
+// TestCapabilitiesLockstep: the cache library's policy set is exactly
+// the portable half of the zoo, and a name outside the zoo is not
+// portable. This is the guarantee care/cache relies on to reject
+// unsupported policies at construction instead of panicking at first
+// access.
 func TestCapabilitiesLockstep(t *testing.T) {
-	for _, p := range policy.All() {
-		if _, err := p.Capabilities(); err != nil {
-			t.Errorf("%q.Capabilities(): %v", p, err)
-		}
+	want := []policy.Policy{
+		policy.BIP, policy.BRRIP, policy.CARE, policy.DIP, policy.DRRIP,
+		policy.LIP, policy.LRU, policy.MCARE, policy.SHiPPP, policy.SRRIP,
 	}
-	for _, name := range replacement.Names() {
-		if _, err := policy.Policy(name).Capabilities(); err != nil {
-			t.Errorf("registered policy %q has no capability metadata: %v", name, err)
-		}
+	if got := policy.Portable(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Portable() = %v, want %v", got, want)
 	}
-	var unknown *policy.ErrUnknown
-	if _, err := policy.Policy("plru").Capabilities(); !errors.As(err, &unknown) {
-		t.Fatalf(`Capabilities("plru"): got %v, want *ErrUnknown`, err)
+	if policy.Policy("plru").Portable() {
+		t.Fatal(`"plru" is outside the zoo but reports portable`)
 	}
 }
 
 // TestCapabilitiesAnchors pins the classifications the rest of the
 // repo depends on: the paper's own policy must be portable (the whole
-// point of the cache library) and the simulator-bound measurements
-// must not be.
+// point of the cache library) and the OPT-reconstructing predictors,
+// which need simulator state, must not be.
 func TestCapabilitiesAnchors(t *testing.T) {
-	mustPortable := []policy.Policy{policy.LRU, policy.SRRIP, policy.SHiPPP, policy.CARE, policy.MCARE}
-	for _, p := range mustPortable {
-		c, err := p.Capabilities()
-		if err != nil || !c.Portable() {
-			t.Errorf("%q: want portable, got caps=%+v err=%v", p, c, err)
+	for _, p := range []policy.Policy{policy.LRU, policy.SRRIP, policy.SHiPPP, policy.CARE, policy.MCARE} {
+		if !p.Portable() {
+			t.Errorf("%q: want portable", p)
 		}
 	}
-	mustReject := []policy.Policy{policy.Hawkeye, policy.Mockingjay, policy.SBAR, policy.LACS}
-	for _, p := range mustReject {
-		c, err := p.Capabilities()
-		if err != nil || c.Portable() {
-			t.Errorf("%q: want simulator-bound, got caps=%+v err=%v", p, c, err)
-		}
-	}
-	// Signature-trained portables must be flagged NeedsPC so the
-	// library knows it is substituting key hashes for PCs.
-	for _, p := range []policy.Policy{policy.SHiP, policy.SHiPPP, policy.CARE} {
-		if c, _ := p.Capabilities(); !c.NeedsPC {
-			t.Errorf("%q: want NeedsPC", p)
+	for _, p := range []policy.Policy{policy.Hawkeye, policy.Glider, policy.Mockingjay} {
+		if p.Portable() {
+			t.Errorf("%q: want simulator-bound", p)
 		}
 	}
 }
 
 // TestPortableSubset: Portable() is a sorted, validated subset of
-// All() and contains no simulator-bound policy.
+// All() holding only policies that report portable.
 func TestPortableSubset(t *testing.T) {
 	portable := policy.Portable()
 	if len(portable) == 0 {
@@ -70,12 +53,11 @@ func TestPortableSubset(t *testing.T) {
 		if i > 0 && portable[i-1] >= p {
 			t.Fatalf("Portable() not sorted at %d: %v", i, portable)
 		}
-		c, err := p.Capabilities()
-		if err != nil {
+		if err := p.Validate(); err != nil {
 			t.Fatalf("%q: %v", p, err)
 		}
-		if !c.Portable() {
-			t.Fatalf("%q in Portable() but NeedsSimulatorState", p)
+		if !p.Portable() {
+			t.Fatalf("%q in Portable() but not portable", p)
 		}
 	}
 }

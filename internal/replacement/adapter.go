@@ -21,9 +21,8 @@ type Access struct {
 	// which turns PC-signature-trained predictors (SHiP++, CARE) into
 	// per-key reuse/cost predictors.
 	Sig uint64
-	// Block identifies the data being accessed (the tag). Address-
-	// trained policies (EAF's evicted-address filter) see it as the
-	// block address.
+	// Block identifies the data being accessed (the tag). Policies see
+	// it as the block address.
 	Block uint64
 	// Write marks a mutating access (mem.Store); reads are mem.Load.
 	Write bool
@@ -80,21 +79,20 @@ func (a *Adapter) PolicyName() string { return a.pol.Name() }
 
 // info translates an Access into the simulator vocabulary. The cost
 // is presented on every channel a cost-sensitive policy might read
-// (PMC for CARE, MLP cost for M-CARE, miss latency for LACS-style
-// stall estimates) so the choice of channel stays a policy detail.
+// (PMC for CARE, MLP cost for M-CARE) so the choice of channel stays
+// a policy detail.
 func (a *Adapter) info(acc Access) cache.AccessInfo {
 	kind := mem.Load
 	if acc.Write {
 		kind = mem.Store
 	}
 	return cache.AccessInfo{
-		PC:          mem.Addr(acc.Sig),
-		Addr:        mem.Addr(acc.Block << mem.BlockBits),
-		Kind:        kind,
-		Cycle:       a.tick,
-		PMC:         acc.Cost,
-		MLPCost:     acc.Cost,
-		MissLatency: uint64(acc.Cost),
+		PC:      mem.Addr(acc.Sig),
+		Addr:    mem.Addr(acc.Block << mem.BlockBits),
+		Kind:    kind,
+		Cycle:   a.tick,
+		PMC:     acc.Cost,
+		MLPCost: acc.Cost,
 	}
 }
 

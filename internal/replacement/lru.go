@@ -4,7 +4,6 @@ import "care/internal/cache"
 
 func init() {
 	Register("lru", func(cores int) cache.Policy { return NewLRU() })
-	Register("random", func(cores int) cache.Policy { return NewRandom(1) })
 	Register("lip", func(cores int) cache.Policy { return NewLIP() })
 	Register("bip", func(cores int) cache.Policy { return NewBIP() })
 	Register("dip", func(cores int) cache.Policy { return NewDIP() })
@@ -60,37 +59,6 @@ func (p *LRU) OnFill(set, way int, blocks []cache.Block, info cache.AccessInfo) 
 
 // OnEvict implements cache.Policy.
 func (p *LRU) OnEvict(set, way int, evicted cache.Block, info cache.AccessInfo) {}
-
-// Random evicts a uniformly random way; the cheapest possible policy
-// and a useful lower bound in comparisons.
-type Random struct {
-	rng  xorshift
-	ways int
-}
-
-// NewRandom returns a random-replacement policy with a fixed seed so
-// simulations stay reproducible.
-func NewRandom(seed uint64) *Random { return &Random{rng: newXorshift(seed)} }
-
-// Name implements cache.Policy.
-func (p *Random) Name() string { return "random" }
-
-// Init implements cache.Policy.
-func (p *Random) Init(sets, ways int) { p.ways = ways }
-
-// Victim implements cache.Policy.
-func (p *Random) Victim(set int, blocks []cache.Block, info cache.AccessInfo) int {
-	return p.rng.intn(len(blocks))
-}
-
-// OnHit implements cache.Policy.
-func (p *Random) OnHit(set, way int, blocks []cache.Block, info cache.AccessInfo) {}
-
-// OnFill implements cache.Policy.
-func (p *Random) OnFill(set, way int, blocks []cache.Block, info cache.AccessInfo) {}
-
-// OnEvict implements cache.Policy.
-func (p *Random) OnEvict(set, way int, evicted cache.Block, info cache.AccessInfo) {}
 
 // lipBase is the shared machinery of LIP/BIP/DIP (Qureshi et al.,
 // "Adaptive Insertion Policies for High Performance Caching"): LRU

@@ -68,13 +68,12 @@ func policyStream(blocks int) []cache.AccessInfo {
 			cost = 5
 		}
 		out[i] = cache.AccessInfo{
-			PC:          mem.Addr(0x400000 + pc*64),
-			Addr:        mem.Addr(blk << mem.BlockBits),
-			Core:        int(pc % 4),
-			Kind:        mem.Load,
-			PMC:         cost,
-			MLPCost:     cost,
-			MissLatency: uint64(cost) + 100,
+			PC:      mem.Addr(0x400000 + pc*64),
+			Addr:    mem.Addr(blk << mem.BlockBits),
+			Core:    int(pc % 4),
+			Kind:    mem.Load,
+			PMC:     cost,
+			MLPCost: cost,
 		}
 	}
 	return out

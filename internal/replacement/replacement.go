@@ -1,9 +1,12 @@
 // Package replacement implements the cache replacement policies the
-// paper evaluates against — LRU, SRRIP/DRRIP, DIP, SHiP, SHiP++,
-// Hawkeye, Glider, Mockingjay, and the MLP-aware SBAR — plus a
-// registry so simulations select policies by name. The paper's own
-// CARE and M-CARE policies live in internal/core/care and register
-// themselves here.
+// paper evaluates against — LRU, SHiP++, Hawkeye, Glider and
+// Mockingjay — and SRRIP, which the care/cache service comparison
+// adds, plus a registry so simulations select policies by name. The
+// paper's own CARE and M-CARE policies live in internal/core/care and
+// register themselves here. The set-dueling insertion policies (LIP,
+// BIP, DIP, BRRIP, DRRIP) are the one family no experiment runs; a
+// harness test keeps the registry to the experiments' policies plus
+// that family.
 package replacement
 
 import (
@@ -48,8 +51,8 @@ func Names() []string {
 }
 
 // SignatureBits is the width of the PC signature used by the
-// signature-based policies (SHiP, SHiP++, CARE): 14 bits per the
-// papers.
+// signature-based policies (SHiP++, Hawkeye, Mockingjay, CARE): 14
+// bits per the papers.
 const SignatureBits = 14
 
 // Signature hashes a PC to a SignatureBits-bit value. A trailing
@@ -68,8 +71,8 @@ func Signature(pc mem.Addr, prefetch bool) uint16 {
 }
 
 // xorshift is a tiny deterministic PRNG for policies that need
-// randomised decisions (BIP/BRRIP throttling, random victims). Using
-// our own keeps runs reproducible and dependency-free.
+// randomised decisions (BIP/BRRIP throttling). Using our own keeps
+// runs reproducible and dependency-free.
 type xorshift uint64
 
 func newXorshift(seed uint64) xorshift {

@@ -1,6 +1,7 @@
 package replacement
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -145,6 +146,37 @@ func TestDuelingLeadersSteerPSEL(t *testing.T) {
 	}
 }
 
+// simulateLRUOffline runs true LRU over a block-address sequence for
+// a sets×ways cache, apart from the cache model, and returns the hit
+// and miss counts.
+func simulateLRUOffline(addrs []mem.Addr, sets, ways int) (hits, misses uint64) {
+	resident := make([]map[uint64]uint64, sets) // block -> last-use stamp
+	for i := range resident {
+		resident[i] = make(map[uint64]uint64, ways)
+	}
+	for clock, a := range addrs {
+		blk := a.BlockID()
+		r := resident[blk%uint64(sets)]
+		if _, ok := r[blk]; ok {
+			hits++
+		} else {
+			misses++
+			if len(r) >= ways {
+				var victim uint64
+				oldest := uint64(math.MaxUint64)
+				for b, stamp := range r {
+					if stamp < oldest {
+						victim, oldest = b, stamp
+					}
+				}
+				delete(r, victim)
+			}
+		}
+		r[blk] = uint64(clock)
+	}
+	return hits, misses
+}
+
 func TestLRUStackProperty(t *testing.T) {
 	// With the real cache plumbing, LRU must match the offline LRU
 	// simulator on any sequence.
@@ -159,7 +191,7 @@ func TestLRUStackProperty(t *testing.T) {
 			accs[i] = cache.AccessInfo{Addr: addrs[i], PC: 0x400, Kind: mem.Load}
 		}
 		hits, misses := runSeq(NewLRU(), 4, 4, accs)
-		wantHits, wantMisses := SimulateLRUOffline(addrs, 4, 4)
+		wantHits, wantMisses := simulateLRUOffline(addrs, 4, 4)
 		return hits == wantHits && misses == wantMisses
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
@@ -262,7 +294,7 @@ func TestRRIPVictimAging(t *testing.T) {
 
 func TestSHiPLearnsDeadPC(t *testing.T) {
 	// PC 0xdead streams blocks that are never reused; PC 0xbeef has a
-	// hot working set. After training, SHiP should beat LRU.
+	// hot working set. After training, SHiP++ should beat LRU.
 	var accs []cache.AccessInfo
 	stream := uint64(5000)
 	for p := 0; p < 120; p++ {
@@ -277,9 +309,9 @@ func TestSHiPLearnsDeadPC(t *testing.T) {
 		}
 	}
 	lruHits, _ := runSeq(NewLRU(), 16, 4, accs)
-	shipHits, _ := runSeq(NewSHiP(), 16, 4, accs)
+	shipHits, _ := runSeq(NewSHiPPP(), 16, 4, accs)
 	if shipHits <= lruHits {
-		t.Fatalf("SHiP (%d) should beat LRU (%d) with a dead streaming PC", shipHits, lruHits)
+		t.Fatalf("SHiP++ (%d) should beat LRU (%d) with a dead streaming PC", shipHits, lruHits)
 	}
 }
 
@@ -349,65 +381,6 @@ func TestOptgenWindowExpiry(t *testing.T) {
 	}
 	if og.shouldCache(start) {
 		t.Fatal("intervals beyond the window are uncacheable")
-	}
-}
-
-func TestOPTBeatsLRUProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		addrs := make([]mem.Addr, 500)
-		for i := range addrs {
-			addrs[i] = mem.Addr(uint64(rng.Intn(96)) << mem.BlockBits)
-		}
-		optHits, optMisses := SimulateOPT(addrs, 4, 4)
-		lruHits, lruMisses := SimulateLRUOffline(addrs, 4, 4)
-		if optHits+optMisses != uint64(len(addrs)) || lruHits+lruMisses != uint64(len(addrs)) {
-			return false
-		}
-		return optHits >= lruHits
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestOPTGolden(t *testing.T) {
-	// Classic example: A B C A B C on a 2-way set. LRU thrashes (0
-	// hits); OPT keeps A (or B) and gets 2 hits.
-	seq := []mem.Addr{}
-	for _, b := range []uint64{0, 1, 2, 0, 1, 2} {
-		seq = append(seq, mem.Addr(b<<mem.BlockBits))
-	}
-	optHits, _ := SimulateOPT(seq, 1, 2)
-	lruHits, _ := SimulateLRUOffline(seq, 1, 2)
-	if lruHits != 0 {
-		t.Fatalf("LRU hits = %d, want 0", lruHits)
-	}
-	if optHits != 2 {
-		t.Fatalf("OPT hits = %d, want 2", optHits)
-	}
-}
-
-func TestLINPrefersEvictingLowCost(t *testing.T) {
-	p := NewLIN()
-	p.Init(1, 4)
-	blocks := make([]cache.Block, 4)
-	// Fill 4 ways; way 0 is oldest but very costly, way 1 cheap.
-	p.OnFill(0, 0, blocks, cache.AccessInfo{Kind: mem.Load, MLPCost: 500})
-	p.OnFill(0, 1, blocks, cache.AccessInfo{Kind: mem.Load, MLPCost: 0})
-	p.OnFill(0, 2, blocks, cache.AccessInfo{Kind: mem.Load, MLPCost: 500})
-	p.OnFill(0, 3, blocks, cache.AccessInfo{Kind: mem.Load, MLPCost: 500})
-	if v := p.Victim(0, blocks, cache.AccessInfo{}); v != 1 {
-		t.Fatalf("LIN victim = %d, want the cheap block (1) despite being newer", v)
-	}
-}
-
-func TestQuantize(t *testing.T) {
-	cases := map[float64]uint8{0: 0, 59: 0, 60: 1, 300: 5, 10000: 7, -5: 0}
-	for in, want := range cases {
-		if got := quantize(in); got != want {
-			t.Errorf("quantize(%v) = %d, want %d", in, got, want)
-		}
 	}
 }
 
@@ -516,130 +489,5 @@ func TestHawkeyeLearnsDeadPC(t *testing.T) {
 	hawkHits, _ := runSeq(NewHawkeye(), 16, 4, accs)
 	if hawkHits <= lruHits {
 		t.Fatalf("Hawkeye (%d) should beat LRU (%d) on scan+reuse mix", hawkHits, lruHits)
-	}
-}
-
-func TestLACSProtectsCostlyFetches(t *testing.T) {
-	p := NewLACS()
-	p.Init(1, 4)
-	blocks := make([]cache.Block, 4)
-	// Way 0: costly fetch. Ways 1-3: cheap fetches.
-	p.OnFill(0, 0, blocks, cache.AccessInfo{Kind: mem.Load, MissLatency: 500})
-	p.OnFill(0, 1, blocks, cache.AccessInfo{Kind: mem.Load, MissLatency: 20})
-	p.OnFill(0, 2, blocks, cache.AccessInfo{Kind: mem.Load, MissLatency: 20})
-	p.OnFill(0, 3, blocks, cache.AccessInfo{Kind: mem.Load, MissLatency: 20})
-	if v := p.Victim(0, blocks, cache.AccessInfo{}); v == 0 {
-		t.Fatal("LACS must not evict the costly block first")
-	}
-	// Hits credit locality even on cheap blocks.
-	p.OnHit(0, 1, blocks, cache.AccessInfo{Kind: mem.Load})
-	if v := p.Victim(0, blocks, cache.AccessInfo{}); v == 1 {
-		t.Fatal("hit block should outrank untouched cheap blocks")
-	}
-	// Prefetch hits do not credit.
-	before := p.counter[0][2]
-	p.OnHit(0, 2, blocks, cache.AccessInfo{Kind: mem.Prefetch})
-	if p.counter[0][2] != before {
-		t.Fatal("prefetch hits must not train LACS")
-	}
-}
-
-func TestRLRPriorityFeatures(t *testing.T) {
-	p := NewRLR()
-	p.Init(1, 4)
-	blocks := make([]cache.Block, 4)
-	// Fill all ways as demand.
-	for w := 0; w < 4; w++ {
-		p.OnFill(0, w, blocks, cache.AccessInfo{Kind: mem.Load})
-	}
-	// Way 2 gets a hit: it must be safer than the others.
-	p.OnHit(0, 2, blocks, cache.AccessInfo{Kind: mem.Load})
-	if v := p.Victim(0, blocks, cache.AccessInfo{}); v == 2 {
-		t.Fatal("hit block should not be the victim")
-	}
-	// A prefetch-filled block loses the type preference.
-	p.OnFill(0, 3, blocks, cache.AccessInfo{Kind: mem.Prefetch})
-	if v := p.Victim(0, blocks, cache.AccessInfo{}); v != 3 && v != 0 && v != 1 {
-		t.Fatalf("victim = %d unexpected", v)
-	}
-	// Stale blocks lose the dominant age feature: age way 0 far
-	// beyond the set's reuse distance.
-	for i := 0; i < 200; i++ {
-		p.OnHit(0, 2, blocks, cache.AccessInfo{Kind: mem.Load})
-	}
-	if v := p.Victim(0, blocks, cache.AccessInfo{}); v == 2 {
-		t.Fatal("freshly hit block must survive ageing")
-	}
-}
-
-func TestRLRBeatsRandomOnLoopingSet(t *testing.T) {
-	var accs []cache.AccessInfo
-	for pass := 0; pass < 80; pass++ {
-		for b := 0; b < 3; b++ {
-			accs = append(accs, cache.AccessInfo{Addr: mem.Addr(uint64(b*16) << mem.BlockBits), PC: 7, Kind: mem.Load})
-		}
-	}
-	rlrHits, _ := runSeq(NewRLR(), 16, 4, accs)
-	randHits, _ := runSeq(NewRandom(1), 16, 4, accs)
-	if rlrHits < randHits {
-		t.Fatalf("RLR (%d) should not lose to random (%d) on a friendly loop", rlrHits, randHits)
-	}
-}
-
-func TestEAFRescuesPrematureEvictions(t *testing.T) {
-	p := NewEAF()
-	p.Init(4, 4)
-	blocks := make([]cache.Block, 4)
-	tag := uint64(0xABC)
-	// Unknown block: bimodal distant insertion (usually max).
-	p.OnFill(0, 0, blocks, cache.AccessInfo{Addr: mem.Addr(tag << mem.BlockBits), Kind: mem.Load})
-	if p.rrpv[0][0] == 0 {
-		t.Fatal("unseen block should not insert protected")
-	}
-	// Evict it; the filter remembers.
-	p.OnEvict(0, 0, cache.Block{Valid: true, Tag: tag}, cache.AccessInfo{})
-	// Refill: now protected.
-	p.OnFill(0, 1, blocks, cache.AccessInfo{Addr: mem.Addr(tag << mem.BlockBits), Kind: mem.Load})
-	if p.rrpv[0][1] != 0 {
-		t.Fatalf("filter-hit refill should insert protected, rrpv=%d", p.rrpv[0][1])
-	}
-}
-
-func TestEAFFilterClears(t *testing.T) {
-	p := NewEAF()
-	p.Init(4, 4)
-	tag := uint64(0x123)
-	p.filterAdd(tag)
-	if !p.filterHas(tag) {
-		t.Fatal("filter should remember")
-	}
-	for i := 0; i < eafClearEvts; i++ {
-		p.filterAdd(uint64(0x10000 + i))
-	}
-	if p.filterHas(tag) {
-		t.Fatal("periodic clear should forget old evictions")
-	}
-}
-
-func TestPACManPrefetchHandling(t *testing.T) {
-	p := NewPACMan()
-	p.Init(4, 4)
-	blocks := make([]cache.Block, 4)
-	p.OnFill(0, 0, blocks, cache.AccessInfo{Kind: mem.Prefetch})
-	if p.rrpv[0][0] != maxRRPV {
-		t.Fatal("prefetch fills insert distant (PACMan-M)")
-	}
-	p.rrpv[0][0] = 2
-	p.OnHit(0, 0, blocks, cache.AccessInfo{Kind: mem.Prefetch})
-	if p.rrpv[0][0] != 2 {
-		t.Fatal("prefetch hits must not promote (PACMan-H)")
-	}
-	p.OnHit(0, 0, blocks, cache.AccessInfo{Kind: mem.Load})
-	if p.rrpv[0][0] != 0 {
-		t.Fatal("demand hits promote")
-	}
-	p.OnFill(0, 1, blocks, cache.AccessInfo{Kind: mem.Load})
-	if p.rrpv[0][1] != maxRRPV-1 {
-		t.Fatal("demand fills insert long (SRRIP)")
 	}
 }

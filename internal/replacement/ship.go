@@ -6,7 +6,6 @@ import (
 )
 
 func init() {
-	Register("ship", func(cores int) cache.Policy { return NewSHiP() })
 	Register("ship++", func(cores int) cache.Policy { return NewSHiPPP() })
 }
 
@@ -17,79 +16,10 @@ const shctSize = 1 << SignatureBits
 // shctMax is the saturating counter ceiling (3-bit counters).
 const shctMax = 7
 
-// SHiP is the Signature-based Hit Predictor (Wu et al., MICRO 2011):
-// an SRRIP backbone whose insertion position is predicted per PC
-// signature from a history of whether past blocks of that signature
-// were re-referenced before eviction.
-type SHiP struct {
-	rripBase
-	shct []uint8
-	// sig and outcome are per-(set,way) training metadata.
-	sig     [][]uint16
-	outcome [][]bool
-	sampled SampledSets
-}
-
-// NewSHiP returns a SHiP-PC policy.
-func NewSHiP() *SHiP { return &SHiP{} }
-
-// Name implements cache.Policy.
-func (p *SHiP) Name() string { return "ship" }
-
-// Init implements cache.Policy.
-func (p *SHiP) Init(sets, ways int) {
-	p.rripBase.Init(sets, ways)
-	p.shct = make([]uint8, shctSize)
-	for i := range p.shct {
-		p.shct[i] = 1 // weakly reused, as in the reference code
-	}
-	p.sig = make([][]uint16, sets)
-	p.outcome = make([][]bool, sets)
-	for i := range p.sig {
-		p.sig[i] = make([]uint16, ways)
-		p.outcome[i] = make([]bool, ways)
-	}
-	p.sampled = NewSampledSets(sets, 64)
-}
-
-// Victim implements cache.Policy.
-func (p *SHiP) Victim(set int, blocks []cache.Block, info cache.AccessInfo) int {
-	return p.victim(set)
-}
-
-// OnHit implements cache.Policy.
-func (p *SHiP) OnHit(set, way int, blocks []cache.Block, info cache.AccessInfo) {
-	p.rrpv[set][way] = 0
-	if p.sampled.Sampled(set) && !p.outcome[set][way] {
-		p.outcome[set][way] = true
-		if s := p.sig[set][way]; p.shct[s] < shctMax {
-			p.shct[s]++
-		}
-	}
-}
-
-// OnFill implements cache.Policy.
-func (p *SHiP) OnFill(set, way int, blocks []cache.Block, info cache.AccessInfo) {
-	s := Signature(info.PC, false)
-	p.sig[set][way] = s
-	p.outcome[set][way] = false
-	if p.shct[s] == 0 {
-		p.rrpv[set][way] = maxRRPV // predicted dead on arrival
-	} else {
-		p.rrpv[set][way] = maxRRPV - 1
-	}
-}
-
-// OnEvict implements cache.Policy.
-func (p *SHiP) OnEvict(set, way int, evicted cache.Block, info cache.AccessInfo) {
-	if p.sampled.Sampled(set) && !p.outcome[set][way] {
-		if s := p.sig[set][way]; p.shct[s] > 0 {
-			p.shct[s]--
-		}
-	}
-}
-
-// SHiPPP is SHiP++ (Young et al., CRC-2 2017): SHiP with the
+// SHiPPP is SHiP++ (Young et al., CRC-2 2017). Its base, SHiP (Wu
+// et al., MICRO 2011), is an SRRIP backbone whose insertion position
+// is predicted per PC signature from whether past blocks of that
+// signature were re-referenced before eviction. SHiP++ adds the
 // enhancements the CARE paper builds on — prefetch-aware signatures
 // (a prefetch bit in the signature), writeback-aware insertion
 // (writebacks inserted distant and excluded from training), insertion

@@ -1,6 +1,8 @@
 package replacement
 
 import (
+	"fmt"
+
 	"care/internal/checkpoint"
 	"care/internal/mem"
 )
@@ -12,16 +14,28 @@ import (
 // Init'd policy of identical geometry, whose tables fix every shape.
 // Policies that embed another (LIP in LRU, SRRIP in rripBase) inherit
 // its walk unless they add state of their own, and then walk the
-// embedded part first.
+// embedded part first. A stored value that indexes a table is range-checked as it
+// is restored, so a forged checkpoint fails with ErrCorrupt instead
+// of restoring a policy that later panics.
+
+// walkIndex walks a stored index into a table of n entries; restoring
+// a value outside [0, n) fails the walk with ErrCorrupt.
+func walkIndex[T checkpoint.Unsigned](s *checkpoint.State, v *T, n int, what string) {
+	checkpoint.Uint(s, v)
+	if s.Restoring() && s.Err() == nil && uint64(*v) >= uint64(n) {
+		s.Fail(fmt.Errorf("%w: %s %d out of range [0, %d)", checkpoint.ErrCorrupt, what, *v, n))
+	}
+}
+
+// walkSig walks a PC signature, which indexes a table of shctSize
+// entries (SHiP++'s SHCT, Hawkeye's predictor, Mockingjay's RDP).
+func walkSig(s *checkpoint.State, sig *uint16) { walkIndex(s, sig, shctSize, "signature") }
 
 // Checkpoint implements checkpoint.Component.
 func (p *LRU) Checkpoint(s *checkpoint.State) {
 	checkpoint.Grid(s, p.stamp, checkpoint.Uint)
 	checkpoint.Uint(s, &p.clock)
 }
-
-// Checkpoint implements checkpoint.Component.
-func (p *Random) Checkpoint(s *checkpoint.State) { checkpoint.Uint(s, &p.rng) }
 
 // Checkpoint implements checkpoint.Component for LIP and BIP.
 func (p *lipBase) Checkpoint(s *checkpoint.State) {
@@ -35,7 +49,7 @@ func (p *DIP) Checkpoint(s *checkpoint.State) {
 	checkpoint.Int(s, &p.duel.psel)
 }
 
-// Checkpoint implements checkpoint.Component for SRRIP and PACMan.
+// Checkpoint implements checkpoint.Component for SRRIP.
 func (p *rripBase) Checkpoint(s *checkpoint.State) { checkpoint.Grid(s, p.rrpv, checkpoint.Uint) }
 
 // Checkpoint implements checkpoint.Component.
@@ -52,18 +66,10 @@ func (p *DRRIP) Checkpoint(s *checkpoint.State) {
 }
 
 // Checkpoint implements checkpoint.Component.
-func (p *SHiP) Checkpoint(s *checkpoint.State) {
-	p.rripBase.Checkpoint(s)
-	checkpoint.Each(s, p.shct, checkpoint.Uint)
-	checkpoint.Grid(s, p.sig, checkpoint.Uint)
-	checkpoint.Grid(s, p.outcome, (*checkpoint.State).Bool)
-}
-
-// Checkpoint implements checkpoint.Component.
 func (p *SHiPPP) Checkpoint(s *checkpoint.State) {
 	p.rripBase.Checkpoint(s)
 	checkpoint.Each(s, p.shct, checkpoint.Uint)
-	checkpoint.Grid(s, p.sig, checkpoint.Uint)
+	checkpoint.Grid(s, p.sig, walkSig)
 	checkpoint.Grid(s, p.outcome, (*checkpoint.State).Bool)
 	checkpoint.Grid(s, p.wb, (*checkpoint.State).Bool)
 }
@@ -80,10 +86,29 @@ func walkOptgens(s *checkpoint.State, m map[int]*optgen, ways int) {
 	})
 }
 
+// checkSamplers fails a restore unless the sets with an OPTgen are the
+// sets with a sampler: observe creates both together and, finding a
+// set's OPTgen, uses its sampler without looking.
+func checkSamplers[V any](s *checkpoint.State, optgens map[int]*optgen, samplers map[int]V) {
+	if !s.Restoring() || s.Err() != nil {
+		return
+	}
+	same := len(optgens) == len(samplers)
+	for set := range optgens {
+		if _, ok := samplers[set]; !ok {
+			same = false
+		}
+	}
+	if !same {
+		s.Fail(fmt.Errorf("%w: %d sampled sets have an OPTgen and %d a sampler, not the same sets",
+			checkpoint.ErrCorrupt, len(optgens), len(samplers)))
+	}
+}
+
 // Checkpoint implements checkpoint.Component.
 func (p *Hawkeye) Checkpoint(s *checkpoint.State) {
 	checkpoint.Grid(s, p.rrpv, checkpoint.Uint)
-	checkpoint.Grid(s, p.fillSig, checkpoint.Uint)
+	checkpoint.Grid(s, p.fillSig, walkSig)
 	checkpoint.Each(s, p.pred.counters, checkpoint.Uint)
 	walkOptgens(s, p.optgens, p.ways)
 	checkpoint.Map(s, p.samplers, func(s *checkpoint.State, sm **hawkeyeSampler) {
@@ -93,16 +118,18 @@ func (p *Hawkeye) Checkpoint(s *checkpoint.State) {
 		checkpoint.Slice(s, &(*sm).order, checkpoint.Uint)
 		checkpoint.Map(s, (*sm).info, func(s *checkpoint.State, i *samplerInfo) {
 			checkpoint.Uint(s, &i.quanta)
-			checkpoint.Uint(s, &i.sig)
+			walkSig(s, &i.sig)
 		})
 	})
+	checkSamplers(s, p.optgens, p.samplers)
 }
 
-// walkFeature walks a captured ISVM feature vector.
+// walkFeature walks a captured ISVM feature vector: a row of the
+// ISVM table and weight indexes within the row.
 func walkFeature(s *checkpoint.State, f *gliderFeature) {
-	checkpoint.Uint(s, &f.row)
+	walkIndex(s, &f.row, 1<<gliderTableBits, "ISVM row")
 	for i := range f.idxs {
-		checkpoint.Uint(s, &f.idxs[i])
+		walkIndex(s, &f.idxs[i], gliderWeights, "ISVM weight index")
 	}
 }
 
@@ -129,6 +156,7 @@ func (p *Glider) Checkpoint(s *checkpoint.State) {
 			walkFeature(s, &i.feat)
 		})
 	})
+	checkSamplers(s, p.optgens, p.samplers)
 }
 
 // Checkpoint implements checkpoint.Component.
@@ -145,47 +173,10 @@ func (p *Mockingjay) Checkpoint(s *checkpoint.State) {
 				*e = new(mjSamplerEntry)
 			}
 			checkpoint.Uint(s, &(*e).lastTime)
-			checkpoint.Uint(s, &(*e).sig)
+			walkSig(s, &(*e).sig)
 		})
 	})
 	checkpoint.Map(s, p.order, func(s *checkpoint.State, o *[]uint64) {
 		checkpoint.Slice(s, o, checkpoint.Uint)
 	})
-}
-
-// Checkpoint implements checkpoint.Component.
-func (p *LIN) Checkpoint(s *checkpoint.State) {
-	checkpoint.Grid(s, p.stamp, checkpoint.Uint)
-	checkpoint.Grid(s, p.costq, checkpoint.Uint)
-	checkpoint.Uint(s, &p.clock)
-}
-
-// Checkpoint implements checkpoint.Component.
-func (p *SBAR) Checkpoint(s *checkpoint.State) {
-	p.lin.Checkpoint(s)
-	p.lru.Checkpoint(s)
-	checkpoint.Int(s, &p.duel.psel)
-}
-
-// Checkpoint implements checkpoint.Component.
-func (p *EAF) Checkpoint(s *checkpoint.State) {
-	p.rripBase.Checkpoint(s)
-	checkpoint.Uint(s, &p.rng)
-	checkpoint.Each(s, p.filter, checkpoint.Uint)
-	checkpoint.Int(s, &p.insertions)
-}
-
-// Checkpoint implements checkpoint.Component.
-func (p *RLR) Checkpoint(s *checkpoint.State) {
-	checkpoint.Grid(s, p.age, checkpoint.Uint)
-	checkpoint.Grid(s, p.typeDemand, (*checkpoint.State).Bool)
-	checkpoint.Grid(s, p.wasHit, (*checkpoint.State).Bool)
-	checkpoint.Each(s, p.reuseEWMA, checkpoint.Uint)
-}
-
-// Checkpoint implements checkpoint.Component.
-func (p *LACS) Checkpoint(s *checkpoint.State) {
-	checkpoint.Grid(s, p.counter, checkpoint.Int)
-	checkpoint.Grid(s, p.stamp, checkpoint.Uint)
-	checkpoint.Uint(s, &p.clock)
 }

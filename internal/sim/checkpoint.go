@@ -329,9 +329,10 @@ func (s *System) WriteCheckpoint(w *checkpoint.Writer, m RunMeta) error {
 // checkpoint.ErrCorrupt. Before any core repositions its trace, the
 // meta frame's cycle must lie within job's cycle caps, and each core
 // may replay at most IssueWidth records per cycle of it (dispatch
-// pulls at most one record per issue slot). A failed restore leaves
-// the system unusable: build a new one.
-func (s *System) ReadCheckpoint(r *checkpoint.Reader, job Job) (RunMeta, error) {
+// pulls at most one record per issue slot); a replay still running
+// when ctx is done stops with ctx's error. A failed restore leaves the
+// system unusable: build a new one.
+func (s *System) ReadCheckpoint(ctx context.Context, r *checkpoint.Reader, job Job) (RunMeta, error) {
 	var m RunMeta
 	if err := r.Frame("meta", m.Checkpoint); err != nil {
 		return RunMeta{}, err
@@ -358,7 +359,7 @@ func (s *System) ReadCheckpoint(r *checkpoint.Reader, job Job) (RunMeta, error) 
 			checkpoint.ErrCorrupt, m.Cycle, maxCycle)
 	}
 	for _, c := range s.cores {
-		c.LimitReplay(satMul(m.Cycle, uint64(c.IssueWidth)))
+		c.LimitReplay(ctx, satMul(m.Cycle, uint64(c.IssueWidth)))
 	}
 	for _, f := range s.frames(m.HasFaults) {
 		if err := r.Frame(f.name, f.walk); err != nil {
@@ -398,12 +399,12 @@ func (s *System) SaveCheckpoint(path string, m RunMeta) error {
 }
 
 // LoadCheckpoint restores the system from the checkpoint at path,
-// written by a run of job.
-func (s *System) LoadCheckpoint(path string, job Job) (RunMeta, error) {
+// written by a run of job, under ctx as ReadCheckpoint does.
+func (s *System) LoadCheckpoint(ctx context.Context, path string, job Job) (RunMeta, error) {
 	var m RunMeta
 	err := checkpoint.Load(path, func(r *checkpoint.Reader) error {
 		var err error
-		m, err = s.ReadCheckpoint(r, job)
+		m, err = s.ReadCheckpoint(ctx, r, job)
 		return err
 	})
 	return m, err
@@ -520,7 +521,7 @@ func execute(ctx context.Context, job Job, from string) (*System, Result, error)
 	defer s.watchContext(ctx)()
 	m := RunMeta{Phase: phaseWarmup, Warmup: job.Warmup, Measure: job.Measure, Every: job.Checkpoint.Every}
 	if from != "" {
-		saved, err := s.LoadCheckpoint(from, job)
+		saved, err := s.LoadCheckpoint(ctx, from, job)
 		if err != nil {
 			return s, Result{}, err
 		}

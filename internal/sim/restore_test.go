@@ -21,19 +21,21 @@ import (
 	"care/internal/trace"
 )
 
-// restoreFixture is a small CARE system with telemetry, the job it
-// ran, and a valid checkpoint of that run.
+// restoreFixture is a small system with telemetry, the job it ran,
+// and a valid checkpoint of that run.
 type restoreFixture struct {
-	cores int
+	cores  int
+	policy policy.Policy
 	// trace returns a fresh, unread copy of core's trace.
 	trace func(core int) trace.Reader
 	job   Job
 	file  []byte
 }
 
-// newRestoreFixture runs the fixture over finite traces, so a restore
-// whose record count is too large for the trace ends at EOF.
-func newRestoreFixture(tb testing.TB, cores int) *restoreFixture {
+// newRestoreFixture runs the fixture with LLC policy pol over finite
+// traces, so a restore whose record count is too large for the trace
+// ends at EOF.
+func newRestoreFixture(tb testing.TB, cores int, pol policy.Policy) *restoreFixture {
 	tb.Helper()
 	p, err := synth.Lookup("429.mcf")
 	if err != nil {
@@ -47,10 +49,10 @@ func newRestoreFixture(tb testing.TB, cores int) *restoreFixture {
 		}
 		records[i] = sl.Records
 	}
-	return runRestoreFixture(tb, cores, func(core int) trace.Reader { return trace.NewSlice(records[core]) })
+	return runRestoreFixture(tb, cores, pol, func(core int) trace.Reader { return trace.NewSlice(records[core]) })
 }
 
-// newEndlessFixture runs the fixture over endless synthetic
+// newEndlessFixture runs the CARE fixture over endless synthetic
 // generators, as every workload is: no trace end stops a replay.
 func newEndlessFixture(tb testing.TB, cores int) *restoreFixture {
 	tb.Helper()
@@ -58,16 +60,16 @@ func newEndlessFixture(tb testing.TB, cores int) *restoreFixture {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return runRestoreFixture(tb, cores, func(core int) trace.Reader {
+	return runRestoreFixture(tb, cores, policy.CARE, func(core int) trace.Reader {
 		return synth.NewScaledGenerator(p, uint64(core+1), 64)
 	})
 }
 
 // runRestoreFixture runs the fixture's job and keeps its checkpoint.
-func runRestoreFixture(tb testing.TB, cores int, tr func(int) trace.Reader) *restoreFixture {
+func runRestoreFixture(tb testing.TB, cores int, pol policy.Policy, tr func(int) trace.Reader) *restoreFixture {
 	tb.Helper()
 	path := filepath.Join(tb.TempDir(), "run.ckpt")
-	fx := &restoreFixture{cores: cores, trace: tr}
+	fx := &restoreFixture{cores: cores, policy: pol, trace: tr}
 	fx.job = Job{
 		Build:      fx.build,
 		Warmup:     2000,
@@ -87,7 +89,7 @@ func runRestoreFixture(tb testing.TB, cores int, tr func(int) trace.Reader) *res
 // build constructs a fresh system over unread copies of the traces.
 func (fx *restoreFixture) build() (*System, error) {
 	cfg := ScaledConfig(fx.cores, 64)
-	cfg.LLCPolicy = policy.CARE
+	cfg.LLCPolicy = fx.policy
 	cfg.Telemetry = telemetry.NewCollector(telemetry.Options{
 		Interval: 1000, Tag: "restore", Sink: telemetry.NewMemory(),
 	})
@@ -98,17 +100,23 @@ func (fx *restoreFixture) build() (*System, error) {
 	return New(cfg, traces)
 }
 
-// read restores checkpoint bytes into a fresh system.
-func (fx *restoreFixture) read(data []byte) error {
+// restore restores checkpoint bytes into a fresh system under ctx.
+func (fx *restoreFixture) restore(ctx context.Context, data []byte) (*System, error) {
 	s, err := fx.build()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	r, err := checkpoint.NewReader(bytes.NewReader(data))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	_, err = s.ReadCheckpoint(r, fx.job)
+	_, err = s.ReadCheckpoint(ctx, r, fx.job)
+	return s, err
+}
+
+// read restores checkpoint bytes into a fresh system.
+func (fx *restoreFixture) read(data []byte) error {
+	_, err := fx.restore(context.Background(), data)
 	return err
 }
 
@@ -190,7 +198,7 @@ func payloadOf(tb testing.TB, frames []rawFrame, name string) []byte {
 // checkpoint.Verify but carries malformed state is refused with a
 // typed error, never restored and never a panic.
 func TestRestoreRejectsMalformedFrames(t *testing.T) {
-	fx := newRestoreFixture(t, 2)
+	fx := newRestoreFixture(t, 2, policy.CARE)
 	frames := splitFrames(t, fx.file)
 	tele := payloadOf(t, frames, "telemetry")
 	// The telemetry frame opens with the completed-interval count and
@@ -210,7 +218,7 @@ func TestRestoreRejectsMalformedFrames(t *testing.T) {
 	}{
 		{"valid", fx.file, nil},
 		{"pmc-fewer-lists", joinFrames(t, replace(t, frames, "pmc",
-			payloadOf(t, splitFrames(t, newRestoreFixture(t, 1).file), "pmc"))), checkpoint.ErrMismatch},
+			payloadOf(t, splitFrames(t, newRestoreFixture(t, 1, policy.CARE).file), "pmc"))), checkpoint.ErrMismatch},
 		{"negative-telemetry-count", joinFrames(t, replace(t, frames, "telemetry",
 			append(binary.AppendVarint(nil, -1), tele[n1:]...))), checkpoint.ErrCorrupt},
 		{"count-beyond-bytes", joinFrames(t, replace(t, frames, "telemetry",
@@ -229,25 +237,48 @@ func TestRestoreRejectsMalformedFrames(t *testing.T) {
 }
 
 // FuzzCheckpointRestore replaces one frame's payload of a valid
-// checkpoint with arbitrary bytes, re-framed with a valid CRC: the
-// restore must succeed or fail with a typed checkpoint error, and
-// never panic.
+// checkpoint of a run under one of the LLC policies with arbitrary
+// bytes, re-framed with a valid CRC: the restore must succeed or fail
+// with a typed checkpoint error, and a restored system must then run
+// fuzzRunCycles cycles, all without a panic. The seed corpus holds
+// every frame of the CARE run and the LLC frame of every other
+// policy's run.
 func FuzzCheckpointRestore(f *testing.F) {
-	fx := newRestoreFixture(f, 2)
-	frames := splitFrames(f, fx.file)
-	for i, fr := range frames {
-		f.Add(uint8(i), fr.payload)
+	pols := policy.All()
+	fixtures := make([]*restoreFixture, len(pols))
+	frames := make([][]rawFrame, len(pols))
+	for i, p := range pols {
+		fixtures[i] = newRestoreFixture(f, 2, p)
+		frames[i] = splitFrames(f, fixtures[i].file)
+		for j, fr := range frames[i] {
+			if p == policy.CARE || fr.name == "llc" {
+				f.Add(uint8(i), uint8(j), fr.payload)
+			}
+		}
 	}
-	f.Fuzz(func(t *testing.T, idx uint8, payload []byte) {
-		mut := append([]rawFrame(nil), frames...)
-		mut[int(idx)%len(mut)].payload = payload
-		err := fx.read(joinFrames(t, mut))
-		if err != nil && !errors.Is(err, checkpoint.ErrCorrupt) && !errors.Is(err, checkpoint.ErrMismatch) &&
-			!errors.Is(err, checkpoint.ErrNotCheckpointable) {
-			t.Fatalf("frame %q: untyped restore error: %v", mut[int(idx)%len(mut)].name, err)
+	f.Fuzz(func(t *testing.T, pol, idx uint8, payload []byte) {
+		p := int(pol) % len(pols)
+		mut := append([]rawFrame(nil), frames[p]...)
+		frame := &mut[int(idx)%len(mut)]
+		frame.payload = payload
+		s, err := fixtures[p].restore(context.Background(), joinFrames(t, mut))
+		if err != nil {
+			if !errors.Is(err, checkpoint.ErrCorrupt) && !errors.Is(err, checkpoint.ErrMismatch) &&
+				!errors.Is(err, checkpoint.ErrNotCheckpointable) {
+				t.Fatalf("%s, frame %q: untyped restore error: %v", pols[p], frame.name, err)
+			}
+			return
+		}
+		for end := s.cycle + fuzzRunCycles; s.cycle < end; {
+			s.advance(end)
 		}
 	})
 }
+
+// fuzzRunCycles is how long FuzzCheckpointRestore runs a restored
+// system: long enough for every core and cache to act on its restored
+// state.
+const fuzzRunCycles = 4000
 
 // withRecords returns a core frame payload whose stored trace record
 // count, the frame's last uvarint, is n.
@@ -312,13 +343,45 @@ func TestRestoreBoundsTraceReplay(t *testing.T) {
 	}
 }
 
+// TestRestoreReplayCancellable: a checkpoint forged to the last cycle
+// the job allows, with core 0's record count at its bound, passes
+// every check and would replay for seconds; the restore stops the
+// replay once its context is done and returns the context's error.
+func TestRestoreReplayCancellable(t *testing.T) {
+	fx := newEndlessFixture(t, 2)
+	frames := splitFrames(t, fx.file)
+	var meta RunMeta
+	if err := checkpoint.Decode(payloadOf(t, frames, "meta"), meta.Checkpoint); err != nil {
+		t.Fatal(err)
+	}
+	meta.Cycle = scheduleCycles(fx.job, fx.cores)
+	forgedMeta, err := checkpoint.Encode(meta.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := uint64(cpu.DefaultParams().IssueWidth) * meta.Cycle
+	forged := replace(t, replace(t, frames, "meta", forgedMeta), "core-0",
+		withRecords(payloadOf(t, frames, "core-0"), records))
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err = fx.restore(ctx, joinFrames(t, forged))
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("restore of %d forged records returned %v, want %v", records, err, context.DeadlineExceeded)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("restore returned %v after its 50ms deadline", took)
+	}
+}
+
 // TestRestoreRestartsPMLClock: a restore restarts the PML's per-core
 // clocks at the checkpoint's cycle. Two base phases of core 0 still
 // open at the checkpoint overlap for one cycle in the first step after
 // it; had the clocks stayed at zero, the next catch-up would count
 // them open since cycle 0.
 func TestRestoreRestartsPMLClock(t *testing.T) {
-	fx := newRestoreFixture(t, 2)
+	fx := newRestoreFixture(t, 2, policy.CARE)
 	frames := splitFrames(t, fx.file)
 	var meta RunMeta
 	if err := checkpoint.Decode(payloadOf(t, frames, "meta"), meta.Checkpoint); err != nil {
@@ -339,7 +402,7 @@ func TestRestoreRestartsPMLClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ReadCheckpoint(r, fx.job); err != nil {
+	if _, err := s.ReadCheckpoint(context.Background(), r, fx.job); err != nil {
 		t.Fatal(err)
 	}
 	s.step()

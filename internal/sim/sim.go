@@ -222,7 +222,7 @@ func New(cfg Config, traces []trace.Reader) (*System, error) {
 	}
 
 	// The PML measures PMC at the LLC (the paper's target level) and,
-	// in the same pass, the MLP-based cost SBAR/M-CARE consume.
+	// in the same pass, the MLP-based cost M-CARE consumes.
 	s.pml = pmc.New(cfg.LLC.Latency, cfg.Cores)
 	s.llc.AddBulkTracker(s.pml)
 
