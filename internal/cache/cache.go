@@ -30,8 +30,9 @@ type Level interface {
 }
 
 // Tracker observes a cache cycle by cycle. Tick runs on every cycle
-// the cache steps. Cycles the cache skips (SkipCycles) are not
-// ticked: in them no access starts and the MSHR file does not change.
+// the simulator steps, since a cache with one attached is ticked on
+// each (see Due). Cycles the simulator skips are not ticked: in them
+// no access starts and the MSHR file does not change.
 type Tracker interface {
 	// OnAccessStart is told that an access from core begins its base
 	// access phase at cycle (the phase lasts the cache's latency).
@@ -188,17 +189,23 @@ type Cache struct {
 	trackers []Tracker
 	bulk     []BulkTracker
 	// clock is the first cycle the trackers have not seen: Tick(cycle)
-	// sets it to cycle+1 as it starts, SkipCycles to the window's end.
-	// Bulk trackers are caught up to it before every change.
+	// sets it to cycle+1 as it starts, SkipCycles to its argument.
+	// Bulk trackers are caught up to it before every change, so a
+	// cache with bulk trackers (the LLC) must have it kept exact every
+	// cycle, ticked or not.
 	clock   uint64
 	stats   Stats
 	failure error
 	// parked is set when the queue head failed its lookup on a full
 	// MSHR file. The outcome cannot change until an MSHR entry is
-	// released or allocated, a tag is written, or the cache is
-	// restored, and each of those clears it; until then Tick only
-	// counts the stall instead of repeating the lookup.
+	// released (fill) or allocated (SaturateMSHR), a tag is flipped
+	// (FlipTagBit), or the cache is restored, and each of those clears
+	// it; until then the cache need not be ticked, and its stalls are
+	// counted lazily.
 	parked bool
+	// parkedAt is, while parked, the first cycle whose stall is not yet
+	// in MSHRStallCycles; countStalls moves it.
+	parkedAt uint64
 
 	// pool recycles the requests this cache issues (fetches to the
 	// lower level, writebacks, self-prefetches).
@@ -341,8 +348,8 @@ func (c *Cache) probe(a mem.Addr) (int, int) {
 // Tick advances the cache by one cycle: moves the clock past it, runs
 // the ticked trackers and drains the input queue entries whose base
 // access phase has completed. A head that misses on a full MSHR file
-// blocks the queue and parks it; a parked queue only counts the stall
-// each cycle, without repeating the lookup, until an event that can
+// blocks the queue and parks it; a parked queue only counts its
+// stalls, without repeating the lookup, until an event that can
 // change its outcome un-parks it.
 func (c *Cache) Tick(cycle uint64) {
 	c.clock = cycle + 1
@@ -350,7 +357,7 @@ func (c *Cache) Tick(cycle uint64) {
 		t.Tick(cycle, c.mshr)
 	}
 	if c.parked {
-		c.stats.MSHRStallCycles++
+		c.countStalls(cycle + 1)
 		return
 	}
 	for c.inq.Len() > 0 {
@@ -359,12 +366,23 @@ func (c *Cache) Tick(cycle uint64) {
 			break
 		}
 		if !c.lookup(front.req, cycle) {
-			c.stats.MSHRStallCycles++
-			c.parked = true // head-of-line blocking on a full MSHR
+			// Head-of-line blocking on a full MSHR: this cycle is the
+			// first stall.
+			c.parked = true
+			c.parkedAt = cycle
+			c.countStalls(cycle + 1)
 			break
 		}
 		c.inq.PopFront()
 	}
+}
+
+// Due reports whether the simulator must Tick the cache at cycle: its
+// queue head is ready (NextEvent has come) or a ticked tracker is
+// attached. Any other Tick would only move the clock and count a
+// parked queue's stall, which SkipCycles does in bulk.
+func (c *Cache) Due(cycle uint64) bool {
+	return c.NextEvent() <= cycle || len(c.trackers) > 0
 }
 
 // NextEvent returns the earliest cycle at which Tick can do more than
@@ -372,7 +390,8 @@ func (c *Cache) Tick(cycle uint64) {
 // un-parked queue head (which may already have passed), or
 // math.MaxUint64 when the queue is empty or parked. Besides Tick
 // itself, only Access, Complete and the un-parking paths move it, so
-// it bounds the simulator's fast-forward.
+// it bounds the simulator's fast-forward and decides which caches a
+// step ticks.
 func (c *Cache) NextEvent() uint64 {
 	if c.parked || c.inq.Len() == 0 {
 		return math.MaxUint64
@@ -380,14 +399,25 @@ func (c *Cache) NextEvent() uint64 {
 	return c.inq.Front().ready
 }
 
-// SkipCycles accounts for the cycles [from, to), every one of them
-// before NextEvent, in which nothing a tracker can see changes: the
-// clock moves to to, no tracker is called, and a parked queue counts
-// every cycle as a stall.
-func (c *Cache) SkipCycles(from, to uint64) {
+// SkipCycles accounts for the cycles before to that were not ticked,
+// every one of them before NextEvent, in which nothing a tracker can
+// see changes: the clock moves to to, no tracker is called, and a
+// parked queue counts each of them as a stall. Readers of the stall
+// count call it with the current cycle.
+func (c *Cache) SkipCycles(to uint64) {
 	c.clock = to
-	if c.parked {
-		c.stats.MSHRStallCycles += to - from
+	c.countStalls(to)
+}
+
+// countStalls adds a parked queue's stalls from parkedAt up to to
+// (exclusive) to MSHRStallCycles. The un-parking paths call it with
+// the first cycle the queue may be looked up again in: the next cycle
+// when they run after the cache's own Tick of the cycle (a fill), the
+// current one when they run before it (the fault hooks).
+func (c *Cache) countStalls(to uint64) {
+	if c.parked && to > c.parkedAt {
+		c.stats.MSHRStallCycles += to - c.parkedAt
+		c.parkedAt = to
 	}
 }
 
@@ -404,7 +434,7 @@ func (c *Cache) lookup(req *mem.Request, cycle uint64) bool {
 	if hit {
 		c.countAccess(req, true)
 		blk := &c.sets[set][way]
-		info := c.infoFor(req, cycle)
+		info := c.infoFor(req)
 		info.HitPrefetched = blk.Prefetched
 		req.PrefetchHit = blk.Prefetched && req.Kind.IsDemand()
 		if req.Kind.IsDemand() {
@@ -565,6 +595,9 @@ func (c *Cache) fill(e *MSHREntry, cycle uint64) {
 
 	c.installBlock(mem.Addr(e.Block<<mem.BlockBits), e.PC, e.Core, e.Kind, e.PMC, e.MLPCost, cycle)
 
+	// A released entry un-parks the queue. The lower level answers
+	// after the cache's own Tick of cycle, which still stalled.
+	c.countStalls(cycle + 1)
 	c.parked = false
 	for _, w := range c.mshr.Release(e) {
 		w.PMC = e.PMC
@@ -592,7 +625,6 @@ func (c *Cache) installBlock(addr, pc mem.Addr, core int, kind mem.Kind, pmc, ml
 		Addr:    addr,
 		Core:    core,
 		Kind:    kind,
-		Cycle:   cycle,
 		PMC:     pmc,
 		MLPCost: mlpCost,
 	}
@@ -605,23 +637,23 @@ func (c *Cache) installBlock(addr, pc mem.Addr, core int, kind mem.Kind, pmc, ml
 		c.stats.Evictions++
 		c.policy.OnEvict(set, way, *blk, info)
 		if blk.Dirty && c.lower != nil {
-			c.writeback(*blk, cycle)
+			c.writeback(blk, cycle)
 		}
 	}
-	*blk = Block{
-		Valid:      true,
-		Tag:        addr.BlockID(),
-		Dirty:      kind == mem.Store || kind == mem.Writeback,
-		Prefetched: kind == mem.Prefetch,
-		Core:       core,
-		PC:         pc,
-		PMC:        pmc,
-		MLPCost:    mlpCost,
-		FillCycle:  cycle,
-		LastTouch:  cycle,
-	}
+	// Every field is written in place: assigning a composite literal
+	// would build the block aside and copy it.
+	blk.Valid = true
+	blk.Tag = addr.BlockID()
+	blk.Dirty = kind == mem.Store || kind == mem.Writeback
+	blk.Prefetched = kind == mem.Prefetch
+	blk.Core = core
+	blk.PC = pc
+	blk.PMC = pmc
+	blk.MLPCost = mlpCost
+	blk.FillCycle = cycle
+	blk.LastTouch = cycle
+	blk.Reused = false
 	c.tags[set*c.Ways+way] = addr.BlockID()<<1 | 1
-	c.parked = false
 	c.stats.Fills++
 	c.policy.OnFill(set, way, c.sets[set], info)
 }
@@ -646,7 +678,7 @@ func (c *Cache) findVictim(set int, info AccessInfo) int {
 }
 
 // writeback sends an evicted dirty block to the next level.
-func (c *Cache) writeback(blk Block, cycle uint64) {
+func (c *Cache) writeback(blk *Block, cycle uint64) {
 	c.stats.WritebacksIssued++
 	c.nextReqID++
 	wb := c.pool.Get()
@@ -718,13 +750,12 @@ func (c *Cache) countAccess(req *mem.Request, hit bool) {
 }
 
 // infoFor builds the policy callback descriptor for an access.
-func (c *Cache) infoFor(req *mem.Request, cycle uint64) AccessInfo {
+func (c *Cache) infoFor(req *mem.Request) AccessInfo {
 	return AccessInfo{
-		PC:    req.PC,
-		Addr:  req.Addr,
-		Core:  req.Core,
-		Kind:  req.Kind,
-		Cycle: cycle,
+		PC:   req.PC,
+		Addr: req.Addr,
+		Core: req.Core,
+		Kind: req.Kind,
 	}
 }
 

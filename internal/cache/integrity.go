@@ -94,8 +94,9 @@ func (c *Cache) CheckIntegrity() error {
 // fault-injection hook that models a bit flip in the tag array. It
 // returns false when (set, way) does not hold a valid block. The flip
 // is constrained to the set-index bits so the corruption is exactly
-// what CheckIntegrity's tag/set mapping invariant detects.
-func (c *Cache) FlipTagBit(set, way int, bit uint) bool {
+// what CheckIntegrity's tag/set mapping invariant detects. It runs at
+// cycle before the cache's own Tick of that cycle.
+func (c *Cache) FlipTagBit(set, way int, bit uint, cycle uint64) bool {
 	if set < 0 || set >= len(c.sets) || way < 0 || way >= c.Ways {
 		return false
 	}
@@ -110,6 +111,7 @@ func (c *Cache) FlipTagBit(set, way int, bit uint) bool {
 	}
 	blk.Tag ^= 1 << bit
 	c.tags[set*c.Ways+way] = blk.Tag<<1 | 1
+	c.countStalls(cycle)
 	c.parked = false
 	return true
 }
@@ -132,7 +134,8 @@ func (c *Cache) SomeValidBlock() (set, way int, ok bool) {
 // synthetic, never-completing misses — a fault-injection hook that
 // models a stuck miss-handling pipeline. The entries target blocks in
 // a reserved high address range so they cannot merge with real
-// traffic. It returns the number of entries claimed.
+// traffic. It returns the number of entries claimed. It runs at cycle
+// before the cache's own Tick of that cycle.
 func (c *Cache) SaturateMSHR(cycle uint64) int {
 	n, claimed := 0, 0
 	for !c.mshr.Full() {
@@ -148,6 +151,7 @@ func (c *Cache) SaturateMSHR(cycle uint64) int {
 		}
 		claimed++
 	}
+	c.countStalls(cycle)
 	c.parked = false
 	return claimed
 }

@@ -132,15 +132,18 @@ func (m *MSHR) Allocate(req *mem.Request) (*MSHREntry, error) {
 	}
 	slot := m.free[len(m.free)-1]
 	m.free = m.free[:len(m.free)-1]
+	// Reset in place, keeping the slot and the waiters' backing array:
+	// assigning a composite literal would copy the whole entry.
 	e := &m.slab[slot]
-	*e = MSHREntry{
-		Block:   block,
-		Core:    req.Core,
-		Kind:    req.Kind,
-		PC:      req.PC,
-		waiters: e.waiters[:0],
-		slot:    slot,
-	}
+	e.Core = req.Core
+	e.PMC, e.MLPCost = 0, 0
+	e.PureCycles = 0
+	e.HitOverlapped = false
+	e.Marks = [4]uint64{}
+	e.Block = block
+	e.Kind = req.Kind
+	e.PC = req.PC
+	e.waiters = e.waiters[:0]
 	if req.HasDone() {
 		e.waiters = append(e.waiters, req)
 	}

@@ -102,23 +102,26 @@ func TestWritebackAndPrefetchHeadsNeverPark(t *testing.T) {
 
 // TestUnparkPaths: every path that can change the parked lookup's
 // outcome un-parks the queue, and the retried lookup re-parks with
-// the stall count a per-cycle retry would have produced.
+// the stall count a per-cycle retry would have produced. The same
+// holds for a cache ticked only when Due, as the simulator does, so
+// that it is not ticked while parked: the un-park counts the stalls it
+// was not ticked for.
 func TestUnparkPaths(t *testing.T) {
-	for _, tc := range []struct {
+	unparks := []struct {
 		name string
-		hit  func(c *Cache)
+		hit  func(c *Cache, cycle uint64)
 	}{
 		// FlipTagBit only flips set-index bits, so it cannot turn the
 		// parked miss into a hit; it must still un-park, like every
 		// tag write.
-		{"FlipTagBit", func(c *Cache) {
+		{"FlipTagBit", func(c *Cache, cycle uint64) {
 			set, way, ok := c.SomeValidBlock()
-			if !ok || !c.FlipTagBit(set, way, 0) {
+			if !ok || !c.FlipTagBit(set, way, 0, cycle) {
 				panic("no block to flip")
 			}
 		}},
-		{"SaturateMSHR", func(c *Cache) { c.SaturateMSHR(10) }},
-		{"Restore", func(c *Cache) {
+		{"SaturateMSHR", func(c *Cache, cycle uint64) { c.SaturateMSHR(cycle) }},
+		{"Restore", func(c *Cache, _ uint64) {
 			fresh, _ := newTestCache(t, 16, 4, 2, 10)
 			data, err := checkpoint.Encode(fresh.Checkpoint)
 			if err == nil {
@@ -128,23 +131,28 @@ func TestUnparkPaths(t *testing.T) {
 				panic(err)
 			}
 		}},
-	} {
+	}
+	// parked returns a cache with block 0x7000 resident (looked up at
+	// 2, filled at 12) and a head parked at 17 behind two misses that
+	// the lower level answers at 27, ticked through 17.
+	parked := func(t *testing.T) (*Cache, *fixedLatencyMemory) {
+		c, lower := newTestCache(t, 16, 4, 2, 10)
+		c.Access(load(0x7000, nil), 0)
+		run(c, lower, 0, 14)
+		for _, a := range []mem.Addr{0x1000, 0x2000, 0x3000} {
+			c.Access(load(a, nil), 15)
+		}
+		run(c, lower, 15, 17)
+		if !c.parked {
+			t.Fatal("setup: head did not park")
+		}
+		return c, lower
+	}
+	for _, tc := range unparks {
 		t.Run(tc.name, func(t *testing.T) {
-			c, lower := newTestCache(t, 16, 4, 2, 10)
-			// Make block 0x7000 resident first (looked up at 2,
-			// filled at 12), then park a head behind two misses.
-			c.Access(load(0x7000, nil), 0)
-			run(c, lower, 0, 14)
-			var done [3]uint64
-			for i, a := range []mem.Addr{0x1000, 0x2000, 0x3000} {
-				i := i
-				c.Access(load(a, func(cy uint64) { done[i] = cy }), 15)
-			}
-			run(c, lower, 15, 20)
-			if !c.parked {
-				t.Fatal("setup: head did not park")
-			}
-			tc.hit(c)
+			c, lower := parked(t)
+			run(c, lower, 18, 20)
+			tc.hit(c, 21)
 			if c.parked {
 				t.Fatalf("%s left the queue parked", tc.name)
 			}
@@ -160,6 +168,47 @@ func TestUnparkPaths(t *testing.T) {
 			}
 			if !c.parked {
 				t.Fatal("a retry that fails again must re-park")
+			}
+		})
+	}
+	// The fill path: the lower level answers both misses at 27, after
+	// the cache's own Tick of that cycle.
+	unparks = append(unparks, struct {
+		name string
+		hit  func(c *Cache, cycle uint64)
+	}{"fill", nil})
+	for _, tc := range unparks {
+		t.Run("not ticked/"+tc.name, func(t *testing.T) {
+			ticked, tl := parked(t)
+			lazy, ll := parked(t)
+			skipped := 0
+			for cy := uint64(18); cy <= 30; cy++ {
+				if tc.hit != nil && cy == 24 {
+					tc.hit(ticked, cy)
+					tc.hit(lazy, cy)
+				}
+				ticked.Tick(cy)
+				if lazy.Due(cy) {
+					lazy.Tick(cy)
+				} else {
+					skipped++
+				}
+				tl.Tick(cy)
+				ll.Tick(cy)
+			}
+			if skipped == 0 {
+				t.Fatal("the lazy cache was ticked every cycle; the check is vacuous")
+			}
+			ticked.SkipCycles(31)
+			lazy.SkipCycles(31)
+			if !reflect.DeepEqual(*ticked.Stats(), *lazy.Stats()) {
+				t.Fatalf("stats diverge:\nticked: %+v\nlazy:   %+v", *ticked.Stats(), *lazy.Stats())
+			}
+			if ticked.parked != lazy.parked || ticked.QueueLen() != lazy.QueueLen() ||
+				ticked.MSHRFile().Len() != lazy.MSHRFile().Len() {
+				t.Fatalf("state diverges: parked %v/%v, queue %d/%d, MSHR %d/%d",
+					ticked.parked, lazy.parked, ticked.QueueLen(), lazy.QueueLen(),
+					ticked.MSHRFile().Len(), lazy.MSHRFile().Len())
 			}
 		})
 	}
@@ -249,7 +298,7 @@ func TestSkipCyclesMatchesTicks(t *testing.T) {
 	for cy := uint64(10); cy < 14; cy++ {
 		a.Tick(cy)
 	}
-	b.SkipCycles(10, 14)
+	b.SkipCycles(14)
 	if want := []uint64{10, 11, 12, 13}; !reflect.DeepEqual(la.cycles, want) || len(lb.cycles) != 0 {
 		t.Fatalf("tracker ticks: stepped %v (want %v), skipped %v (want none)", la.cycles, want, lb.cycles)
 	}
@@ -269,7 +318,7 @@ func TestSkipCyclesMatchesTicks(t *testing.T) {
 	}
 	// An idle, un-parked cache counts no stalls over a skip.
 	idle, _ := newTestCache(t, 16, 4, 2, 10)
-	idle.SkipCycles(0, 100)
+	idle.SkipCycles(100)
 	if got := idle.Stats().MSHRStallCycles; got != 0 {
 		t.Fatalf("idle cache counted %d stall cycles", got)
 	}

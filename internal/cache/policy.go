@@ -45,8 +45,6 @@ type AccessInfo struct {
 	Core int
 	// Kind is the access type (load/store/prefetch/writeback).
 	Kind mem.Kind
-	// Cycle is the current simulation cycle.
-	Cycle uint64
 	// PMC is the measured PMC of the completing miss. Only meaningful
 	// in OnFill at a level with PMC measurement attached.
 	PMC float64

@@ -129,6 +129,16 @@ type Core struct {
 	// frozen stops dispatch (retirement continues) while the system
 	// drains to a checkpointable quiescent point.
 	frozen bool
+	// clock is the first cycle whose counter updates are not yet
+	// accounted: Tick(cycle) moves it to cycle+1, SkipCycles to its
+	// argument.
+	clock uint64
+	// awake is false while the core is Stalled, so that ticking it
+	// would change nothing but the counters SkipCycles moves in bulk.
+	// Tick recomputes it; Complete, SetFetchFrozen and SetClock set it,
+	// since each can end a stall. A set flag on a stalled core only
+	// costs one Tick.
+	awake bool
 }
 
 // New creates core id with parameters p, reading src and issuing
@@ -137,7 +147,7 @@ func New(id int, p Params, src trace.Reader, l1 Level) *Core {
 	if p.IssueWidth <= 0 || p.ROBSize <= 0 {
 		panic(fmt.Sprintf("cpu: invalid params %+v", p))
 	}
-	return &Core{Params: p, id: id, src: src, l1: l1}
+	return &Core{Params: p, id: id, src: src, l1: l1, awake: true}
 }
 
 // ID returns the core index.
@@ -199,20 +209,29 @@ func (c *Core) Head() ROBHead {
 	return ROBHead{}
 }
 
-// Tick advances the core one cycle: retire, then dispatch.
+// Tick advances the core one cycle: it accounts the cycles since the
+// last Tick (SkipCycles), then retires and dispatches, then records
+// whether the core is still awake.
 func (c *Core) Tick(cycle uint64) {
+	c.SkipCycles(cycle)
+	c.clock = cycle + 1
 	c.stats.Cycles++
 	c.retire()
 	c.dispatch(cycle)
+	c.awake = !c.Stalled()
 }
+
+// Awake reports whether the core may have work: it was not Stalled
+// when it last ticked, or something has happened to it since. The
+// simulator ticks only awake cores; an asleep one stays Stalled until
+// a Complete, SetFetchFrozen or SetClock wakes it.
+func (c *Core) Awake() bool { return c.awake }
 
 // Stalled reports whether a Tick now would change nothing but the
 // cycle and ROB-stall counters: the ROB head cannot retire (it is a
 // memory instruction still waiting for data), and dispatch is frozen,
-// blocked by a full ROB, or out of trace. The simulator's
-// fast-forward only skips cycles in which every core is Stalled;
-// within a run loop a stalled core wakes only through a Complete from
-// the hierarchy.
+// blocked by a full ROB, or out of trace. Tick evaluates it to set
+// Awake.
 func (c *Core) Stalled() bool {
 	if c.rob.Len() > 0 {
 		if it := c.rob.Front(); it.nonMem > 0 || it.mem == nil || it.mem.done {
@@ -222,13 +241,29 @@ func (c *Core) Stalled() bool {
 	return c.frozen || c.robLen >= c.ROBSize || (c.exhausted && !c.recValid)
 }
 
-// SkipCycles accounts for k cycles in which the core stayed Stalled:
-// the counter updates k Ticks would have made.
-func (c *Core) SkipCycles(k uint64) {
+// SkipCycles accounts for the cycles from the clock up to to, in which
+// the core was not ticked and stayed Stalled: it makes the counter
+// updates those Ticks would have made and moves the clock to to. Tick
+// calls it first; readers of the counters call it with the current
+// cycle. Ticking a Stalled core is exactly equivalent to skipping it,
+// so a core may be ticked early but never skipped while awake.
+func (c *Core) SkipCycles(to uint64) {
+	if to <= c.clock {
+		return
+	}
+	k := to - c.clock
+	c.clock = to
 	c.stats.Cycles += k
 	if !c.frozen && c.robLen >= c.ROBSize {
 		c.stats.ROBStallCycles += k
 	}
+}
+
+// SetClock restarts the clock at cycle without accounting anything,
+// and wakes the core: a restored system resumes there.
+func (c *Core) SetClock(cycle uint64) {
+	c.clock = cycle
+	c.awake = true
 }
 
 // retire removes up to IssueWidth completed instructions in order.
@@ -410,6 +445,7 @@ func (c *Core) dispatch(cycle uint64) {
 func (c *Core) Complete(tag uint32, cycle uint64) {
 	e := c.slots[tag]
 	e.done = true
+	c.awake = true
 	if dep := e.dependent; dep != nil && !dep.issued {
 		c.issueLoad(dep, cycle)
 	}

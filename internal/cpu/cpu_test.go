@@ -263,3 +263,88 @@ func TestEOFIsNotAnError(t *testing.T) {
 		t.Fatalf("clean EOF must not be an error, got %v", err)
 	}
 }
+
+// TestSkippedStallEqualsTicks: a Stalled core that is not ticked for k
+// cycles and then ticked once ends with the counters of k+1 Ticks,
+// whether the ROB is full, dispatch is frozen (with a full ROB, which
+// then counts no ROB stall) or the trace is exhausted. Both cores go
+// back to sleep, and a load's completion wakes them alike.
+func TestSkippedStallEqualsTicks(t *testing.T) {
+	loads := func(n int) []trace.Record {
+		recs := make([]trace.Record, n)
+		for i := range recs {
+			recs[i] = trace.Record{PC: 1, Addr: mem.Addr(0x1000 * (i + 1)), NonMem: 3}
+		}
+		return recs
+	}
+	for _, tc := range []struct {
+		name   string
+		recs   []trace.Record
+		freeze bool
+	}{
+		{"full ROB", loads(100), false},
+		{"frozen", loads(100), true},
+		{"exhausted", loads(2), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// stalled returns a core ticked until it fell asleep, and the
+			// first cycle it was not ticked at. No load is ever answered.
+			stalled := func() (*Core, *instantMem, uint64) {
+				m := &instantMem{lat: 1 << 40}
+				c := New(0, DefaultParams(), trace.NewSlice(tc.recs), m)
+				cy := uint64(0)
+				for ; c.Awake(); cy++ {
+					if cy == 1000 {
+						t.Fatal("core never stalled")
+					}
+					c.Tick(cy)
+				}
+				if tc.freeze {
+					c.SkipCycles(cy)
+					c.SetFetchFrozen(true)
+					if !c.Awake() {
+						t.Fatal("SetFetchFrozen must wake the core")
+					}
+				}
+				return c, m, cy
+			}
+			ticked, tm, from := stalled()
+			skipped, sm, _ := stalled()
+			const k = 37
+			base := skipped.Stats().ROBStallCycles
+			for cy := from; cy <= from+k; cy++ {
+				ticked.Tick(cy)
+			}
+			skipped.Tick(from + k)
+			if *ticked.Stats() != *skipped.Stats() {
+				t.Fatalf("stats diverge:\nticked:  %+v\nskipped: %+v", *ticked.Stats(), *skipped.Stats())
+			}
+			if ticked.Awake() || skipped.Awake() {
+				t.Fatal("a core still Stalled after its Tick must be asleep")
+			}
+			want := uint64(0)
+			if tc.name == "full ROB" {
+				want = k + 1
+			}
+			if got := skipped.Stats().ROBStallCycles - base; got != want {
+				t.Fatalf("%d ROB stall cycles over the window, want %d", got, want)
+			}
+			// Answer the ROB head on both: the completion wakes the core,
+			// and the next Tick retires alike.
+			at := from + k + 1
+			for _, p := range []struct {
+				c *Core
+				m *instantMem
+			}{{ticked, tm}, {skipped, sm}} {
+				p.m.pending[0].req.Respond(at)
+				if !p.c.Awake() {
+					t.Fatal("Complete must wake the core")
+				}
+				p.c.Tick(at + 1)
+			}
+			if *ticked.Stats() != *skipped.Stats() || ticked.Retired() == 0 {
+				t.Fatalf("after the wake-up:\nticked:  %+v\nskipped: %+v", *ticked.Stats(), *skipped.Stats())
+			}
+		})
+	}
+}

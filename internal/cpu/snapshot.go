@@ -11,7 +11,12 @@ import (
 
 // SetFetchFrozen stops (or resumes) dispatch while retirement keeps
 // draining the ROB; the simulator uses it to reach a quiescent point.
-func (c *Core) SetFetchFrozen(frozen bool) { c.frozen = frozen }
+// It wakes the core. Freezing changes SkipCycles' formula, so the
+// caller accounts the cycles before it first (SkipCycles).
+func (c *Core) SetFetchFrozen(frozen bool) {
+	c.frozen = frozen
+	c.awake = true
+}
 
 // Quiesced reports whether the core holds no in-flight instructions.
 func (c *Core) Quiesced() bool { return c.robLen == 0 && c.rob.Len() == 0 }

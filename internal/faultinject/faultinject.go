@@ -519,7 +519,7 @@ func (in *Injector) OnCycle(cycle uint64, llc *cache.Cache) {
 				return
 			}
 		}
-		if set, way, ok := llc.SomeValidBlock(); ok && llc.FlipTagBit(set, way, uint(in.next()%20)) {
+		if set, way, ok := llc.SomeValidBlock(); ok && llc.FlipTagBit(set, way, uint(in.next()%20), cycle) {
 			in.stats.MetadataFlips++
 		}
 	}

@@ -90,7 +90,6 @@ func (a *Adapter) info(acc Access) cache.AccessInfo {
 		PC:      mem.Addr(acc.Sig),
 		Addr:    mem.Addr(acc.Block << mem.BlockBits),
 		Kind:    kind,
-		Cycle:   a.tick,
 		PMC:     acc.Cost,
 		MLPCost: acc.Cost,
 	}

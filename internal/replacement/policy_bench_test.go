@@ -97,7 +97,6 @@ func newTagArray(p cache.Policy, sets, ways int) *tagArray {
 
 func (t *tagArray) access(info cache.AccessInfo) {
 	t.cycle += 4
-	info.Cycle = t.cycle
 	tag := info.Addr.BlockID()
 	set := int(tag & t.mask)
 	ways := t.blocks[set*t.ways : (set+1)*t.ways]

@@ -140,10 +140,14 @@ func (s *System) watchContext(ctx context.Context) (stop func()) {
 // plain data the components' Checkpoint walks can store. Dispatch
 // resumes before returning, whether or not the drain succeeded.
 func (s *System) Quiesce() error {
+	// Freezing changes how a stalled core's skipped cycles count, so
+	// the cycles on either side of each switch are accounted apart.
+	s.catchUp()
 	for _, c := range s.cores {
 		c.SetFetchFrozen(true)
 	}
 	defer func() {
+		s.catchUp()
 		for _, c := range s.cores {
 			c.SetFetchFrozen(false)
 		}
@@ -302,7 +306,7 @@ func (s *System) WriteCheckpoint(w *checkpoint.Writer, m RunMeta) error {
 	if err := s.Checkpointable(); err != nil {
 		return err
 	}
-	s.llc.SyncTrackers()
+	s.catchUp()
 	m.Cores = s.cfg.Cores
 	m.LLCPolicy = string(s.cfg.LLCPolicy)
 	m.L1, m.L2, m.LLC = s.cfg.L1, s.cfg.L2, s.cfg.LLC
@@ -370,6 +374,9 @@ func (s *System) ReadCheckpoint(ctx context.Context, r *checkpoint.Reader, job J
 		return RunMeta{}, err
 	}
 	s.cycle = m.Cycle
+	for _, c := range s.cores {
+		c.SetClock(m.Cycle)
+	}
 	for _, c := range s.allCaches() {
 		c.SetClock(m.Cycle)
 	}

@@ -128,6 +128,7 @@ func (d Diagnostic) String() string {
 
 // Diagnostic captures the current state of every component.
 func (s *System) Diagnostic() Diagnostic {
+	s.catchUp()
 	d := Diagnostic{Cycle: s.cycle}
 	for _, c := range s.cores {
 		d.Cores = append(d.Cores, CoreDiag{
@@ -265,6 +266,7 @@ const DefaultInvariantEvery = 2048
 //     in-flight PMC equals the PML's per-core pure-miss cycle count,
 //     up to float rounding and the warmup-reset offset.
 func (s *System) CheckInvariants() error {
+	s.catchUp()
 	for _, c := range s.allCaches() {
 		if err := c.CheckIntegrity(); err != nil {
 			return err
@@ -275,7 +277,6 @@ func (s *System) CheckInvariants() error {
 			return err
 		}
 	}
-	s.llc.SyncTrackers()
 	var apmc uint64
 	for x := 0; x < s.cfg.Cores; x++ {
 		apmc += s.pml.ActivePureMissCycles(x)

@@ -315,7 +315,7 @@ func (s *System) advance(limit uint64) {
 // accumulators: every step from the current cycle up to T is dead.
 // The bounds, one per component that can act on its own:
 //
-//   - a core that can retire or dispatch: now;
+//   - an awake core (one that may retire or dispatch): now;
 //   - each cache's un-parked queue head: its ready cycle;
 //   - DRAM: now when a write drain is due, else its next read completion;
 //   - the fault clock: held DRAM responses, the MSHR-saturation onset
@@ -329,7 +329,7 @@ func (s *System) advance(limit uint64) {
 func (s *System) horizon(limit uint64) uint64 {
 	now := s.cycle
 	for _, c := range s.cores {
-		if !c.Stalled() {
+		if c.Awake() {
 			return now
 		}
 	}
@@ -357,43 +357,77 @@ func (s *System) horizon(limit uint64) uint64 {
 }
 
 // skipTo jumps from the current cycle to t across dead steps (see
-// horizon), making in bulk exactly the counter updates those steps
-// would have made: core cycle and ROB-stall counts and parked queues'
-// MSHR-stall counts. The caches' clocks move to t; the PML accounts the
-// window when each core's next event catches it up.
+// horizon). Only the LLC's clock moves, because its bulk trackers read
+// it; every other component accounts the window lazily, like a cycle
+// in which step passed it over.
 func (s *System) skipTo(t uint64) {
-	for _, c := range s.cores {
-		c.SkipCycles(t - s.cycle)
-	}
-	for _, c := range s.allCaches() {
-		c.SkipCycles(s.cycle, t)
-	}
+	s.llc.SkipCycles(t)
 	s.cycle = t
 }
 
-// step advances the whole system one cycle.
+// step advances the system one cycle, ticking in a fixed order (fault
+// clock, cores, L1s, L2s, LLC, DRAM, fault memory) only the components
+// that can change state in it: awake cores, caches that are Due, and
+// DRAM when its next event has come. Each component is checked at its
+// own slot, so work an earlier slot posts this cycle is seen. A
+// component passed over accounts the cycle lazily (the counters a Tick
+// of it would move: its SkipCycles) when it is next ticked or read;
+// ticking an idle component is exactly equivalent to skipping it, so a
+// component may be woken early but never late. The LLC's clock still
+// moves every cycle, since its bulk trackers read it: cycle before its
+// slot, cycle+1 after.
 func (s *System) step() {
+	cycle := s.cycle
 	if s.injector != nil {
-		s.injector.OnCycle(s.cycle, s.llc)
+		s.injector.OnCycle(cycle, s.llc)
 	}
 	for _, c := range s.cores {
-		c.Tick(s.cycle)
+		if c.Awake() {
+			c.Tick(cycle)
+		}
 	}
 	for _, c := range s.l1s {
-		c.Tick(s.cycle)
+		if c.Due(cycle) {
+			c.Tick(cycle)
+		}
 	}
 	for _, c := range s.l2s {
-		c.Tick(s.cycle)
+		if c.Due(cycle) {
+			c.Tick(cycle)
+		}
 	}
-	s.llc.Tick(s.cycle)
-	s.mem.Tick(s.cycle)
+	if s.llc.Due(cycle) {
+		s.llc.Tick(cycle)
+	} else {
+		s.llc.SkipCycles(cycle + 1)
+	}
+	if s.mem.NextEvent(cycle) <= cycle {
+		s.mem.Tick(cycle)
+	}
 	if s.faultMem != nil {
-		s.faultMem.Tick(s.cycle)
+		s.faultMem.Tick(cycle)
 	}
 	s.cycle++
-	if s.tele != nil {
+	if s.tele != nil && s.tele.NextTick() <= s.cycle {
+		s.catchUp()
 		s.tele.Tick(s.cycle)
 	}
+}
+
+// catchUp brings every lazily accounted counter current at the
+// current cycle: each core's cycle and ROB-stall counts, each parked
+// queue's MSHR-stall count, and the LLC's bulk trackers. Every reader
+// of those counters (Snapshot, ResetStats, the diagnostic dump, the
+// invariant check, checkpoint writing, telemetry samples) calls it
+// first.
+func (s *System) catchUp() {
+	for _, c := range s.cores {
+		c.SkipCycles(s.cycle)
+	}
+	for _, c := range s.allCaches() {
+		c.SkipCycles(s.cycle)
+	}
+	s.llc.SyncTrackers()
 }
 
 // guard runs the integrity checks on the watchdog stride: component
@@ -526,6 +560,7 @@ func (s *System) Drain() error {
 // ResetStats zeroes every component's counters; call at the end of
 // warmup so reported numbers cover only the measured region.
 func (s *System) ResetStats() {
+	s.catchUp()
 	for _, c := range s.cores {
 		c.ResetStats()
 	}
@@ -537,7 +572,6 @@ func (s *System) ResetStats() {
 	}
 	s.llc.ResetStats()
 	s.mem.ResetStats()
-	s.llc.SyncTrackers()
 	s.pml.ResetStats()
 	if s.tele != nil {
 		// Interval numbering and counter baselines restart with the
@@ -573,7 +607,7 @@ type Result struct {
 
 // Snapshot captures the current statistics as a Result.
 func (s *System) Snapshot() Result {
-	s.llc.SyncTrackers()
+	s.catchUp()
 	r := Result{
 		Policy:  string(s.cfg.LLCPolicy),
 		LLC:     *s.llc.Stats(),
@@ -610,6 +644,7 @@ func (s *System) closeTelemetry() error {
 	if s.tele == nil {
 		return nil
 	}
+	s.catchUp()
 	if err := s.tele.Close(s.cycle); err != nil {
 		return fmt.Errorf("sim: telemetry: %w", err)
 	}

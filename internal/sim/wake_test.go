@@ -1,0 +1,294 @@
+package sim
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+
+	"care/internal/checkpoint"
+	"care/internal/faultinject"
+	"care/internal/policy"
+	"care/internal/synth"
+	"care/internal/telemetry"
+	"care/internal/trace"
+)
+
+// stepEvery is the reference cycle for FuzzWakeMatchesStepping: it
+// ticks every core, cache and the DRAM in every cycle, in step's order,
+// and the telemetry collector after each, so no counter is ever
+// accounted lazily and no component is passed over.
+func stepEvery(s *System) {
+	cycle := s.cycle
+	if s.injector != nil {
+		s.injector.OnCycle(cycle, s.llc)
+	}
+	for _, c := range s.cores {
+		c.Tick(cycle)
+	}
+	for _, c := range s.l1s {
+		c.Tick(cycle)
+	}
+	for _, c := range s.l2s {
+		c.Tick(cycle)
+	}
+	s.llc.Tick(cycle)
+	s.mem.Tick(cycle)
+	if s.faultMem != nil {
+		s.faultMem.Tick(cycle)
+	}
+	s.cycle++
+	if s.tele != nil {
+		s.tele.Tick(s.cycle)
+	}
+}
+
+// stepUntil is the run loops' shape over stepEvery: it steps until
+// done holds or the cycle reaches limit, running the guard after every
+// step. It reports whether done held.
+func stepUntil(s *System, limit uint64, done func() bool) (bool, error) {
+	for s.cycle < limit {
+		if done() {
+			return true, nil
+		}
+		stepEvery(s)
+		if err := s.guard(); err != nil {
+			return false, err
+		}
+	}
+	return false, nil
+}
+
+// engine drives a system through the three run loops.
+type engine struct {
+	run     func(s *System, n uint64) error
+	drain   func(s *System) error
+	quiesce func(s *System) error
+}
+
+// simEngine is the simulator's own run loops.
+var simEngine = engine{
+	run: func(s *System, n uint64) error {
+		_, err := s.RunInstructions(n)
+		return err
+	},
+	drain:   (*System).Drain,
+	quiesce: (*System).Quiesce,
+}
+
+// everyCycleEngine is RunInstructions, Drain and Quiesce over
+// stepEvery instead of advance.
+var everyCycleEngine = engine{
+	run: func(s *System, n uint64) error {
+		targets := make([]uint64, len(s.cores))
+		for i, c := range s.cores {
+			targets[i] = c.Retired() + n
+		}
+		_, err := stepUntil(s, s.cycle+n*maxCyclesPerInstr+loopSlack, func() bool {
+			for i, c := range s.cores {
+				if c.Retired() < targets[i] && !c.Exhausted() {
+					return false
+				}
+			}
+			return true
+		})
+		if err != nil {
+			return err
+		}
+		return s.componentErr()
+	},
+	drain: func(s *System) error {
+		_, err := stepUntil(s, s.cycle+1_000_000, func() bool {
+			idle := s.llc.Drained() && s.mem.Drained()
+			for i := range s.l1s {
+				idle = idle && s.l1s[i].Drained() && s.l2s[i].Drained()
+			}
+			return idle && (s.faultMem == nil || s.faultMem.Held() == 0)
+		})
+		if err != nil {
+			return err
+		}
+		return s.componentErr()
+	},
+	quiesce: func(s *System) error {
+		for _, c := range s.cores {
+			c.SetFetchFrozen(true)
+		}
+		defer func() {
+			for _, c := range s.cores {
+				c.SetFetchFrozen(false)
+			}
+		}()
+		ok, err := stepUntil(s, s.cycle+quiesceLimit, s.quiescent)
+		switch {
+		case err != nil:
+			return err
+		case !ok:
+			return s.failf(ErrQuiesce, "system still busy after %d drain cycles", quiesceLimit)
+		}
+		return s.componentErr()
+	},
+}
+
+// wakeCase is one input of FuzzWakeMatchesStepping.
+type wakeCase struct {
+	cores             int
+	policy            policy.Policy
+	workload          string
+	prefetch, tele    bool
+	quiesce           bool
+	faults            string
+	seed              uint64
+	records           int
+	warmup, measure   uint64
+	telemetryInterval uint64
+}
+
+// wakePolicies are the LLC policies the experiments run.
+var wakePolicies = []policy.Policy{
+	policy.CARE, policy.MCARE, policy.LRU, policy.SHiPPP,
+	policy.Hawkeye, policy.Glider, policy.Mockingjay, policy.SRRIP,
+}
+
+var wakeWorkloads = []string{"429.mcf", "401.bzip2", "462.libquantum", "473.astar"}
+
+// wakeFaults holds one spec per fault class that acts inside the cycle
+// loop, each early enough to fire in a short run, and no faults three
+// times, so most inputs run fault-free.
+var wakeFaults = []string{
+	"", "", "",
+	"seed=7,trace-flip=64",
+	"seed=11,dram-delay=40,dram-delay-cycles=97",
+	"seed=5,mshr-saturate=3000",
+	"seed=9,trace-corrupt=900",
+	"seed=1,dram-drop=50",
+	"seed=2,meta-flip=2000",
+	"seed=4,kill-at=6000",
+}
+
+func newWakeCase(cores, pol, flags, fault uint8, seed, n uint16) wakeCase {
+	records := 200 + int(n%1500)
+	return wakeCase{
+		cores:             1 + int(cores%4),
+		policy:            wakePolicies[int(pol)%len(wakePolicies)],
+		workload:          wakeWorkloads[int(flags>>4)%len(wakeWorkloads)],
+		prefetch:          flags&1 != 0,
+		tele:              flags&2 != 0,
+		quiesce:           flags&4 != 0,
+		faults:            wakeFaults[int(fault)%len(wakeFaults)],
+		seed:              uint64(seed),
+		records:           records,
+		warmup:            uint64(records) / 4,
+		measure:           uint64(records) * uint64(1+n%6),
+		telemetryInterval: 200 + uint64(n%7)*150,
+	}
+}
+
+// runWake runs wc under e and returns every observable output by name:
+// the errors, the Result, the final cycle, each core's, cache's and the
+// DRAM's counters, the CARE counters, the telemetry stream and the
+// PML's checkpoint bytes.
+func runWake(t *testing.T, wc wakeCase, e engine) map[string]string {
+	t.Helper()
+	cfg := ScaledConfig(wc.cores, 32)
+	for cfg.LLC.Sets&(cfg.LLC.Sets-1) != 0 {
+		cfg.LLC.Sets &= cfg.LLC.Sets - 1 // three cores: round down to a power of two
+	}
+	cfg.LLCPolicy = wc.policy
+	cfg.Prefetch = wc.prefetch
+	var jsonl bytes.Buffer
+	if wc.tele {
+		cfg.Telemetry = telemetry.NewCollector(telemetry.Options{
+			Interval: wc.telemetryInterval, Tag: "wake", Sink: telemetry.NewJSONL(&jsonl),
+		})
+	}
+	if wc.faults != "" {
+		fc, err := faultinject.ParseSpec(wc.faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Faults = &fc
+		cfg.MaxCycles = 200_000
+		cfg.WatchdogWindow = 5_000
+		cfg.CheckInvariants = true
+		cfg.InvariantEvery = 256
+	}
+	prof, err := synth.Lookup(wc.workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces := make([]trace.Reader, wc.cores)
+	for i := range traces {
+		// Unequal finite traces, so cores exhaust at different times
+		// and Drain has work left.
+		sl, err := trace.Collect(synth.NewScaledGenerator(prof, wc.seed*8+uint64(i)+1, 32), wc.records+97*i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces[i] = sl
+	}
+	s, err := New(cfg, traces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	errs := make([]error, 0, 4)
+	phase := func(f func() error) bool {
+		err := f()
+		errs = append(errs, err)
+		return err == nil
+	}
+	_ = phase(func() error { return e.run(s, wc.warmup) }) &&
+		(!wc.quiesce || phase(func() error { return e.quiesce(s) })) &&
+		phase(func() error { s.ResetStats(); return e.run(s, wc.measure) }) &&
+		phase(func() error { return e.drain(s) })
+	if s.tele != nil {
+		errs = append(errs, s.closeTelemetry())
+	}
+	out["errors"] = fmt.Sprint(errs)
+	out["result"] = fmt.Sprintf("%+v", s.Snapshot())
+	out["cycle"] = fmt.Sprint(s.Cycle())
+	for i, c := range s.cores {
+		out[fmt.Sprintf("core%d", i)] = fmt.Sprintf("%+v", *c.Stats())
+	}
+	for _, c := range s.allCaches() {
+		out[c.Name] = fmt.Sprintf("%+v", *c.Stats())
+	}
+	out["dram"] = fmt.Sprintf("%+v", *s.mem.Stats())
+	if cs := s.CAREStats(); cs != nil {
+		out["care"] = fmt.Sprintf("%+v", *cs)
+	}
+	out["telemetry"] = jsonl.String()
+	pml, err := checkpoint.Encode(s.pml.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["pmc"] = fmt.Sprintf("%x", pml)
+	return out
+}
+
+// FuzzWakeMatchesStepping is the differential check of the lazy cycle
+// loop: ticking only the components that can act and fast-forwarding
+// dead cycles must give byte-identical outputs to ticking every
+// component every cycle, over core counts, LLC policies, prefetching,
+// faults, telemetry and a quiesce.
+func FuzzWakeMatchesStepping(f *testing.F) {
+	for i := range wakePolicies {
+		f.Add(uint8(i), uint8(i), uint8(i*17), uint8(0), uint16(i), uint16(300+i*131))
+	}
+	for i := range wakeFaults {
+		f.Add(uint8(3), uint8(0), uint8(0x03+i*16), uint8(i), uint16(40+i), uint16(800))
+	}
+	f.Add(uint8(1), uint8(1), uint8(0x07), uint8(0), uint16(5), uint16(1200))
+	f.Fuzz(func(t *testing.T, cores, pol, flags, fault uint8, seed, n uint16) {
+		wc := newWakeCase(cores, pol, flags, fault, seed, n)
+		got, want := runWake(t, wc, simEngine), runWake(t, wc, everyCycleEngine)
+		for k, w := range want {
+			if g := got[k]; g != w {
+				t.Fatalf("%+v: %s differs from stepping every cycle:\ngot:  %.2000s\nwant: %.2000s", wc, k, g, w)
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%+v: %d outputs, stepping every cycle gives %d", wc, len(got), len(want))
+		}
+	})
+}
