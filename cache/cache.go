@@ -19,9 +19,8 @@
 // to a Cache — a property the tests enforce for every supported
 // policy.
 //
-// Policies are selected by name (see Supported): LRU, SRRIP, the
-// set-dueling insertion policies (LIP, BIP, DIP, BRRIP, DRRIP),
-// SHiP++, CARE and M-CARE. PC-signature-trained policies (SHiP++,
+// Policies are selected by name (see Supported): LRU, SRRIP, SHiP++,
+// CARE and M-CARE. PC-signature-trained policies (SHiP++,
 // CARE) are driven with a stable per-key hash in place of the program
 // counter, turning them into per-key reuse/cost predictors; the
 // policies that require cycle-accurate simulator state (Hawkeye,

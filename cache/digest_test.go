@@ -145,29 +145,9 @@ func TestGoldenDigest(t *testing.T) {
 
 // goldenDigests maps each policy to its {flat, 4-shard} summaries.
 var goldenDigests = map[string][2]string{
-	"bip": {
-		"evict=40527/1b0d1b59b2086450 gets=59e796f3cbadd350 stats={Hits:20256 Misses:23564 Inserts:44420 Updates:29064 Evictions:40527 Deletes:2872} len=1021 range=d51b985875edab62",
-		"evict=40524/b7063ea78cf7c296 gets=a1300d18ee0221b6 stats={Hits:20245 Misses:23575 Inserts:44461 Updates:29034 Evictions:40524 Deletes:2917} len=1020 range=259a75e0dc9c6974",
-	},
-	"brrip": {
-		"evict=40543/3b7608034ad440a4 gets=cb1b4286802de6cb stats={Hits:20239 Misses:23581 Inserts:44478 Updates:29023 Evictions:40543 Deletes:2915} len=1020 range=f438ac2083f0b192",
-		"evict=40625/8d9a03907e8e07f0 gets=b181a8c94b76105f stats={Hits:20166 Misses:23654 Inserts:44517 Updates:29057 Evictions:40625 Deletes:2872} len=1020 range=24ac149d1cb0e14d",
-	},
 	"care": {
 		"evict=39749/f71afe3239fc6798 gets=13ecfe1d49a5d915 stats={Hits:20567 Misses:23253 Inserts:43637 Updates:29536 Evictions:39749 Deletes:2868} len=1020 range=4f6f4124a8c65bd0",
 		"evict=39647/170972c6c7a66bc6 gets=00c23bd101315111 stats={Hits:20559 Misses:23261 Inserts:43578 Updates:29603 Evictions:39647 Deletes:2911} len=1020 range=b9baaf5621337894",
-	},
-	"dip": {
-		"evict=40158/2e6ea6c45037417d gets=b4161f493af33364 stats={Hits:20351 Misses:23469 Inserts:44077 Updates:29312 Evictions:40158 Deletes:2901} len=1018 range=5f2ffa51b50b577f",
-		"evict=39990/9beb7b28dcdcb407 gets=62634f540d1d4c9b stats={Hits:20449 Misses:23371 Inserts:43955 Updates:29336 Evictions:39990 Deletes:2946} len=1019 range=f5d826d5f7c4526d",
-	},
-	"drrip": {
-		"evict=40185/7b9d205987d08469 gets=1b591d1b274526b0 stats={Hits:20395 Misses:23425 Inserts:44085 Updates:29260 Evictions:40185 Deletes:2880} len=1020 range=e8e826f2b72b3921",
-		"evict=40162/fd6bbeb03eb501a9 gets=5fa421e7c0031990 stats={Hits:20328 Misses:23492 Inserts:44112 Updates:29300 Evictions:40162 Deletes:2931} len=1019 range=7384ec325670e0ec",
-	},
-	"lip": {
-		"evict=40590/a84b9570b5c7170a gets=cff027356419b5c5 stats={Hits:20207 Misses:23613 Inserts:44501 Updates:29032 Evictions:40590 Deletes:2893} len=1018 range=5a3efc584ab6069c",
-		"evict=40403/d08307283517d24f gets=297d381d4215cb44 stats={Hits:20288 Misses:23532 Inserts:44319 Updates:29133 Evictions:40403 Deletes:2895} len=1021 range=37b3c6626d10c555",
 	},
 	"lru": {
 		"evict=39598/10e2d3b8ae6107e8 gets=33a34aa3fa7e0ca7 stats={Hits:20582 Misses:23238 Inserts:43553 Updates:29605 Evictions:39598 Deletes:2937} len=1018 range=a2d4cfaa8216ffdd",

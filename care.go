@@ -13,8 +13,7 @@
 //   - the CARE replacement framework (SHT, SBP, EPV policies, DTRM)
 //     and its M-CARE ablation, alongside the baselines the paper
 //     compares against (LRU, SHiP++, Hawkeye, Glider, Mockingjay),
-//     SRRIP, and the set-dueling insertion policies (LIP, BIP, DIP,
-//     BRRIP, DRRIP);
+//     and SRRIP;
 //   - synthetic SPEC-like workload generators and instrumented GAP
 //     graph kernels as trace sources;
 //   - an experiment harness that regenerates every table and figure
@@ -221,14 +220,9 @@ type ErrUnknownPolicy = policy.ErrUnknown
 // The policy zoo: the paper's CARE and its M-CARE ablation, and every
 // baseline replacement policy in the registry.
 const (
-	PolicyBIP        = policy.BIP
-	PolicyBRRIP      = policy.BRRIP
 	PolicyCARE       = policy.CARE
-	PolicyDIP        = policy.DIP
-	PolicyDRRIP      = policy.DRRIP
 	PolicyGlider     = policy.Glider
 	PolicyHawkeye    = policy.Hawkeye
-	PolicyLIP        = policy.LIP
 	PolicyLRU        = policy.LRU
 	PolicyMCARE      = policy.MCARE
 	PolicyMockingjay = policy.Mockingjay

@@ -1,8 +1,7 @@
 // policy-compare runs a mixed 4-core workload (four different SPEC
 // programs sharing the LLC, the paper's "mixed workload" methodology)
 // under every LLC policy — CARE, M-CARE, the baselines the paper
-// compares against, SRRIP and the set-dueling insertion policies —
-// and reports normalized weighted speedup over LRU: a miniature of
+// compares against, and SRRIP — and reports normalized weighted speedup over LRU: a miniature of
 // Figure 10.
 //
 //	go run ./examples/policy-compare

@@ -1,10 +1,20 @@
 package cache
 
 import (
+	"strconv"
 	"testing"
+	"unsafe"
 
 	"care/internal/mem"
 )
+
+// TestBlockSize: every set scan, fill and checkpoint walks Blocks, so
+// a field no one reads, or a bool between the words, shows up here.
+func TestBlockSize(t *testing.T) {
+	if got := unsafe.Sizeof(Block{}); strconv.IntSize == 64 && got != 32 {
+		t.Fatalf("Block is %d bytes, want 32", got)
+	}
+}
 
 // tableCompleter is a minimal Owner/Tag completion target, standing in
 // for the CPU's ROB-slot table on the devirtualized response path.

@@ -438,13 +438,11 @@ func (c *Cache) lookup(req *mem.Request, cycle uint64) bool {
 		info.HitPrefetched = blk.Prefetched
 		req.PrefetchHit = blk.Prefetched && req.Kind.IsDemand()
 		if req.Kind.IsDemand() {
-			blk.Reused = true
 			blk.Prefetched = false
 		}
 		if req.Kind == mem.Store {
 			blk.Dirty = true
 		}
-		blk.LastTouch = cycle
 		c.policy.OnHit(set, way, c.sets[set], info)
 		c.maybePrefetch(req, true, cycle)
 		req.Respond(cycle)
@@ -544,9 +542,7 @@ func (c *Cache) lookupWriteback(req *mem.Request, cycle uint64) {
 	set, way := c.probe(req.Addr)
 	c.countAccess(req, way >= 0)
 	if way >= 0 {
-		blk := &c.sets[set][way]
-		blk.Dirty = true
-		blk.LastTouch = cycle
+		c.sets[set][way].Dirty = true
 		req.Respond(cycle)
 		req.Release()
 		return
@@ -613,11 +609,9 @@ func (c *Cache) installBlock(addr, pc mem.Addr, core int, kind mem.Kind, pmc, ml
 	if way >= 0 {
 		// Block raced in via another path (e.g. writeback after a
 		// demand fill). Refresh rather than duplicate.
-		blk := &c.sets[set][way]
 		if kind == mem.Writeback || kind == mem.Store {
-			blk.Dirty = true
+			c.sets[set][way].Dirty = true
 		}
-		blk.LastTouch = cycle
 		return
 	}
 	info := AccessInfo{
@@ -648,11 +642,6 @@ func (c *Cache) installBlock(addr, pc mem.Addr, core int, kind mem.Kind, pmc, ml
 	blk.Prefetched = kind == mem.Prefetch
 	blk.Core = core
 	blk.PC = pc
-	blk.PMC = pmc
-	blk.MLPCost = mlpCost
-	blk.FillCycle = cycle
-	blk.LastTouch = cycle
-	blk.Reused = false
 	c.tags[set*c.Ways+way] = addr.BlockID()<<1 | 1
 	c.stats.Fills++
 	c.policy.OnFill(set, way, c.sets[set], info)

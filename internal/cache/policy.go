@@ -6,33 +6,23 @@ import "care/internal/mem"
 // handed to replacement policies on every decision point. Policies
 // that need richer per-block state (RRPVs, signatures, EPVs, ...)
 // allocate their own side arrays in Init and index them by (set, way).
+// It holds only what the cache or a policy reads, bools last, so a
+// Block is 32 bytes on a 64-bit host.
 type Block struct {
-	// Valid marks the way as holding data.
-	Valid bool
 	// Tag is the block number (address >> BlockBits) stored in the way.
 	Tag uint64
-	// Dirty marks modified data that must be written back on eviction.
-	Dirty bool
-	// Prefetched is set when the block was filled by a prefetch and
-	// has not yet been touched by a demand access.
-	Prefetched bool
 	// Core is the index of the core whose access filled the block.
 	Core int
 	// PC is the program counter of the instruction that filled the
 	// block (the triggering instruction for prefetch fills).
 	PC mem.Addr
-	// PMC is the measured pure miss contribution of the miss that
-	// filled this block, in cycles. Zero for non-pure misses and for
-	// levels without PMC measurement.
-	PMC float64
-	// MLPCost is the MLP-based cost of the fill miss (Qureshi et al.).
-	MLPCost float64
-	// FillCycle is when the block was installed.
-	FillCycle uint64
-	// LastTouch is the cycle of the most recent hit or fill.
-	LastTouch uint64
-	// Reused is set after the first demand re-reference.
-	Reused bool
+	// Valid marks the way as holding data.
+	Valid bool
+	// Dirty marks modified data that must be written back on eviction.
+	Dirty bool
+	// Prefetched is set when the block was filled by a prefetch and
+	// has not yet been touched by a demand access.
+	Prefetched bool
 }
 
 // AccessInfo describes the access driving a policy callback.

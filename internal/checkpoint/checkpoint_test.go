@@ -119,18 +119,22 @@ func TestTruncationRejected(t *testing.T) {
 }
 
 func TestFutureVersionRejected(t *testing.T) {
-	path := writeFile(t)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	binary.LittleEndian.PutUint32(raw[len(Magic):], Version+1)
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	err = Load(path, func(r *Reader) error { return nil })
-	if !errors.Is(err, ErrVersion) {
-		t.Fatalf("future version: got %v, want ErrVersion", err)
+	// Version-1 is a file from the build before the last format
+	// change; cross-version restore is refused both ways.
+	for _, ver := range []uint32{Version + 1, Version - 1} {
+		path := writeFile(t)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(raw[len(Magic):], ver)
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err = Load(path, func(r *Reader) error { return nil })
+		if !errors.Is(err, ErrVersion) {
+			t.Fatalf("version %d: got %v, want ErrVersion", ver, err)
+		}
 	}
 }
 

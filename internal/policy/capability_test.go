@@ -13,10 +13,7 @@ import (
 // unsupported policies at construction instead of panicking at first
 // access.
 func TestCapabilitiesLockstep(t *testing.T) {
-	want := []policy.Policy{
-		policy.BIP, policy.BRRIP, policy.CARE, policy.DIP, policy.DRRIP,
-		policy.LIP, policy.LRU, policy.MCARE, policy.SHiPPP, policy.SRRIP,
-	}
+	want := []policy.Policy{policy.CARE, policy.LRU, policy.MCARE, policy.SHiPPP, policy.SRRIP}
 	if got := policy.Portable(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Portable() = %v, want %v", got, want)
 	}

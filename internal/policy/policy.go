@@ -22,18 +22,11 @@ type Policy string
 
 // The policy zoo: the paper's CARE and its M-CARE ablation, the
 // baselines its figures compare against (LRU, SHiP++, Hawkeye, Glider,
-// Mockingjay), SRRIP, which the svc comparison adds, and the
-// set-dueling insertion family (LIP, BIP, DIP, BRRIP, DRRIP), which no
-// experiment runs.
+// Mockingjay), and SRRIP, which the svc comparison adds.
 const (
-	BIP        Policy = "bip"
-	BRRIP      Policy = "brrip"
 	CARE       Policy = "care"
-	DIP        Policy = "dip"
-	DRRIP      Policy = "drrip"
 	Glider     Policy = "glider"
 	Hawkeye    Policy = "hawkeye"
-	LIP        Policy = "lip"
 	LRU        Policy = "lru"
 	MCARE      Policy = "m-care"
 	Mockingjay Policy = "mockingjay"
@@ -60,10 +53,7 @@ var known = func() map[Policy]bool {
 	return m
 }()
 
-var all = []Policy{
-	BIP, BRRIP, CARE, DIP, DRRIP, Glider, Hawkeye, LIP, LRU, MCARE,
-	Mockingjay, SHiPPP, SRRIP,
-}
+var all = []Policy{CARE, Glider, Hawkeye, LRU, MCARE, Mockingjay, SHiPPP, SRRIP}
 
 // All returns every valid policy in sorted order.
 func All() []Policy {

@@ -36,7 +36,7 @@ type Access struct {
 // Adapter drives an unmodified zoo policy from Access values. It owns
 // the per-(set, way) cache.Block metadata the simulator's cache model
 // normally maintains, synthesising the fields policies read (tag, PC,
-// fill/touch stamps, cost) from a monotonic access tick.
+// dirtiness) from each Access.
 //
 // The adapter is deliberately single-threaded: the care/cache shared
 // segment guarantees one goroutine per segment (the concurrent
@@ -47,7 +47,6 @@ type Adapter struct {
 	sets   int
 	ways   int
 	blocks [][]cache.Block
-	tick   uint64
 }
 
 // NewAdapter wraps a policy for a sets×ways geometry. The policy's
@@ -104,12 +103,8 @@ func (a *Adapter) Victim(set int, acc Access) int {
 
 // OnHit records a hit on (set, way).
 func (a *Adapter) OnHit(set, way int, acc Access) {
-	a.tick++
-	b := &a.blocks[set][way]
-	b.LastTouch = a.tick
-	b.Reused = true
 	if acc.Write {
-		b.Dirty = true
+		a.blocks[set][way].Dirty = true
 	}
 	a.pol.OnHit(set, way, a.blocks[set], a.info(acc))
 }
@@ -123,16 +118,11 @@ func (a *Adapter) OnEvict(set, way int, acc Access) {
 
 // OnFill installs a new block in (set, way) and notifies the policy.
 func (a *Adapter) OnFill(set, way int, acc Access) {
-	a.tick++
 	a.blocks[set][way] = cache.Block{
-		Valid:     true,
-		Tag:       acc.Block,
-		Dirty:     acc.Write,
-		PC:        mem.Addr(acc.Sig),
-		PMC:       acc.Cost,
-		MLPCost:   acc.Cost,
-		FillCycle: a.tick,
-		LastTouch: a.tick,
+		Valid: true,
+		Tag:   acc.Block,
+		Dirty: acc.Write,
+		PC:    mem.Addr(acc.Sig),
 	}
 	a.pol.OnFill(set, way, a.blocks[set], a.info(acc))
 }

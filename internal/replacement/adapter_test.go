@@ -17,8 +17,8 @@ func fillSet(a *Adapter, ways int) []Access {
 	return accs
 }
 
-// TestAdapterDrivesLRU: the adapter's synthetic block metadata and
-// tick ordering must reproduce exact LRU behaviour.
+// TestAdapterDrivesLRU: the adapter's synthetic block metadata must
+// reproduce exact LRU behaviour.
 func TestAdapterDrivesLRU(t *testing.T) {
 	const ways = 4
 	a := NewAdapter(NewLRU(), 2, ways)
@@ -40,8 +40,8 @@ func TestAdapterDrivesLRU(t *testing.T) {
 	}
 }
 
-// TestAdapterBlockMetadata: fills install valid tagged blocks, hits
-// mark reuse and dirtiness, Invalidate frees the slot.
+// TestAdapterBlockMetadata: fills install valid tagged blocks, write
+// hits mark dirtiness, Invalidate frees the slot.
 func TestAdapterBlockMetadata(t *testing.T) {
 	a := NewAdapter(NewLRU(), 1, 2)
 	a.OnFill(0, 0, Access{Sig: 7, Block: 42, Cost: 3})
@@ -49,12 +49,12 @@ func TestAdapterBlockMetadata(t *testing.T) {
 		t.Fatalf("validity after fill: (0,0)=%v (0,1)=%v", a.Valid(0, 0), a.Valid(0, 1))
 	}
 	b := a.blocks[0][0]
-	if b.Tag != 42 || b.PMC != 3 || b.Reused || b.Dirty {
+	if b.Tag != 42 || b.Dirty {
 		t.Fatalf("block after fill: %+v", b)
 	}
 	a.OnHit(0, 0, Access{Sig: 7, Block: 42, Write: true})
 	b = a.blocks[0][0]
-	if !b.Reused || !b.Dirty || b.LastTouch <= b.FillCycle {
+	if !b.Dirty {
 		t.Fatalf("block after write hit: %+v", b)
 	}
 	a.OnEvict(0, 0, Access{Sig: 8, Block: 43})

@@ -87,7 +87,6 @@ type tagArray struct {
 	ways   int
 	mask   uint64
 	blocks []cache.Block
-	cycle  uint64
 }
 
 func newTagArray(p cache.Policy, sets, ways int) *tagArray {
@@ -96,7 +95,6 @@ func newTagArray(p cache.Policy, sets, ways int) *tagArray {
 }
 
 func (t *tagArray) access(info cache.AccessInfo) {
-	t.cycle += 4
 	tag := info.Addr.BlockID()
 	set := int(tag & t.mask)
 	ways := t.blocks[set*t.ways : (set+1)*t.ways]
@@ -109,8 +107,6 @@ func (t *tagArray) access(info cache.AccessInfo) {
 			continue
 		}
 		if ways[w].Tag == tag {
-			ways[w].Reused = true
-			ways[w].LastTouch = t.cycle
 			t.p.OnHit(set, w, ways, info)
 			return
 		}
@@ -119,9 +115,6 @@ func (t *tagArray) access(info cache.AccessInfo) {
 		victim = t.p.Victim(set, ways, info)
 		t.p.OnEvict(set, victim, ways[victim], info)
 	}
-	ways[victim] = cache.Block{
-		Valid: true, Tag: tag, Core: info.Core, PC: info.PC, PMC: info.PMC,
-		MLPCost: info.MLPCost, FillCycle: t.cycle, LastTouch: t.cycle,
-	}
+	ways[victim] = cache.Block{Valid: true, Tag: tag, Core: info.Core, PC: info.PC}
 	t.p.OnFill(set, victim, ways, info)
 }

@@ -102,50 +102,6 @@ func TestSampledSets(t *testing.T) {
 	}
 }
 
-func TestDuelingLeadersSteerPSEL(t *testing.T) {
-	d := newDueling(64, 4)
-	// Misses in A-leader sets push PSEL up (toward B).
-	start := d.psel
-	for set := 0; set < 64; set++ {
-		if d.leaderA[set] {
-			d.onMiss(set)
-		}
-	}
-	if d.psel <= start {
-		t.Fatal("A-leader misses should raise PSEL")
-	}
-	// Follower sets follow the winner.
-	for i := 0; i < 2000; i++ {
-		for set := 0; set < 64; set++ {
-			if d.leaderA[set] {
-				d.onMiss(set)
-			}
-		}
-	}
-	follower := -1
-	for set := 0; set < 64; set++ {
-		if !d.leaderA[set] && !d.leaderB[set] {
-			follower = set
-			break
-		}
-	}
-	if follower == -1 {
-		t.Fatal("no follower set found")
-	}
-	if d.useA(follower) {
-		t.Fatal("followers should switch to B when A keeps missing")
-	}
-	// Leaders always use their own policy.
-	for set := 0; set < 64; set++ {
-		if d.leaderA[set] && !d.useA(set) {
-			t.Fatal("A leaders must use A")
-		}
-		if d.leaderB[set] && d.useA(set) {
-			t.Fatal("B leaders must use B")
-		}
-	}
-}
-
 // simulateLRUOffline runs true LRU over a block-address sequence for
 // a sets×ways cache, apart from the cache model, and returns the hit
 // and miss counts.
@@ -196,55 +152,6 @@ func TestLRUStackProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// thrash generates k passes over a working set one block larger than
-// one set's capacity, all mapping to set 0.
-func thrash(sets, ways, extra, passes int) []cache.AccessInfo {
-	var accs []cache.AccessInfo
-	for p := 0; p < passes; p++ {
-		for b := 0; b < ways+extra; b++ {
-			blk := uint64(b * sets) // same set
-			accs = append(accs, cache.AccessInfo{Addr: mem.Addr(blk << mem.BlockBits), PC: 0x400, Kind: mem.Load})
-		}
-	}
-	return accs
-}
-
-func TestLIPBeatsLRUOnThrash(t *testing.T) {
-	accs := thrash(16, 4, 1, 50)
-	lruHits, _ := runSeq(NewLRU(), 16, 4, accs)
-	lipHits, _ := runSeq(NewLIP(), 16, 4, accs)
-	if lruHits != 0 {
-		t.Fatalf("LRU should get zero hits on a cyclic over-capacity scan, got %d", lruHits)
-	}
-	if lipHits == 0 {
-		t.Fatal("LIP should retain part of a thrashing working set")
-	}
-}
-
-func TestBIPAdaptsLikeLIP(t *testing.T) {
-	accs := thrash(16, 4, 1, 50)
-	bipHits, _ := runSeq(NewBIP(), 16, 4, accs)
-	if bipHits == 0 {
-		t.Fatal("BIP should also survive thrash")
-	}
-}
-
-func TestDIPNeverFarFromBest(t *testing.T) {
-	// Recency-friendly pattern: repeated small working set. LRU is
-	// ideal here; DIP must not collapse.
-	var accs []cache.AccessInfo
-	for p := 0; p < 100; p++ {
-		for b := 0; b < 3; b++ {
-			accs = append(accs, cache.AccessInfo{Addr: mem.Addr(uint64(b*16) << mem.BlockBits), PC: 1, Kind: mem.Load})
-		}
-	}
-	lruHits, _ := runSeq(NewLRU(), 16, 4, accs)
-	dipHits, _ := runSeq(NewDIP(), 16, 4, accs)
-	if float64(dipHits) < 0.8*float64(lruHits) {
-		t.Fatalf("DIP hits %d too far below LRU %d on friendly pattern", dipHits, lruHits)
 	}
 }
 

@@ -4,8 +4,6 @@ import "care/internal/cache"
 
 func init() {
 	Register("srrip", func(cores int) cache.Policy { return NewSRRIP() })
-	Register("brrip", func(cores int) cache.Policy { return NewBRRIP() })
-	Register("drrip", func(cores int) cache.Policy { return NewDRRIP() })
 }
 
 // maxRRPV is the saturating re-reference prediction value of the
@@ -68,80 +66,4 @@ func (p *SRRIP) OnHit(set, way int, blocks []cache.Block, info cache.AccessInfo)
 // OnFill implements cache.Policy.
 func (p *SRRIP) OnFill(set, way int, blocks []cache.Block, info cache.AccessInfo) {
 	p.rrpv[set][way] = maxRRPV - 1
-}
-
-// BRRIP is the bimodal RRIP: fills get a distant prediction (max)
-// except 1-in-32 which get long (max-1), resisting thrash.
-type BRRIP struct {
-	rripBase
-	rng xorshift
-}
-
-// NewBRRIP returns a bimodal RRIP policy.
-func NewBRRIP() *BRRIP { return &BRRIP{rng: newXorshift(5)} }
-
-// Name implements cache.Policy.
-func (p *BRRIP) Name() string { return "brrip" }
-
-// Victim implements cache.Policy.
-func (p *BRRIP) Victim(set int, blocks []cache.Block, info cache.AccessInfo) int {
-	return p.victim(set)
-}
-
-// OnHit implements cache.Policy.
-func (p *BRRIP) OnHit(set, way int, blocks []cache.Block, info cache.AccessInfo) {
-	p.rrpv[set][way] = 0
-}
-
-// OnFill implements cache.Policy.
-func (p *BRRIP) OnFill(set, way int, blocks []cache.Block, info cache.AccessInfo) {
-	if p.rng.intn(32) == 0 {
-		p.rrpv[set][way] = maxRRPV - 1
-	} else {
-		p.rrpv[set][way] = maxRRPV
-	}
-}
-
-// DRRIP set-duels SRRIP against BRRIP (Jaleel et al.), the strongest
-// of the non-PC-based baselines.
-type DRRIP struct {
-	rripBase
-	rng  xorshift
-	duel *dueling
-}
-
-// NewDRRIP returns a dynamic RRIP policy.
-func NewDRRIP() *DRRIP { return &DRRIP{rng: newXorshift(6)} }
-
-// Name implements cache.Policy.
-func (p *DRRIP) Name() string { return "drrip" }
-
-// Init implements cache.Policy.
-func (p *DRRIP) Init(sets, ways int) {
-	p.rripBase.Init(sets, ways)
-	p.duel = newDueling(sets, 32)
-}
-
-// Victim implements cache.Policy.
-func (p *DRRIP) Victim(set int, blocks []cache.Block, info cache.AccessInfo) int {
-	return p.victim(set)
-}
-
-// OnHit implements cache.Policy.
-func (p *DRRIP) OnHit(set, way int, blocks []cache.Block, info cache.AccessInfo) {
-	p.rrpv[set][way] = 0
-}
-
-// OnFill implements cache.Policy.
-func (p *DRRIP) OnFill(set, way int, blocks []cache.Block, info cache.AccessInfo) {
-	p.duel.onMiss(set)
-	if p.duel.useA(set) {
-		p.rrpv[set][way] = maxRRPV - 1 // SRRIP
-		return
-	}
-	if p.rng.intn(32) == 0 {
-		p.rrpv[set][way] = maxRRPV - 1
-	} else {
-		p.rrpv[set][way] = maxRRPV
-	}
 }

@@ -9,12 +9,12 @@ import (
 
 // This file gives every policy in the zoo a Checkpoint method
 // (checkpoint.Component) over its dynamic state. Structural state
-// that Init rebuilds deterministically (leader-set maps, sampling
-// strides, geometry) is not walked; a restore targets a freshly
-// Init'd policy of identical geometry, whose tables fix every shape.
-// Policies that embed another (LIP in LRU, SRRIP in rripBase) inherit
-// its walk unless they add state of their own, and then walk the
-// embedded part first. A stored value that indexes a table is range-checked as it
+// that Init rebuilds deterministically (sampling strides, geometry)
+// is not walked; a restore targets a freshly Init'd policy of
+// identical geometry, whose tables fix every shape.
+// Policies that embed another (SRRIP and SHiP++ embed rripBase)
+// inherit its walk unless they add state of their own, and then walk
+// the embedded part first. A stored value that indexes a table is range-checked as it
 // is restored, so a forged checkpoint fails with ErrCorrupt instead
 // of restoring a policy that later panics.
 
@@ -37,33 +37,8 @@ func (p *LRU) Checkpoint(s *checkpoint.State) {
 	checkpoint.Uint(s, &p.clock)
 }
 
-// Checkpoint implements checkpoint.Component for LIP and BIP.
-func (p *lipBase) Checkpoint(s *checkpoint.State) {
-	p.LRU.Checkpoint(s)
-	checkpoint.Uint(s, &p.rng)
-}
-
-// Checkpoint implements checkpoint.Component.
-func (p *DIP) Checkpoint(s *checkpoint.State) {
-	p.lipBase.Checkpoint(s)
-	checkpoint.Int(s, &p.duel.psel)
-}
-
 // Checkpoint implements checkpoint.Component for SRRIP.
 func (p *rripBase) Checkpoint(s *checkpoint.State) { checkpoint.Grid(s, p.rrpv, checkpoint.Uint) }
-
-// Checkpoint implements checkpoint.Component.
-func (p *BRRIP) Checkpoint(s *checkpoint.State) {
-	p.rripBase.Checkpoint(s)
-	checkpoint.Uint(s, &p.rng)
-}
-
-// Checkpoint implements checkpoint.Component.
-func (p *DRRIP) Checkpoint(s *checkpoint.State) {
-	p.rripBase.Checkpoint(s)
-	checkpoint.Uint(s, &p.rng)
-	checkpoint.Int(s, &p.duel.psel)
-}
 
 // Checkpoint implements checkpoint.Component.
 func (p *SHiPPP) Checkpoint(s *checkpoint.State) {

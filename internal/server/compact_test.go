@@ -190,10 +190,17 @@ func TestCompactPreservesStateAndFencingTokens(t *testing.T) {
 		}
 	}
 	// The replayed snapshot also preserved the leased job's
-	// idempotency key.
+	// idempotency key: the retried claim gets the same lease back.
+	var held Job
+	for _, w := range want {
+		if w.Leased() {
+			held = w
+		}
+	}
 	leased, ok, err := q2.ClaimRemote("w2", 60_000, "key-e")
-	if err != nil || !ok || leased.Worker != "w2" {
-		t.Fatalf("idempotent claim after compaction = %+v ok=%v err=%v", leased, ok, err)
+	if err != nil || !ok || leased.ID != held.ID || leased.Attempts != held.Attempts {
+		t.Fatalf("idempotent claim after compaction = %+v ok=%v err=%v, want %s attempt %d",
+			leased, ok, err, held.ID, held.Attempts)
 	}
 }
 

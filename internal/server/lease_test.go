@@ -296,23 +296,13 @@ func TestDuplicateTerminalReplayRefusesToOpen(t *testing.T) {
 	// A journal with two terminal events for one job violates exactly-
 	// once; opening it must fail loudly rather than silently pick one.
 	path := filepath.Join(t.TempDir(), "journal")
-	jnl, _, err := OpenJournal(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	spec := testSpec()
-	events := []Event{
+	writeJournal(t, path, []Event{
 		{Op: opSubmit, Job: "j000001", Spec: &spec},
 		{Op: opStart, Job: "j000001", Attempt: 1},
 		{Op: opComplete, Job: "j000001", Result: []byte(`{"r":1}`)},
 		{Op: opComplete, Job: "j000001", Result: []byte(`{"r":2}`)},
-	}
-	for i := range events {
-		if err := jnl.Append(&events[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	jnl.Close()
+	})
 	if _, err := OpenQueue(path, nil); !errors.Is(err, ErrDuplicateTerminal) {
 		t.Fatalf("open with duplicate terminal = %v, want ErrDuplicateTerminal", err)
 	}

@@ -83,7 +83,7 @@ func OpenQueue(journalPath string, inj *faultinject.Injector) (*Queue, error) {
 	for _, ev := range events {
 		if err := q.replayEvent(ev); err != nil {
 			jnl.Close()
-			return nil, err
+			return nil, fmt.Errorf("%w: event %d: %w", ErrJournalCorrupt, ev.Seq, err)
 		}
 	}
 	// Crash recovery: re-pend in-process jobs, re-arm remote leases,
@@ -121,41 +121,57 @@ func (q *Queue) SetNotify(fn func(careapi.JobEvent)) {
 }
 
 // replayEvent folds one journal record into the rebuilding queue.
+// OpenQueue marks every error it returns as journal corruption.
 func (q *Queue) replayEvent(ev Event) error {
 	switch ev.Op {
 	case opSubmit:
 		if ev.Spec == nil {
-			return fmt.Errorf("%w: submit event %d has no spec", ErrJournalCorrupt, ev.Seq)
+			return errors.New("submit has no spec")
 		}
-		q.addJob(&Job{ID: ev.Job, Spec: *ev.Spec, State: StatePending, Seq: ev.Seq})
-		return nil
+		return q.replayJob(&Job{ID: ev.Job, Spec: *ev.Spec, State: StatePending, Seq: ev.Seq})
 	case opSweep:
 		if len(ev.Specs) == 0 || len(ev.Specs) != len(ev.IDs) {
-			return fmt.Errorf("%w: sweep event %d has %d specs for %d ids",
-				ErrJournalCorrupt, ev.Seq, len(ev.Specs), len(ev.IDs))
+			return fmt.Errorf("sweep has %d specs for %d ids", len(ev.Specs), len(ev.IDs))
 		}
 		for i := range ev.Specs {
-			q.addJob(&Job{ID: ev.IDs[i], Spec: ev.Specs[i], State: StatePending, Seq: ev.Seq})
+			if err := q.replayJob(&Job{ID: ev.IDs[i], Spec: ev.Specs[i], State: StatePending, Seq: ev.Seq}); err != nil {
+				return err
+			}
 		}
 		return nil
 	case opSnapshot:
 		if ev.Spec == nil {
-			return fmt.Errorf("%w: snapshot event %d has no spec", ErrJournalCorrupt, ev.Seq)
+			return errors.New("snapshot has no spec")
 		}
 		jb := &Job{ID: ev.Job, Spec: *ev.Spec}
 		if err := applyEvent(jb, ev); err != nil {
 			return err
 		}
-		q.addJob(jb)
+		if err := q.replayJob(jb); err != nil {
+			return err
+		}
+		if ev.Idem != "" && jb.Leased() {
+			// A retried claim quoting the lease's key still gets it back.
+			q.idem[ev.Idem] = jb.ID
+			q.idemByJob[jb.ID] = ev.Idem
+		}
 		return nil
 	}
 	jb, ok := q.jobs[ev.Job]
 	if !ok {
-		return fmt.Errorf("%w: event %d for unsubmitted job %s", ErrJournalCorrupt, ev.Seq, ev.Job)
+		return fmt.Errorf("%s for unsubmitted job %s", ev.Op, ev.Job)
 	}
-	if err := q.applyIndexed(jb, ev); err != nil {
-		return err
+	return q.applyIndexed(jb, ev)
+}
+
+// replayJob adds a job that a replayed record creates. An ID the
+// journal already created is refused: the job would be listed, and
+// claimable, twice.
+func (q *Queue) replayJob(jb *Job) error {
+	if _, dup := q.jobs[jb.ID]; dup {
+		return fmt.Errorf("job %s created twice", jb.ID)
 	}
+	q.addJob(jb)
 	return nil
 }
 

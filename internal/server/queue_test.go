@@ -23,6 +23,96 @@ func openTestQueue(t *testing.T, path string) *Queue {
 	return q
 }
 
+// writeJournal commits events, in order, to a fresh journal at path.
+func writeJournal(t testing.TB, path string, events []Event) {
+	t.Helper()
+	jnl, _, err := OpenJournal(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jnl.nosync = true
+	for i := range events {
+		if err := jnl.Append(&events[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jnl.Close()
+}
+
+// TestReplayRefusesRepeatedJobID: a submit, sweep or snapshot record
+// naming a job the journal already created makes the journal corrupt.
+// Replaying it would list the job twice and make it claimable twice.
+func TestReplayRefusesRepeatedJobID(t *testing.T) {
+	spec := testSpec()
+	for _, tc := range []struct {
+		name   string
+		events []Event
+	}{
+		{"submit", []Event{
+			{Op: opSubmit, Job: "j000001", Spec: &spec},
+			{Op: opSubmit, Job: "j000001", Spec: &spec},
+		}},
+		{"sweep", []Event{
+			{Op: opSubmit, Job: "j000001", Spec: &spec},
+			{Op: opSweep, Specs: []JobSpec{spec, spec}, IDs: []string{"j000002", "j000001"}},
+		}},
+		{"within-sweep", []Event{
+			{Op: opSweep, Specs: []JobSpec{spec, spec}, IDs: []string{"j000001", "j000001"}},
+		}},
+		{"snapshot", []Event{
+			{Op: opSnapshot, Job: "j000001", Spec: &spec, State: StateDone, Result: []byte(`{"r":1}`)},
+			{Op: opSubmit, Job: "j000001", Spec: &spec},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "journal")
+			writeJournal(t, path, tc.events)
+			if q, err := OpenQueue(path, nil); !errors.Is(err, ErrJournalCorrupt) {
+				if err == nil {
+					t.Errorf("open listed %d jobs", len(q.Jobs()))
+					q.Close()
+				}
+				t.Fatalf("open with a repeated job ID = %v, want ErrJournalCorrupt", err)
+			}
+		})
+	}
+}
+
+// TestReplayErrorsAreJournalCorrupt: every record replay refuses
+// surfaces from OpenQueue as ErrJournalCorrupt, keeping its cause.
+func TestReplayErrorsAreJournalCorrupt(t *testing.T) {
+	spec := testSpec()
+	for _, tc := range []struct {
+		name   string
+		events []Event
+		cause  error
+	}{
+		{"cancel-twice", []Event{
+			{Op: opSubmit, Job: "j000001", Spec: &spec},
+			{Op: opCancel, Job: "j000001"},
+			{Op: opCancel, Job: "j000001"},
+		}, ErrDuplicateTerminal},
+		{"unknown-op", []Event{
+			{Op: opSubmit, Job: "j000001", Spec: &spec},
+			{Op: "teleport", Job: "j000001"},
+		}, nil},
+		{"unsubmitted", []Event{{Op: opClaim, Job: "j000009", Worker: "w1", Attempt: 1}}, nil},
+		{"no-spec", []Event{{Op: opSubmit, Job: "j000001"}}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "journal")
+			writeJournal(t, path, tc.events)
+			_, err := OpenQueue(path, nil)
+			if !errors.Is(err, ErrJournalCorrupt) {
+				t.Fatalf("open = %v, want ErrJournalCorrupt", err)
+			}
+			if tc.cause != nil && !errors.Is(err, tc.cause) {
+				t.Fatalf("open = %v, want it to keep %v", err, tc.cause)
+			}
+		})
+	}
+}
+
 func TestQueueSubmitClaimComplete(t *testing.T) {
 	q := openTestQueue(t, filepath.Join(t.TempDir(), "journal"))
 	jb, err := q.Submit(testSpec())
