@@ -80,9 +80,9 @@ func benchSimulation(b *testing.B, policy care.Policy) {
 	benchSimulationTelemetry(b, policy, "")
 }
 
-// benchSimulationTelemetry runs the 4-core mcf workload with an
-// optional streaming telemetry sink, reporting simulated instructions
-// per second. Comparing BenchmarkSimulationCARE (no sink) with
+// benchSimulationTelemetry runs the 4-core mcf workload with optional
+// telemetry written in format when the run ends, reporting simulated
+// instructions per second. Comparing BenchmarkSimulationCARE (none) with
 // BenchmarkSimulationTelemetryJSONL quantifies the collector's
 // overhead (DESIGN.md §7 records the expectation: <2%).
 func benchSimulationTelemetry(b *testing.B, policy care.Policy, format string) {
@@ -96,26 +96,26 @@ func benchSimulationTelemetry(b *testing.B, policy care.Policy, format string) {
 		cfg := care.ScaledConfig(4, 16)
 		cfg.LLCPolicy = policy
 		cfg.Prefetch = true
+		var col *care.TelemetryCollector
 		if format != "" {
-			sink, err := care.NewTelemetrySink(format, io.Discard)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cfg.Telemetry = care.NewTelemetryCollector(care.TelemetryOptions{
-				Interval: 10_000,
-				Tag:      "bench",
-				Sink:     sink,
-			})
+			col = care.NewTelemetryCollector(care.TelemetryOptions{Interval: 10_000, Tag: "bench"})
+			cfg.Telemetry = col
 		}
 		if _, err := care.Run(context.Background(), cfg, traces, care.RunOpts{Warmup: 5_000, Measure: instr}); err != nil {
 			b.Fatal(err)
+		}
+		if col != nil {
+			series := []care.TelemetrySeries{{Meta: col.Meta(), Intervals: col.Series()}}
+			if err := care.WriteTelemetry(io.Discard, format, series); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 	b.ReportMetric(float64(instr*4*b.N)/b.Elapsed().Seconds(), "instr/s")
 }
 
-// BenchmarkSimulationTelemetryJSONL runs the same workload with a
-// 10k-cycle JSONL telemetry stream (an aggressive interval; the
+// BenchmarkSimulationTelemetryJSONL runs the same workload with
+// 10k-cycle telemetry written as JSONL (an aggressive interval; the
 // default is 100k cycles, making the overhead smaller still).
 func BenchmarkSimulationTelemetryJSONL(b *testing.B) {
 	benchSimulationTelemetry(b, "care", "jsonl")

@@ -97,6 +97,7 @@ type RunOpts struct {
 	Measure uint64
 	// Telemetry, when non-nil, attaches an interval collector to the
 	// run (it overrides any collector already set on the config).
+	// After Run returns, its Series() holds every interval.
 	Telemetry *TelemetryCollector
 	// Checkpoint, when non-nil, runs the measured region on a
 	// checkpoint schedule: segments of Checkpoint.Every instructions
@@ -277,36 +278,33 @@ func HardwareCostKB() (total, concurrency float64) {
 // SystemConfig.Telemetry. See internal/telemetry.
 type TelemetryCollector = telemetry.Collector
 
-// TelemetryOptions configures a collector (interval, tag, sink).
+// TelemetryOptions configures a collector (interval, tag).
 type TelemetryOptions = telemetry.Options
-
-// TelemetrySink receives the sampled interval series ("csv", "jsonl",
-// "prom", or in-memory).
-type TelemetrySink = telemetry.Sink
 
 // TelemetryInterval is one sampled interval record.
 type TelemetryInterval = telemetry.Interval
 
-// TelemetryMemory is the retaining in-memory sink.
-type TelemetryMemory = telemetry.Memory
+// TelemetrySeries is one run's metadata and its intervals, as
+// WriteTelemetry renders them.
+type TelemetrySeries = telemetry.Series
 
 // NewTelemetryCollector creates a collector; pass it to a single
-// simulation via SystemConfig.Telemetry.
+// simulation via SystemConfig.Telemetry. It keeps every completed
+// interval, warmup included, and does no I/O: read the series with
+// its Series method once the run ends (after a resume too, since
+// checkpoints carry the whole series) and write it with
+// WriteTelemetry.
 func NewTelemetryCollector(opts TelemetryOptions) *TelemetryCollector {
 	return telemetry.NewCollector(opts)
 }
 
-// NewTelemetrySink builds a streaming sink by format name ("csv",
-// "jsonl", "prom") writing to w.
-func NewTelemetrySink(format string, w io.Writer) (TelemetrySink, error) {
-	return telemetry.NewSink(format, w)
+// WriteTelemetry renders finished series to w by format name ("csv",
+// "jsonl", "prom").
+func WriteTelemetry(w io.Writer, format string, series []TelemetrySeries) error {
+	return telemetry.Write(w, format, series)
 }
 
-// NewTelemetryMemory creates an in-memory sink for programmatic
-// series access.
-func NewTelemetryMemory() *TelemetryMemory { return telemetry.NewMemory() }
-
-// TelemetryFormats lists the streaming sink formats.
+// TelemetryFormats lists the formats WriteTelemetry renders.
 func TelemetryFormats() []string { return telemetry.Formats() }
 
 // ---- experiments ----

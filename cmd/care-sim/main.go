@@ -53,7 +53,7 @@ func main() {
 		faults        = flag.String("faults", "", "deterministic fault-injection spec, e.g. seed=1,dram-drop=200 (keys: seed, trace-corrupt, trace-flip, dram-drop, dram-delay, dram-delay-cycles, mshr-saturate, meta-flip, kill-at, ckpt-corrupt)")
 		telFormat     = flag.String("telemetry", "", "record interval-resolved telemetry in this format: "+strings.Join(telemetry.Formats(), ", ")+" (empty = off)")
 		telInterval   = flag.Uint64("telemetry-interval", telemetry.DefaultInterval, "telemetry sampling interval in cycles")
-		telOut        = flag.String("telemetry-out", "", "telemetry output file (empty = care-sim-telemetry.<ext>, \"-\" = stdout)")
+		telOutPath    = flag.String("telemetry-out", "", "telemetry output file (empty = care-sim-telemetry.<ext>, \"-\" = stdout)")
 		ckptPath      = flag.String("checkpoint", "", "checkpoint file; the previous checkpoint rotates to <path>.1 before each write")
 		ckptEvery     = flag.Uint64("checkpoint-every", 0, "write a checkpoint every N measured instructions (requires -checkpoint)")
 		resume        = flag.Bool("resume", false, "resume from the -checkpoint file (falling back to <path>.1) instead of starting fresh")
@@ -133,12 +133,13 @@ func main() {
 		cfg.Faults = &fc
 	}
 
-	// Optional interval telemetry: one collector for the whole run,
-	// tagged with the workload/policy identity, streaming straight to
-	// the selected sink.
+	// Optional interval telemetry: one collector per attempt, tagged
+	// with the workload/policy identity. The output is opened up front
+	// (so a bad path fails before the run) and the series is written
+	// once, when the run ends.
 	var (
-		sink    telemetry.Sink
 		telPath string
+		telOut  io.Writer
 		telFile *os.File
 	)
 	if *telFormat != "" {
@@ -147,30 +148,18 @@ func main() {
 				*telFormat, strings.Join(telemetry.Formats(), ", "))
 			os.Exit(2)
 		}
-		var w io.Writer
-		switch *telOut {
-		case "-":
-			w = os.Stdout
-		case "":
-			telPath = "care-sim-telemetry" + telemetry.Ext(*telFormat)
-			fallthrough
-		default:
+		telOut = os.Stdout
+		if *telOutPath != "-" {
+			telPath = *telOutPath
 			if telPath == "" {
-				telPath = *telOut
+				telPath = "care-sim-telemetry" + telemetry.Ext(*telFormat)
 			}
 			f, err := os.Create(telPath)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "care-sim:", err)
 				os.Exit(2)
 			}
-			telFile = f
-			w = f
-		}
-		var err error
-		sink, err = telemetry.NewSink(*telFormat, w)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "care-sim:", err)
-			os.Exit(2)
+			telOut, telFile = f, f
 		}
 	}
 
@@ -178,23 +167,22 @@ func main() {
 	// violation, corrupt trace) carries its own diagnostic dump; print
 	// it and exit nonzero so scripted runs notice. SIGINT/SIGTERM
 	// request a clean stop: the run quiesces, writes a final
-	// checkpoint (when -checkpoint is set), flushes telemetry, prints
-	// the partial summary, and exits nonzero.
+	// checkpoint (when -checkpoint is set), writes the telemetry
+	// series, prints the partial summary, and exits nonzero.
 	stopProfile := startCPUProfile(*cpuProfile)
 	r, out, err := sim.Execute(interruptContext(), sim.Job{
 		// Each restore attempt gets a system over fresh traces and a
-		// fresh collector over the shared sink.
+		// fresh collector.
 		Build: func() (*sim.System, error) {
 			traces, err := makeTraces()
 			if err != nil {
 				return nil, err
 			}
 			runCfg := cfg
-			if sink != nil {
+			if telOut != nil {
 				runCfg.Telemetry = telemetry.NewCollector(telemetry.Options{
 					Interval: *telInterval,
 					Tag:      fmt.Sprintf("%s/%s/c%d", *workload, pol, *cores),
-					Sink:     sink,
 				})
 			}
 			return sim.New(runCfg, traces)
@@ -221,15 +209,24 @@ func main() {
 		fmt.Fprintln(os.Stderr, "care-sim:", err)
 		os.Exit(2)
 	}
+	// The series is written whether the run completed, failed or was
+	// interrupted: a partial series helps explain a failure.
+	col := s.Telemetry()
+	var series []telemetry.Interval
+	if col != nil {
+		series = col.Series()
+		werr := telemetry.Write(telOut, *telFormat, []telemetry.Series{{Meta: col.Meta(), Intervals: series}})
+		if telFile != nil {
+			werr = errors.Join(werr, telFile.Close())
+		}
+		if werr != nil {
+			fmt.Fprintln(os.Stderr, "care-sim: telemetry:", werr)
+			os.Exit(1)
+		}
+	}
 	interrupted := errors.Is(err, sim.ErrInterrupted)
 	if err != nil && !interrupted {
 		failSim(err)
-	}
-	if telFile != nil {
-		if err := telFile.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "care-sim: telemetry:", err)
-			os.Exit(1)
-		}
 	}
 	if interrupted {
 		fmt.Fprintln(os.Stderr, "care-sim: interrupted — partial results follow")
@@ -241,12 +238,12 @@ func main() {
 	fmt.Printf("workload=%s cores=%d policy=%s prefetch=%v scale=%d\n",
 		*workload, *cores, pol, *prefetch, *scale)
 	fmt.Printf("cycles: %d\n", r.Cycles)
-	if col := s.Telemetry(); col != nil {
+	if col != nil {
 		dest := telPath
 		if dest == "" {
 			dest = "stdout"
 		}
-		fmt.Printf("telemetry: %d intervals (%d-cycle) -> %s\n", col.Count(), col.Interval(), dest)
+		fmt.Printf("telemetry: %d intervals (%d-cycle) -> %s\n", len(telemetry.Measured(series)), col.Interval(), dest)
 	}
 	fmt.Println()
 

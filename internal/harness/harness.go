@@ -118,9 +118,9 @@ type Options struct {
 
 	// TelemetryRegistry, when non-nil, receives every supervised run's
 	// interval series (tagged TelemetryTag + run tag). care-server
-	// shares one registry across jobs and streams it to its sinks;
-	// with Telemetry set, Run replaces it with a fresh registry for the
-	// experiment and writes that to TelemetryOut.
+	// shares one registry across jobs and writes it on /metrics and at
+	// shutdown; with Telemetry set, Run replaces it with a fresh
+	// registry for the experiment and writes that to TelemetryOut.
 	TelemetryRegistry *telemetry.Registry
 	// TelemetryTag prefixes the series tags of supervised runs (e.g. a
 	// job ID), distinguishing repeated submissions of the same config.
@@ -347,11 +347,7 @@ func (o *Options) flushTelemetry() error {
 	if w == nil {
 		w = io.Discard
 	}
-	sink, err := telemetry.NewSink(o.Telemetry, w)
-	if err != nil {
-		return err
-	}
-	if err := o.TelemetryRegistry.WriteTo(sink); err != nil {
+	if err := telemetry.Write(w, o.Telemetry, o.TelemetryRegistry.Series()); err != nil {
 		return fmt.Errorf("harness: telemetry: %w", err)
 	}
 	return nil
@@ -501,11 +497,10 @@ func runAttempt(ctx context.Context, key runKey, o *Options, ckptPath string, re
 		cfg.Faults = &faults
 	}
 
-	// Each concurrently running simulation gets a private collector
-	// and in-memory sink; only the finished, copied series touches the
-	// shared (mutex-guarded) registry, so workers never race.
+	// Each concurrently running simulation gets a private collector;
+	// only the finished, copied series touches the shared
+	// (mutex-guarded) registry, so workers never race.
 	registry := o.TelemetryRegistry
-	var telSink *telemetry.Memory
 	job := sim.Job{
 		Build: func() (*sim.System, error) {
 			traces, err := buildTraces(key)
@@ -514,11 +509,9 @@ func runAttempt(ctx context.Context, key runKey, o *Options, ckptPath string, re
 			}
 			cfg := cfg
 			if registry != nil {
-				telSink = telemetry.NewMemory()
 				cfg.Telemetry = telemetry.NewCollector(telemetry.Options{
 					Interval: o.TelemetryInterval,
 					Tag:      o.TelemetryTag + key.tag(),
-					Sink:     telSink,
 				})
 			}
 			return sim.New(cfg, traces)
@@ -541,13 +534,7 @@ func runAttempt(ctx context.Context, key runKey, o *Options, ckptPath string, re
 	}
 	if registry != nil {
 		col := out.System.Telemetry()
-		if resumed {
-			// The fresh sink only saw post-resume intervals; the
-			// restored ring holds the full retained series.
-			registry.Add(col.Meta(), col.Series())
-		} else {
-			registry.Add(col.Meta(), telSink.Intervals())
-		}
+		registry.Add(col.Meta(), col.Series())
 	}
 	return r, resumed, nil
 }

@@ -13,6 +13,7 @@ import (
 	"care/internal/checkpoint"
 	"care/internal/faultinject"
 	"care/internal/sim"
+	"care/internal/telemetry"
 )
 
 // chaosKey is the simulation the supervisor tests run: small enough to
@@ -104,6 +105,54 @@ func TestSupervisorChaosRecovery(t *testing.T) {
 	if !strings.Contains(chaos.Report.Summary(), "1 completed (1 retried), 0 dropped") {
 		t.Fatalf("summary misreports the campaign:\n%s", chaos.Report.Summary())
 	}
+}
+
+// TestResumedRunRegistersWholeSeries: a supervised run killed after
+// its last checkpoint and resumed registers the same telemetry series
+// as the clean run, warmup intervals included, because the checkpoint
+// carries the whole series.
+func TestResumedRunRegistersWholeSeries(t *testing.T) {
+	key := chaosKey()
+	run := func(faults *faultinject.Config) []telemetry.Series {
+		t.Helper()
+		o := supervisedOpts(t, t.TempDir())
+		o.TelemetryRegistry = telemetry.NewRegistry()
+		o.TelemetryInterval = 2000
+		o.MaxAttempts = 2
+		o.Faults = faults
+		if _, err := o.superviseSim(context.Background(), key); err != nil {
+			t.Fatal(err)
+		}
+		if faults != nil {
+			if oc := o.Report.Outcomes()[0]; oc.Resumed != 1 {
+				t.Fatalf("outcome %+v, want one resume", oc)
+			}
+		}
+		return o.TelemetryRegistry.Series()
+	}
+	base := supervisedOpts(t, t.TempDir())
+	if _, err := base.superviseSim(context.Background(), key); err != nil {
+		t.Fatal(err)
+	}
+	killAt := lastCheckpointCycle(t, base.checkpointPath(key)) + 50
+
+	want := run(nil)
+	got := run(&faultinject.Config{Seed: 11, KillAtCycle: killAt})
+	if len(want) != 1 || len(telemetry.Measured(want[0].Intervals)) == len(want[0].Intervals) {
+		t.Fatalf("clean run registered %d series, want one with warmup intervals", len(want))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("resumed run registered %d intervals, clean run %d", intervals(got), intervals(want))
+	}
+}
+
+// intervals counts the intervals of every series.
+func intervals(series []telemetry.Series) int {
+	n := 0
+	for _, s := range series {
+		n += len(s.Intervals)
+	}
+	return n
 }
 
 // TestAttemptFallbackSkipsCorruptCheckpoint drives a resumed attempt

@@ -99,6 +99,10 @@ func FuzzJournalReplay(f *testing.F) {
 		`{"op":"submit","job":"j000001",` + spec + `}
 {"op":"cancel","job":"j000001"}
 {"op":"cancel","job":"j000001"}`,
+		`{"op":"snapshot","job":"j000001","state":"bogus",` + spec + `}`,
+		`{"op":"submit","job":"j000001",` + spec + `}
+{"op":"claim","job":"j000001","attempt":7,"worker":"w1","ttl_ms":5000}
+{"op":"claim","job":"j000001","attempt":2,"worker":"w2","ttl_ms":5000}`,
 	} {
 		f.Add(true, []byte(bodies))
 	}

@@ -96,6 +96,16 @@ func applyEvent(jb *Job, ev Event) error {
 		jb.Worker = ""
 		jb.LeaseTTLMS = 0
 	case opClaim:
+		// A claim must advance the fencing token, and only a job
+		// nobody holds is claimable. A job left running in-process
+		// (LocalWorker or a legacy start record) counts as free: a
+		// restart re-pends it in memory without journaling a requeue.
+		if ev.Attempt <= jb.Attempts {
+			return fmt.Errorf("claim of job %s at attempt %d does not advance its %d attempts", jb.ID, ev.Attempt, jb.Attempts)
+		}
+		if jb.Leased() && jb.Worker != careapi.LocalWorker {
+			return fmt.Errorf("claim of job %s by %s while %s holds its lease", jb.ID, ev.Worker, jb.Worker)
+		}
 		jb.State = StateRunning
 		jb.Attempts = ev.Attempt
 		jb.Worker = ev.Worker
@@ -129,6 +139,11 @@ func applyEvent(jb *Job, ev Event) error {
 	case opSnapshot:
 		// Compaction record: the job's entire replayed state in one
 		// event (see compact.go). Only ever the first event for its ID.
+		switch ev.State {
+		case StatePending, StateRunning, StateDone, StateFailed, StateCancelled:
+		default:
+			return fmt.Errorf("snapshot of job %s has unknown state %q", jb.ID, ev.State)
+		}
 		jb.State = ev.State
 		jb.Attempts = ev.Attempt
 		jb.Worker = ev.Worker

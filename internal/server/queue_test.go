@@ -113,6 +113,82 @@ func TestReplayErrorsAreJournalCorrupt(t *testing.T) {
 	}
 }
 
+// TestReplayRefusesBogusSnapshotState: a snapshot record whose state
+// is none of the five job states makes the journal corrupt instead of
+// opening a job nothing can claim or cancel.
+func TestReplayRefusesBogusSnapshotState(t *testing.T) {
+	spec := testSpec()
+	path := filepath.Join(t.TempDir(), "journal")
+	writeJournal(t, path, []Event{{Op: opSnapshot, Job: "j000001", Spec: &spec, State: "bogus"}})
+	if q, err := OpenQueue(path, nil); !errors.Is(err, ErrJournalCorrupt) {
+		if err == nil {
+			t.Errorf("open counted %v", q.Counts())
+			q.Close()
+		}
+		t.Fatalf("open = %v, want ErrJournalCorrupt", err)
+	}
+}
+
+// TestReplayRefusesFencingRegression: a claim that does not advance the
+// job's attempts, or that takes a job from a remote lease holder, makes
+// the journal corrupt: replaying it would hand the lease back to an
+// older token or to a second worker.
+func TestReplayRefusesFencingRegression(t *testing.T) {
+	spec := testSpec()
+	submit := Event{Op: opSubmit, Job: "j000001", Spec: &spec}
+	for _, tc := range []struct {
+		name   string
+		events []Event
+	}{
+		{"attempt-regresses", []Event{submit,
+			{Op: opClaim, Job: "j000001", Attempt: 7, Worker: "w1"},
+			{Op: opExpire, Job: "j000001", Attempt: 7, Worker: "w1"},
+			{Op: opClaim, Job: "j000001", Attempt: 2, Worker: "w2"},
+		}},
+		{"remote-lease-held", []Event{submit,
+			{Op: opClaim, Job: "j000001", Attempt: 1, Worker: "w1"},
+			{Op: opClaim, Job: "j000001", Attempt: 2, Worker: "w2"},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "journal")
+			writeJournal(t, path, tc.events)
+			if q, err := OpenQueue(path, nil); !errors.Is(err, ErrJournalCorrupt) {
+				if err == nil {
+					jb, _ := q.Get("j000001")
+					t.Errorf("open left the job %s under %s at attempt %d", jb.State, jb.Worker, jb.Attempts)
+					q.Close()
+				}
+				t.Fatalf("open = %v, want ErrJournalCorrupt", err)
+			}
+		})
+	}
+}
+
+// TestReplayAcceptsClaimAfterLocalRun: a restart re-pends a job left
+// running in-process without journaling a requeue, so its next claim
+// follows the in-process claim (or legacy start record) directly; that
+// journal still opens, with the job under the later claim.
+func TestReplayAcceptsClaimAfterLocalRun(t *testing.T) {
+	spec := testSpec()
+	submit := Event{Op: opSubmit, Job: "j000001", Spec: &spec}
+	for _, first := range []Event{
+		{Op: opClaim, Job: "j000001", Attempt: 1, Worker: careapi.LocalWorker},
+		{Op: opStart, Job: "j000001", Attempt: 1},
+	} {
+		t.Run(first.Op, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "journal")
+			writeJournal(t, path, []Event{submit, first,
+				{Op: opClaim, Job: "j000001", Attempt: 2, Worker: "w2", TTLMS: 5000}})
+			q := openTestQueue(t, path)
+			jb, err := q.Get("j000001")
+			if err != nil || jb.State != StateRunning || jb.Worker != "w2" || jb.Attempts != 2 {
+				t.Fatalf("job = %+v (%v), want running under w2 at attempt 2", jb, err)
+			}
+		})
+	}
+}
+
 func TestQueueSubmitClaimComplete(t *testing.T) {
 	q := openTestQueue(t, filepath.Join(t.TempDir(), "journal"))
 	jb, err := q.Submit(testSpec())

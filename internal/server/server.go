@@ -325,7 +325,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return errors.Join(errs...)
 }
 
-// flushTelemetry streams every per-job interval series collected this
+// flushTelemetry writes every per-job interval series collected this
 // process lifetime to DataDir/telemetry.jsonl (appending, so series
 // survive across restarts alongside the journal).
 func (s *Server) flushTelemetry() error {
@@ -337,8 +337,10 @@ func (s *Server) flushTelemetry() error {
 	if err != nil {
 		return fmt.Errorf("server: telemetry flush: %w", err)
 	}
-	defer f.Close()
-	return s.registry.WriteTo(telemetry.NewJSONL(f))
+	if err := errors.Join(telemetry.Write(f, "jsonl", s.registry.Series()), f.Close()); err != nil {
+		return fmt.Errorf("server: telemetry flush: %w", err)
+	}
+	return nil
 }
 
 // ---- handlers ----
@@ -560,7 +562,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintf(w, "care_server_worker_slots{worker=%q} %d\n", wf.Name, wf.Caps.Slots)
 		}
 	}
-	if s.registry.Len() > 0 {
-		s.registry.WriteTo(telemetry.NewProm(w))
-	}
+	// A failed write means the scraper went away; there is no one to
+	// report it to.
+	_ = telemetry.Write(w, "prom", s.registry.Series())
 }

@@ -23,7 +23,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 				cfg.LLCPolicy = p
 				cfg.Prefetch = true
 				// A short interval so the measured window crosses telemetry
-				// boundaries (snapshot into the preallocated ring, no sink).
+				// boundaries (snapshot into the preallocated slots).
 				cfg.Telemetry = telemetry.NewCollector(telemetry.Options{Interval: 512})
 				traces := mcfTraces(2)
 				if wl != "429.mcf" {

@@ -565,7 +565,7 @@ func (s *System) runSchedule(m RunMeta, path string) (Result, error) {
 				err = errors.Join(err, qerr)
 			}
 		}
-		_ = s.closeTelemetry() // best-effort flush for post-mortems
+		s.closeTelemetry()
 		return s.Snapshot(), err
 	}
 
@@ -625,14 +625,12 @@ func (s *System) runSchedule(m RunMeta, path string) (Result, error) {
 				// the remaining schedule bit-identically. Skip fail()
 				// — its extra save would only rotate the on-schedule
 				// checkpoint away.
-				_ = s.closeTelemetry()
+				s.closeTelemetry()
 				return s.Snapshot(), ErrInterrupted
 			}
 		}
 	}
-	if err := s.closeTelemetry(); err != nil {
-		return s.Snapshot(), err
-	}
+	s.closeTelemetry()
 	return s.Snapshot(), nil
 }
 

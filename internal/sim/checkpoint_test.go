@@ -37,7 +37,6 @@ func ckptJob(policy policypkg.Policy, cores int, path string, tele bool) (Job, *
 		col = telemetry.NewCollector(telemetry.Options{
 			Interval: 2000,
 			Tag:      fmt.Sprintf("%s/c%d", policy, cores),
-			Sink:     telemetry.NewMemory(),
 		})
 		cfg.Telemetry = col
 	}

@@ -20,12 +20,10 @@ import (
 // error.
 func runWithTelemetry(t *testing.T, cfg Config, warmup, measure uint64) (Result, []telemetry.Interval, error) {
 	t.Helper()
-	col := telemetry.NewCollector(telemetry.Options{Interval: 700, Capacity: 64})
+	col := telemetry.NewCollector(telemetry.Options{Interval: 700})
 	cfg.Telemetry = col
 	res, err := runFresh(cfg, mcfTraces(cfg.Cores), warmup, measure)
-	series := make([]telemetry.Interval, col.Count())
-	copy(series, col.Series())
-	return res, series, err
+	return res, col.Series(), err
 }
 
 // TestFeatureMatrixRepeatable covers the options the default config

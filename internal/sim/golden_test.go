@@ -9,6 +9,7 @@ import (
 	"flag"
 	"fmt"
 	"hash"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -139,9 +140,8 @@ func goldenDigest(t *testing.T, gc goldenCase) (run, state string) {
 		gc.mut(&cfg)
 	}
 	var jsonl bytes.Buffer
-	cfg.Telemetry = telemetry.NewCollector(telemetry.Options{
-		Interval: 1500, Tag: gc.name, Sink: telemetry.NewJSONL(&jsonl),
-	})
+	col := telemetry.NewCollector(telemetry.Options{Interval: 1500, Tag: gc.name})
+	cfg.Telemetry = col
 	traces := goldenTraces(t, gc.workload, gc.cores)
 	var ckpt string
 	var res Result
@@ -175,7 +175,7 @@ func goldenDigest(t *testing.T, gc goldenCase) (run, state string) {
 		if _, err = s.RunInstructions(1 << 20); err == nil {
 			err = s.Drain()
 		}
-		_ = s.closeTelemetry()
+		s.closeTelemetry()
 		res = s.Snapshot()
 	default:
 		if s, err = New(cfg, traces); err != nil {
@@ -190,6 +190,9 @@ func goldenDigest(t *testing.T, gc goldenCase) (run, state string) {
 		})
 	}
 
+	if err := writeJSONL(&jsonl, col); err != nil {
+		t.Fatal(err)
+	}
 	h, hs := sha256.New(), sha256.New()
 	put := func(label string, v any) { fmt.Fprintf(h, "%s=%+v\n", label, v) }
 	put("err", err)
@@ -227,17 +230,19 @@ func goldenDigest(t *testing.T, gc goldenCase) (run, state string) {
 // its components afterwards.
 func runPlain(s *System, warmup, measure uint64) (Result, error) {
 	s.tele.MarkWarmup()
-	if _, err := s.RunInstructions(warmup); err != nil {
-		_ = s.closeTelemetry()
-		return s.Snapshot(), err
+	_, err := s.RunInstructions(warmup)
+	if err == nil {
+		s.ResetStats()
+		_, err = s.RunInstructions(measure)
 	}
-	s.ResetStats()
-	if _, err := s.RunInstructions(measure); err != nil {
-		_ = s.closeTelemetry()
-		return s.Snapshot(), err
-	}
-	err := s.closeTelemetry()
+	s.closeTelemetry()
 	return s.Snapshot(), err
+}
+
+// writeJSONL writes the collector's series as JSONL, the stream the
+// digests hash.
+func writeJSONL(w io.Writer, col *telemetry.Collector) error {
+	return telemetry.Write(w, "jsonl", []telemetry.Series{{Meta: col.Meta(), Intervals: col.Series()}})
 }
 
 func hashBytes(h hash.Hash, label string, data []byte) {

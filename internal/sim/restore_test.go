@@ -91,7 +91,7 @@ func (fx *restoreFixture) build() (*System, error) {
 	cfg := ScaledConfig(fx.cores, 64)
 	cfg.LLCPolicy = fx.policy
 	cfg.Telemetry = telemetry.NewCollector(telemetry.Options{
-		Interval: 1000, Tag: "restore", Sink: telemetry.NewMemory(),
+		Interval: 1000, Tag: "restore",
 	})
 	traces := make([]trace.Reader, fx.cores)
 	for i := range traces {
@@ -201,13 +201,22 @@ func TestRestoreRejectsMalformedFrames(t *testing.T) {
 	fx := newRestoreFixture(t, 2, policy.CARE)
 	frames := splitFrames(t, fx.file)
 	tele := payloadOf(t, frames, "telemetry")
-	// The telemetry frame opens with the completed-interval count and
-	// the number of retained intervals.
-	count, n1 := binary.Varint(tele)
-	retained, n2 := binary.Uvarint(tele[n1:])
-	if n1 <= 0 || n2 <= 0 || retained == 0 || count < int64(retained) {
-		t.Fatalf("telemetry frame opens with count %d, retained %d", count, retained)
+	// The telemetry frame opens with the current interval's start
+	// cycle and the completed-interval count; at most start/interval+1
+	// intervals can have completed by then.
+	start, n1 := binary.Uvarint(tele)
+	count, n2 := binary.Varint(tele[n1:])
+	bound := int64(start/1000 + 1)
+	if n1 <= 0 || n2 <= 0 || count == 0 || count > bound {
+		t.Fatalf("telemetry frame opens with start %d, count %d", start, count)
 	}
+	head := func(start uint64, n int64) []byte { return binary.AppendVarint(binary.AppendUvarint(nil, start), n) }
+	withCount := func(n int64) []byte { return append(head(start, n), tele[n1+n2:]...) }
+	// The intervals decode as stored, but no more than one (a final
+	// partial one) can have completed by cycle interval-1.
+	earlyStart := append(head(999, count), tele[n1+n2:]...)
+	// The first interval opens with its one-byte tag length.
+	tagTooLong := append(binary.AppendUvarint(head(start, count), 1<<40), tele[n1+n2+1:]...)
 	version1 := append([]byte(nil), fx.file...)
 	binary.LittleEndian.PutUint32(version1[len(checkpoint.Magic):], 1)
 
@@ -219,10 +228,10 @@ func TestRestoreRejectsMalformedFrames(t *testing.T) {
 		{"valid", fx.file, nil},
 		{"pmc-fewer-lists", joinFrames(t, replace(t, frames, "pmc",
 			payloadOf(t, splitFrames(t, newRestoreFixture(t, 1, policy.CARE).file), "pmc"))), checkpoint.ErrMismatch},
-		{"negative-telemetry-count", joinFrames(t, replace(t, frames, "telemetry",
-			append(binary.AppendVarint(nil, -1), tele[n1:]...))), checkpoint.ErrCorrupt},
-		{"count-beyond-bytes", joinFrames(t, replace(t, frames, "telemetry",
-			append(binary.AppendUvarint(binary.AppendVarint(nil, count), 1<<40), tele[n1+n2:]...))), checkpoint.ErrCorrupt},
+		{"negative-telemetry-count", joinFrames(t, replace(t, frames, "telemetry", withCount(-1))), checkpoint.ErrCorrupt},
+		{"telemetry-count-above-start-bound", joinFrames(t, replace(t, frames, "telemetry", earlyStart)), checkpoint.ErrCorrupt},
+		{"telemetry-count-beyond-bytes", joinFrames(t, replace(t, frames, "telemetry", withCount(bound))), checkpoint.ErrCorrupt},
+		{"count-beyond-bytes", joinFrames(t, replace(t, frames, "telemetry", tagTooLong)), checkpoint.ErrCorrupt},
 		{"trailing-bytes", joinFrames(t, replace(t, frames, "dram",
 			append(append([]byte(nil), payloadOf(t, frames, "dram")...), 0))), checkpoint.ErrCorrupt},
 		{"version-1", version1, checkpoint.ErrVersion},

@@ -8,21 +8,16 @@ import (
 )
 
 // telemetryRun executes the standard warmup+measure flow with a
-// collector attached (Memory sink) and returns the result plus the
-// recorded series.
+// collector attached and returns the result plus the recorded series.
 func telemetryRun(t *testing.T, cfg Config, cores int, interval, warmup, measure uint64) (Result, []telemetry.Interval) {
 	t.Helper()
-	mem := telemetry.NewMemory()
-	cfg.Telemetry = telemetry.NewCollector(telemetry.Options{
-		Interval: interval,
-		Tag:      "test",
-		Sink:     mem,
-	})
+	col := telemetry.NewCollector(telemetry.Options{Interval: interval, Tag: "test"})
+	cfg.Telemetry = col
 	r, err := runFresh(cfg, mcfTraces(cores), warmup, measure)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r, mem.Intervals()
+	return r, col.Series()
 }
 
 // TestTelemetryResultsIdentical is the guard for the zero-perturbation
@@ -160,8 +155,7 @@ func TestTelemetryDTRMEpochs(t *testing.T) {
 	cfg := ScaledConfig(2, 16)
 	cfg.LLCPolicy = "care"
 	cfg.CARE.DTRMPeriod = 50
-	mem := telemetry.NewMemory()
-	col := telemetry.NewCollector(telemetry.Options{Interval: 2000, Tag: "dtrm", Sink: mem})
+	col := telemetry.NewCollector(telemetry.Options{Interval: 2000, Tag: "dtrm"})
 	cfg.Telemetry = col
 	s, err := New(cfg, mcfTraces(2))
 	if err != nil {
@@ -170,10 +164,8 @@ func TestTelemetryDTRMEpochs(t *testing.T) {
 	if _, err := s.RunInstructions(40000); err != nil {
 		t.Fatal(err)
 	}
-	if err := col.Close(s.Cycle()); err != nil {
-		t.Fatal(err)
-	}
-	ivs := mem.Intervals()
+	col.Close(s.Cycle())
+	ivs := col.Series()
 	if len(ivs) == 0 {
 		t.Fatal("no intervals recorded")
 	}
@@ -219,10 +211,40 @@ func TestTelemetryDTRMEpochs(t *testing.T) {
 	}
 }
 
+// TestTelemetryStoreGrows: a run with more intervals than the
+// preallocated slots keeps every one of them, contiguous and in order.
+func TestTelemetryStoreGrows(t *testing.T) {
+	cfg := ScaledConfig(1, 16)
+	col := telemetry.NewCollector(telemetry.Options{Interval: 2, Tag: "grow"})
+	cfg.Telemetry = col
+	s, err := New(cfg, mcfTraces(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.RunInstructions(5000); err != nil {
+		t.Fatal(err)
+	}
+	s.closeTelemetry()
+	ivs := col.Series()
+	if len(ivs) <= 4096 {
+		t.Fatalf("%d intervals, want more than the 4096 preallocated", len(ivs))
+	}
+	var instr, end uint64
+	for i, iv := range ivs {
+		if iv.Index != i || iv.Start != end {
+			t.Fatalf("interval %d is #%d [%d,%d), want it to start at %d", i, iv.Index, iv.Start, iv.End, end)
+		}
+		end = iv.End
+		instr += iv.Instructions()
+	}
+	if want := s.Snapshot().CoreInstructions[0]; instr != want {
+		t.Errorf("interval instruction sum %d, core retired %d", instr, want)
+	}
+}
+
 // TestTelemetrySteadyStateAllocs: once bound, the per-cycle Tick and
-// even interval snapshots into the preallocated ring must not allocate
-// (sink emission aside — the Memory sink copies, so exclude it by
-// using no sink here).
+// even interval snapshots into the preallocated slots must not
+// allocate.
 func TestTelemetrySteadyStateAllocs(t *testing.T) {
 	cfg := ScaledConfig(2, 16)
 	cfg.LLCPolicy = "care"
@@ -243,7 +265,7 @@ func TestTelemetrySteadyStateAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
 		cycle += col.Interval()
-		col.Tick(cycle) // boundary path: snapshot into the ring
+		col.Tick(cycle) // boundary path: snapshot into a free slot
 	}); allocs != 0 {
 		t.Errorf("interval snapshot allocates %.1f objects/op", allocs)
 	}

@@ -197,9 +197,7 @@ func runWake(t *testing.T, wc wakeCase, e engine) map[string]string {
 	cfg.Prefetch = wc.prefetch
 	var jsonl bytes.Buffer
 	if wc.tele {
-		cfg.Telemetry = telemetry.NewCollector(telemetry.Options{
-			Interval: wc.telemetryInterval, Tag: "wake", Sink: telemetry.NewJSONL(&jsonl),
-		})
+		cfg.Telemetry = telemetry.NewCollector(telemetry.Options{Interval: wc.telemetryInterval, Tag: "wake"})
 	}
 	if wc.faults != "" {
 		fc, err := faultinject.ParseSpec(wc.faults)
@@ -242,7 +240,10 @@ func runWake(t *testing.T, wc wakeCase, e engine) map[string]string {
 		phase(func() error { s.ResetStats(); return e.run(s, wc.measure) }) &&
 		phase(func() error { return e.drain(s) })
 	if s.tele != nil {
-		errs = append(errs, s.closeTelemetry())
+		s.closeTelemetry()
+		if err := writeJSONL(&jsonl, s.tele); err != nil {
+			t.Fatal(err)
+		}
 	}
 	out["errors"] = fmt.Sprint(errs)
 	out["result"] = fmt.Sprintf("%+v", s.Snapshot())

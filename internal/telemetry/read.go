@@ -8,8 +8,8 @@ import (
 	"strings"
 )
 
-// ReadJSONL parses a JSONL telemetry stream (as written by the JSONL
-// sink, possibly several concatenated or merged runs) and groups the
+// ReadJSONL parses a JSONL telemetry stream (as Write renders it,
+// possibly several concatenated or merged runs) and groups the
 // intervals into per-run series, in the order the series first appear.
 // A meta line begins a run: an interval belongs to the latest run of
 // its tag, and a second meta line for a tag that already has one

@@ -7,21 +7,20 @@ import (
 )
 
 // Checkpoint implements checkpoint.Component on a bound collector
-// with identical interval, capacity, and core count. It walks the
-// retained interval ring (first: the frame opens with the completed
-// interval count), the watermarks, the delta baseline and the
-// in-progress occupancy histogram. The sink is deliberately NOT part
-// of the state: a resumed run attaches a fresh sink and the collector
-// re-emits BeginSeries on the first post-resume interval.
+// with identical interval and core count. It walks the interval start
+// first, then the whole completed series (see walkSeries), the
+// watermarks, the delta baseline and the in-progress occupancy
+// histogram, so a resumed run's Series() matches the uninterrupted
+// run's, warmup included.
 func (c *Collector) Checkpoint(s *checkpoint.State) {
 	if s.Restoring() && !c.bound {
 		s.Fail(fmt.Errorf("%w: telemetry: restore target is unbound", checkpoint.ErrNotCheckpointable))
 		return
 	}
-	c.walkRing(s)
+	checkpoint.Uint(s, &c.start)
+	c.walkSeries(s)
 	checkpoint.Uint(s, &c.next)
 	checkpoint.Uint(s, &c.nextOcc)
-	checkpoint.Uint(s, &c.start)
 	checkpoint.Int(s, &c.index)
 	s.Bool(&c.warm)
 	for i := range c.occHist {
@@ -43,48 +42,43 @@ func (c *Collector) Checkpoint(s *checkpoint.State) {
 		checkpoint.Uint(s, &p.careEPV[i])
 	}
 	if s.Restoring() {
-		c.began, c.closed, c.err = false, false, nil
+		c.closed = false
 	}
 }
 
-// walkRing walks the completed-interval count and the retained
-// intervals, oldest first. Slot i%len(ring) holds interval i, so the
-// retained intervals are the last min(count, capacity). Restoring
-// fills the slots in place, keeping their preallocated core and CARE
-// samples, so Series() after a resume matches the uninterrupted run.
-func (c *Collector) walkRing(s *checkpoint.State) {
-	checkpoint.Int(s, &c.count)
-	n := s.Count(min(c.count, len(c.ring)))
-	if s.Restoring() && s.Err() == nil {
-		switch {
-		case n > len(c.ring):
-			s.Fail(checkpoint.Mismatchf("telemetry: checkpoint retains %d intervals, ring capacity is %d", n, len(c.ring)))
-		case n > c.count:
-			s.Fail(fmt.Errorf("%w: telemetry: %d retained intervals of %d completed", checkpoint.ErrCorrupt, n, c.count))
+// walkSeries walks the completed-interval count and the intervals,
+// oldest first. Every interval but a final partial one spans at least
+// the collection interval and ends by the stored start cycle, so a
+// count above start/interval+1 is refused before anything is sized
+// from it. Restoring grows the store only as intervals decode.
+func (c *Collector) walkSeries(s *checkpoint.State) {
+	n := c.count
+	checkpoint.Int(s, &n)
+	if !s.Restoring() {
+		for i := range n {
+			checkpoint.Plain(s, &c.slots[i])
 		}
+		return
 	}
-	for j := 0; j < n && s.Err() == nil; j++ {
-		slot := &c.ring[(c.count-n+j)%len(c.ring)]
-		if !s.Restoring() {
-			checkpoint.Plain(s, slot)
-			continue
-		}
+	if s.Err() == nil && (n < 0 || uint64(n) > c.start/c.interval+1) {
+		s.Fail(fmt.Errorf("%w: telemetry: %d completed intervals by cycle %d at interval %d",
+			checkpoint.ErrCorrupt, n, c.start, c.interval))
+	}
+	c.count = 0
+	for c.count < n && s.Err() == nil {
 		var iv Interval
 		checkpoint.Plain(s, &iv)
-		cores, care := slot.Cores, slot.CARE
-		if s.Err() == nil && (len(iv.Cores) != len(cores) || (iv.CARE == nil) != (care == nil)) {
+		if s.Err() == nil && (len(iv.Cores) != len(c.cores) || (iv.CARE == nil) != (c.care == nil)) {
 			s.Fail(checkpoint.Mismatchf("telemetry: interval %d has %d cores (CARE %v), collector has %d (CARE %v)",
-				iv.Index, len(iv.Cores), iv.CARE != nil, len(cores), care != nil))
+				iv.Index, len(iv.Cores), iv.CARE != nil, len(c.cores), c.care != nil))
 		}
 		if s.Err() != nil {
 			return
 		}
-		*slot = iv
-		slot.Cores = cores
-		copy(cores, iv.Cores)
-		slot.CARE = care
-		if care != nil {
-			*care = *iv.CARE
+		if c.count == len(c.slots) {
+			c.grow()
 		}
+		c.slots[c.count] = iv
+		c.count++
 	}
 }

@@ -1,8 +1,8 @@
 // Package telemetry provides interval-resolved metric collection for
 // the simulator: a Collector snapshots counter *deltas* every N cycles
-// into a preallocated ring buffer and streams each completed interval
-// to a pluggable Sink (CSV, JSONL, Prometheus text format, or an
-// in-memory sink for tests).
+// into a preallocated store that keeps the run's whole series, and
+// Write renders finished series as CSV, JSONL or Prometheus text once
+// the run ends.
 //
 // The paper's mechanisms are temporal — DTRM retunes its thresholds at
 // epoch boundaries and pure-miss behaviour shifts with program phase —
@@ -14,16 +14,15 @@
 //
 // Overhead design: the simulator's hot path pays one nil check per
 // cycle when telemetry is off and two integer comparisons per cycle
-// when it is on. All counter reads, subtractions, and sink encoding
-// happen only at interval boundaries (default every 100k cycles), and
-// interval records live in a preallocated ring so steady-state
-// collection does not allocate. bench_test.go at the module root
-// quantifies the end-to-end overhead (budget: <2%).
+// when it is on. All counter reads and subtractions happen only at
+// interval boundaries (default every 100k cycles), and interval
+// records live in preallocated slots so steady-state collection does
+// not allocate; the collector does no I/O. bench_test.go at the module
+// root quantifies the end-to-end overhead (budget: <2%).
 package telemetry
 
 import (
 	"errors"
-	"fmt"
 
 	"care/internal/cache"
 	careplc "care/internal/core/care"
@@ -34,9 +33,9 @@ import (
 // DefaultInterval is the collection interval in cycles.
 const DefaultInterval = 100_000
 
-// DefaultCapacity is the number of completed intervals the collector
-// retains in its ring buffer (the sink sees every interval regardless).
-const DefaultCapacity = 4096
+// initialSlots is the number of interval slots a collector
+// preallocates; the store doubles whenever it fills.
+const initialSlots = 4096
 
 // occBuckets is the number of MSHR-occupancy histogram buckets; bucket
 // i covers occupancy fractions [i/8, (i+1)/8).
@@ -50,14 +49,9 @@ const occSamples = 16
 type Options struct {
 	// Interval is the snapshot period in cycles (0 = DefaultInterval).
 	Interval uint64
-	// Tag identifies the run in emitted series (workload/policy/cores);
+	// Tag identifies the run in written series (workload/policy/cores);
 	// the harness uses it to merge per-experiment series.
 	Tag string
-	// Sink receives every completed interval (nil = retain-only; the
-	// ring buffer is still filled and Series() returns it).
-	Sink Sink
-	// Capacity is the ring-buffer size in intervals (0 = DefaultCapacity).
-	Capacity int
 }
 
 // CoreSample is one core's activity during one interval (all counters
@@ -192,7 +186,7 @@ func (iv *Interval) MPKI() float64 {
 	return float64(misses) / float64(instr) * 1000
 }
 
-// Meta describes one collector's run, emitted once per series.
+// Meta describes one collector's run, written once per series.
 type Meta struct {
 	Tag          string `json:"tag"`
 	Cores        int    `json:"cores"`
@@ -244,14 +238,14 @@ type Collector struct {
 	mem   *dram.DRAM
 	care  *careplc.Policy
 	meta  Meta
-	began bool
 
 	prev    prevCounters
 	occHist [occBuckets]uint32
 
-	ring  []Interval
-	count int // completed intervals since the last rebase
-	err   error
+	// slots[:count] are the completed intervals, warmup included;
+	// the rest are preallocated for the intervals to come.
+	slots []Interval
+	count int
 }
 
 // NewCollector creates a collector; Bind attaches it to a system
@@ -259,9 +253,6 @@ type Collector struct {
 func NewCollector(opts Options) *Collector {
 	if opts.Interval == 0 {
 		opts.Interval = DefaultInterval
-	}
-	if opts.Capacity <= 0 {
-		opts.Capacity = DefaultCapacity
 	}
 	stride := opts.Interval / occSamples
 	if stride == 0 {
@@ -308,18 +299,7 @@ func (c *Collector) Bind(cores []*cpu.Core, llc *cache.Cache, mem *dram.DRAM) er
 		coreStall:   make([]uint64, n),
 		coreLLCMiss: make([]uint64, n),
 	}
-	c.ring = make([]Interval, c.opts.Capacity)
-	coreBacking := make([]CoreSample, c.opts.Capacity*n)
-	var careBacking []CARESample
-	if c.care != nil {
-		careBacking = make([]CARESample, c.opts.Capacity)
-	}
-	for i := range c.ring {
-		c.ring[i].Cores = coreBacking[i*n : (i+1)*n : (i+1)*n]
-		if c.care != nil {
-			c.ring[i].CARE = &careBacking[i]
-		}
-	}
+	c.grow()
 	c.start = 0
 	c.next = c.interval
 	c.nextOcc = c.occStride
@@ -365,18 +345,40 @@ func (c *Collector) sampleOcc() {
 	c.occHist[idx]++
 }
 
+// grow doubles the store (or creates its initial slots), giving each
+// new slot its own core and CARE samples so snapshots fill slots in
+// place without allocating.
+func (c *Collector) grow() {
+	n, old := len(c.cores), len(c.slots)
+	add := max(old, initialSlots)
+	slots := make([]Interval, old+add)
+	copy(slots, c.slots)
+	cores := make([]CoreSample, add*n)
+	var care []CARESample
+	if c.care != nil {
+		care = make([]CARESample, add)
+	}
+	for i := range add {
+		iv := &slots[old+i]
+		iv.Cores = cores[i*n : (i+1)*n : (i+1)*n]
+		if care != nil {
+			iv.CARE = &care[i]
+		}
+	}
+	c.slots = slots
+}
+
 // Rebase realigns the collector with freshly reset statistics: the
 // simulator calls it from ResetStats at the end of warmup. Interval
-// numbering restarts at 0, retained warmup intervals are dropped (the
-// sink already received them, marked Warmup), and the counter baseline
-// is re-read so the first measured interval's deltas are exact.
+// numbering restarts at 0 (the completed warmup intervals stay in the
+// series, marked Warmup), and the counter baseline is re-read so the
+// first measured interval's deltas are exact.
 func (c *Collector) Rebase(cycle uint64) {
 	if !c.bound {
 		return
 	}
 	c.warm = false
 	c.index = 0
-	c.count = 0
 	c.start = cycle
 	c.next = cycle + c.interval
 	c.nextOcc = cycle + c.occStride
@@ -422,9 +424,12 @@ func (c *Collector) readPrev() {
 }
 
 // snapshot closes the interval [c.start, cycle): computes deltas into
-// the next ring slot, advances the baseline, and emits to the sink.
+// the next free slot and advances the baseline.
 func (c *Collector) snapshot(cycle uint64) {
-	iv := &c.ring[c.count%len(c.ring)]
+	if c.count == len(c.slots) {
+		c.grow()
+	}
+	iv := &c.slots[c.count]
 	iv.Tag = c.opts.Tag
 	iv.Index = c.index
 	iv.Start = c.start
@@ -533,70 +538,33 @@ func (c *Collector) snapshot(cycle uint64) {
 	c.count++
 	c.start = cycle
 	c.next = cycle + c.interval
-	c.emit(iv)
 }
 
-// emit streams one interval to the sink, latching the first error.
-func (c *Collector) emit(iv *Interval) {
-	if c.opts.Sink == nil || c.err != nil {
-		return
-	}
-	if !c.began {
-		c.began = true
-		if err := c.opts.Sink.BeginSeries(c.meta); err != nil {
-			c.err = fmt.Errorf("telemetry: begin series: %w", err)
-			return
-		}
-	}
-	if err := c.opts.Sink.Emit(iv); err != nil {
-		c.err = fmt.Errorf("telemetry: emit interval %d: %w", iv.Index, err)
-	}
-}
-
-// Close flushes the final partial interval (if any cycles elapsed
-// since the last boundary), closes the sink, and returns the first
-// error the collector latched. sim.Execute calls it automatically; users
+// Close flushes the final partial interval, if any cycles elapsed
+// since the last boundary. sim.Execute calls it automatically; users
 // driving System.RunInstructions directly call it themselves.
-func (c *Collector) Close(cycle uint64) error {
+func (c *Collector) Close(cycle uint64) {
 	if !c.bound || c.closed {
-		return c.err
+		return
 	}
 	c.closed = true
 	if cycle > c.start {
 		c.snapshot(cycle)
 	}
-	if c.opts.Sink != nil {
-		if err := c.opts.Sink.Close(); err != nil && c.err == nil {
-			c.err = fmt.Errorf("telemetry: close sink: %w", err)
-		}
-	}
-	return c.err
 }
 
-// Err returns the first sink error the collector latched.
-func (c *Collector) Err() error { return c.err }
-
-// Count returns the number of intervals completed since the last
-// rebase (including any final partial interval after Close).
-func (c *Collector) Count() int { return c.count }
-
-// Series returns copies of the retained intervals in order (oldest
-// first). At most Capacity intervals are retained; the sink received
-// every interval regardless.
+// Series returns copies of every completed interval in order, warmup
+// included (Measured filters it out).
 func (c *Collector) Series() []Interval {
-	n := c.count
-	if n > len(c.ring) {
-		n = len(c.ring)
-	}
-	out := make([]Interval, 0, n)
-	first := c.count - n
-	for i := first; i < c.count; i++ {
-		out = append(out, copyInterval(&c.ring[i%len(c.ring)]))
+	out := make([]Interval, c.count)
+	for i := range out {
+		out[i] = copyInterval(&c.slots[i])
 	}
 	return out
 }
 
-// copyInterval deep-copies an interval (ring slots are reused).
+// copyInterval deep-copies an interval, so a returned series does not
+// share samples with the collector.
 func copyInterval(iv *Interval) Interval {
 	out := *iv
 	out.Cores = append([]CoreSample(nil), iv.Cores...)

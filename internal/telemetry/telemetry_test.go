@@ -5,13 +5,14 @@ import (
 	"encoding/csv"
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 )
 
-// fakeInterval builds a plausible two-core interval for sink tests.
+// fakeInterval builds a plausible two-core interval for writer tests.
 func fakeInterval(tag string, i int, ipc float64, withCARE bool) Interval {
 	start := uint64(i) * 1000
 	iv := Interval{
@@ -30,24 +31,22 @@ func fakeInterval(tag string, i int, ipc float64, withCARE bool) Interval {
 	return iv
 }
 
-func TestJSONLRoundTrip(t *testing.T) {
+// writeSeries renders series in format, failing the test on error.
+func writeSeries(t *testing.T, format string, series ...Series) *bytes.Buffer {
+	t.Helper()
 	var buf bytes.Buffer
-	s := NewJSONL(&buf)
-	meta := Meta{Tag: "mcf/care/c2", Cores: 2, Interval: 1000, Policy: "care", MSHRCapacity: 64}
-	if err := s.BeginSeries(meta); err != nil {
+	if err := Write(&buf, format, series); err != nil {
 		t.Fatal(err)
 	}
-	want := []Interval{fakeInterval("mcf/care/c2", 0, 1.0, true), fakeInterval("mcf/care/c2", 1, 0.5, true)}
-	for i := range want {
-		if err := s.Emit(&want[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+	return &buf
+}
 
-	series, err := ReadJSONL(&buf)
+func TestJSONLRoundTrip(t *testing.T) {
+	meta := Meta{Tag: "mcf/care/c2", Cores: 2, Interval: 1000, Policy: "care", MSHRCapacity: 64}
+	want := []Interval{fakeInterval("mcf/care/c2", 0, 1.0, true), fakeInterval("mcf/care/c2", 1, 0.5, true)}
+	buf := writeSeries(t, "jsonl", Series{Meta: meta, Intervals: want})
+
+	series, err := ReadJSONL(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,20 +66,15 @@ func TestJSONLRoundTrip(t *testing.T) {
 }
 
 func TestReadJSONLMultipleTags(t *testing.T) {
-	var buf bytes.Buffer
-	s := NewJSONL(&buf)
+	var in []Series
 	for _, tag := range []string{"a", "b"} {
-		if err := s.BeginSeries(Meta{Tag: tag, Cores: 2, Interval: 1000}); err != nil {
-			t.Fatal(err)
-		}
+		s := Series{Meta: Meta{Tag: tag, Cores: 2, Interval: 1000}}
 		for i := 0; i < 3; i++ {
-			iv := fakeInterval(tag, i, 1.0, false)
-			if err := s.Emit(&iv); err != nil {
-				t.Fatal(err)
-			}
+			s.Intervals = append(s.Intervals, fakeInterval(tag, i, 1.0, false))
 		}
+		in = append(in, s)
 	}
-	series, err := ReadJSONL(&buf)
+	series, err := ReadJSONL(writeSeries(t, "jsonl", in...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,24 +92,19 @@ func TestReadJSONLMultipleTags(t *testing.T) {
 // then b, then a again — parses as three runs: the second meta line of
 // a begins a new series instead of extending the first.
 func TestReadJSONLDuplicateRuns(t *testing.T) {
-	var buf bytes.Buffer
-	s := NewJSONL(&buf)
+	var in []Series
 	for _, run := range []struct {
 		tag       string
 		interval  uint64
 		intervals int
 	}{{"a", 1000, 2}, {"b", 1000, 1}, {"a", 500, 3}} {
-		if err := s.BeginSeries(Meta{Tag: run.tag, Cores: 2, Interval: run.interval}); err != nil {
-			t.Fatal(err)
-		}
+		s := Series{Meta: Meta{Tag: run.tag, Cores: 2, Interval: run.interval}}
 		for i := 0; i < run.intervals; i++ {
-			iv := fakeInterval(run.tag, i, 1.0, false)
-			if err := s.Emit(&iv); err != nil {
-				t.Fatal(err)
-			}
+			s.Intervals = append(s.Intervals, fakeInterval(run.tag, i, 1.0, false))
 		}
+		in = append(in, s)
 	}
-	series, err := ReadJSONL(&buf)
+	series, err := ReadJSONL(writeSeries(t, "jsonl", in...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,12 +131,7 @@ func TestReadJSONLRejectsGarbage(t *testing.T) {
 }
 
 func TestReadJSONLSkipsBlankLines(t *testing.T) {
-	var buf bytes.Buffer
-	s := NewJSONL(&buf)
-	iv := fakeInterval("t", 0, 1.0, false)
-	if err := s.Emit(&iv); err != nil {
-		t.Fatal(err)
-	}
+	buf := writeSeries(t, "jsonl", Series{Meta: Meta{Tag: "t"}, Intervals: []Interval{fakeInterval("t", 0, 1.0, false)}})
 	in := "\n" + buf.String() + "\n\n"
 	series, err := ReadJSONL(strings.NewReader(in))
 	if err != nil {
@@ -158,22 +142,10 @@ func TestReadJSONLSkipsBlankLines(t *testing.T) {
 	}
 }
 
-func TestCSVSink(t *testing.T) {
-	var buf bytes.Buffer
-	s := NewCSV(&buf)
-	if err := s.BeginSeries(Meta{Tag: "a"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.BeginSeries(Meta{Tag: "b"}); err != nil { // merged file: one header
-		t.Fatal(err)
-	}
-	iv := fakeInterval("a,weird\"tag", 0, 1.25, true)
-	if err := s.Emit(&iv); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+func TestWriteCSV(t *testing.T) {
+	buf := writeSeries(t, "csv",
+		Series{Meta: Meta{Tag: "a"}, Intervals: []Interval{fakeInterval("a,weird\"tag", 0, 1.25, true)}},
+		Series{Meta: Meta{Tag: "b"}}) // merged file: one header
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	// header + 2 core rows + 1 aggregate row
 	if len(lines) != 4 {
@@ -202,17 +174,8 @@ func TestCSVSink(t *testing.T) {
 	}
 }
 
-func TestPromSink(t *testing.T) {
-	var buf bytes.Buffer
-	s := NewProm(&buf)
-	if err := s.BeginSeries(Meta{Tag: "t"}); err != nil {
-		t.Fatal(err)
-	}
-	iv := fakeInterval(`ta"g`, 2, 0.8, true)
-	if err := s.Emit(&iv); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+func TestWriteProm(t *testing.T) {
+	out := writeSeries(t, "prom", Series{Meta: Meta{Tag: "t"}, Intervals: []Interval{fakeInterval(`ta"g`, 2, 0.8, true)}}).String()
 	for _, want := range []string{
 		"# TYPE care_interval_ipc gauge",
 		`care_interval_ipc{tag="ta\"g",core="0"} 0.8 3000`,
@@ -225,36 +188,34 @@ func TestPromSink(t *testing.T) {
 	}
 }
 
-func TestNewSink(t *testing.T) {
-	var buf bytes.Buffer
+// TestWriteFormats: every listed format writes, and an unknown one
+// is refused; with no series CSV and Prometheus text write nothing.
+func TestWriteFormats(t *testing.T) {
 	for _, f := range Formats() {
 		if !ValidFormat(f) {
 			t.Errorf("ValidFormat(%q) = false", f)
 		}
-		if _, err := NewSink(f, &buf); err != nil {
-			t.Errorf("NewSink(%q): %v", f, err)
+		if out := writeSeries(t, f); out.Len() != 0 {
+			t.Errorf("Write(%q) of no series wrote %q", f, out)
 		}
 	}
-	if _, err := NewSink("xml", &buf); err == nil {
-		t.Error("NewSink(xml): want error")
+	if err := Write(io.Discard, "xml", nil); err == nil {
+		t.Error("Write(xml): want error")
 	}
 	if ValidFormat("xml") {
 		t.Error("ValidFormat(xml) = true")
 	}
 }
 
-func TestMemorySinkCopies(t *testing.T) {
-	m := NewMemory()
-	iv := fakeInterval("t", 0, 1.0, true)
-	if err := m.Emit(&iv); err != nil {
-		t.Fatal(err)
-	}
-	// Mutate the emitted interval as the collector's ring reuse would.
-	iv.Cores[0].Instructions = 999999
-	iv.CARE.Epoch = 77
-	got := m.Intervals()
+// TestSeriesCopies: Series returns intervals that share no samples
+// with the collector's store.
+func TestSeriesCopies(t *testing.T) {
+	c := &Collector{slots: []Interval{fakeInterval("t", 0, 1.0, true)}, count: 1}
+	got := c.Series()
+	c.slots[0].Cores[0].Instructions = 999999
+	c.slots[0].CARE.Epoch = 77
 	if got[0].Cores[0].Instructions == 999999 || got[0].CARE.Epoch == 77 {
-		t.Error("Memory sink retained aliased data; must deep-copy")
+		t.Error("Series aliases the collector's samples; must deep-copy")
 	}
 }
 
@@ -353,11 +314,7 @@ func TestRegistryConcurrent(t *testing.T) {
 			t.Fatal("Series() not sorted by tag")
 		}
 	}
-	var buf bytes.Buffer
-	if err := r.WriteTo(NewJSONL(&buf)); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJSONL(&buf)
+	got, err := ReadJSONL(writeSeries(t, "jsonl", series...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,18 +323,17 @@ func TestRegistryConcurrent(t *testing.T) {
 	}
 }
 
-// errSink fails on demand to exercise collector error latching.
-type errSink struct{ emitErr, closeErr error }
+// errWriter fails every write.
+type errWriter struct{ err error }
 
-func (s *errSink) BeginSeries(Meta) error { return nil }
-func (s *errSink) Emit(*Interval) error   { return s.emitErr }
-func (s *errSink) Close() error           { return s.closeErr }
+func (w errWriter) Write([]byte) (int, error) { return 0, w.err }
 
-func TestRegistryWriteToPropagatesErrors(t *testing.T) {
-	r := NewRegistry()
-	r.Add(Meta{Tag: "t"}, []Interval{fakeInterval("t", 0, 1, false)})
-	sinkErr := errors.New("disk full")
-	if err := r.WriteTo(&errSink{emitErr: sinkErr}); !errors.Is(err, sinkErr) {
-		t.Errorf("got %v, want %v", err, sinkErr)
+func TestWritePropagatesErrors(t *testing.T) {
+	series := []Series{{Meta: Meta{Tag: "t"}, Intervals: []Interval{fakeInterval("t", 0, 1, false)}}}
+	diskFull := errors.New("disk full")
+	for _, f := range Formats() {
+		if err := Write(errWriter{diskFull}, f, series); !errors.Is(err, diskFull) {
+			t.Errorf("%s: got %v, want %v", f, err, diskFull)
+		}
 	}
 }

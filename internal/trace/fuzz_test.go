@@ -33,23 +33,3 @@ func FuzzRead(f *testing.F) {
 		}
 	})
 }
-
-// FuzzFileReader does the same for the streaming reader.
-func FuzzFileReader(f *testing.F) {
-	var seed bytes.Buffer
-	if err := Write(&seed, sampleRecords()); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed.Bytes())
-	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, err := NewFileReader(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		for i := 0; i < 1000; i++ {
-			if _, err := fr.Next(); err != nil {
-				return
-			}
-		}
-	})
-}

@@ -312,47 +312,6 @@ func (o *OffsetReader) RemainingRecords() (uint64, bool) {
 	return 0, false
 }
 
-// FileReader streams records from a binary trace without
-// materialising them, for traces too large to hold in memory. It
-// implements Reader; it does not implement Resetter (wrap the
-// materialised form from Read for replay).
-type FileReader struct {
-	br  *bufio.Reader
-	buf [recordSize]byte
-}
-
-// NewFileReader validates the magic header and returns a streaming
-// reader over r.
-func NewFileReader(r io.Reader) (*FileReader, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var m [8]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return nil, fmt.Errorf("%w: read magic: %v", ErrCorrupt, err)
-	}
-	if m != magic {
-		return nil, fmt.Errorf("%w: bad magic (not a CARE trace file)", ErrCorrupt)
-	}
-	return &FileReader{br: br}, nil
-}
-
-// Next implements Reader.
-func (f *FileReader) Next() (Record, error) {
-	if _, err := io.ReadFull(f.br, f.buf[:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return Record{}, io.EOF
-		}
-		return Record{}, fmt.Errorf("%w: read record: %v", ErrCorrupt, err)
-	}
-	flags := binary.LittleEndian.Uint16(f.buf[16:])
-	return Record{
-		PC:          mem.Addr(binary.LittleEndian.Uint64(f.buf[0:])),
-		Addr:        mem.Addr(binary.LittleEndian.Uint64(f.buf[8:])),
-		IsWrite:     flags&1 != 0,
-		DependsPrev: flags&2 != 0,
-		NonMem:      binary.LittleEndian.Uint16(f.buf[18:]),
-	}, nil
-}
-
 // Collect drains up to n records from a Reader into a Slice. It stops
 // early at io.EOF. n <= 0 collects until EOF (beware unbounded
 // generators).

@@ -196,57 +196,6 @@ func TestRoundTripQuick(t *testing.T) {
 	}
 }
 
-func TestFileReaderStreams(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Write(&buf, sampleRecords()); err != nil {
-		t.Fatal(err)
-	}
-	fr, err := NewFileReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range sampleRecords() {
-		got, err := fr.Next()
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-		if got != want {
-			t.Fatalf("record %d = %v, want %v", i, got, want)
-		}
-	}
-	if _, err := fr.Next(); !errors.Is(err, io.EOF) {
-		t.Fatalf("want EOF at end, got %v", err)
-	}
-}
-
-func TestFileReaderRejectsBadMagic(t *testing.T) {
-	if _, err := NewFileReader(bytes.NewReader([]byte("BADMAGIC"))); err == nil {
-		t.Fatal("bad magic should fail")
-	}
-}
-
-func TestFileReaderTruncatedRecord(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Write(&buf, sampleRecords()); err != nil {
-		t.Fatal(err)
-	}
-	b := buf.Bytes()[:buf.Len()-3]
-	fr, err := NewFileReader(bytes.NewReader(b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var lastErr error
-	for {
-		_, lastErr = fr.Next()
-		if lastErr != nil {
-			break
-		}
-	}
-	if errors.Is(lastErr, io.EOF) {
-		t.Fatal("truncation must not be silently treated as EOF")
-	}
-}
-
 func TestOffsetReader(t *testing.T) {
 	s := NewSlice(sampleRecords())
 	o := NewOffset(s, 0x1000)

@@ -89,12 +89,12 @@ func TestRunWithCheckpointSchedule(t *testing.T) {
 
 // TestRunTelemetryOption: RunOpts.Telemetry attaches the collector.
 func TestRunTelemetryOption(t *testing.T) {
-	col := care.NewTelemetryCollector(care.TelemetryOptions{Interval: 2_000, Sink: care.NewTelemetryMemory()})
+	col := care.NewTelemetryCollector(care.TelemetryOptions{Interval: 2_000})
 	if _, err := care.Run(context.Background(), mcfConfig(), mcf4(t),
 		care.RunOpts{Warmup: 5_000, Measure: 20_000, Telemetry: col}); err != nil {
 		t.Fatal(err)
 	}
-	if col.Count() == 0 {
+	if len(col.Series()) == 0 {
 		t.Fatal("collector sampled no intervals")
 	}
 }
