@@ -83,8 +83,8 @@ func NewSystem(cfg SystemConfig, traces []TraceReader) (*System, error) {
 // measured region; see Run and internal/sim.
 type CheckpointOptions = sim.CheckpointOptions
 
-// ErrInterrupted is the error a run returns when it was interrupted —
-// by a cancelled context passed to Run, or by System.Interrupt.
+// ErrInterrupted is the error a run returns when the context passed
+// to Run was cancelled.
 var ErrInterrupted = sim.ErrInterrupted
 
 // RunOpts configures one Run call. The zero value runs no warmup and
@@ -107,11 +107,11 @@ type RunOpts struct {
 }
 
 // Run builds a system over one trace per core, warms it up, measures,
-// and returns the result. Cancelling ctx interrupts the run: it
-// returns the partial result with an error wrapping both
-// ErrInterrupted and the context's error (and, when a checkpoint path
-// is configured, writes a final checkpoint first so the run can be
-// resumed). Integrity failures (watchdog, invariant checker, corrupt
+// and returns the result. Cancelling ctx stops the run: it returns the
+// partial result with an error wrapping both ErrInterrupted and the
+// context's error. A stop writes no checkpoint; with a checkpoint path
+// configured, the last scheduled checkpoint is left for a resume,
+// which then matches a run never stopped. Integrity failures (watchdog, invariant checker, corrupt
 // traces, cycle and wall-clock caps) also surface as errors alongside
 // the partial result.
 func Run(ctx context.Context, cfg SystemConfig, traces []TraceReader, opts RunOpts) (Result, error) {

@@ -55,7 +55,7 @@ func main() {
 		telInterval   = flag.Uint64("telemetry-interval", telemetry.DefaultInterval, "telemetry sampling interval in cycles")
 		telOutPath    = flag.String("telemetry-out", "", "telemetry output file (empty = care-sim-telemetry.<ext>, \"-\" = stdout)")
 		ckptPath      = flag.String("checkpoint", "", "checkpoint file; the previous checkpoint rotates to <path>.1 before each write")
-		ckptEvery     = flag.Uint64("checkpoint-every", 0, "write a checkpoint every N measured instructions (requires -checkpoint)")
+		ckptEvery     = flag.Uint64("checkpoint-every", 0, "write a checkpoint every N measured instructions (0 = a quarter of -instr; requires -checkpoint)")
 		resume        = flag.Bool("resume", false, "resume from the -checkpoint file (falling back to <path>.1) instead of starting fresh")
 		cpuProfile    = flag.String("cpuprofile", "", "write a CPU profile of the simulation run to this file (inspect with go tool pprof)")
 	)
@@ -64,6 +64,9 @@ func main() {
 	if err := validateFlags(*ckptPath, *ckptEvery, *resume); err != nil {
 		fmt.Fprintln(os.Stderr, "care-sim:", err)
 		os.Exit(2)
+	}
+	if *ckptPath != "" && *ckptEvery == 0 {
+		*ckptEvery = *instr / 4
 	}
 
 	if *listWorkloads {
@@ -166,9 +169,10 @@ func main() {
 	// A simulation failure (watchdog, cycle/time limit, invariant
 	// violation, corrupt trace) carries its own diagnostic dump; print
 	// it and exit nonzero so scripted runs notice. SIGINT/SIGTERM
-	// request a clean stop: the run quiesces, writes a final
-	// checkpoint (when -checkpoint is set), writes the telemetry
-	// series, prints the partial summary, and exits nonzero.
+	// request a clean stop: the run stops at its next guard point,
+	// writes the telemetry series, prints the partial summary, and
+	// exits nonzero. A stop writes no checkpoint, so -resume continues
+	// from the last scheduled one.
 	stopProfile := startCPUProfile(*cpuProfile)
 	r, out, err := sim.Execute(interruptContext(), sim.Job{
 		// Each restore attempt gets a system over fresh traces and a
@@ -231,7 +235,7 @@ func main() {
 	if interrupted {
 		fmt.Fprintln(os.Stderr, "care-sim: interrupted — partial results follow")
 		if *ckptPath != "" {
-			fmt.Fprintf(os.Stderr, "care-sim: final checkpoint written to %s (resume with -resume)\n", *ckptPath)
+			reportResumePoint(*ckptPath)
 		}
 	}
 
@@ -331,6 +335,18 @@ func firstLine(err error) string {
 	return s
 }
 
+// reportResumePoint names the scheduled checkpoint -resume would
+// continue from after a stop.
+func reportResumePoint(path string) {
+	for _, p := range []string{path, sim.RotatedPath(path)} {
+		if _, err := os.Stat(p); err == nil {
+			fmt.Fprintf(os.Stderr, "care-sim: -resume continues from the scheduled checkpoint %s\n", p)
+			return
+		}
+	}
+	fmt.Fprintln(os.Stderr, "care-sim: no scheduled checkpoint written yet; -resume has nothing to continue from")
+}
+
 // interruptContext returns a context the first SIGINT/SIGTERM
 // cancels, stopping the run cleanly; a second signal aborts
 // immediately.
@@ -340,7 +356,7 @@ func interruptContext() context.Context {
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-sigc
-		fmt.Fprintln(os.Stderr, "care-sim: stop requested — quiescing (interrupt again to abort)")
+		fmt.Fprintln(os.Stderr, "care-sim: stop requested (interrupt again to abort)")
 		cancel()
 		<-sigc
 		os.Exit(130)

@@ -68,10 +68,27 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// careSim runs care-sim (this test binary re-executed) to completion
+// in dir and returns its stdout; stderr goes to the test log.
+func careSim(t *testing.T, dir string, args ...string) []byte {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "CARE_SIM_REEXEC=1")
+	cmd.Dir = dir
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout = &stdout
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("care-sim %s: %v\n%s%s", strings.Join(args, " "), err, stdout.String(), stderr.String())
+	}
+	return stdout.Bytes()
+}
+
 // TestSignalGracefulStop sends SIGTERM to a running care-sim and
 // verifies the documented contract: exit code 1, an "interrupted"
-// notice with partial results, a final checkpoint on disk, and a
-// -resume run that completes from it.
+// notice with partial results naming the scheduled checkpoint to
+// resume from, and a -resume run whose report is byte-identical to an
+// uninterrupted run's.
 func TestSignalGracefulStop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns a real simulation process")
@@ -80,11 +97,14 @@ func TestSignalGracefulStop(t *testing.T) {
 	ckpt := filepath.Join(dir, "run.ckpt")
 	args := []string{
 		"-workload", "429.mcf", "-cores", "1", "-policy", "care",
-		"-scale", "64", "-warmup", "5000", "-instr", "400000",
-		"-checkpoint", ckpt, "-checkpoint-every", "20000",
+		"-scale", "64", "-warmup", "5000", "-instr", "1000000",
+		"-checkpoint", "run.ckpt", "-checkpoint-every", "50000",
 	}
+	want := careSim(t, t.TempDir(), args...)
+
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "CARE_SIM_REEXEC=1")
+	cmd.Dir = dir
 	var out bytes.Buffer
 	cmd.Stdout = &out
 	cmd.Stderr = &out
@@ -115,7 +135,7 @@ func TestSignalGracefulStop(t *testing.T) {
 	for _, want := range []string{
 		"stop requested",
 		"interrupted — partial results follow",
-		"final checkpoint written",
+		"-resume continues from the scheduled checkpoint",
 		"cycles:", // the partial summary did print
 	} {
 		if !strings.Contains(out.String(), want) {
@@ -123,17 +143,26 @@ func TestSignalGracefulStop(t *testing.T) {
 		}
 	}
 
-	// The final checkpoint resumes to completion.
-	resume := exec.Command(os.Args[0], append(args, "-resume")...)
-	resume.Env = append(os.Environ(), "CARE_SIM_REEXEC=1")
-	var rout bytes.Buffer
-	resume.Stdout = &rout
-	resume.Stderr = &rout
-	if err := resume.Run(); err != nil {
-		t.Fatalf("resume after SIGTERM failed: %v\n%s", err, rout.String())
+	// The resumed run reports exactly what the uninterrupted one did.
+	if got := careSim(t, dir, append(args, "-resume")...); !bytes.Equal(got, want) {
+		t.Fatalf("resumed report differs from the uninterrupted run's:\n%s\nvs\n%s", got, want)
 	}
-	if !strings.Contains(rout.String(), "aggregate IPC:") {
-		t.Fatalf("resumed run printed no full report:\n%s", rout.String())
+}
+
+// TestDefaultCheckpointSchedule: -checkpoint without -checkpoint-every
+// checkpoints every quarter of -instr, so a completed run leaves its
+// last scheduled checkpoint and the one before it.
+func TestDefaultCheckpointSchedule(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a real simulation process")
+	}
+	dir := t.TempDir()
+	careSim(t, dir, "-workload", "429.mcf", "-cores", "1", "-scale", "64",
+		"-warmup", "5000", "-instr", "40000", "-checkpoint", "q.ckpt")
+	for _, name := range []string{"q.ckpt", "q.ckpt.1"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Fatalf("completed run left no %s: %v", name, err)
+		}
 	}
 }
 
@@ -167,7 +196,7 @@ func TestSignalInterruptWithoutCheckpoint(t *testing.T) {
 	if !strings.Contains(out.String(), "interrupted — partial results follow") {
 		t.Fatalf("no interrupt notice:\n%s", out.String())
 	}
-	if strings.Contains(out.String(), "final checkpoint written") {
-		t.Fatalf("claimed a checkpoint that was never configured:\n%s", out.String())
+	if strings.Contains(out.String(), "-resume") {
+		t.Fatalf("pointed at a checkpoint that was never configured:\n%s", out.String())
 	}
 }

@@ -594,7 +594,7 @@ func TestWorkerChaosExactlyOnce(t *testing.T) {
 	events := cr.journal()
 	completes := map[string]int{}
 	resultBytes := map[string]string{}
-	expires, drainRequeues := 0, 0
+	expires, requeuedByDrain := 0, 0
 	for _, ev := range events {
 		switch ev.Op {
 		case "complete":
@@ -607,7 +607,7 @@ func TestWorkerChaosExactlyOnce(t *testing.T) {
 			expires++
 		case "requeue":
 			if strings.Contains(ev.Error, "draining") {
-				drainRequeues++
+				requeuedByDrain++
 			}
 		}
 	}
@@ -619,7 +619,7 @@ func TestWorkerChaosExactlyOnce(t *testing.T) {
 	if expires == 0 {
 		t.Fatal("no lease ever expired; the partition phase proved nothing")
 	}
-	if drainRequeues == 0 {
+	if requeuedByDrain == 0 {
 		t.Fatal("no drain requeue in the journal; the migration phase proved nothing")
 	}
 

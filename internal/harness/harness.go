@@ -475,9 +475,10 @@ func buildTraces(key runKey) ([]trace.Reader, error) {
 // starts fresh; it reports whether the attempt resumed. Retry attempts
 // run with crash-class faults disabled: an injected kill or checkpoint
 // corruption models the first execution crashing, and a real re-run
-// would not deterministically re-crash. Cancelling ctx interrupts the
-// simulation at its next guard point (writing a final checkpoint when
-// checkpointing is configured), as it does for care.Run.
+// would not deterministically re-crash. Cancelling ctx stops the
+// simulation at its next guard point, as it does for care.Run; the
+// stop writes no checkpoint, so the last scheduled one is what a later
+// attempt resumes from.
 func runAttempt(ctx context.Context, key runKey, o *Options, ckptPath string, resume bool, attempt int) (sim.Result, bool, error) {
 	cfg := sim.ScaledConfig(key.cores, key.scale)
 	cfg.LLCPolicy = policy.Policy(key.scheme)

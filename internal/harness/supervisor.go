@@ -159,10 +159,9 @@ func (r *RunSpec) key() runKey {
 // Supervise runs one simulation under the options' retry policy —
 // capped, jittered backoff; checkpoint resume with fallback; an
 // attempt budget — exactly as experiment campaigns do.
-// Cancelling ctx interrupts the running simulation (after a final
-// checkpoint write when checkpointing is configured) and stops
-// retrying; the returned error then wraps sim.ErrInterrupted and the
-// context's error. This is the entry point care-server workers drive.
+// Cancelling ctx stops the running simulation, leaving its last
+// scheduled checkpoint, and stops retrying; the returned error then
+// wraps sim.ErrInterrupted and the context's error. This is the entry point care-server workers drive.
 func (o *Options) Supervise(ctx context.Context, spec RunSpec) (sim.Result, error) {
 	if err := spec.Validate(); err != nil {
 		return sim.Result{}, err
@@ -336,9 +335,11 @@ func retryDelay(tag string, attempt int, backoff time.Duration, seed uint64) tim
 // from-scratch restart when restores are refused). Retries stop when
 // the attempt budget or ctx runs out. A run that exhausts its attempts
 // is recorded as dropped and its last error returned with full
-// context; the rest of the campaign keeps running. A ctx cancellation is not a drop: the interrupted run's
-// error returns directly (wrapping sim.ErrInterrupted) and no outcome
-// is recorded, because the caller requeues or resumes it.
+// context; the rest of the campaign keeps running. A ctx cancellation
+// is not a drop: the interrupted run's error returns directly
+// (wrapping sim.ErrInterrupted) and no outcome is recorded, because
+// the caller requeues or resumes it from the last scheduled
+// checkpoint, which the stop leaves untouched.
 func (o *Options) superviseSim(ctx context.Context, key runKey) (sim.Result, error) {
 	maxAttempts := o.MaxAttempts
 	if maxAttempts < 1 {
@@ -380,8 +381,8 @@ func (o *Options) superviseSim(ctx context.Context, key runKey) (sim.Result, err
 		}
 		lastErr = err
 		if errors.Is(err, sim.ErrInterrupted) && ctx.Err() != nil {
-			// Cancelled mid-run: the final checkpoint (when configured)
-			// is already on disk; hand the interruption straight back.
+			// Cancelled mid-run: the last scheduled checkpoint (when
+			// configured) is on disk; hand the interruption straight back.
 			return r, err
 		}
 	}

@@ -21,8 +21,9 @@ import (
 // Checkpoint-specific sentinels; like the integrity sentinels they
 // arrive wrapped in a *FailureError when raised by the run loop.
 var (
-	// ErrInterrupted means Interrupt was called (e.g. by a signal
-	// handler) and the run loop stopped at the next guard point.
+	// ErrInterrupted means Execute's context was done and the run
+	// loop stopped at its next guard point (or, for an ErrDrain cause,
+	// after its next scheduled checkpoint).
 	ErrInterrupted = errors.New("sim: interrupted")
 	// ErrQuiesce means the system could not drain to a quiescent point
 	// within the quiesce cycle budget (something is wedged).
@@ -31,14 +32,11 @@ var (
 	// every candidate file was missing or unusable.
 	ErrNoCheckpoint = errors.New("sim: no usable checkpoint")
 	// ErrDrain, used as a context cancellation *cause* (see
-	// context.WithCancelCause), asks Execute for a graceful drain
-	// instead of a hard interrupt: the run continues to its next
-	// scheduled checkpoint boundary, writes that checkpoint on
-	// schedule, and only then stops with ErrInterrupted. Because the
-	// final checkpoint sits exactly on the segment schedule, a run
-	// resumed from it is bit-identical to one that was never drained —
-	// which a hard interrupt's off-schedule final checkpoint cannot
-	// guarantee.
+	// context.WithCancelCause), asks Execute to drain rather than stop
+	// at the next guard point: the run continues to its next scheduled
+	// checkpoint, writes it, and only then stops with ErrInterrupted.
+	// Either way the newest checkpoint is on the schedule, and a run
+	// resumed from it is bit-identical to one never stopped.
 	ErrDrain = errors.New("sim: drain requested")
 )
 
@@ -83,54 +81,6 @@ func satMul(a, b uint64) uint64 {
 		return lo
 	}
 	return math.MaxUint64
-}
-
-// Interrupt requests a clean stop from any goroutine: the run loop
-// returns ErrInterrupted at its next guard point. The flag is consumed
-// one-shot so the interrupted run can still quiesce for a final
-// checkpoint; a second Interrupt aborts that too.
-func (s *System) Interrupt() { s.interrupted.Store(true) }
-
-// DrainAtNextCheckpoint requests a graceful stop: the schedule driver
-// finishes the current segment, quiesces and writes its checkpoint at
-// the scheduled boundary, then returns ErrInterrupted. A run with no
-// remaining boundaries (unsegmented, or already in its final segment)
-// simply completes. Unlike Interrupt, the resulting checkpoint is on
-// the segment schedule, so resuming from it reproduces the
-// undisturbed run bit-for-bit.
-func (s *System) DrainAtNextCheckpoint() { s.drainReq.Store(true) }
-
-// watchContext interrupts the system when ctx is cancelled: the run
-// loop stops at its next guard point with ErrInterrupted (writing a
-// final checkpoint when one is scheduled).
-// A ctx cancelled with ErrDrain as its cause (context.WithCancelCause)
-// instead triggers DrainAtNextCheckpoint — stop at the next scheduled
-// boundary, preserving bit-identical resumability.
-// The returned stop function releases the watcher; call it once the
-// run has returned. A ctx without a Done channel costs nothing.
-func (s *System) watchContext(ctx context.Context) (stop func()) {
-	done := ctx.Done()
-	if done == nil {
-		return func() {}
-	}
-	quit := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		select {
-		case <-done:
-			if errors.Is(context.Cause(ctx), ErrDrain) {
-				s.DrainAtNextCheckpoint()
-			} else {
-				s.Interrupt()
-			}
-		case <-quit:
-		}
-	}()
-	return func() {
-		close(quit)
-		<-finished
-	}
 }
 
 // Quiesce freezes instruction dispatch and steps the system until no
@@ -429,7 +379,7 @@ type CheckpointOptions struct {
 	// checkpoint) between segments. Every — not Path — determines the
 	// executed schedule, so runs that agree on Every are bit-identical
 	// regardless of where their checkpoints go (0 = one segment, no
-	// scheduled checkpoints; an interrupt still writes a final one).
+	// scheduled checkpoints).
 	Every uint64
 }
 
@@ -484,12 +434,14 @@ type SkippedCheckpoint struct {
 // returns at once. With no usable checkpoint the error wraps
 // ErrNoCheckpoint and the last restore error.
 //
-// Cancelling ctx interrupts the run at its next guard point, writes a
-// final checkpoint when Checkpoint.Path is set, and returns the
+// Cancelling ctx stops the run at its next guard point and returns the
 // partial result with an error wrapping both ErrInterrupted and the
-// context's error; a ctx cancelled with ErrDrain as its cause stops at
-// the next scheduled checkpoint instead. Integrity failures also
-// return the partial result alongside their error.
+// context's error; a ctx cancelled with ErrDrain as its cause stops
+// after the next scheduled checkpoint instead. A stop writes no
+// checkpoint, so the newest file at Checkpoint.Path is always on the
+// schedule and resuming from it is bit-identical to never stopping.
+// Integrity failures also return the partial result alongside their
+// error.
 func Execute(ctx context.Context, job Job) (Result, Outcome, error) {
 	if !job.Resume {
 		s, r, err := execute(ctx, job, "")
@@ -525,7 +477,8 @@ func execute(ctx context.Context, job Job, from string) (*System, Result, error)
 	if err != nil {
 		return nil, Result{}, err
 	}
-	defer s.watchContext(ctx)()
+	s.ctx, s.done = ctx, ctx.Done()
+	defer func() { s.ctx, s.done = nil, nil }()
 	m := RunMeta{Phase: phaseWarmup, Warmup: job.Warmup, Measure: job.Measure, Every: job.Checkpoint.Every}
 	if from != "" {
 		saved, err := s.LoadCheckpoint(ctx, from, job)
@@ -552,23 +505,17 @@ func badCheckpoint(err error) bool {
 		errors.Is(err, fs.ErrNotExist)
 }
 
-// runSchedule executes the (possibly mid-run) schedule in m.
+// runSchedule executes the (possibly mid-run) schedule in m and
+// returns the result so far with the error that stopped it, if any.
 func (s *System) runSchedule(m RunMeta, path string) (Result, error) {
-	fail := func(err error) (Result, error) {
-		if errors.Is(err, ErrInterrupted) && path != "" {
-			if qerr := s.Quiesce(); qerr == nil {
-				rotate(path)
-				if serr := s.SaveCheckpoint(path, m); serr != nil {
-					err = errors.Join(err, serr)
-				}
-			} else {
-				err = errors.Join(err, qerr)
-			}
-		}
-		s.closeTelemetry()
-		return s.Snapshot(), err
-	}
+	err := s.runSegments(m, path)
+	s.closeTelemetry()
+	return s.Snapshot(), err
+}
 
+// runSegments runs the warmup (unless m is past it), then the
+// measured segments, quiescing and checkpointing between them.
+func (s *System) runSegments(m RunMeta, path string) error {
 	if m.Phase == phaseWarmup {
 		if s.tele != nil {
 			s.tele.MarkWarmup()
@@ -579,7 +526,7 @@ func (s *System) runSchedule(m RunMeta, path string) (Result, error) {
 				targets[i] = m.Warmup
 			}
 			if err := s.runUntilRetired(targets); err != nil {
-				return fail(err)
+				return err
 			}
 		}
 		s.ResetStats()
@@ -601,7 +548,7 @@ func (s *System) runSchedule(m RunMeta, path string) (Result, error) {
 			targets[i] = m.Base[i] + m.Done + k
 		}
 		if err := s.runUntilRetired(targets); err != nil {
-			return fail(err)
+			return err
 		}
 		m.Done += k
 		// The inter-segment quiesce is part of the schedule, not of
@@ -611,27 +558,21 @@ func (s *System) runSchedule(m RunMeta, path string) (Result, error) {
 		// bit-identical to it.
 		if m.Every > 0 && m.Done < m.Measure {
 			if err := s.Quiesce(); err != nil {
-				return fail(err)
+				return err
 			}
 			if path != "" {
 				rotate(path)
 				if err := s.SaveCheckpoint(path, m); err != nil {
-					return fail(err)
+					return err
 				}
 			}
-			if s.drainReq.Load() {
-				// Graceful drain: the checkpoint just written sits on
-				// the segment schedule, so a resume from it replays
-				// the remaining schedule bit-identically. Skip fail()
-				// — its extra save would only rotate the on-schedule
-				// checkpoint away.
-				s.closeTelemetry()
-				return s.Snapshot(), ErrInterrupted
+			// A drain stops here, right after a scheduled checkpoint.
+			if errors.Is(context.Cause(s.ctx), ErrDrain) {
+				return ErrInterrupted
 			}
 		}
 	}
-	s.closeTelemetry()
-	return s.Snapshot(), nil
+	return nil
 }
 
 // rotate preserves the previous checkpoint as the fallback.

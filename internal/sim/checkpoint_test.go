@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -15,6 +17,7 @@ import (
 	policypkg "care/internal/policy"
 	"care/internal/replacement"
 	"care/internal/telemetry"
+	"care/internal/trace"
 )
 
 // ckptSchedule is the common small schedule the checkpoint tests run:
@@ -212,26 +215,100 @@ func TestCorruptCheckpointsRejected(t *testing.T) {
 	}
 }
 
-// TestInterruptWritesFinalCheckpoint verifies the cancellation path:
-// a run under a cancelled context fails with an error matching both
-// ErrInterrupted and context.Canceled, but leaves a resumable final
-// checkpoint behind.
-func TestInterruptWritesFinalCheckpoint(t *testing.T) {
+// stopOnRun cancels a context at the first record its core fetches
+// once the clock has started, i.e. after a restore's trace replay,
+// which runs at cycle 0.
+type stopOnRun struct {
+	trace.Reader
+	s      *System
+	cancel context.CancelFunc
+}
+
+func (r *stopOnRun) Next() (trace.Record, error) {
+	if r.s.Cycle() > 0 {
+		r.cancel()
+	}
+	return r.Reader.Next()
+}
+
+// TestStopWritesNoCheckpoint: a resumed run stopped mid-segment fails
+// with an error matching both ErrInterrupted and context.Canceled and
+// leaves the live checkpoint and its predecessor byte-unchanged, so
+// resuming again is bit-identical to never stopping.
+func TestStopWritesNoCheckpoint(t *testing.T) {
+	src := filepath.Join(t.TempDir(), "run.ckpt")
+	want, _ := runFull(t, "care", 1, src, false)
+	path := copyCheckpoints(t, src)
+	read := func(p string) []byte {
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	live, rotated := read(path), read(RotatedPath(path))
+
+	job, _ := ckptJob("care", 1, path, false)
+	job.Resume = true
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg := ScaledConfig(1, 16)
+	cfg.LLCPolicy = "care"
+	stopped := job
+	stopped.Build = func() (*System, error) {
+		tr := &stopOnRun{Reader: mcfTraces(1)[0], cancel: cancel}
+		s, err := New(cfg, []trace.Reader{tr})
+		tr.s = s
+		return s, err
+	}
+	_, out, err := Execute(ctx, stopped)
+	if !errors.Is(err, ErrInterrupted) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("stopped run: got %v, want ErrInterrupted and context.Canceled", err)
+	}
+	if out.From != path {
+		t.Fatalf("stopped run resumed from %q, want %q", out.From, path)
+	}
+	if !bytes.Equal(read(path), live) || !bytes.Equal(read(RotatedPath(path)), rotated) {
+		t.Fatal("the stop rewrote the checkpoint files")
+	}
+
+	got, _, err := Execute(context.Background(), job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("resume after a stop diverged:\nresumed: %+v\nfull:    %+v", got, want)
+	}
+}
+
+// TestDrainStopsAtScheduledCheckpoint: a context cancelled with
+// ErrDrain as its cause runs on to the next scheduled checkpoint,
+// writes it and stops there; resuming from it is bit-identical to
+// never stopping.
+func TestDrainStopsAtScheduledCheckpoint(t *testing.T) {
+	want, _ := runFull(t, "care", 1, filepath.Join(t.TempDir(), "full.ckpt"), false)
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	job, _ := ckptJob("care", 1, path, false)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, _, err := Execute(ctx, job)
-	if !errors.Is(err, ErrInterrupted) || !errors.Is(err, context.Canceled) {
-		t.Fatalf("interrupted run: got %v, want ErrInterrupted and context.Canceled", err)
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cancel(ErrDrain)
+	r, _, err := Execute(ctx, job)
+	if !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("drained run: got %v, want ErrInterrupted", err)
 	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("no final checkpoint written: %v", err)
+	if r.CoreInstructions[0] < ckptEvery || r.CoreInstructions[0] >= 2*ckptEvery {
+		t.Fatalf("drain stopped after %d measured instructions, want the first checkpoint at %d",
+			r.CoreInstructions[0], ckptEvery)
 	}
-	got, _ := resumeFrom(t, "care", 1, path, false)
-	if got.CoreInstructions[0] < ckptMeasure {
-		t.Fatalf("resumed run retired %d measured instructions, want >= %d",
-			got.CoreInstructions[0], ckptMeasure)
+	if _, err := os.Stat(RotatedPath(path)); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("drain wrote more than one checkpoint (stat %s: %v)", filepath.Base(RotatedPath(path)), err)
+	}
+	job.Resume = true
+	got, _, err := Execute(context.Background(), job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("resume after a drain diverged:\nresumed: %+v\nfull:    %+v", got, want)
 	}
 }
 

@@ -1,7 +1,11 @@
 package sim
 
 import (
+	"context"
 	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -169,24 +173,27 @@ func TestCycleLimit(t *testing.T) {
 	}
 }
 
-// TestInterruptLandsOnStrideBoundary: the guard polls an interrupt
-// only on the watchdog stride, so a run interrupted between calls
-// stops at the first stride boundary and reports ErrInterrupted.
+// TestInterruptLandsOnStrideBoundary: the guard looks at Execute's
+// context only on the watchdog stride, so a run under a cancelled
+// context stops at the first stride boundary and reports
+// ErrInterrupted. Cancelled before its first scheduled checkpoint, it
+// leaves no checkpoint file.
 func TestInterruptLandsOnStrideBoundary(t *testing.T) {
-	s, err := New(ScaledConfig(2, 16), mcfTraces(2))
-	if err != nil {
-		t.Fatal(err)
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	job, _ := ckptJob("care", 2, path, false)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, out, err := Execute(ctx, job)
+	if !errors.Is(err, ErrInterrupted) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("want ErrInterrupted and context.Canceled, got %v", err)
 	}
-	mustRun(t, s, 2000)
-	before := s.Cycle()
-	s.Interrupt()
-	_, err = s.RunInstructions(50_000)
-	if !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("want ErrInterrupted, got %v", err)
+	if c := out.System.Cycle(); c != watchdogStride {
+		t.Fatalf("stop observed at cycle %d, want the first stride boundary %d", c, watchdogStride)
 	}
-	if c := s.Cycle(); c%watchdogStride != 0 || c <= before || c > before+watchdogStride {
-		t.Fatalf("interrupt observed at cycle %d, want the first multiple of %d after %d",
-			c, watchdogStride, before)
+	for _, p := range []string{path, RotatedPath(path)} {
+		if _, err := os.Stat(p); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("stop left %s behind (stat: %v)", filepath.Base(p), err)
+		}
 	}
 }
 
@@ -224,7 +231,6 @@ func TestIntegrityLayerPreservesDeterminism(t *testing.T) {
 	}
 	plain := base(nil)
 	for name, mod := range map[string]func(*Config){
-		"watchdog-off":   func(c *Config) { c.DisableWatchdog = true },
 		"tight-watchdog": func(c *Config) { c.WatchdogWindow = 1000 },
 		"invariants":     func(c *Config) { c.CheckInvariants = true; c.InvariantEvery = 256 },
 		"zero-faults":    func(c *Config) { c.Faults = &faultinject.Config{Seed: 9} },

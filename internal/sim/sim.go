@@ -6,8 +6,9 @@
 package sim
 
 import (
+	"context"
+	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"care/internal/cache"
@@ -58,9 +59,8 @@ type Config struct {
 	// WatchdogWindow is the forward-progress window in cycles: a run
 	// with no retirement and no cache/DRAM event for this long aborts
 	// with ErrNoProgress and a diagnostic dump. 0 uses
-	// DefaultWatchdogWindow; DisableWatchdog turns detection off.
-	WatchdogWindow  uint64
-	DisableWatchdog bool
+	// DefaultWatchdogWindow.
+	WatchdogWindow uint64
 	// MaxCycles aborts the run with ErrCycleLimit once the global
 	// cycle counter reaches it (0 = no explicit cap). The CLIs expose
 	// it as -max-cycles.
@@ -154,13 +154,11 @@ type System struct {
 	pmcSlack float64
 	// wallStart anchors WallClockTimeout; set on the first cycle.
 	wallStart time.Time
-	// interrupted is set by Interrupt (from any goroutine, e.g. a
-	// signal handler) and consumed one-shot by the guard.
-	interrupted atomic.Bool
-	// drainReq is set by DrainAtNextCheckpoint and honoured by the
-	// schedule driver at segment boundaries only, so the stop lands on
-	// a scheduled checkpoint.
-	drainReq atomic.Bool
+	// ctx is the context Execute runs the attempt under, and done its
+	// Done channel; both are nil outside Execute, where the guard's
+	// receive on done never fires.
+	ctx  context.Context
+	done <-chan struct{}
 }
 
 // New builds a system running one trace per core. len(traces) must
@@ -441,9 +439,13 @@ func (s *System) guard() error {
 	if s.cycle%watchdogStride != 0 {
 		return nil
 	}
-	if s.interrupted.Load() {
-		s.interrupted.Store(false)
-		return s.failf(ErrInterrupted, "interrupt requested at cycle %d", s.cycle)
+	select {
+	case <-s.done:
+		// A drain runs on to the next scheduled checkpoint instead.
+		if !errors.Is(context.Cause(s.ctx), ErrDrain) {
+			return s.failf(ErrInterrupted, "stop requested at cycle %d", s.cycle)
+		}
+	default:
 	}
 	if s.injector != nil && s.injector.ShouldKill(s.cycle) {
 		return s.failf(faultinject.ErrKilled, "injected kill fired at cycle %d", s.cycle)
@@ -451,10 +453,8 @@ func (s *System) guard() error {
 	if err := s.componentErr(); err != nil {
 		return err
 	}
-	if !s.cfg.DisableWatchdog {
-		if err := s.checkProgress(); err != nil {
-			return err
-		}
+	if err := s.checkProgress(); err != nil {
+		return err
 	}
 	if s.cfg.CheckInvariants {
 		every := s.cfg.InvariantEvery
@@ -480,11 +480,10 @@ func (s *System) guard() error {
 
 // RunInstructions advances until every core has retired at least n
 // more instructions (or exhausted its trace), with a generous cycle
-// cap to guarantee termination even with the watchdog disabled. It
-// returns the cycles executed and the first integrity failure: a
-// *FailureError wrapping ErrNoProgress / ErrCycleLimit / ErrTimeout /
-// ErrInvariant, or a propagated component error (e.g. a corrupt
-// trace terminating a core's stream).
+// cap to guarantee termination. It returns the cycles executed and
+// the first integrity failure: a *FailureError wrapping ErrNoProgress
+// / ErrCycleLimit / ErrTimeout / ErrInvariant, or a propagated
+// component error (e.g. a corrupt trace terminating a core's stream).
 func (s *System) RunInstructions(n uint64) (uint64, error) {
 	start := s.cycle
 	if s.cfg.WallClockTimeout > 0 && s.wallStart.IsZero() {

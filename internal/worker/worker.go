@@ -246,11 +246,9 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 // jobState is the shared state between a job's executor and its
 // heartbeater.
 type jobState struct {
-	mu            sync.Mutex
-	leaseLost     bool
-	cancelled     bool
-	stopUploads   bool
-	lastUploadSum uint64
+	mu        sync.Mutex
+	leaseLost bool
+	cancelled bool
 }
 
 func (st *jobState) flag(f func(*jobState)) {
@@ -427,7 +425,7 @@ func (w *Worker) fetchArtifact(ctx context.Context, job string, token int, ckptP
 // job can migrate if this worker dies. Transient heartbeat failures
 // are tolerated — the server re-arms a replayed lease after its own
 // restart — but a definitive stale_lease rejection means custody is
-// gone: uploads stop and the job context is cancelled with
+// gone: the heartbeat stops and the job context is cancelled with
 // errLeaseLost.
 func (w *Worker) heartbeat(ctx context.Context, job string, token, slot int, ckptPath string,
 	spec *careapi.JobSpec, st *jobState, cancelJob context.CancelCauseFunc, stop <-chan struct{}, done chan<- struct{}) {
@@ -435,6 +433,7 @@ func (w *Worker) heartbeat(ctx context.Context, job string, token, slot int, ckp
 	start := time.Now()
 	tick := time.NewTicker(w.heartbeatEvery())
 	defer tick.Stop()
+	var uploaded uint64 // hash of the last checkpoint uploaded
 	for {
 		select {
 		case <-stop:
@@ -447,7 +446,7 @@ func (w *Worker) heartbeat(ctx context.Context, job string, token, slot int, ckp
 		if err != nil {
 			if IsStaleLease(err) {
 				w.logf("care-worker %s: %s heartbeat fenced as stale (token %d)", w.cfg.Name, job, token)
-				st.flag(func(s *jobState) { s.leaseLost = true; s.stopUploads = true })
+				st.flag(func(s *jobState) { s.leaseLost = true })
 				cancelJob(errLeaseLost)
 				return
 			}
@@ -459,11 +458,11 @@ func (w *Worker) heartbeat(ctx context.Context, job string, token, slot int, ckp
 		}
 		if resp.CancelRequested {
 			w.logf("care-worker %s: %s cancel requested; unwinding", w.cfg.Name, job)
-			st.flag(func(s *jobState) { s.cancelled = true; s.stopUploads = true })
+			st.flag(func(s *jobState) { s.cancelled = true })
 			cancelJob(errCancelRequested)
 			return
 		}
-		w.maybeUpload(ctx, job, token, ckptPath, st)
+		uploaded = w.maybeUpload(ctx, job, token, ckptPath, uploaded)
 	}
 }
 
@@ -488,45 +487,36 @@ func (w *Worker) progress(slot int, ckptPath string, spec *careapi.JobSpec, star
 	return p
 }
 
-// maybeUpload ships the live checkpoint if it changed since the last
-// upload. Only files that verify as complete containers are sent (a
-// read racing the simulator's in-place save is rejected here rather
-// than at the server). Uploads stop once a hard interrupt is under
-// way — interrupt-time checkpoints sit off the deterministic schedule
-// and must never seed another worker's resume.
-func (w *Worker) maybeUpload(ctx context.Context, job string, token int, ckptPath string, st *jobState) {
-	st.mu.Lock()
-	stopped := st.stopUploads
-	last := st.lastUploadSum
-	st.mu.Unlock()
-	if stopped {
-		return
-	}
+// maybeUpload ships the live checkpoint if its hash differs from last,
+// the hash of the last upload, and returns the hash now uploaded. Only
+// files that verify as complete containers are sent (a read racing
+// the simulator's in-place save is rejected here rather than at the
+// server). Every checkpoint file is on the schedule — a stop writes
+// none — so any of them may seed another worker's resume.
+func (w *Worker) maybeUpload(ctx context.Context, job string, token int, ckptPath string, last uint64) uint64 {
 	data, err := os.ReadFile(ckptPath)
 	if err != nil {
-		return // no checkpoint yet
+		return last // no checkpoint yet
 	}
 	h := fnv.New64a()
 	h.Write(data)
 	sum := h.Sum64()
 	if sum == last {
-		return
+		return last
 	}
 	if _, err := checkpoint.Verify(bytes.NewReader(data)); err != nil {
-		return // torn read; next heartbeat sees the settled file
+		return last // torn read; next heartbeat sees the settled file
 	}
 	if err := w.client.UploadArtifact(ctx, w.cfg.Name, job, token, data); err != nil {
-		if IsStaleLease(err) {
-			st.flag(func(s *jobState) { s.stopUploads = true })
-			return
-		}
-		if ctx.Err() == nil {
-			// An upload cut short by the job ending is no failure.
+		if ctx.Err() == nil && !IsStaleLease(err) {
+			// An upload cut short by the job ending is no failure, and
+			// a fenced one is reported by the next heartbeat, which
+			// comes back stale too and ends the loop.
 			w.logf("care-worker %s: %s artifact upload: %v", w.cfg.Name, job, err)
 		}
-		return
+		return last
 	}
-	st.flag(func(s *jobState) { s.lastUploadSum = sum })
+	return sum
 }
 
 // jobOptions builds the harness supervision options for one job. Each
