@@ -206,6 +206,13 @@ type Cache struct {
 	// parkedAt is, while parked, the first cycle whose stall is not yet
 	// in MSHRStallCycles; countStalls moves it.
 	parkedAt uint64
+	// wake is what NextEvent returns: the ready cycle of an un-parked
+	// queue head, or math.MaxUint64. setWake recomputes it wherever it
+	// can move.
+	wake uint64
+	// bound, when set (SetWakeBound), is a lower bound on the wake of
+	// every cache sharing it. setWake lowers it, so it never runs late.
+	bound *uint64
 
 	// pool recycles the requests this cache issues (fetches to the
 	// lower level, writebacks, self-prefetches).
@@ -240,6 +247,7 @@ func New(p Params, policy Policy) *Cache {
 		policy: policy,
 		mshr:   NewMSHR(p.MSHREntries, p.Cores),
 		sets:   make([][]Block, p.Sets),
+		wake:   math.MaxUint64,
 	}
 	backing := make([]Block, p.Sets*p.Ways)
 	for i := range c.sets {
@@ -263,6 +271,34 @@ func (c *Cache) SetPrefetcher(p Prefetcher) { c.prefetcher = p }
 
 // AddTracker attaches a tracker that is ticked every stepped cycle.
 func (c *Cache) AddTracker(t Tracker) { c.trackers = append(c.trackers, t) }
+
+// SetWakeBound points the cache at a lower bound on the wake cycles of
+// a set of caches (the simulator's): whenever the cache's NextEvent
+// falls below *b, the cache lowers *b to it. The owner may raise *b
+// only to a value it has checked against every cache's NextEvent.
+func (c *Cache) SetWakeBound(b *uint64) {
+	c.bound = b
+	c.setWake()
+}
+
+// setWake recomputes wake from the queue and park state and lowers the
+// shared bound to it. Every path that can move NextEvent calls it:
+// Access into an empty queue, the end of an un-parked Tick, fill's
+// un-park, SaturateMSHR, FlipTagBit and checkpoint restore.
+func (c *Cache) setWake() {
+	c.wake = c.headWake()
+	if c.bound != nil && c.wake < *c.bound {
+		*c.bound = c.wake
+	}
+}
+
+// headWake computes NextEvent from the queue and park state.
+func (c *Cache) headWake() uint64 {
+	if c.parked || c.inq.Len() == 0 {
+		return math.MaxUint64
+	}
+	return c.inq.Front().ready
+}
 
 // AddBulkTracker attaches a concurrency-metric tracker that is caught
 // up per core at events (e.g. the PMC measurement logic).
@@ -319,6 +355,9 @@ func (c *Cache) Access(req *mem.Request, cycle uint64) {
 		b.OnAccessStart(req.Core, req.Kind, cycle)
 	}
 	c.inq.PushBack(queued{req: req, ready: cycle + c.Latency})
+	if c.inq.Len() == 1 {
+		c.setWake()
+	}
 }
 
 // Contains reports whether the block holding a is present (used by
@@ -375,29 +414,28 @@ func (c *Cache) Tick(cycle uint64) {
 		}
 		c.inq.PopFront()
 	}
+	c.setWake()
 }
 
 // Due reports whether the simulator must Tick the cache at cycle: its
-// queue head is ready (NextEvent has come) or a ticked tracker is
-// attached. Any other Tick would only move the clock and count a
-// parked queue's stall, which SkipCycles does in bulk.
+// queue head is ready (the stored NextEvent has come) or a ticked
+// tracker is attached. Any other Tick would only move the clock and
+// count a parked queue's stall, which SkipCycles does in bulk.
 func (c *Cache) Due(cycle uint64) bool {
-	return c.NextEvent() <= cycle || len(c.trackers) > 0
+	return c.wake <= cycle || len(c.trackers) > 0
 }
 
 // NextEvent returns the earliest cycle at which Tick can do more than
 // run the ticked trackers and count a stall: the ready cycle of an
 // un-parked queue head (which may already have passed), or
-// math.MaxUint64 when the queue is empty or parked. Besides Tick
-// itself, only Access, Complete and the un-parking paths move it, so
-// it bounds the simulator's fast-forward and decides which caches a
-// step ticks.
-func (c *Cache) NextEvent() uint64 {
-	if c.parked || c.inq.Len() == 0 {
-		return math.MaxUint64
-	}
-	return c.inq.Front().ready
-}
+// math.MaxUint64 when the queue is empty or parked. It is a stored
+// value, not a walk: setWake recomputes it at each place it can move
+// (Access into an empty queue, the end of an un-parked Tick, fill's
+// un-park, SaturateMSHR, FlipTagBit and restore), and lowers the
+// simulator's shared bound with it, so the bound limits the
+// simulator's fast-forward and decides whether a step ticks caches at
+// all.
+func (c *Cache) NextEvent() uint64 { return c.wake }
 
 // SkipCycles accounts for the cycles before to that were not ticked,
 // every one of them before NextEvent, in which nothing a tracker can
@@ -595,6 +633,7 @@ func (c *Cache) fill(e *MSHREntry, cycle uint64) {
 	// after the cache's own Tick of cycle, which still stalled.
 	c.countStalls(cycle + 1)
 	c.parked = false
+	c.setWake()
 	for _, w := range c.mshr.Release(e) {
 		w.PMC = e.PMC
 		w.MLPCost = e.MLPCost

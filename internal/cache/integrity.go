@@ -44,6 +44,9 @@ func (c *Cache) CheckIntegrity() error {
 	if c.failure != nil {
 		return c.failure
 	}
+	if err := c.CheckWake(); err != nil {
+		return err
+	}
 	for set := range c.sets {
 		seen := make(map[uint64]bool, c.Ways)
 		for w := range c.sets[set] {
@@ -90,6 +93,20 @@ func (c *Cache) CheckIntegrity() error {
 	return nil
 }
 
+// CheckWake verifies that the stored wake (NextEvent) is the value
+// the queue and park state give, and that the shared bound
+// (SetWakeBound) is not above it. It costs O(1); CheckIntegrity runs
+// it.
+func (c *Cache) CheckWake() error {
+	if want := c.headWake(); c.wake != want {
+		return fmt.Errorf("%w: %s stores wake %d, its queue head gives %d", ErrIntegrity, c.Name, c.wake, want)
+	}
+	if c.bound != nil && *c.bound > c.wake {
+		return fmt.Errorf("%w: %s wake %d is below the shared bound %d", ErrIntegrity, c.Name, c.wake, *c.bound)
+	}
+	return nil
+}
+
 // FlipTagBit XORs one set-index bit of a resident block's tag — a
 // fault-injection hook that models a bit flip in the tag array. It
 // returns false when (set, way) does not hold a valid block. The flip
@@ -113,6 +130,7 @@ func (c *Cache) FlipTagBit(set, way int, bit uint, cycle uint64) bool {
 	c.tags[set*c.Ways+way] = blk.Tag<<1 | 1
 	c.countStalls(cycle)
 	c.parked = false
+	c.setWake()
 	return true
 }
 
@@ -153,5 +171,6 @@ func (c *Cache) SaturateMSHR(cycle uint64) int {
 	}
 	c.countStalls(cycle)
 	c.parked = false
+	c.setWake()
 	return claimed
 }

@@ -396,3 +396,97 @@ func TestParkingMatchesRetryEveryCycle(t *testing.T) {
 		t.Fatalf("stats diverge:\nparked:  %+v\nretried: %+v", parkStats, retryStats)
 	}
 }
+
+// TestWakeStoredAtEveryMutation: after each path that can move
+// NextEvent, the stored wake equals the value the queue and park state
+// give, and a shared bound that held before the path still holds.
+func TestWakeStoredAtEveryMutation(t *testing.T) {
+	// queued returns a cache with loads of the given blocks accessed
+	// at cycle 0 (ready at 2).
+	queued := func(t *testing.T, addrs ...mem.Addr) (*Cache, *fixedLatencyMemory) {
+		c, lower := newTestCache(t, 16, 4, 2, 10)
+		for _, a := range addrs {
+			c.Access(load(a, nil), 0)
+		}
+		return c, lower
+	}
+	// parked returns a cache with block 0x7000 resident and a head
+	// (ready at 17) parked behind two misses the lower level answers
+	// at 27, ticked through 20.
+	parked := func(t *testing.T) (*Cache, *fixedLatencyMemory) {
+		c, lower := queued(t, 0x7000)
+		run(c, lower, 0, 14)
+		for _, a := range []mem.Addr{0x1000, 0x2000, 0x3000} {
+			c.Access(load(a, nil), 15)
+		}
+		run(c, lower, 15, 20)
+		if !c.parked {
+			t.Fatal("setup: head did not park")
+		}
+		return c, lower
+	}
+	cases := []struct {
+		name   string
+		setup  func(t *testing.T) (*Cache, *fixedLatencyMemory)
+		mutate func(t *testing.T, c *Cache, lower *fixedLatencyMemory)
+		want   uint64
+	}{
+		{"Access/empty queue", func(t *testing.T) (*Cache, *fixedLatencyMemory) { return queued(t) },
+			func(_ *testing.T, c *Cache, _ *fixedLatencyMemory) { c.Access(load(0x1000, nil), 5) }, 7},
+		{"Access/non-empty queue", func(t *testing.T) (*Cache, *fixedLatencyMemory) { return queued(t, 0x1000) },
+			func(_ *testing.T, c *Cache, _ *fixedLatencyMemory) { c.Access(load(0x2000, nil), 1) }, 2},
+		{"Tick/drains the head", func(t *testing.T) (*Cache, *fixedLatencyMemory) {
+			c, lower := queued(t, 0x1000)
+			c.Access(load(0x2000, nil), 3)
+			return c, lower
+		}, func(_ *testing.T, c *Cache, _ *fixedLatencyMemory) { c.Tick(2) }, 5},
+		{"Tick/drains the queue", func(t *testing.T) (*Cache, *fixedLatencyMemory) { return queued(t, 0x1000) },
+			func(_ *testing.T, c *Cache, _ *fixedLatencyMemory) { c.Tick(2) }, math.MaxUint64},
+		{"Tick/parks", func(t *testing.T) (*Cache, *fixedLatencyMemory) { return queued(t, 0x1000, 0x2000, 0x3000) },
+			func(t *testing.T, c *Cache, _ *fixedLatencyMemory) {
+				c.Tick(2)
+				if !c.parked {
+					t.Fatal("the third miss did not park")
+				}
+			}, math.MaxUint64},
+		{"Complete/un-parks", parked,
+			func(_ *testing.T, c *Cache, lower *fixedLatencyMemory) { run(c, lower, 21, 27) }, 17},
+		{"SaturateMSHR", parked,
+			func(_ *testing.T, c *Cache, _ *fixedLatencyMemory) { c.SaturateMSHR(21) }, 17},
+		{"FlipTagBit", parked, func(t *testing.T, c *Cache, _ *fixedLatencyMemory) {
+			set, way, ok := c.SomeValidBlock()
+			if !ok || !c.FlipTagBit(set, way, 0, 21) {
+				t.Fatal("no block to flip")
+			}
+		}, 17},
+		{"restore", parked, func(t *testing.T, c *Cache, _ *fixedLatencyMemory) {
+			fresh, _ := newTestCache(t, 16, 4, 2, 10)
+			data, err := checkpoint.Encode(fresh.Checkpoint)
+			if err == nil {
+				err = checkpoint.Decode(data, c.Checkpoint)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}, 17},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, lower := tc.setup(t)
+			// Attach the bound at the setup's wake, without the
+			// recompute SetWakeBound does, so a stale wake shows.
+			bound := c.NextEvent()
+			c.bound = &bound
+			tc.mutate(t, c, lower)
+			if got := c.NextEvent(); got != c.headWake() || got != tc.want {
+				t.Fatalf("NextEvent = %d, queue and park state give %d, want %d", got, c.headWake(), tc.want)
+			}
+			if bound > c.NextEvent() {
+				t.Fatalf("bound %d left above the wake %d", bound, c.NextEvent())
+			}
+			if err := c.CheckWake(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

@@ -66,6 +66,7 @@ func (c *Cache) Checkpoint(s *checkpoint.State) {
 			}
 		}
 		c.parked = false
+		c.setWake()
 	}
 }
 

@@ -2,6 +2,7 @@ package faultinject
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"care/internal/mem"
@@ -28,6 +29,36 @@ func TestParseSpecRejectsGarbage(t *testing.T) {
 			t.Errorf("ParseSpec(%q) should fail", bad)
 		}
 	}
+}
+
+// FuzzParseSpec: the -faults decoder never panics, refuses only with
+// an error prefixed "faultinject:", and parses an accepted spec to the
+// same Config every time.
+func FuzzParseSpec(f *testing.F) {
+	for _, spec := range []string{
+		"seed=7, dram-drop=200,trace-flip=64,meta-flip=5000",
+		"dram-drop", "dram-drop=x", "warp-core=1",
+		"server-kill-append=3,journal-tear=5,worker-panic=2",
+		"net-drop-req=7,net-drop-reply=5,net-dup=3,net-delay=2,net-delay-ms=40,net-partition-after=9,net-partition-ms=1200,append-err=4",
+		"", ",,", " seed = 18446744073709551615 ", "seed=18446744073709551616", "kill-at=-1", "=5", "seed==1",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		cfg, err := ParseSpec(spec)
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "faultinject: ") {
+				t.Fatalf("ParseSpec(%q) refused with %q, want the faultinject: prefix", spec, err)
+			}
+			if cfg != (Config{}) {
+				t.Fatalf("ParseSpec(%q) refused but returned %+v", spec, cfg)
+			}
+			return
+		}
+		if again, err := ParseSpec(spec); err != nil || again != cfg {
+			t.Fatalf("ParseSpec(%q) twice: %+v then %+v, %v", spec, cfg, again, err)
+		}
+	})
 }
 
 func TestEnabledNilSafe(t *testing.T) {

@@ -330,6 +330,8 @@ func (s *System) ReadCheckpoint(ctx context.Context, r *checkpoint.Reader, job J
 	for _, c := range s.allCaches() {
 		c.SetClock(m.Cycle)
 	}
+	// Wake the caches on the first step; its pass rebuilds the bound.
+	s.cacheWake = 0
 	s.pmcSlack = m.PMCSlack
 	// Re-arm the watchdog and wall clock for the resumed run.
 	s.watchSig = s.progressSig()

@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"care/internal/cache"
@@ -138,6 +139,10 @@ type System struct {
 	mem     *dram.DRAM
 	pml     *pmc.Logic
 	cycle   uint64
+	// cacheWake is a lower bound on every cache's NextEvent, which the
+	// caches lower themselves (cache.SetWakeBound). Only step raises it,
+	// after a pass that folds in each cache's wake.
+	cacheWake uint64
 
 	// Fault injection (nil unless cfg.Faults is enabled).
 	injector *faultinject.Injector
@@ -258,6 +263,10 @@ func New(cfg Config, traces []trace.Reader) (*System, error) {
 		s.l1s = append(s.l1s, l1)
 		s.l2s = append(s.l2s, l2)
 	}
+	s.cacheWake = math.MaxUint64
+	for _, c := range s.allCaches() {
+		c.SetWakeBound(&s.cacheWake)
+	}
 	if cfg.Telemetry != nil {
 		if err := cfg.Telemetry.Bind(s.cores, s.llc, s.mem); err != nil {
 			return nil, err
@@ -314,7 +323,8 @@ func (s *System) advance(limit uint64) {
 // The bounds, one per component that can act on its own:
 //
 //   - an awake core (one that may retire or dispatch): now;
-//   - each cache's un-parked queue head: its ready cycle;
+//   - the caches' un-parked queue heads: the stored lower bound on
+//     their ready cycles (cacheWake), which no cache is polled for;
 //   - DRAM: now when a write drain is due, else its next read completion;
 //   - the fault clock: held DRAM responses, the MSHR-saturation onset
 //     (now from then on), and the metadata flip;
@@ -335,10 +345,8 @@ func (s *System) horizon(limit uint64) uint64 {
 	if m := s.cfg.MaxCycles; m > 0 {
 		t = min(t, m)
 	}
-	for _, c := range s.allCaches() {
-		if t = min(t, c.NextEvent()); t <= now {
-			return now
-		}
+	if t = min(t, s.cacheWake); t <= now {
+		return now
 	}
 	t = min(t, s.mem.NextEvent(now))
 	if s.injector != nil {
@@ -374,6 +382,12 @@ func (s *System) skipTo(t uint64) {
 // component may be woken early but never late. The LLC's clock still
 // moves every cycle, since its bulk trackers read it: cycle before its
 // slot, cycle+1 after.
+//
+// While cacheWake is past the cycle no cache is Due, unless the LLC
+// has a ticked tracker (only the LLC is reachable to attach one), so
+// the cache pass is skipped whole. Otherwise the pass resets the bound
+// and folds in each cache's wake at the cache's own slot; a wake that
+// moves later in the cycle (an access, a fill) lowers the bound itself.
 func (s *System) step() {
 	cycle := s.cycle
 	if s.injector != nil {
@@ -384,18 +398,8 @@ func (s *System) step() {
 			c.Tick(cycle)
 		}
 	}
-	for _, c := range s.l1s {
-		if c.Due(cycle) {
-			c.Tick(cycle)
-		}
-	}
-	for _, c := range s.l2s {
-		if c.Due(cycle) {
-			c.Tick(cycle)
-		}
-	}
-	if s.llc.Due(cycle) {
-		s.llc.Tick(cycle)
+	if s.cacheWake <= cycle || s.llc.Due(cycle) {
+		s.tickCaches(cycle)
 	} else {
 		s.llc.SkipCycles(cycle + 1)
 	}
@@ -410,6 +414,30 @@ func (s *System) step() {
 		s.catchUp()
 		s.tele.Tick(s.cycle)
 	}
+}
+
+// tickCaches is step's cache pass: it ticks the Due caches in order
+// (L1s, L2s, LLC) and rebuilds cacheWake from their wakes.
+func (s *System) tickCaches(cycle uint64) {
+	s.cacheWake = math.MaxUint64
+	for _, c := range s.l1s {
+		if c.Due(cycle) {
+			c.Tick(cycle)
+		}
+		s.cacheWake = min(s.cacheWake, c.NextEvent())
+	}
+	for _, c := range s.l2s {
+		if c.Due(cycle) {
+			c.Tick(cycle)
+		}
+		s.cacheWake = min(s.cacheWake, c.NextEvent())
+	}
+	if s.llc.Due(cycle) {
+		s.llc.Tick(cycle)
+	} else {
+		s.llc.SkipCycles(cycle + 1)
+	}
+	s.cacheWake = min(s.cacheWake, s.llc.NextEvent())
 }
 
 // catchUp brings every lazily accounted counter current at the
