@@ -35,6 +35,7 @@ import (
 	"context"
 	"io"
 
+	"care/internal/checkpoint"
 	careplc "care/internal/core/care"
 	"care/internal/core/pmc"
 	"care/internal/core/studycase"
@@ -87,6 +88,10 @@ type CheckpointOptions = sim.CheckpointOptions
 // to Run was cancelled.
 var ErrInterrupted = sim.ErrInterrupted
 
+// ErrNotCheckpointable is the error Run returns, before it simulates
+// anything, for checkpoints over a caller's own TraceReader.
+var ErrNotCheckpointable = checkpoint.ErrNotCheckpointable
+
 // RunOpts configures one Run call. The zero value runs no warmup and
 // no measurement, so callers always set at least Measure.
 type RunOpts struct {
@@ -111,9 +116,10 @@ type RunOpts struct {
 // partial result with an error wrapping both ErrInterrupted and the
 // context's error. A stop writes no checkpoint; with a checkpoint path
 // configured, the last scheduled checkpoint is left for a resume,
-// which then matches a run never stopped. Integrity failures (watchdog, invariant checker, corrupt
-// traces, cycle and wall-clock caps) also surface as errors alongside
-// the partial result.
+// which then matches a run never stopped. Integrity failures
+// (watchdog, invariant checker, corrupt traces, cycle and wall-clock
+// caps) also surface as errors alongside the partial result. A run that
+// checkpoints a caller's own TraceReader fails with ErrNotCheckpointable.
 func Run(ctx context.Context, cfg SystemConfig, traces []TraceReader, opts RunOpts) (Result, error) {
 	if opts.Telemetry != nil {
 		cfg.Telemetry = opts.Telemetry
@@ -135,7 +141,8 @@ func Run(ctx context.Context, cfg SystemConfig, traces []TraceReader, opts RunOp
 
 // ---- traces and workloads ----
 
-// TraceReader yields the memory-instruction records a core replays.
+// TraceReader yields the memory-instruction records a core replays. A
+// caller's own reader cannot be checkpointed; this package's can.
 type TraceReader = trace.Reader
 
 // TraceRecord is one memory instruction.

@@ -90,8 +90,8 @@ func main() {
 	}
 
 	// makeTraces returns freshly positioned readers over the same
-	// deterministic streams every call: a resumed system repositions
-	// into a fresh copy, so resume attempts need their own readers.
+	// deterministic streams every call, one set per resume attempt; a
+	// restore reads their positions from the checkpoint.
 	makeTraces := func() ([]trace.Reader, error) {
 		if *traceFile != "" {
 			return loadTraceFile(*traceFile, *cores)

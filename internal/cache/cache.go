@@ -12,6 +12,7 @@
 package cache
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -94,6 +95,24 @@ type Params struct {
 
 // SizeBytes returns the data capacity of the cache.
 func (p Params) SizeBytes() int { return p.Sets * p.Ways * mem.BlockSize }
+
+// ErrGeometry marks a cache geometry New refuses.
+var ErrGeometry = errors.New("cache: invalid geometry")
+
+// Validate returns an error wrapping ErrGeometry for a geometry New
+// would refuse: a set count that is not a positive power of two, or a
+// way or MSHR count that is not positive.
+func (p Params) Validate() error {
+	switch {
+	case p.Sets <= 0 || p.Sets&(p.Sets-1) != 0:
+		return fmt.Errorf("%w: cache %s: sets must be a positive power of two, got %d", ErrGeometry, p.Name, p.Sets)
+	case p.Ways <= 0:
+		return fmt.Errorf("%w: cache %s: ways must be positive, got %d", ErrGeometry, p.Name, p.Ways)
+	case p.MSHREntries <= 0:
+		return fmt.Errorf("%w: cache %s: MSHR entries must be positive, got %d", ErrGeometry, p.Name, p.MSHREntries)
+	}
+	return nil
+}
 
 // Stats aggregates a cache's activity counters.
 type Stats struct {
@@ -227,17 +246,12 @@ type Cache struct {
 	nextReqID uint64
 }
 
-// New builds a cache with the given geometry and replacement policy.
-// The lower level is attached with SetLower before simulation starts.
+// New builds a cache with the given geometry and replacement policy;
+// it panics on a geometry Validate refuses. The lower level is
+// attached with SetLower before simulation starts.
 func New(p Params, policy Policy) *Cache {
-	if p.Sets <= 0 || p.Sets&(p.Sets-1) != 0 {
-		panic(fmt.Sprintf("cache %s: sets must be a positive power of two, got %d", p.Name, p.Sets))
-	}
-	if p.Ways <= 0 {
-		panic(fmt.Sprintf("cache %s: ways must be positive, got %d", p.Name, p.Ways))
-	}
-	if p.MSHREntries <= 0 {
-		panic(fmt.Sprintf("cache %s: MSHR entries must be positive", p.Name))
+	if err := p.Validate(); err != nil {
+		panic(err)
 	}
 	if p.Cores <= 0 {
 		p.Cores = 1

@@ -120,7 +120,8 @@ func TestTruncationRejected(t *testing.T) {
 
 func TestFutureVersionRejected(t *testing.T) {
 	// Version-1 is a file from the build before the last format
-	// change; cross-version restore is refused both ways. Version 3
+	// change (its core frames held a record count that a restore
+	// replayed); cross-version restore is refused both ways. Version 3
 	// telemetry frames held only the series since warmup ended.
 	for _, ver := range []uint32{Version + 1, Version - 1, 3} {
 		path := writeFile(t)

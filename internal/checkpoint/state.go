@@ -13,8 +13,8 @@ import (
 // order, through s: saving appends each value to the frame payload,
 // restoring reads it back into the same field. The payload is
 // therefore a pure function of the state. Fix-ups that only a restore
-// needs (rebuilding a derived index, repositioning a trace) go behind
-// s.Restoring(); saving never changes the component.
+// needs (rebuilding a derived index) go behind s.Restoring(); saving
+// never changes the component.
 //
 // Restoring targets an identically configured, freshly constructed
 // component. A dimension that does not fit it fails the walk with an
@@ -145,6 +145,15 @@ func Int[T Signed](s *State, v *T) {
 			return
 		}
 		*v = T(x)
+	}
+}
+
+// Index walks a stored index into a table of n entries; restoring a
+// value outside [0, n) fails the walk with ErrCorrupt.
+func Index[T Unsigned](s *State, v *T, n int, what string) {
+	Uint(s, v)
+	if s.restoring && s.err == nil && uint64(*v) >= uint64(n) {
+		s.corruptf("%s %d out of range [0, %d)", what, *v, n)
 	}
 }
 

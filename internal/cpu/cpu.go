@@ -17,7 +17,6 @@
 package cpu
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -118,14 +117,6 @@ type Core struct {
 	slots []*robEntry
 	// pool recycles the requests this core issues.
 	pool mem.RequestPool
-	// recsRead counts records consumed from src, so a restored core
-	// can reposition a freshly constructed copy of the same trace by
-	// replaying (and discarding) exactly this many records.
-	recsRead uint64
-	// replayLimit bounds recsRead on restore, and replayCtx cancels
-	// the replay (see LimitReplay).
-	replayLimit uint64
-	replayCtx   context.Context
 	// frozen stops dispatch (retirement continues) while the system
 	// drains to a checkpointable quiescent point.
 	frozen bool
@@ -355,7 +346,6 @@ func (c *Core) nextRecord() bool {
 	}
 	c.rec = rec
 	c.recValid = true
-	c.recsRead++
 	c.nonMemLeft = int(rec.NonMem)
 	return true
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"care/internal/checkpoint"
 	"care/internal/mem"
 	"care/internal/trace"
 )
@@ -346,5 +347,42 @@ func TestSkippedStallEqualsTicks(t *testing.T) {
 				t.Fatalf("after the wake-up:\nticked:  %+v\nskipped: %+v", *ticked.Stats(), *skipped.Stats())
 			}
 		})
+	}
+}
+
+// TestCheckpointRestoresOnlyFreshCores: a drained core's frame,
+// trace position included, restores into a freshly constructed core,
+// which then reads the same next record; a core that has already run
+// refuses it with ErrMismatch.
+func TestCheckpointRestoresOnlyFreshCores(t *testing.T) {
+	recs := make([]trace.Record, 40)
+	for i := range recs {
+		recs[i] = trace.Record{PC: 0x400000, Addr: mem.Addr(i) * 64, NonMem: 2}
+	}
+	m := &instantMem{lat: 3}
+	c := New(0, DefaultParams(), trace.NewSlice(recs), m)
+	for cy := uint64(0); cy < 30; cy++ {
+		c.Tick(cy)
+		m.Tick(cy)
+	}
+	c.SetFetchFrozen(true)
+	for cy := uint64(30); !c.Quiesced(); cy++ {
+		c.Tick(cy)
+		m.Tick(cy)
+	}
+	payload, err := checkpoint.Encode(c.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := trace.NewSlice(recs)
+	if err := checkpoint.Decode(payload, New(0, DefaultParams(), src, m).Checkpoint); err != nil {
+		t.Fatal(err)
+	}
+	next, _ := c.src.Next()
+	if got, _ := src.Next(); got != next {
+		t.Fatalf("restored trace reads %+v next, want %+v", got, next)
+	}
+	if err := checkpoint.Decode(payload, c.Checkpoint); !errors.Is(err, checkpoint.ErrMismatch) {
+		t.Fatalf("restore into a core that ran: got %v, want ErrMismatch", err)
 	}
 }

@@ -274,8 +274,8 @@ type Injector struct {
 	killed       bool
 	ckptsWritten uint64
 	// wrapped counts WrapTrace calls; reader i derives its private RNG
-	// seed from it, so reconstruction (checkpoint restore re-wraps the
-	// traces in the same core order) reproduces every stream.
+	// seed from it, so rebuilding a system (which re-wraps the traces
+	// in the same core order) reproduces every stream.
 	wrapped uint64
 
 	// Server crash-class state (see server.go); lazily allocated so
@@ -322,9 +322,8 @@ func (in *Injector) next() uint64 {
 // stream at the same per-stream position. Each reader also owns a
 // private RNG stream seeded from the wrap order, so flip positions are
 // a pure function of (seed, reader index, records served), however
-// the cores interleave their reads, and a checkpoint restore that
-// replays records through freshly wrapped readers reproduces every
-// stream exactly.
+// the cores interleave their reads. The reader walks its count and RNG
+// in its core's checkpoint frame, ahead of its source's walk.
 func (in *Injector) WrapTrace(r trace.Reader) trace.Reader {
 	if in.cfg.TraceCorruptAfter == 0 && in.cfg.TraceFlipEvery == 0 {
 		return r

@@ -4,13 +4,10 @@ import (
 	"fmt"
 
 	"care/internal/checkpoint"
+	"care/internal/trace"
 )
 
-// Checkpoint implements checkpoint.Component. The injector is
-// restored AFTER the cores reposition their traces (replaying records
-// through the fault-wrapping readers advances rng and the flip
-// counters), so the checkpointed values overwrite the replay's side
-// effects.
+// Checkpoint implements checkpoint.Component.
 func (in *Injector) Checkpoint(s *checkpoint.State) {
 	checkpoint.Uint(s, &in.rng)
 	checkpoint.Plain(s, &in.stats)
@@ -32,3 +29,10 @@ func (m *Memory) Checkpointable() error {
 // every-Nth drop/delay selection. Held responses are completion
 // routes and must be empty at a quiescent point.
 func (m *Memory) Checkpoint(s *checkpoint.State) { checkpoint.Uint(s, &m.reads) }
+
+// Checkpoint implements checkpoint.Component, then walks the source.
+func (f *faultReader) Checkpoint(s *checkpoint.State) {
+	checkpoint.Uint(s, &f.n)
+	checkpoint.Uint(s, &f.rng)
+	trace.Walk(s, f.src)
+}

@@ -434,7 +434,7 @@ func gapBase(kernel, dataset string, maxRecords int, seed uint64) (*trace.Slice,
 
 // buildTraces constructs the keyed simulation's trace readers. Every
 // call returns freshly positioned readers over the same deterministic
-// streams, which is what checkpoint restore needs to reposition into.
+// streams; a checkpoint restore reads their positions from the file.
 func buildTraces(key runKey) ([]trace.Reader, error) {
 	switch key.kind {
 	case "spec":
@@ -469,6 +469,20 @@ func buildTraces(key runKey) ([]trace.Reader, error) {
 	}
 }
 
+// config returns the system configuration of the keyed run, before
+// the options' guards, faults and telemetry.
+func (key runKey) config() sim.Config {
+	cfg := sim.ScaledConfig(key.cores, key.scale)
+	cfg.LLCPolicy = policy.Policy(key.scheme)
+	cfg.Prefetch = key.prefetch
+	cfg.CARE = key.care
+	if key.llcMSHR > 0 {
+		cfg.LLC.MSHREntries = key.llcMSHR
+	}
+	cfg.L2Prefetcher = key.l2Prefetch
+	return cfg
+}
+
 // runAttempt executes one attempt of the keyed simulation. With resume
 // set it continues from the newest usable checkpoint at ckptPath (live
 // file, then its rotated predecessor) and, when neither is usable,
@@ -480,14 +494,7 @@ func buildTraces(key runKey) ([]trace.Reader, error) {
 // stop writes no checkpoint, so the last scheduled one is what a later
 // attempt resumes from.
 func runAttempt(ctx context.Context, key runKey, o *Options, ckptPath string, resume bool, attempt int) (sim.Result, bool, error) {
-	cfg := sim.ScaledConfig(key.cores, key.scale)
-	cfg.LLCPolicy = policy.Policy(key.scheme)
-	cfg.Prefetch = key.prefetch
-	cfg.CARE = key.care
-	if key.llcMSHR > 0 {
-		cfg.LLC.MSHREntries = key.llcMSHR
-	}
-	cfg.L2Prefetcher = key.l2Prefetch
+	cfg := key.config()
 	o.applyGuards(&cfg)
 	if o.Faults != nil {
 		faults := *o.Faults

@@ -84,7 +84,10 @@ const MaxCores = 64
 
 // Validate rejects malformed specs up front with typed errors, so a
 // bad job submission fails at the API boundary rather than inside a
-// worker.
+// worker. The system configuration the run would build must pass
+// sim.Config.Validate: a core count or scale whose cache geometry is
+// not a power of two is refused with an error wrapping
+// cache.ErrGeometry.
 func (r *RunSpec) Validate() error {
 	switch r.Kind {
 	case "spec":
@@ -103,6 +106,9 @@ func (r *RunSpec) Validate() error {
 	}
 	if r.Cores < 1 || r.Cores > MaxCores {
 		return fmt.Errorf("harness: run spec needs 1 to %d cores, got %d", MaxCores, r.Cores)
+	}
+	if err := r.key().config().Validate(); err != nil {
+		return fmt.Errorf("harness: run spec: %w", err)
 	}
 	if r.Measure == 0 {
 		return errors.New("harness: run spec needs a measure budget")

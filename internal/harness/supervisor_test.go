@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"care/internal/cache"
 	"care/internal/checkpoint"
 	"care/internal/faultinject"
 	"care/internal/sim"
@@ -277,5 +278,19 @@ func TestInterruptSkipsPendingJobs(t *testing.T) {
 	}
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("skipped jobs: got %v, want ErrInterrupted", err)
+	}
+}
+
+// TestRunSpecRefusesBadGeometry: a spec whose cache geometry the
+// simulator cannot build, such as three cores' 384-set LLC, is refused
+// at validation with an error wrapping cache.ErrGeometry.
+func TestRunSpecRefusesBadGeometry(t *testing.T) {
+	spec := RunSpec{Kind: "spec", Workload: "462.libquantum", Scheme: "lru", Cores: 3, Measure: 1000}
+	if err := spec.Validate(); !errors.Is(err, cache.ErrGeometry) {
+		t.Fatalf("3 cores: got %v, want ErrGeometry", err)
+	}
+	spec.Cores = 4
+	if err := spec.Validate(); err != nil {
+		t.Fatalf("4 cores: %v", err)
 	}
 }

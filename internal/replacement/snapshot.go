@@ -18,18 +18,9 @@ import (
 // is restored, so a forged checkpoint fails with ErrCorrupt instead
 // of restoring a policy that later panics.
 
-// walkIndex walks a stored index into a table of n entries; restoring
-// a value outside [0, n) fails the walk with ErrCorrupt.
-func walkIndex[T checkpoint.Unsigned](s *checkpoint.State, v *T, n int, what string) {
-	checkpoint.Uint(s, v)
-	if s.Restoring() && s.Err() == nil && uint64(*v) >= uint64(n) {
-		s.Fail(fmt.Errorf("%w: %s %d out of range [0, %d)", checkpoint.ErrCorrupt, what, *v, n))
-	}
-}
-
 // walkSig walks a PC signature, which indexes a table of shctSize
 // entries (SHiP++'s SHCT, Hawkeye's predictor, Mockingjay's RDP).
-func walkSig(s *checkpoint.State, sig *uint16) { walkIndex(s, sig, shctSize, "signature") }
+func walkSig(s *checkpoint.State, sig *uint16) { checkpoint.Index(s, sig, shctSize, "signature") }
 
 // Checkpoint implements checkpoint.Component.
 func (p *LRU) Checkpoint(s *checkpoint.State) {
@@ -102,9 +93,9 @@ func (p *Hawkeye) Checkpoint(s *checkpoint.State) {
 // walkFeature walks a captured ISVM feature vector: a row of the
 // ISVM table and weight indexes within the row.
 func walkFeature(s *checkpoint.State, f *gliderFeature) {
-	walkIndex(s, &f.row, 1<<gliderTableBits, "ISVM row")
+	checkpoint.Index(s, &f.row, 1<<gliderTableBits, "ISVM row")
 	for i := range f.idxs {
-		walkIndex(s, &f.idxs[i], gliderWeights, "ISVM weight index")
+		checkpoint.Index(s, &f.idxs[i], gliderWeights, "ISVM weight index")
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,13 +14,15 @@ import (
 	"care/careapi"
 	"care/internal/graph"
 	"care/internal/harness"
+	"care/internal/sim"
 	"care/internal/synth"
 )
 
 // FuzzJobSpec feeds arbitrary bytes through the POST /api/v1/jobs
 // decode and ValidateSpec. It must never panic, and every spec it
 // accepts must stay inside the bounds a worker can run: a known
-// workload and 1 to harness.MaxCores cores.
+// workload, 1 to harness.MaxCores cores, and a cache geometry the
+// simulator builds.
 func FuzzJobSpec(f *testing.F) {
 	for _, seed := range []string{
 		`{"kind":"spec","workload":"429.mcf","policy":"care","cores":1,"measure":1000}`,
@@ -28,6 +32,7 @@ func FuzzJobSpec(f *testing.F) {
 		`{"kind":"spec","workload":"mcf","policy":"lru","cores":2,"measure":1,"priority":100,"constraints":{"labels":["x"]}}`,
 		`{"workloads":["a","b","c"],"core_counts":[-1,0]}`,
 		`{`, `null`, `[]`, ``,
+		`{"kind":"spec","workload":"462.libquantum","policy":"lru","cores":3,"measure":1000}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -48,6 +53,9 @@ func FuzzJobSpec(f *testing.F) {
 		for _, s := range specs {
 			if s.Cores < 1 || s.Cores > harness.MaxCores {
 				t.Fatalf("accepted %d cores", s.Cores)
+			}
+			if err := sim.ScaledConfig(s.Cores, s.Scale).Validate(); err != nil {
+				t.Fatalf("accepted a spec the simulator refuses: %v", err)
 			}
 			switch s.Kind {
 			case "spec":
@@ -202,4 +210,79 @@ func stableJobs(q *Queue) []Job {
 		jobs[i].LeaseMSLeft = 0
 	}
 	return jobs
+}
+
+// workerEndpoints are the worker API's JSON endpoints FuzzWorkerAPI
+// posts to.
+var workerEndpoints = []string{"claim", "heartbeat", "complete", "fail"}
+
+// FuzzWorkerAPI posts an arbitrary body to one of the worker API's
+// claim, heartbeat, complete and fail endpoints of a fresh server that
+// holds two submitted jobs, one of them leased to worker w1 under
+// token 1. Nothing may panic, and every response must be a 2xx or a
+// 4xx carrying the typed error envelope with a known code: bad input
+// never reaches a 5xx.
+func FuzzWorkerAPI(f *testing.F) {
+	for _, seed := range []struct {
+		endpoint uint8
+		body     string
+	}{
+		{0, `{"worker":"w2","ttl_ms":1000,"idem":"k"}`},
+		{0, `{"worker":""}`},
+		{0, `{"worker":"local"}`},
+		{0, `{"worker":"w2","caps":{"slots":-1,"cores":-5,"labels":[""]}}`},
+		{1, `{"job":"j000001","worker":"w1","token":1,"progress":{"phase":"measure","instructions":5}}`},
+		{1, `{"job":"j000001","worker":"w1","token":-9}`},
+		{2, `{"job":"j000001","worker":"w1","token":1,"result":{"cycles":1}}`},
+		{2, `{"job":"j000001","worker":"w1","token":1}`},
+		{2, `{"job":"nope","worker":"w1","token":1,"result":[]}`},
+		{3, `{"job":"j000001","worker":"w1","token":1,"kind":"requeue","reason":"drain"}`},
+		{3, `{"job":"j000001","worker":"w1","token":1,"kind":"cancel"}`},
+		{3, `{"job":"j000001","worker":"w1","token":1,"kind":"bogus"}`},
+		{3, `{"job":"j000001","worker":"w1","token":1,"kind":"fail","extra":1}`},
+		{1, `{`}, {2, `null`}, {3, `[]`}, {0, ``},
+	} {
+		f.Add(seed.endpoint, []byte(seed.body))
+	}
+	codes := map[string]bool{}
+	for _, c := range []string{CodeStaleLease, CodeUnknownJob, CodeBadRequest, CodeBadTransition,
+		CodeDuplicateTerminal, CodeArtifactRejected, CodeArtifactNotFound} {
+		codes[c] = true
+	}
+	f.Fuzz(func(t *testing.T, endpoint uint8, body []byte) {
+		s, err := New(Config{DataDir: t.TempDir(), NoLocalWorkers: true, NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.q.Close()
+		h := s.routes()
+		post := func(path string, body []byte) *httptest.ResponseRecorder {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("POST", path, bytes.NewReader(body)))
+			return rec
+		}
+		submit, err := json.Marshal(tinySubmit())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec := post("/api/v1/jobs", submit); rec.Code != http.StatusCreated {
+			t.Fatalf("submit: %d %s", rec.Code, rec.Body)
+		}
+		if rec := post("/api/v1/worker/claim", []byte(`{"worker":"w1"}`)); rec.Code != http.StatusOK {
+			t.Fatalf("claim: %d %s", rec.Code, rec.Body)
+		}
+
+		path := "/api/v1/worker/" + workerEndpoints[int(endpoint)%len(workerEndpoints)]
+		rec := post(path, body)
+		switch {
+		case rec.Code >= 200 && rec.Code < 300:
+		case rec.Code >= 400 && rec.Code < 500:
+			var apiErr APIError
+			if err := json.Unmarshal(rec.Body.Bytes(), &apiErr); err != nil || !codes[apiErr.Code] {
+				t.Fatalf("%s %q: HTTP %d with untyped body %s", path, body, rec.Code, rec.Body)
+			}
+		default:
+			t.Fatalf("%s %q: HTTP %d %s", path, body, rec.Code, rec.Body)
+		}
+	})
 }

@@ -188,6 +188,10 @@ var ErrBadTransition = errors.New("server: invalid job transition")
 // exactly-once invariant caught a violation.
 var ErrDuplicateTerminal = errors.New("server: duplicate terminal transition")
 
+// ErrBadRequest is returned for a worker call whose request is
+// malformed (a claim without a worker name, an unknown fail kind).
+var ErrBadRequest = errors.New("server: bad request")
+
 // ErrStaleLease is the fencing rejection: a worker quoted a lease
 // token (job attempt number) that is no longer the job's current
 // lease — its lease expired, the job was re-claimed, or it already

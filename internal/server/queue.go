@@ -421,7 +421,7 @@ func (q *Queue) ClaimRemote(worker string, ttlMS int64, idem string) (Job, bool,
 // job and token are returned without a second journal event.
 func (q *Queue) ClaimFor(worker string, ttlMS int64, idem string, caps *WorkerCaps) (Job, bool, error) {
 	if worker == "" {
-		return Job{}, false, errors.New("server: claim needs a worker name")
+		return Job{}, false, fmt.Errorf("%w: claim needs a worker name", ErrBadRequest)
 	}
 	ttl := clampTTL(ttlMS)
 	q.mu.Lock()
@@ -562,7 +562,7 @@ func (q *Queue) FailRemote(id, worker string, token int, kind, reason string) er
 		}
 		return q.commit(jb, Event{Op: opCancel, Job: id, Attempt: token, Worker: worker})
 	default:
-		return fmt.Errorf("server: unknown fail kind %q (want requeue, fail, or cancel)", kind)
+		return fmt.Errorf("%w: unknown fail kind %q (want requeue, fail, or cancel)", ErrBadRequest, kind)
 	}
 }
 

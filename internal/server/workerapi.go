@@ -50,6 +50,8 @@ func writeAPIError(w http.ResponseWriter, err error) {
 		status, code = http.StatusNotFound, CodeUnknownJob
 	case errors.Is(err, ErrBadTransition):
 		status, code = http.StatusConflict, CodeBadTransition
+	case errors.Is(err, ErrBadRequest):
+		status, code = http.StatusBadRequest, CodeBadRequest
 	}
 	writeError(w, status, code, err)
 }

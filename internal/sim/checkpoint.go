@@ -213,11 +213,10 @@ type frame struct {
 }
 
 // frames lists the checkpoint's frames after meta, in file order:
-// cores, private caches, LLC, DRAM, PML, optional telemetry, and —
-// last, because trace repositioning on restore replays records through
-// the fault-wrapped readers — the fault injector. WriteCheckpoint and
-// ReadCheckpoint both walk this one list. faults says whether the file
-// carries the injector frames.
+// cores (each with its trace source's state), private caches, LLC,
+// DRAM, PML, optional telemetry, and the fault injector.
+// WriteCheckpoint and ReadCheckpoint both walk this one list. faults
+// says whether the file carries the injector frames.
 func (s *System) frames(faults bool) []frame {
 	var out []frame
 	add := func(name string, c checkpoint.Component) { out = append(out, frame{name, c.Checkpoint}) }
@@ -278,15 +277,12 @@ func (s *System) WriteCheckpoint(w *checkpoint.Writer, m RunMeta) error {
 // ReadCheckpoint restores a freshly constructed, identically
 // configured system from r's frames, written by a run of job, and
 // returns the run-schedule position. Any incompatibility, a different
-// schedule included, is refused with an error wrapping
-// checkpoint.ErrMismatch, and malformed state with one wrapping
-// checkpoint.ErrCorrupt. Before any core repositions its trace, the
-// meta frame's cycle must lie within job's cycle caps, and each core
-// may replay at most IssueWidth records per cycle of it (dispatch
-// pulls at most one record per issue slot); a replay still running
-// when ctx is done stops with ctx's error. A failed restore leaves the
-// system unusable: build a new one.
-func (s *System) ReadCheckpoint(ctx context.Context, r *checkpoint.Reader, job Job) (RunMeta, error) {
+// schedule or trace included, is refused with an error wrapping
+// checkpoint.ErrMismatch, and malformed state, a cycle beyond job's
+// cycle caps included, with one wrapping checkpoint.ErrCorrupt. A
+// restore replays nothing: every trace source reads its state too. A
+// failed restore leaves the system unusable: build a new one.
+func (s *System) ReadCheckpoint(r *checkpoint.Reader, job Job) (RunMeta, error) {
 	var m RunMeta
 	if err := r.Frame("meta", m.Checkpoint); err != nil {
 		return RunMeta{}, err
@@ -311,9 +307,6 @@ func (s *System) ReadCheckpoint(ctx context.Context, r *checkpoint.Reader, job J
 	case m.Cycle > maxCycle:
 		return RunMeta{}, fmt.Errorf("%w: checkpoint at cycle %d, beyond the %d cycles the run can take",
 			checkpoint.ErrCorrupt, m.Cycle, maxCycle)
-	}
-	for _, c := range s.cores {
-		c.LimitReplay(ctx, satMul(m.Cycle, uint64(c.IssueWidth)))
 	}
 	for _, f := range s.frames(m.HasFaults) {
 		if err := r.Frame(f.name, f.walk); err != nil {
@@ -358,12 +351,12 @@ func (s *System) SaveCheckpoint(path string, m RunMeta) error {
 }
 
 // LoadCheckpoint restores the system from the checkpoint at path,
-// written by a run of job, under ctx as ReadCheckpoint does.
-func (s *System) LoadCheckpoint(ctx context.Context, path string, job Job) (RunMeta, error) {
+// written by a run of job, as ReadCheckpoint does.
+func (s *System) LoadCheckpoint(path string, job Job) (RunMeta, error) {
 	var m RunMeta
 	err := checkpoint.Load(path, func(r *checkpoint.Reader) error {
 		var err error
-		m, err = s.ReadCheckpoint(ctx, r, job)
+		m, err = s.ReadCheckpoint(r, job)
 		return err
 	})
 	return m, err
@@ -410,7 +403,8 @@ type Job struct {
 // Outcome reports how Execute produced its result.
 type Outcome struct {
 	// System is the system the last attempt ran, for post-run
-	// inspection; nil when Build failed.
+	// inspection; nil when Build failed or its trace sources cannot be
+	// checkpointed (checkpoint.ErrNotCheckpointable) for a job that must.
 	System *System
 	// From is the checkpoint the returned attempt resumed from ("" for
 	// a fresh run).
@@ -479,11 +473,19 @@ func execute(ctx context.Context, job Job, from string) (*System, Result, error)
 	if err != nil {
 		return nil, Result{}, err
 	}
+	if job.Checkpoint.Path != "" {
+		// Refuse a trace source that cannot walk its state up front.
+		for _, c := range s.cores {
+			if _, err := checkpoint.Encode(c.Checkpoint); err != nil {
+				return nil, Result{}, err
+			}
+		}
+	}
 	s.ctx, s.done = ctx, ctx.Done()
 	defer func() { s.ctx, s.done = nil, nil }()
 	m := RunMeta{Phase: phaseWarmup, Warmup: job.Warmup, Measure: job.Measure, Every: job.Checkpoint.Every}
 	if from != "" {
-		saved, err := s.LoadCheckpoint(ctx, from, job)
+		saved, err := s.LoadCheckpoint(from, job)
 		if err != nil {
 			return s, Result{}, err
 		}
@@ -503,7 +505,6 @@ func badCheckpoint(err error) bool {
 	return errors.Is(err, checkpoint.ErrCorrupt) ||
 		errors.Is(err, checkpoint.ErrVersion) ||
 		errors.Is(err, checkpoint.ErrMismatch) ||
-		errors.Is(err, checkpoint.ErrNotCheckpointable) ||
 		errors.Is(err, fs.ErrNotExist)
 }
 

@@ -14,6 +14,7 @@ import (
 
 	"care/internal/checkpoint"
 	"care/internal/faultinject"
+	"care/internal/graph"
 	policypkg "care/internal/policy"
 	"care/internal/replacement"
 	"care/internal/telemetry"
@@ -29,38 +30,71 @@ const (
 	ckptEvery   = 4000
 )
 
-// ckptJob is the checkpoint tests' schedule for one policy and core
-// count, checkpointing to path, with a telemetry collector attached
-// when tele is set.
-func ckptJob(policy policypkg.Policy, cores int, path string, tele bool) (Job, *telemetry.Collector) {
+// ckptInput is what a checkpoint test's system runs: per-core traces
+// and an optional fault spec.
+type ckptInput struct {
+	name   string
+	traces func(cores int) []trace.Reader
+	faults string
+}
+
+// mcfInput runs 429.mcf's endless synthetic generators, fault-free.
+var mcfInput = ckptInput{name: "429.mcf", traces: mcfTraces}
+
+// gapInput runs desynchronised copies of a recorded bfs-or trace
+// (trace.Copies: offset, looping and slice readers).
+func gapInput(t *testing.T) ckptInput {
+	t.Helper()
+	g, err := graph.LoadDataset("or")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := graph.Trace("bfs", g, 40_000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ckptInput{name: "bfs-or", traces: func(cores int) []trace.Reader { return trace.Copies(base.Records, cores) }}
+}
+
+// ckptJob is the checkpoint tests' schedule for one input, policy and
+// core count, checkpointing to path, with a telemetry collector
+// attached when tele is set.
+func ckptJob(in ckptInput, policy policypkg.Policy, cores int, path string, tele bool) (Job, *telemetry.Collector) {
 	cfg := ScaledConfig(cores, 16)
 	cfg.LLCPolicy = policy
+	if in.faults != "" {
+		fc, err := faultinject.ParseSpec(in.faults)
+		if err != nil {
+			panic(err)
+		}
+		cfg.Faults = &fc
+	}
 	var col *telemetry.Collector
 	if tele {
 		col = telemetry.NewCollector(telemetry.Options{
 			Interval: 2000,
-			Tag:      fmt.Sprintf("%s/c%d", policy, cores),
+			Tag:      fmt.Sprintf("%s/%s/c%d", in.name, policy, cores),
 		})
 		cfg.Telemetry = col
 	}
 	return Job{
-		Build:      func() (*System, error) { return New(cfg, mcfTraces(cores)) },
+		Build:      func() (*System, error) { return New(cfg, in.traces(cores)) },
 		Warmup:     ckptWarmup,
 		Measure:    ckptMeasure,
 		Checkpoint: CheckpointOptions{Path: path, Every: ckptEvery},
 	}, col
 }
 
-// runFull executes the complete checkpointed schedule for one policy
-// and core count, leaving the live checkpoint (2/3 point) and its
+// runFull executes the complete checkpointed schedule for one input,
+// policy and core count, leaving the live checkpoint (2/3 point) and its
 // rotated predecessor (1/3 point) at path. It returns the result and
 // the full telemetry series when tele is set.
-func runFull(t *testing.T, policy policypkg.Policy, cores int, path string, tele bool) (Result, []telemetry.Interval) {
+func runFull(t *testing.T, in ckptInput, policy policypkg.Policy, cores int, path string, tele bool) (Result, []telemetry.Interval) {
 	t.Helper()
-	job, col := ckptJob(policy, cores, path, tele)
+	job, col := ckptJob(in, policy, cores, path, tele)
 	r, _, err := Execute(context.Background(), job)
 	if err != nil {
-		t.Fatalf("%s/c%d full run: %v", policy, cores, err)
+		t.Fatalf("%s/%s/c%d full run: %v", in.name, policy, cores, err)
 	}
 	var series []telemetry.Interval
 	if col != nil {
@@ -86,13 +120,13 @@ func soleCopy(t *testing.T, from string) string {
 
 // resumeFrom restores the checkpoint at from into a freshly built
 // system over freshly constructed traces and completes the schedule.
-func resumeFrom(t *testing.T, policy policypkg.Policy, cores int, from string, tele bool) (Result, []telemetry.Interval) {
+func resumeFrom(t *testing.T, in ckptInput, policy policypkg.Policy, cores int, from string, tele bool) (Result, []telemetry.Interval) {
 	t.Helper()
-	job, col := ckptJob(policy, cores, soleCopy(t, from), tele)
+	job, col := ckptJob(in, policy, cores, soleCopy(t, from), tele)
 	job.Resume = true
 	r, _, err := Execute(context.Background(), job)
 	if err != nil {
-		t.Fatalf("%s/c%d resume from %s: %v", policy, cores, filepath.Base(from), err)
+		t.Fatalf("%s/%s/c%d resume from %s: %v", in.name, policy, cores, filepath.Base(from), err)
 	}
 	var series []telemetry.Interval
 	if col != nil {
@@ -102,27 +136,38 @@ func resumeFrom(t *testing.T, policy policypkg.Policy, cores int, from string, t
 }
 
 // TestResumeEquivalence is the tentpole's correctness bar: for LRU,
-// SHiP++, and CARE on 1-, 4-, and 8-core mixes, a run resumed from
-// either retained checkpoint must produce byte-identical final stats
-// and telemetry to the uninterrupted run.
+// SHiP++, and CARE on 1-, 4-, and 8-core mixes, and for CARE on two
+// cores over copies of a GAP trace and under trace bit flips, a run
+// resumed from either retained checkpoint must produce byte-identical
+// final stats and telemetry to the uninterrupted run.
 func TestResumeEquivalence(t *testing.T) {
+	check := func(t *testing.T, in ckptInput, policy policypkg.Policy, cores int) {
+		path := filepath.Join(t.TempDir(), "run.ckpt")
+		want, wantTele := runFull(t, in, policy, cores, path, true)
+		for _, from := range []string{path, RotatedPath(path)} {
+			got, gotTele := resumeFrom(t, in, policy, cores, from, true)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("resume from %s diverged:\nresumed: %+v\nfull:    %+v",
+					filepath.Base(from), got, want)
+			}
+			if !reflect.DeepEqual(gotTele, wantTele) {
+				t.Fatalf("resume from %s: telemetry series diverged", filepath.Base(from))
+			}
+		}
+	}
 	for _, policy := range []policypkg.Policy{"lru", "ship++", "care"} {
 		for _, cores := range []int{1, 4, 8} {
-			t.Run(fmt.Sprintf("%s/c%d", policy, cores), func(t *testing.T) {
-				path := filepath.Join(t.TempDir(), "run.ckpt")
-				want, wantTele := runFull(t, policy, cores, path, true)
-				for _, from := range []string{path, RotatedPath(path)} {
-					got, gotTele := resumeFrom(t, policy, cores, from, true)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("resume from %s diverged:\nresumed: %+v\nfull:    %+v",
-							filepath.Base(from), got, want)
-					}
-					if !reflect.DeepEqual(gotTele, wantTele) {
-						t.Fatalf("resume from %s: telemetry series diverged", filepath.Base(from))
-					}
-				}
-			})
+			t.Run(fmt.Sprintf("%s/c%d", policy, cores), func(t *testing.T) { check(t, mcfInput, policy, cores) })
 		}
+	}
+	faulted := mcfInput
+	faulted.faults = "seed=7,trace-flip=64"
+	for _, in := range []ckptInput{gapInput(t), faulted} {
+		name := in.name
+		if in.faults != "" {
+			name = "faults=" + in.faults
+		}
+		t.Run(name+"/care/c2", func(t *testing.T) { check(t, in, "care", 2) })
 	}
 }
 
@@ -140,8 +185,8 @@ func TestRoundTripEveryPolicy(t *testing.T) {
 		for _, cores := range coreCounts {
 			t.Run(fmt.Sprintf("%s/c%d", policy, cores), func(t *testing.T) {
 				path := filepath.Join(t.TempDir(), "run.ckpt")
-				want, _ := runFull(t, policy, cores, path, false)
-				got, _ := resumeFrom(t, policy, cores, path, false)
+				want, _ := runFull(t, mcfInput, policy, cores, path, false)
+				got, _ := resumeFrom(t, mcfInput, policy, cores, path, false)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("round-trip diverged:\nresumed: %+v\nfull:    %+v", got, want)
 				}
@@ -154,7 +199,7 @@ func TestRoundTripEveryPolicy(t *testing.T) {
 // error.
 func resumeErr(t *testing.T, policy policypkg.Policy, cores int, from string) error {
 	t.Helper()
-	job, _ := ckptJob(policy, cores, soleCopy(t, from), false)
+	job, _ := ckptJob(mcfInput, policy, cores, soleCopy(t, from), false)
 	job.Resume = true
 	_, _, err := Execute(context.Background(), job)
 	return err
@@ -164,7 +209,7 @@ func resumeErr(t *testing.T, policy policypkg.Policy, cores int, from string) er
 // always refused with the right typed error, never silently restored.
 func TestCorruptCheckpointsRejected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	runFull(t, "lru", 1, path, false)
+	runFull(t, mcfInput, "lru", 1, path, false)
 	good, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +252,7 @@ func TestCorruptCheckpointsRejected(t *testing.T) {
 	if err := resumeErr(t, "lru", 2, path); !errors.Is(err, checkpoint.ErrMismatch) {
 		t.Fatalf("core-count mismatch: got %v, want ErrMismatch", err)
 	}
-	job, _ := ckptJob("lru", 1, soleCopy(t, path), false)
+	job, _ := ckptJob(mcfInput, "lru", 1, soleCopy(t, path), false)
 	job.Resume = true
 	job.Measure++
 	if _, _, err := Execute(context.Background(), job); !errors.Is(err, checkpoint.ErrMismatch) {
@@ -216,13 +261,15 @@ func TestCorruptCheckpointsRejected(t *testing.T) {
 }
 
 // stopOnRun cancels a context at the first record its core fetches
-// once the clock has started, i.e. after a restore's trace replay,
-// which runs at cycle 0.
+// once the clock has started, i.e. in the resumed run. It forwards
+// the checkpoint walk to its reader.
 type stopOnRun struct {
 	trace.Reader
 	s      *System
 	cancel context.CancelFunc
 }
+
+func (r *stopOnRun) Checkpoint(s *checkpoint.State) { trace.Walk(s, r.Reader) }
 
 func (r *stopOnRun) Next() (trace.Record, error) {
 	if r.s.Cycle() > 0 {
@@ -237,7 +284,7 @@ func (r *stopOnRun) Next() (trace.Record, error) {
 // resuming again is bit-identical to never stopping.
 func TestStopWritesNoCheckpoint(t *testing.T) {
 	src := filepath.Join(t.TempDir(), "run.ckpt")
-	want, _ := runFull(t, "care", 1, src, false)
+	want, _ := runFull(t, mcfInput, "care", 1, src, false)
 	path := copyCheckpoints(t, src)
 	read := func(p string) []byte {
 		raw, err := os.ReadFile(p)
@@ -248,7 +295,7 @@ func TestStopWritesNoCheckpoint(t *testing.T) {
 	}
 	live, rotated := read(path), read(RotatedPath(path))
 
-	job, _ := ckptJob("care", 1, path, false)
+	job, _ := ckptJob(mcfInput, "care", 1, path, false)
 	job.Resume = true
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -286,9 +333,9 @@ func TestStopWritesNoCheckpoint(t *testing.T) {
 // writes it and stops there; resuming from it is bit-identical to
 // never stopping.
 func TestDrainStopsAtScheduledCheckpoint(t *testing.T) {
-	want, _ := runFull(t, "care", 1, filepath.Join(t.TempDir(), "full.ckpt"), false)
+	want, _ := runFull(t, mcfInput, "care", 1, filepath.Join(t.TempDir(), "full.ckpt"), false)
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	job, _ := ckptJob("care", 1, path, false)
+	job, _ := ckptJob(mcfInput, "care", 1, path, false)
 	ctx, cancel := context.WithCancelCause(context.Background())
 	cancel(ErrDrain)
 	r, _, err := Execute(ctx, job)
@@ -347,12 +394,12 @@ func flipByte(t *testing.T, path string) {
 // checkpoint-class failures but no other failure.
 func TestExecuteResumeCascade(t *testing.T) {
 	src := filepath.Join(t.TempDir(), "run.ckpt")
-	want, _ := runFull(t, "care", 2, src, false)
+	want, _ := runFull(t, mcfInput, "care", 2, src, false)
 	resume := func(path string, maxCycles uint64) (Result, Outcome, error) {
 		cfg := ScaledConfig(2, 16)
 		cfg.LLCPolicy = "care"
 		cfg.MaxCycles = maxCycles
-		job, _ := ckptJob("care", 2, path, false)
+		job, _ := ckptJob(mcfInput, "care", 2, path, false)
 		job.Build = func() (*System, error) { return New(cfg, mcfTraces(2)) }
 		job.Resume = true
 		return Execute(context.Background(), job)
@@ -432,8 +479,8 @@ func TestKillFaultFailsRun(t *testing.T) {
 // TestQuiesceIsTransparent verifies the quiesce/checkpoint schedule
 // itself is deterministic: two identical checkpointed runs agree.
 func TestQuiesceIsTransparent(t *testing.T) {
-	a, _ := runFull(t, "care", 2, filepath.Join(t.TempDir(), "a.ckpt"), false)
-	b, _ := runFull(t, "care", 2, filepath.Join(t.TempDir(), "b.ckpt"), false)
+	a, _ := runFull(t, mcfInput, "care", 2, filepath.Join(t.TempDir(), "a.ckpt"), false)
+	b, _ := runFull(t, mcfInput, "care", 2, filepath.Join(t.TempDir(), "b.ckpt"), false)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("checkpointed runs disagree:\n%+v\n%+v", a, b)
 	}

@@ -140,8 +140,8 @@ func TestCheckpointFilesByteIdentical(t *testing.T) {
 				t.Run(string(p), func(t *testing.T) {
 					dir := t.TempDir()
 					pathA, pathB := filepath.Join(dir, "a.ckpt"), filepath.Join(dir, "b.ckpt")
-					a, _ := runFull(t, p, tc.cores, pathA, false)
-					b, _ := runFull(t, p, tc.cores, pathB, false)
+					a, _ := runFull(t, mcfInput, p, tc.cores, pathA, false)
+					b, _ := runFull(t, mcfInput, p, tc.cores, pathB, false)
 					if !reflect.DeepEqual(a, b) {
 						t.Fatalf("checkpointed runs disagree:\n%+v\n%+v", a, b)
 					}

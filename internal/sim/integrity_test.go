@@ -180,7 +180,7 @@ func TestCycleLimit(t *testing.T) {
 // leaves no checkpoint file.
 func TestInterruptLandsOnStrideBoundary(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	job, _ := ckptJob("care", 2, path, false)
+	job, _ := ckptJob(mcfInput, "care", 2, path, false)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, out, err := Execute(ctx, job)

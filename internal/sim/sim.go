@@ -166,18 +166,43 @@ type System struct {
 	done <-chan struct{}
 }
 
-// New builds a system running one trace per core. len(traces) must
-// equal cfg.Cores.
-func New(cfg Config, traces []trace.Reader) (*System, error) {
+// params returns the cache parameters of a level with this geometry,
+// named name and reached by cores cores.
+func (g CacheGeom) params(name string, cores int) cache.Params {
+	return cache.Params{
+		Name: name, Sets: g.Sets, Ways: g.Ways,
+		Latency: g.Latency, MSHREntries: g.MSHREntries, Cores: cores,
+	}
+}
+
+// Validate returns the first reason New refuses cfg: fewer than one
+// core, an LLC policy outside the zoo (*policy.ErrUnknown), or a cache
+// geometry cache.New refuses (an error wrapping cache.ErrGeometry),
+// such as the LLC of a core count whose set count is not a power of
+// two.
+func (cfg Config) Validate() error {
 	if cfg.Cores < 1 {
-		return nil, fmt.Errorf("sim: need at least one core, got %d", cfg.Cores)
+		return fmt.Errorf("sim: need at least one core, got %d", cfg.Cores)
+	}
+	if err := cfg.LLCPolicy.Validate(); err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
+	for _, p := range []cache.Params{cfg.L1.params("L1D", 1), cfg.L2.params("L2", 1), cfg.LLC.params("LLC", cfg.Cores)} {
+		if err := p.Validate(); err != nil {
+			return fmt.Errorf("sim: %d cores: %w", cfg.Cores, err)
+		}
+	}
+	return nil
+}
+
+// New builds a system running one trace per core. len(traces) must
+// equal cfg.Cores, and cfg must pass Validate.
+func New(cfg Config, traces []trace.Reader) (*System, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	if len(traces) != cfg.Cores {
 		return nil, fmt.Errorf("sim: %d cores but %d traces", cfg.Cores, len(traces))
-	}
-
-	if err := cfg.LLCPolicy.Validate(); err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
 	}
 
 	var llcPolicy cache.Policy
@@ -211,11 +236,7 @@ func New(cfg Config, traces []trace.Reader) (*System, error) {
 	}
 	s.mem = dram.New(dram.DefaultParams(channels))
 
-	s.llc = cache.New(cache.Params{
-		Name: "LLC", Sets: cfg.LLC.Sets, Ways: cfg.LLC.Ways,
-		Latency: cfg.LLC.Latency, MSHREntries: cfg.LLC.MSHREntries,
-		Cores: cfg.Cores,
-	}, llcPolicy)
+	s.llc = cache.New(cfg.LLC.params("LLC", cfg.Cores), llcPolicy)
 	if s.injector != nil {
 		// Interpose drop/delay faults between the LLC and DRAM.
 		s.faultMem = s.injector.WrapMemory(s.mem)
@@ -230,15 +251,9 @@ func New(cfg Config, traces []trace.Reader) (*System, error) {
 	s.llc.AddBulkTracker(s.pml)
 
 	for i := 0; i < cfg.Cores; i++ {
-		l2 := cache.New(cache.Params{
-			Name: fmt.Sprintf("L2-%d", i), Sets: cfg.L2.Sets, Ways: cfg.L2.Ways,
-			Latency: cfg.L2.Latency, MSHREntries: cfg.L2.MSHREntries, Cores: 1,
-		}, replacement.NewLRU())
+		l2 := cache.New(cfg.L2.params(fmt.Sprintf("L2-%d", i), 1), replacement.NewLRU())
 		l2.SetLower(s.llc)
-		l1 := cache.New(cache.Params{
-			Name: fmt.Sprintf("L1D-%d", i), Sets: cfg.L1.Sets, Ways: cfg.L1.Ways,
-			Latency: cfg.L1.Latency, MSHREntries: cfg.L1.MSHREntries, Cores: 1,
-		}, replacement.NewLRU())
+		l1 := cache.New(cfg.L1.params(fmt.Sprintf("L1D-%d", i), 1), replacement.NewLRU())
 		l1.SetLower(l2)
 		l1Name, l2Name := cfg.L1Prefetcher, cfg.L2Prefetcher
 		if cfg.Prefetch {

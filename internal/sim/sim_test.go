@@ -2,9 +2,11 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 
+	"care/internal/cache"
 	"care/internal/synth"
 	"care/internal/trace"
 )
@@ -54,6 +56,25 @@ func TestNewValidation(t *testing.T) {
 	cfg.Cores = 0
 	if _, err := New(cfg, nil); err == nil {
 		t.Fatal("zero cores should error")
+	}
+}
+
+// TestNewRefusesBadGeometry: a geometry cache.New would panic on, such
+// as the 384-set LLC of three cores, fails New and Validate with an
+// error wrapping cache.ErrGeometry.
+func TestNewRefusesBadGeometry(t *testing.T) {
+	odd := ScaledConfig(4, 16)
+	odd.L2.Ways = 0
+	for _, cfg := range []Config{ScaledConfig(3, 1), ScaledConfig(2, 3), odd} {
+		if err := cfg.Validate(); !errors.Is(err, cache.ErrGeometry) {
+			t.Fatalf("Validate(%d cores, L1 %+v, L2 %+v, LLC %+v): got %v, want ErrGeometry", cfg.Cores, cfg.L1, cfg.L2, cfg.LLC, err)
+		}
+		if _, err := New(cfg, mcfTraces(cfg.Cores)); !errors.Is(err, cache.ErrGeometry) {
+			t.Fatalf("New(%d cores): got %v, want ErrGeometry", cfg.Cores, err)
+		}
+	}
+	if err := ScaledConfig(4, 16).Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -316,7 +315,7 @@ func runWake(t *testing.T, wc wakeCase, e engine) map[string]string {
 			t.Fatal(err)
 		}
 		restored := build()
-		if _, err := restored.ReadCheckpoint(context.Background(), r, job); err != nil {
+		if _, err := restored.ReadCheckpoint(r, job); err != nil {
 			t.Fatalf("%+v: restore at cycle %d: %v", wc, s.cycle, err)
 		}
 		s = restored

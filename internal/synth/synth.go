@@ -26,6 +26,7 @@ import (
 	"math"
 	"sort"
 
+	"care/internal/checkpoint"
 	"care/internal/mem"
 	"care/internal/trace"
 )
@@ -147,9 +148,11 @@ type Generator struct {
 	engines []*engine
 	// base (profile) weights per engine, parallel to engines.
 	weights []int
-	// cum holds the current phase's cumulative weights.
-	cum   []int
-	total int
+	// cum holds the current phase's cumulative weights, derived from
+	// its two boosted engines (-1 for a single engine).
+	cum            []int
+	total          int
+	boostA, boostB int
 	// phase bookkeeping.
 	phaseLen uint64
 	phaseRNG uint64
@@ -287,8 +290,7 @@ func (g *Generator) newPhase() {
 		}
 		return len(g.weights) - 1
 	}
-	boostA := -1
-	boostB := -1
+	boostA, boostB := -1, -1
 	if len(g.engines) > 1 {
 		g.phaseRNG ^= g.phaseRNG << 13
 		g.phaseRNG ^= g.phaseRNG >> 7
@@ -314,13 +316,42 @@ func (g *Generator) newPhase() {
 			boostA, boostB = chaseIdx, residentIdx
 		}
 	}
+	g.boostA, g.boostB = boostA, boostB
+	g.weigh()
+}
+
+// weigh derives the phase's cumulative weights from its boosts.
+func (g *Generator) weigh() {
 	g.total = 0
 	for i, w := range g.weights {
-		if i == boostA || i == boostB {
+		if i == g.boostA || i == g.boostB {
 			w *= 6
 		}
 		g.total += w
 		g.cum[i] = g.total
+	}
+}
+
+// Checkpoint implements checkpoint.Component. The profile name and
+// seed must match (ErrMismatch: another stream); a boosted engine or
+// cursor out of range is ErrCorrupt.
+func (g *Generator) Checkpoint(s *checkpoint.State) {
+	s.Match(fmt.Sprintf("%s seed %d", g.profile.Name, g.seed))
+	for _, v := range []*uint64{&g.rng, &g.phaseRNG, &g.emitted} {
+		checkpoint.Uint(s, v)
+	}
+	for _, b := range []*int{&g.boostA, &g.boostB} {
+		checkpoint.Int(s, b)
+		if s.Restoring() && s.Err() == nil && (*b < -1 || *b >= len(g.engines)) {
+			s.Fail(fmt.Errorf("%w: boosted engine %d of %d", checkpoint.ErrCorrupt, *b, len(g.engines)))
+		}
+	}
+	checkpoint.Each(s, g.engines, func(s *checkpoint.State, e **engine) {
+		checkpoint.Uint(s, &(*e).rng)
+		checkpoint.Each(s, (*e).cursors, func(s *checkpoint.State, c *uint64) { checkpoint.Index(s, c, int((*e).size), "cursor") })
+	})
+	if s.Restoring() && s.Err() == nil {
+		g.weigh()
 	}
 }
 

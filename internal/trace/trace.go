@@ -18,6 +18,7 @@ import (
 	"io"
 	"math"
 
+	"care/internal/checkpoint"
 	"care/internal/mem"
 )
 
@@ -86,6 +87,16 @@ type Bounded interface {
 	RemainingRecords() (uint64, bool)
 }
 
+// Walk walks r's state as a checkpoint.Component, or fails the walk
+// with checkpoint.ErrNotCheckpointable if r is not one.
+func Walk(s *checkpoint.State, r Reader) {
+	if c, ok := r.(checkpoint.Component); ok {
+		c.Checkpoint(s)
+	} else {
+		s.Fail(fmt.Errorf("%w: trace reader %T does not walk its state", checkpoint.ErrNotCheckpointable, r))
+	}
+}
+
 // Slice is an in-memory trace. It implements Reader and Resetter.
 type Slice struct {
 	Records []Record
@@ -125,6 +136,15 @@ func (s *Slice) RemainingRecords() (uint64, bool) {
 	return uint64(len(s.Records) - s.pos), true
 }
 
+// Checkpoint implements checkpoint.Component: the record count, which
+// a restore must match, and the position.
+func (s *Slice) Checkpoint(st *checkpoint.State) {
+	pos := uint64(s.pos)
+	st.Shape(len(s.Records))
+	checkpoint.Index(st, &pos, len(s.Records)+1, "trace position")
+	s.pos = int(pos)
+}
+
 // Len returns the number of records.
 func (s *Slice) Len() int { return len(s.Records) }
 
@@ -138,11 +158,9 @@ func (s *Slice) Instructions() uint64 {
 }
 
 // Looping wraps a Reader+Resetter so that it never returns io.EOF:
-// when the underlying trace ends it restarts from the beginning. Wraps
-// counts completed passes.
+// when the underlying trace ends it restarts from the beginning.
 type Looping struct {
-	src   Reader
-	Wraps int
+	src Reader
 }
 
 // NewLooping returns a looping view of src, which must also implement
@@ -164,7 +182,6 @@ func (l *Looping) Next() (Record, error) {
 		return Record{}, err
 	}
 	l.src.(Resetter).Reset()
-	l.Wraps++
 	rec, err = l.src.Next()
 	if err != nil {
 		return Record{}, fmt.Errorf("trace: empty looping source: %w", err)
@@ -173,10 +190,10 @@ func (l *Looping) Next() (Record, error) {
 }
 
 // Reset implements Resetter.
-func (l *Looping) Reset() {
-	l.src.(Resetter).Reset()
-	l.Wraps = 0
-}
+func (l *Looping) Reset() { l.src.(Resetter).Reset() }
+
+// Checkpoint implements checkpoint.Component: the source's walk.
+func (l *Looping) Checkpoint(s *checkpoint.State) { Walk(s, l.src) }
 
 // RemainingRecords implements Bounded: a loop over a provably
 // non-empty source never ends. An exhausted bounded source still
@@ -302,6 +319,9 @@ func (o *OffsetReader) Next() (Record, error) {
 
 // Reset implements Resetter when the source supports it.
 func (o *OffsetReader) Reset() { o.src.(Resetter).Reset() }
+
+// Checkpoint implements checkpoint.Component: the source's walk.
+func (o *OffsetReader) Checkpoint(s *checkpoint.State) { Walk(s, o.src) }
 
 // RemainingRecords implements Bounded when the source does: shifting
 // addresses never changes how many records succeed.

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"care/internal/checkpoint"
 	"care/internal/mem"
 )
 
@@ -83,12 +84,38 @@ func TestLoopingWraps(t *testing.T) {
 			t.Fatalf("record %d = %v, want %v", i, rec, want)
 		}
 	}
-	if l.Wraps != 2 {
-		t.Fatalf("Wraps = %d, want 2", l.Wraps)
-	}
+	l.Next()
 	l.Reset()
-	if l.Wraps != 0 {
-		t.Fatalf("Wraps after Reset = %d, want 0", l.Wraps)
+	if rec, err := l.Next(); err != nil || rec != sampleRecords()[0] {
+		t.Fatalf("after Reset, Next = (%v, %v), want the first record", rec, err)
+	}
+}
+
+// TestCheckpointRestoresPosition: the walk of a Copies reader, part way
+// into its second pass, restores a fresh copy of it to the same next
+// record; a reader that does not walk its state is refused.
+func TestCheckpointRestoresPosition(t *testing.T) {
+	recs := sampleRecords()
+	r := Copies(recs, 2)[1]
+	for i := 0; i < len(recs)+1; i++ {
+		r.Next()
+	}
+	payload, err := checkpoint.Encode(func(s *checkpoint.State) { Walk(s, r) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := Copies(recs, 2)[1]
+	if err := checkpoint.Decode(payload, func(s *checkpoint.State) { Walk(s, fresh) }); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2*len(recs); i++ {
+		want, _ := r.Next()
+		if got, _ := fresh.Next(); got != want {
+			t.Fatalf("record %d after restore = %v, want %v", i, got, want)
+		}
+	}
+	if _, err := checkpoint.Encode(func(s *checkpoint.State) { Walk(s, NewOffset(bareReader{}, 0)) }); !errors.Is(err, checkpoint.ErrNotCheckpointable) {
+		t.Fatalf("walk of a bare reader: got %v, want ErrNotCheckpointable", err)
 	}
 }
 

@@ -98,3 +98,28 @@ func TestRunTelemetryOption(t *testing.T) {
 		t.Fatal("collector sampled no intervals")
 	}
 }
+
+// ownReader is a caller's own trace reader, which cannot store its
+// position in a checkpoint.
+type ownReader struct{ care.TraceReader }
+
+// TestRunRefusesToCheckpointOwnReader: a run that writes checkpoints
+// over a caller's own TraceReader is refused with ErrNotCheckpointable
+// and writes nothing; without a checkpoint path it runs.
+func TestRunRefusesToCheckpointOwnReader(t *testing.T) {
+	traces := []care.TraceReader{ownReader{care.MustSPECTrace("429.mcf", 1, 16)}}
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	cfg := care.ScaledConfig(1, 16)
+	_, err := care.Run(context.Background(), cfg, traces, care.RunOpts{
+		Measure: 10_000, Checkpoint: &care.CheckpointOptions{Path: path, Every: 5_000},
+	})
+	if !errors.Is(err, care.ErrNotCheckpointable) {
+		t.Fatalf("got %v, want ErrNotCheckpointable", err)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("refused run left a checkpoint (stat: %v)", err)
+	}
+	if _, err := care.Run(context.Background(), cfg, traces, care.RunOpts{Measure: 10_000}); err != nil {
+		t.Fatal(err)
+	}
+}
