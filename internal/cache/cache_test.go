@@ -40,7 +40,7 @@ func (p *testLRU) OnHit(set, way int, blocks []Block, info AccessInfo)  { p.touc
 func (p *testLRU) OnFill(set, way int, blocks []Block, info AccessInfo) { p.touch(set, way) }
 func (p *testLRU) OnEvict(set, way int, evicted Block, info AccessInfo) {}
 func (p *testLRU) Checkpoint(s *checkpoint.State) {
-	checkpoint.Grid(s, p.stamp, checkpoint.Uint)
+	checkpoint.Grid(s, p.stamp, checkpoint.Uints)
 	checkpoint.Uint(s, &p.clock)
 }
 

@@ -37,9 +37,7 @@ func (c *Cache) Checkpointable() error {
 // Checkpointable). One frame carries the whole level: blocks, stats,
 // and the attached policy's and prefetcher's state.
 func (c *Cache) Checkpoint(s *checkpoint.State) {
-	checkpoint.Each(s, c.sets, func(s *checkpoint.State, set *[]Block) {
-		checkpoint.Each(s, *set, checkpoint.Plain[Block])
-	})
+	checkpoint.Grid(s, c.sets, walkBlocks)
 	checkpoint.Plain(s, &c.stats)
 	if s.Restoring() && s.Err() == nil &&
 		(len(c.stats.PerCoreDemandAccesses) != c.Cores || len(c.stats.PerCoreDemandMisses) != c.Cores) {
@@ -67,6 +65,21 @@ func (c *Cache) Checkpoint(s *checkpoint.State) {
 		}
 		c.parked = false
 		c.setWake()
+	}
+}
+
+// walkBlocks walks a set's blocks, each field by field in declaration
+// order: the bytes checkpoint.Plain stores for a Block, without its
+// reflection (TestBlockWalk holds the two equal).
+func walkBlocks(s *checkpoint.State, set []Block) {
+	for i := range set {
+		b := &set[i]
+		checkpoint.Uint(s, &b.Tag)
+		checkpoint.Int(s, &b.Core)
+		checkpoint.Uint(s, &b.PC)
+		s.Bool(&b.Valid)
+		s.Bool(&b.Dirty)
+		s.Bool(&b.Prefetched)
 	}
 }
 

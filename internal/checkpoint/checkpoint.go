@@ -41,6 +41,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 	"syscall"
 )
 
@@ -91,7 +92,8 @@ const maxFramePayload = 1 << 30
 
 // Writer streams frames into a checkpoint file.
 type Writer struct {
-	w io.Writer
+	w   io.Writer
+	hdr [8]byte // frame header scratch, so writing one allocates nothing
 }
 
 // NewWriter writes the header and returns a frame writer.
@@ -105,30 +107,40 @@ func NewWriter(w io.Writer) (*Writer, error) {
 	return &Writer{w: w}, nil
 }
 
+// framePool holds the States Frame encodes into, so a save fills one
+// payload buffer, grown once to its largest frame, for all its frames
+// and for later saves, instead of regrowing every frame from nothing.
+// The pool is shared by concurrent saves, and the garbage collector
+// empties it, so an idle buffer does not outlive the saves that grew
+// it.
+var framePool = sync.Pool{New: func() any { return new(State) }}
+
 // Frame writes one named frame holding the state walk saves.
 func (w *Writer) Frame(name string, walk func(*State)) error {
 	if len(name) >= maxFrameName {
 		return fmt.Errorf("checkpoint: frame name %q too long", name)
 	}
-	payload, err := Encode(walk)
+	s := framePool.Get().(*State)
+	defer framePool.Put(s)
+	*s = State{buf: s.buf[:0]}
+	walk(s)
+	payload, err := s.buf, s.err
 	if err != nil {
 		return fmt.Errorf("checkpoint: encode frame %q: %w", name, err)
 	}
 	if len(payload) > maxFramePayload {
 		return fmt.Errorf("checkpoint: frame %q payload too large (%d bytes)", name, len(payload))
 	}
-	var hdr [2]byte
-	binary.LittleEndian.PutUint16(hdr[:], uint16(len(name)))
-	if _, err := w.w.Write(hdr[:]); err != nil {
+	binary.LittleEndian.PutUint16(w.hdr[:2], uint16(len(name)))
+	if _, err := w.w.Write(w.hdr[:2]); err != nil {
 		return err
 	}
 	if _, err := io.WriteString(w.w, name); err != nil {
 		return err
 	}
-	var lens [8]byte
-	binary.LittleEndian.PutUint32(lens[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(lens[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := w.w.Write(lens[:]); err != nil {
+	binary.LittleEndian.PutUint32(w.hdr[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(w.hdr[4:8], crc32.ChecksumIEEE(payload))
+	if _, err := w.w.Write(w.hdr[:]); err != nil {
 		return err
 	}
 	_, err = w.w.Write(payload)
@@ -138,9 +150,8 @@ func (w *Writer) Frame(name string, walk func(*State)) error {
 // Close writes the end marker. It does not close the underlying
 // writer.
 func (w *Writer) Close() error {
-	var hdr [2]byte
-	binary.LittleEndian.PutUint16(hdr[:], endMarker)
-	_, err := w.w.Write(hdr[:])
+	binary.LittleEndian.PutUint16(w.hdr[:2], endMarker)
+	_, err := w.w.Write(w.hdr[:2])
 	return err
 }
 

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"sync"
 	"syscall"
 	"testing"
 )
@@ -248,4 +250,50 @@ func TestSaveSyncsDirectory(t *testing.T) {
 	if got.N != want.N || !bytes.Equal(got.S, want.S) {
 		t.Fatalf("round trip mismatch: %+v != %+v", got, want)
 	}
+}
+
+// TestConcurrentWritersShareFramePool: writers on several goroutines
+// draw frame buffers from the one pool, and each still writes the
+// bytes it writes alone.
+func TestConcurrentWritersShareFramePool(t *testing.T) {
+	write := func(w *Writer, g int) error {
+		for i := range 4 {
+			st := testState{N: uint64(g*10 + i), S: bytes.Repeat([]byte{byte(g)}, 100*(g+1)*(i+1))}
+			if err := w.Frame(fmt.Sprintf("frame-%d", i), st.Checkpoint); err != nil {
+				return err
+			}
+		}
+		return w.Close()
+	}
+	file := func(g int) ([]byte, error) {
+		var b bytes.Buffer
+		w, err := NewWriter(&b)
+		if err != nil {
+			return nil, err
+		}
+		err = write(w, g)
+		return b.Bytes(), err
+	}
+	want := make([][]byte, 6)
+	for g := range want {
+		var err error
+		if want[g], err = file(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := range want {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 20 {
+				got, err := file(g)
+				if err != nil || !bytes.Equal(got, want[g]) {
+					t.Errorf("writer %d: %d bytes (error %v), want its %d lone bytes", g, len(got), err, len(want[g]))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"reflect"
 	"slices"
 )
@@ -75,38 +76,47 @@ func Mismatchf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrMismatch, fmt.Sprintf(format, args...))
 }
 
-// uvarint walks one unsigned varint.
-func (s *State) uvarint(v *uint64) {
-	if s.err != nil {
-		return
-	}
-	if !s.restoring {
+// uvarint walks one unsigned varint: saving appends *v, restoring
+// reads it into *v and reports true. A stored value above max is
+// ErrCorrupt.
+func (s *State) uvarint(v *uint64, max uint64) bool {
+	switch {
+	case s.err != nil:
+		return false
+	case !s.restoring:
 		s.buf = binary.AppendUvarint(s.buf, *v)
-		return
+		return false
 	}
 	x, n := binary.Uvarint(s.buf)
-	if n <= 0 {
+	switch {
+	case n <= 0:
 		s.corruptf("bad varint")
-		return
+		return false
+	case x > max:
+		s.corruptf("%d overflows a %d-bit field", x, bits.Len64(max))
+		return false
 	}
 	*v, s.buf = x, s.buf[n:]
+	return true
 }
 
-// varint walks one zigzag-encoded signed varint.
-func (s *State) varint(v *int64) {
-	if s.err != nil {
-		return
-	}
-	if !s.restoring {
+// varint walks one zigzag-encoded signed varint: saving appends *v,
+// restoring reads it into *v and reports true.
+func (s *State) varint(v *int64) bool {
+	switch {
+	case s.err != nil:
+		return false
+	case !s.restoring:
 		s.buf = binary.AppendVarint(s.buf, *v)
-		return
+		return false
 	}
 	x, n := binary.Varint(s.buf)
 	if n <= 0 {
 		s.corruptf("bad varint")
-		return
+		return false
 	}
 	*v, s.buf = x, s.buf[n:]
+	return true
 }
 
 // Unsigned and Signed are the integer types the walk stores as
@@ -124,12 +134,7 @@ type (
 // ErrCorrupt.
 func Uint[T Unsigned](s *State, v *T) {
 	x := uint64(*v)
-	s.uvarint(&x)
-	if s.restoring && s.err == nil {
-		if uint64(T(x)) != x {
-			s.corruptf("%d overflows %T", x, *v)
-			return
-		}
+	if s.uvarint(&x, uint64(^T(0))) {
 		*v = T(x)
 	}
 }
@@ -138,8 +143,7 @@ func Uint[T Unsigned](s *State, v *T) {
 // ErrCorrupt.
 func Int[T Signed](s *State, v *T) {
 	x := int64(*v)
-	s.varint(&x)
-	if s.restoring && s.err == nil {
+	if s.varint(&x) {
 		if int64(T(x)) != x {
 			s.corruptf("%d overflows %T", x, *v)
 			return
@@ -159,18 +163,17 @@ func Index[T Unsigned](s *State, v *T, n int, what string) {
 
 // Bool walks a bool as one byte; any byte but 0 or 1 is ErrCorrupt.
 func (s *State) Bool(v *bool) {
-	x := uint64(0)
-	if *v {
-		x = 1
-	}
-	s.uvarint(&x)
-	if s.restoring && s.err == nil {
-		if x > 1 {
-			s.corruptf("bool byte %d", x)
-			return
-		}
+	x := uint64(boolByte(*v))
+	if s.uvarint(&x, 1) {
 		*v = x == 1
 	}
+}
+
+func boolByte(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Float64 walks a float64 as its eight IEEE-754 bytes, so every value
@@ -209,7 +212,7 @@ func (s *State) String(v *string) {
 // whether the walk is still good.
 func (s *State) Shape(n int) bool {
 	x := uint64(n)
-	s.uvarint(&x)
+	s.uvarint(&x, math.MaxUint64)
 	if s.restoring && s.err == nil && x != uint64(n) {
 		s.Fail(Mismatchf("stored dimension %d, restoring component has %d", x, n))
 	}
@@ -223,7 +226,7 @@ func (s *State) Shape(n int) bool {
 // failure Count returns 0.
 func (s *State) Count(n int) int {
 	x := uint64(n)
-	s.uvarint(&x)
+	s.uvarint(&x, math.MaxUint64)
 	if s.err != nil {
 		return 0
 	}
@@ -245,8 +248,18 @@ func (s *State) Match(want string) {
 	}
 }
 
+// Table walks a slice whose length the restoring component already
+// has: its Shape, then its elements through walk, which stores no
+// length (a bulk walker such as Uints, or a component's own loop).
+func Table[T any](s *State, xs []T, walk func(*State, []T)) {
+	if s.Shape(len(xs)) {
+		walk(s, xs)
+	}
+}
+
 // Each walks a slice whose length the restoring component already
-// has (a Shape), element by element.
+// has (a Shape), element by element. Tables of numbers or bools walk
+// through Table and a bulk walker instead.
 func Each[T any](s *State, xs []T, walk func(*State, *T)) {
 	if !s.Shape(len(xs)) {
 		return
@@ -257,23 +270,100 @@ func Each[T any](s *State, xs []T, walk func(*State, *T)) {
 }
 
 // Grid walks a table of fixed shape, such as per-set, per-way
-// replacement state, row by row.
-func Grid[T any](s *State, g [][]T, walk func(*State, *T)) {
-	Each(s, g, func(s *State, row *[]T) { Each(s, *row, walk) })
+// replacement state: its row count, then each row as a Table.
+func Grid[T any](s *State, g [][]T, walk func(*State, []T)) {
+	if !s.Shape(len(g)) {
+		return
+	}
+	for _, row := range g {
+		Table(s, row, walk)
+	}
 }
 
-// Slice walks a variable-length slice. Restoring replaces *xs with a
-// fresh slice of the stored length.
-func Slice[T any](s *State, xs *[]T, walk func(*State, *T)) {
+// Slice walks a variable-length slice: its Count, then its elements
+// through walk. Restoring replaces *xs with a fresh slice of the
+// stored length.
+func Slice[T any](s *State, xs *[]T, walk func(*State, []T)) {
 	n := s.Count(len(*xs))
+	if s.err != nil {
+		return
+	}
 	if s.restoring {
-		if s.err != nil {
-			return
-		}
 		*xs = make([]T, n)
 	}
-	for i := 0; i < n; i++ {
-		walk(s, &(*xs)[i])
+	walk(s, *xs)
+}
+
+// The bulk walkers walk every element of a table of numbers or bools
+// and store no length: Table, Grid and Slice store it, and an array's
+// is fixed by its type. Saving appends the elements in one loop;
+// restoring reads each back with the checks Uint, Int, Bool and Index
+// make, so a bulk walk stores and accepts exactly the bytes an
+// element-by-element one does.
+
+// Uints walks each element of xs as Uint does.
+func Uints[T Unsigned](s *State, xs []T) {
+	if s.err != nil {
+		return
+	}
+	if !s.restoring {
+		buf := s.buf
+		for _, x := range xs {
+			buf = binary.AppendUvarint(buf, uint64(x))
+		}
+		s.buf = buf
+		return
+	}
+	for i := range xs {
+		Uint(s, &xs[i])
+	}
+}
+
+// Ints walks each element of xs as Int does.
+func Ints[T Signed](s *State, xs []T) {
+	if s.err != nil {
+		return
+	}
+	if !s.restoring {
+		buf := s.buf
+		for _, x := range xs {
+			buf = binary.AppendVarint(buf, int64(x))
+		}
+		s.buf = buf
+		return
+	}
+	for i := range xs {
+		Int(s, &xs[i])
+	}
+}
+
+// Bools walks each element of xs as Bool does.
+func Bools(s *State, xs []bool) {
+	if s.err != nil {
+		return
+	}
+	if !s.restoring {
+		buf := s.buf
+		for _, x := range xs {
+			buf = append(buf, boolByte(x))
+		}
+		s.buf = buf
+		return
+	}
+	for i := range xs {
+		s.Bool(&xs[i])
+	}
+}
+
+// Indexes walks each element of xs as Index does: restoring a value
+// outside [0, n) fails the walk with ErrCorrupt.
+func Indexes[T Unsigned](s *State, xs []T, n int, what string) {
+	if !s.restoring {
+		Uints(s, xs)
+		return
+	}
+	for i := range xs {
+		Index(s, &xs[i], n, what)
 	}
 }
 
@@ -290,7 +380,7 @@ func Map[K Unsigned | Signed, V any](s *State, m map[K]V, walk func(*State, *V))
 		s.Count(len(keys))
 		for _, k := range keys {
 			x := uint64(k)
-			s.uvarint(&x)
+			s.uvarint(&x, math.MaxUint64)
 			v := m[k]
 			walk(s, &v)
 		}
@@ -301,7 +391,7 @@ func Map[K Unsigned | Signed, V any](s *State, m map[K]V, walk func(*State, *V))
 	var prev K
 	for i := 0; i < n && s.err == nil; i++ {
 		var x uint64
-		s.uvarint(&x)
+		s.uvarint(&x, math.MaxUint64)
 		k := K(x)
 		if s.err == nil && (uint64(k) != x || (i > 0 && k <= prev)) {
 			s.corruptf("map key %d out of order or range", x)
@@ -315,11 +405,13 @@ func Map[K Unsigned | Signed, V any](s *State, m map[K]V, walk func(*State, *V))
 	}
 }
 
-// Plain walks an exported plain-data struct (a Stats type, a cache
-// block, a trace record) through reflection, field by field in
-// declaration order. Slices are variable-length, arrays fixed, and a
-// pointer field stores whether it is set. Types the walk cannot store
-// are a programming error and panic.
+// Plain walks an exported plain-data struct (a Stats type, a trace
+// record, a telemetry interval) through reflection, field by field in
+// declaration order. It is for one-off structs: a struct a save walks
+// once per table entry has a typed walk instead. Slices are
+// variable-length, arrays fixed, and a pointer field stores whether it
+// is set. Types the walk cannot store are a programming error and
+// panic.
 func Plain[T any](s *State, v *T) { s.plain(reflect.ValueOf(v).Elem()) }
 
 func (s *State) plain(v reflect.Value) {
@@ -345,7 +437,7 @@ func (s *State) plain(v reflect.Value) {
 		}
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
 		x := v.Uint()
-		s.uvarint(&x)
+		s.uvarint(&x, math.MaxUint64)
 		if s.restoring && s.err == nil {
 			if v.OverflowUint(x) {
 				s.corruptf("%d overflows %s", x, v.Type())

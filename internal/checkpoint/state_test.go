@@ -42,9 +42,9 @@ func (w *walked) Checkpoint(s *State) {
 	s.Bool(&w.b)
 	s.Float64(&w.f)
 	s.String(&w.str)
-	Grid(s, w.grid, Uint)
-	Slice(s, &w.vs, Int)
-	Map(s, w.m, func(s *State, v *[]uint64) { Slice(s, v, Uint) })
+	Grid(s, w.grid, Uints)
+	Slice(s, &w.vs, Ints)
+	Map(s, w.m, func(s *State, v *[]uint64) { Slice(s, v, Uints) })
 	Plain(s, &w.p)
 }
 
@@ -106,7 +106,7 @@ func TestStateRejectsMalformed(t *testing.T) {
 		{"trailing bytes", append(append([]byte(nil), good...), 0), fresh().Checkpoint, ErrCorrupt},
 		{"truncated", good[:len(good)-1], fresh().Checkpoint, ErrCorrupt},
 		{"shape", good, (&walked{grid: [][]uint8{{0, 0}}, m: map[int][]uint64{}}).Checkpoint, ErrMismatch},
-		{"count beyond bytes left", []byte{200, 1}, func(s *State) { var xs []uint8; Slice(s, &xs, Uint) }, ErrCorrupt},
+		{"count beyond bytes left", []byte{200, 1}, func(s *State) { var xs []uint8; Slice(s, &xs, Uints) }, ErrCorrupt},
 		{"overflow", []byte{0x80, 0x02}, func(s *State) { var x uint8; Uint(s, &x) }, ErrCorrupt},
 		{"bool byte", []byte{2}, func(s *State) { var b bool; s.Bool(&b) }, ErrCorrupt},
 		{"map keys out of order", []byte{2, 5, 1, 4, 1}, func(s *State) { Map(s, map[uint8]uint8{}, Uint) }, ErrCorrupt},

@@ -12,14 +12,9 @@ import (
 // threshold/epoch machinery (§V-F); configuration (sampling stride,
 // period length, cost signal) is rebuilt by New/NewMCARE + Init.
 func (p *Policy) Checkpoint(s *checkpoint.State) {
-	checkpoint.Each(s, p.sht, func(s *checkpoint.State, e *shtEntry) {
-		checkpoint.Uint(s, &e.rc)
-		checkpoint.Uint(s, &e.pd)
-	})
-	checkpoint.Each(s, p.sigFills, checkpoint.Uint)
-	checkpoint.Each(s, p.meta, func(s *checkpoint.State, row *[]blockMeta) {
-		checkpoint.Each(s, *row, p.walkMeta)
-	})
+	checkpoint.Table(s, p.sht, walkSHT)
+	checkpoint.Table(s, p.sigFills, checkpoint.Uints)
+	checkpoint.Grid(s, p.meta, p.walkMeta)
 	checkpoint.Uint(s, &p.rng)
 	s.Float64(&p.pmcLow)
 	s.Float64(&p.pmcHigh)
@@ -29,18 +24,30 @@ func (p *Policy) Checkpoint(s *checkpoint.State) {
 	checkpoint.Plain(s, &p.stats)
 }
 
-// walkMeta walks one block's metadata. A signature or EPV that would
-// index outside the SHT or the EPV counters is corrupt.
-func (p *Policy) walkMeta(s *checkpoint.State, m *blockMeta) {
-	checkpoint.Uint(s, &m.epv)
-	checkpoint.Uint(s, &m.sig)
-	s.Bool(&m.reused)
-	checkpoint.Uint(s, &m.pmcs)
-	s.Bool(&m.prefetched)
-	s.Bool(&m.writeback)
-	s.Bool(&m.valid)
-	if s.Restoring() && (int(m.sig) >= len(p.sht) || int(m.epv) >= len(p.stats.InsertEPV)) {
-		s.Fail(fmt.Errorf("%w: %s: block signature %d or EPV %d out of range",
-			checkpoint.ErrCorrupt, p.name, m.sig, m.epv))
+// walkSHT walks the SHT's entries, each counter as checkpoint.Uint
+// does.
+func walkSHT(s *checkpoint.State, sht []shtEntry) {
+	for i := range sht {
+		checkpoint.Uint(s, &sht[i].rc)
+		checkpoint.Uint(s, &sht[i].pd)
+	}
+}
+
+// walkMeta walks one set's block metadata. A signature or EPV that
+// would index outside the SHT or the EPV counters is corrupt.
+func (p *Policy) walkMeta(s *checkpoint.State, row []blockMeta) {
+	for i := range row {
+		m := &row[i]
+		checkpoint.Uint(s, &m.epv)
+		checkpoint.Uint(s, &m.sig)
+		s.Bool(&m.reused)
+		checkpoint.Uint(s, &m.pmcs)
+		s.Bool(&m.prefetched)
+		s.Bool(&m.writeback)
+		s.Bool(&m.valid)
+		if s.Restoring() && (int(m.sig) >= len(p.sht) || int(m.epv) >= len(p.stats.InsertEPV)) {
+			s.Fail(fmt.Errorf("%w: %s: block signature %d or EPV %d out of range",
+				checkpoint.ErrCorrupt, p.name, m.sig, m.epv))
+		}
 	}
 }

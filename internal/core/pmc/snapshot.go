@@ -10,9 +10,9 @@ import "care/internal/checkpoint"
 // system restarts them at its cycle (cache.SetClock).
 func (l *Logic) Checkpoint(s *checkpoint.State) {
 	checkpoint.Each(s, l.baseEnds, func(s *checkpoint.State, ends *[]uint64) {
-		checkpoint.Slice(s, ends, checkpoint.Uint)
+		checkpoint.Slice(s, ends, checkpoint.Uints)
 	})
-	checkpoint.Each(s, l.activePureMissCycles, checkpoint.Uint)
-	checkpoint.Each(s, l.overlapCycles, checkpoint.Uint)
-	checkpoint.Each(s, l.accessCount, checkpoint.Uint)
+	checkpoint.Table(s, l.activePureMissCycles, checkpoint.Uints)
+	checkpoint.Table(s, l.overlapCycles, checkpoint.Uints)
+	checkpoint.Table(s, l.accessCount, checkpoint.Uints)
 }

@@ -29,7 +29,7 @@ func (d *DRAM) Checkpoint(s *checkpoint.State) {
 		checkpoint.Uint(s, &ch.busUntil)
 	})
 	wq := d.writeQ[d.wqHead:]
-	checkpoint.Slice(s, &wq, checkpoint.Uint)
+	checkpoint.Slice(s, &wq, checkpoint.Uints)
 	if s.Restoring() {
 		d.writeQ, d.wqHead = wq, 0
 	}

@@ -19,25 +19,28 @@ import (
 // of restoring a policy that later panics.
 
 // walkSig walks a PC signature, which indexes a table of shctSize
-// entries (SHiP++'s SHCT, Hawkeye's predictor, Mockingjay's RDP).
+// entries (SHiP++'s SHCT, Hawkeye's predictor, Mockingjay's RDP);
+// walkSigs walks a table of them.
 func walkSig(s *checkpoint.State, sig *uint16) { checkpoint.Index(s, sig, shctSize, "signature") }
+
+func walkSigs(s *checkpoint.State, sigs []uint16) { checkpoint.Indexes(s, sigs, shctSize, "signature") }
 
 // Checkpoint implements checkpoint.Component.
 func (p *LRU) Checkpoint(s *checkpoint.State) {
-	checkpoint.Grid(s, p.stamp, checkpoint.Uint)
+	checkpoint.Grid(s, p.stamp, checkpoint.Uints)
 	checkpoint.Uint(s, &p.clock)
 }
 
 // Checkpoint implements checkpoint.Component for SRRIP.
-func (p *rripBase) Checkpoint(s *checkpoint.State) { checkpoint.Grid(s, p.rrpv, checkpoint.Uint) }
+func (p *rripBase) Checkpoint(s *checkpoint.State) { checkpoint.Grid(s, p.rrpv, checkpoint.Uints) }
 
 // Checkpoint implements checkpoint.Component.
 func (p *SHiPPP) Checkpoint(s *checkpoint.State) {
 	p.rripBase.Checkpoint(s)
-	checkpoint.Each(s, p.shct, checkpoint.Uint)
-	checkpoint.Grid(s, p.sig, walkSig)
-	checkpoint.Grid(s, p.outcome, (*checkpoint.State).Bool)
-	checkpoint.Grid(s, p.wb, (*checkpoint.State).Bool)
+	checkpoint.Table(s, p.shct, checkpoint.Uints)
+	checkpoint.Grid(s, p.sig, walkSigs)
+	checkpoint.Grid(s, p.outcome, checkpoint.Bools)
+	checkpoint.Grid(s, p.wb, checkpoint.Bools)
 }
 
 // walkOptgens walks the sampled sets' OPTgen occupancy vectors;
@@ -47,7 +50,7 @@ func walkOptgens(s *checkpoint.State, m map[int]*optgen, ways int) {
 		if s.Restoring() {
 			*og = newOptgen(ways)
 		}
-		checkpoint.Each(s, (*og).occupancy, checkpoint.Uint)
+		checkpoint.Table(s, (*og).occupancy, checkpoint.Uints)
 		checkpoint.Uint(s, &(*og).now)
 	})
 }
@@ -73,15 +76,15 @@ func checkSamplers[V any](s *checkpoint.State, optgens map[int]*optgen, samplers
 
 // Checkpoint implements checkpoint.Component.
 func (p *Hawkeye) Checkpoint(s *checkpoint.State) {
-	checkpoint.Grid(s, p.rrpv, checkpoint.Uint)
-	checkpoint.Grid(s, p.fillSig, walkSig)
-	checkpoint.Each(s, p.pred.counters, checkpoint.Uint)
+	checkpoint.Grid(s, p.rrpv, checkpoint.Uints)
+	checkpoint.Grid(s, p.fillSig, walkSigs)
+	checkpoint.Table(s, p.pred.counters, checkpoint.Uints)
 	walkOptgens(s, p.optgens, p.ways)
 	checkpoint.Map(s, p.samplers, func(s *checkpoint.State, sm **hawkeyeSampler) {
 		if s.Restoring() {
 			*sm = newHawkeyeSampler(8 * p.ways)
 		}
-		checkpoint.Slice(s, &(*sm).order, checkpoint.Uint)
+		checkpoint.Slice(s, &(*sm).order, checkpoint.Uints)
 		checkpoint.Map(s, (*sm).info, func(s *checkpoint.State, i *samplerInfo) {
 			checkpoint.Uint(s, &i.quanta)
 			walkSig(s, &i.sig)
@@ -94,29 +97,30 @@ func (p *Hawkeye) Checkpoint(s *checkpoint.State) {
 // ISVM table and weight indexes within the row.
 func walkFeature(s *checkpoint.State, f *gliderFeature) {
 	checkpoint.Index(s, &f.row, 1<<gliderTableBits, "ISVM row")
-	for i := range f.idxs {
-		checkpoint.Index(s, &f.idxs[i], gliderWeights, "ISVM weight index")
+	checkpoint.Indexes(s, f.idxs[:], gliderWeights, "ISVM weight index")
+}
+
+// walkFeatures walks a set's captured feature vectors.
+func walkFeatures(s *checkpoint.State, fs []gliderFeature) {
+	for i := range fs {
+		walkFeature(s, &fs[i])
 	}
 }
 
 // Checkpoint implements checkpoint.Component.
 func (p *Glider) Checkpoint(s *checkpoint.State) {
-	checkpoint.Grid(s, p.rrpv, checkpoint.Uint)
-	checkpoint.Grid(s, p.fillFeat, walkFeature)
-	checkpoint.Each(s, p.table, func(s *checkpoint.State, v *isvm) {
-		for i := range v {
-			checkpoint.Int(s, &v[i])
-		}
-	})
+	checkpoint.Grid(s, p.rrpv, checkpoint.Uints)
+	checkpoint.Grid(s, p.fillFeat, walkFeatures)
+	checkpoint.Each(s, p.table, func(s *checkpoint.State, v *isvm) { checkpoint.Ints(s, v[:]) })
 	checkpoint.Each(s, p.history, func(s *checkpoint.State, h *[]mem.Addr) {
-		checkpoint.Slice(s, h, checkpoint.Uint)
+		checkpoint.Slice(s, h, checkpoint.Uints)
 	})
 	walkOptgens(s, p.optgens, p.ways)
 	checkpoint.Map(s, p.samplers, func(s *checkpoint.State, sm **gliderSampler) {
 		if s.Restoring() {
 			*sm = newGliderSampler(8 * p.ways)
 		}
-		checkpoint.Slice(s, &(*sm).order, checkpoint.Uint)
+		checkpoint.Slice(s, &(*sm).order, checkpoint.Uints)
 		checkpoint.Map(s, (*sm).info, func(s *checkpoint.State, i *gliderSamplerInfo) {
 			checkpoint.Uint(s, &i.quanta)
 			walkFeature(s, &i.feat)
@@ -127,8 +131,8 @@ func (p *Glider) Checkpoint(s *checkpoint.State) {
 
 // Checkpoint implements checkpoint.Component.
 func (p *Mockingjay) Checkpoint(s *checkpoint.State) {
-	checkpoint.Grid(s, p.etr, checkpoint.Int)
-	checkpoint.Each(s, p.rdp, checkpoint.Int)
+	checkpoint.Grid(s, p.etr, checkpoint.Ints)
+	checkpoint.Table(s, p.rdp, checkpoint.Ints)
 	checkpoint.Map(s, p.clock, checkpoint.Uint)
 	checkpoint.Map(s, p.samplers, func(s *checkpoint.State, m *map[uint64]*mjSamplerEntry) {
 		if s.Restoring() {
@@ -143,6 +147,6 @@ func (p *Mockingjay) Checkpoint(s *checkpoint.State) {
 		})
 	})
 	checkpoint.Map(s, p.order, func(s *checkpoint.State, o *[]uint64) {
-		checkpoint.Slice(s, o, checkpoint.Uint)
+		checkpoint.Slice(s, o, checkpoint.Uints)
 	})
 }

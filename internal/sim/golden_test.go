@@ -52,10 +52,10 @@ type goldenCase struct {
 }
 
 // goldenCases is the fixed matrix: three workloads × c1/c4 × three
-// policies on the checkpoint schedule, plus the stream prefetchers and
-// the invariant sweep, every chaos class of TestFaultChaosRepeatable
-// plus the dropped response, metadata flip and kill classes, and a
-// Drain run.
+// policies on the checkpoint schedule, the other five policies on
+// 429.mcf/c4, plus the stream prefetchers and the invariant sweep,
+// every chaos class of TestFaultChaosRepeatable plus the dropped
+// response, metadata flip and kill classes, and a Drain run.
 func goldenCases() []goldenCase {
 	var out []goldenCase
 	for _, w := range []string{"429.mcf", "401.bzip2", "bfs-or"} {
@@ -66,6 +66,12 @@ func goldenCases() []goldenCase {
 				})
 			}
 		}
+	}
+	// The other policies' walks, one case each.
+	for _, p := range []policy.Policy{policy.Glider, policy.Hawkeye, policy.MCARE, policy.Mockingjay, policy.SRRIP} {
+		out = append(out, goldenCase{
+			name: "429.mcf/c4/" + string(p), workload: "429.mcf", cores: 4, policy: p,
+		})
 	}
 	for _, x := range []struct {
 		name string

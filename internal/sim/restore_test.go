@@ -198,9 +198,11 @@ func (w *genWalk) Checkpoint(s *checkpoint.State) {
 	}
 	checkpoint.Int(s, &w.boostA)
 	checkpoint.Int(s, &w.boostB)
-	checkpoint.Slice(s, &w.engines, func(s *checkpoint.State, e *engineWalk) {
-		checkpoint.Uint(s, &e.rng)
-		checkpoint.Slice(s, &e.cursors, func(s *checkpoint.State, c *uint64) { checkpoint.Uint(s, c) })
+	checkpoint.Slice(s, &w.engines, func(s *checkpoint.State, es []engineWalk) {
+		for i := range es {
+			checkpoint.Uint(s, &es[i].rng)
+			checkpoint.Slice(s, &es[i].cursors, checkpoint.Uints)
+		}
 	})
 }
 

@@ -348,7 +348,9 @@ func (g *Generator) Checkpoint(s *checkpoint.State) {
 	}
 	checkpoint.Each(s, g.engines, func(s *checkpoint.State, e **engine) {
 		checkpoint.Uint(s, &(*e).rng)
-		checkpoint.Each(s, (*e).cursors, func(s *checkpoint.State, c *uint64) { checkpoint.Index(s, c, int((*e).size), "cursor") })
+		checkpoint.Table(s, (*e).cursors, func(s *checkpoint.State, cs []uint64) {
+			checkpoint.Indexes(s, cs, int((*e).size), "cursor")
+		})
 	})
 	if s.Restoring() && s.Err() == nil {
 		g.weigh()

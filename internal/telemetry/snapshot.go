@@ -23,12 +23,10 @@ func (c *Collector) Checkpoint(s *checkpoint.State) {
 	checkpoint.Uint(s, &c.nextOcc)
 	checkpoint.Int(s, &c.index)
 	s.Bool(&c.warm)
-	for i := range c.occHist {
-		checkpoint.Uint(s, &c.occHist[i])
-	}
+	checkpoint.Uints(s, c.occHist[:])
 	p := &c.prev
 	for _, xs := range [][]uint64{p.coreInstr, p.coreCycles, p.coreMem, p.coreStall, p.coreLLCMiss} {
-		checkpoint.Each(s, xs, checkpoint.Uint)
+		checkpoint.Table(s, xs, checkpoint.Uints)
 	}
 	for _, x := range []*uint64{
 		&p.llcAccesses, &p.llcHits, &p.llcMisses, &p.llcPure, &p.llcMSHRStall,
@@ -38,9 +36,7 @@ func (c *Collector) Checkpoint(s *checkpoint.State) {
 		checkpoint.Uint(s, x)
 	}
 	s.Float64(&p.llcPMCSum)
-	for i := range p.careEPV {
-		checkpoint.Uint(s, &p.careEPV[i])
-	}
+	checkpoint.Uints(s, p.careEPV[:])
 	if s.Restoring() {
 		c.closed = false
 	}
