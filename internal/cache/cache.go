@@ -197,12 +197,18 @@ type Cache struct {
 	prefetcher Prefetcher
 	lower      Level
 	mshr       *MSHR
-	sets       [][]Block
-	// tags mirrors sets as a flat packed array (tag<<1|1 when valid,
+	// blocks holds every way, set by set: way w of set s is
+	// blocks[s*Ways+w], and a policy is handed its set's row of it.
+	// The hit and fill paths index it directly; sets views the same
+	// array row by row, for the checkpoint walk and the integrity
+	// sweep.
+	blocks []Block
+	sets   [][]Block
+	// tags mirrors blocks as a flat packed array (tag<<1|1 when valid,
 	// 0 when not): probing scans 8 bytes per way instead of a full
 	// Block, cutting the tag-match loop's cache footprint ~10×. It is
-	// updated wherever Valid/Tag change: installBlock and checkpoint
-	// restore.
+	// updated wherever Valid/Tag change: installBlock, FlipTagBit and
+	// checkpoint restore.
 	tags     []uint64
 	inq      ring.Ring[queued]
 	trackers []Tracker
@@ -260,12 +266,12 @@ func New(p Params, policy Policy) *Cache {
 		Params: p,
 		policy: policy,
 		mshr:   NewMSHR(p.MSHREntries, p.Cores),
+		blocks: make([]Block, p.Sets*p.Ways),
 		sets:   make([][]Block, p.Sets),
 		wake:   math.MaxUint64,
 	}
-	backing := make([]Block, p.Sets*p.Ways)
 	for i := range c.sets {
-		c.sets[i] = backing[i*p.Ways : (i+1)*p.Ways : (i+1)*p.Ways]
+		c.sets[i] = c.row(i * p.Ways)
 	}
 	c.tags = make([]uint64, p.Sets*p.Ways)
 	c.setMask = uint64(p.Sets - 1)
@@ -384,6 +390,10 @@ func (c *Cache) Contains(a mem.Addr) bool {
 // Outstanding reports whether a miss for a's block is in flight.
 func (c *Cache) Outstanding(a mem.Addr) bool { return c.mshr.Lookup(a.BlockID()) != nil }
 
+// row returns the blocks of the set whose first way is blocks[base],
+// capped so a policy cannot reach the next set.
+func (c *Cache) row(base int) []Block { return c.blocks[base : base+c.Ways : base+c.Ways] }
+
 // probe returns (set, way) of a resident block, way == -1 on miss.
 func (c *Cache) probe(a mem.Addr) (int, int) {
 	set := c.SetIndex(a)
@@ -485,7 +495,8 @@ func (c *Cache) lookup(req *mem.Request, cycle uint64) bool {
 
 	if hit {
 		c.countAccess(req, true)
-		blk := &c.sets[set][way]
+		base := set * c.Ways
+		blk := &c.blocks[base+way]
 		info := c.infoFor(req)
 		info.HitPrefetched = blk.Prefetched
 		req.PrefetchHit = blk.Prefetched && req.Kind.IsDemand()
@@ -495,7 +506,7 @@ func (c *Cache) lookup(req *mem.Request, cycle uint64) bool {
 		if req.Kind == mem.Store {
 			blk.Dirty = true
 		}
-		c.policy.OnHit(set, way, c.sets[set], info)
+		c.policy.OnHit(set, way, c.row(base), info)
 		c.maybePrefetch(req, true, cycle)
 		req.Respond(cycle)
 		req.Release()
@@ -594,7 +605,7 @@ func (c *Cache) lookupWriteback(req *mem.Request, cycle uint64) {
 	set, way := c.probe(req.Addr)
 	c.countAccess(req, way >= 0)
 	if way >= 0 {
-		c.sets[set][way].Dirty = true
+		c.blocks[set*c.Ways+way].Dirty = true
 		req.Respond(cycle)
 		req.Release()
 		return
@@ -657,15 +668,25 @@ func (c *Cache) fill(e *MSHREntry, cycle uint64) {
 }
 
 // installBlock places a block into its set, evicting if necessary.
+// One pass over the set's tags finds the block if it is resident, and
+// otherwise the first free way; only a full set asks the policy.
 func (c *Cache) installBlock(addr, pc mem.Addr, core int, kind mem.Kind, pmc, mlpCost float64, cycle uint64) {
-	set, way := c.probe(addr)
-	if way >= 0 {
-		// Block raced in via another path (e.g. writeback after a
-		// demand fill). Refresh rather than duplicate.
-		if kind == mem.Writeback || kind == mem.Store {
-			c.sets[set][way].Dirty = true
+	set := c.SetIndex(addr)
+	base := set * c.Ways
+	want := addr.BlockID()<<1 | 1
+	way := -1
+	for w, t := range c.tags[base : base+c.Ways] {
+		if t == want {
+			// Block raced in via another path (e.g. writeback after a
+			// demand fill). Refresh rather than duplicate.
+			if kind == mem.Writeback || kind == mem.Store {
+				c.blocks[base+w].Dirty = true
+			}
+			return
 		}
-		return
+		if t == 0 && way < 0 {
+			way = w
+		}
 	}
 	info := AccessInfo{
 		PC:      pc,
@@ -675,11 +696,12 @@ func (c *Cache) installBlock(addr, pc mem.Addr, core int, kind mem.Kind, pmc, ml
 		PMC:     pmc,
 		MLPCost: mlpCost,
 	}
-	way = c.findVictim(set, info)
 	if way < 0 {
-		return // victim selection failed; failure already latched
+		if way = c.findVictim(set, base, info); way < 0 {
+			return // victim selection failed; failure already latched
+		}
 	}
-	blk := &c.sets[set][way]
+	blk := &c.blocks[base+way]
 	if blk.Valid {
 		c.stats.Evictions++
 		c.policy.OnEvict(set, way, *blk, info)
@@ -695,23 +717,17 @@ func (c *Cache) installBlock(addr, pc mem.Addr, core int, kind mem.Kind, pmc, ml
 	blk.Prefetched = kind == mem.Prefetch
 	blk.Core = core
 	blk.PC = pc
-	c.tags[set*c.Ways+way] = addr.BlockID()<<1 | 1
+	c.tags[base+way] = want
 	c.stats.Fills++
-	c.policy.OnFill(set, way, c.sets[set], info)
+	c.policy.OnFill(set, way, c.row(base), info)
 }
 
-// findVictim prefers an invalid way and otherwise defers to the
-// policy, validating its answer. A policy returning an out-of-range
-// way latches ErrBadVictim and yields -1 (the fill is skipped; a
+// findVictim asks the policy for the way of a full set to evict,
+// validating its answer. A policy returning an out-of-range way
+// latches ErrBadVictim and yields -1 (the fill is skipped; a
 // wrong-way eviction would silently corrupt the timing model).
-func (c *Cache) findVictim(set int, info AccessInfo) int {
-	base := set * c.Ways
-	for w, t := range c.tags[base : base+c.Ways] {
-		if t == 0 {
-			return w
-		}
-	}
-	way := c.policy.Victim(set, c.sets[set], info)
+func (c *Cache) findVictim(set, base int, info AccessInfo) int {
+	way := c.policy.Victim(set, c.row(base), info)
 	if way < 0 || way >= c.Ways {
 		c.fail(fmt.Errorf("cache %s: %w: policy %s returned way %d", c.Name, ErrBadVictim, c.policy.Name(), way))
 		return -1

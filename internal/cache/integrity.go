@@ -69,6 +69,12 @@ func (c *Cache) CheckIntegrity() error {
 		return fmt.Errorf("%w: %s MSHR occupancy %d exceeds capacity %d",
 			ErrIntegrity, c.Name, c.mshr.Len(), c.mshr.Capacity())
 	}
+	for i, slot := range c.mshr.live {
+		if e := &c.mshr.slab[slot]; int(e.pos) != i || c.mshr.liveBlocks[i] != e.Block {
+			return fmt.Errorf("%w: %s MSHR live entry %d (slot %d, block %#x) stores index %d, block list says %#x",
+				ErrIntegrity, c.Name, i, slot, e.Block, e.pos, c.mshr.liveBlocks[i])
+		}
+	}
 	perCore := make(map[int]int)
 	c.mshr.ForEach(func(e *MSHREntry) { perCore[e.Core]++ })
 	for core, n := range perCore {

@@ -52,6 +52,7 @@ type MSHREntry struct {
 
 	waiters []*mem.Request
 	slot    uint32 // index of this entry in the file's slab
+	pos     uint32 // index of this entry in the file's live list
 }
 
 // Slot returns the entry's stable slab index; the cache uses it as
@@ -63,8 +64,10 @@ func (e *MSHREntry) Slot() uint32 { return e.slot }
 // slot list walked by the trackers and a parallel packed block-number
 // list scanned on lookup — with at most a few dozen entries, a linear
 // scan of 8-byte block numbers beats hashing.
-// Allocation and release recycle slab slots through a free list, so
-// the steady state allocates nothing.
+// Each entry stores its index in the live list, so release
+// swap-removes it without a search. Allocation and release recycle
+// slab slots through a free list, so the steady state allocates
+// nothing.
 type MSHR struct {
 	capacity int
 	slab     []MSHREntry
@@ -147,6 +150,7 @@ func (m *MSHR) Allocate(req *mem.Request) (*MSHREntry, error) {
 	if req.HasDone() {
 		e.waiters = append(e.waiters, req)
 	}
+	e.pos = uint32(len(m.live))
 	m.live = append(m.live, slot)
 	m.liveBlocks = append(m.liveBlocks, block)
 	if e.Core >= 0 && e.Core < len(m.perCore) {
@@ -174,15 +178,16 @@ func (m *MSHR) Merge(e *MSHREntry, req *mem.Request) {
 // completing fill only ever enqueues new accesses into the cache's
 // input queue, it never allocates on the same MSHR re-entrantly.
 func (m *MSHR) Release(e *MSHREntry) []*mem.Request {
-	for i, slot := range m.live {
-		if slot == e.slot {
-			last := len(m.live) - 1
-			m.live[i] = m.live[last]
-			m.live = m.live[:last]
-			m.liveBlocks[i] = m.liveBlocks[last]
-			m.liveBlocks = m.liveBlocks[:last]
-			break
-		}
+	// The last live entry moves into the released one's place, the
+	// order a scan for the slot and a swap-remove give.
+	if i := int(e.pos); i < len(m.live) && m.live[i] == e.slot {
+		last := len(m.live) - 1
+		moved := m.live[last]
+		m.live[i] = moved
+		m.slab[moved].pos = uint32(i)
+		m.live = m.live[:last]
+		m.liveBlocks[i] = m.liveBlocks[last]
+		m.liveBlocks = m.liveBlocks[:last]
 	}
 	if e.Core >= 0 && e.Core < len(m.perCore) {
 		m.perCore[e.Core]--

@@ -367,6 +367,26 @@ func Indexes[T Unsigned](s *State, xs []T, n int, what string) {
 	}
 }
 
+// Save runs a component's own bulk save loop, for a table whose
+// elements are records rather than numbers: when saving, and no
+// earlier call failed, fn is given the payload so far and returns it
+// with the values appended through AppendUint. It does nothing when
+// restoring; the component reads the same values back with Uint, so
+// the restore keeps its checks.
+func (s *State) Save(fn func(buf []byte) []byte) {
+	if s.err == nil && !s.restoring {
+		s.buf = fn(s.buf)
+	}
+}
+
+// AppendUint appends v to buf as Uint stores it.
+func AppendUint[T Unsigned](buf []byte, v T) []byte {
+	if v < 0x80 {
+		return append(buf, byte(v))
+	}
+	return binary.AppendUvarint(buf, uint64(v))
+}
+
 // Map walks a map in ascending key order. Restoring empties m and
 // refills it; stored keys must be strictly ascending (ErrCorrupt), so
 // every map has exactly one encoding.

@@ -117,3 +117,47 @@ func TestStateRejectsMalformed(t *testing.T) {
 		}
 	}
 }
+
+// TestSaveAppendsUintBytes: a bulk save loop through Save and
+// AppendUint stores exactly the bytes Uint does, and Save does nothing
+// when restoring or after an error.
+func TestSaveAppendsUintBytes(t *testing.T) {
+	vals := []uint64{0, 1, 0x7f, 0x80, 0xff, 0x3fff, 0x4000, math.MaxUint32, math.MaxUint64}
+	want, _ := Encode(func(s *State) {
+		for i := range vals {
+			Uint(s, &vals[i])
+		}
+	})
+	got, _ := Encode(func(s *State) {
+		s.Save(func(buf []byte) []byte {
+			for _, v := range vals {
+				buf = AppendUint(buf, v)
+			}
+			return buf
+		})
+	})
+	if !bytes.Equal(got, want) {
+		t.Fatalf("Save with AppendUint stored %x, Uint stores %x", got, want)
+	}
+	small := []uint8{0, 0x7f, 0x80, 0xff}
+	want, _ = Encode(func(s *State) { Uints(s, small) })
+	got, _ = Encode(func(s *State) {
+		s.Save(func(buf []byte) []byte {
+			for _, v := range small {
+				buf = AppendUint(buf, v)
+			}
+			return buf
+		})
+	})
+	if !bytes.Equal(got, want) {
+		t.Fatalf("Save with AppendUint stored %x for uint8s, Uints stores %x", got, want)
+	}
+	called := false
+	mark := func(buf []byte) []byte { called = true; return buf }
+	if err := Decode(nil, func(s *State) { s.Save(mark) }); err != nil || called {
+		t.Fatalf("Save while restoring: err %v, loop ran %v", err, called)
+	}
+	if _, err := Encode(func(s *State) { s.Fail(ErrCorrupt); s.Save(mark) }); !errors.Is(err, ErrCorrupt) || called {
+		t.Fatalf("Save after an error: err %v, loop ran %v", err, called)
+	}
+}

@@ -25,12 +25,22 @@ func (p *Policy) Checkpoint(s *checkpoint.State) {
 }
 
 // walkSHT walks the SHT's entries, each counter as checkpoint.Uint
-// does.
+// does. Saving appends the whole table in one loop.
 func walkSHT(s *checkpoint.State, sht []shtEntry) {
-	for i := range sht {
-		checkpoint.Uint(s, &sht[i].rc)
-		checkpoint.Uint(s, &sht[i].pd)
+	if s.Restoring() {
+		for i := range sht {
+			checkpoint.Uint(s, &sht[i].rc)
+			checkpoint.Uint(s, &sht[i].pd)
+		}
+		return
 	}
+	s.Save(func(buf []byte) []byte {
+		for _, e := range sht {
+			buf = checkpoint.AppendUint(buf, e.rc)
+			buf = checkpoint.AppendUint(buf, e.pd)
+		}
+		return buf
+	})
 }
 
 // walkMeta walks one set's block metadata. A signature or EPV that

@@ -12,6 +12,7 @@ import (
 	"math"
 
 	"care/internal/mem"
+	"care/internal/ring"
 )
 
 // Params configures the memory system. All timings are in CPU cycles.
@@ -69,11 +70,18 @@ type bank struct {
 type channel struct {
 	banks    []bank
 	busUntil uint64
+	// reads are the channel's reads in flight, in issue order, which
+	// is also their completion order: service starts each burst at or
+	// after busUntil and moves busUntil past it.
+	reads ring.Ring[pending]
 }
 
 type pending struct {
 	req   *mem.Request
 	ready uint64
+	// seq is the read's issue number across all channels; Tick
+	// answers the reads ready in a cycle in issue order.
+	seq uint64
 }
 
 // writeQueueHigh is the buffered-write count that forces drain mode
@@ -84,7 +92,10 @@ const writeQueueHigh = 32
 type DRAM struct {
 	Params
 	channels []channel
-	inflight []pending
+	// reads counts the reads in flight on every channel, and issued
+	// numbers them.
+	reads  int
+	issued uint64
 	// writeQ buffers posted writes; the controller drains them
 	// opportunistically (when no reads are in flight) or in bursts
 	// once the queue passes the high watermark, so writeback-heavy
@@ -94,8 +105,9 @@ type DRAM struct {
 	// allocates nothing.
 	writeQ []mem.Addr
 	wqHead int
-	// minReady caches the earliest completion among inflight reads so
-	// Tick can return without scanning on idle cycles.
+	// minReady caches the earliest completion among the channels'
+	// oldest reads so Tick can return on idle cycles without looking
+	// at them.
 	minReady uint64
 	stats    Stats
 
@@ -173,8 +185,8 @@ func (d *DRAM) route(a mem.Addr) (ch, bk int, row uint64) {
 }
 
 // service runs one block access through the bank/bus timing and
-// returns its completion cycle.
-func (d *DRAM) service(addr mem.Addr, cycle uint64) uint64 {
+// returns its completion cycle and the channel that serves it.
+func (d *DRAM) service(addr mem.Addr, cycle uint64) (uint64, *channel) {
 	ch, bk, row := d.route(addr)
 	c := &d.channels[ch]
 	b := &c.banks[bk]
@@ -206,7 +218,7 @@ func (d *DRAM) service(addr mem.Addr, cycle uint64) uint64 {
 	b.busyUntil = done
 	b.openRow = row
 	b.hasOpen = true
-	return done
+	return done, c
 }
 
 // Access implements the Level interface. Reads respond through the
@@ -221,15 +233,17 @@ func (d *DRAM) Access(req *mem.Request, cycle uint64) {
 		req.Release()
 		return
 	}
-	done := d.service(req.Addr, cycle)
+	done, c := d.service(req.Addr, cycle)
 	d.stats.Reads++
 	d.stats.TotalReadLatency += done - cycle
-	if len(d.inflight) == 0 || done < d.minReady {
+	if d.reads == 0 || done < d.minReady {
 		d.minReady = done
 	}
-	d.inflight = append(d.inflight, pending{req: req, ready: done})
-	if len(d.inflight) > d.stats.MaxQueued {
-		d.stats.MaxQueued = len(d.inflight)
+	c.reads.PushBack(pending{req: req, ready: done, seq: d.issued})
+	d.issued++
+	d.reads++
+	if d.reads > d.stats.MaxQueued {
+		d.stats.MaxQueued = d.reads
 	}
 }
 
@@ -240,7 +254,7 @@ func (d *DRAM) drainWrites(cycle uint64) {
 	if queued == 0 {
 		return
 	}
-	if len(d.inflight) == 0 || queued >= writeQueueHigh {
+	if d.reads == 0 || queued >= writeQueueHigh {
 		// Drain a small burst to amortise row activations.
 		n := 2
 		if n > queued {
@@ -258,30 +272,40 @@ func (d *DRAM) drainWrites(cycle uint64) {
 }
 
 // Tick delivers completed reads and drains buffered writes. It must
-// be called once per cycle.
+// be called once per cycle. Each channel's ready reads are a prefix
+// of its queue, so Tick answers them by merging the channels' heads
+// in issue order.
 func (d *DRAM) Tick(cycle uint64) {
 	d.drainWrites(cycle)
-	if len(d.inflight) == 0 || cycle < d.minReady {
+	if d.reads == 0 || cycle < d.minReady {
 		return
 	}
-	rest := d.inflight[:0]
-	next := ^uint64(0)
-	for _, p := range d.inflight {
-		if p.ready <= cycle {
-			p.req.Respond(cycle)
-			p.req.Release()
-		} else {
-			if p.ready < next {
-				next = p.ready
+	for {
+		var first *pending
+		var from *channel
+		for i := range d.channels {
+			c := &d.channels[i]
+			if c.reads.Len() == 0 {
+				continue
 			}
-			rest = append(rest, p)
+			if h := c.reads.Front(); h.ready <= cycle && (first == nil || h.seq < first.seq) {
+				first, from = h, c
+			}
+		}
+		if first == nil {
+			break
+		}
+		p := from.reads.PopFront()
+		d.reads--
+		p.req.Respond(cycle)
+		p.req.Release()
+	}
+	d.minReady = math.MaxUint64
+	for i := range d.channels {
+		if c := &d.channels[i]; c.reads.Len() > 0 && c.reads.Front().ready < d.minReady {
+			d.minReady = c.reads.Front().ready
 		}
 	}
-	for i := len(rest); i < len(d.inflight); i++ {
-		d.inflight[i] = pending{} // drop released request pointers
-	}
-	d.inflight = rest
-	d.minReady = next
 }
 
 // NextEvent returns the earliest cycle, from now on, at which Tick
@@ -290,21 +314,21 @@ func (d *DRAM) Tick(cycle uint64) {
 // math.MaxUint64. Nothing but Access moves it, so it bounds the
 // simulator's fast-forward.
 func (d *DRAM) NextEvent(now uint64) uint64 {
-	if queued := len(d.writeQ) - d.wqHead; queued > 0 && (len(d.inflight) == 0 || queued >= writeQueueHigh) {
+	if queued := len(d.writeQ) - d.wqHead; queued > 0 && (d.reads == 0 || queued >= writeQueueHigh) {
 		return now
 	}
-	if len(d.inflight) == 0 {
+	if d.reads == 0 {
 		return math.MaxUint64
 	}
 	return d.minReady
 }
 
 // Drained reports whether no reads are in flight.
-func (d *DRAM) Drained() bool { return len(d.inflight) == 0 }
+func (d *DRAM) Drained() bool { return d.reads == 0 }
 
 // PendingReads returns the number of reads in flight, for the
 // watchdog's diagnostic dump.
-func (d *DRAM) PendingReads() int { return len(d.inflight) }
+func (d *DRAM) PendingReads() int { return d.reads }
 
 // QueuedWrites returns the posted-write queue depth.
 func (d *DRAM) QueuedWrites() int { return len(d.writeQ) - d.wqHead }
@@ -312,4 +336,4 @@ func (d *DRAM) QueuedWrites() int { return len(d.writeQ) - d.wqHead }
 // QueueDepth returns the total controller backlog — reads in flight
 // plus buffered writes — the congestion signal the telemetry collector
 // samples at interval boundaries.
-func (d *DRAM) QueueDepth() int { return len(d.inflight) + d.QueuedWrites() }
+func (d *DRAM) QueueDepth() int { return d.reads + d.QueuedWrites() }

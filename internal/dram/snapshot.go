@@ -9,9 +9,9 @@ import (
 // Checkpointable reports whether the model can snapshot now. The
 // error wraps checkpoint.ErrNotCheckpointable.
 func (d *DRAM) Checkpointable() error {
-	if len(d.inflight) != 0 {
+	if d.reads != 0 {
 		return fmt.Errorf("%w: dram has %d reads in flight",
-			checkpoint.ErrNotCheckpointable, len(d.inflight))
+			checkpoint.ErrNotCheckpointable, d.reads)
 	}
 	return nil
 }

@@ -35,10 +35,11 @@ func (p *LRU) touch(set, way int) {
 
 // Victim implements cache.Policy: evict the oldest stamp.
 func (p *LRU) Victim(set int, blocks []cache.Block, info cache.AccessInfo) int {
-	best, bestStamp := 0, p.stamp[set][0]
-	for w := 1; w < len(blocks); w++ {
-		if p.stamp[set][w] < bestStamp {
-			best, bestStamp = w, p.stamp[set][w]
+	stamps := p.stamp[set][:len(blocks)]
+	best, bestStamp := 0, stamps[0]
+	for w, st := range stamps[1:] {
+		if st < bestStamp {
+			best, bestStamp = w+1, st
 		}
 	}
 	return best

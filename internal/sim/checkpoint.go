@@ -12,6 +12,7 @@ import (
 	"math"
 	"math/bits"
 	"os"
+	"slices"
 	"time"
 
 	"care/internal/checkpoint"
@@ -212,12 +213,11 @@ type frame struct {
 	walk func(*checkpoint.State)
 }
 
-// frames lists the checkpoint's frames after meta, in file order:
-// cores (each with its trace source's state), private caches, LLC,
-// DRAM, PML, optional telemetry, and the fault injector.
-// WriteCheckpoint and ReadCheckpoint both walk this one list. faults
-// says whether the file carries the injector frames.
-func (s *System) frames(faults bool) []frame {
+// buildFrames lists the checkpoint's frames after meta, in file
+// order: cores (each with its trace source's state), private caches,
+// LLC, DRAM, PML, optional telemetry, and, on a faulted system, the
+// fault injector. New builds the list once; frames hands it out.
+func (s *System) buildFrames() []frame {
 	var out []frame
 	add := func(name string, c checkpoint.Component) { out = append(out, frame{name, c.Checkpoint}) }
 	for i, c := range s.cores {
@@ -233,19 +233,27 @@ func (s *System) frames(faults bool) []frame {
 	if s.tele != nil {
 		add("telemetry", s.tele)
 	}
-	if faults {
-		inj, fm := s.injector, s.faultMem
-		if inj == nil {
-			// A fault-free system may resume a faulted run's checkpoint
-			// (the supervisor disarms crash-class faults on retries,
-			// which can disable injection entirely): the injector frames
-			// are validated but discarded.
-			inj, fm = new(faultinject.Injector), new(faultinject.Memory)
-		}
-		add("faultinject", inj)
-		add("faultmem", fm)
+	if s.injector != nil {
+		add("faultinject", s.injector)
+		add("faultmem", s.faultMem)
 	}
 	return out
+}
+
+// frames returns the frame list WriteCheckpoint and ReadCheckpoint
+// both walk. faults says whether the file carries the injector frames;
+// ReadCheckpoint has refused a file without them for a faulted system.
+func (s *System) frames(faults bool) []frame {
+	if faults && s.injector == nil {
+		// A fault-free system may resume a faulted run's checkpoint
+		// (the supervisor disarms crash-class faults on retries,
+		// which can disable injection entirely): the injector frames
+		// are validated but discarded.
+		return append(slices.Clip(s.frameList),
+			frame{"faultinject", new(faultinject.Injector).Checkpoint},
+			frame{"faultmem", new(faultinject.Memory).Checkpoint})
+	}
+	return s.frameList
 }
 
 // WriteCheckpoint streams the meta frame and then every component's

@@ -30,16 +30,15 @@ func quiescedSystem(tb testing.TB, cores, scale int, p policy.Policy) *System {
 	return s
 }
 
-// maxSaveAllocs bounds the objects one steady-state save of a 1-core
-// system allocates: 16 today, for the frame list with its names and
-// walks and the trace source's identity string, and nothing per frame
-// byte or table entry.
-const maxSaveAllocs = 24
+// maxSaveAllocs bounds the objects one steady-state save allocates: 1
+// today, the run metadata the meta frame's walk holds, and nothing per
+// core, frame, frame byte or table entry.
+const maxSaveAllocs = 2
 
 // TestSaveCheckpointAllocs pins the cost of a steady-state save: once
 // one save has sized the frame buffer, a save allocates a small,
 // fixed number of objects, the same for a scale-16 LLC as for a
-// four-times-larger scale-4 one.
+// four-times-larger scale-4 one, and the same at 4 cores as at 1.
 func TestSaveCheckpointAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop buffers at random")
@@ -47,8 +46,8 @@ func TestSaveCheckpointAllocs(t *testing.T) {
 	for _, p := range []policy.Policy{policy.LRU, policy.SHiPPP, policy.CARE} {
 		t.Run(string(p), func(t *testing.T) {
 			var got []float64
-			for _, scale := range []int{16, 4} {
-				s := quiescedSystem(t, 1, scale, p)
+			for _, sys := range []struct{ cores, scale int }{{1, 16}, {1, 4}, {4, 16}} {
+				s := quiescedSystem(t, sys.cores, sys.scale, p)
 				w, err := checkpoint.NewWriter(io.Discard)
 				if err != nil {
 					t.Fatal(err)
@@ -61,13 +60,15 @@ func TestSaveCheckpointAllocs(t *testing.T) {
 				save()
 				allocs := testing.AllocsPerRun(10, save)
 				if allocs > maxSaveAllocs {
-					t.Errorf("scale %d: a steady-state save allocated %.1f objects, want at most %d", scale, allocs, maxSaveAllocs)
+					t.Errorf("%d cores, scale %d: a steady-state save allocated %.1f objects, want at most %d",
+						sys.cores, sys.scale, allocs, maxSaveAllocs)
 				}
-				t.Logf("scale %d: %.1f allocations per save", scale, allocs)
+				t.Logf("%d cores, scale %d: %.1f allocations per save", sys.cores, sys.scale, allocs)
 				got = append(got, allocs)
 			}
-			if got[0] != got[1] {
-				t.Errorf("a steady-state save allocated %.1f objects at scale 16 and %.1f at scale 4", got[0], got[1])
+			if got[0] != got[1] || got[0] != got[2] {
+				t.Errorf("a steady-state save allocated %.1f objects at 1 core and scale 16, %.1f at scale 4, %.1f at 4 cores",
+					got[0], got[1], got[2])
 			}
 		})
 	}

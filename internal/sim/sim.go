@@ -151,6 +151,9 @@ type System struct {
 	// Interval telemetry (nil unless cfg.Telemetry is set).
 	tele *telemetry.Collector
 
+	// frameList is the checkpoint's frames after meta (buildFrames).
+	frameList []frame
+
 	// Forward-progress watchdog state.
 	watchSig  uint64
 	watchLast uint64
@@ -288,6 +291,7 @@ func New(cfg Config, traces []trace.Reader) (*System, error) {
 		}
 		s.tele = cfg.Telemetry
 	}
+	s.frameList = s.buildFrames()
 	return s, nil
 }
 

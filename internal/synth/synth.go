@@ -159,6 +159,8 @@ type Generator struct {
 	rng      uint64
 	seed     uint64
 	emitted  uint64
+	// ident names the stream (profile and seed) in a checkpoint.
+	ident string
 }
 
 var _ trace.Reader = (*Generator)(nil)
@@ -175,7 +177,7 @@ func (g *Generator) RemainingRecords() (uint64, bool) {
 // seed (different seeds model different trace segments / multi-copy
 // offsets).
 func NewGenerator(p Profile, seed uint64) *Generator {
-	g := &Generator{profile: p, seed: seed}
+	g := &Generator{profile: p, seed: seed, ident: fmt.Sprintf("%s seed %d", p.Name, seed)}
 	g.Reset()
 	return g
 }
@@ -336,7 +338,7 @@ func (g *Generator) weigh() {
 // seed must match (ErrMismatch: another stream); a boosted engine or
 // cursor out of range is ErrCorrupt.
 func (g *Generator) Checkpoint(s *checkpoint.State) {
-	s.Match(fmt.Sprintf("%s seed %d", g.profile.Name, g.seed))
+	s.Match(g.ident)
 	for _, v := range []*uint64{&g.rng, &g.phaseRNG, &g.emitted} {
 		checkpoint.Uint(s, v)
 	}
