@@ -2,6 +2,7 @@ package cache_test
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"care/cache"
@@ -71,4 +72,47 @@ func BenchmarkPutEvict(b *testing.B) {
 			b.Fatalf("%d evictions for %d fresh inserts", got, b.N)
 		}
 	})
+}
+
+// BenchmarkGetHitParallel: Gets of resident keys from every
+// RunParallel goroutine into one 8-shard CARE ShardedCache of 2^16
+// entries, in a zipf-skewed order (s = 1.1), so the goroutines pile
+// onto the shards that hold the head keys. Every op is a hit; ns/op
+// counts the time goroutines wait on a contended shard lock.
+func BenchmarkGetHitParallel(b *testing.B) {
+	const n = 1 << 16
+	c, err := cache.NewSharded(cache.Options[uint64, uint64]{Capacity: n, Policy: "care", Shards: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for k := uint64(0); k < 2*n; k++ {
+		c.Put(k, k)
+	}
+	var keys []uint64
+	c.Range(func(k, _ uint64) bool { keys = append(keys, k); return true })
+	rng := rand.New(rand.NewSource(1))
+	rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	z := rand.NewZipf(rng, 1.1, 1, uint64(len(keys)-1))
+	stream := make([]uint64, 1<<16)
+	for i := range stream {
+		stream[i] = keys[z.Uint64()]
+	}
+	var start, misses atomic.Uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := start.Add(1 << 12)
+		var miss uint64
+		for pb.Next() {
+			if _, ok := c.Get(stream[i&(1<<16-1)]); !ok {
+				miss++
+			}
+			i++
+		}
+		misses.Add(miss)
+	})
+	b.StopTimer()
+	if m := misses.Load(); m != 0 {
+		b.Fatalf("%d misses on resident keys", m)
+	}
 }

@@ -14,15 +14,15 @@ func TestCheckIntegrityCatchesCorruption(t *testing.T) {
 		corrupt func(s *segment[uint64, uint64])
 		want    string
 	}{
-		{"sig", func(s *segment[uint64, uint64]) {
-			s.sigs[0] ^= 1 << 40 // same set, wrong hash
-		}, "hashes to"},
+		{"tag", func(s *segment[uint64, uint64]) {
+			s.tags[0] ^= 1 // same set, same key, wrong tag
+		}, "hashes to tag"},
 		{"wrong set", func(s *segment[uint64, uint64]) {
 			// Slot 0 of set 0 copied, tag and all, over slot 0 of set 1.
-			s.keys[s.ways], s.sigs[s.ways] = s.keys[0], s.sigs[0]
+			s.slots[s.ways], s.tags[s.ways] = s.slots[0], s.tags[0]
 		}, "belongs in set"},
 		{"duplicate key", func(s *segment[uint64, uint64]) {
-			s.keys[1], s.sigs[1] = s.keys[0], s.sigs[0]
+			s.slots[1], s.tags[1] = s.slots[0], s.tags[0]
 		}, "also live"},
 		{"live count", func(s *segment[uint64, uint64]) {
 			s.live++

@@ -86,7 +86,7 @@ func (sh *shadow) sameContents(c mixedCache) error {
 
 // TestHashCollisions: with a low-entropy Options.Hash, distinct keys
 // share a set and an identical hash, so only the key compare after
-// the hash compare tells them apart. Every Get must return its own
+// the tag compare tells them apart. Every Get must return its own
 // key's value, Put must update its own slot, Delete must remove only
 // its key, and CheckIntegrity must hold after every op, on a Cache
 // and on a 4-shard ShardedCache.
@@ -101,46 +101,67 @@ func TestHashCollisions(t *testing.T) {
 		{"(k&0x3f)*phi", func(k uint64) uint64 { return (k & 0x3f) * 0x9e3779b97f4a7c15 }},
 	}
 	for _, hf := range hashes {
-		for _, pol := range []string{"lru", "srrip", "care"} {
-			for _, shards := range []int{0, 4} {
-				t.Run(fmt.Sprintf("%s/%s/shards=%d", hf.name, pol, shards), func(t *testing.T) {
-					sh := newShadow()
-					o := cache.Options[uint64, uint64]{
-						Capacity: 64, Ways: 8, Policy: pol, Hash: hf.fn, OnEvict: sh.onEvict,
+		runCollisions(t, hf.name, hf.fn, ^uint64(0))
+	}
+}
+
+// tagCollide maps keys below 256 to distinct hashes that agree with
+// every other key of equal k&7 in the set bits (low), the tag bits
+// (32–39) and the shard bits (high): they differ only in bits 8–12.
+func tagCollide(k uint64) uint64 { return k&7 | k>>3<<8 }
+
+// TestTagCollisions: keys whose hashes differ, but not in the bits
+// that pick the set, the shard or the 8-bit tag, pass every probe's
+// tag filter, so only the key compare separates them. The same model
+// checks as TestHashCollisions must hold.
+func TestTagCollisions(t *testing.T) {
+	runCollisions(t, "k&7|k>>3<<8", tagCollide, 7|0xff<<32|0xff<<56)
+}
+
+// runCollisions replays a seeded op stream over 256 keys hashed by
+// hash through a shadow-checked Cache and 4-shard ShardedCache per
+// policy. It fails if no two live keys ever agreed in the hash bits
+// of mask, which would make the run vacuous.
+func runCollisions(t *testing.T, name string, hash func(uint64) uint64, mask uint64) {
+	for _, pol := range []string{"lru", "srrip", "care"} {
+		for _, shards := range []int{0, 4} {
+			t.Run(fmt.Sprintf("%s/%s/shards=%d", name, pol, shards), func(t *testing.T) {
+				sh := newShadow()
+				o := cache.Options[uint64, uint64]{
+					Capacity: 64, Ways: 8, Policy: pol, Hash: hash, OnEvict: sh.onEvict,
+				}
+				var c mixedCache
+				var err error
+				if shards == 0 {
+					c, err = cache.New(o)
+				} else {
+					o.Shards = shards
+					c, err = cache.NewSharded(o)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := uint64(0x9e3779b97f4a7c15)
+				maxShared := 0
+				for i := uint64(0); i < 6000; i++ {
+					rng ^= rng << 13
+					rng ^= rng >> 7
+					rng ^= rng << 17
+					op := modelOp{kind: uint8(rng >> 40), key: rng % 256, cost: float64(rng % 300)}
+					if err := sh.step(c, op, i); err != nil {
+						t.Fatalf("op %d: %v", i, err)
 					}
-					var c mixedCache
-					var err error
-					if shards == 0 {
-						c, err = cache.New(o)
-					} else {
-						o.Shards = shards
-						c, err = cache.NewSharded(o)
+					if i%256 == 0 {
+						maxShared = max(maxShared, sharedHashes(c, func(k uint64) uint64 { return hash(k) & mask }))
 					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					rng := uint64(0x9e3779b97f4a7c15)
-					maxShared := 0
-					for i := uint64(0); i < 6000; i++ {
-						rng ^= rng << 13
-						rng ^= rng >> 7
-						rng ^= rng << 17
-						op := modelOp{kind: uint8(rng >> 40), key: rng % 256, cost: float64(rng % 300)}
-						if err := sh.step(c, op, i); err != nil {
-							t.Fatalf("op %d: %v", i, err)
-						}
-						if i%256 == 0 {
-							maxShared = max(maxShared, sharedHashes(c, hf.fn))
-						}
-					}
-					if err := sh.sameContents(c); err != nil {
-						t.Fatal(err)
-					}
-					if maxShared < 2 {
-						t.Fatal("no two live keys ever shared a hash; the test is vacuous")
-					}
-				})
-			}
+				}
+				if err := sh.sameContents(c); err != nil {
+					t.Fatal(err)
+				}
+				if maxShared < 2 {
+					t.Fatal("no two live keys ever collided; the test is vacuous")
+				}
+			})
 		}
 	}
 }
@@ -159,12 +180,16 @@ func sharedHashes(c mixedCache, hash func(uint64) uint64) int {
 }
 
 // FuzzCacheModel drives a small Cache whose hash makes keys k and k+8
-// collide against the shadow model. The first byte picks the policy;
-// each later 3-byte group is one op: kind, key and cost.
+// collide against the shadow model. The first byte picks the policy
+// and the collision: identical hashes (k&7), or distinct hashes that
+// agree in the set and tag bits (tagCollide). Each later 3-byte group
+// is one op: kind, key and cost.
 func FuzzCacheModel(f *testing.F) {
 	f.Add([]byte{0, 1, 3, 9, 1, 11, 50, 2, 19, 7, 0, 11, 0, 3, 3, 0, 0, 19, 0})
 	f.Add([]byte{10, 2, 1, 200, 2, 9, 100, 2, 17, 3, 2, 25, 1, 2, 33, 90, 0, 1, 0, 3, 9, 0, 0, 9, 0})
+	f.Add([]byte{7, 1, 3, 9, 1, 11, 50, 2, 19, 7, 0, 11, 0, 1, 27, 0, 3, 3, 0, 0, 19, 0, 0, 27, 0})
 	pols := cache.Supported()
+	hashes := []func(uint64) uint64{func(k uint64) uint64 { return k & 7 }, tagCollide}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -172,7 +197,7 @@ func FuzzCacheModel(f *testing.F) {
 		sh := newShadow()
 		c, err := cache.New(cache.Options[uint64, uint64]{
 			Capacity: 16, Ways: 4, Policy: pols[int(data[0])%len(pols)],
-			Hash:    func(k uint64) uint64 { return k & 7 },
+			Hash:    hashes[int(data[0])/len(pols)%len(hashes)],
 			OnEvict: sh.onEvict,
 		})
 		if err != nil {

@@ -39,7 +39,7 @@ func (s *Stats) add(o Stats) {
 }
 
 // segment holds ALL algorithm state and eviction logic for one
-// sets×ways region of the cache: the slot arrays, their per-set
+// sets×ways region of the cache: the slots, their tags, the per-set
 // occupancy masks, and the replacement-policy adapter. It is written
 // once and wrapped twice — zero-overhead by Cache (no locking) and by
 // ShardedCache (N segments behind per-segment mutexes) — the
@@ -47,8 +47,10 @@ func (s *Stats) add(o Stats) {
 // behaviour.
 //
 // Like a hardware set-associative cache it keeps no side index: a
-// key lives only in set hash&setMask, and find compares the tags
-// (sigs, then keys) of that set's live ways.
+// key lives only in set hash&setMask, and find compares the 8-bit
+// tags of that set's live ways, then the key of a way whose tag
+// matches. The occupancy masks are the only record of which ways are
+// live: the adapter keeps no per-slot state.
 //
 // A segment is not safe for concurrent use; its wrapper provides
 // whatever exclusion is needed.
@@ -59,12 +61,12 @@ type segment[K comparable, V any] struct {
 	waysMask uint64
 	hash     func(K) uint64
 	ad       *replacement.Adapter
-	// keys, vals and sigs are the slot arrays, indexed by flat slot
-	// (set*ways + way). sigs holds each live slot's key hash, which
-	// find compares before the key.
-	keys []K
-	vals []V
-	sigs []uint64
+	// slots and tags are indexed by flat slot (set*ways + way). A
+	// slot keeps key and value together, so a hit reads one line;
+	// tags holds each live slot's tagOf(hash), which find compares
+	// before the key, so a miss rarely touches slots.
+	slots []slot[K, V]
+	tags  []uint8
 	// occ is a per-set occupancy bitmask (bit w = way w live); live
 	// is the total number of set bits.
 	occ         []uint64
@@ -74,6 +76,18 @@ type segment[K comparable, V any] struct {
 	stats       Stats
 }
 
+// slot is one entry: a key and its value.
+type slot[K comparable, V any] struct {
+	key K
+	val V
+}
+
+// tagOf is the 8-bit fingerprint find compares before the key. It
+// takes hash bits 32–39, which neither the set index (low bits) nor
+// the sharded wrapper's shard index (high bits) uses at any practical
+// geometry, so keys that share a set mostly differ in their tags.
+func tagOf(h uint64) uint8 { return uint8(h >> 32) }
+
 func (s *segment[K, V]) init(sets, ways int, hash func(K) uint64, ad *replacement.Adapter,
 	onEvict func(K, V), defaultCost float64) {
 	s.ways = ways
@@ -81,9 +95,8 @@ func (s *segment[K, V]) init(sets, ways int, hash func(K) uint64, ad *replacemen
 	s.waysMask = 1<<ways - 1
 	s.hash = hash
 	s.ad = ad
-	s.keys = make([]K, sets*ways)
-	s.vals = make([]V, sets*ways)
-	s.sigs = make([]uint64, sets*ways)
+	s.slots = make([]slot[K, V], sets*ways)
+	s.tags = make([]uint8, sets*ways)
 	s.occ = make([]uint64, sets)
 	s.onEvict = onEvict
 	s.defaultCost = defaultCost
@@ -91,13 +104,14 @@ func (s *segment[K, V]) init(sets, ways int, hash func(K) uint64, ad *replacemen
 
 // find returns k's flat slot, or -1 if k is not live. h must be
 // s.hash(k). It walks only the live ways of k's set and compares a
-// slot's cached hash before its key, so a miss rarely touches keys.
+// slot's tag before its key.
 func (s *segment[K, V]) find(k K, h uint64) int {
 	set := int(h & s.setMask)
 	base := set * s.ways
+	tag := tagOf(h)
 	for m := s.occ[set]; m != 0; m &= m - 1 {
 		idx := base + bits.TrailingZeros64(m)
-		if s.sigs[idx] == h && s.keys[idx] == k {
+		if s.tags[idx] == tag && s.slots[idx].key == k {
 			return idx
 		}
 	}
@@ -111,7 +125,7 @@ func (s *segment[K, V]) get(k K, h uint64) (V, bool) {
 		set := int(h & s.setMask)
 		s.ad.OnHit(set, idx-set*s.ways, replacement.Access{Sig: h, Block: h})
 		s.stats.Hits++
-		return s.vals[idx], true
+		return s.slots[idx].val, true
 	}
 	s.stats.Misses++
 	var zero V
@@ -123,7 +137,7 @@ func (s *segment[K, V]) get(k K, h uint64) (V, bool) {
 func (s *segment[K, V]) put(k K, h uint64, v V, cost float64) {
 	set := int(h & s.setMask)
 	if idx := s.find(k, h); idx >= 0 {
-		s.vals[idx] = v
+		s.slots[idx].val = v
 		s.ad.OnHit(set, idx-set*s.ways, replacement.Access{Sig: h, Block: h, Write: true})
 		s.stats.Updates++
 		return
@@ -135,18 +149,16 @@ func (s *segment[K, V]) put(k K, h uint64, v V, cost float64) {
 		s.live++
 	} else {
 		way = s.ad.Victim(set, acc)
-		vidx := set*s.ways + way
-		oldK, oldV := s.keys[vidx], s.vals[vidx]
+		old := s.slots[set*s.ways+way]
 		s.ad.OnEvict(set, way, acc)
 		s.stats.Evictions++
 		if s.onEvict != nil {
-			s.onEvict(oldK, oldV)
+			s.onEvict(old.key, old.val)
 		}
 	}
 	idx := set*s.ways + way
-	s.keys[idx] = k
-	s.vals[idx] = v
-	s.sigs[idx] = h
+	s.slots[idx] = slot[K, V]{k, v}
+	s.tags[idx] = tagOf(h)
 	s.occ[set] |= 1 << way
 	s.ad.OnFill(set, way, acc)
 	s.stats.Inserts++
@@ -154,8 +166,7 @@ func (s *segment[K, V]) put(k K, h uint64, v V, cost float64) {
 
 // del removes k if present. h must be s.hash(k). The policy is
 // notified (OnEvict) so its per-slot training state is settled, then
-// the slot is invalidated — a terminal Delete leaves no trace of the
-// key.
+// the slot is freed — a terminal Delete leaves no trace of the key.
 func (s *segment[K, V]) del(k K, h uint64) bool {
 	idx := s.find(k, h)
 	if idx < 0 {
@@ -164,13 +175,9 @@ func (s *segment[K, V]) del(k K, h uint64) bool {
 	set := int(h & s.setMask)
 	way := idx - set*s.ways
 	s.ad.OnEvict(set, way, replacement.Access{Sig: h, Block: h})
-	s.ad.Invalidate(set, way)
 	s.occ[set] &^= 1 << way
 	s.live--
-	var zeroK K
-	var zeroV V
-	s.keys[idx] = zeroK // release references held by evicted slots
-	s.vals[idx] = zeroV
+	s.slots[idx] = slot[K, V]{} // release references held by the slot
 	s.stats.Deletes++
 	return true
 }
@@ -181,8 +188,8 @@ func (s *segment[K, V]) len() int { return s.live }
 func (s *segment[K, V]) rangeEntries(fn func(K, V) bool) bool {
 	for set, occ := range s.occ {
 		for m := occ; m != 0; m &= m - 1 {
-			idx := set*s.ways + bits.TrailingZeros64(m)
-			if !fn(s.keys[idx], s.vals[idx]) {
+			e := &s.slots[set*s.ways+bits.TrailingZeros64(m)]
+			if !fn(e.key, e.val) {
 				return false
 			}
 		}
@@ -190,13 +197,12 @@ func (s *segment[K, V]) rangeEntries(fn func(K, V) bool) bool {
 	return true
 }
 
-// checkIntegrity cross-validates the slot arrays, the occupancy
-// bitmasks and the live count against each other and against the
-// adapter's block validity: every live slot's sig is its key's hash,
-// the key sits in the set that hash selects, and find reaches that
-// very slot (so no key is live in two ways of a set). The stress
-// tests call it under -race; it is exported on both wrappers for
-// embedders to do the same.
+// checkIntegrity cross-validates the slots, their tags, the
+// occupancy bitmasks and the live count against each other: every
+// live slot's tag is its key's hash's tag, the key sits in the set
+// that hash selects, and find reaches that very slot (so no key is
+// live in two ways of a set). The stress tests call it under -race;
+// it is exported on both wrappers for embedders to do the same.
 func (s *segment[K, V]) checkIntegrity() error {
 	live := 0
 	for set, occ := range s.occ {
@@ -204,21 +210,17 @@ func (s *segment[K, V]) checkIntegrity() error {
 			return fmt.Errorf("cache: set %d occupancy %#x exceeds %d ways", set, occ, s.ways)
 		}
 		live += bits.OnesCount64(occ)
-		for w := 0; w < s.ways; w++ {
-			if got, want := s.ad.Valid(set, w), occ&(1<<w) != 0; got != want {
-				return fmt.Errorf("cache: set %d way %d adapter valid=%v but occupancy=%v", set, w, got, want)
-			}
-		}
 		for m := occ; m != 0; m &= m - 1 {
 			idx := set*s.ways + bits.TrailingZeros64(m)
-			k, sig := s.keys[idx], s.sigs[idx]
-			if h := s.hash(k); sig != h {
-				return fmt.Errorf("cache: slot %d sig %#x but its key hashes to %#x", idx, sig, h)
+			k := s.slots[idx].key
+			h := s.hash(k)
+			if tag := s.tags[idx]; tag != tagOf(h) {
+				return fmt.Errorf("cache: slot %d tag %#x but its key hashes to tag %#x", idx, tag, tagOf(h))
 			}
-			if int(sig&s.setMask) != set {
-				return fmt.Errorf("cache: slot %d key belongs in set %d, not %d", idx, sig&s.setMask, set)
+			if int(h&s.setMask) != set {
+				return fmt.Errorf("cache: slot %d key belongs in set %d, not %d", idx, h&s.setMask, set)
 			}
-			if got := s.find(k, sig); got != idx {
+			if got := s.find(k, h); got != idx {
 				return fmt.Errorf("cache: slot %d key is also live in slot %d of set %d", idx, got, set)
 			}
 		}

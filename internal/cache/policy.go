@@ -48,6 +48,11 @@ type AccessInfo struct {
 // Policy is the replacement-policy plug-in interface, modelled on the
 // Cache Replacement Championship hooks: victim selection plus update
 // callbacks on hit, fill, and eviction.
+//
+// A portable policy (policy.Policy.Portable) must not read the
+// contents of the Blocks it is handed, only the row's length: the
+// care/cache library passes one shared row of zero Blocks, and a zero
+// evicted Block, because it keeps no per-slot Block state.
 type Policy interface {
 	// Name identifies the policy in reports.
 	Name() string

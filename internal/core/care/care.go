@@ -112,9 +112,15 @@ type Policy struct {
 	// sigFills counts insertions per signature, for introspection
 	// (not part of the hardware budget).
 	sigFills []uint32
-	meta     [][]blockMeta
-	sampled  replacement.SampledSets
-	rng      rng
+	// blocks holds every block's metadata, set by set: way w of set
+	// s is blocks[s*ways+w], which the callbacks index directly. meta
+	// views the same array row by row, for the checkpoint walk and the
+	// invariant sweep.
+	blocks  []blockMeta
+	meta    [][]blockMeta
+	ways    int
+	sampled replacement.SampledSets
+	rng     rng
 
 	// DTRM state.
 	pmcLow, pmcHigh float64
@@ -203,10 +209,11 @@ func (p *Policy) Init(sets, ways int) {
 		p.sht[i] = shtEntry{rc: 1, pd: 3}
 	}
 	p.sigFills = make([]uint32, shtEntries)
+	p.ways = ways
+	p.blocks = make([]blockMeta, sets*ways)
 	p.meta = make([][]blockMeta, sets)
-	backing := make([]blockMeta, sets*ways)
 	for i := range p.meta {
-		p.meta[i] = backing[i*ways : (i+1)*ways : (i+1)*ways]
+		p.meta[i] = p.blocks[i*ways : (i+1)*ways : (i+1)*ways]
 	}
 	sampledWant := p.cfg.SampledSets
 	if sampledWant <= 0 {
@@ -358,7 +365,8 @@ func (p *Policy) dtrmOnMiss(cost float64) {
 // Victim implements cache.Policy: pick randomly among EPV==3 blocks;
 // if none exists, age the whole set and retry (§V-D).
 func (p *Policy) Victim(set int, blocks []cache.Block, info cache.AccessInfo) int {
-	metas := p.meta[set]
+	base := set * p.ways
+	metas := p.blocks[base : base+p.ways]
 	for {
 		count := 0
 		for w := range metas {
@@ -386,7 +394,7 @@ func (p *Policy) Victim(set int, blocks []cache.Block, info cache.AccessInfo) in
 // OnHit implements cache.Policy: SHT training plus the hit-promotion
 // policy of Table IV and the prefetch rules of §V-E.
 func (p *Policy) OnHit(set, way int, blocks []cache.Block, info cache.AccessInfo) {
-	m := &p.meta[set][way]
+	m := &p.blocks[set*p.ways+way]
 	if info.Kind == mem.Writeback {
 		// Writeback hits neither train nor promote (§V-D).
 		return
@@ -436,7 +444,7 @@ func (p *Policy) OnHit(set, way int, blocks []cache.Block, info cache.AccessInfo
 // OnFill implements cache.Policy: quantize the measured cost, store
 // metadata, run DTRM, and apply the insertion policy of Table IV.
 func (p *Policy) OnFill(set, way int, blocks []cache.Block, info cache.AccessInfo) {
-	m := &p.meta[set][way]
+	m := &p.blocks[set*p.ways+way]
 	*m = blockMeta{valid: true}
 
 	if info.Kind == mem.Writeback {
@@ -485,7 +493,7 @@ func (p *Policy) OnFill(set, way int, blocks []cache.Block, info cache.AccessInf
 // OnEvict implements cache.Policy: train RC on dead blocks and PD
 // from the evicted block's PMCS (§V-B), sampled sets only.
 func (p *Policy) OnEvict(set, way int, evicted cache.Block, info cache.AccessInfo) {
-	m := &p.meta[set][way]
+	m := &p.blocks[set*p.ways+way]
 	if !m.valid || m.writeback || !p.sampled.Sampled(set) {
 		return
 	}

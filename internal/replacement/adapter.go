@@ -33,33 +33,27 @@ type Access struct {
 	Cost float64
 }
 
-// Adapter drives an unmodified zoo policy from Access values. It owns
-// the per-(set, way) cache.Block metadata the simulator's cache model
-// normally maintains, synthesising the fields policies read (tag, PC,
-// dirtiness) from each Access.
+// Adapter drives an unmodified zoo policy from Access values. It
+// holds no per-slot state: a portable policy (policy.Portable) keeps
+// what it needs in its own side arrays and reads only the length of
+// the Block row it is handed, so every call gets the same shared row
+// of zero Blocks, and OnEvict a zero Block. The host's occupancy
+// record is the only record of which ways are live.
 //
 // The adapter is deliberately single-threaded: the care/cache shared
 // segment guarantees one goroutine per segment (the concurrent
 // wrapper holds a per-shard mutex), exactly like the simulator's
 // sequential tick loop.
 type Adapter struct {
-	pol    cache.Policy
-	sets   int
-	ways   int
-	blocks [][]cache.Block
+	pol cache.Policy
+	row []cache.Block
 }
 
 // NewAdapter wraps a policy for a sets×ways geometry. The policy's
 // Init is invoked here.
 func NewAdapter(pol cache.Policy, sets, ways int) *Adapter {
-	a := &Adapter{pol: pol, sets: sets, ways: ways}
-	a.blocks = make([][]cache.Block, sets)
-	backing := make([]cache.Block, sets*ways)
-	for i := range a.blocks {
-		a.blocks[i] = backing[i*ways : (i+1)*ways : (i+1)*ways]
-	}
 	pol.Init(sets, ways)
-	return a
+	return &Adapter{pol: pol, row: make([]cache.Block, ways)}
 }
 
 // NewAdapterByName constructs a registered policy (cores = 1) and
@@ -98,42 +92,22 @@ func (a *Adapter) info(acc Access) cache.AccessInfo {
 // Mirroring the simulator's cache model, the host fast-paths free
 // ways itself, so the policy only ever sees full sets.
 func (a *Adapter) Victim(set int, acc Access) int {
-	return a.pol.Victim(set, a.blocks[set], a.info(acc))
+	return a.pol.Victim(set, a.row, a.info(acc))
 }
 
 // OnHit records a hit on (set, way).
 func (a *Adapter) OnHit(set, way int, acc Access) {
-	if acc.Write {
-		a.blocks[set][way].Dirty = true
-	}
-	a.pol.OnHit(set, way, a.blocks[set], a.info(acc))
+	a.pol.OnHit(set, way, a.row, a.info(acc))
 }
 
-// OnEvict notifies the policy that the valid block in (set, way) is
+// OnEvict notifies the policy that the live block in (set, way) is
 // leaving (by replacement or explicit deletion).
 func (a *Adapter) OnEvict(set, way int, acc Access) {
-	evicted := a.blocks[set][way]
-	a.pol.OnEvict(set, way, evicted, a.info(acc))
+	a.pol.OnEvict(set, way, cache.Block{}, a.info(acc))
 }
 
-// OnFill installs a new block in (set, way) and notifies the policy.
+// OnFill notifies the policy that a new block is installed in
+// (set, way).
 func (a *Adapter) OnFill(set, way int, acc Access) {
-	a.blocks[set][way] = cache.Block{
-		Valid: true,
-		Tag:   acc.Block,
-		Dirty: acc.Write,
-		PC:    mem.Addr(acc.Sig),
-	}
-	a.pol.OnFill(set, way, a.blocks[set], a.info(acc))
+	a.pol.OnFill(set, way, a.row, a.info(acc))
 }
-
-// Invalidate clears (set, way) after an explicit deletion so the slot
-// reads as free. The policy has already been told via OnEvict; its
-// per-way metadata is reset by the next OnFill.
-func (a *Adapter) Invalidate(set, way int) {
-	a.blocks[set][way] = cache.Block{}
-}
-
-// Valid reports whether (set, way) holds a live block — used by
-// integrity checks to cross-validate the host's occupancy tracking.
-func (a *Adapter) Valid(set, way int) bool { return a.blocks[set][way].Valid }

@@ -40,30 +40,6 @@ func TestAdapterDrivesLRU(t *testing.T) {
 	}
 }
 
-// TestAdapterBlockMetadata: fills install valid tagged blocks, write
-// hits mark dirtiness, Invalidate frees the slot.
-func TestAdapterBlockMetadata(t *testing.T) {
-	a := NewAdapter(NewLRU(), 1, 2)
-	a.OnFill(0, 0, Access{Sig: 7, Block: 42, Cost: 3})
-	if !a.Valid(0, 0) || a.Valid(0, 1) {
-		t.Fatalf("validity after fill: (0,0)=%v (0,1)=%v", a.Valid(0, 0), a.Valid(0, 1))
-	}
-	b := a.blocks[0][0]
-	if b.Tag != 42 || b.Dirty {
-		t.Fatalf("block after fill: %+v", b)
-	}
-	a.OnHit(0, 0, Access{Sig: 7, Block: 42, Write: true})
-	b = a.blocks[0][0]
-	if !b.Dirty {
-		t.Fatalf("block after write hit: %+v", b)
-	}
-	a.OnEvict(0, 0, Access{Sig: 8, Block: 43})
-	a.Invalidate(0, 0)
-	if a.Valid(0, 0) {
-		t.Fatal("slot still valid after Invalidate")
-	}
-}
-
 // TestAdapterDeterministic: every portable policy, driven twice with
 // the same Access sequence through fresh adapters, must pick
 // identical victims — the property the care/cache parity test builds
@@ -85,9 +61,12 @@ func TestAdapterDeterministic(t *testing.T) {
 					rng ^= rng << 17
 					return rng
 				}
+				// occ and tags are the host's record of each way.
 				occ := make([][]bool, 8)
+				tags := make([][]uint64, 8)
 				for i := range occ {
 					occ[i] = make([]bool, 4)
+					tags[i] = make([]uint64, 4)
 				}
 				for i := 0; i < 2000; i++ {
 					h := next()
@@ -95,7 +74,7 @@ func TestAdapterDeterministic(t *testing.T) {
 					acc := Access{Sig: h >> 3, Block: h >> 3, Write: h%5 == 0, Cost: float64(h % 400)}
 					way := -1
 					for w, used := range occ[set] {
-						if used && ad.blocks[set][w].Tag == acc.Block {
+						if used && tags[set][w] == acc.Block {
 							way = w
 							break
 						}
@@ -115,7 +94,7 @@ func TestAdapterDeterministic(t *testing.T) {
 						victims = append(victims, set*4+way)
 						ad.OnEvict(set, way, acc)
 					}
-					occ[set][way] = true
+					occ[set][way], tags[set][way] = true, acc.Block
 					ad.OnFill(set, way, acc)
 				}
 				return victims
