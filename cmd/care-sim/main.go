@@ -292,10 +292,6 @@ func main() {
 			cs.InsertHighCost, cs.InsertLowCost, cs.InsertWriteback)
 		fmt.Printf("  DTRM: thresholds low=%.0f high=%.0f, raises=%d lowers=%d, costly misses=%d\n",
 			low, high, cs.DTRMRaises, cs.DTRMLowers, cs.CostlyMisses)
-		fmt.Println("  hottest SHT signatures (sig, fills, RC, PD):")
-		for _, s := range pol.HotSignatures(8) {
-			fmt.Printf("    %#04x  %7d  rc=%d pd=%d\n", s.Signature, s.Fills, s.RC, s.PD)
-		}
 	}
 	if interrupted {
 		os.Exit(1)

@@ -8,11 +8,12 @@ import (
 	"care/internal/mem"
 )
 
-// TestBlockSize: every set scan, fill and checkpoint walks Blocks, so
-// a field no one reads, or a bool between the words, shows up here.
+// TestBlockSize: every fill, integrity sweep and checkpoint walks
+// blocks, so a field no one reads, or a bool between the words, shows
+// up here.
 func TestBlockSize(t *testing.T) {
-	if got := unsafe.Sizeof(Block{}); strconv.IntSize == 64 && got != 32 {
-		t.Fatalf("Block is %d bytes, want 32", got)
+	if got := unsafe.Sizeof(block{}); strconv.IntSize == 64 && got != 32 {
+		t.Fatalf("block is %d bytes, want 32", got)
 	}
 }
 
@@ -121,6 +122,29 @@ func TestMSHRAllocReleaseZeroAllocs(t *testing.T) {
 	}
 	if m.Len() != 0 {
 		t.Fatalf("MSHR leaked %d entries", m.Len())
+	}
+}
+
+// TestCheckIntegrityZeroAllocs: the invariant sweep runs every check
+// interval over every set and the MSHR file, so it must allocate
+// nothing, with valid blocks resident and misses outstanding.
+func TestCheckIntegrityZeroAllocs(t *testing.T) {
+	c, lower := newSteadyStateCache()
+	pool := &mem.RequestPool{}
+	owner := &tableCompleter{}
+	var cycle, n uint64
+	for i := 0; i < 50; i++ {
+		driveSteadyState(c, lower, pool, owner, &cycle, &n)
+	}
+	if c.SaturateMSHR(cycle) == 0 {
+		t.Fatal("no MSHR entry left to claim")
+	}
+	var err error
+	if allocs := testing.AllocsPerRun(100, func() { err = c.CheckIntegrity() }); allocs != 0 {
+		t.Fatalf("CheckIntegrity allocated %.2f objects per sweep", allocs)
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

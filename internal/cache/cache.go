@@ -185,6 +185,25 @@ func (s *Stats) MeanPMC() float64 {
 	return 0
 }
 
+// block is the cache's metadata of one way. It holds only what the
+// cache reads, bools last, so a block is 32 bytes on a 64-bit host.
+type block struct {
+	// Tag is the block number (address >> BlockBits) stored in the way.
+	Tag uint64
+	// Core is the index of the core whose access filled the block.
+	Core int
+	// PC is the program counter of the instruction that filled the
+	// block (the triggering instruction for prefetch fills).
+	PC mem.Addr
+	// Valid marks the way as holding data.
+	Valid bool
+	// Dirty marks modified data that must be written back on eviction.
+	Dirty bool
+	// Prefetched is set when the block was filled by a prefetch and
+	// has not yet been touched by a demand access.
+	Prefetched bool
+}
+
 type queued struct {
 	req   *mem.Request
 	ready uint64
@@ -198,17 +217,13 @@ type Cache struct {
 	lower      Level
 	mshr       *MSHR
 	// blocks holds every way, set by set: way w of set s is
-	// blocks[s*Ways+w], and a policy is handed its set's row of it.
-	// The hit and fill paths index it directly; sets views the same
-	// array row by row, for the checkpoint walk and the integrity
-	// sweep.
-	blocks []Block
-	sets   [][]Block
+	// blocks[s*Ways+w].
+	blocks []block
 	// tags mirrors blocks as a flat packed array (tag<<1|1 when valid,
 	// 0 when not): probing scans 8 bytes per way instead of a full
-	// Block, cutting the tag-match loop's cache footprint ~10×. It is
+	// block, cutting the tag-match loop's cache footprint ~10×. It is
 	// updated wherever Valid/Tag change: installBlock, FlipTagBit and
-	// checkpoint restore.
+	// checkpoint restore; CheckIntegrity compares the two.
 	tags     []uint64
 	inq      ring.Ring[queued]
 	trackers []Tracker
@@ -244,6 +259,9 @@ type Cache struct {
 	pool mem.RequestPool
 	// pfBuf is the reusable buffer handed to the prefetcher.
 	pfBuf []mem.Addr
+	// coreCount is CheckIntegrity's reusable tally of MSHR entries per
+	// core.
+	coreCount []int
 
 	setMask uint64
 	// pfDropAt is the MSHR occupancy at which prefetches are dropped
@@ -263,17 +281,14 @@ func New(p Params, policy Policy) *Cache {
 		p.Cores = 1
 	}
 	c := &Cache{
-		Params: p,
-		policy: policy,
-		mshr:   NewMSHR(p.MSHREntries, p.Cores),
-		blocks: make([]Block, p.Sets*p.Ways),
-		sets:   make([][]Block, p.Sets),
-		wake:   math.MaxUint64,
+		Params:    p,
+		policy:    policy,
+		mshr:      NewMSHR(p.MSHREntries, p.Cores),
+		blocks:    make([]block, p.Sets*p.Ways),
+		tags:      make([]uint64, p.Sets*p.Ways),
+		coreCount: make([]int, p.Cores),
+		wake:      math.MaxUint64,
 	}
-	for i := range c.sets {
-		c.sets[i] = c.row(i * p.Ways)
-	}
-	c.tags = make([]uint64, p.Sets*p.Ways)
 	c.setMask = uint64(p.Sets - 1)
 	c.pfDropAt = p.MSHREntries - p.MSHREntries/4
 	policy.Init(p.Sets, p.Ways)
@@ -390,10 +405,6 @@ func (c *Cache) Contains(a mem.Addr) bool {
 // Outstanding reports whether a miss for a's block is in flight.
 func (c *Cache) Outstanding(a mem.Addr) bool { return c.mshr.Lookup(a.BlockID()) != nil }
 
-// row returns the blocks of the set whose first way is blocks[base],
-// capped so a policy cannot reach the next set.
-func (c *Cache) row(base int) []Block { return c.blocks[base : base+c.Ways : base+c.Ways] }
-
 // probe returns (set, way) of a resident block, way == -1 on miss.
 func (c *Cache) probe(a mem.Addr) (int, int) {
 	set := c.SetIndex(a)
@@ -495,8 +506,7 @@ func (c *Cache) lookup(req *mem.Request, cycle uint64) bool {
 
 	if hit {
 		c.countAccess(req, true)
-		base := set * c.Ways
-		blk := &c.blocks[base+way]
+		blk := &c.blocks[set*c.Ways+way]
 		info := c.infoFor(req)
 		info.HitPrefetched = blk.Prefetched
 		req.PrefetchHit = blk.Prefetched && req.Kind.IsDemand()
@@ -506,7 +516,7 @@ func (c *Cache) lookup(req *mem.Request, cycle uint64) bool {
 		if req.Kind == mem.Store {
 			blk.Dirty = true
 		}
-		c.policy.OnHit(set, way, c.row(base), info)
+		c.policy.OnHit(set, way, info)
 		c.maybePrefetch(req, true, cycle)
 		req.Respond(cycle)
 		req.Release()
@@ -697,14 +707,14 @@ func (c *Cache) installBlock(addr, pc mem.Addr, core int, kind mem.Kind, pmc, ml
 		MLPCost: mlpCost,
 	}
 	if way < 0 {
-		if way = c.findVictim(set, base, info); way < 0 {
+		if way = c.findVictim(set, info); way < 0 {
 			return // victim selection failed; failure already latched
 		}
 	}
 	blk := &c.blocks[base+way]
 	if blk.Valid {
 		c.stats.Evictions++
-		c.policy.OnEvict(set, way, *blk, info)
+		c.policy.OnEvict(set, way, info)
 		if blk.Dirty && c.lower != nil {
 			c.writeback(blk, cycle)
 		}
@@ -719,15 +729,15 @@ func (c *Cache) installBlock(addr, pc mem.Addr, core int, kind mem.Kind, pmc, ml
 	blk.PC = pc
 	c.tags[base+way] = want
 	c.stats.Fills++
-	c.policy.OnFill(set, way, c.row(base), info)
+	c.policy.OnFill(set, way, info)
 }
 
 // findVictim asks the policy for the way of a full set to evict,
 // validating its answer. A policy returning an out-of-range way
 // latches ErrBadVictim and yields -1 (the fill is skipped; a
 // wrong-way eviction would silently corrupt the timing model).
-func (c *Cache) findVictim(set, base int, info AccessInfo) int {
-	way := c.policy.Victim(set, c.row(base), info)
+func (c *Cache) findVictim(set int, info AccessInfo) int {
+	way := c.policy.Victim(set, info)
 	if way < 0 || way >= c.Ways {
 		c.fail(fmt.Errorf("cache %s: %w: policy %s returned way %d", c.Name, ErrBadVictim, c.policy.Name(), way))
 		return -1
@@ -736,7 +746,7 @@ func (c *Cache) findVictim(set, base int, info AccessInfo) int {
 }
 
 // writeback sends an evicted dirty block to the next level.
-func (c *Cache) writeback(blk *Block, cycle uint64) {
+func (c *Cache) writeback(blk *block, cycle uint64) {
 	c.stats.WritebacksIssued++
 	c.nextReqID++
 	wb := c.pool.Get()

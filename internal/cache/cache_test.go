@@ -12,35 +12,35 @@ import (
 // testLRU is a minimal true-LRU policy for exercising the cache
 // machinery without importing the replacement zoo.
 type testLRU struct {
-	stamp [][]uint64
+	stamp []uint64
+	ways  int
 	clock uint64
 }
 
 func (p *testLRU) Name() string { return "test-lru" }
 func (p *testLRU) Init(sets, ways int) {
-	p.stamp = make([][]uint64, sets)
-	for i := range p.stamp {
-		p.stamp[i] = make([]uint64, ways)
-	}
+	p.stamp = make([]uint64, sets*ways)
+	p.ways = ways
 }
 func (p *testLRU) touch(set, way int) {
 	p.clock++
-	p.stamp[set][way] = p.clock
+	p.stamp[set*p.ways+way] = p.clock
 }
-func (p *testLRU) Victim(set int, blocks []Block, info AccessInfo) int {
-	best, bestStamp := 0, p.stamp[set][0]
-	for w := 1; w < len(blocks); w++ {
-		if p.stamp[set][w] < bestStamp {
-			best, bestStamp = w, p.stamp[set][w]
+func (p *testLRU) Victim(set int, info AccessInfo) int {
+	stamps := p.stamp[set*p.ways : (set+1)*p.ways]
+	best, bestStamp := 0, stamps[0]
+	for w := 1; w < len(stamps); w++ {
+		if stamps[w] < bestStamp {
+			best, bestStamp = w, stamps[w]
 		}
 	}
 	return best
 }
-func (p *testLRU) OnHit(set, way int, blocks []Block, info AccessInfo)  { p.touch(set, way) }
-func (p *testLRU) OnFill(set, way int, blocks []Block, info AccessInfo) { p.touch(set, way) }
-func (p *testLRU) OnEvict(set, way int, evicted Block, info AccessInfo) {}
+func (p *testLRU) OnHit(set, way int, info AccessInfo)   { p.touch(set, way) }
+func (p *testLRU) OnFill(set, way int, info AccessInfo)  { p.touch(set, way) }
+func (p *testLRU) OnEvict(set, way int, info AccessInfo) {}
 func (p *testLRU) Checkpoint(s *checkpoint.State) {
-	checkpoint.Grid(s, p.stamp, checkpoint.Uints)
+	checkpoint.Grid(s, p.stamp, p.ways, checkpoint.Uints)
 	checkpoint.Uint(s, &p.clock)
 }
 
@@ -231,7 +231,7 @@ func TestWritebackHitMarksDirty(t *testing.T) {
 	if way < 0 {
 		t.Fatal("block missing")
 	}
-	if !c.sets[set][way].Dirty {
+	if !c.blocks[set*c.Ways+way].Dirty {
 		t.Fatal("writeback hit should mark the block dirty")
 	}
 	if c.Stats().WritebackHits != 1 {
@@ -265,7 +265,7 @@ func TestWritebackMissAllocatesAtLastLevel(t *testing.T) {
 		t.Fatal("terminal level must retain the writeback")
 	}
 	set, way := c.probe(0x4000)
-	if !c.sets[set][way].Dirty {
+	if !c.blocks[set*c.Ways+way].Dirty {
 		t.Fatal("writeback-installed block must be dirty")
 	}
 }
@@ -275,7 +275,7 @@ func TestStoreMissFillsDirty(t *testing.T) {
 	c.Access(&mem.Request{Addr: 0x5000, Kind: mem.Store}, 0)
 	run(c, lower, 0, 20)
 	set, way := c.probe(0x5000)
-	if way < 0 || !c.sets[set][way].Dirty {
+	if way < 0 || !c.blocks[set*c.Ways+way].Dirty {
 		t.Fatal("store miss should fill a dirty block")
 	}
 }
@@ -287,7 +287,7 @@ func TestStoreHitMarksDirty(t *testing.T) {
 	c.Access(&mem.Request{Addr: 0x6000, Kind: mem.Store}, 30)
 	run(c, lower, 30, 40)
 	set, way := c.probe(0x6000)
-	if !c.sets[set][way].Dirty {
+	if !c.blocks[set*c.Ways+way].Dirty {
 		t.Fatal("store hit should mark dirty")
 	}
 }
@@ -297,14 +297,14 @@ func TestPrefetchFillSetsPrefetchedBit(t *testing.T) {
 	c.Access(&mem.Request{Addr: 0x7000, Kind: mem.Prefetch}, 0)
 	run(c, lower, 0, 20)
 	set, way := c.probe(0x7000)
-	if way < 0 || !c.sets[set][way].Prefetched {
+	if way < 0 || !c.blocks[set*c.Ways+way].Prefetched {
 		t.Fatal("prefetch fill should set Prefetched")
 	}
 	// First demand touch clears it and flags PrefetchHit.
 	req := load(0x7000, nil)
 	c.Access(req, 30)
 	run(c, lower, 30, 40)
-	if c.sets[set][way].Prefetched {
+	if c.blocks[set*c.Ways+way].Prefetched {
 		t.Fatal("demand hit should clear Prefetched")
 	}
 	if !req.PrefetchHit {
@@ -350,11 +350,9 @@ func TestPrefetcherDedupAgainstResidentAndOutstanding(t *testing.T) {
 	// The 0x9040 block must exist exactly once: probe all ways.
 	count := 0
 	tag := mem.Addr(0x9000 + mem.BlockSize).BlockID()
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			if c.sets[s][w].Valid && c.sets[s][w].Tag == tag {
-				count++
-			}
+	for _, blk := range c.blocks {
+		if blk.Valid && blk.Tag == tag {
+			count++
 		}
 	}
 	if count != 1 {
@@ -406,16 +404,16 @@ func TestCapacityAndUniquenessProperty(t *testing.T) {
 		}
 		run(c, lower, cycle, cycle+500)
 		valid := 0
-		for s := range c.sets {
+		for s := 0; s < c.Sets; s++ {
 			seen := map[uint64]bool{}
-			for w := range c.sets[s] {
-				if c.sets[s][w].Valid {
+			for _, blk := range c.blocks[s*c.Ways : (s+1)*c.Ways] {
+				if blk.Valid {
 					valid++
-					if seen[c.sets[s][w].Tag] {
+					if seen[blk.Tag] {
 						return false // duplicate tag in set
 					}
-					seen[c.sets[s][w].Tag] = true
-					if c.SetIndex(mem.Addr(c.sets[s][w].Tag<<mem.BlockBits)) != s {
+					seen[blk.Tag] = true
+					if c.SetIndex(mem.Addr(blk.Tag<<mem.BlockBits)) != s {
 						return false // block in wrong set
 					}
 				}
@@ -499,6 +497,31 @@ func TestMSHRDuplicateAllocate(t *testing.T) {
 	}
 	if m.Len() != 1 || m.OutstandingForCore(0) != 1 {
 		t.Fatal("failed duplicate allocation changed MSHR state")
+	}
+}
+
+// TestIntegrityCatchesStalePackedTag: lookups and fills trust the
+// packed tag array, so CheckIntegrity must report a packed tag that no
+// longer matches its block, for a valid way and for an invalid one.
+func TestIntegrityCatchesStalePackedTag(t *testing.T) {
+	c, lower := newTestCache(t, 16, 4, 8, 5)
+	c.Access(load(0x2000, nil), 0)
+	run(c, lower, 0, 20)
+	set, way := c.probe(0x2000)
+	if way < 0 {
+		t.Fatal("block missing")
+	}
+	if err := c.CheckIntegrity(); err != nil {
+		t.Fatalf("intact cache: %v", err)
+	}
+	valid, free := set*c.Ways+way, set*c.Ways+(way+1)%c.Ways
+	for _, i := range []int{valid, free} {
+		saved := c.tags[i]
+		c.tags[i] ^= 1 << 1
+		if err := c.CheckIntegrity(); !errors.Is(err, ErrIntegrity) {
+			t.Fatalf("CheckIntegrity with way %d's packed tag %#x stale = %v, want ErrIntegrity", i, c.tags[i], err)
+		}
+		c.tags[i] = saved
 	}
 }
 

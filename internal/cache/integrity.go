@@ -35,11 +35,13 @@ func (c *Cache) Err() error { return c.failure }
 // base access phase or blocked on a full MSHR file), for diagnostics.
 func (c *Cache) QueueLen() int { return c.inq.Len() }
 
-// CheckIntegrity verifies the cache's structural invariants: every
-// valid block's tag maps back to the set holding it, the MSHR file is
-// within capacity with consistent per-core counts, and the hit/miss
-// counters partition the access counters. It is the opt-in runtime
-// invariant checker's per-cache hook and the chaos tests' oracle.
+// CheckIntegrity verifies the cache's structural invariants: the
+// packed tags mirror the blocks, every valid block's tag maps back to
+// the set holding it and appears once in it, the MSHR file is within
+// capacity with consistent per-core counts, and the hit/miss counters
+// partition the access counters. It is the opt-in runtime invariant
+// checker's per-cache hook and the chaos tests' oracle, and allocates
+// nothing.
 func (c *Cache) CheckIntegrity() error {
 	if c.failure != nil {
 		return c.failure
@@ -47,10 +49,18 @@ func (c *Cache) CheckIntegrity() error {
 	if err := c.CheckWake(); err != nil {
 		return err
 	}
-	for set := range c.sets {
-		seen := make(map[uint64]bool, c.Ways)
-		for w := range c.sets[set] {
-			blk := &c.sets[set][w]
+	for set := 0; set < c.Sets; set++ {
+		base := set * c.Ways
+		for w := 0; w < c.Ways; w++ {
+			blk := &c.blocks[base+w]
+			var packed uint64
+			if blk.Valid {
+				packed = blk.Tag<<1 | 1
+			}
+			if c.tags[base+w] != packed {
+				return fmt.Errorf("%w: %s set %d way %d has packed tag %#x, its block gives %#x",
+					ErrIntegrity, c.Name, set, w, c.tags[base+w], packed)
+			}
 			if !blk.Valid {
 				continue
 			}
@@ -58,11 +68,14 @@ func (c *Cache) CheckIntegrity() error {
 				return fmt.Errorf("%w: %s set %d way %d holds tag %#x which maps to set %d",
 					ErrIntegrity, c.Name, set, w, blk.Tag, got)
 			}
-			if seen[blk.Tag] {
-				return fmt.Errorf("%w: %s set %d holds duplicate tag %#x",
-					ErrIntegrity, c.Name, set, blk.Tag)
+			// The earlier ways' packed tags match their blocks, so a
+			// duplicate tag shows among them.
+			for _, t := range c.tags[base : base+w] {
+				if t == packed {
+					return fmt.Errorf("%w: %s set %d holds duplicate tag %#x",
+						ErrIntegrity, c.Name, set, blk.Tag)
+				}
 			}
-			seen[blk.Tag] = true
 		}
 	}
 	if c.mshr.Len() > c.mshr.Capacity() {
@@ -75,10 +88,14 @@ func (c *Cache) CheckIntegrity() error {
 				ErrIntegrity, c.Name, i, slot, e.Block, e.pos, c.mshr.liveBlocks[i])
 		}
 	}
-	perCore := make(map[int]int)
-	c.mshr.ForEach(func(e *MSHREntry) { perCore[e.Core]++ })
-	for core, n := range perCore {
-		if got := c.mshr.OutstandingForCore(core); core >= 0 && core < c.Cores && got != n {
+	clear(c.coreCount)
+	for _, slot := range c.mshr.live {
+		if core := c.mshr.slab[slot].Core; core >= 0 && core < len(c.coreCount) {
+			c.coreCount[core]++
+		}
+	}
+	for core, n := range c.coreCount {
+		if got := c.mshr.OutstandingForCore(core); got != n {
 			return fmt.Errorf("%w: %s MSHR per-core count for core %d is %d, entries say %d",
 				ErrIntegrity, c.Name, core, got, n)
 		}
@@ -120,10 +137,10 @@ func (c *Cache) CheckWake() error {
 // what CheckIntegrity's tag/set mapping invariant detects. It runs at
 // cycle before the cache's own Tick of that cycle.
 func (c *Cache) FlipTagBit(set, way int, bit uint, cycle uint64) bool {
-	if set < 0 || set >= len(c.sets) || way < 0 || way >= c.Ways {
+	if set < 0 || set >= c.Sets || way < 0 || way >= c.Ways {
 		return false
 	}
-	blk := &c.sets[set][way]
+	blk := &c.blocks[set*c.Ways+way]
 	if !blk.Valid {
 		return false
 	}
@@ -144,11 +161,9 @@ func (c *Cache) FlipTagBit(set, way int, bit uint, cycle uint64) bool {
 // scanning from set 0, or ok=false for an empty cache. Fault
 // injection uses it to pick a deterministic corruption target.
 func (c *Cache) SomeValidBlock() (set, way int, ok bool) {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			if c.sets[s][w].Valid {
-				return s, w, true
-			}
+	for i := range c.blocks {
+		if c.blocks[i].Valid {
+			return i / c.Ways, i % c.Ways, true
 		}
 	}
 	return 0, 0, false

@@ -218,7 +218,7 @@ func TestUnparkPaths(t *testing.T) {
 // into a full set installs nothing.
 type badVictim struct{ testLRU }
 
-func (*badVictim) Victim(int, []Block, AccessInfo) int { return 99 }
+func (*badVictim) Victim(int, AccessInfo) int { return 99 }
 
 // TestReleaseWithoutInstallUnparks: a fill that releases its MSHR
 // entry but installs nothing (the victim choice failed) still

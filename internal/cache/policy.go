@@ -2,29 +2,6 @@ package cache
 
 import "care/internal/mem"
 
-// Block is the externally visible metadata of one cache block. It is
-// handed to replacement policies on every decision point. Policies
-// that need richer per-block state (RRPVs, signatures, EPVs, ...)
-// allocate their own side arrays in Init and index them by (set, way).
-// It holds only what the cache or a policy reads, bools last, so a
-// Block is 32 bytes on a 64-bit host.
-type Block struct {
-	// Tag is the block number (address >> BlockBits) stored in the way.
-	Tag uint64
-	// Core is the index of the core whose access filled the block.
-	Core int
-	// PC is the program counter of the instruction that filled the
-	// block (the triggering instruction for prefetch fills).
-	PC mem.Addr
-	// Valid marks the way as holding data.
-	Valid bool
-	// Dirty marks modified data that must be written back on eviction.
-	Dirty bool
-	// Prefetched is set when the block was filled by a prefetch and
-	// has not yet been touched by a demand access.
-	Prefetched bool
-}
-
 // AccessInfo describes the access driving a policy callback.
 type AccessInfo struct {
 	// PC of the responsible instruction.
@@ -47,29 +24,25 @@ type AccessInfo struct {
 
 // Policy is the replacement-policy plug-in interface, modelled on the
 // Cache Replacement Championship hooks: victim selection plus update
-// callbacks on hit, fill, and eviction.
-//
-// A portable policy (policy.Policy.Portable) must not read the
-// contents of the Blocks it is handed, only the row's length: the
-// care/cache library passes one shared row of zero Blocks, and a zero
-// evicted Block, because it keeps no per-slot Block state.
+// callbacks on hit, fill, and eviction. A policy keeps the per-block
+// state it needs (RRPVs, signatures, EPVs, ...) in its own tables,
+// sized in Init and indexed by (set, way).
 type Policy interface {
 	// Name identifies the policy in reports.
 	Name() string
 	// Init is called once before use with the cache geometry.
 	Init(sets, ways int)
-	// Victim picks the way to evict from set to make room for the
-	// incoming access. blocks has exactly ways entries. Invalid ways
-	// should be preferred by implementations, but the cache fast-paths
-	// invalid ways itself, so Victim only sees full sets in practice.
-	Victim(set int, blocks []Block, info AccessInfo) int
+	// Victim picks the way of set to evict to make room for the
+	// incoming access. The cache fast-paths invalid ways itself, so
+	// Victim only sees full sets.
+	Victim(set int, info AccessInfo) int
 	// OnHit is invoked after a hit to (set, way).
-	OnHit(set, way int, blocks []Block, info AccessInfo)
+	OnHit(set, way int, info AccessInfo)
 	// OnFill is invoked after a new block is installed in (set, way).
-	OnFill(set, way int, blocks []Block, info AccessInfo)
-	// OnEvict is invoked just before a valid block is overwritten.
-	// evicted is a copy of the outgoing block's metadata.
-	OnEvict(set, way int, evicted Block, info AccessInfo)
+	OnFill(set, way int, info AccessInfo)
+	// OnEvict is invoked just before the valid block in (set, way) is
+	// overwritten.
+	OnEvict(set, way int, info AccessInfo)
 }
 
 // Prefetcher is the hardware-prefetcher plug-in interface. A cache

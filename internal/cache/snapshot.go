@@ -37,7 +37,7 @@ func (c *Cache) Checkpointable() error {
 // Checkpointable). One frame carries the whole level: blocks, stats,
 // and the attached policy's and prefetcher's state.
 func (c *Cache) Checkpoint(s *checkpoint.State) {
-	checkpoint.Grid(s, c.sets, walkBlocks)
+	checkpoint.Grid(s, c.blocks, c.Ways, walkBlocks)
 	checkpoint.Plain(s, &c.stats)
 	if s.Restoring() && s.Err() == nil &&
 		(len(c.stats.PerCoreDemandAccesses) != c.Cores || len(c.stats.PerCoreDemandMisses) != c.Cores) {
@@ -55,12 +55,10 @@ func (c *Cache) Checkpoint(s *checkpoint.State) {
 		walkPart(s, c.prefetcher)
 	}
 	if s.Restoring() && s.Err() == nil {
-		for i, set := range c.sets {
-			for w, blk := range set {
-				c.tags[i*c.Ways+w] = 0
-				if blk.Valid {
-					c.tags[i*c.Ways+w] = blk.Tag<<1 | 1
-				}
+		for i, blk := range c.blocks {
+			c.tags[i] = 0
+			if blk.Valid {
+				c.tags[i] = blk.Tag<<1 | 1
 			}
 		}
 		c.parked = false
@@ -69,9 +67,9 @@ func (c *Cache) Checkpoint(s *checkpoint.State) {
 }
 
 // walkBlocks walks a set's blocks, each field by field in declaration
-// order: the bytes checkpoint.Plain stores for a Block, without its
+// order: the bytes checkpoint.Plain stores for a block, without its
 // reflection (TestBlockWalk holds the two equal).
-func walkBlocks(s *checkpoint.State, set []Block) {
+func walkBlocks(s *checkpoint.State, set []block) {
 	for i := range set {
 		b := &set[i]
 		checkpoint.Uint(s, &b.Tag)

@@ -10,15 +10,15 @@ import (
 	"care/internal/mem"
 )
 
-// TestBlockWalk holds walkBlocks to checkpoint.Plain[Block]: for
+// TestBlockWalk holds walkBlocks to checkpoint.Plain[block]: for
 // random blocks the typed walk stores the same bytes and restores the
-// same blocks, and it walks every field of Block, so a field added
+// same blocks, and it walks every field of block, so a field added
 // later cannot drop out of checkpoints unnoticed.
 func TestBlockWalk(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
-	blocks := make([]Block, 256)
+	blocks := make([]block, 256)
 	for i := range blocks {
-		blocks[i] = Block{
+		blocks[i] = block{
 			Tag:        rng.Uint64() >> rng.IntN(64),
 			Core:       rng.IntN(1<<rng.IntN(20)) - 1<<rng.IntN(10),
 			PC:         mem.Addr(rng.Uint64() >> rng.IntN(64)),
@@ -42,7 +42,7 @@ func TestBlockWalk(t *testing.T) {
 	if !bytes.Equal(typed, plain) {
 		t.Fatalf("walkBlocks stores %d bytes, checkpoint.Plain %d, and they differ", len(typed), len(plain))
 	}
-	got := make([]Block, len(blocks))
+	got := make([]block, len(blocks))
 	if err := checkpoint.Decode(typed, func(s *checkpoint.State) { walkBlocks(s, got) }); err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +52,11 @@ func TestBlockWalk(t *testing.T) {
 
 	// A zero field stores one byte, so a zero block's walk is one byte
 	// per field walked.
-	zero, err := checkpoint.Encode(func(s *checkpoint.State) { walkBlocks(s, make([]Block, 1)) })
+	zero, err := checkpoint.Encode(func(s *checkpoint.State) { walkBlocks(s, make([]block, 1)) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := reflect.TypeOf(Block{}).NumField(); len(zero) != n {
-		t.Fatalf("walkBlocks walks %d fields of a Block, which has %d", len(zero), n)
+	if n := reflect.TypeOf(block{}).NumField(); len(zero) != n {
+		t.Fatalf("walkBlocks walks %d fields of a block, which has %d", len(zero), n)
 	}
 }

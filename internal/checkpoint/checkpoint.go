@@ -53,7 +53,7 @@ const Magic = "CARECKP1"
 // exactly this version: state layout is tied to the simulator build,
 // so cross-version restore is refused rather than guessed at (see
 // DESIGN.md §8 for the compatibility rules).
-const Version uint32 = 5
+const Version uint32 = 6
 
 // Sentinel errors; match with errors.Is. They are wrapped with
 // context (path, frame, detail) by the reader and writer.

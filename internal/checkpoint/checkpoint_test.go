@@ -122,10 +122,11 @@ func TestTruncationRejected(t *testing.T) {
 
 func TestFutureVersionRejected(t *testing.T) {
 	// Version-1 is a file from the build before the last format
-	// change (its core frames held a record count that a restore
-	// replayed); cross-version restore is refused both ways. Version 3
-	// telemetry frames held only the series since warmup ended.
-	for _, ver := range []uint32{Version + 1, Version - 1, 3} {
+	// change (its CARE frames held a per-signature fill count);
+	// cross-version restore is refused both ways. Version 4 core frames
+	// held a record count that a restore replayed, and version 3
+	// telemetry frames only the series since warmup ended.
+	for _, ver := range []uint32{Version + 1, Version - 1, 4, 3} {
 		path := writeFile(t)
 		raw, err := os.ReadFile(path)
 		if err != nil {

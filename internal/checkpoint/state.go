@@ -269,14 +269,15 @@ func Each[T any](s *State, xs []T, walk func(*State, *T)) {
 	}
 }
 
-// Grid walks a table of fixed shape, such as per-set, per-way
-// replacement state: its row count, then each row as a Table.
-func Grid[T any](s *State, g [][]T, walk func(*State, []T)) {
-	if !s.Shape(len(g)) {
+// Grid walks a table of fixed shape held flat, row after row, such as
+// per-set, per-way replacement state indexed set*ways+way: its row
+// count, then each row of width (> 0) elements as a Table.
+func Grid[T any](s *State, xs []T, width int, walk func(*State, []T)) {
+	if !s.Shape(len(xs) / width) {
 		return
 	}
-	for _, row := range g {
-		Table(s, row, walk)
+	for i := 0; i < len(xs); i += width {
+		Table(s, xs[i:i+width:i+width], walk)
 	}
 }
 

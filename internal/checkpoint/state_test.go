@@ -30,7 +30,7 @@ type walked struct {
 	b    bool
 	f    float64
 	str  string
-	grid [][]uint8
+	grid []uint8 // two columns
 	vs   []int64
 	m    map[int][]uint64
 	p    plainState
@@ -42,7 +42,7 @@ func (w *walked) Checkpoint(s *State) {
 	s.Bool(&w.b)
 	s.Float64(&w.f)
 	s.String(&w.str)
-	Grid(s, w.grid, Uints)
+	Grid(s, w.grid, 2, Uints)
 	Slice(s, &w.vs, Ints)
 	Map(s, w.m, func(s *State, v *[]uint64) { Slice(s, v, Uints) })
 	Plain(s, &w.p)
@@ -51,7 +51,7 @@ func (w *walked) Checkpoint(s *State) {
 func sample() *walked {
 	return &walked{
 		u: math.MaxUint64, i: -7, b: true, f: math.Copysign(0, -1), str: "care",
-		grid: [][]uint8{{1, 2}, {3, 255}},
+		grid: []uint8{1, 2, 3, 255},
 		vs:   []int64{math.MinInt64, 0, 5},
 		m:    map[int][]uint64{9: {1}, -3: nil, 4: {2, 3}},
 		p: plainState{B: true, I: -1, U16: 65535, S: "x", Xs: []uint32{7},
@@ -61,7 +61,7 @@ func sample() *walked {
 
 // fresh is a restore target of sample's shape.
 func fresh() *walked {
-	return &walked{grid: [][]uint8{make([]uint8, 2), make([]uint8, 2)}, m: map[int][]uint64{1: {1}}}
+	return &walked{grid: make([]uint8, 4), m: map[int][]uint64{1: {1}}}
 }
 
 func TestStateRoundTrip(t *testing.T) {
@@ -105,7 +105,7 @@ func TestStateRejectsMalformed(t *testing.T) {
 	}{
 		{"trailing bytes", append(append([]byte(nil), good...), 0), fresh().Checkpoint, ErrCorrupt},
 		{"truncated", good[:len(good)-1], fresh().Checkpoint, ErrCorrupt},
-		{"shape", good, (&walked{grid: [][]uint8{{0, 0}}, m: map[int][]uint64{}}).Checkpoint, ErrMismatch},
+		{"shape", good, (&walked{grid: []uint8{0, 0}, m: map[int][]uint64{}}).Checkpoint, ErrMismatch},
 		{"count beyond bytes left", []byte{200, 1}, func(s *State) { var xs []uint8; Slice(s, &xs, Uints) }, ErrCorrupt},
 		{"overflow", []byte{0x80, 0x02}, func(s *State) { var x uint8; Uint(s, &x) }, ErrCorrupt},
 		{"bool byte", []byte{2}, func(s *State) { var b bool; s.Bool(&b) }, ErrCorrupt},

@@ -21,7 +21,6 @@ package care
 
 import (
 	"fmt"
-	"sort"
 
 	"care/internal/cache"
 	"care/internal/mem"
@@ -109,15 +108,9 @@ type Policy struct {
 	costOf func(info cache.AccessInfo) float64
 
 	sht []shtEntry
-	// sigFills counts insertions per signature, for introspection
-	// (not part of the hardware budget).
-	sigFills []uint32
 	// blocks holds every block's metadata, set by set: way w of set
-	// s is blocks[s*ways+w], which the callbacks index directly. meta
-	// views the same array row by row, for the checkpoint walk and the
-	// invariant sweep.
+	// s is blocks[s*ways+w].
 	blocks  []blockMeta
-	meta    [][]blockMeta
 	ways    int
 	sampled replacement.SampledSets
 	rng     rng
@@ -208,13 +201,8 @@ func (p *Policy) Init(sets, ways int) {
 		// Start counters mid-range so cold signatures are Moderate.
 		p.sht[i] = shtEntry{rc: 1, pd: 3}
 	}
-	p.sigFills = make([]uint32, shtEntries)
 	p.ways = ways
 	p.blocks = make([]blockMeta, sets*ways)
-	p.meta = make([][]blockMeta, sets)
-	for i := range p.meta {
-		p.meta[i] = p.blocks[i*ways : (i+1)*ways : (i+1)*ways]
-	}
 	sampledWant := p.cfg.SampledSets
 	if sampledWant <= 0 {
 		sampledWant = 64
@@ -240,39 +228,6 @@ func (p *Policy) Thresholds() (low, high float64) { return p.pmcLow, p.pmcHigh }
 // Epochs advance even when DTRM is disabled or decides not to move
 // the thresholds, so telemetry can attribute intervals to epochs.
 func (p *Policy) Epochs() uint64 { return p.epochs }
-
-// SignatureInfo is one SHT row, for introspection.
-type SignatureInfo struct {
-	// Signature is the 14-bit PC hash (top bit = prefetch).
-	Signature uint16
-	// Fills counts insertions attributed to the signature.
-	Fills uint32
-	// RC and PD are the live counter values.
-	RC, PD uint8
-}
-
-// HotSignatures returns the n most-inserted signatures with their
-// learned re-reference confidence and PMC degree — a window into what
-// the SHT believes about the running workload.
-func (p *Policy) HotSignatures(n int) []SignatureInfo {
-	var out []SignatureInfo
-	for sig, fills := range p.sigFills {
-		if fills == 0 {
-			continue
-		}
-		out = append(out, SignatureInfo{
-			Signature: uint16(sig),
-			Fills:     fills,
-			RC:        p.sht[sig].rc,
-			PD:        p.sht[sig].pd,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Fills > out[j].Fills })
-	if n > 0 && len(out) > n {
-		out = out[:n]
-	}
-	return out
-}
 
 // reuse classes from the RC counter (§V-C).
 type reuseClass uint8
@@ -364,7 +319,7 @@ func (p *Policy) dtrmOnMiss(cost float64) {
 
 // Victim implements cache.Policy: pick randomly among EPV==3 blocks;
 // if none exists, age the whole set and retry (§V-D).
-func (p *Policy) Victim(set int, blocks []cache.Block, info cache.AccessInfo) int {
+func (p *Policy) Victim(set int, info cache.AccessInfo) int {
 	base := set * p.ways
 	metas := p.blocks[base : base+p.ways]
 	for {
@@ -393,7 +348,7 @@ func (p *Policy) Victim(set int, blocks []cache.Block, info cache.AccessInfo) in
 
 // OnHit implements cache.Policy: SHT training plus the hit-promotion
 // policy of Table IV and the prefetch rules of §V-E.
-func (p *Policy) OnHit(set, way int, blocks []cache.Block, info cache.AccessInfo) {
+func (p *Policy) OnHit(set, way int, info cache.AccessInfo) {
 	m := &p.blocks[set*p.ways+way]
 	if info.Kind == mem.Writeback {
 		// Writeback hits neither train nor promote (§V-D).
@@ -443,7 +398,7 @@ func (p *Policy) OnHit(set, way int, blocks []cache.Block, info cache.AccessInfo
 
 // OnFill implements cache.Policy: quantize the measured cost, store
 // metadata, run DTRM, and apply the insertion policy of Table IV.
-func (p *Policy) OnFill(set, way int, blocks []cache.Block, info cache.AccessInfo) {
+func (p *Policy) OnFill(set, way int, info cache.AccessInfo) {
 	m := &p.blocks[set*p.ways+way]
 	*m = blockMeta{valid: true}
 
@@ -459,7 +414,6 @@ func (p *Policy) OnFill(set, way int, blocks []cache.Block, info cache.AccessInf
 
 	cost := p.costOf(info)
 	m.sig = replacement.Signature(info.PC, info.Kind == mem.Prefetch)
-	p.sigFills[m.sig]++
 	m.pmcs = p.quantizePMCS(cost)
 	m.prefetched = info.Kind == mem.Prefetch
 	p.dtrmOnMiss(cost)
@@ -492,7 +446,7 @@ func (p *Policy) OnFill(set, way int, blocks []cache.Block, info cache.AccessInf
 
 // OnEvict implements cache.Policy: train RC on dead blocks and PD
 // from the evicted block's PMCS (§V-B), sampled sets only.
-func (p *Policy) OnEvict(set, way int, evicted cache.Block, info cache.AccessInfo) {
+func (p *Policy) OnEvict(set, way int, info cache.AccessInfo) {
 	m := &p.blocks[set*p.ways+way]
 	if !m.valid || m.writeback || !p.sampled.Sampled(set) {
 		return
@@ -520,11 +474,9 @@ func (p *Policy) OnEvict(set, way int, evicted cache.Block, info cache.AccessInf
 // invariant checker calls it each interval; a violation means the
 // metadata was corrupted (by a bug or an injected fault).
 func (p *Policy) CheckInvariants() error {
-	for set := range p.meta {
-		for way := range p.meta[set] {
-			if epv := p.meta[set][way].epv; epv > epvMax {
-				return fmt.Errorf("care: set %d way %d EPV %d exceeds 2-bit ceiling %d", set, way, epv, epvMax)
-			}
+	for i := range p.blocks {
+		if epv := p.blocks[i].epv; epv > epvMax {
+			return fmt.Errorf("care: set %d way %d EPV %d exceeds 2-bit ceiling %d", i/p.ways, i%p.ways, epv, epvMax)
 		}
 	}
 	for sig := range p.sht {
@@ -541,9 +493,9 @@ func (p *Policy) CheckInvariants() error {
 // invariant CheckInvariants enforces. It reports whether (set, way)
 // was in range.
 func (p *Policy) CorruptMetadata(set, way int) bool {
-	if set < 0 || set >= len(p.meta) || way < 0 || way >= len(p.meta[set]) {
+	if set < 0 || way < 0 || way >= p.ways || set*p.ways+way >= len(p.blocks) {
 		return false
 	}
-	p.meta[set][way].epv ^= 1 << 2
+	p.blocks[set*p.ways+way].epv ^= 1 << 2
 	return true
 }

@@ -52,124 +52,120 @@ func TestQuantizePMCS(t *testing.T) {
 
 func TestInsertionTableIV(t *testing.T) {
 	p := newPolicy(t, 16, 4)
-	blocks := make([]cache.Block, 4)
 	pc := mem.Addr(0x400100)
 	sig := replacement.Signature(pc, false)
 
 	// High-Reuse → EPV 0.
 	p.sht[sig] = shtEntry{rc: rcMax, pd: 3}
-	p.OnFill(0, 0, blocks, fillInfo(pc, mem.Load, 100))
-	if p.meta[0][0].epv != 0 {
-		t.Fatalf("High-Reuse insertion EPV = %d, want 0", p.meta[0][0].epv)
+	p.OnFill(0, 0, fillInfo(pc, mem.Load, 100))
+	if p.blocks[0].epv != 0 {
+		t.Fatalf("High-Reuse insertion EPV = %d, want 0", p.blocks[0].epv)
 	}
 	// Low-Reuse → EPV 3.
 	p.sht[sig] = shtEntry{rc: 0, pd: 3}
-	p.OnFill(0, 1, blocks, fillInfo(pc, mem.Load, 100))
-	if p.meta[0][1].epv != epvMax {
-		t.Fatalf("Low-Reuse insertion EPV = %d, want 3", p.meta[0][1].epv)
+	p.OnFill(0, 1, fillInfo(pc, mem.Load, 100))
+	if p.blocks[1].epv != epvMax {
+		t.Fatalf("Low-Reuse insertion EPV = %d, want 3", p.blocks[1].epv)
 	}
 	// Moderate-Reuse + Low-Cost → EPV 3.
 	p.sht[sig] = shtEntry{rc: 3, pd: 0}
-	p.OnFill(0, 2, blocks, fillInfo(pc, mem.Load, 100))
-	if p.meta[0][2].epv != epvMax {
-		t.Fatalf("Moderate/Low-Cost insertion EPV = %d, want 3", p.meta[0][2].epv)
+	p.OnFill(0, 2, fillInfo(pc, mem.Load, 100))
+	if p.blocks[2].epv != epvMax {
+		t.Fatalf("Moderate/Low-Cost insertion EPV = %d, want 3", p.blocks[2].epv)
 	}
 	// Moderate-Reuse + High-Cost → EPV 0.
 	p.sht[sig] = shtEntry{rc: 3, pd: pdMax}
-	p.OnFill(0, 3, blocks, fillInfo(pc, mem.Load, 100))
-	if p.meta[0][3].epv != 0 {
-		t.Fatalf("Moderate/High-Cost insertion EPV = %d, want 0", p.meta[0][3].epv)
+	p.OnFill(0, 3, fillInfo(pc, mem.Load, 100))
+	if p.blocks[3].epv != 0 {
+		t.Fatalf("Moderate/High-Cost insertion EPV = %d, want 0", p.blocks[3].epv)
 	}
 	// Moderate-Reuse + Moderate-Cost → EPV 2.
 	p.sht[sig] = shtEntry{rc: 3, pd: 3}
-	p.OnFill(1, 0, blocks, fillInfo(pc, mem.Load, 100))
-	if p.meta[1][0].epv != 2 {
-		t.Fatalf("Moderate/Moderate insertion EPV = %d, want 2", p.meta[1][0].epv)
+	p.OnFill(1, 0, fillInfo(pc, mem.Load, 100))
+	if p.blocks[p.ways].epv != 2 {
+		t.Fatalf("Moderate/Moderate insertion EPV = %d, want 2", p.blocks[p.ways].epv)
 	}
 }
 
 func TestHitPromotionTableIV(t *testing.T) {
 	p := newPolicy(t, 16, 4)
-	blocks := make([]cache.Block, 4)
 	pc := mem.Addr(0x400200)
 	sig := replacement.Signature(pc, false)
 
 	// Moderate-Reuse hit → EPV 0.
 	p.sht[sig] = shtEntry{rc: 3, pd: 3}
-	p.OnFill(0, 0, blocks, fillInfo(pc, mem.Load, 100))
-	p.meta[0][0].epv = 2
-	p.OnHit(0, 0, blocks, fillInfo(pc, mem.Load, 0))
-	if p.meta[0][0].epv != 0 {
-		t.Fatalf("Moderate-Reuse hit EPV = %d, want 0", p.meta[0][0].epv)
+	p.OnFill(0, 0, fillInfo(pc, mem.Load, 100))
+	p.blocks[0].epv = 2
+	p.OnHit(0, 0, fillInfo(pc, mem.Load, 0))
+	if p.blocks[0].epv != 0 {
+		t.Fatalf("Moderate-Reuse hit EPV = %d, want 0", p.blocks[0].epv)
 	}
 
 	// Low-Reuse hit → EPV decremented, not reset.
 	p.sht[sig] = shtEntry{rc: 0, pd: 3}
-	p.OnFill(0, 1, blocks, fillInfo(pc, mem.Load, 100))
-	if p.meta[0][1].epv != epvMax {
+	p.OnFill(0, 1, fillInfo(pc, mem.Load, 100))
+	if p.blocks[1].epv != epvMax {
 		t.Fatal("setup: low-reuse fill should be EPV 3")
 	}
-	p.OnHit(0, 1, blocks, fillInfo(pc, mem.Load, 0))
-	if p.meta[0][1].epv != epvMax-1 {
-		t.Fatalf("Low-Reuse hit EPV = %d, want %d", p.meta[0][1].epv, epvMax-1)
+	p.OnHit(0, 1, fillInfo(pc, mem.Load, 0))
+	if p.blocks[1].epv != epvMax-1 {
+		t.Fatalf("Low-Reuse hit EPV = %d, want %d", p.blocks[1].epv, epvMax-1)
 	}
 	// Decrements saturate at 0.
-	p.meta[0][1].epv = 0
-	p.OnHit(0, 1, blocks, fillInfo(pc, mem.Load, 0))
-	if p.meta[0][1].epv != 0 {
+	p.blocks[1].epv = 0
+	p.OnHit(0, 1, fillInfo(pc, mem.Load, 0))
+	if p.blocks[1].epv != 0 {
 		t.Fatal("EPV decrement must saturate at 0")
 	}
 }
 
 func TestPrefetchRules(t *testing.T) {
 	p := newPolicy(t, 16, 4)
-	blocks := make([]cache.Block, 4)
 	pc := mem.Addr(0x400300)
 
 	// Prefetch fill, then first demand hit: EPV jumps to 3.
-	p.OnFill(0, 0, blocks, fillInfo(pc, mem.Prefetch, 100))
-	if !p.meta[0][0].prefetched {
+	p.OnFill(0, 0, fillInfo(pc, mem.Prefetch, 100))
+	if !p.blocks[0].prefetched {
 		t.Fatal("prefetch fill should be marked prefetched")
 	}
-	p.OnHit(0, 0, blocks, fillInfo(pc, mem.Load, 0))
-	if p.meta[0][0].epv != epvMax {
-		t.Fatalf("first demand touch of prefetched block EPV = %d, want 3", p.meta[0][0].epv)
+	p.OnHit(0, 0, fillInfo(pc, mem.Load, 0))
+	if p.blocks[0].epv != epvMax {
+		t.Fatalf("first demand touch of prefetched block EPV = %d, want 3", p.blocks[0].epv)
 	}
-	if p.meta[0][0].prefetched {
+	if p.blocks[0].prefetched {
 		t.Fatal("demand touch should clear prefetched state")
 	}
 	// Subsequent demand hit: normal promotion (EPV 0 for non-low-reuse).
-	p.OnHit(0, 0, blocks, fillInfo(pc, mem.Load, 0))
-	if p.meta[0][0].epv != 0 {
-		t.Fatalf("subsequent demand hit EPV = %d, want 0", p.meta[0][0].epv)
+	p.OnHit(0, 0, fillInfo(pc, mem.Load, 0))
+	if p.blocks[0].epv != 0 {
+		t.Fatalf("subsequent demand hit EPV = %d, want 0", p.blocks[0].epv)
 	}
 
 	// Prefetched block re-referenced only by prefetches: EPV frozen.
-	p.OnFill(0, 1, blocks, fillInfo(pc, mem.Prefetch, 100))
-	before := p.meta[0][1].epv
-	p.OnHit(0, 1, blocks, fillInfo(pc, mem.Prefetch, 0))
-	if p.meta[0][1].epv != before || !p.meta[0][1].prefetched {
+	p.OnFill(0, 1, fillInfo(pc, mem.Prefetch, 100))
+	before := p.blocks[1].epv
+	p.OnHit(0, 1, fillInfo(pc, mem.Prefetch, 0))
+	if p.blocks[1].epv != before || !p.blocks[1].prefetched {
 		t.Fatal("prefetch-only re-reference must not change EPV or state")
 	}
 }
 
 func TestWritebackRules(t *testing.T) {
 	p := newPolicy(t, 16, 4)
-	blocks := make([]cache.Block, 4)
-	p.OnFill(0, 0, blocks, cache.AccessInfo{Kind: mem.Writeback})
-	if p.meta[0][0].epv != epvMax {
+	p.OnFill(0, 0, cache.AccessInfo{Kind: mem.Writeback})
+	if p.blocks[0].epv != epvMax {
 		t.Fatal("writebacks insert at EPV 3")
 	}
 	// Writeback hit: no promotion.
-	p.meta[0][0].epv = 2
-	p.OnHit(0, 0, blocks, cache.AccessInfo{Kind: mem.Writeback})
-	if p.meta[0][0].epv != 2 {
+	p.blocks[0].epv = 2
+	p.OnHit(0, 0, cache.AccessInfo{Kind: mem.Writeback})
+	if p.blocks[0].epv != 2 {
 		t.Fatal("writeback hits must not promote")
 	}
 	// Eviction of a writeback block must not train the SHT.
 	sig := replacement.Signature(0, false)
 	rcBefore := p.sht[sig].rc
-	p.OnEvict(0, 0, cache.Block{}, cache.AccessInfo{})
+	p.OnEvict(0, 0, cache.AccessInfo{})
 	if p.sht[sig].rc != rcBefore {
 		t.Fatal("writeback eviction must not train RC")
 	}
@@ -177,23 +173,22 @@ func TestWritebackRules(t *testing.T) {
 
 func TestSHTTrainingOnHitAndEvict(t *testing.T) {
 	p := newPolicy(t, 16, 4) // 16 sets, 64 wanted samples → all sampled
-	blocks := make([]cache.Block, 4)
 	pc := mem.Addr(0x400400)
 	sig := replacement.Signature(pc, false)
 
 	p.sht[sig] = shtEntry{rc: 3, pd: 3}
-	p.OnFill(0, 0, blocks, fillInfo(pc, mem.Load, 1000)) // PMCS 3 (high)
+	p.OnFill(0, 0, fillInfo(pc, mem.Load, 1000)) // PMCS 3 (high)
 	// First hit: RC increments once only.
-	p.OnHit(0, 0, blocks, fillInfo(pc, mem.Load, 0))
+	p.OnHit(0, 0, fillInfo(pc, mem.Load, 0))
 	if p.sht[sig].rc != 4 {
 		t.Fatalf("RC after first re-reference = %d, want 4", p.sht[sig].rc)
 	}
-	p.OnHit(0, 0, blocks, fillInfo(pc, mem.Load, 0))
+	p.OnHit(0, 0, fillInfo(pc, mem.Load, 0))
 	if p.sht[sig].rc != 4 {
 		t.Fatal("RC must only train on the first re-reference")
 	}
 	// Eviction of the reused, PMCS==3 block: RC unchanged, PD++.
-	p.OnEvict(0, 0, cache.Block{}, cache.AccessInfo{})
+	p.OnEvict(0, 0, cache.AccessInfo{})
 	if p.sht[sig].rc != 4 {
 		t.Fatal("reused block eviction must not decrement RC")
 	}
@@ -203,8 +198,8 @@ func TestSHTTrainingOnHitAndEvict(t *testing.T) {
 
 	// Dead block (never reused) with PMCS 0: RC-- and PD--.
 	p.sht[sig] = shtEntry{rc: 3, pd: 3}
-	p.OnFill(0, 1, blocks, fillInfo(pc, mem.Load, 0)) // PMCS 0
-	p.OnEvict(0, 1, cache.Block{}, cache.AccessInfo{})
+	p.OnFill(0, 1, fillInfo(pc, mem.Load, 0)) // PMCS 0
+	p.OnEvict(0, 1, cache.AccessInfo{})
 	if p.sht[sig].rc != 2 {
 		t.Fatalf("RC after dead eviction = %d, want 2", p.sht[sig].rc)
 	}
@@ -215,38 +210,36 @@ func TestSHTTrainingOnHitAndEvict(t *testing.T) {
 
 func TestVictimPicksEPV3AndAges(t *testing.T) {
 	p := newPolicy(t, 4, 4)
-	blocks := make([]cache.Block, 4)
-	for w := range p.meta[0] {
-		p.meta[0][w] = blockMeta{valid: true, epv: 1}
+	for w := 0; w < p.ways; w++ {
+		p.blocks[w] = blockMeta{valid: true, epv: 1}
 	}
-	p.meta[0][2].epv = epvMax
-	if v := p.Victim(0, blocks, cache.AccessInfo{}); v != 2 {
+	p.blocks[2].epv = epvMax
+	if v := p.Victim(0, cache.AccessInfo{}); v != 2 {
 		t.Fatalf("victim = %d, want the EPV-3 block (2)", v)
 	}
 	// No EPV-3 block: ageing must raise everyone until one appears.
-	for w := range p.meta[0] {
-		p.meta[0][w].epv = 0
+	for w := 0; w < p.ways; w++ {
+		p.blocks[w].epv = 0
 	}
-	v := p.Victim(0, blocks, cache.AccessInfo{})
+	v := p.Victim(0, cache.AccessInfo{})
 	if v < 0 || v >= 4 {
 		t.Fatalf("victim out of range: %d", v)
 	}
-	for w := range p.meta[0] {
-		if p.meta[0][w].epv != epvMax {
-			t.Fatalf("ageing should bring all EPVs to 3, way %d = %d", w, p.meta[0][w].epv)
+	for w := 0; w < p.ways; w++ {
+		if p.blocks[w].epv != epvMax {
+			t.Fatalf("ageing should bring all EPVs to 3, way %d = %d", w, p.blocks[w].epv)
 		}
 	}
 }
 
 func TestVictimRandomTieBreakCoversCandidates(t *testing.T) {
 	p := newPolicy(t, 4, 4)
-	blocks := make([]cache.Block, 4)
 	seen := map[int]bool{}
 	for i := 0; i < 200; i++ {
-		for w := range p.meta[0] {
-			p.meta[0][w] = blockMeta{valid: true, epv: epvMax}
+		for w := 0; w < p.ways; w++ {
+			p.blocks[w] = blockMeta{valid: true, epv: epvMax}
 		}
-		seen[p.Victim(0, blocks, cache.AccessInfo{})] = true
+		seen[p.Victim(0, cache.AccessInfo{})] = true
 	}
 	if len(seen) < 3 {
 		t.Fatalf("random tie-break should spread victims, saw %v", seen)
@@ -256,11 +249,10 @@ func TestVictimRandomTieBreakCoversCandidates(t *testing.T) {
 func TestDTRMAdjustsThresholds(t *testing.T) {
 	p := New(Config{DTRMPeriod: 100, Seed: 1})
 	p.Init(16, 4)
-	blocks := make([]cache.Block, 4)
 	// Period of all-cheap misses: thresholds drop.
 	low0, high0 := p.Thresholds()
 	for i := 0; i < 100; i++ {
-		p.OnFill(i%16, i%4, blocks, fillInfo(0x1, mem.Load, 0))
+		p.OnFill(i%16, i%4, fillInfo(0x1, mem.Load, 0))
 	}
 	low1, high1 := p.Thresholds()
 	if low1 != low0-dtrmLowStep || high1 != high0-dtrmHighStep {
@@ -269,7 +261,7 @@ func TestDTRMAdjustsThresholds(t *testing.T) {
 	}
 	// Period of all-costly misses: thresholds rise.
 	for i := 0; i < 100; i++ {
-		p.OnFill(i%16, i%4, blocks, fillInfo(0x1, mem.Load, 1e6))
+		p.OnFill(i%16, i%4, fillInfo(0x1, mem.Load, 1e6))
 	}
 	low2, high2 := p.Thresholds()
 	if low2 != low1+dtrmLowStep || high2 != high1+dtrmHighStep {
@@ -283,7 +275,6 @@ func TestDTRMAdjustsThresholds(t *testing.T) {
 func TestDTRMModerateShareHoldsSteady(t *testing.T) {
 	p := New(Config{DTRMPeriod: 100, Seed: 1})
 	p.Init(16, 4)
-	blocks := make([]cache.Block, 4)
 	low0, high0 := p.Thresholds()
 	// 2% costly misses: inside [0.5%, 5%], no change.
 	for i := 0; i < 100; i++ {
@@ -291,7 +282,7 @@ func TestDTRMModerateShareHoldsSteady(t *testing.T) {
 		if i%50 == 0 {
 			cost = 1e6
 		}
-		p.OnFill(i%16, i%4, blocks, fillInfo(0x1, mem.Load, cost))
+		p.OnFill(i%16, i%4, fillInfo(0x1, mem.Load, cost))
 	}
 	low1, high1 := p.Thresholds()
 	if low1 != low0 || high1 != high0 {
@@ -302,10 +293,9 @@ func TestDTRMModerateShareHoldsSteady(t *testing.T) {
 func TestDTRMDisable(t *testing.T) {
 	p := New(Config{DTRMPeriod: 10, DisableDTRM: true, Seed: 1})
 	p.Init(16, 4)
-	blocks := make([]cache.Block, 4)
 	low0, high0 := p.Thresholds()
 	for i := 0; i < 200; i++ {
-		p.OnFill(i%16, i%4, blocks, fillInfo(0x1, mem.Load, 0))
+		p.OnFill(i%16, i%4, fillInfo(0x1, mem.Load, 0))
 	}
 	low1, high1 := p.Thresholds()
 	if low1 != low0 || high1 != high0 {
@@ -316,9 +306,8 @@ func TestDTRMDisable(t *testing.T) {
 func TestDTRMThresholdFloor(t *testing.T) {
 	p := New(Config{DTRMPeriod: 10, Seed: 1})
 	p.Init(16, 4)
-	blocks := make([]cache.Block, 4)
 	for i := 0; i < 10000; i++ {
-		p.OnFill(i%16, i%4, blocks, fillInfo(0x1, mem.Load, 0))
+		p.OnFill(i%16, i%4, fillInfo(0x1, mem.Load, 0))
 	}
 	low, high := p.Thresholds()
 	if low < 0 {
@@ -332,19 +321,18 @@ func TestDTRMThresholdFloor(t *testing.T) {
 func TestMCAREUsesMLPCost(t *testing.T) {
 	p := NewMCARE(Config{Seed: 1})
 	p.Init(16, 4)
-	blocks := make([]cache.Block, 4)
 	pc := mem.Addr(0x400500)
 	// PMC says costly, MLP says cheap: M-CARE must follow MLP.
 	info := cache.AccessInfo{PC: pc, Kind: mem.Load, PMC: 1e6, MLPCost: 0}
-	p.OnFill(0, 0, blocks, info)
-	if p.meta[0][0].pmcs != 0 {
-		t.Fatalf("M-CARE PMCS = %d, want 0 (driven by MLPCost)", p.meta[0][0].pmcs)
+	p.OnFill(0, 0, info)
+	if p.blocks[0].pmcs != 0 {
+		t.Fatalf("M-CARE PMCS = %d, want 0 (driven by MLPCost)", p.blocks[0].pmcs)
 	}
 	care := New(Config{Seed: 1})
 	care.Init(16, 4)
-	care.OnFill(0, 0, blocks, info)
-	if care.meta[0][0].pmcs != 3 {
-		t.Fatalf("CARE PMCS = %d, want 3 (driven by PMC)", care.meta[0][0].pmcs)
+	care.OnFill(0, 0, info)
+	if care.blocks[0].pmcs != 3 {
+		t.Fatalf("CARE PMCS = %d, want 3 (driven by PMC)", care.blocks[0].pmcs)
 	}
 }
 
@@ -416,7 +404,6 @@ func TestFormatCost(t *testing.T) {
 // interleavings.
 func TestEPVStaysInRange(t *testing.T) {
 	p := newPolicy(t, 8, 4)
-	blocks := make([]cache.Block, 4)
 	r := rng(7)
 	for i := 0; i < 5000; i++ {
 		set := int(r.next() % 8)
@@ -424,44 +411,18 @@ func TestEPVStaysInRange(t *testing.T) {
 		pc := mem.Addr(r.next() % 16)
 		switch r.next() % 4 {
 		case 0:
-			p.OnFill(set, way, blocks, fillInfo(pc, mem.Load, float64(r.next()%500)))
+			p.OnFill(set, way, fillInfo(pc, mem.Load, float64(r.next()%500)))
 		case 1:
-			p.OnHit(set, way, blocks, fillInfo(pc, mem.Load, 0))
+			p.OnHit(set, way, fillInfo(pc, mem.Load, 0))
 		case 2:
-			p.OnEvict(set, way, cache.Block{}, cache.AccessInfo{})
+			p.OnEvict(set, way, cache.AccessInfo{})
 		case 3:
-			p.Victim(set, blocks, cache.AccessInfo{})
+			p.Victim(set, cache.AccessInfo{})
 		}
-		for s := range p.meta {
-			for w := range p.meta[s] {
-				if p.meta[s][w].epv > epvMax {
-					t.Fatalf("EPV out of range at (%d,%d): %d", s, w, p.meta[s][w].epv)
-				}
+		for i, m := range p.blocks {
+			if m.epv > epvMax {
+				t.Fatalf("EPV out of range at (%d,%d): %d", i/p.ways, i%p.ways, m.epv)
 			}
 		}
-	}
-}
-
-func TestHotSignatures(t *testing.T) {
-	p := newPolicy(t, 16, 4)
-	blocks := make([]cache.Block, 4)
-	// Two PCs with different fill counts.
-	for i := 0; i < 5; i++ {
-		p.OnFill(i%16, i%4, blocks, fillInfo(0xAAA, mem.Load, 100))
-	}
-	p.OnFill(0, 0, blocks, fillInfo(0xBBB, mem.Load, 100))
-	hot := p.HotSignatures(2)
-	if len(hot) != 2 {
-		t.Fatalf("HotSignatures(2) returned %d entries", len(hot))
-	}
-	if hot[0].Fills != 5 || hot[1].Fills != 1 {
-		t.Fatalf("ordering wrong: %+v", hot)
-	}
-	if hot[0].Signature != replacement.Signature(0xAAA, false) {
-		t.Fatal("hottest signature should be PC 0xAAA's")
-	}
-	// n=0 returns all.
-	if len(p.HotSignatures(0)) != 2 {
-		t.Fatal("n=0 should return all live signatures")
 	}
 }

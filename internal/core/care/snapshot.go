@@ -13,8 +13,7 @@ import (
 // period length, cost signal) is rebuilt by New/NewMCARE + Init.
 func (p *Policy) Checkpoint(s *checkpoint.State) {
 	checkpoint.Table(s, p.sht, walkSHT)
-	checkpoint.Table(s, p.sigFills, checkpoint.Uints)
-	checkpoint.Grid(s, p.meta, p.walkMeta)
+	checkpoint.Grid(s, p.blocks, p.ways, p.walkMeta)
 	checkpoint.Uint(s, &p.rng)
 	s.Float64(&p.pmcLow)
 	s.Float64(&p.pmcHigh)

@@ -11,11 +11,6 @@ package policy
 // Mockingjay reconstruct OPT over cycle-timestamped access quanta, and
 // Glider also keeps per-core PC history: their inputs do not exist
 // outside the simulator, so the library rejects them.
-//
-// A portable policy must not read the contents of the cache.Block
-// values its callbacks are handed, only the row's length: the library
-// keeps no per-slot Blocks and passes zero ones.
-// replacement.TestPortablePoliciesIgnoreBlockContents checks it.
 func (p Policy) Portable() bool {
 	switch p {
 	case LRU, SRRIP, SHiPPP, CARE, MCARE:

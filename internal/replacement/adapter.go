@@ -34,11 +34,9 @@ type Access struct {
 }
 
 // Adapter drives an unmodified zoo policy from Access values. It
-// holds no per-slot state: a portable policy (policy.Portable) keeps
-// what it needs in its own side arrays and reads only the length of
-// the Block row it is handed, so every call gets the same shared row
-// of zero Blocks, and OnEvict a zero Block. The host's occupancy
-// record is the only record of which ways are live.
+// holds no per-slot state: a policy keeps what it needs in its own
+// side arrays, and the host's occupancy record is the only record of
+// which ways are live.
 //
 // The adapter is deliberately single-threaded: the care/cache shared
 // segment guarantees one goroutine per segment (the concurrent
@@ -46,14 +44,13 @@ type Access struct {
 // sequential tick loop.
 type Adapter struct {
 	pol cache.Policy
-	row []cache.Block
 }
 
 // NewAdapter wraps a policy for a sets×ways geometry. The policy's
 // Init is invoked here.
 func NewAdapter(pol cache.Policy, sets, ways int) *Adapter {
 	pol.Init(sets, ways)
-	return &Adapter{pol: pol, row: make([]cache.Block, ways)}
+	return &Adapter{pol: pol}
 }
 
 // NewAdapterByName constructs a registered policy (cores = 1) and
@@ -92,22 +89,22 @@ func (a *Adapter) info(acc Access) cache.AccessInfo {
 // Mirroring the simulator's cache model, the host fast-paths free
 // ways itself, so the policy only ever sees full sets.
 func (a *Adapter) Victim(set int, acc Access) int {
-	return a.pol.Victim(set, a.row, a.info(acc))
+	return a.pol.Victim(set, a.info(acc))
 }
 
 // OnHit records a hit on (set, way).
 func (a *Adapter) OnHit(set, way int, acc Access) {
-	a.pol.OnHit(set, way, a.row, a.info(acc))
+	a.pol.OnHit(set, way, a.info(acc))
 }
 
 // OnEvict notifies the policy that the live block in (set, way) is
 // leaving (by replacement or explicit deletion).
 func (a *Adapter) OnEvict(set, way int, acc Access) {
-	a.pol.OnEvict(set, way, cache.Block{}, a.info(acc))
+	a.pol.OnEvict(set, way, a.info(acc))
 }
 
 // OnFill notifies the policy that a new block is installed in
 // (set, way).
 func (a *Adapter) OnFill(set, way int, acc Access) {
-	a.pol.OnFill(set, way, a.row, a.info(acc))
+	a.pol.OnFill(set, way, a.info(acc))
 }

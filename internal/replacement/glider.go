@@ -36,8 +36,10 @@ type gliderFeature struct {
 
 // Glider is the ISVM-based policy.
 type Glider struct {
-	rrpv     [][]uint8
-	fillFeat [][]gliderFeature
+	// rrpv and fillFeat hold each block's age and fill feature vector:
+	// way w of set s at index s*ways+w.
+	rrpv     []uint8
+	fillFeat []gliderFeature
 	table    []isvm
 	history  [][]mem.Addr // per-core PC history, most recent last
 	sampled  SampledSets
@@ -104,15 +106,11 @@ func (p *Glider) Name() string { return "glider" }
 // Init implements cache.Policy.
 func (p *Glider) Init(sets, ways int) {
 	p.ways = ways
-	p.rrpv = make([][]uint8, sets)
-	p.fillFeat = make([][]gliderFeature, sets)
+	p.rrpv = make([]uint8, sets*ways)
 	for i := range p.rrpv {
-		p.rrpv[i] = make([]uint8, ways)
-		p.fillFeat[i] = make([]gliderFeature, ways)
-		for w := range p.rrpv[i] {
-			p.rrpv[i][w] = hawkeyeMaxRRPV
-		}
+		p.rrpv[i] = hawkeyeMaxRRPV
 	}
+	p.fillFeat = make([]gliderFeature, sets*ways)
 	p.table = make([]isvm, 1<<gliderTableBits)
 	p.sampled = NewSampledSets(sets, 64)
 	p.optgens = make(map[int]*optgen)
@@ -220,51 +218,54 @@ func (p *Glider) observe(set int, f gliderFeature, info cache.AccessInfo) {
 }
 
 // Victim implements cache.Policy (same structure as Hawkeye).
-func (p *Glider) Victim(set int, blocks []cache.Block, info cache.AccessInfo) int {
-	best, bestVal := 0, p.rrpv[set][0]
-	for w := 1; w < len(blocks); w++ {
-		if p.rrpv[set][w] > bestVal {
-			best, bestVal = w, p.rrpv[set][w]
+func (p *Glider) Victim(set int, info cache.AccessInfo) int {
+	base := set * p.ways
+	best, bestVal := 0, p.rrpv[base]
+	for w, v := range p.rrpv[base+1 : base+p.ways] {
+		if v > bestVal {
+			best, bestVal = w+1, v
 		}
 	}
 	if bestVal != hawkeyeMaxRRPV {
-		p.train(p.fillFeat[set][best], false)
+		p.train(p.fillFeat[base+best], false)
 	}
 	return best
 }
 
 // OnHit implements cache.Policy.
-func (p *Glider) OnHit(set, way int, blocks []cache.Block, info cache.AccessInfo) {
+func (p *Glider) OnHit(set, way int, info cache.AccessInfo) {
 	if info.Kind == mem.Writeback {
 		return
 	}
 	f := p.feature(info.Core, info.PC)
 	p.observe(set, f, info)
 	if p.score(f) >= 0 {
-		p.rrpv[set][way] = 0
+		p.rrpv[set*p.ways+way] = 0
 	} else {
-		p.rrpv[set][way] = hawkeyeMaxRRPV
+		p.rrpv[set*p.ways+way] = hawkeyeMaxRRPV
 	}
 	p.pushHistory(info.Core, info.PC)
 }
 
 // OnFill implements cache.Policy.
-func (p *Glider) OnFill(set, way int, blocks []cache.Block, info cache.AccessInfo) {
+func (p *Glider) OnFill(set, way int, info cache.AccessInfo) {
+	base := set * p.ways
 	if info.Kind == mem.Writeback {
-		p.rrpv[set][way] = hawkeyeMaxRRPV
-		p.fillFeat[set][way] = gliderFeature{}
+		p.rrpv[base+way] = hawkeyeMaxRRPV
+		p.fillFeat[base+way] = gliderFeature{}
 		return
 	}
 	f := p.feature(info.Core, info.PC)
 	p.observe(set, f, info)
-	p.fillFeat[set][way] = f
+	p.fillFeat[base+way] = f
 	if p.score(f) < 0 {
-		p.rrpv[set][way] = hawkeyeMaxRRPV
+		p.rrpv[base+way] = hawkeyeMaxRRPV
 	} else {
-		p.rrpv[set][way] = 0
-		for w := range blocks {
-			if w != way && p.rrpv[set][w] < hawkeyeMaxRRPV-1 {
-				p.rrpv[set][w]++
+		p.rrpv[base+way] = 0
+		row := p.rrpv[base : base+p.ways]
+		for w := range row {
+			if w != way && row[w] < hawkeyeMaxRRPV-1 {
+				row[w]++
 			}
 		}
 	}
@@ -272,4 +273,4 @@ func (p *Glider) OnFill(set, way int, blocks []cache.Block, info cache.AccessInf
 }
 
 // OnEvict implements cache.Policy.
-func (p *Glider) OnEvict(set, way int, evicted cache.Block, info cache.AccessInfo) {}
+func (p *Glider) OnEvict(set, way int, info cache.AccessInfo) {}

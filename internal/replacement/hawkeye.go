@@ -136,8 +136,10 @@ func (p *hawkeyePredictor) train(sig uint16, positive bool) {
 // policy and classifies each PC as cache-friendly or cache-averse
 // (Jain & Lin, ISCA 2016).
 type Hawkeye struct {
-	rrpv     [][]uint8
-	fillSig  [][]uint16
+	// rrpv and fillSig hold each block's age and fill signature: way
+	// w of set s at index s*ways+w.
+	rrpv     []uint8
+	fillSig  []uint16
 	pred     *hawkeyePredictor
 	sampled  SampledSets
 	optgens  map[int]*optgen
@@ -154,15 +156,11 @@ func (p *Hawkeye) Name() string { return "hawkeye" }
 // Init implements cache.Policy.
 func (p *Hawkeye) Init(sets, ways int) {
 	p.ways = ways
-	p.rrpv = make([][]uint8, sets)
-	p.fillSig = make([][]uint16, sets)
+	p.rrpv = make([]uint8, sets*ways)
 	for i := range p.rrpv {
-		p.rrpv[i] = make([]uint8, ways)
-		p.fillSig[i] = make([]uint16, ways)
-		for w := range p.rrpv[i] {
-			p.rrpv[i][w] = hawkeyeMaxRRPV
-		}
+		p.rrpv[i] = hawkeyeMaxRRPV
 	}
+	p.fillSig = make([]uint16, sets*ways)
 	p.pred = newHawkeyePredictor()
 	p.sampled = NewSampledSets(sets, 64)
 	p.optgens = make(map[int]*optgen)
@@ -199,55 +197,58 @@ func (p *Hawkeye) observe(set int, info cache.AccessInfo) {
 // Victim implements cache.Policy: prefer a cache-averse block
 // (RRPV==max); otherwise evict the oldest friendly block and detrain
 // its fill PC, Hawkeye's signature move.
-func (p *Hawkeye) Victim(set int, blocks []cache.Block, info cache.AccessInfo) int {
-	best, bestVal := 0, p.rrpv[set][0]
-	for w := 1; w < len(blocks); w++ {
-		if p.rrpv[set][w] > bestVal {
-			best, bestVal = w, p.rrpv[set][w]
+func (p *Hawkeye) Victim(set int, info cache.AccessInfo) int {
+	base := set * p.ways
+	best, bestVal := 0, p.rrpv[base]
+	for w, v := range p.rrpv[base+1 : base+p.ways] {
+		if v > bestVal {
+			best, bestVal = w+1, v
 		}
 	}
 	if bestVal != hawkeyeMaxRRPV {
-		p.pred.train(p.fillSig[set][best], false)
+		p.pred.train(p.fillSig[base+best], false)
 	}
 	return best
 }
 
 // OnHit implements cache.Policy.
-func (p *Hawkeye) OnHit(set, way int, blocks []cache.Block, info cache.AccessInfo) {
+func (p *Hawkeye) OnHit(set, way int, info cache.AccessInfo) {
 	p.observe(set, info)
 	if info.Kind == mem.Writeback {
 		return
 	}
 	sig := Signature(info.PC, info.Kind == mem.Prefetch)
 	if p.pred.friendly(sig) {
-		p.rrpv[set][way] = 0
+		p.rrpv[set*p.ways+way] = 0
 	} else {
-		p.rrpv[set][way] = hawkeyeMaxRRPV
+		p.rrpv[set*p.ways+way] = hawkeyeMaxRRPV
 	}
 }
 
 // OnFill implements cache.Policy.
-func (p *Hawkeye) OnFill(set, way int, blocks []cache.Block, info cache.AccessInfo) {
+func (p *Hawkeye) OnFill(set, way int, info cache.AccessInfo) {
+	base := set * p.ways
 	if info.Kind == mem.Writeback {
-		p.rrpv[set][way] = hawkeyeMaxRRPV
-		p.fillSig[set][way] = 0
+		p.rrpv[base+way] = hawkeyeMaxRRPV
+		p.fillSig[base+way] = 0
 		return
 	}
 	p.observe(set, info)
 	sig := Signature(info.PC, info.Kind == mem.Prefetch)
-	p.fillSig[set][way] = sig
+	p.fillSig[base+way] = sig
 	if !p.pred.friendly(sig) {
-		p.rrpv[set][way] = hawkeyeMaxRRPV
+		p.rrpv[base+way] = hawkeyeMaxRRPV
 		return
 	}
-	p.rrpv[set][way] = 0
+	p.rrpv[base+way] = 0
 	// Age the other friendly blocks so older ones become candidates.
-	for w := range blocks {
-		if w != way && p.rrpv[set][w] < hawkeyeMaxRRPV-1 {
-			p.rrpv[set][w]++
+	row := p.rrpv[base : base+p.ways]
+	for w := range row {
+		if w != way && row[w] < hawkeyeMaxRRPV-1 {
+			row[w]++
 		}
 	}
 }
 
 // OnEvict implements cache.Policy.
-func (p *Hawkeye) OnEvict(set, way int, evicted cache.Block, info cache.AccessInfo) {}
+func (p *Hawkeye) OnEvict(set, way int, info cache.AccessInfo) {}

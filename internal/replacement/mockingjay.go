@@ -33,7 +33,7 @@ type mjSamplerEntry struct {
 
 // Mockingjay implements cache.Policy.
 type Mockingjay struct {
-	etr     [][]int32
+	etr     []int32 // way w of set s at etr[s*ways+w]
 	rdp     []int32 // predicted reuse distance per signature; -1 unknown
 	sampled SampledSets
 	// Per sampled set: access clock and recently-seen tags.
@@ -52,10 +52,7 @@ func (p *Mockingjay) Name() string { return "mockingjay" }
 // Init implements cache.Policy.
 func (p *Mockingjay) Init(sets, ways int) {
 	p.ways = ways
-	p.etr = make([][]int32, sets)
-	for i := range p.etr {
-		p.etr[i] = make([]int32, ways)
-	}
+	p.etr = make([]int32, sets*ways)
 	p.rdp = make([]int32, shctSize)
 	for i := range p.rdp {
 		p.rdp[i] = -1
@@ -136,19 +133,19 @@ func (p *Mockingjay) predictETR(sig uint16) int32 {
 
 // ageSet decrements every ETR in set (toward the predicted reuse).
 func (p *Mockingjay) ageSet(set int) {
-	for w := range p.etr[set] {
-		if p.etr[set][w] > -mockingjayInf {
-			p.etr[set][w]--
+	row := p.etr[set*p.ways : (set+1)*p.ways]
+	for w := range row {
+		if row[w] > -mockingjayInf {
+			row[w]--
 		}
 	}
 }
 
 // Victim implements cache.Policy: evict the block with the largest
 // absolute ETR (furthest predicted reuse, or most overdue).
-func (p *Mockingjay) Victim(set int, blocks []cache.Block, info cache.AccessInfo) int {
+func (p *Mockingjay) Victim(set int, info cache.AccessInfo) int {
 	best, bestVal := 0, int32(-1)
-	for w := range blocks {
-		v := p.etr[set][w]
+	for w, v := range p.etr[set*p.ways : (set+1)*p.ways] {
 		if v < 0 {
 			v = -v
 		}
@@ -160,28 +157,28 @@ func (p *Mockingjay) Victim(set int, blocks []cache.Block, info cache.AccessInfo
 }
 
 // OnHit implements cache.Policy.
-func (p *Mockingjay) OnHit(set, way int, blocks []cache.Block, info cache.AccessInfo) {
+func (p *Mockingjay) OnHit(set, way int, info cache.AccessInfo) {
 	p.observe(set, info)
 	if info.Kind == mem.Writeback {
 		return
 	}
 	p.ageSet(set)
 	sig := Signature(info.PC, info.Kind == mem.Prefetch)
-	p.etr[set][way] = p.predictETR(sig)
+	p.etr[set*p.ways+way] = p.predictETR(sig)
 }
 
 // OnFill implements cache.Policy.
-func (p *Mockingjay) OnFill(set, way int, blocks []cache.Block, info cache.AccessInfo) {
+func (p *Mockingjay) OnFill(set, way int, info cache.AccessInfo) {
 	if info.Kind == mem.Writeback {
 		// Writebacks are given the largest ETR so they leave first.
-		p.etr[set][way] = mockingjayInf / mockingjayGranularity
+		p.etr[set*p.ways+way] = mockingjayInf / mockingjayGranularity
 		return
 	}
 	p.observe(set, info)
 	p.ageSet(set)
 	sig := Signature(info.PC, info.Kind == mem.Prefetch)
-	p.etr[set][way] = p.predictETR(sig)
+	p.etr[set*p.ways+way] = p.predictETR(sig)
 }
 
 // OnEvict implements cache.Policy.
-func (p *Mockingjay) OnEvict(set, way int, evicted cache.Block, info cache.AccessInfo) {}
+func (p *Mockingjay) OnEvict(set, way int, info cache.AccessInfo) {}

@@ -83,38 +83,38 @@ func policyStream(blocks int) []cache.AccessInfo {
 // internal/cache does: it prefers an invalid way and otherwise asks
 // the policy for a victim.
 type tagArray struct {
-	p      cache.Policy
-	ways   int
-	mask   uint64
-	blocks []cache.Block
+	p    cache.Policy
+	ways int
+	mask uint64
+	tags []uint64 // tag<<1|1 when valid, 0 when not
 }
 
 func newTagArray(p cache.Policy, sets, ways int) *tagArray {
 	p.Init(sets, ways)
-	return &tagArray{p: p, ways: ways, mask: uint64(sets - 1), blocks: make([]cache.Block, sets*ways)}
+	return &tagArray{p: p, ways: ways, mask: uint64(sets - 1), tags: make([]uint64, sets*ways)}
 }
 
 func (t *tagArray) access(info cache.AccessInfo) {
-	tag := info.Addr.BlockID()
-	set := int(tag & t.mask)
-	ways := t.blocks[set*t.ways : (set+1)*t.ways]
+	want := info.Addr.BlockID()<<1 | 1
+	set := int(info.Addr.BlockID() & t.mask)
+	ways := t.tags[set*t.ways : (set+1)*t.ways]
 	victim := -1
-	for w := range ways {
-		if !ways[w].Valid {
+	for w, tag := range ways {
+		if tag == 0 {
 			if victim < 0 {
 				victim = w
 			}
 			continue
 		}
-		if ways[w].Tag == tag {
-			t.p.OnHit(set, w, ways, info)
+		if tag == want {
+			t.p.OnHit(set, w, info)
 			return
 		}
 	}
 	if victim < 0 {
-		victim = t.p.Victim(set, ways, info)
-		t.p.OnEvict(set, victim, ways[victim], info)
+		victim = t.p.Victim(set, info)
+		t.p.OnEvict(set, victim, info)
 	}
-	ways[victim] = cache.Block{Valid: true, Tag: tag, Core: info.Core, PC: info.PC}
-	t.p.OnFill(set, victim, ways, info)
+	ways[victim] = want
+	t.p.OnFill(set, victim, info)
 }

@@ -183,18 +183,17 @@ func TestSRRIPScanResistance(t *testing.T) {
 func TestRRIPVictimAging(t *testing.T) {
 	p := NewSRRIP()
 	p.Init(1, 4)
-	blocks := make([]cache.Block, 4)
 	info := cache.AccessInfo{Kind: mem.Load}
 	// Fill all ways: RRPV = 2 each.
 	for w := 0; w < 4; w++ {
-		p.OnFill(0, w, blocks, info)
+		p.OnFill(0, w, info)
 	}
 	// Victim search must age RRPVs until one saturates, then pick it.
-	v := p.Victim(0, blocks, info)
+	v := p.Victim(0, info)
 	if v != 0 {
 		t.Fatalf("victim = %d, want leftmost after uniform aging", v)
 	}
-	if p.rrpv[0][3] != maxRRPV {
+	if p.rrpv[3] != maxRRPV {
 		t.Fatal("aging should have advanced all RRPVs to max")
 	}
 }
@@ -225,14 +224,13 @@ func TestSHiPLearnsDeadPC(t *testing.T) {
 func TestSHiPPPWritebackInsertion(t *testing.T) {
 	p := NewSHiPPP()
 	p.Init(4, 4)
-	blocks := make([]cache.Block, 4)
-	p.OnFill(0, 1, blocks, cache.AccessInfo{Kind: mem.Writeback})
-	if p.rrpv[0][1] != maxRRPV {
+	p.OnFill(0, 1, cache.AccessInfo{Kind: mem.Writeback})
+	if p.rrpv[1] != maxRRPV {
 		t.Fatal("writeback fills must be inserted distant")
 	}
 	// Writeback blocks never train the SHCT on eviction.
 	before := p.shct[0]
-	p.OnEvict(0, 1, cache.Block{}, cache.AccessInfo{})
+	p.OnEvict(0, 1, cache.AccessInfo{})
 	if p.shct[0] != before {
 		t.Fatal("writeback eviction must not train")
 	}
@@ -241,22 +239,21 @@ func TestSHiPPPWritebackInsertion(t *testing.T) {
 func TestSHiPPPPrefetchDemotion(t *testing.T) {
 	p := NewSHiPPP()
 	p.Init(4, 4)
-	blocks := make([]cache.Block, 4)
-	p.OnFill(0, 0, blocks, cache.AccessInfo{PC: 0x1, Kind: mem.Prefetch})
+	p.OnFill(0, 0, cache.AccessInfo{PC: 0x1, Kind: mem.Prefetch})
 	// First demand hit on a prefetched block demotes it.
-	p.OnHit(0, 0, blocks, cache.AccessInfo{PC: 0x1, Kind: mem.Load, HitPrefetched: true})
-	if p.rrpv[0][0] != maxRRPV {
-		t.Fatalf("first demand touch of prefetched block should demote, rrpv=%d", p.rrpv[0][0])
+	p.OnHit(0, 0, cache.AccessInfo{PC: 0x1, Kind: mem.Load, HitPrefetched: true})
+	if p.rrpv[0] != maxRRPV {
+		t.Fatalf("first demand touch of prefetched block should demote, rrpv=%d", p.rrpv[0])
 	}
 	// Subsequent demand hit promotes normally.
-	p.OnHit(0, 0, blocks, cache.AccessInfo{PC: 0x1, Kind: mem.Load})
-	if p.rrpv[0][0] != 0 {
+	p.OnHit(0, 0, cache.AccessInfo{PC: 0x1, Kind: mem.Load})
+	if p.rrpv[0] != 0 {
 		t.Fatal("later demand hits should promote")
 	}
 	// Pure prefetch hits change nothing.
-	p.rrpv[0][0] = 2
-	p.OnHit(0, 0, blocks, cache.AccessInfo{PC: 0x1, Kind: mem.Prefetch})
-	if p.rrpv[0][0] != 2 {
+	p.rrpv[0] = 2
+	p.OnHit(0, 0, cache.AccessInfo{PC: 0x1, Kind: mem.Prefetch})
+	if p.rrpv[0] != 2 {
 		t.Fatal("prefetch hits must not promote")
 	}
 }

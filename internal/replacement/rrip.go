@@ -12,36 +12,35 @@ const maxRRPV = 3
 
 // rripBase holds the RRPV array and the shared victim search.
 type rripBase struct {
-	rrpv [][]uint8
+	rrpv []uint8 // way w of set s at rrpv[s*ways+w]
+	ways int
 }
 
 func (p *rripBase) Init(sets, ways int) {
-	p.rrpv = make([][]uint8, sets)
-	backing := make([]uint8, sets*ways)
+	p.rrpv = make([]uint8, sets*ways)
 	for i := range p.rrpv {
-		p.rrpv[i] = backing[i*ways : (i+1)*ways]
-		for w := range p.rrpv[i] {
-			p.rrpv[i][w] = maxRRPV
-		}
+		p.rrpv[i] = maxRRPV
 	}
+	p.ways = ways
 }
 
 // victim finds the leftmost way with RRPV==max, aging the whole set
 // until one exists (the SRRIP search loop).
 func (p *rripBase) victim(set int) int {
+	row := p.rrpv[set*p.ways : (set+1)*p.ways]
 	for {
-		for w, v := range p.rrpv[set] {
+		for w, v := range row {
 			if v >= maxRRPV {
 				return w
 			}
 		}
-		for w := range p.rrpv[set] {
-			p.rrpv[set][w]++
+		for w := range row {
+			row[w]++
 		}
 	}
 }
 
-func (p *rripBase) OnEvict(set, way int, evicted cache.Block, info cache.AccessInfo) {}
+func (p *rripBase) OnEvict(set, way int, info cache.AccessInfo) {}
 
 // SRRIP statically inserts blocks with a "long" re-reference
 // prediction (max-1) and promotes to "near-immediate" (0) on hits.
@@ -54,16 +53,16 @@ func NewSRRIP() *SRRIP { return &SRRIP{} }
 func (p *SRRIP) Name() string { return "srrip" }
 
 // Victim implements cache.Policy.
-func (p *SRRIP) Victim(set int, blocks []cache.Block, info cache.AccessInfo) int {
+func (p *SRRIP) Victim(set int, info cache.AccessInfo) int {
 	return p.victim(set)
 }
 
 // OnHit implements cache.Policy.
-func (p *SRRIP) OnHit(set, way int, blocks []cache.Block, info cache.AccessInfo) {
-	p.rrpv[set][way] = 0
+func (p *SRRIP) OnHit(set, way int, info cache.AccessInfo) {
+	p.rrpv[set*p.ways+way] = 0
 }
 
 // OnFill implements cache.Policy.
-func (p *SRRIP) OnFill(set, way int, blocks []cache.Block, info cache.AccessInfo) {
-	p.rrpv[set][way] = maxRRPV - 1
+func (p *SRRIP) OnFill(set, way int, info cache.AccessInfo) {
+	p.rrpv[set*p.ways+way] = maxRRPV - 1
 }

@@ -27,10 +27,13 @@ const shctMax = 7
 // prefetched blocks on their first demand hit.
 type SHiPPP struct {
 	rripBase
-	shct    []uint8
-	sig     [][]uint16
-	outcome [][]bool
-	wb      [][]bool
+	shct []uint8
+	// sig, outcome and wb hold each block's fill signature, whether it
+	// was re-referenced, and whether a writeback filled it, indexed
+	// like rrpv.
+	sig     []uint16
+	outcome []bool
+	wb      []bool
 	sampled SampledSets
 }
 
@@ -47,77 +50,75 @@ func (p *SHiPPP) Init(sets, ways int) {
 	for i := range p.shct {
 		p.shct[i] = 1
 	}
-	p.sig = make([][]uint16, sets)
-	p.outcome = make([][]bool, sets)
-	p.wb = make([][]bool, sets)
-	for i := range p.sig {
-		p.sig[i] = make([]uint16, ways)
-		p.outcome[i] = make([]bool, ways)
-		p.wb[i] = make([]bool, ways)
-	}
+	p.sig = make([]uint16, sets*ways)
+	p.outcome = make([]bool, sets*ways)
+	p.wb = make([]bool, sets*ways)
 	p.sampled = NewSampledSets(sets, 64)
 }
 
 // Victim implements cache.Policy.
-func (p *SHiPPP) Victim(set int, blocks []cache.Block, info cache.AccessInfo) int {
+func (p *SHiPPP) Victim(set int, info cache.AccessInfo) int {
 	return p.victim(set)
 }
 
 // OnHit implements cache.Policy.
-func (p *SHiPPP) OnHit(set, way int, blocks []cache.Block, info cache.AccessInfo) {
+func (p *SHiPPP) OnHit(set, way int, info cache.AccessInfo) {
 	if info.Kind == mem.Prefetch {
 		// Prefetch hits do not promote: a block repeatedly touched
 		// only by the prefetcher is not demand-useful.
 		return
 	}
+	i := set*p.ways + way
 	if info.HitPrefetched {
 		// First demand touch of a prefetched block: SHiP++ predicts
 		// single-use prefetches and demotes instead of promoting.
-		p.rrpv[set][way] = maxRRPV
+		p.rrpv[i] = maxRRPV
 	} else {
-		p.rrpv[set][way] = 0
+		p.rrpv[i] = 0
 	}
-	if p.sampled.Sampled(set) && !p.outcome[set][way] && !p.wb[set][way] {
-		p.outcome[set][way] = true
-		if s := p.sig[set][way]; p.shct[s] < shctMax {
+	if p.sampled.Sampled(set) && !p.outcome[i] && !p.wb[i] {
+		p.outcome[i] = true
+		if s := p.sig[i]; p.shct[s] < shctMax {
 			p.shct[s]++
 		}
 	}
 }
 
 // OnFill implements cache.Policy.
-func (p *SHiPPP) OnFill(set, way int, blocks []cache.Block, info cache.AccessInfo) {
+func (p *SHiPPP) OnFill(set, way int, info cache.AccessInfo) {
+	i := set*p.ways + way
 	if info.Kind == mem.Writeback {
 		// Writebacks are background traffic: distant insertion, no
 		// signature training.
-		p.wb[set][way] = true
-		p.outcome[set][way] = false
-		p.sig[set][way] = 0
-		p.rrpv[set][way] = maxRRPV
+		p.wb[i] = true
+		p.outcome[i] = false
+		p.sig[i] = 0
+		p.rrpv[i] = maxRRPV
 		return
 	}
 	s := Signature(info.PC, info.Kind == mem.Prefetch)
-	p.sig[set][way] = s
-	p.outcome[set][way] = false
-	p.wb[set][way] = false
+	p.sig[i] = s
+	p.outcome[i] = false
+	p.wb[i] = false
 	switch {
 	case p.shct[s] == 0:
-		p.rrpv[set][way] = maxRRPV
+		p.rrpv[i] = maxRRPV
 	case p.shct[s] == shctMax && info.Kind != mem.Prefetch:
 		// Strongly reused demand signature: intermediate insertion
 		// per SHiP++'s refined placement.
-		p.rrpv[set][way] = 0
+		p.rrpv[i] = 0
 	case info.Kind == mem.Prefetch:
-		p.rrpv[set][way] = maxRRPV - 1
+		p.rrpv[i] = maxRRPV - 1
 	default:
-		p.rrpv[set][way] = maxRRPV - 1
+		p.rrpv[i] = maxRRPV - 1
 	}
 }
 
 // OnEvict implements cache.Policy.
-func (p *SHiPPP) OnEvict(set, way int, evicted cache.Block, info cache.AccessInfo) {
-	if p.sampled.Sampled(set) && !p.outcome[set][way] && !p.wb[set][way] {
-		if s := p.sig[set][way]; p.shct[s] > 0 {
+func (p *SHiPPP) OnEvict(set, way int, info cache.AccessInfo) {
+	i := set*p.ways + way
+	if p.sampled.Sampled(set) && !p.outcome[i] && !p.wb[i] {
+		if s := p.sig[i]; p.shct[s] > 0 {
 			p.shct[s]--
 		}
 	}

@@ -27,20 +27,22 @@ func walkSigs(s *checkpoint.State, sigs []uint16) { checkpoint.Indexes(s, sigs, 
 
 // Checkpoint implements checkpoint.Component.
 func (p *LRU) Checkpoint(s *checkpoint.State) {
-	checkpoint.Grid(s, p.stamp, checkpoint.Uints)
+	checkpoint.Grid(s, p.stamp, p.ways, checkpoint.Uints)
 	checkpoint.Uint(s, &p.clock)
 }
 
 // Checkpoint implements checkpoint.Component for SRRIP.
-func (p *rripBase) Checkpoint(s *checkpoint.State) { checkpoint.Grid(s, p.rrpv, checkpoint.Uints) }
+func (p *rripBase) Checkpoint(s *checkpoint.State) {
+	checkpoint.Grid(s, p.rrpv, p.ways, checkpoint.Uints)
+}
 
 // Checkpoint implements checkpoint.Component.
 func (p *SHiPPP) Checkpoint(s *checkpoint.State) {
 	p.rripBase.Checkpoint(s)
 	checkpoint.Table(s, p.shct, checkpoint.Uints)
-	checkpoint.Grid(s, p.sig, walkSigs)
-	checkpoint.Grid(s, p.outcome, checkpoint.Bools)
-	checkpoint.Grid(s, p.wb, checkpoint.Bools)
+	checkpoint.Grid(s, p.sig, p.ways, walkSigs)
+	checkpoint.Grid(s, p.outcome, p.ways, checkpoint.Bools)
+	checkpoint.Grid(s, p.wb, p.ways, checkpoint.Bools)
 }
 
 // walkOptgens walks the sampled sets' OPTgen occupancy vectors;
@@ -76,8 +78,8 @@ func checkSamplers[V any](s *checkpoint.State, optgens map[int]*optgen, samplers
 
 // Checkpoint implements checkpoint.Component.
 func (p *Hawkeye) Checkpoint(s *checkpoint.State) {
-	checkpoint.Grid(s, p.rrpv, checkpoint.Uints)
-	checkpoint.Grid(s, p.fillSig, walkSigs)
+	checkpoint.Grid(s, p.rrpv, p.ways, checkpoint.Uints)
+	checkpoint.Grid(s, p.fillSig, p.ways, walkSigs)
 	checkpoint.Table(s, p.pred.counters, checkpoint.Uints)
 	walkOptgens(s, p.optgens, p.ways)
 	checkpoint.Map(s, p.samplers, func(s *checkpoint.State, sm **hawkeyeSampler) {
@@ -109,8 +111,8 @@ func walkFeatures(s *checkpoint.State, fs []gliderFeature) {
 
 // Checkpoint implements checkpoint.Component.
 func (p *Glider) Checkpoint(s *checkpoint.State) {
-	checkpoint.Grid(s, p.rrpv, checkpoint.Uints)
-	checkpoint.Grid(s, p.fillFeat, walkFeatures)
+	checkpoint.Grid(s, p.rrpv, p.ways, checkpoint.Uints)
+	checkpoint.Grid(s, p.fillFeat, p.ways, walkFeatures)
 	checkpoint.Each(s, p.table, func(s *checkpoint.State, v *isvm) { checkpoint.Ints(s, v[:]) })
 	checkpoint.Each(s, p.history, func(s *checkpoint.State, h *[]mem.Addr) {
 		checkpoint.Slice(s, h, checkpoint.Uints)
@@ -131,7 +133,7 @@ func (p *Glider) Checkpoint(s *checkpoint.State) {
 
 // Checkpoint implements checkpoint.Component.
 func (p *Mockingjay) Checkpoint(s *checkpoint.State) {
-	checkpoint.Grid(s, p.etr, checkpoint.Ints)
+	checkpoint.Grid(s, p.etr, p.ways, checkpoint.Ints)
 	checkpoint.Table(s, p.rdp, checkpoint.Ints)
 	checkpoint.Map(s, p.clock, checkpoint.Uint)
 	checkpoint.Map(s, p.samplers, func(s *checkpoint.State, m *map[uint64]*mjSamplerEntry) {

@@ -29,13 +29,13 @@ func TestRestoreRejectsForgedIndex(t *testing.T) {
 	}{
 		{"ship++/valid", func() forgedIndexPolicy { return NewSHiPPP() }, nil, nil},
 		{"ship++/block-signature", func() forgedIndexPolicy { return NewSHiPPP() }, func(p forgedIndexPolicy) {
-			p.(*SHiPPP).sig[3][1] = 60000
+			p.(*SHiPPP).sig[3*ways+1] = 60000
 		}, checkpoint.ErrCorrupt},
 		{"hawkeye/valid", func() forgedIndexPolicy { return NewHawkeye() }, func(p forgedIndexPolicy) {
 			hawkeyeSamplerWith(p.(*Hawkeye), 7, samplerInfo{sig: shctSize - 1})
 		}, nil},
 		{"hawkeye/fill-signature", func() forgedIndexPolicy { return NewHawkeye() }, func(p forgedIndexPolicy) {
-			p.(*Hawkeye).fillSig[5][2] = shctSize
+			p.(*Hawkeye).fillSig[5*ways+2] = shctSize
 		}, checkpoint.ErrCorrupt},
 		{"hawkeye/sampler-signature", func() forgedIndexPolicy { return NewHawkeye() }, func(p forgedIndexPolicy) {
 			hawkeyeSamplerWith(p.(*Hawkeye), 7, samplerInfo{sig: 60000})
@@ -47,10 +47,10 @@ func TestRestoreRejectsForgedIndex(t *testing.T) {
 			gliderSamplerWith(p.(*Glider), 7, gliderFeature{row: 1<<gliderTableBits - 1, idxs: [gliderHistoryLen]uint8{gliderWeights - 1}})
 		}, nil},
 		{"glider/fill-row", func() forgedIndexPolicy { return NewGlider(1) }, func(p forgedIndexPolicy) {
-			p.(*Glider).fillFeat[5][2].row = 1 << gliderTableBits
+			p.(*Glider).fillFeat[5*ways+2].row = 1 << gliderTableBits
 		}, checkpoint.ErrCorrupt},
 		{"glider/fill-weight-index", func() forgedIndexPolicy { return NewGlider(1) }, func(p forgedIndexPolicy) {
-			p.(*Glider).fillFeat[5][2].idxs[3] = gliderWeights
+			p.(*Glider).fillFeat[5*ways+2].idxs[3] = gliderWeights
 		}, checkpoint.ErrCorrupt},
 		{"glider/sampler-row", func() forgedIndexPolicy { return NewGlider(1) }, func(p forgedIndexPolicy) {
 			gliderSamplerWith(p.(*Glider), 7, gliderFeature{row: 60000})
