@@ -116,3 +116,35 @@ func BenchmarkGetHitParallel(b *testing.B) {
 		b.Fatalf("%d misses on resident keys", m)
 	}
 }
+
+// BenchmarkPutCostParallel: PutCosts of fresh keys from every
+// RunParallel goroutine into one full 8-shard CARE ShardedCache of
+// 2^12 entries, so every op is an insert that evicts under a shard
+// lock while other goroutines do the same: the miss path of
+// read-through traffic under a scan flood. Each goroutine draws its
+// keys from a range of its own, so no two ops insert the same key.
+func BenchmarkPutCostParallel(b *testing.B) {
+	const n = 1 << 12
+	c, err := cache.NewSharded(cache.Options[uint64, uint64]{Capacity: n, Policy: "care", Shards: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for k := uint64(0); k < 4*n; k++ {
+		c.Put(k, k)
+	}
+	before := c.Stats().Evictions
+	var goroutines atomic.Uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		k := goroutines.Add(1) << 40
+		for i := 0; pb.Next(); i++ {
+			c.PutCost(k, k, float64(i%400))
+			k++
+		}
+	})
+	b.StopTimer()
+	if got := c.Stats().Evictions - before; got != uint64(b.N) {
+		b.Fatalf("%d evictions for %d fresh inserts", got, b.N)
+	}
+}

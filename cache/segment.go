@@ -54,7 +54,18 @@ func (s *Stats) add(o Stats) {
 //
 // A segment is not safe for concurrent use; its wrapper provides
 // whatever exclusion is needed.
+//
+// Field order is part of the hot path. stats and live, the only
+// fields an operation writes, come first: in ShardedCache's
+// shard{mu, seg} they share the mutex's 64-byte line, so a Get hit
+// dirties that one line of the shard. The fields after them are read
+// only after init (the slices' contents are written, never their
+// headers) and fill the shard's next two lines.
 type segment[K comparable, V any] struct {
+	stats Stats
+	// live is the total number of set bits in occ.
+	live int
+
 	ways    int
 	setMask uint64
 	// waysMask has one bit per way, for the free-way scan.
@@ -67,13 +78,10 @@ type segment[K comparable, V any] struct {
 	// before the key, so a miss rarely touches slots.
 	slots []slot[K, V]
 	tags  []uint8
-	// occ is a per-set occupancy bitmask (bit w = way w live); live
-	// is the total number of set bits.
+	// occ is a per-set occupancy bitmask (bit w = way w live).
 	occ         []uint64
-	live        int
 	onEvict     func(K, V)
 	defaultCost float64
-	stats       Stats
 }
 
 // slot is one entry: a key and its value.

@@ -5,9 +5,13 @@ import (
 	"sync"
 )
 
-// shard is one lock + segment pair. Shards are individually heap-
-// allocated so neighbouring shards' mutexes do not share a cache
-// line.
+// shard is one lock + segment pair, 192 bytes: the mutex and the
+// segment's counters (see segment) fill the first 64-byte line, the
+// read-only geometry and slice headers the next two. 192 bytes is one
+// of Go's size classes, and the runtime places objects of a class at
+// multiples of its size within a page-aligned span, so every shard
+// starts on a line boundary and no two shards share a line. Keep the
+// size a multiple of 64 (TestShardLayout).
 type shard[K comparable, V any] struct {
 	mu  sync.Mutex
 	seg segment[K, V]

@@ -7,6 +7,7 @@
 //	curl         localhost:8080/kv/user:42
 //	curl -X DELETE localhost:8080/kv/user:42
 //	curl         localhost:8080/stats
+//	curl         localhost:8080/metrics
 //
 // The optional X-Cost header on PUT is the recompute cost of the
 // value (backend latency, in whatever units you like); cost-aware
@@ -58,6 +59,7 @@ func (s *server) handler() http.Handler {
 	mux.HandleFunc("PUT /kv/{key}", s.put)
 	mux.HandleFunc("DELETE /kv/{key}", s.delete)
 	mux.HandleFunc("GET /stats", s.stats)
+	mux.HandleFunc("GET /metrics", s.metrics)
 	return mux
 }
 
@@ -154,6 +156,29 @@ func (s *server) stats(w http.ResponseWriter, r *http.Request) {
 		HitRatio: st.HitRatio(),
 		Stats:    st,
 	})
+}
+
+// metrics serves the cache's counters in the Prometheus text format.
+// It reads them through Stats and Len, which lock every shard, and so
+// adds nothing to the Get and Put paths.
+func (s *server) metrics(w http.ResponseWriter, r *http.Request) {
+	st := s.c.Stats()
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+	for _, m := range []struct {
+		name, typ, help string
+		v               uint64
+	}{
+		{"care_cache_hits_total", "counter", "Gets that found their key.", st.Hits},
+		{"care_cache_misses_total", "counter", "Gets that did not find their key.", st.Misses},
+		{"care_cache_inserts_total", "counter", "Puts of absent keys.", st.Inserts},
+		{"care_cache_updates_total", "counter", "Puts that overwrote a present key.", st.Updates},
+		{"care_cache_evictions_total", "counter", "Entries the policy evicted to make room.", st.Evictions},
+		{"care_cache_deletes_total", "counter", "Deletes that removed a key.", st.Deletes},
+		{"care_cache_entries", "gauge", "Live entries.", uint64(s.c.Len())},
+		{"care_cache_shards", "gauge", "Shard count.", uint64(s.c.Shards())},
+	} {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s{policy=%q} %d\n", m.name, m.help, m.name, m.typ, m.name, s.policy, m.v)
+	}
 }
 
 func main() {

@@ -1,12 +1,15 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -106,6 +109,98 @@ func TestServiceBasics(t *testing.T) {
 				t.Fatalf("stats counters %+v", payload.Stats)
 			}
 		})
+	}
+}
+
+// TestServiceMetrics: /metrics serves every counter, the entry count
+// and the shard count in the Prometheus text format, each sample
+// labelled with the policy and each family with HELP and TYPE lines,
+// and the values match the traffic that was sent.
+func TestServiceMetrics(t *testing.T) {
+	srv, err := newServer("care", 64, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+	c := &client{t: t, base: ts.URL, http: ts.Client()}
+
+	c.do("PUT", "a", []byte("1"), "")
+	c.do("GET", "a", nil, "")       // hit
+	c.do("GET", "missing", nil, "") // miss
+	c.do("PUT", "a", []byte("2"), "")
+	c.do("DELETE", "a", nil, "")
+	const fill = 200 // three times the capacity, so some Puts evict
+	for i := 0; i < fill; i++ {
+		c.do("PUT", fmt.Sprintf("k%d", i), []byte("x"), "100")
+	}
+	st, n := srv.c.Stats(), srv.c.Len()
+	if st.Evictions == 0 {
+		t.Fatalf("no evictions after %d inserts into 64 entries: %+v", fill, st)
+	}
+
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+		t.Fatalf("Content-Type %q, want text/plain", ct)
+	}
+	samples := map[string]uint64{}
+	types := map[string]string{}
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		line := sc.Text()
+		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" {
+			types[f[2]] = f[3]
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, rest, ok := strings.Cut(line, `{policy="care"} `)
+		if !ok {
+			t.Fatalf("sample %q lacks the policy label", line)
+		}
+		v, err := strconv.ParseUint(rest, 10, 64)
+		if err != nil {
+			t.Fatalf("sample %q: %v", line, err)
+		}
+		samples[name] = v
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]uint64{
+		"care_cache_hits_total":      1,
+		"care_cache_misses_total":    1,
+		"care_cache_inserts_total":   1 + fill,
+		"care_cache_updates_total":   1,
+		"care_cache_evictions_total": st.Evictions,
+		"care_cache_deletes_total":   1,
+		"care_cache_entries":         uint64(n),
+		"care_cache_shards":          2,
+	}
+	for name, v := range want {
+		got, ok := samples[name]
+		if !ok {
+			t.Errorf("%s missing", name)
+			continue
+		}
+		if got != v {
+			t.Errorf("%s = %d, want %d", name, got, v)
+		}
+		typ := "counter"
+		if !strings.HasSuffix(name, "_total") {
+			typ = "gauge"
+		}
+		if types[name] != typ {
+			t.Errorf("%s has TYPE %q, want %q", name, types[name], typ)
+		}
+	}
+	if len(samples) != len(want) {
+		t.Errorf("%d samples, want %d: %v", len(samples), len(want), samples)
 	}
 }
 

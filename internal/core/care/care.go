@@ -100,21 +100,30 @@ type blockMeta struct {
 // Policy is the CARE cache management framework. It implements
 // cache.Policy and is attached to the LLC together with a PMC (or
 // MLP) tracker that supplies fill costs.
+//
+// Field order keeps hits and misses on separate cache lines. The
+// fields OnHit reads come first and fill the first 64 bytes; the
+// read-only configuration follows; the fields Victim, OnFill and
+// OnEvict write come last. A miss on one core then does not
+// invalidate the line another core's hits read (TestPolicyLayout).
 type Policy struct {
-	cfg  Config
-	name string
-	// costOf selects the concurrency signal: PMC for CARE, MLP-based
-	// cost for M-CARE.
-	costOf func(info cache.AccessInfo) float64
-
+	// Read by OnHit (and by every other callback).
 	sht []shtEntry
 	// blocks holds every block's metadata, set by set: way w of set
 	// s is blocks[s*ways+w].
 	blocks  []blockMeta
 	ways    int
 	sampled replacement.SampledSets
-	rng     rng
 
+	// Read-only after construction.
+	cfg  Config
+	name string
+	// costOf selects the concurrency signal: PMC for CARE, MLP-based
+	// cost for M-CARE.
+	costOf func(info cache.AccessInfo) float64
+
+	// Written on misses.
+	rng rng
 	// DTRM state.
 	pmcLow, pmcHigh float64
 	tcm             uint64 // costly misses this period
@@ -391,7 +400,8 @@ func (p *Policy) OnHit(set, way int, info cache.AccessInfo) {
 		if m.epv > 0 {
 			m.epv--
 		}
-	} else {
+	} else if m.epv != 0 {
+		// A store of an unchanged value would still dirty the line.
 		m.epv = 0
 	}
 }

@@ -60,7 +60,7 @@ type gliderSamplerInfo struct {
 }
 
 func newGliderSampler(capacity int) *gliderSampler {
-	return &gliderSampler{info: make(map[uint64]gliderSamplerInfo, capacity), cap: capacity}
+	return &gliderSampler{order: make([]uint64, 0, capacity), info: make(map[uint64]gliderSamplerInfo, capacity), cap: capacity}
 }
 
 func (s *gliderSampler) lookup(tag uint64) (gliderSamplerInfo, bool) {
@@ -71,21 +71,14 @@ func (s *gliderSampler) lookup(tag uint64) (gliderSamplerInfo, bool) {
 func (s *gliderSampler) insert(tag uint64, i gliderSamplerInfo) (gliderSamplerInfo, bool) {
 	if _, exists := s.info[tag]; exists {
 		s.info[tag] = i
-		for k, tg := range s.order {
-			if tg == tag {
-				s.order = append(append(s.order[:k:k], s.order[k+1:]...), tag)
-				break
-			}
-		}
+		moveToBack(s.order, tag)
 		return gliderSamplerInfo{}, false
 	}
 	s.info[tag] = i
-	s.order = append(s.order, tag)
-	if len(s.order) <= s.cap {
+	victimTag, overflow := pushOrder(&s.order, tag, s.cap)
+	if !overflow {
 		return gliderSamplerInfo{}, false
 	}
-	victimTag := s.order[0]
-	s.order = s.order[1:]
 	victim := s.info[victimTag]
 	delete(s.info, victimTag)
 	return victim, true
@@ -97,6 +90,9 @@ func NewGlider(cores int) *Glider {
 		cores = 1
 	}
 	g := &Glider{history: make([][]mem.Addr, cores)}
+	for i := range g.history {
+		g.history[i] = make([]mem.Addr, 0, gliderHistoryLen)
+	}
 	return g
 }
 
@@ -153,10 +149,14 @@ func (p *Glider) pushHistory(core int, pc mem.Addr) {
 	if core < 0 || core >= len(p.history) {
 		core = 0
 	}
-	p.history[core] = append(p.history[core], pc)
-	if len(p.history[core]) > gliderHistoryLen {
-		p.history[core] = p.history[core][1:]
+	h := p.history[core]
+	if len(h) < gliderHistoryLen {
+		p.history[core] = append(h, pc)
+		return
 	}
+	// Full: shift in place, so the register never reallocates.
+	copy(h, h[1:])
+	h[len(h)-1] = pc
 }
 
 // score sums the selected weights of the feature's ISVM.

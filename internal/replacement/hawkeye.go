@@ -72,7 +72,7 @@ type samplerInfo struct {
 }
 
 func newHawkeyeSampler(capacity int) *hawkeyeSampler {
-	return &hawkeyeSampler{info: make(map[uint64]samplerInfo, capacity), cap: capacity}
+	return &hawkeyeSampler{order: make([]uint64, 0, capacity), info: make(map[uint64]samplerInfo, capacity), cap: capacity}
 }
 
 // lookup returns the previous access info for tag.
@@ -86,25 +86,46 @@ func (s *hawkeyeSampler) lookup(tag uint64) (samplerInfo, bool) {
 func (s *hawkeyeSampler) insert(tag uint64, i samplerInfo) (samplerInfo, bool) {
 	if _, exists := s.info[tag]; exists {
 		s.info[tag] = i
-		// Move to the back of the order.
-		for k, tg := range s.order {
-			if tg == tag {
-				s.order = append(append(s.order[:k:k], s.order[k+1:]...), tag)
-				break
-			}
-		}
+		moveToBack(s.order, tag)
 		return samplerInfo{}, false
 	}
 	s.info[tag] = i
-	s.order = append(s.order, tag)
-	if len(s.order) <= s.cap {
+	victimTag, overflow := pushOrder(&s.order, tag, s.cap)
+	if !overflow {
 		return samplerInfo{}, false
 	}
-	victimTag := s.order[0]
-	s.order = s.order[1:]
 	victim := s.info[victimTag]
 	delete(s.info, victimTag)
 	return victim, true
+}
+
+// moveToBack moves tag, if present, to the end of order, shifting the
+// tags after it down by one. It works in place, so a sampler's order
+// never reallocates once it has reached its capacity.
+func moveToBack(order []uint64, tag uint64) {
+	for k, tg := range order {
+		if tg == tag {
+			copy(order[k:], order[k+1:])
+			order[len(order)-1] = tag
+			return
+		}
+	}
+}
+
+// pushOrder appends tag to *order; once the order holds capacity tags,
+// each push also drops the oldest and returns it. The drop shifts the
+// rest down in place instead of re-slicing past the front, which would
+// walk the backing array forward and make a later append reallocate.
+func pushOrder(order *[]uint64, tag uint64, capacity int) (oldest uint64, dropped bool) {
+	o := *order
+	if len(o) < capacity {
+		*order = append(o, tag)
+		return 0, false
+	}
+	oldest = o[0]
+	copy(o, o[1:])
+	o[len(o)-1] = tag
+	return oldest, true
 }
 
 // hawkeyePredictor is the PC-indexed 3-bit counter table.

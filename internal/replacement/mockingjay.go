@@ -38,7 +38,7 @@ type Mockingjay struct {
 	sampled SampledSets
 	// Per sampled set: access clock and recently-seen tags.
 	clock    map[int]uint64
-	samplers map[int]map[uint64]*mjSamplerEntry
+	samplers map[int]map[uint64]mjSamplerEntry
 	order    map[int][]uint64
 	ways     int
 }
@@ -59,7 +59,7 @@ func (p *Mockingjay) Init(sets, ways int) {
 	}
 	p.sampled = NewSampledSets(sets, 64)
 	p.clock = make(map[int]uint64)
-	p.samplers = make(map[int]map[uint64]*mjSamplerEntry)
+	p.samplers = make(map[int]map[uint64]mjSamplerEntry)
 	p.order = make(map[int][]uint64)
 }
 
@@ -89,7 +89,7 @@ func (p *Mockingjay) observe(set int, info cache.AccessInfo) {
 	}
 	s, ok := p.samplers[set]
 	if !ok {
-		s = make(map[uint64]*mjSamplerEntry)
+		s = make(map[uint64]mjSamplerEntry)
 		p.samplers[set] = s
 	}
 	p.clock[set]++
@@ -103,15 +103,14 @@ func (p *Mockingjay) observe(set int, info cache.AccessInfo) {
 			d = mockingjayInf
 		}
 		p.trainRDP(e.sig, d)
-		e.lastTime = now
-		e.sig = sig
+		s[tag] = mjSamplerEntry{lastTime: now, sig: sig}
 		return
 	}
-	s[tag] = &mjSamplerEntry{lastTime: now, sig: sig}
-	p.order[set] = append(p.order[set], tag)
-	if len(p.order[set]) > 8*p.ways {
-		victimTag := p.order[set][0]
-		p.order[set] = p.order[set][1:]
+	s[tag] = mjSamplerEntry{lastTime: now, sig: sig}
+	order := p.order[set]
+	victimTag, overflow := pushOrder(&order, tag, 8*p.ways)
+	p.order[set] = order
+	if overflow {
 		if v, okv := s[victimTag]; okv {
 			// Aged out without reuse: treat as a scan.
 			p.trainRDP(v.sig, mockingjayInf)

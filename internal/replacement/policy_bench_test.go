@@ -10,6 +10,35 @@ import (
 	"care/internal/sim"
 )
 
+// TestPolicyAllocs: once warm, a policy's per-access callbacks do not
+// allocate. Each policy runs a fixed stream over a small tag array
+// four times to warm up, then AllocsPerRun counts whole passes. With
+// 64 sets every set is sampled, and each pass brings each set about
+// 200 new tags, so the samplers' tag lists (Hawkeye, Glider,
+// Mockingjay) overflow and drop their oldest tag on most misses.
+func TestPolicyAllocs(t *testing.T) {
+	const sets, ways = 64, 16
+	stream := policyStream(sets*ways, 1<<15)
+	for _, name := range replacement.Names() {
+		p, err := replacement.New(name, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		llc := newTagArray(p, sets, ways)
+		pass := func() {
+			for i := range stream {
+				llc.access(stream[i])
+			}
+		}
+		for i := 0; i < 4; i++ {
+			pass()
+		}
+		if got := testing.AllocsPerRun(20, pass); got != 0 {
+			t.Errorf("%s: %v allocations per pass of %d accesses, want 0", name, got, len(stream))
+		}
+	}
+}
+
 // BenchmarkPolicy times each LLC replacement policy's own per-access
 // cost, apart from the cache around it: the paper's "lightweight"
 // claim, CARE's cost against SHiP++'s (Table VI). Each access of a
@@ -20,7 +49,7 @@ import (
 // access, so ns/op is ns per access.
 func BenchmarkPolicy(b *testing.B) {
 	geom := sim.ScaledConfig(4, 1).LLC
-	stream := policyStream(geom.Sets * geom.Ways)
+	stream := policyStream(geom.Sets*geom.Ways, 1<<20)
 	for _, name := range replacement.Names() {
 		b.Run(name, func(b *testing.B) {
 			p, err := replacement.New(name, 4)
@@ -40,13 +69,13 @@ func BenchmarkPolicy(b *testing.B) {
 	}
 }
 
-// policyStream returns 2^20 accesses from four cores and 32 PCs. 60%
-// reuse a hot region half the LLC's size, so they mostly hit; the rest
-// scan blocks that do not repeat within the stream, so they miss. Each
-// PC has a fixed miss cost, low for the scanning PCs, so cost-aware
-// policies see both classes.
-func policyStream(blocks int) []cache.AccessInfo {
-	out := make([]cache.AccessInfo, 1<<20)
+// policyStream returns n accesses (a power of two) from four cores
+// and 32 PCs. 60% reuse a hot region half the LLC's size, so they
+// mostly hit; the rest scan blocks that do not repeat within the
+// stream, so they miss. Each PC has a fixed miss cost, low for the
+// scanning PCs, so cost-aware policies see both classes.
+func policyStream(blocks, n int) []cache.AccessInfo {
+	out := make([]cache.AccessInfo, n)
 	x := uint64(0x9e3779b97f4a7c15)
 	scan := uint64(blocks)
 	for i := range out {

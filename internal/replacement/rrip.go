@@ -40,6 +40,15 @@ func (p *rripBase) victim(set int) int {
 	}
 }
 
+// setRRPV sets block i's RRPV to v on a hit, storing only when the
+// value changes: a store of an unchanged value still dirties the
+// cache line, which the next access from another core must fetch.
+func (p *rripBase) setRRPV(i int, v uint8) {
+	if p.rrpv[i] != v {
+		p.rrpv[i] = v
+	}
+}
+
 func (p *rripBase) OnEvict(set, way int, info cache.AccessInfo) {}
 
 // SRRIP statically inserts blocks with a "long" re-reference
@@ -59,7 +68,7 @@ func (p *SRRIP) Victim(set int, info cache.AccessInfo) int {
 
 // OnHit implements cache.Policy.
 func (p *SRRIP) OnHit(set, way int, info cache.AccessInfo) {
-	p.rrpv[set*p.ways+way] = 0
+	p.setRRPV(set*p.ways+way, 0)
 }
 
 // OnFill implements cache.Policy.

@@ -72,9 +72,9 @@ func (p *SHiPPP) OnHit(set, way int, info cache.AccessInfo) {
 	if info.HitPrefetched {
 		// First demand touch of a prefetched block: SHiP++ predicts
 		// single-use prefetches and demotes instead of promoting.
-		p.rrpv[i] = maxRRPV
+		p.setRRPV(i, maxRRPV)
 	} else {
-		p.rrpv[i] = 0
+		p.setRRPV(i, 0)
 	}
 	if p.sampled.Sampled(set) && !p.outcome[i] && !p.wb[i] {
 		p.outcome[i] = true

@@ -136,16 +136,13 @@ func (p *Mockingjay) Checkpoint(s *checkpoint.State) {
 	checkpoint.Grid(s, p.etr, p.ways, checkpoint.Ints)
 	checkpoint.Table(s, p.rdp, checkpoint.Ints)
 	checkpoint.Map(s, p.clock, checkpoint.Uint)
-	checkpoint.Map(s, p.samplers, func(s *checkpoint.State, m *map[uint64]*mjSamplerEntry) {
+	checkpoint.Map(s, p.samplers, func(s *checkpoint.State, m *map[uint64]mjSamplerEntry) {
 		if s.Restoring() {
-			*m = make(map[uint64]*mjSamplerEntry)
+			*m = make(map[uint64]mjSamplerEntry)
 		}
-		checkpoint.Map(s, *m, func(s *checkpoint.State, e **mjSamplerEntry) {
-			if s.Restoring() {
-				*e = new(mjSamplerEntry)
-			}
-			checkpoint.Uint(s, &(*e).lastTime)
-			walkSig(s, &(*e).sig)
+		checkpoint.Map(s, *m, func(s *checkpoint.State, e *mjSamplerEntry) {
+			checkpoint.Uint(s, &e.lastTime)
+			walkSig(s, &e.sig)
 		})
 	})
 	checkpoint.Map(s, p.order, func(s *checkpoint.State, o *[]uint64) {

@@ -111,6 +111,6 @@ func gliderSamplerWith(p *Glider, tag uint64, f gliderFeature) {
 // with signature sig.
 func mockingjaySamplerWith(p *Mockingjay, tag uint64, sig uint16) {
 	p.clock[0] = 1
-	p.samplers[0] = map[uint64]*mjSamplerEntry{tag: {lastTime: 1, sig: sig}}
+	p.samplers[0] = map[uint64]mjSamplerEntry{tag: {lastTime: 1, sig: sig}}
 	p.order[0] = []uint64{tag}
 }
