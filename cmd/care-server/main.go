@@ -6,7 +6,10 @@
 // worker API. Every job runs under the harness supervisor
 // (checkpointed, retried with jittered backoff), so a crash — or a
 // kill -9 — loses nothing: on restart the journal replays and
-// interrupted jobs resume from their checkpoints.
+// interrupted jobs resume from their checkpoints. The journal is
+// append-only and holds one record per job transition (heartbeats are
+// not journaled); it is never rewritten, so an event-stream client's
+// Last-Event-ID resumes exactly across restarts.
 //
 // Usage:
 //
@@ -49,20 +52,18 @@ func run() int {
 		workers  = flag.Int("workers", 2, "slots of the in-process care-worker (0 = none; jobs run only on remote care-worker processes)")
 		drainFor = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for in-flight jobs to reach their next checkpoint")
 		leaseChk = flag.Duration("lease-check-every", time.Second, "remote-lease expiry sweep period")
-		compact  = flag.Int("compact-min-events", 512, "compact the journal at startup once it holds this many records (negative disables)")
 		faults   = flag.String("faults", "", "deterministic fault-injection spec; server classes (server-kill-append, journal-tear, worker-panic) act on this process, simulation classes are passed into every job")
 		addrFile = flag.String("addr-file", "", "write the bound address to this file once listening (for scripts that use -addr :0)")
 	)
 	flag.Parse()
 
 	cfg := server.Config{
-		Addr:             *addr,
-		DataDir:          *dataDir,
-		Workers:          *workers,
-		NoLocalWorkers:   *workers == 0,
-		DrainTimeout:     *drainFor,
-		LeaseCheckEvery:  *leaseChk,
-		CompactMinEvents: *compact,
+		Addr:            *addr,
+		DataDir:         *dataDir,
+		Workers:         *workers,
+		NoLocalWorkers:  *workers == 0,
+		DrainTimeout:    *drainFor,
+		LeaseCheckEvery: *leaseChk,
 	}
 	if *faults != "" {
 		fc, err := faultinject.ParseSpec(*faults)

@@ -41,17 +41,14 @@ func TestMain(m *testing.M) {
 
 // chaosServerMain is the server side of the chaos rig: a queue-only
 // care-server (no local workers) configured through environment
-// variables, durably journaled so SIGKILL loses nothing. Compaction is
-// disabled so the final journal holds the campaign's full event
-// history for the exactly-once proof.
+// variables, durably journaled so SIGKILL loses nothing.
 func chaosServerMain() int {
 	s, err := server.New(server.Config{
-		Addr:             os.Getenv("CARE_CHAOS_ADDR"),
-		DataDir:          os.Getenv("CARE_CHAOS_DATA"),
-		NoLocalWorkers:   true,
-		LeaseCheckEvery:  25 * time.Millisecond,
-		CompactMinEvents: -1,
-		DrainTimeout:     10 * time.Second,
+		Addr:            os.Getenv("CARE_CHAOS_ADDR"),
+		DataDir:         os.Getenv("CARE_CHAOS_DATA"),
+		NoLocalWorkers:  true,
+		LeaseCheckEvery: 25 * time.Millisecond,
+		DrainTimeout:    10 * time.Second,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "chaos-server:", err)
@@ -335,8 +332,7 @@ func (cr *chaosRig) jobs() ([]server.Job, error) {
 	return list.Jobs, nil
 }
 
-// journal reads the server's full event history (compaction is
-// disabled in the chaos fixture, so nothing is ever folded away).
+// journal reads the server's full event history.
 func (cr *chaosRig) journal() []server.Event {
 	cr.t.Helper()
 	data, err := os.ReadFile(filepath.Join(cr.dataDir, "journal"))

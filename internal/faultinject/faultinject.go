@@ -375,27 +375,6 @@ func (f *faultReader) Next() (trace.Record, error) {
 	return rec, nil
 }
 
-// RemainingRecords implements trace.Bounded: the source's promise,
-// capped by an impending injected hard corruption (bit flips never
-// fail a read, so they do not shorten the bound).
-func (f *faultReader) RemainingRecords() (uint64, bool) {
-	var rem uint64
-	ok := false
-	if b, srcOK := f.src.(trace.Bounded); srcOK {
-		rem, ok = b.RemainingRecords()
-	}
-	if after := f.in.cfg.TraceCorruptAfter; after > 0 {
-		var left uint64
-		if f.n < after {
-			left = after - f.n
-		}
-		if !ok || left < rem {
-			rem, ok = left, true
-		}
-	}
-	return rem, ok
-}
-
 // ---- DRAM faults ----
 
 // WrapMemory interposes drop/delay faults between the LLC and the

@@ -162,3 +162,16 @@ func (st *ArtifactStore) Count() int {
 	}
 	return n
 }
+
+// fsyncDir makes a just-renamed directory entry durable. Sync errors
+// are swallowed: some filesystems refuse fsync on directories, and
+// the rename itself already happened.
+func fsyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	_ = d.Sync()
+	return nil
+}

@@ -14,13 +14,8 @@
 // journal read appears on both paths and is emitted once. A
 // subscriber that cannot keep up is disconnected (its channel would
 // otherwise block the queue) and recovers by reconnecting with its
-// last seen id.
-//
-// Caveat: startup journal compaction rewrites sequence numbers, so a
-// Last-Event-ID from before a compaction does not resume correctly
-// across it. Campaigns that need seamless resume across restarts run
-// with compaction disabled (as the chaos suite does); interactive
-// clients just re-list once on a resume gap.
+// last seen id. The journal is never rewritten, so an id stays valid
+// across every restart.
 package server
 
 import (
@@ -165,7 +160,7 @@ func journalJobEvents(events []Event) []careapi.JobEvent {
 		ev := &events[i]
 		switch ev.Op {
 		case opRenew:
-			continue // custody narration, not a transition
+			continue // an older server's heartbeat, not a transition
 		case opSweep:
 			for k := range ev.Specs {
 				campaigns[ev.IDs[k]] = ev.Specs[k].Campaign

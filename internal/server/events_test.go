@@ -105,7 +105,7 @@ func TestSSEStreamsTransitionsLive(t *testing.T) {
 	ch, cancel := sseOpen(t, base+"/api/v1/jobs/events", "")
 	defer cancel()
 
-	jb, err := s.q.Submit(testSpec())
+	jb, err := submit(s.q, testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,10 +165,10 @@ func TestSSEFiltersByCampaign(t *testing.T) {
 	specA.Campaign = "alpha"
 	specB := testSpec()
 	specB.Campaign = "beta"
-	if _, err := s.q.Submit(specB); err != nil {
+	if _, err := submit(s.q, specB); err != nil {
 		t.Fatal(err)
 	}
-	jbA, err := s.q.Submit(specA)
+	jbA, err := submit(s.q, specA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestSSEResumeLosslessAcrossRestart(t *testing.T) {
 	// missed claim+complete, then the stream goes live for the cancel.
 	ch2, cancel2 := sseOpen(t, base2+"/api/v1/jobs/events", lastID)
 	defer cancel2()
-	third, err := s2.q.Submit(testSpec())
+	third, err := submit(s2.q, testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,8 +79,8 @@ func FuzzJobSpec(f *testing.F) {
 // so the bodies get past the framing into replayEvent (a line that is
 // not an event is dropped). Every open must either succeed, truncating
 // a torn tail, or fail with ErrJournalCorrupt; it must never panic. A
-// queue that opens must survive compaction: compacting, closing and
-// reopening lists the same jobs, with the same claim idempotency keys.
+// queue that opens must reopen to itself: closing and reopening lists
+// the same jobs, with the same claim idempotency keys.
 func FuzzJournalReplay(f *testing.F) {
 	history := fuzzHistory(f)
 	f.Add(false, history)
@@ -130,28 +130,25 @@ func FuzzJournalReplay(f *testing.F) {
 			return
 		}
 		want, wantIdem := stableJobs(q), q.idemByJob
-		if err := q.Compact(); err != nil {
-			q.Close()
-			t.Fatalf("compact: %v", err)
-		}
 		q.Close()
 		q, err = OpenQueue(path, nil)
 		if err != nil {
-			t.Fatalf("reopen after compaction: %v", err)
+			t.Fatalf("reopen: %v", err)
 		}
 		defer q.Close()
 		if got := stableJobs(q); !reflect.DeepEqual(got, want) {
-			t.Fatalf("after compaction jobs = %+v\nwant %+v", got, want)
+			t.Fatalf("reopened jobs = %+v\nwant %+v", got, want)
 		}
 		if !reflect.DeepEqual(q.idemByJob, wantIdem) {
-			t.Fatalf("after compaction idempotency keys = %v, want %v", q.idemByJob, wantIdem)
+			t.Fatalf("reopened idempotency keys = %v, want %v", q.idemByJob, wantIdem)
 		}
 	})
 }
 
-// fuzzHistory returns the journal of a queue driven through submit,
-// sweep, local and remote claims, renew, requeue, complete, fail and
-// cancel, ending with a lease still held.
+// fuzzHistory returns the journal of a queue driven through one-job
+// and three-job sweeps, local and remote claims, a heartbeat (which
+// journals nothing), requeue, complete, fail and cancel, ending with a
+// lease still held.
 func fuzzHistory(f *testing.F) []byte {
 	path := filepath.Join(f.TempDir(), "journal")
 	q, err := OpenQueue(path, nil)
@@ -160,17 +157,17 @@ func fuzzHistory(f *testing.F) []byte {
 	}
 	q.jnl.nosync = true
 	spec := testSpec()
-	a, _ := q.Submit(spec)
+	a, _ := submit(q, spec)
 	q.SubmitSweep([]JobSpec{spec, spec, spec})
 	q.ClaimFor(careapi.LocalWorker, 60_000, "", nil)
 	q.FailRemote(a.ID, careapi.LocalWorker, 1, "requeue", "crash")
-	b, _, _ := q.ClaimRemote("w1", 5000, "key-b")
+	b, _, _ := q.ClaimFor("w1", 5000, "key-b", nil)
 	q.Renew(b.ID, "w1", b.Attempts, nil)
 	q.CompleteRemote(b.ID, "w1", b.Attempts, []byte(`{"r":1}`))
-	c, _, _ := q.ClaimRemote("w1", 5000, "")
+	c, _, _ := q.ClaimFor("w1", 5000, "", nil)
 	q.FailRemote(c.ID, "w1", c.Attempts, "fatal", "boom")
 	q.Cancel(a.ID)
-	q.ClaimRemote("w2", 5000, "key-d")
+	q.ClaimFor("w2", 5000, "key-d", nil)
 	q.Close()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -200,13 +197,11 @@ func frameBodies(data []byte) []byte {
 	return out
 }
 
-// stableJobs lists q's jobs without what compaction is allowed to
-// change: sequence numbers are renumbered, and a lease's remaining
-// time is measured from the open.
+// stableJobs lists q's jobs without what a reopen may change: a
+// lease's remaining time is measured from the open.
 func stableJobs(q *Queue) []Job {
 	jobs := q.Jobs()
 	for i := range jobs {
-		jobs[i].Seq = 0
 		jobs[i].LeaseMSLeft = 0
 	}
 	return jobs

@@ -111,9 +111,8 @@ func applyEvent(jb *Job, ev Event) error {
 		jb.Worker = ev.Worker
 		jb.LeaseTTLMS = ev.TTLMS
 	case opRenew:
-		// The renewed deadline is runtime state; the record exists so
-		// the journal narrates lease custody (and so replay can prove a
-		// partitioned worker stopped renewing before its expire event).
+		// Older servers journaled every heartbeat. The renewed deadline
+		// is runtime state, so the record changes nothing.
 	case opExpire:
 		jb.State = StatePending
 		jb.Worker = ""
@@ -137,8 +136,9 @@ func applyEvent(jb *Job, ev Event) error {
 	case opCancel:
 		jb.State = StateCancelled
 	case opSnapshot:
-		// Compaction record: the job's entire replayed state in one
-		// event (see compact.go). Only ever the first event for its ID.
+		// Written by older servers' startup compaction, still
+		// replayed: the job's entire state in one record, only ever the
+		// first record for its ID.
 		switch ev.State {
 		case StatePending, StateRunning, StateDone, StateFailed, StateCancelled:
 		default:
@@ -157,7 +157,9 @@ func applyEvent(jb *Job, ev Event) error {
 	return nil
 }
 
-// Journal ops (Event.Op values). opProgress is NOT a journal op: it
+// Journal ops (Event.Op values). This server never writes opSubmit,
+// opStart, opRenew or opSnapshot; replay still reads them from
+// journals older servers wrote. opProgress is NOT a journal op: it
 // appears only on the event stream (heartbeat watermarks are runtime
 // state, never journaled).
 const (

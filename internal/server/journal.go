@@ -5,7 +5,9 @@
 // instant loses nothing: on restart the journal is replayed, jobs
 // caught mid-run resume from their checkpoints, and every job
 // completes exactly once with results identical to an uninterrupted
-// run.
+// run. The journal holds transitions only and is never rewritten:
+// heartbeats are runtime state, so a record's sequence number is its
+// position for the life of the data directory.
 package server
 
 import (
@@ -14,8 +16,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"strconv"
+	"strings"
 
 	"care/internal/faultinject"
 )
@@ -38,8 +42,9 @@ type Event struct {
 	// It lives in the line framing, not the JSON body; Append and
 	// replay fill it in.
 	Seq uint64 `json:"-"`
-	// Op is the transition: submit, sweep, start, claim, renew,
-	// expire, requeue, complete, fail, cancel, or snapshot.
+	// Op is the transition: sweep, claim, expire, requeue, complete,
+	// fail, or cancel. Replay also reads what older servers wrote:
+	// submit, legacy start, renew (no effect), and snapshot.
 	Op string `json:"op"`
 	// Job is the job ID the event applies to ("" on sweep events,
 	// which carry IDs instead).
@@ -52,10 +57,10 @@ type Event struct {
 	// IDs are the job IDs assigned to Specs, pairwise.
 	IDs []string `json:"ids,omitempty"`
 	// Attempt is the server-level execution count on start events and
-	// the lease fencing token on claim/renew/expire/complete events.
+	// the lease fencing token on claim/expire/complete events.
 	Attempt int `json:"attempt,omitempty"`
-	// Worker names the remote worker, on claim/renew/expire/complete
-	// events (and snapshot records of leased jobs).
+	// Worker names the remote worker, on claim/expire/complete events
+	// (and snapshot records of leased jobs).
 	Worker string `json:"worker,omitempty"`
 	// TTLMS is the granted lease duration, on claim events.
 	TTLMS int64 `json:"ttl_ms,omitempty"`
@@ -73,7 +78,8 @@ type Event struct {
 	Result json.RawMessage `json:"result,omitempty"`
 	// Error rides on fail, requeue, and expire events.
 	Error string `json:"error,omitempty"`
-	// State is the full job state, on snapshot (compaction) records.
+	// State is the full job state, on snapshot records (written by
+	// older servers' startup compaction, still replayed).
 	State string `json:"state,omitempty"`
 }
 
@@ -98,6 +104,22 @@ type Journal struct {
 // mid-append, and returns the journal positioned for appending. inj
 // may be nil; when set, its server crash classes fire on appends.
 func OpenJournal(path string, inj *faultinject.Injector) (*Journal, []Event, error) {
+	if _, err := os.Stat(path); errors.Is(err, fs.ErrNotExist) {
+		// Older servers compacted by renaming the journal to .rotated
+		// and a rewritten .compact into its place; a kill between the
+		// renames left only the side files. Creating an empty journal
+		// beside them would silently drop every job.
+		var sides []string
+		for _, side := range []string{path + ".compact", path + ".rotated"} {
+			if _, err := os.Stat(side); err == nil {
+				sides = append(sides, side)
+			}
+		}
+		if len(sides) > 0 {
+			return nil, nil, fmt.Errorf("server: %s is missing but %s exists (an older server was killed mid-compaction); move an intact one to %s to recover",
+				path, strings.Join(sides, " and "), path)
+		}
+	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("server: open journal: %w", err)
@@ -204,11 +226,10 @@ func (j *Journal) Append(ev *Event) error {
 		}
 	}
 	ev.Seq = j.seq + 1
-	body, err := json.Marshal(ev)
+	line, err := frameEvent(ev)
 	if err != nil {
-		return fmt.Errorf("server: encode journal event: %w", err)
+		return err
 	}
-	line := fmt.Sprintf("%s %d %08x %s\n", journalMagic, ev.Seq, crc32.ChecksumIEEE(body), body)
 	start := j.size
 	if _, err := j.f.WriteString(line); err != nil {
 		// Roll the file back to the last committed boundary; best
@@ -230,6 +251,16 @@ func (j *Journal) Append(ev *Event) error {
 		j.inj.OnJournalAppend(j.f, start, int64(len(line)))
 	}
 	return nil
+}
+
+// frameEvent renders ev as one journal line: MAGIC <seq> <crc32hex>
+// <json>, the framing parseRecord reads back.
+func frameEvent(ev *Event) (string, error) {
+	body, err := json.Marshal(ev)
+	if err != nil {
+		return "", fmt.Errorf("server: encode journal event: %w", err)
+	}
+	return fmt.Sprintf("%s %d %08x %s\n", journalMagic, ev.Seq, crc32.ChecksumIEEE(body), body), nil
 }
 
 // Seq returns the sequence number of the last committed event.

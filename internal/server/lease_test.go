@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -11,8 +12,8 @@ import (
 
 func TestClaimRemoteGrantsLease(t *testing.T) {
 	q := openTestQueue(t, filepath.Join(t.TempDir(), "journal"))
-	jb, _ := q.Submit(testSpec())
-	got, ok, err := q.ClaimRemote("w1", 5000, "")
+	jb, _ := submit(q, testSpec())
+	got, ok, err := q.ClaimFor("w1", 5000, "", nil)
 	if err != nil || !ok {
 		t.Fatalf("ClaimRemote = %+v ok=%v err=%v", got, ok, err)
 	}
@@ -24,23 +25,23 @@ func TestClaimRemoteGrantsLease(t *testing.T) {
 		t.Fatalf("LeaseMSLeft = %d, want (0, 5000]", got.LeaseMSLeft)
 	}
 	// Nothing left to claim.
-	if _, ok, _ := q.ClaimRemote("w2", 5000, ""); ok {
+	if _, ok, _ := q.ClaimFor("w2", 5000, "", nil); ok {
 		t.Fatal("second claim got a job from an empty queue")
 	}
 }
 
 func TestClaimRemoteIdempotencyKeyReturnsSameLease(t *testing.T) {
 	q := openTestQueue(t, filepath.Join(t.TempDir(), "journal"))
-	q.Submit(testSpec())
-	q.Submit(testSpec())
-	first, ok, err := q.ClaimRemote("w1", 5000, "key-1")
+	submit(q, testSpec())
+	submit(q, testSpec())
+	first, ok, err := q.ClaimFor("w1", 5000, "key-1", nil)
 	if err != nil || !ok {
 		t.Fatal(err)
 	}
 	seq := q.Seq()
 	// The response was "lost"; the retried claim quotes the same key
 	// and must get the same lease back without a new journal event.
-	again, ok, err := q.ClaimRemote("w1", 5000, "key-1")
+	again, ok, err := q.ClaimFor("w1", 5000, "key-1", nil)
 	if err != nil || !ok {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestClaimRemoteIdempotencyKeyReturnsSameLease(t *testing.T) {
 		t.Fatalf("idempotent re-claim appended journal events (%d -> %d)", seq, q.Seq())
 	}
 	// A different key claims the next job, not the same one.
-	other, ok, err := q.ClaimRemote("w1", 5000, "key-2")
+	other, ok, err := q.ClaimFor("w1", 5000, "key-2", nil)
 	if err != nil || !ok || other.ID == first.ID {
 		t.Fatalf("fresh claim = %+v ok=%v err=%v", other, ok, err)
 	}
@@ -61,12 +62,12 @@ func TestClaimRemoteIdempotencyKeyReturnsSameLease(t *testing.T) {
 func TestClaimRemoteIdempotencySurvivesReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal")
 	q := openTestQueue(t, path)
-	q.Submit(testSpec())
-	first, _, _ := q.ClaimRemote("w1", 5000, "key-1")
+	submit(q, testSpec())
+	first, _, _ := q.ClaimFor("w1", 5000, "key-1", nil)
 	q.Close()
 
 	q2 := openTestQueue(t, path)
-	again, ok, err := q2.ClaimRemote("w1", 5000, "key-1")
+	again, ok, err := q2.ClaimFor("w1", 5000, "key-1", nil)
 	if err != nil || !ok || again.ID != first.ID || again.Attempts != first.Attempts {
 		t.Fatalf("post-replay idempotent claim = %+v ok=%v err=%v (want %s token %d)",
 			again, ok, err, first.ID, first.Attempts)
@@ -75,8 +76,8 @@ func TestClaimRemoteIdempotencySurvivesReplay(t *testing.T) {
 
 func TestCompleteRemoteIsIdempotentForWinningLease(t *testing.T) {
 	q := openTestQueue(t, filepath.Join(t.TempDir(), "journal"))
-	jb, _ := q.Submit(testSpec())
-	got, _, _ := q.ClaimRemote("w1", 5000, "")
+	jb, _ := submit(q, testSpec())
+	got, _, _ := q.ClaimFor("w1", 5000, "", nil)
 	if err := q.CompleteRemote(jb.ID, "w1", got.Attempts, []byte(`{"r":1}`)); err != nil {
 		t.Fatal(err)
 	}
@@ -98,8 +99,8 @@ func TestCompleteRemoteIsIdempotentForWinningLease(t *testing.T) {
 func TestStaleCompleteAfterExpiryAndReclaimIsFenced(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal")
 	q := openTestQueue(t, path)
-	jb, _ := q.Submit(testSpec())
-	w1, _, _ := q.ClaimRemote("w1", 50, "") // token 1, 50ms TTL
+	jb, _ := submit(q, testSpec())
+	w1, _, _ := q.ClaimFor("w1", 50, "", nil) // token 1, 50ms TTL
 	// w1 goes silent; the lease manager expires it.
 	expired := q.ExpireLeases(time.Now().Add(time.Second))
 	if len(expired) != 1 || expired[0] != jb.ID {
@@ -109,7 +110,7 @@ func TestStaleCompleteAfterExpiryAndReclaimIsFenced(t *testing.T) {
 		t.Fatalf("Expirations = %d, want 1", q.Expirations())
 	}
 	// w2 re-claims at a higher token and completes.
-	w2, ok, _ := q.ClaimRemote("w2", 5000, "")
+	w2, ok, _ := q.ClaimFor("w2", 5000, "", nil)
 	if !ok || w2.Attempts != 2 {
 		t.Fatalf("re-claim = %+v ok=%v, want token 2", w2, ok)
 	}
@@ -159,8 +160,8 @@ func TestExpiryVersusCompleteRaceIsDeterministic(t *testing.T) {
 	// the queue lock first.
 	t.Run("complete-wins", func(t *testing.T) {
 		q := openTestQueue(t, filepath.Join(t.TempDir(), "journal"))
-		jb, _ := q.Submit(testSpec())
-		q.ClaimRemote("w1", 50, "")
+		jb, _ := submit(q, testSpec())
+		q.ClaimFor("w1", 50, "", nil)
 		// The deadline has passed, but the sweep has not run yet: the
 		// complete arrives first and wins.
 		time.Sleep(60 * time.Millisecond)
@@ -177,8 +178,8 @@ func TestExpiryVersusCompleteRaceIsDeterministic(t *testing.T) {
 	})
 	t.Run("expiry-wins", func(t *testing.T) {
 		q := openTestQueue(t, filepath.Join(t.TempDir(), "journal"))
-		jb, _ := q.Submit(testSpec())
-		q.ClaimRemote("w1", 50, "")
+		jb, _ := submit(q, testSpec())
+		q.ClaimFor("w1", 50, "", nil)
 		time.Sleep(60 * time.Millisecond)
 		if got := q.ExpireLeases(time.Now()); len(got) != 1 {
 			t.Fatalf("sweep expired %v, want one", got)
@@ -193,13 +194,32 @@ func TestExpiryVersusCompleteRaceIsDeterministic(t *testing.T) {
 	})
 }
 
+// TestRenewExtendsLeaseAndIsFenced: a heartbeat moves the lease
+// deadline in memory and journals nothing, and only the current
+// holder's token renews.
 func TestRenewExtendsLeaseAndIsFenced(t *testing.T) {
-	q := openTestQueue(t, filepath.Join(t.TempDir(), "journal"))
-	jb, _ := q.Submit(testSpec())
-	q.ClaimRemote("w1", 1000, "")
-	re, err := q.Renew(jb.ID, "w1", 1, nil)
-	if err != nil || re.LeaseMSLeft <= 0 {
-		t.Fatalf("renew = %+v err=%v", re, err)
+	path := filepath.Join(t.TempDir(), "journal")
+	q := openTestQueue(t, path)
+	jb, _ := submit(q, testSpec())
+	q.ClaimFor("w1", 60_000, "", nil)
+	size := func() int64 {
+		t.Helper()
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	seq, size0 := q.Seq(), size()
+	for i := 0; i < 3; i++ {
+		q.deadlines[jb.ID] = time.Now().Add(time.Millisecond)
+		re, err := q.Renew(jb.ID, "w1", 1, &Progress{Instructions: uint64(i)})
+		if err != nil || re.LeaseMSLeft < 30_000 {
+			t.Fatalf("renewal %d = %+v err=%v, want most of a 60 s lease left", i, re, err)
+		}
+	}
+	if q.Seq() != seq || size() != size0 {
+		t.Fatalf("heartbeats journaled: seq %d -> %d, size %d -> %d", seq, q.Seq(), size0, size())
 	}
 	if _, err := q.Renew(jb.ID, "w1", 7, nil); !errors.Is(err, ErrStaleLease) {
 		t.Fatalf("renew with wrong token = %v, want ErrStaleLease", err)
@@ -214,11 +234,11 @@ func TestRenewExtendsLeaseAndIsFenced(t *testing.T) {
 
 func TestFailRemoteKinds(t *testing.T) {
 	q := openTestQueue(t, filepath.Join(t.TempDir(), "journal"))
-	a, _ := q.Submit(testSpec())
-	b, _ := q.Submit(testSpec())
-	c, _ := q.Submit(testSpec())
+	a, _ := submit(q, testSpec())
+	b, _ := submit(q, testSpec())
+	c, _ := submit(q, testSpec())
 
-	q.ClaimRemote("w1", 5000, "") // a, token 1
+	q.ClaimFor("w1", 5000, "", nil) // a, token 1
 	if err := q.FailRemote(a.ID, "w1", 1, "requeue", "drained"); err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +247,7 @@ func TestFailRemoteKinds(t *testing.T) {
 		t.Fatalf("requeued job = %+v", ga)
 	}
 
-	q.ClaimRemote("w1", 5000, "") // b, token 1
+	q.ClaimFor("w1", 5000, "", nil) // b, token 1
 	if err := q.FailRemote(b.ID, "w1", 1, "fail", "boom"); err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +256,7 @@ func TestFailRemoteKinds(t *testing.T) {
 		t.Fatalf("failed job = %+v", gb)
 	}
 
-	q.ClaimRemote("w1", 5000, "") // c
+	q.ClaimFor("w1", 5000, "", nil) // c
 	// A cancel ack with no cancel pending is a bad transition.
 	if err := q.FailRemote(c.ID, "w1", 1, "cancel", ""); !errors.Is(err, ErrBadTransition) {
 		t.Fatalf("unsolicited cancel ack = %v, want ErrBadTransition", err)
@@ -268,8 +288,8 @@ func TestCancelEdgeCases(t *testing.T) {
 	}
 	// Cancel of a leased job must go through the lease protocol, not
 	// the queued-job path.
-	jb, _ := q.Submit(testSpec())
-	q.ClaimRemote("w1", 50, "")
+	jb, _ := submit(q, testSpec())
+	q.ClaimFor("w1", 50, "", nil)
 	if err := q.Cancel(jb.ID); !errors.Is(err, ErrBadTransition) {
 		t.Fatalf("queued-cancel of leased job = %v, want ErrBadTransition", err)
 	}
@@ -287,7 +307,7 @@ func TestCancelEdgeCases(t *testing.T) {
 		t.Fatalf("state after expiry-with-cancel = %s, want cancelled", got.State)
 	}
 	// And the cancelled job is not claimable.
-	if _, ok, _ := q.ClaimRemote("w2", 5000, ""); ok {
+	if _, ok, _ := q.ClaimFor("w2", 5000, "", nil); ok {
 		t.Fatal("cancelled job was claimable")
 	}
 }
@@ -311,8 +331,8 @@ func TestDuplicateTerminalReplayRefusesToOpen(t *testing.T) {
 func TestRemoteLeaseSurvivesRestartThenExpires(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal")
 	q := openTestQueue(t, path)
-	jb, _ := q.Submit(testSpec())
-	q.ClaimRemote("w1", 200, "")
+	jb, _ := submit(q, testSpec())
+	q.ClaimFor("w1", 200, "", nil)
 	q.Close()
 
 	// Restart: the worker may have survived, so the job stays running
@@ -334,7 +354,7 @@ func TestRemoteLeaseSurvivesRestartThenExpires(t *testing.T) {
 	if len(exp) != 1 || exp[0] != jb.ID {
 		t.Fatalf("overdue sweep expired %v, want [%s]", exp, jb.ID)
 	}
-	re, ok, _ := q2.ClaimRemote("w2", 5000, "")
+	re, ok, _ := q2.ClaimFor("w2", 5000, "", nil)
 	if !ok || re.ID != jb.ID || re.Attempts != 2 {
 		t.Fatalf("re-claim after expiry = %+v ok=%v", re, ok)
 	}
@@ -359,7 +379,7 @@ func TestSubmitSweepIsOneAtomicEvent(t *testing.T) {
 	if n := len(q2.Jobs()); n != 3 {
 		t.Fatalf("replayed sweep has %d jobs, want 3", n)
 	}
-	if d, err := q2.Submit(testSpec()); err != nil || d.ID != "j000004" {
+	if d, err := submit(q2, testSpec()); err != nil || d.ID != "j000004" {
 		t.Fatalf("post-sweep submit = %+v err=%v", d, err)
 	}
 }

@@ -44,9 +44,6 @@ type Queue struct {
 	// expirations counts leases the manager expired (a monotonic
 	// /metrics counter, reset only by process restart).
 	expirations uint64
-	// replayedEvents is how many journal records the open replayed
-	// (compaction uses it to decide whether rewriting pays off).
-	replayedEvents int
 }
 
 // defaultLeaseTTL re-arms replayed leases whose events predate the
@@ -68,17 +65,16 @@ const (
 // again. inj may be nil; when set, its server crash classes fire
 // inside journal appends.
 func OpenQueue(journalPath string, inj *faultinject.Injector) (*Queue, error) {
-	jnl, events, err := openJournalWithFallback(journalPath, inj)
+	jnl, events, err := OpenJournal(journalPath, inj)
 	if err != nil {
 		return nil, err
 	}
 	q := &Queue{
-		jnl:            jnl,
-		jobs:           make(map[string]*Job),
-		idem:           make(map[string]string),
-		idemByJob:      make(map[string]string),
-		deadlines:      make(map[string]time.Time),
-		replayedEvents: len(events),
+		jnl:       jnl,
+		jobs:      make(map[string]*Job),
+		idem:      make(map[string]string),
+		idemByJob: make(map[string]string),
+		deadlines: make(map[string]time.Time),
 	}
 	for _, ev := range events {
 		if err := q.replayEvent(ev); err != nil {
@@ -207,11 +203,8 @@ func (q *Queue) commit(jb *Job, ev Event) error {
 }
 
 // publish pushes one committed transition to the stream listener.
-// Renew records are custody narration, not state changes — they are
-// excluded so heartbeat chatter does not flood subscribers (progress
-// rides on dedicated watermark events instead).
 func (q *Queue) publish(jb *Job, ev Event) {
-	if q.notify == nil || ev.Op == opRenew {
+	if q.notify == nil {
 		return
 	}
 	q.notify(careapi.JobEvent{
@@ -253,32 +246,6 @@ func (q *Queue) dropIdem(job string) {
 		delete(q.idem, key)
 		delete(q.idemByJob, job)
 	}
-}
-
-// Submit validates the spec, assigns an ID, commits the submission,
-// and makes the job claimable. It returns the new job.
-func (q *Queue) Submit(spec JobSpec) (Job, error) {
-	if err := ValidateSpec(&spec); err != nil {
-		return Job{}, err
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return Job{}, fmt.Errorf("server: queue is shut down")
-	}
-	q.nextID++
-	id := fmt.Sprintf("j%06d", q.nextID)
-	ev := Event{Op: opSubmit, Job: id, Spec: &spec}
-	if err := q.jnl.Append(&ev); err != nil {
-		q.nextID--
-		return Job{}, err
-	}
-	jb := &Job{ID: id, Spec: spec, State: StatePending, Seq: ev.Seq}
-	q.jobs[id] = jb
-	q.order = append(q.order, id)
-	q.ready = append(q.ready, id)
-	q.publish(jb, ev)
-	return *jb, nil
 }
 
 // SubmitSweep validates every spec, assigns IDs, and commits the
@@ -406,12 +373,6 @@ func clampTTL(ttlMS int64) time.Duration {
 	return ttl
 }
 
-// ClaimRemote hands the next pending unconstrained job to a remote
-// worker that registered no capabilities. See ClaimFor.
-func (q *Queue) ClaimRemote(worker string, ttlMS int64, idem string) (Job, bool, error) {
-	return q.ClaimFor(worker, ttlMS, idem, nil)
-}
-
 // ClaimFor hands the best matching pending job to a worker under a
 // fresh lease, scheduling by priority, then constraint demand, then
 // submission order, among the jobs whose constraints caps satisfies. It does not block: ok is false when nothing is
@@ -484,20 +445,18 @@ func (q *Queue) CheckLease(id, worker string, token int) error {
 }
 
 // Renew extends a held lease by its TTL (a heartbeat), optionally
-// recording the holder's progress watermark. The watermark is fenced
-// exactly like the renewal itself — a stale holder can neither keep
-// the lease nor pollute the stream — and is pushed to subscribers as
-// an id-less progress event (runtime state, never journaled). The
-// returned job copy carries the CancelRequested flag so the holder
-// learns it should unwind.
+// recording the holder's progress watermark. Both are runtime state:
+// a heartbeat journals nothing, since after a restart every replayed
+// lease is re-armed at now+TTL anyway. The renewal and the watermark
+// are fenced alike — a stale holder can neither keep the lease nor
+// pollute the stream — and the watermark is pushed to subscribers as
+// an id-less progress event. The returned job copy carries the
+// CancelRequested flag so the holder learns it should unwind.
 func (q *Queue) Renew(id, worker string, token int, p *Progress) (Job, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	jb, err := q.checkLease(id, worker, token)
 	if err != nil {
-		return Job{}, err
-	}
-	if err := q.commit(jb, Event{Op: opRenew, Job: id, Attempt: token, Worker: worker}); err != nil {
 		return Job{}, err
 	}
 	q.deadlines[id] = time.Now().Add(clampTTL(jb.LeaseTTLMS))

@@ -23,6 +23,16 @@ func openTestQueue(t *testing.T, path string) *Queue {
 	return q
 }
 
+// submit commits spec as a one-job sweep, the record handleSubmit
+// writes for a single spec.
+func submit(q *Queue, spec JobSpec) (Job, error) {
+	jobs, err := q.SubmitSweep([]JobSpec{spec})
+	if err != nil {
+		return Job{}, err
+	}
+	return jobs[0], nil
+}
+
 // writeJournal commits events, in order, to a fresh journal at path.
 func writeJournal(t testing.TB, path string, events []Event) {
 	t.Helper()
@@ -191,14 +201,14 @@ func TestReplayAcceptsClaimAfterLocalRun(t *testing.T) {
 
 func TestQueueSubmitClaimComplete(t *testing.T) {
 	q := openTestQueue(t, filepath.Join(t.TempDir(), "journal"))
-	jb, err := q.Submit(testSpec())
+	jb, err := submit(q, testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if jb.ID != "j000001" || jb.State != StatePending {
 		t.Fatalf("submitted job = %+v", jb)
 	}
-	claimed, ok, err := q.ClaimRemote("w1", 60_000, "")
+	claimed, ok, err := q.ClaimFor("w1", 60_000, "", nil)
 	if err != nil || !ok || claimed.ID != jb.ID || claimed.State != StateRunning || claimed.Attempts != 1 {
 		t.Fatalf("claimed = %+v ok=%v err=%v", claimed, ok, err)
 	}
@@ -224,7 +234,7 @@ func TestQueueRejectsInvalidSpec(t *testing.T) {
 	q := openTestQueue(t, filepath.Join(t.TempDir(), "journal"))
 	bad := testSpec()
 	bad.Policy = "no-such-policy"
-	if _, err := q.Submit(bad); err == nil {
+	if _, err := submit(q, bad); err == nil {
 		t.Fatal("invalid spec accepted")
 	}
 	if n := len(q.Jobs()); n != 0 {
@@ -235,9 +245,9 @@ func TestQueueRejectsInvalidSpec(t *testing.T) {
 func TestQueueReplayRestoresState(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal")
 	q := openTestQueue(t, path)
-	a, _ := q.Submit(testSpec())
-	b, _ := q.Submit(testSpec())
-	c, _ := q.Submit(testSpec())
+	a, _ := submit(q, testSpec())
+	b, _ := submit(q, testSpec())
+	c, _ := submit(q, testSpec())
 	ca, _, _ := q.ClaimFor(careapi.LocalWorker, 60_000, "", nil) // a starts
 	if ca.ID != a.ID {
 		t.Fatalf("claimed %s, want %s", ca.ID, a.ID)
@@ -268,22 +278,22 @@ func TestQueueReplayRestoresState(t *testing.T) {
 	}
 	// The interrupted job is claimable again, with the attempt counter
 	// advancing past the crashed execution.
-	rb, ok, _ := q2.ClaimRemote("w1", 60_000, "")
+	rb, ok, _ := q2.ClaimFor("w1", 60_000, "", nil)
 	if !ok || rb.ID != b.ID || rb.Attempts != 2 {
 		t.Fatalf("reclaim after replay = %+v ok=%v", rb, ok)
 	}
 	// ID assignment continues past replayed jobs.
-	d, err := q2.Submit(testSpec())
+	d, err := submit(q2, testSpec())
 	if err != nil || d.ID != "j000004" {
 		t.Fatalf("post-replay submit = %+v err=%v", d, err)
 	}
 }
 
-// TestLegacyStartRecordsReplayAndCompact replays a journal written
-// before every execution ran under a lease: the in-process pool
-// journaled a start record naming no worker, and its complete,
-// requeue and fail records quoted no lease.
-func TestLegacyStartRecordsReplayAndCompact(t *testing.T) {
+// TestLegacyStartRecordsReplay replays a journal written before every
+// execution ran under a lease: the in-process pool journaled a start
+// record naming no worker, and its complete, requeue and fail records
+// quoted no lease.
+func TestLegacyStartRecordsReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal")
 	jnl, _, err := OpenJournal(path, nil)
 	if err != nil {
@@ -322,19 +332,12 @@ func TestLegacyStartRecordsReplayAndCompact(t *testing.T) {
 	}
 	q := openTestQueue(t, path)
 	check(q, "replay")
-	if err := q.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if q.Seq() != 3 {
-		t.Fatalf("compacted journal has %d records, want 3 (one per job)", q.Seq())
-	}
-	check(q, "compact")
 	q.Close()
 
 	q2 := openTestQueue(t, path)
 	check(q2, "reopen")
 	// The interrupted job claims again past its legacy attempts.
-	jb, ok, err := q2.ClaimRemote("w1", 60_000, "")
+	jb, ok, err := q2.ClaimFor("w1", 60_000, "", nil)
 	if err != nil || !ok || jb.ID != "j000002" || jb.Attempts != 3 {
 		t.Fatalf("claim after legacy replay = %+v ok=%v err=%v", jb, ok, err)
 	}
@@ -342,8 +345,8 @@ func TestLegacyStartRecordsReplayAndCompact(t *testing.T) {
 
 func TestQueueRequeueMakesJobClaimable(t *testing.T) {
 	q := openTestQueue(t, filepath.Join(t.TempDir(), "journal"))
-	jb, _ := q.Submit(testSpec())
-	q.ClaimRemote("w1", 60_000, "")
+	jb, _ := submit(q, testSpec())
+	q.ClaimFor("w1", 60_000, "", nil)
 	if err := q.FailRemote(jb.ID, "w1", 1, "requeue", "drained"); err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +354,7 @@ func TestQueueRequeueMakesJobClaimable(t *testing.T) {
 	if got.State != StatePending || got.Error != "drained" {
 		t.Fatalf("requeued job = %+v", got)
 	}
-	re, ok, _ := q.ClaimRemote("w1", 60_000, "")
+	re, ok, _ := q.ClaimFor("w1", 60_000, "", nil)
 	if !ok || re.ID != jb.ID || re.Attempts != 2 {
 		t.Fatalf("re-claim = %+v ok=%v", re, ok)
 	}
@@ -359,12 +362,12 @@ func TestQueueRequeueMakesJobClaimable(t *testing.T) {
 
 func TestQueueCancelSkipsClaim(t *testing.T) {
 	q := openTestQueue(t, filepath.Join(t.TempDir(), "journal"))
-	a, _ := q.Submit(testSpec())
-	b, _ := q.Submit(testSpec())
+	a, _ := submit(q, testSpec())
+	b, _ := submit(q, testSpec())
 	if err := q.Cancel(a.ID); err != nil {
 		t.Fatal(err)
 	}
-	got, ok, _ := q.ClaimRemote("w1", 60_000, "")
+	got, ok, _ := q.ClaimFor("w1", 60_000, "", nil)
 	if !ok || got.ID != b.ID {
 		t.Fatalf("claim after cancel = %+v ok=%v, want %s", got, ok, b.ID)
 	}

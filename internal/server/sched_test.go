@@ -16,7 +16,7 @@ func specWith(priority int, c *Constraints) JobSpec {
 
 func mustSubmit(t *testing.T, q *Queue, spec JobSpec) Job {
 	t.Helper()
-	jb, err := q.Submit(spec)
+	jb, err := submit(q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,13 +155,13 @@ func TestFleetDrainsWithoutStarvation(t *testing.T) {
 
 func TestSubmitValidatesSchedulingFields(t *testing.T) {
 	q := openTestQueue(t, filepath.Join(t.TempDir(), "journal"))
-	if _, err := q.Submit(specWith(101, nil)); err == nil {
+	if _, err := submit(q, specWith(101, nil)); err == nil {
 		t.Fatal("priority 101 accepted")
 	}
-	if _, err := q.Submit(specWith(0, &Constraints{MinCores: -1})); err == nil {
+	if _, err := submit(q, specWith(0, &Constraints{MinCores: -1})); err == nil {
 		t.Fatal("negative min_cores accepted")
 	}
-	if _, err := q.Submit(specWith(0, &Constraints{Labels: []string{""}})); err == nil {
+	if _, err := submit(q, specWith(0, &Constraints{Labels: []string{""}})); err == nil {
 		t.Fatal("empty label accepted")
 	}
 }

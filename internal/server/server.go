@@ -42,10 +42,6 @@ type Config struct {
 	NoLocalWorkers bool
 	// LeaseCheckEvery is the lease-expiry sweep period (0 = 1s).
 	LeaseCheckEvery time.Duration
-	// CompactMinEvents triggers a startup journal compaction once the
-	// replayed history reaches this many records (0 = 512 default,
-	// negative disables compaction).
-	CompactMinEvents int
 	// Faults configures fault injection: the server-level crash
 	// classes act on this process (chaos testing); the simulation
 	// classes are passed into every job.
@@ -120,16 +116,6 @@ func New(cfg Config) (*Server, error) {
 	journalPath := filepath.Join(cfg.DataDir, "journal")
 	q, err := OpenQueue(journalPath, inj)
 	if err != nil {
-		return nil, err
-	}
-	// Compact on clean startup, before the queue is shared: a long
-	// campaign's journal collapses to one snapshot record per job.
-	minEvents := cfg.CompactMinEvents
-	if minEvents == 0 {
-		minEvents = 512
-	}
-	if err := q.CompactIfWorthwhile(minEvents); err != nil {
-		q.Close()
 		return nil, err
 	}
 	if cfg.NoSync {

@@ -11,7 +11,6 @@ import (
 	"care/internal/faultinject"
 	"care/internal/policy"
 	"care/internal/telemetry"
-	"care/internal/trace"
 )
 
 // runWithTelemetry builds a system for cfg with fresh mcf traces,
@@ -162,35 +161,5 @@ func TestCheckpointFilesByteIdentical(t *testing.T) {
 				})
 			}
 		})
-	}
-}
-
-// trickleReader yields records with no lookahead promise: it does not
-// implement trace.Bounded.
-type trickleReader struct{ src trace.Reader }
-
-func (r *trickleReader) Next() (trace.Record, error) { return r.src.Next() }
-
-// TestHiddenBoundIsTransparent: trace.Bounded is only a
-// promise about the future, so hiding it behind a wrapper must leave
-// the simulation unchanged.
-func TestHiddenBoundIsTransparent(t *testing.T) {
-	run := func(hide bool) Result {
-		traces := mcfTraces(2)
-		if hide {
-			for i, r := range traces {
-				traces[i] = &trickleReader{src: r}
-			}
-		}
-		s, err := New(ScaledConfig(2, 16), traces)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustRun(t, s, 3000)
-		return s.Snapshot()
-	}
-	bounded, hidden := run(false), run(true)
-	if !reflect.DeepEqual(bounded, hidden) {
-		t.Fatalf("hiding trace.Bounded changed the run:\nbounded: %+v\nhidden:  %+v", bounded, hidden)
 	}
 }

@@ -23,7 +23,6 @@ package synth
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"care/internal/checkpoint"
@@ -165,13 +164,6 @@ type Generator struct {
 
 var _ trace.Reader = (*Generator)(nil)
 var _ trace.Resetter = (*Generator)(nil)
-var _ trace.Bounded = (*Generator)(nil)
-
-// RemainingRecords implements trace.Bounded: the stream is unbounded
-// (callers bound workloads by instruction budget, never by EOF).
-func (g *Generator) RemainingRecords() (uint64, bool) {
-	return math.MaxUint64, true
-}
 
 // NewGenerator builds the workload generator for a profile with a
 // seed (different seeds model different trace segments / multi-copy

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"care/internal/checkpoint"
 	"care/internal/mem"
@@ -76,13 +75,9 @@ type Resetter interface {
 // Bounded is implemented by readers that can promise future progress:
 // RemainingRecords returns an n such that the next n calls to Next
 // are guaranteed to succeed (no EOF, no error), plus whether any such
-// bound is known. Unbounded streams (loops over non-empty sources,
-// synthetic generators) return (math.MaxUint64, true).
-//
-// The bound must never overestimate: a caller may rely on it to
-// know that a stream cannot end within the next n reads. Readers that
-// cannot promise anything simply do not implement the interface (or
-// return false), and wrappers forward their source's promise.
+// bound is known. The simulator never asks, and no reader in this
+// module implements it; perfbench's countingReader (a separate module)
+// still names it and reports (0, false) for a source without it.
 type Bounded interface {
 	RemainingRecords() (uint64, bool)
 }
@@ -130,11 +125,6 @@ func (s *Slice) Next() (Record, error) {
 
 // Reset implements Resetter.
 func (s *Slice) Reset() { s.pos = 0 }
-
-// RemainingRecords implements Bounded: exactly the unread suffix.
-func (s *Slice) RemainingRecords() (uint64, bool) {
-	return uint64(len(s.Records) - s.pos), true
-}
 
 // Checkpoint implements checkpoint.Component: the record count, which
 // a restore must match, and the position.
@@ -194,22 +184,6 @@ func (l *Looping) Reset() { l.src.(Resetter).Reset() }
 
 // Checkpoint implements checkpoint.Component: the source's walk.
 func (l *Looping) Checkpoint(s *checkpoint.State) { Walk(s, l.src) }
-
-// RemainingRecords implements Bounded: a loop over a provably
-// non-empty source never ends. An exhausted bounded source still
-// loops forever as long as the full trace is non-empty, which Len
-// establishes; otherwise no promise is made.
-func (l *Looping) RemainingRecords() (uint64, bool) {
-	if b, ok := l.src.(Bounded); ok {
-		if n, known := b.RemainingRecords(); known && n > 0 {
-			return math.MaxUint64, true
-		}
-	}
-	if s, ok := l.src.(interface{ Len() int }); ok && s.Len() > 0 {
-		return math.MaxUint64, true
-	}
-	return 0, false
-}
 
 // binary trace file format:
 //
@@ -322,15 +296,6 @@ func (o *OffsetReader) Reset() { o.src.(Resetter).Reset() }
 
 // Checkpoint implements checkpoint.Component: the source's walk.
 func (o *OffsetReader) Checkpoint(s *checkpoint.State) { Walk(s, o.src) }
-
-// RemainingRecords implements Bounded when the source does: shifting
-// addresses never changes how many records succeed.
-func (o *OffsetReader) RemainingRecords() (uint64, bool) {
-	if b, ok := o.src.(Bounded); ok {
-		return b.RemainingRecords()
-	}
-	return 0, false
-}
 
 // Collect drains up to n records from a Reader into a Slice. It stops
 // early at io.EOF. n <= 0 collects until EOF (beware unbounded
