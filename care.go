@@ -116,10 +116,12 @@ type RunOpts struct {
 // partial result with an error wrapping both ErrInterrupted and the
 // context's error. A stop writes no checkpoint; with a checkpoint path
 // configured, the last scheduled checkpoint is left for a resume,
-// which then matches a run never stopped. Integrity failures
-// (watchdog, invariant checker, corrupt traces, cycle and wall-clock
-// caps) also surface as errors alongside the partial result. A run that
-// checkpoints a caller's own TraceReader fails with ErrNotCheckpointable.
+// which then matches a run never stopped; a wall-clock limit is a
+// deadline on ctx. Integrity failures (watchdog, invariant checker,
+// corrupt traces, and a run reaching its cycle bound, MaxCycles or its
+// own worst case, short of its instructions) also surface as errors
+// alongside the partial result. A run that checkpoints a caller's own
+// TraceReader fails with ErrNotCheckpointable.
 func Run(ctx context.Context, cfg SystemConfig, traces []TraceReader, opts RunOpts) (Result, error) {
 	if opts.Telemetry != nil {
 		cfg.Telemetry = opts.Telemetry

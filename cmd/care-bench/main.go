@@ -44,7 +44,7 @@ func main() {
 		par       = flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS)")
 		csv       = flag.Bool("csv", false, "emit CSV tables instead of aligned text")
 		maxCycles = flag.Uint64("max-cycles", 0, "abort any single simulation after this many cycles (0 = unlimited)")
-		timeout   = flag.Duration("timeout", 0, "abort any single simulation after this much wall-clock time (0 = unlimited)")
+		timeout   = flag.Duration("timeout", 0, "wall-clock deadline of each simulation attempt; a timed-out attempt fails and is retried like any other (0 = unlimited)")
 		checkInv  = flag.Bool("check-invariants", false, "verify runtime invariants in every simulation")
 
 		telFormat   = flag.String("telemetry", "", "record per-simulation interval telemetry in this format: "+strings.Join(telemetry.Formats(), ", ")+" (empty = off)")

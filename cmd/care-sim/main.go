@@ -48,7 +48,7 @@ func main() {
 		listWorkloads = flag.Bool("list-workloads", false, "list available workloads")
 		listPolicies  = flag.Bool("list-policies", false, "list available policies")
 		maxCycles     = flag.Uint64("max-cycles", 0, "abort after this many simulated cycles (0 = unlimited)")
-		timeout       = flag.Duration("timeout", 0, "abort after this much wall-clock time, e.g. 30s (0 = unlimited)")
+		timeout       = flag.Duration("timeout", 0, "fail the run once this much wall-clock time has passed, e.g. 30s (0 = unlimited)")
 		checkInv      = flag.Bool("check-invariants", false, "verify runtime invariants (cache accounting, EPV range, PMC conservation) during the run")
 		faults        = flag.String("faults", "", "deterministic fault-injection spec, e.g. seed=1,dram-drop=200 (keys: seed, trace-corrupt, trace-flip, dram-drop, dram-delay, dram-delay-cycles, mshr-saturate, meta-flip, kill-at, ckpt-corrupt)")
 		telFormat     = flag.String("telemetry", "", "record interval-resolved telemetry in this format: "+strings.Join(telemetry.Formats(), ", ")+" (empty = off)")
@@ -125,7 +125,6 @@ func main() {
 	cfg.LLCPolicy = pol
 	cfg.Prefetch = *prefetch
 	cfg.MaxCycles = *maxCycles
-	cfg.WallClockTimeout = *timeout
 	cfg.CheckInvariants = *checkInv
 	if *faults != "" {
 		fc, err := faultinject.ParseSpec(*faults)
@@ -166,15 +165,21 @@ func main() {
 		}
 	}
 
-	// A simulation failure (watchdog, cycle/time limit, invariant
-	// violation, corrupt trace) carries its own diagnostic dump; print
-	// it and exit nonzero so scripted runs notice. SIGINT/SIGTERM
-	// request a clean stop: the run stops at its next guard point,
-	// writes the telemetry series, prints the partial summary, and
-	// exits nonzero. A stop writes no checkpoint, so -resume continues
-	// from the last scheduled one.
+	// A simulation failure (watchdog, cycle limit, -timeout deadline,
+	// invariant violation, corrupt trace) carries its own diagnostic
+	// dump; print it and exit nonzero so scripted runs notice.
+	// SIGINT/SIGTERM request a clean stop: the run stops at its next
+	// guard point, writes the telemetry series, prints the partial
+	// summary, and exits nonzero. A stop writes no checkpoint, so
+	// -resume continues from the last scheduled one.
+	ctx := interruptContext()
+	if *timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		defer cancel()
+	}
 	stopProfile := startCPUProfile(*cpuProfile)
-	r, out, err := sim.Execute(interruptContext(), sim.Job{
+	r, out, err := sim.Execute(ctx, sim.Job{
 		// Each restore attempt gets a system over fresh traces and a
 		// fresh collector.
 		Build: func() (*sim.System, error) {
@@ -227,6 +232,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, "care-sim: telemetry:", werr)
 			os.Exit(1)
 		}
+	}
+	if errors.Is(err, context.DeadlineExceeded) {
+		failSim(fmt.Errorf("-timeout %s passed: %w", *timeout, err))
 	}
 	interrupted := errors.Is(err, sim.ErrInterrupted)
 	if err != nil && !interrupted {

@@ -200,3 +200,42 @@ func TestSignalInterruptWithoutCheckpoint(t *testing.T) {
 		t.Fatalf("pointed at a checkpoint that was never configured:\n%s", out.String())
 	}
 }
+
+// TestTimeoutFailsLoudly: -timeout is a deadline on the run's context.
+// A run still going when it passes is a failure, not a stop: exit code
+// 1, the deadline named with the diagnostic dump, and no partial
+// results.
+func TestTimeoutFailsLoudly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a real simulation process")
+	}
+	cmd := exec.Command(os.Args[0],
+		"-workload", "429.mcf", "-cores", "1", "-warmup", "0",
+		"-instr", "50000000", "-timeout", "300ms")
+	cmd.Env = append(os.Environ(), "CARE_SIM_REEXEC=1")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout = &stdout
+	cmd.Stderr = &stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	kill := time.AfterFunc(60*time.Second, func() { cmd.Process.Kill() })
+	defer kill.Stop()
+	err := cmd.Wait()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 1 {
+		t.Fatalf("timed-out run exited %v, want code 1; stderr:\n%s", err, stderr.String())
+	}
+	for _, want := range []string{
+		"simulation failed: -timeout 300ms passed",
+		"diagnostic @ cycle",
+		"context deadline exceeded",
+	} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Fatalf("stderr missing %q:\n%s", want, stderr.String())
+		}
+	}
+	if strings.Contains(stderr.String(), "partial results") || stdout.Len() != 0 {
+		t.Fatalf("a deadline must not report partial results:\nstdout:\n%s\nstderr:\n%s", stdout.String(), stderr.String())
+	}
+}

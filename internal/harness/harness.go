@@ -59,8 +59,10 @@ type Options struct {
 	// MaxCycles aborts any single simulation that exceeds this cycle
 	// count (0 = unlimited).
 	MaxCycles uint64
-	// Timeout aborts any single simulation whose wall-clock time
-	// exceeds it (0 = unlimited).
+	// Timeout is each simulation attempt's wall-clock deadline (0 =
+	// unlimited): an attempt still running when it passes stops with an
+	// error wrapping sim.ErrInterrupted and context.DeadlineExceeded,
+	// and is retried like any other failed attempt.
 	Timeout time.Duration
 	// CheckInvariants enables the opt-in runtime invariant checker in
 	// every simulation the experiment launches.
@@ -492,8 +494,14 @@ func (key runKey) config() sim.Config {
 // would not deterministically re-crash. Cancelling ctx stops the
 // simulation at its next guard point, as it does for care.Run; the
 // stop writes no checkpoint, so the last scheduled one is what a later
-// attempt resumes from.
+// attempt resumes from. Options.Timeout is a deadline on the
+// attempt's own context, so a timed-out attempt does not cancel ctx.
 func runAttempt(ctx context.Context, key runKey, o *Options, ckptPath string, resume bool, attempt int) (sim.Result, bool, error) {
+	if o.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, o.Timeout)
+		defer cancel()
+	}
 	cfg := key.config()
 	o.applyGuards(&cfg)
 	if o.Faults != nil {
@@ -749,7 +757,6 @@ func emitMatrix(o *Options, header, names []string, vals [][]float64, summary st
 // options into one simulator config.
 func (o *Options) applyGuards(cfg *sim.Config) {
 	cfg.MaxCycles = o.MaxCycles
-	cfg.WallClockTimeout = o.Timeout
 	cfg.CheckInvariants = o.CheckInvariants
 }
 

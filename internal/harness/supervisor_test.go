@@ -219,6 +219,41 @@ func TestSupervisorDropsAndReports(t *testing.T) {
 	}
 }
 
+// TestTimeoutIsPerAttemptDeadline: Options.Timeout is a deadline on
+// each attempt's own context. An attempt still running when it passes
+// fails with context.DeadlineExceeded and is retried, since the
+// caller's context is not done; a run whose every attempt times out
+// is dropped after its attempt budget.
+func TestTimeoutIsPerAttemptDeadline(t *testing.T) {
+	key := chaosKey()
+	key.measure = 50_000_000
+	o := &Options{
+		Timeout:      50 * time.Millisecond,
+		MaxAttempts:  2,
+		RetryBackoff: time.Millisecond,
+		Report:       NewReport(),
+	}
+	o.Defaults()
+	start := time.Now()
+	_, err := o.superviseSim(context.Background(), key)
+	if took := time.Since(start); took > 30*time.Second {
+		t.Fatalf("two 50ms attempts took %s", took)
+	}
+	var se *SimError
+	if !errors.As(err, &se) {
+		t.Fatalf("timed-out run returned %T (%v), want *SimError", err, err)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) || !errors.Is(err, sim.ErrInterrupted) {
+		t.Fatalf("want an error wrapping context.DeadlineExceeded and sim.ErrInterrupted, got %v", err)
+	}
+	if se.Attempts != 2 {
+		t.Fatalf("the timed-out attempt was not retried: %d attempts, want 2", se.Attempts)
+	}
+	if completed, retried, dropped := o.Report.Counts(); completed != 0 || retried != 0 || dropped != 1 {
+		t.Fatalf("report counts completed=%d retried=%d dropped=%d, want 0/0/1", completed, retried, dropped)
+	}
+}
+
 // TestSupervisorRestartsWithoutCheckpoint verifies a kill before the
 // first checkpoint retries from scratch and completes.
 func TestSupervisorRestartsWithoutCheckpoint(t *testing.T) {

@@ -13,7 +13,6 @@ import (
 	"math/bits"
 	"os"
 	"slices"
-	"time"
 
 	"care/internal/checkpoint"
 	"care/internal/faultinject"
@@ -27,7 +26,7 @@ var (
 	// after its next scheduled checkpoint).
 	ErrInterrupted = errors.New("sim: interrupted")
 	// ErrQuiesce means the system could not drain to a quiescent point
-	// within the quiesce cycle budget (something is wedged).
+	// within drainLimit cycles (something is wedged).
 	ErrQuiesce = errors.New("sim: quiesce did not drain")
 	// ErrNoCheckpoint means a resumed Job found no usable checkpoint:
 	// every candidate file was missing or unusable.
@@ -41,21 +40,22 @@ var (
 	ErrDrain = errors.New("sim: drain requested")
 )
 
-// quiesceLimit bounds the drain to a quiescent point. A full ROB plus
-// full MSHR files behind a row-missing DRAM drains in thousands of
-// cycles; a million means "wedged", not "slow".
-const quiesceLimit = 1_000_000
+// drainLimit bounds a drain, to empty queues (Drain) or to a
+// quiescent point (Quiesce). A full ROB plus full MSHR files behind a
+// row-missing DRAM drains in thousands of cycles; a million means
+// "wedged", not "slow".
+const drainLimit = 1_000_000
 
-// A run loop stops at a cycle cap of maxCyclesPerInstr cycles per
-// instruction it still has to retire, plus loopSlack: the worst case
-// of every instruction being an isolated DRAM row miss.
+// A run to retirement targets is bounded by maxCyclesPerInstr cycles
+// per instruction it still has to retire, plus loopSlack: the worst
+// case of every instruction being an isolated DRAM row miss.
 const (
 	maxCyclesPerInstr = 400
 	loopSlack         = 1_000_000
 )
 
 // scheduleCycles bounds the cycle a checkpoint of job can carry: the
-// cycle caps of job's run loops — warm-up, then each measure segment,
+// cycle bounds of job's runs — warm-up, then each measure segment,
 // whose cores are at most Measure instructions short of their targets
 // — and of the drains between and after them. Counts that overflow
 // saturate.
@@ -67,7 +67,7 @@ func scheduleCycles(job Job, cores int) uint64 {
 	loop := func(instr uint64) uint64 {
 		return satAdd(satMul(satMul(instr, uint64(cores)), maxCyclesPerInstr), loopSlack)
 	}
-	return satAdd(satAdd(loop(job.Warmup), satMul(segments, loop(job.Measure))), satMul(segments+1, quiesceLimit))
+	return satAdd(satAdd(loop(job.Warmup), satMul(segments, loop(job.Measure))), satMul(segments+1, drainLimit))
 }
 
 func satAdd(a, b uint64) uint64 {
@@ -103,17 +103,7 @@ func (s *System) Quiesce() error {
 			c.SetFetchFrozen(false)
 		}
 	}()
-	limit := s.cycle + quiesceLimit
-	for s.cycle < limit {
-		if s.quiescent() {
-			return s.componentErr()
-		}
-		s.advance(limit)
-		if err := s.guard(); err != nil {
-			return err
-		}
-	}
-	return s.failf(ErrQuiesce, "system still busy after %d drain cycles", quiesceLimit)
+	return s.run(goalQuiesced, s.cycle+drainLimit)
 }
 
 // quiescent reports whether no component holds in-flight work.
@@ -123,6 +113,12 @@ func (s *System) quiescent() bool {
 			return false
 		}
 	}
+	return s.drained()
+}
+
+// drained reports whether no cache, DRAM or fault-memory queue holds
+// work.
+func (s *System) drained() bool {
 	for _, c := range s.l1s {
 		if !c.Drained() {
 			return false
@@ -334,10 +330,9 @@ func (s *System) ReadCheckpoint(r *checkpoint.Reader, job Job) (RunMeta, error) 
 	// Wake the caches on the first step; its pass rebuilds the bound.
 	s.cacheWake = 0
 	s.pmcSlack = m.PMCSlack
-	// Re-arm the watchdog and wall clock for the resumed run.
+	// Re-arm the watchdog for the resumed run.
 	s.watchSig = s.progressSig()
 	s.watchLast = s.cycle
-	s.wallStart = time.Time{}
 	return m, nil
 }
 
@@ -532,11 +527,10 @@ func (s *System) runSegments(m RunMeta, path string) error {
 			s.tele.MarkWarmup()
 		}
 		if m.Warmup > 0 {
-			targets := make([]uint64, len(s.cores))
-			for i := range targets {
-				targets[i] = m.Warmup
+			for i := range s.targets {
+				s.targets[i] = m.Warmup
 			}
-			if err := s.runUntilRetired(targets); err != nil {
+			if err := s.runUntilRetired(); err != nil {
 				return err
 			}
 		}
@@ -554,11 +548,10 @@ func (s *System) runSegments(m RunMeta, path string) error {
 		if m.Every > 0 && m.Every < k {
 			k = m.Every
 		}
-		targets := make([]uint64, len(s.cores))
-		for i := range targets {
-			targets[i] = m.Base[i] + m.Done + k
+		for i := range s.targets {
+			s.targets[i] = m.Base[i] + m.Done + k
 		}
-		if err := s.runUntilRetired(targets); err != nil {
+		if err := s.runUntilRetired(); err != nil {
 			return err
 		}
 		m.Done += k
@@ -593,24 +586,18 @@ func rotate(path string) {
 	}
 }
 
-// runUntilRetired advances until every core reaches its absolute
-// retirement target (or exhausts its trace), with the same worst-case
-// cycle cap as RunInstructions. Absolute targets are what make
-// checkpoint schedules replayable: a core that overshot a segment
-// boundary does not shift later boundaries.
-func (s *System) runUntilRetired(targets []uint64) error {
-	if s.cfg.WallClockTimeout > 0 && s.wallStart.IsZero() {
-		s.wallStart = time.Now()
-	}
+// runUntilRetired runs until every core reaches its absolute
+// retirement target in s.targets (or exhausts its trace), bounded by
+// maxCyclesPerInstr cycles per instruction still to retire plus
+// loopSlack. Absolute targets are what make checkpoint schedules
+// replayable: a core that overshot a segment boundary does not shift
+// later boundaries.
+func (s *System) runUntilRetired() error {
 	var remaining uint64
 	for i, c := range s.cores {
-		if r := c.Retired(); r < targets[i] && !c.Exhausted() {
-			remaining += targets[i] - r
+		if r := c.Retired(); r < s.targets[i] && !c.Exhausted() {
+			remaining += s.targets[i] - r
 		}
 	}
-	maxCycles := s.cycle + remaining*maxCyclesPerInstr + loopSlack
-	if err := s.runTargets(targets, maxCycles); err != nil {
-		return err
-	}
-	return s.componentErr()
+	return s.run(goalRetired, satAdd(s.cycle, satAdd(satMul(remaining, maxCyclesPerInstr), loopSlack)))
 }

@@ -19,10 +19,9 @@ var (
 	// retirement and no cache/DRAM event for the configured window:
 	// the system is deadlocked or livelocked.
 	ErrNoProgress = errors.New("sim: no forward progress")
-	// ErrCycleLimit means the run crossed Config.MaxCycles.
+	// ErrCycleLimit means a run reached its cycle bound before its
+	// goal: Config.MaxCycles, or the run's own worst case.
 	ErrCycleLimit = errors.New("sim: cycle limit exceeded")
-	// ErrTimeout means the run crossed Config.WallClockTimeout.
-	ErrTimeout = errors.New("sim: wall-clock timeout")
 	// ErrInvariant means the opt-in runtime invariant checker found a
 	// violated invariant (corrupted state or a simulator bug).
 	ErrInvariant = errors.New("sim: invariant violation")

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"care/internal/faultinject"
@@ -171,6 +172,71 @@ func TestCycleLimit(t *testing.T) {
 	if d := failure(t, err).Diag; d.Cycle != 5_000 {
 		t.Fatalf("limit fired at cycle %d, want 5000", d.Cycle)
 	}
+}
+
+// TestLoopBoundIsAnError: a run that reaches its own cycle bound
+// before its goal fails with ErrCycleLimit at the bound, rather than
+// returning as if the goal held. DRAM answering every read 90k cycles
+// late retires about 330 of 1000 instructions within the run bound
+// (1000 × maxCyclesPerInstr + loopSlack cycles), and keeps the queues
+// busy past a drain's bound.
+func TestLoopBoundIsAnError(t *testing.T) {
+	slow := func(t *testing.T) *System {
+		cfg := ScaledConfig(1, 16)
+		cfg.LLCPolicy = policypkg.LRU
+		cfg.Faults = &faultinject.Config{Seed: 1, DRAMDelayEvery: 1, DRAMDelayCycles: 90_000}
+		s, err := New(cfg, mcfTraces(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	const runBound = 1000*maxCyclesPerInstr + loopSlack
+	// atBound checks that err is a failure wrapping reason at cycle
+	// want.
+	atBound := func(t *testing.T, err error, reason error, want uint64) {
+		t.Helper()
+		if !errors.Is(err, reason) {
+			t.Fatalf("want %v at the loop's bound, got %v", reason, err)
+		}
+		if d := failure(t, err).Diag; d.Cycle != want {
+			t.Fatalf("bound fired at cycle %d, want %d", d.Cycle, want)
+		}
+	}
+	t.Run("RunInstructions", func(t *testing.T) {
+		s := slow(t)
+		_, err := s.RunInstructions(1000)
+		atBound(t, err, ErrCycleLimit, runBound)
+		if r := s.Core(0).Retired(); r >= 1000 {
+			t.Fatalf("retired %d instructions; the bound must fire short of 1000", r)
+		}
+	})
+	t.Run("Execute", func(t *testing.T) {
+		s := slow(t)
+		r, _, err := Execute(context.Background(), Job{
+			Build:   func() (*System, error) { return s, nil },
+			Measure: 1000,
+		})
+		atBound(t, err, ErrCycleLimit, runBound)
+		if n := r.CoreInstructions[0]; n >= 1000 {
+			t.Fatalf("measured %d instructions; the bound must fire short of 1000", n)
+		}
+	})
+	t.Run("Drain", func(t *testing.T) {
+		s := slow(t)
+		mustRun(t, s, 10)
+		start := s.Cycle()
+		atBound(t, s.Drain(), ErrCycleLimit, start+drainLimit)
+	})
+	t.Run("MaxCycles caps the bound", func(t *testing.T) {
+		s := slow(t)
+		s.cfg.MaxCycles = 500_000
+		_, err := s.RunInstructions(1000)
+		atBound(t, err, ErrCycleLimit, 500_000)
+		if fe := failure(t, err); !strings.Contains(fe.Detail, "configured cap 500000") {
+			t.Fatalf("a MaxCycles bound must name the configured cap, got %q", fe.Detail)
+		}
+	})
 }
 
 // TestInterruptLandsOnStrideBoundary: the guard looks at Execute's

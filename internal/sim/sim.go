@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"care/internal/cache"
 	careplc "care/internal/core/care"
@@ -62,14 +61,11 @@ type Config struct {
 	// with ErrNoProgress and a diagnostic dump. 0 uses
 	// DefaultWatchdogWindow.
 	WatchdogWindow uint64
-	// MaxCycles aborts the run with ErrCycleLimit once the global
-	// cycle counter reaches it (0 = no explicit cap). The CLIs expose
-	// it as -max-cycles.
+	// MaxCycles caps every run loop's cycle bound (0 = no explicit
+	// cap): a run whose global cycle counter reaches it fails with
+	// ErrCycleLimit. The CLIs expose it as -max-cycles. A wall-clock
+	// limit is a deadline on the context Execute runs under.
 	MaxCycles uint64
-	// WallClockTimeout aborts the run with ErrTimeout once the wall
-	// clock (measured from the first executed cycle) exceeds it (0 =
-	// none). It never alters results of runs that finish in time.
-	WallClockTimeout time.Duration
 	// CheckInvariants enables the runtime invariant sweep every
 	// InvariantEvery cycles (0 = DefaultInvariantEvery); violations
 	// abort with ErrInvariant.
@@ -133,8 +129,9 @@ type System struct {
 	llc   *cache.Cache
 	// caches memoizes allCaches() — every level, private levels first.
 	caches []*cache.Cache
-	// targets is RunInstructions' reusable per-core retirement-target
-	// scratch, so driving the system in short slices allocates nothing.
+	// targets holds the per-core absolute retirement targets the run
+	// loop advances to (goalRetired), reused by every run so driving
+	// the system in short slices allocates nothing.
 	targets []uint64
 	mem     *dram.DRAM
 	pml     *pmc.Logic
@@ -160,8 +157,6 @@ type System struct {
 	// pmcSlack is the PMC accrued by in-flight misses at the last
 	// ResetStats, the offset the ΣPMC invariant must allow for.
 	pmcSlack float64
-	// wallStart anchors WallClockTimeout; set on the first cycle.
-	wallStart time.Time
 	// ctx is the context Execute runs the attempt under, and done its
 	// Done channel; both are nil outside Execute, where the guard's
 	// receive on done never fires.
@@ -222,7 +217,7 @@ func New(cfg Config, traces []trace.Reader) (*System, error) {
 		llcPolicy = p
 	}
 
-	s := &System{cfg: cfg}
+	s := &System{cfg: cfg, targets: make([]uint64, cfg.Cores)}
 	if cfg.Faults.Enabled() {
 		s.injector = faultinject.New(*cfg.Faults)
 		wrapped := make([]trace.Reader, len(traces))
@@ -349,8 +344,8 @@ func (s *System) advance(limit uint64) {
 //     (now from then on), and the metadata flip;
 //   - telemetry: one cycle before its next sample or snapshot, since
 //     step(c) ticks the collector with c+1;
-//   - the guard: the next watchdogStride multiple and MaxCycles, so
-//     every check guard makes after a step still runs at its cycle.
+//   - the guard: the next watchdogStride multiple, so every check
+//     guard makes after a step still runs at its cycle.
 //
 // A dead step cannot move any of these bounds: only a live step does.
 func (s *System) horizon(limit uint64) uint64 {
@@ -360,11 +355,8 @@ func (s *System) horizon(limit uint64) uint64 {
 			return now
 		}
 	}
-	t := min(limit, (now/watchdogStride+1)*watchdogStride)
-	if m := s.cfg.MaxCycles; m > 0 {
-		t = min(t, m)
-	}
-	if t = min(t, s.cacheWake); t <= now {
+	t := min(limit, (now/watchdogStride+1)*watchdogStride, s.cacheWake)
+	if t <= now {
 		return now
 	}
 	t = min(t, s.mem.NextEvent(now))
@@ -475,14 +467,11 @@ func (s *System) catchUp() {
 	s.llc.SyncTrackers()
 }
 
-// guard runs the integrity checks on the watchdog stride: component
-// errors, forward progress, the opt-in invariant sweep, and the
-// optional cycle/wall-clock caps. It is the single choke point every
-// run loop polls.
+// guard runs the integrity checks on the watchdog stride: a done
+// context, component errors, forward progress and the opt-in invariant
+// sweep. The run loop calls it after every advance; the loop itself
+// checks the cycle bound.
 func (s *System) guard() error {
-	if s.cfg.MaxCycles > 0 && s.cycle >= s.cfg.MaxCycles {
-		return s.failf(ErrCycleLimit, "cycle %d reached the configured cap %d", s.cycle, s.cfg.MaxCycles)
-	}
 	if s.cycle%watchdogStride != 0 {
 		return nil
 	}
@@ -514,93 +503,100 @@ func (s *System) guard() error {
 			}
 		}
 	}
-	if s.cfg.WallClockTimeout > 0 && s.cycle%8192 == 0 {
-		if s.wallStart.IsZero() {
-			s.wallStart = time.Now()
-		} else if elapsed := time.Since(s.wallStart); elapsed > s.cfg.WallClockTimeout {
-			return s.failf(ErrTimeout, "wall clock %s exceeded the configured timeout %s",
-				elapsed.Round(time.Millisecond), s.cfg.WallClockTimeout)
-		}
-	}
 	return nil
 }
 
-// RunInstructions advances until every core has retired at least n
-// more instructions (or exhausted its trace), with a generous cycle
-// cap to guarantee termination. It returns the cycles executed and
-// the first integrity failure: a *FailureError wrapping ErrNoProgress
-// / ErrCycleLimit / ErrTimeout / ErrInvariant, or a propagated
-// component error (e.g. a corrupt trace terminating a core's stream).
-func (s *System) RunInstructions(n uint64) (uint64, error) {
-	start := s.cycle
-	if s.cfg.WallClockTimeout > 0 && s.wallStart.IsZero() {
-		s.wallStart = time.Now()
-	}
-	if s.targets == nil {
-		s.targets = make([]uint64, len(s.cores))
-	}
-	targets := s.targets
-	for i, c := range s.cores {
-		targets[i] = c.Retired() + n
-	}
-	maxCycles := s.cycle + n*maxCyclesPerInstr + loopSlack
-	if err := s.runTargets(targets, maxCycles); err != nil {
-		return s.cycle - start, err
-	}
-	// A core whose trace died is "exhausted" and would otherwise
-	// satisfy the retirement targets silently.
-	return s.cycle - start, s.componentErr()
-}
+// A goal is what the run loop advances the system until.
+type goal uint8
 
-// runTargets advances until every core reaches its absolute
-// retirement target or exhausts its trace, bounded by maxCycles. Both
-// run loops (RunInstructions and the checkpoint schedule's
-// runUntilRetired) funnel through here.
-func (s *System) runTargets(targets []uint64, maxCycles uint64) error {
-	for s.cycle < maxCycles {
+const (
+	// goalRetired: every core has reached its entry in s.targets or
+	// exhausted its trace.
+	goalRetired goal = iota
+	// goalDrained: no cache, DRAM or fault-memory queue holds work.
+	goalDrained
+	// goalQuiesced: drained, and every core quiesced too.
+	goalQuiesced
+)
+
+// run is the one run loop: it advances until g holds, running the
+// guard after every advance, and then returns the first latched
+// component error (a core whose trace died is exhausted, and would
+// otherwise meet its retirement target silently). Its bound is limit,
+// capped at Config.MaxCycles when that is set; a run that reaches the
+// bound before g holds fails at the bound's cycle (see boundErr), so
+// no run ends short of its goal without saying so.
+func (s *System) run(g goal, limit uint64) error {
+	if m := s.cfg.MaxCycles; m > 0 && m < limit {
+		limit = m
+	}
+	for {
+		// goalRetired is checked inline, not through a call: the
+		// check follows every advance of every simulated instruction.
 		done := true
-		for i, c := range s.cores {
-			if c.Retired() < targets[i] && !c.Exhausted() {
-				done = false
-				break
+		if g == goalRetired {
+			for i, c := range s.cores {
+				if c.Retired() < s.targets[i] && !c.Exhausted() {
+					done = false
+					break
+				}
 			}
+		} else {
+			done = g == goalDrained && s.drained() || g == goalQuiesced && s.quiescent()
 		}
 		if done {
 			break
 		}
-		s.advance(maxCycles)
-		if err := s.guard(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Drain runs until all queues empty (after traces end), bounded. It
-// returns the first integrity failure, with the same semantics as
-// RunInstructions.
-func (s *System) Drain() error {
-	limit := s.cycle + 1_000_000
-	for s.cycle < limit {
-		idle := s.llc.Drained() && s.mem.Drained()
-		for _, c := range s.l1s {
-			idle = idle && c.Drained()
-		}
-		for _, c := range s.l2s {
-			idle = idle && c.Drained()
-		}
-		if s.faultMem != nil {
-			idle = idle && s.faultMem.Held() == 0
-		}
-		if idle {
-			return s.componentErr()
-		}
 		s.advance(limit)
+		if s.cycle >= limit {
+			return s.boundErr(g, limit)
+		}
 		if err := s.guard(); err != nil {
 			return err
 		}
 	}
 	return s.componentErr()
+}
+
+// boundErr is the failure of a run that reached its bound, limit,
+// before g held: ErrCycleLimit naming Config.MaxCycles when that is
+// the bound, ErrQuiesce for a quiesce, and ErrCycleLimit naming the
+// loop's own bound otherwise.
+func (s *System) boundErr(g goal, limit uint64) error {
+	switch {
+	case limit == s.cfg.MaxCycles:
+		return s.failf(ErrCycleLimit, "cycle %d reached the configured cap %d", s.cycle, s.cfg.MaxCycles)
+	case g == goalQuiesced:
+		return s.failf(ErrQuiesce, "system still busy after %d drain cycles", drainLimit)
+	case g == goalDrained:
+		return s.failf(ErrCycleLimit, "queues still busy at cycle %d, the drain bound of %d cycles", s.cycle, drainLimit)
+	default:
+		return s.failf(ErrCycleLimit,
+			"cores short of their retirement targets at cycle %d, the run's bound (%d cycles per instruction left to retire, plus %d)",
+			s.cycle, maxCyclesPerInstr, loopSlack)
+	}
+}
+
+// RunInstructions advances until every core has retired at least n
+// more instructions (or exhausted its trace). It returns the cycles
+// executed and the first failure: a *FailureError wrapping
+// ErrNoProgress, ErrInvariant or ErrCycleLimit (Config.MaxCycles, or
+// the run's own bound of 400 cycles per instruction still to retire
+// plus 1M, reached short of the targets), or a propagated component
+// error (e.g. a corrupt trace terminating a core's stream).
+func (s *System) RunInstructions(n uint64) (uint64, error) {
+	start := s.cycle
+	for i, c := range s.cores {
+		s.targets[i] = c.Retired() + n
+	}
+	err := s.runUntilRetired()
+	return s.cycle - start, err
+}
+
+// Drain runs until every queue is empty (after the traces end),
+// bounded by drainLimit cycles. It fails as RunInstructions does.
+func (s *System) Drain() error {
+	return s.run(goalDrained, s.cycle+drainLimit)
 }
 
 // ResetStats zeroes every component's counters; call at the end of

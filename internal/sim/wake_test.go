@@ -45,25 +45,30 @@ func stepEvery(s *System) {
 	}
 }
 
-// stepUntil is the run loops' shape over adv: it advances until done
-// holds or the cycle reaches limit, running the guard after every
-// advance. It reports whether done held.
-func stepUntil(s *System, limit uint64, adv func(*System, uint64), done func() bool) (bool, error) {
-	for s.cycle < limit {
-		if done() {
-			return true, nil
-		}
+// stepUntil is the run loop's shape over adv: it advances until done
+// holds, running the guard after every advance, and then returns the
+// first component error. Its bound is limit, capped at MaxCycles when
+// that is set; reaching it after an advance, before the guard runs,
+// fails with g's bound error.
+func stepUntil(s *System, g goal, limit uint64, adv func(*System, uint64), done func() bool) error {
+	if m := s.cfg.MaxCycles; m > 0 && m < limit {
+		limit = m
+	}
+	for !done() {
 		adv(s, limit)
+		if s.cycle >= limit {
+			return s.boundErr(g, limit)
+		}
 		if err := s.guard(); err != nil {
-			return false, err
+			return err
 		}
 	}
-	return false, nil
+	return s.componentErr()
 }
 
-// engine drives a system through the three run loops. restores says
-// whether runWake may checkpoint and restore the system after a
-// quiesce.
+// engine drives a system through the run loop's three entry points
+// (RunInstructions, Drain, Quiesce). restores says whether runWake may
+// checkpoint and restore the system after a quiesce.
 type engine struct {
 	run      func(s *System, n uint64) error
 	drain    func(s *System) error
@@ -71,7 +76,7 @@ type engine struct {
 	restores bool
 }
 
-// simEngine is the simulator's own run loops.
+// simEngine is the simulator's own run loop.
 var simEngine = engine{
 	run: func(s *System, n uint64) error {
 		_, err := s.RunInstructions(n)
@@ -86,10 +91,10 @@ var simEngine = engine{
 // stepEvery instead of advance.
 var everyCycleEngine = loopEngine(func(s *System, _ uint64) { stepEvery(s) })
 
-// checkedEngine is the run loops over the simulator's advance, with
-// every cache's wake checked after each advance: the stored wake must
-// be what the cache's queue and park state give, and cacheWake must
-// not be above it (never late).
+// checkedEngine is the reference loop over the simulator's advance,
+// with every cache's wake checked after each advance: the stored wake
+// must be what the cache's queue and park state give, and cacheWake
+// must not be above it (never late).
 func checkedEngine(t *testing.T) engine {
 	e := loopEngine(func(s *System, limit uint64) {
 		s.advance(limit)
@@ -106,12 +111,23 @@ func checkedEngine(t *testing.T) engine {
 // loopEngine is RunInstructions, Drain and Quiesce with each advance
 // replaced by adv.
 func loopEngine(adv func(s *System, limit uint64)) engine {
+	idle := func(s *System) bool {
+		idle := s.llc.Drained() && s.mem.Drained()
+		for i := range s.l1s {
+			idle = idle && s.l1s[i].Drained() && s.l2s[i].Drained()
+		}
+		return idle && (s.faultMem == nil || s.faultMem.Held() == 0)
+	}
 	return engine{run: func(s *System, n uint64) error {
 		targets := make([]uint64, len(s.cores))
+		var remaining uint64
 		for i, c := range s.cores {
 			targets[i] = c.Retired() + n
+			if !c.Exhausted() {
+				remaining += n
+			}
 		}
-		_, err := stepUntil(s, s.cycle+n*maxCyclesPerInstr+loopSlack, adv, func() bool {
+		return stepUntil(s, goalRetired, s.cycle+remaining*maxCyclesPerInstr+loopSlack, adv, func() bool {
 			for i, c := range s.cores {
 				if c.Retired() < targets[i] && !c.Exhausted() {
 					return false
@@ -119,23 +135,9 @@ func loopEngine(adv func(s *System, limit uint64)) engine {
 			}
 			return true
 		})
-		if err != nil {
-			return err
-		}
-		return s.componentErr()
 	},
 		drain: func(s *System) error {
-			_, err := stepUntil(s, s.cycle+1_000_000, adv, func() bool {
-				idle := s.llc.Drained() && s.mem.Drained()
-				for i := range s.l1s {
-					idle = idle && s.l1s[i].Drained() && s.l2s[i].Drained()
-				}
-				return idle && (s.faultMem == nil || s.faultMem.Held() == 0)
-			})
-			if err != nil {
-				return err
-			}
-			return s.componentErr()
+			return stepUntil(s, goalDrained, s.cycle+drainLimit, adv, func() bool { return idle(s) })
 		},
 		quiesce: func(s *System) error {
 			// As in Quiesce, lazily counted cycles are brought current
@@ -150,14 +152,14 @@ func loopEngine(adv func(s *System, limit uint64)) engine {
 					c.SetFetchFrozen(false)
 				}
 			}()
-			ok, err := stepUntil(s, s.cycle+quiesceLimit, adv, s.quiescent)
-			switch {
-			case err != nil:
-				return err
-			case !ok:
-				return s.failf(ErrQuiesce, "system still busy after %d drain cycles", quiesceLimit)
-			}
-			return s.componentErr()
+			return stepUntil(s, goalQuiesced, s.cycle+drainLimit, adv, func() bool {
+				for _, c := range s.cores {
+					if !c.Quiesced() {
+						return false
+					}
+				}
+				return idle(s)
+			})
 		}}
 }
 
@@ -371,7 +373,7 @@ func runWake(t *testing.T, wc wakeCase, e engine) map[string]string {
 // component every cycle, over core counts, LLC policies, prefetching,
 // faults, telemetry, a quiesce, a checkpoint restore on the lazy side
 // and a ticked tracker on the LLC. The lazy side runs twice: under the
-// simulator's own run loops, and under checkedEngine, which checks the
+// simulator's own run loop, and under checkedEngine, which checks the
 // stored cache wakes after every advance.
 func FuzzWakeMatchesStepping(f *testing.F) {
 	for i := range wakePolicies {
@@ -392,7 +394,7 @@ func FuzzWakeMatchesStepping(f *testing.F) {
 		for _, lazy := range []struct {
 			name string
 			e    engine
-		}{{"run loops", simEngine}, {"checked advance", checkedEngine(t)}} {
+		}{{"run loop", simEngine}, {"checked advance", checkedEngine(t)}} {
 			got := runWake(t, wc, lazy.e)
 			for k, w := range want {
 				if g := got[k]; g != w {
