@@ -7,7 +7,9 @@
 // Two types share one implementation (the shared-segment pattern): a
 // segment holds all algorithm state — the set-associative slot
 // arrays (a key is found by comparing the tags in its set's ways,
-// with no side index) and the policy adapter — and is wrapped by
+// with no side index) and its own instance of the policy, which it
+// drives directly, translating each key operation into the policy's
+// access vocabulary — and is wrapped by
 //
 //   - Cache: a zero-overhead single-threaded wrapper (no locks, no
 //     runtime dispatch), and
@@ -20,12 +22,13 @@
 // policy.
 //
 // Policies are selected by name (see Supported): LRU, SRRIP, SHiP++,
-// CARE and M-CARE. PC-signature-trained policies (SHiP++,
-// CARE) are driven with a stable per-key hash in place of the program
-// counter, turning them into per-key reuse/cost predictors; the
-// policies that require cycle-accurate simulator state (Hawkeye,
-// Glider, Mockingjay) are rejected at construction with
-// *ErrUnsupportedPolicy, per policy.Policy.Portable.
+// CARE and M-CARE, built by internal/policy as for a one-core LLC.
+// PC-signature-trained policies (SHiP++, CARE) are driven with a
+// stable per-key hash in place of the program counter, turning them
+// into per-key reuse/cost predictors; the policies that require
+// cycle-accurate simulator state (Hawkeye, Glider, Mockingjay) are
+// rejected at construction with *ErrUnsupportedPolicy, per
+// policy.Policy.Portable.
 package cache
 
 import (
@@ -33,9 +36,9 @@ import (
 	"math/bits"
 	"runtime"
 
-	_ "care/internal/core/care" // register the paper's "care"/"m-care" policies
+	icache "care/internal/cache"
+	careplc "care/internal/core/care"
 	"care/internal/policy"
-	"care/internal/replacement"
 )
 
 // ErrUnsupportedPolicy reports a policy the cache library cannot
@@ -117,7 +120,7 @@ func Supported() []string {
 
 // config is the resolved, validated form of Options.
 type config[K comparable, V any] struct {
-	polName string
+	pol     policy.Policy
 	sets    int // per shard
 	ways    int
 	shards  int
@@ -144,7 +147,7 @@ func resolve[K comparable, V any](o Options[K, V], sharded bool) (config[K, V], 
 		return c, &ErrUnsupportedPolicy{Policy: name,
 			Reason: "requires cycle-accurate simulator state (see internal/policy capability metadata)"}
 	}
-	c.polName = string(p)
+	c.pol = p
 
 	c.ways = o.Ways
 	if c.ways == 0 {
@@ -189,10 +192,11 @@ func resolve[K comparable, V any](o Options[K, V], sharded bool) (config[K, V], 
 	return c, nil
 }
 
-// newAdapter builds the per-segment policy instance. Each segment
-// owns its own policy state (sharding shards the predictor too).
-func (c config[K, V]) newAdapter() (*replacement.Adapter, error) {
-	return replacement.NewAdapterByName(c.polName, c.sets, c.ways)
+// newPolicy builds a policy instance for one segment. Each segment
+// owns its own policy state (sharding shards the predictor too). The
+// policy is built as for a 1-core LLC with CARE's default tuning.
+func (c config[K, V]) newPolicy() (icache.Policy, error) {
+	return policy.New(c.pol, 1, careplc.Config{})
 }
 
 func ceilPow2(n int) int {
@@ -206,7 +210,8 @@ func ceilPow2(n int) int {
 // indirection — zero overhead beyond the algorithm itself. Not safe
 // for concurrent use; use NewSharded for that.
 type Cache[K comparable, V any] struct {
-	seg segment[K, V]
+	seg         segment[K, V]
+	defaultCost float64
 }
 
 // New builds a single-threaded cache.
@@ -215,12 +220,12 @@ func New[K comparable, V any](o Options[K, V]) (*Cache[K, V], error) {
 	if err != nil {
 		return nil, err
 	}
-	ad, err := cfg.newAdapter()
+	pol, err := cfg.newPolicy()
 	if err != nil {
 		return nil, err
 	}
-	c := &Cache[K, V]{}
-	c.seg.init(cfg.sets, cfg.ways, cfg.hash, ad, cfg.onEvict, cfg.defCost)
+	c := &Cache[K, V]{defaultCost: cfg.defCost}
+	c.seg.init(cfg.sets, cfg.ways, cfg.hash, pol, cfg.onEvict)
 	return c, nil
 }
 
@@ -229,7 +234,7 @@ func New[K comparable, V any](o Options[K, V]) (*Cache[K, V], error) {
 func (c *Cache[K, V]) Get(k K) (V, bool) { return c.seg.get(k, c.seg.hash(k)) }
 
 // Put inserts or updates k with the configured DefaultCost.
-func (c *Cache[K, V]) Put(k K, v V) { c.seg.put(k, c.seg.hash(k), v, c.seg.defaultCost) }
+func (c *Cache[K, V]) Put(k K, v V) { c.seg.put(k, c.seg.hash(k), v, c.defaultCost) }
 
 // PutCost inserts or updates k, attributing cost (the price of
 // recomputing the value — e.g. measured backend latency) to the miss
@@ -247,7 +252,7 @@ func (c *Cache[K, V]) Len() int { return c.seg.len() }
 func (c *Cache[K, V]) Stats() Stats { return c.seg.stats }
 
 // Policy returns the active eviction policy's name.
-func (c *Cache[K, V]) Policy() string { return c.seg.ad.PolicyName() }
+func (c *Cache[K, V]) Policy() string { return c.seg.pol.Name() }
 
 // Range calls fn for every entry until fn returns false. Iteration
 // order is unspecified but deterministic for a given history.

@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"math/bits"
 
-	"care/internal/replacement"
+	icache "care/internal/cache"
+	"care/internal/mem"
 )
 
 // Stats counts the operations a cache (or one shard of one) has
@@ -40,8 +41,8 @@ func (s *Stats) add(o Stats) {
 
 // segment holds ALL algorithm state and eviction logic for one
 // sets×ways region of the cache: the slots, their tags, the per-set
-// occupancy masks, and the replacement-policy adapter. It is written
-// once and wrapped twice — zero-overhead by Cache (no locking) and by
+// occupancy masks, and the replacement policy. It is written once and
+// wrapped twice — zero-overhead by Cache (no locking) and by
 // ShardedCache (N segments behind per-segment mutexes) — the
 // shared-segment pattern, so the two types cannot drift apart in
 // behaviour.
@@ -50,7 +51,7 @@ func (s *Stats) add(o Stats) {
 // key lives only in set hash&setMask, and find compares the 8-bit
 // tags of that set's live ways, then the key of a way whose tag
 // matches. The occupancy masks are the only record of which ways are
-// live: the adapter keeps no per-slot state.
+// live: the policy keeps its own per-slot state, not liveness.
 //
 // A segment is not safe for concurrent use; its wrapper provides
 // whatever exclusion is needed.
@@ -60,7 +61,9 @@ func (s *Stats) add(o Stats) {
 // shard{mu, seg} they share the mutex's 64-byte line, so a Get hit
 // dirties that one line of the shard. The fields after them are read
 // only after init (the slices' contents are written, never their
-// headers) and fill the shard's next two lines.
+// headers) and fill the shard's next two lines. Put's default cost,
+// which no Get reads, stays in the wrappers, so the shard stays three
+// lines.
 type segment[K comparable, V any] struct {
 	stats Stats
 	// live is the total number of set bits in occ.
@@ -71,7 +74,7 @@ type segment[K comparable, V any] struct {
 	// waysMask has one bit per way, for the free-way scan.
 	waysMask uint64
 	hash     func(K) uint64
-	ad       *replacement.Adapter
+	pol      icache.Policy
 	// slots and tags are indexed by flat slot (set*ways + way). A
 	// slot keeps key and value together, so a hit reads one line;
 	// tags holds each live slot's tagOf(hash), which find compares
@@ -79,9 +82,8 @@ type segment[K comparable, V any] struct {
 	slots []slot[K, V]
 	tags  []uint8
 	// occ is a per-set occupancy bitmask (bit w = way w live).
-	occ         []uint64
-	onEvict     func(K, V)
-	defaultCost float64
+	occ     []uint64
+	onEvict func(K, V)
 }
 
 // slot is one entry: a key and its value.
@@ -96,18 +98,34 @@ type slot[K comparable, V any] struct {
 // geometry, so keys that share a set mostly differ in their tags.
 func tagOf(h uint64) uint8 { return uint8(h >> 32) }
 
-func (s *segment[K, V]) init(sets, ways int, hash func(K) uint64, ad *replacement.Adapter,
-	onEvict func(K, V), defaultCost float64) {
+// access is the policy's view of an operation on the key hashing to
+// h, in the simulator's vocabulary: the hash stands in for the program
+// counter, which turns the signature-trained predictors (SHiP++, CARE)
+// into per-key ones, and for the block; a write is a store; cost, the
+// miss cost of a fill, goes on both cost channels (PMC for CARE, MLP
+// cost for M-CARE), so the choice of channel stays a policy detail.
+func access(h uint64, kind mem.Kind, cost float64) icache.AccessInfo {
+	return icache.AccessInfo{
+		PC:      mem.Addr(h),
+		Addr:    mem.Addr(h << mem.BlockBits),
+		Kind:    kind,
+		PMC:     cost,
+		MLPCost: cost,
+	}
+}
+
+// init sizes the segment and calls pol.Init with its geometry.
+func (s *segment[K, V]) init(sets, ways int, hash func(K) uint64, pol icache.Policy, onEvict func(K, V)) {
+	pol.Init(sets, ways)
 	s.ways = ways
 	s.setMask = uint64(sets - 1)
 	s.waysMask = 1<<ways - 1
 	s.hash = hash
-	s.ad = ad
+	s.pol = pol
 	s.slots = make([]slot[K, V], sets*ways)
 	s.tags = make([]uint8, sets*ways)
 	s.occ = make([]uint64, sets)
 	s.onEvict = onEvict
-	s.defaultCost = defaultCost
 }
 
 // find returns k's flat slot, or -1 if k is not live. h must be
@@ -131,7 +149,7 @@ func (s *segment[K, V]) find(k K, h uint64) int {
 func (s *segment[K, V]) get(k K, h uint64) (V, bool) {
 	if idx := s.find(k, h); idx >= 0 {
 		set := int(h & s.setMask)
-		s.ad.OnHit(set, idx-set*s.ways, replacement.Access{Sig: h, Block: h})
+		s.pol.OnHit(set, idx-set*s.ways, access(h, mem.Load, 0))
 		s.stats.Hits++
 		return s.slots[idx].val, true
 	}
@@ -146,19 +164,19 @@ func (s *segment[K, V]) put(k K, h uint64, v V, cost float64) {
 	set := int(h & s.setMask)
 	if idx := s.find(k, h); idx >= 0 {
 		s.slots[idx].val = v
-		s.ad.OnHit(set, idx-set*s.ways, replacement.Access{Sig: h, Block: h, Write: true})
+		s.pol.OnHit(set, idx-set*s.ways, access(h, mem.Store, 0))
 		s.stats.Updates++
 		return
 	}
-	acc := replacement.Access{Sig: h, Block: h, Write: true, Cost: cost}
+	acc := access(h, mem.Store, cost)
 	var way int
 	if free := ^s.occ[set] & s.waysMask; free != 0 {
 		way = bits.TrailingZeros64(free)
 		s.live++
 	} else {
-		way = s.ad.Victim(set, acc)
+		way = s.pol.Victim(set, acc)
 		old := s.slots[set*s.ways+way]
-		s.ad.OnEvict(set, way, acc)
+		s.pol.OnEvict(set, way, acc)
 		s.stats.Evictions++
 		if s.onEvict != nil {
 			s.onEvict(old.key, old.val)
@@ -168,7 +186,7 @@ func (s *segment[K, V]) put(k K, h uint64, v V, cost float64) {
 	s.slots[idx] = slot[K, V]{k, v}
 	s.tags[idx] = tagOf(h)
 	s.occ[set] |= 1 << way
-	s.ad.OnFill(set, way, acc)
+	s.pol.OnFill(set, way, acc)
 	s.stats.Inserts++
 }
 
@@ -182,7 +200,7 @@ func (s *segment[K, V]) del(k K, h uint64) bool {
 	}
 	set := int(h & s.setMask)
 	way := idx - set*s.ways
-	s.ad.OnEvict(set, way, replacement.Access{Sig: h, Block: h})
+	s.pol.OnEvict(set, way, access(h, mem.Load, 0))
 	s.occ[set] &^= 1 << way
 	s.live--
 	s.slots[idx] = slot[K, V]{} // release references held by the slot

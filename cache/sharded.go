@@ -29,9 +29,10 @@ type shard[K comparable, V any] struct {
 // Evictions − Deletes = Len) hold even while writers run. Range still
 // locks shards one at a time — it is consistent per shard only.
 type ShardedCache[K comparable, V any] struct {
-	hash       func(K) uint64
-	shards     []*shard[K, V]
-	shardShift uint
+	hash        func(K) uint64
+	shards      []*shard[K, V]
+	shardShift  uint
+	defaultCost float64
 }
 
 // NewSharded builds a concurrent sharded cache. Options.Shards picks
@@ -43,17 +44,18 @@ func NewSharded[K comparable, V any](o Options[K, V]) (*ShardedCache[K, V], erro
 		return nil, err
 	}
 	s := &ShardedCache[K, V]{
-		hash:       cfg.hash,
-		shards:     make([]*shard[K, V], cfg.shards),
-		shardShift: 64 - uint(bits.Len(uint(cfg.shards-1))),
+		hash:        cfg.hash,
+		shards:      make([]*shard[K, V], cfg.shards),
+		shardShift:  64 - uint(bits.Len(uint(cfg.shards-1))),
+		defaultCost: cfg.defCost,
 	}
 	for i := range s.shards {
-		ad, err := cfg.newAdapter()
+		pol, err := cfg.newPolicy()
 		if err != nil {
 			return nil, err
 		}
 		sh := &shard[K, V]{}
-		sh.seg.init(cfg.sets, cfg.ways, cfg.hash, ad, cfg.onEvict, cfg.defCost)
+		sh.seg.init(cfg.sets, cfg.ways, cfg.hash, pol, cfg.onEvict)
 		s.shards[i] = sh
 	}
 	return s, nil
@@ -81,7 +83,7 @@ func (s *ShardedCache[K, V]) Put(k K, v V) {
 	h := s.hash(k)
 	sh := s.shardFor(h)
 	sh.mu.Lock()
-	sh.seg.put(k, h, v, sh.seg.defaultCost)
+	sh.seg.put(k, h, v, s.defaultCost)
 	sh.mu.Unlock()
 }
 
@@ -152,7 +154,7 @@ func (s *ShardedCache[K, V]) Stats() Stats {
 func (s *ShardedCache[K, V]) Shards() int { return len(s.shards) }
 
 // Policy returns the active eviction policy's name.
-func (s *ShardedCache[K, V]) Policy() string { return s.shards[0].seg.ad.PolicyName() }
+func (s *ShardedCache[K, V]) Policy() string { return s.shards[0].seg.pol.Name() }
 
 // Range calls fn for every entry until fn returns false. fn runs with
 // the entry's shard lock held: keep it short and do not call back

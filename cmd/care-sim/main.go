@@ -27,7 +27,6 @@ import (
 	"care/internal/graph"
 	"care/internal/harness"
 	"care/internal/policy"
-	"care/internal/replacement"
 	"care/internal/sim"
 	"care/internal/stats"
 	"care/internal/synth"
@@ -83,7 +82,7 @@ func main() {
 		return
 	}
 	if *listPolicies {
-		for _, n := range replacement.Names() {
+		for _, n := range policy.All() {
 			fmt.Println(" ", n)
 		}
 		return
@@ -101,7 +100,7 @@ func main() {
 			Workload:   *workload,
 			Cores:      *cores,
 			Scale:      *scale,
-			GAPRecords: 200_000,
+			GAPRecords: harness.DefaultGAPRecords,
 		}
 		// GAP workloads are named kernel-dataset, e.g. bfs-or.
 		if kernel, _, ok := strings.Cut(*workload, "-"); ok && len(kernel) <= 4 {

@@ -27,11 +27,6 @@ import (
 	"care/internal/replacement"
 )
 
-func init() {
-	replacement.Register("care", func(cores int) cache.Policy { return New(Config{}) })
-	replacement.Register("m-care", func(cores int) cache.Policy { return NewMCARE(Config{}) })
-}
-
 // SHT geometry (paper §V-B, Table V).
 const (
 	// shtEntries is the Signature History Table size.

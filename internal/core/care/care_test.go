@@ -20,18 +20,6 @@ func fillInfo(pc mem.Addr, kind mem.Kind, pmc float64) cache.AccessInfo {
 	return cache.AccessInfo{PC: pc, Kind: kind, PMC: pmc}
 }
 
-func TestRegisteredInZoo(t *testing.T) {
-	for _, name := range []string{"care", "m-care"} {
-		p, err := replacement.New(name, 4)
-		if err != nil {
-			t.Fatalf("New(%q): %v", name, err)
-		}
-		if p.Name() != name {
-			t.Fatalf("Name() = %q, want %q", p.Name(), name)
-		}
-	}
-}
-
 func TestQuantizePMCS(t *testing.T) {
 	p := newPolicy(t, 16, 4)
 	cases := map[float64]uint8{

@@ -29,6 +29,11 @@ import (
 	"care/internal/trace"
 )
 
+// DefaultGAPRecords is the GAP kernel trace length every entry point
+// replays unless told otherwise: experiments, care-server jobs and
+// care-sim.
+const DefaultGAPRecords = 250_000
+
 // Options tunes every experiment. The zero value is completed by
 // Defaults.
 type Options struct {
@@ -49,7 +54,7 @@ type Options struct {
 	// Mixes is the number of 4-core mixed workloads for fig10 (the
 	// paper uses 100).
 	Mixes int
-	// GAPRecords caps each GAP kernel trace.
+	// GAPRecords caps each GAP kernel trace (0 = DefaultGAPRecords).
 	GAPRecords int
 	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS).
 	Parallelism int
@@ -168,7 +173,7 @@ func (o *Options) Defaults() {
 		o.Mixes = 12
 	}
 	if o.GAPRecords <= 0 {
-		o.GAPRecords = 250_000
+		o.GAPRecords = DefaultGAPRecords
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)

@@ -45,7 +45,7 @@ type RunSpec struct {
 	Scale int
 	// Warmup and Measure are per-core instruction budgets.
 	Warmup, Measure uint64
-	// GAPRecords caps GAP kernel traces (0 = the harness default).
+	// GAPRecords caps GAP kernel traces (0 = DefaultGAPRecords).
 	GAPRecords int
 }
 
@@ -147,7 +147,7 @@ func (r *RunSpec) key() runKey {
 	}
 	gapRecs := r.GAPRecords
 	if gapRecs <= 0 {
-		gapRecs = 250_000
+		gapRecs = DefaultGAPRecords
 	}
 	return runKey{
 		kind:     r.Kind,

@@ -1,17 +1,21 @@
-// Package policy defines the typed identifier for LLC replacement
-// policies. It is the vocabulary shared by configuration surfaces
-// (sim.Config, CLI flags, the public care API): a Policy is validated
-// once, up front, with a typed error — instead of an unknown name
-// surfacing as a construction failure deep inside simulator setup.
+// Package policy is the one place that says which LLC replacement
+// policies exist, which of them the care/cache library can drive, and
+// how each is built. Configuration surfaces (sim.Config, CLI flags,
+// the public care API) share its typed Policy: a name is validated
+// once, up front, with a typed error, instead of surfacing as a
+// construction failure deep inside simulator setup.
 //
-// The package deliberately has no dependencies so every layer can
-// import it; the replacement registry cross-checks at test time that
-// the constant set and the registered factories stay in lockstep.
+// The package imports the policy implementations (internal/replacement
+// and internal/core/care) and the interface they implement
+// (internal/cache); none of those imports it back.
 package policy
 
 import (
 	"fmt"
-	"sort"
+
+	"care/internal/cache"
+	careplc "care/internal/core/care"
+	"care/internal/replacement"
 )
 
 // Policy names an LLC replacement policy. Its underlying type is
@@ -34,9 +38,39 @@ const (
 	SRRIP      Policy = "srrip"
 )
 
+// zoo lists every policy in sorted order with its capability and its
+// constructor. build makes an instance for an LLC shared by cores
+// cores; cfg tunes CARE and M-CARE and is ignored by the rest.
+// portable is what Policy.Portable reports.
+var zoo = []struct {
+	p        Policy
+	portable bool
+	build    func(cores int, cfg careplc.Config) cache.Policy
+}{
+	{CARE, true, func(_ int, cfg careplc.Config) cache.Policy { return careplc.New(cfg) }},
+	{Glider, false, func(cores int, _ careplc.Config) cache.Policy { return replacement.NewGlider(cores) }},
+	{Hawkeye, false, func(int, careplc.Config) cache.Policy { return replacement.NewHawkeye() }},
+	{LRU, true, func(int, careplc.Config) cache.Policy { return replacement.NewLRU() }},
+	{MCARE, true, func(_ int, cfg careplc.Config) cache.Policy { return careplc.NewMCARE(cfg) }},
+	{Mockingjay, false, func(int, careplc.Config) cache.Policy { return replacement.NewMockingjay() }},
+	{SHiPPP, true, func(int, careplc.Config) cache.Policy { return replacement.NewSHiPPP() }},
+	{SRRIP, true, func(int, careplc.Config) cache.Policy { return replacement.NewSRRIP() }},
+}
+
+// entry returns p's zoo index, or -1 if p is not in the zoo.
+func entry(p Policy) int {
+	for i := range zoo {
+		if zoo[i].p == p {
+			return i
+		}
+	}
+	return -1
+}
+
 // ErrUnknown reports a policy name outside the zoo. It is returned
-// (wrapped, with the offending name and the valid set) by Parse and
-// by Policy.Validate, and surfaces at configuration-validation time.
+// (wrapped, with the offending name and the valid set) by Parse, by
+// Policy.Validate and by New, and surfaces at
+// configuration-validation time.
 type ErrUnknown struct {
 	Name string
 }
@@ -45,21 +79,12 @@ func (e *ErrUnknown) Error() string {
 	return fmt.Sprintf("unknown LLC policy %q (valid: %v)", e.Name, All())
 }
 
-var known = func() map[Policy]bool {
-	m := make(map[Policy]bool, len(all))
-	for _, p := range all {
-		m[p] = true
-	}
-	return m
-}()
-
-var all = []Policy{CARE, Glider, Hawkeye, LRU, MCARE, Mockingjay, SHiPPP, SRRIP}
-
 // All returns every valid policy in sorted order.
 func All() []Policy {
-	out := make([]Policy, len(all))
-	copy(out, all)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := make([]Policy, len(zoo))
+	for i := range zoo {
+		out[i] = zoo[i].p
+	}
 	return out
 }
 
@@ -68,8 +93,8 @@ func All() []Policy {
 // for every p in All().
 func Parse(name string) (Policy, error) {
 	p := Policy(name)
-	if !known[p] {
-		return "", &ErrUnknown{Name: name}
+	if err := p.Validate(); err != nil {
+		return "", err
 	}
 	return p, nil
 }
@@ -80,8 +105,47 @@ func (p Policy) String() string { return string(p) }
 // Validate reports *ErrUnknown if p is not in the zoo. The empty
 // Policy is invalid; configuration defaults fill in LRU explicitly.
 func (p Policy) Validate() error {
-	if !known[p] {
+	if entry(p) < 0 {
 		return &ErrUnknown{Name: string(p)}
 	}
 	return nil
+}
+
+// Portable reports whether the care/cache service library can drive
+// p. The library has keys and values, not program counters and
+// cycle-accurate miss measurements. The recency policies (LRU and
+// SRRIP) need neither. For the rest the library substitutes a stable
+// per-key hash for the PC, which turns the signature-trained
+// predictors (SHiP++, CARE, M-CARE) into per-key reuse/cost
+// predictors, and a caller-supplied miss cost (e.g. backend load
+// latency) for the measured PMC/MLP cost. Hawkeye, Glider and
+// Mockingjay reconstruct OPT over cycle-timestamped access quanta, and
+// Glider also keeps per-core PC history: their inputs do not exist
+// outside the simulator, so the library rejects them.
+func (p Policy) Portable() bool {
+	i := entry(p)
+	return i >= 0 && zoo[i].portable
+}
+
+// Portable returns every policy the cache library supports, in sorted
+// order.
+func Portable() []Policy {
+	var out []Policy
+	for _, e := range zoo {
+		if e.portable {
+			out = append(out, e.p)
+		}
+	}
+	return out
+}
+
+// New builds a fresh instance of p for an LLC shared by cores cores,
+// tuned by cfg if p is CARE or M-CARE. It returns *ErrUnknown for a
+// name outside the zoo.
+func New(p Policy, cores int, cfg careplc.Config) (cache.Policy, error) {
+	i := entry(p)
+	if i < 0 {
+		return nil, &ErrUnknown{Name: string(p)}
+	}
+	return zoo[i].build(cores, cfg), nil
 }

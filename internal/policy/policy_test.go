@@ -2,13 +2,11 @@ package policy_test
 
 import (
 	"errors"
-	"reflect"
 	"sort"
 	"testing"
 
-	_ "care/internal/core/care" // registers "care" and "m-care"
+	careplc "care/internal/core/care"
 	"care/internal/policy"
-	"care/internal/replacement"
 )
 
 // TestParseRoundTrip: Parse(p.String()) == p for the whole zoo, and
@@ -63,18 +61,27 @@ func TestAllSorted(t *testing.T) {
 	}
 }
 
-// TestLockstepWithReplacementRegistry: the typed constant set and the
-// replacement registry (including the CARE package's own
-// registrations) must name exactly the same policies, so a Policy
-// that validates always constructs and vice versa.
-func TestLockstepWithReplacementRegistry(t *testing.T) {
-	var fromConstants []string
+// TestNewBuildsEveryPolicy: every policy in the zoo builds, at one
+// core and at four, an instance that names itself by its Policy, and
+// a name outside the zoo fails with the typed *ErrUnknown, so a Policy
+// that validates always constructs and one that does not never does.
+func TestNewBuildsEveryPolicy(t *testing.T) {
 	for _, p := range policy.All() {
-		fromConstants = append(fromConstants, string(p))
+		for _, cores := range []int{1, 4} {
+			pol, err := policy.New(p, cores, careplc.Config{})
+			if err != nil {
+				t.Fatalf("New(%q, %d): %v", p, cores, err)
+			}
+			if got := pol.Name(); got != string(p) {
+				t.Errorf("New(%q, %d).Name() = %q", p, cores, got)
+			}
+		}
 	}
-	registered := replacement.Names()
-	if !reflect.DeepEqual(fromConstants, registered) {
-		t.Fatalf("policy constants and replacement registry diverged:\nconstants:  %v\nregistered: %v",
-			fromConstants, registered)
+	for _, name := range []string{"", "plru", "CARE"} {
+		_, err := policy.New(policy.Policy(name), 1, careplc.Config{})
+		var unknown *policy.ErrUnknown
+		if !errors.As(err, &unknown) || unknown.Name != name {
+			t.Errorf("New(%q): got %v, want *ErrUnknown naming it", name, err)
+		}
 	}
 }

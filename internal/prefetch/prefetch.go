@@ -2,57 +2,31 @@
 // configuration pairs a next-line prefetcher at the L1 data cache
 // with an IP-stride (per-PC stride) prefetcher at the L2, as the 2nd
 // Cache Replacement Championship did; a classic stream prefetcher is
-// included for the prefetcher-sensitivity ablation.
+// included for the prefetcher-sensitivity ablation. New builds one by
+// the name a configuration gives (sim.Config.L2Prefetcher).
 package prefetch
 
 import (
 	"fmt"
-	"sort"
 
 	"care/internal/cache"
 	"care/internal/mem"
 )
 
-// Factory builds a prefetcher instance.
-type Factory func() cache.Prefetcher
-
-var registry = map[string]Factory{}
-
-// Register adds a named prefetcher factory; it panics on duplicates.
-func Register(name string, f Factory) {
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("prefetch: duplicate prefetcher %q", name))
-	}
-	registry[name] = f
-}
-
-// New instantiates a registered prefetcher ("none" returns nil: no
-// prefetching).
+// New builds the prefetcher name selects: "next-line" (degree 1),
+// "ip-stride" or "stream". "none" and "" return nil: no prefetching.
 func New(name string) (cache.Prefetcher, error) {
-	if name == "none" || name == "" {
+	switch name {
+	case "none", "":
 		return nil, nil
+	case "next-line":
+		return NewNextLine(1), nil
+	case "ip-stride":
+		return NewIPStride(), nil
+	case "stream":
+		return NewStream(), nil
 	}
-	f, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("prefetch: unknown prefetcher %q (have %v)", name, Names())
-	}
-	return f(), nil
-}
-
-// Names lists registered prefetchers plus "none".
-func Names() []string {
-	out := []string{"none"}
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func init() {
-	Register("next-line", func() cache.Prefetcher { return NewNextLine(1) })
-	Register("ip-stride", func() cache.Prefetcher { return NewIPStride() })
-	Register("stream", func() cache.Prefetcher { return NewStream() })
+	return nil, fmt.Errorf("prefetch: unknown prefetcher %q (have none, next-line, ip-stride, stream)", name)
 }
 
 // NextLine prefetches the next Degree sequential blocks on every

@@ -5,10 +5,6 @@ import (
 	"care/internal/mem"
 )
 
-func init() {
-	Register("glider", func(cores int) cache.Policy { return NewGlider(cores) })
-}
-
 // Glider (Shi et al., MICRO 2019) replaces Hawkeye's per-PC counters
 // with an Integer Support Vector Machine over the history of recent
 // load PCs, distilled from an offline LSTM. Each load PC owns a small

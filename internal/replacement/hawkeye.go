@@ -5,10 +5,6 @@ import (
 	"care/internal/mem"
 )
 
-func init() {
-	Register("hawkeye", func(cores int) cache.Policy { return NewHawkeye() })
-}
-
 // hawkeyeMaxRRPV is Hawkeye's 3-bit ageing counter ceiling.
 const hawkeyeMaxRRPV = 7
 

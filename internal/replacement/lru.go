@@ -2,10 +2,6 @@ package replacement
 
 import "care/internal/cache"
 
-func init() {
-	Register("lru", func(cores int) cache.Policy { return NewLRU() })
-}
-
 // LRU is true least-recently-used replacement: the baseline of every
 // comparison in the paper.
 type LRU struct {

@@ -5,10 +5,6 @@ import (
 	"care/internal/mem"
 )
 
-func init() {
-	Register("mockingjay", func(cores int) cache.Policy { return NewMockingjay() })
-}
-
 // Mockingjay (Shah, Jain & Lin, HPCA 2022) mimics Belady's MIN with
 // *multi-class* predictions: instead of a friendly/averse bit it
 // predicts each block's reuse distance and evicts the block whose

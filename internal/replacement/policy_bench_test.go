@@ -4,9 +4,9 @@ import (
 	"testing"
 
 	"care/internal/cache"
-	_ "care/internal/core/care" // registers care and m-care
+	careplc "care/internal/core/care"
 	"care/internal/mem"
-	"care/internal/replacement"
+	"care/internal/policy"
 	"care/internal/sim"
 )
 
@@ -19,8 +19,8 @@ import (
 func TestPolicyAllocs(t *testing.T) {
 	const sets, ways = 64, 16
 	stream := policyStream(sets*ways, 1<<15)
-	for _, name := range replacement.Names() {
-		p, err := replacement.New(name, 4)
+	for _, name := range policy.All() {
+		p, err := policy.New(name, 4, careplc.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,9 +50,9 @@ func TestPolicyAllocs(t *testing.T) {
 func BenchmarkPolicy(b *testing.B) {
 	geom := sim.ScaledConfig(4, 1).LLC
 	stream := policyStream(geom.Sets*geom.Ways, 1<<20)
-	for _, name := range replacement.Names() {
-		b.Run(name, func(b *testing.B) {
-			p, err := replacement.New(name, 4)
+	for _, name := range policy.All() {
+		b.Run(string(name), func(b *testing.B) {
+			p, err := policy.New(name, 4, careplc.Config{})
 			if err != nil {
 				b.Fatal(err)
 			}

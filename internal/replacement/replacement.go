@@ -1,52 +1,12 @@
 // Package replacement implements the cache replacement policies the
 // paper evaluates against — LRU, SHiP++, Hawkeye, Glider and
 // Mockingjay — and SRRIP, which the care/cache service comparison
-// adds, plus a registry so simulations select policies by name. The
-// paper's own CARE and M-CARE policies live in internal/core/care and
-// register themselves here. A harness test keeps the registry to
-// exactly the policies the experiments run.
+// adds, each against cache.Policy, plus the PC signature and set
+// sampling they share with the paper's CARE (internal/core/care).
+// internal/policy names the policies and builds them by name.
 package replacement
 
-import (
-	"fmt"
-	"sort"
-
-	"care/internal/cache"
-	"care/internal/mem"
-)
-
-// Factory builds a policy instance for a cache shared by cores cores.
-type Factory func(cores int) cache.Policy
-
-var registry = map[string]Factory{}
-
-// Register adds a named policy factory. It panics on duplicates so
-// registration bugs surface at start-up.
-func Register(name string, f Factory) {
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("replacement: duplicate policy %q", name))
-	}
-	registry[name] = f
-}
-
-// New instantiates a registered policy.
-func New(name string, cores int) (cache.Policy, error) {
-	f, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("replacement: unknown policy %q (have %v)", name, Names())
-	}
-	return f(cores), nil
-}
-
-// Names lists registered policies in sorted order.
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
+import "care/internal/mem"
 
 // SignatureBits is the width of the PC signature used by the
 // signature-based policies (SHiP++, Hawkeye, Mockingjay, CARE): 14

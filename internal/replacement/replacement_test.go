@@ -37,34 +37,6 @@ func loads(pc mem.Addr, blocks ...uint64) []cache.AccessInfo {
 	return out
 }
 
-func TestRegistry(t *testing.T) {
-	names := Names()
-	if len(names) == 0 {
-		t.Fatal("no registered policies")
-	}
-	for _, n := range names {
-		p, err := New(n, 4)
-		if err != nil {
-			t.Fatalf("New(%q): %v", n, err)
-		}
-		if p.Name() == "" {
-			t.Fatalf("policy %q has empty Name()", n)
-		}
-	}
-	if _, err := New("no-such-policy", 1); err == nil {
-		t.Fatal("unknown policy should error")
-	}
-}
-
-func TestRegisterDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate Register should panic")
-		}
-	}()
-	Register("lru", func(int) cache.Policy { return NewLRU() })
-}
-
 func TestSignature(t *testing.T) {
 	a := Signature(0x400123, false)
 	if a != Signature(0x400123, false) {
@@ -285,55 +257,6 @@ func TestOptgenWindowExpiry(t *testing.T) {
 	}
 	if og.shouldCache(start) {
 		t.Fatal("intervals beyond the window are uncacheable")
-	}
-}
-
-// Functional smoke tests: every registered policy must survive a
-// mixed random workload through the real cache without panicking and
-// with sane stats.
-func TestAllPoliciesSmoke(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	var accs []cache.AccessInfo
-	for i := 0; i < 3000; i++ {
-		kind := mem.Load
-		switch rng.Intn(10) {
-		case 0:
-			kind = mem.Store
-		case 1:
-			kind = mem.Prefetch
-		case 2:
-			kind = mem.Writeback
-		}
-		accs = append(accs, cache.AccessInfo{
-			Addr: mem.Addr(uint64(rng.Intn(512)) << mem.BlockBits),
-			PC:   mem.Addr(0x400000 + uint64(rng.Intn(32))*4),
-			Core: rng.Intn(4),
-			Kind: kind,
-		})
-	}
-	for _, name := range Names() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			p, err := New(name, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c := cache.New(cache.Params{Name: "smoke", Sets: 32, Ways: 4, Latency: 1, MSHREntries: 16, Cores: 4}, p)
-			cycle := uint64(0)
-			for _, a := range accs {
-				c.Access(&mem.Request{Addr: a.Addr, PC: a.PC, Core: a.Core, Kind: a.Kind}, cycle)
-				c.Tick(cycle)
-				c.Tick(cycle + 1)
-				cycle += 2
-			}
-			s := c.Stats()
-			if s.DemandAccesses == 0 {
-				t.Fatal("no demand accesses recorded")
-			}
-			if s.DemandHits+s.DemandMisses != s.DemandAccesses {
-				t.Fatalf("hits+misses != accesses: %+v", s)
-			}
-		})
 	}
 }
 

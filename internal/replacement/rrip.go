@@ -2,10 +2,6 @@ package replacement
 
 import "care/internal/cache"
 
-func init() {
-	Register("srrip", func(cores int) cache.Policy { return NewSRRIP() })
-}
-
 // maxRRPV is the saturating re-reference prediction value of the
 // 2-bit RRIP family (Jaleel et al., ISCA 2010).
 const maxRRPV = 3

@@ -5,10 +5,6 @@ import (
 	"care/internal/mem"
 )
 
-func init() {
-	Register("ship++", func(cores int) cache.Policy { return NewSHiPPP() })
-}
-
 // shctSize is the Signature History Counter Table size (16K entries,
 // per the SHiP and CARE papers).
 const shctSize = 1 << SignatureBits

@@ -16,7 +16,6 @@ import (
 	"care/internal/faultinject"
 	"care/internal/graph"
 	policypkg "care/internal/policy"
-	"care/internal/replacement"
 	"care/internal/telemetry"
 	"care/internal/trace"
 )
@@ -171,8 +170,8 @@ func TestResumeEquivalence(t *testing.T) {
 	}
 }
 
-// TestRoundTripEveryPolicy round-trips every registered replacement
-// policy (the full zoo, including CARE and M-CARE) through a
+// TestRoundTripEveryPolicy round-trips every LLC policy
+// (policy.All(), the full zoo, including CARE and M-CARE) through a
 // checkpoint at 1/3, 4/3-scaled core configs: restore must reproduce
 // the uninterrupted result bit-exactly.
 func TestRoundTripEveryPolicy(t *testing.T) {
@@ -180,8 +179,7 @@ func TestRoundTripEveryPolicy(t *testing.T) {
 	if testing.Short() {
 		coreCounts = []int{2}
 	}
-	for _, policy := range replacement.Names() {
-		policy := policypkg.Policy(policy)
+	for _, policy := range policypkg.All() {
 		for _, cores := range coreCounts {
 			t.Run(fmt.Sprintf("%s/c%d", policy, cores), func(t *testing.T) {
 				path := filepath.Join(t.TempDir(), "run.ckpt")

@@ -43,7 +43,7 @@ func TestFeatureMatrixRepeatable(t *testing.T) {
 		transparent bool
 	}{
 		{"invariants", func(c *Config) { c.CheckInvariants = true; c.InvariantEvery = 512 }, true},
-		{"stream-prefetch", func(c *Config) { c.L1Prefetcher = "stream"; c.L2Prefetcher = "stream" }, false},
+		{"stream-prefetch", func(c *Config) { c.L2Prefetcher = "stream" }, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := base

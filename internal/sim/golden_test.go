@@ -21,6 +21,7 @@ import (
 	"care/internal/faultinject"
 	"care/internal/graph"
 	"care/internal/policy"
+	"care/internal/prefetch"
 	"care/internal/synth"
 	"care/internal/telemetry"
 	"care/internal/trace"
@@ -43,6 +44,8 @@ type goldenCase struct {
 	policy   policy.Policy
 	// mut adjusts the base configuration (nil = none).
 	mut func(*Config)
+	// sys adjusts the system New built from it (nil = none).
+	sys func(*System)
 	// faults is a faultinject spec; chaos runs go through the plain
 	// warmup+measure loop with a cycle cap and a short watchdog window
 	// instead of the checkpoint schedule.
@@ -76,12 +79,13 @@ func goldenCases() []goldenCase {
 	for _, x := range []struct {
 		name string
 		mut  func(*Config)
+		sys  func(*System)
 	}{
-		{"stream-prefetch", func(c *Config) { c.L1Prefetcher = "stream"; c.L2Prefetcher = "stream" }},
-		{"invariants", func(c *Config) { c.CheckInvariants = true; c.InvariantEvery = 512 }},
+		{"stream-prefetch", func(c *Config) { c.L2Prefetcher = "stream" }, streamL1},
+		{"invariants", func(c *Config) { c.CheckInvariants = true; c.InvariantEvery = 512 }, nil},
 	} {
 		out = append(out, goldenCase{
-			name: "429.mcf/c4/care/" + x.name, workload: "429.mcf", cores: 4, policy: policy.CARE, mut: x.mut,
+			name: "429.mcf/c4/care/" + x.name, workload: "429.mcf", cores: 4, policy: policy.CARE, mut: x.mut, sys: x.sys,
 		})
 	}
 	for _, spec := range []string{
@@ -102,6 +106,14 @@ func goldenCases() []goldenCase {
 		name: "429.mcf/c2/care/drain", workload: "429.mcf", cores: 2, policy: policy.CARE, drain: true,
 	})
 	return out
+}
+
+// streamL1 puts a stream prefetcher at every L1 in place of the
+// paper's next-line one.
+func streamL1(s *System) {
+	for _, l1 := range s.l1s {
+		l1.SetPrefetcher(prefetch.NewStream())
+	}
 }
 
 // goldenTraces builds the per-core readers of a workload: synthetic
@@ -153,6 +165,16 @@ func goldenDigest(t *testing.T, gc goldenCase) (run, state string) {
 	var res Result
 	var err error
 	var s *System
+	build := func() *System {
+		s, err := New(cfg, traces)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gc.sys != nil {
+			gc.sys(s)
+		}
+		return s
+	}
 	switch {
 	case gc.faults != "":
 		fc, perr := faultinject.ParseSpec(gc.faults)
@@ -163,9 +185,7 @@ func goldenDigest(t *testing.T, gc goldenCase) (run, state string) {
 		cfg.MaxCycles = 60_000
 		cfg.WatchdogWindow = 20_000
 		cfg.CheckInvariants = true
-		if s, err = New(cfg, traces); err != nil {
-			t.Fatal(err)
-		}
+		s = build()
 		res, err = runPlain(s, 1500, 6000)
 	case gc.drain:
 		for i, r := range traces {
@@ -175,18 +195,14 @@ func goldenDigest(t *testing.T, gc goldenCase) (run, state string) {
 			}
 			traces[i] = sl
 		}
-		if s, err = New(cfg, traces); err != nil {
-			t.Fatal(err)
-		}
+		s = build()
 		if _, err = s.RunInstructions(1 << 20); err == nil {
 			err = s.Drain()
 		}
 		s.closeTelemetry()
 		res = s.Snapshot()
 	default:
-		if s, err = New(cfg, traces); err != nil {
-			t.Fatal(err)
-		}
+		s = build()
 		ckpt = filepath.Join(t.TempDir(), "run.ckpt")
 		res, _, err = Execute(context.Background(), Job{
 			Build:      func() (*System, error) { return s, nil },

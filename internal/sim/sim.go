@@ -44,10 +44,10 @@ type Config struct {
 	// Prefetch enables the paper's prefetcher pairing: next-line at
 	// L1, IP-stride at L2.
 	Prefetch bool
-	// L1Prefetcher / L2Prefetcher override the pairing by name
+	// L2Prefetcher overrides the L2 half of the pairing by name
 	// ("none", "next-line", "ip-stride", "stream"); empty uses the
 	// Prefetch default. See internal/prefetch.
-	L1Prefetcher, L2Prefetcher string
+	L2Prefetcher string
 	// L1, L2, LLC geometry. LLC is shared and should scale with the
 	// core count (the paper uses 2MB/core).
 	L1, L2, LLC CacheGeom
@@ -203,18 +203,9 @@ func New(cfg Config, traces []trace.Reader) (*System, error) {
 		return nil, fmt.Errorf("sim: %d cores but %d traces", cfg.Cores, len(traces))
 	}
 
-	var llcPolicy cache.Policy
-	switch cfg.LLCPolicy {
-	case policy.CARE:
-		llcPolicy = careplc.New(cfg.CARE)
-	case policy.MCARE:
-		llcPolicy = careplc.NewMCARE(cfg.CARE)
-	default:
-		p, err := replacement.New(string(cfg.LLCPolicy), cfg.Cores)
-		if err != nil {
-			return nil, err
-		}
-		llcPolicy = p
+	llcPolicy, err := policy.New(cfg.LLCPolicy, cfg.Cores, cfg.CARE)
+	if err != nil {
+		return nil, err
 	}
 
 	s := &System{cfg: cfg, targets: make([]uint64, cfg.Cores)}
@@ -253,19 +244,12 @@ func New(cfg Config, traces []trace.Reader) (*System, error) {
 		l2.SetLower(s.llc)
 		l1 := cache.New(cfg.L1.params(fmt.Sprintf("L1D-%d", i), 1), replacement.NewLRU())
 		l1.SetLower(l2)
-		l1Name, l2Name := cfg.L1Prefetcher, cfg.L2Prefetcher
+		l2Name := cfg.L2Prefetcher
 		if cfg.Prefetch {
-			if l1Name == "" {
-				l1Name = "next-line"
-			}
+			l1.SetPrefetcher(prefetch.NewNextLine(1))
 			if l2Name == "" {
 				l2Name = "ip-stride"
 			}
-		}
-		if pf, err := prefetch.New(l1Name); err != nil {
-			return nil, err
-		} else if pf != nil {
-			l1.SetPrefetcher(pf)
 		}
 		if pf, err := prefetch.New(l2Name); err != nil {
 			return nil, err

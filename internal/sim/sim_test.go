@@ -278,7 +278,6 @@ func TestDrainFinishes(t *testing.T) {
 func TestPrefetcherOverrides(t *testing.T) {
 	cfg := ScaledConfig(1, 32)
 	cfg.Prefetch = true
-	cfg.L1Prefetcher = "none"
 	cfg.L2Prefetcher = "stream"
 	s, err := New(cfg, mcfTraces(1))
 	if err != nil {

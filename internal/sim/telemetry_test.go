@@ -227,7 +227,7 @@ func TestTelemetryStoreGrows(t *testing.T) {
 	s.closeTelemetry()
 	ivs := col.Series()
 	if len(ivs) <= 4096 {
-		t.Fatalf("%d intervals, want more than the 4096 preallocated", len(ivs))
+		t.Fatalf("%d intervals, want more than 4096, many doublings of the store", len(ivs))
 	}
 	var instr, end uint64
 	for i, iv := range ivs {

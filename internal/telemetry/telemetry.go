@@ -34,8 +34,9 @@ import (
 const DefaultInterval = 100_000
 
 // initialSlots is the number of interval slots a collector
-// preallocates; the store doubles whenever it fills.
-const initialSlots = 4096
+// preallocates; the store doubles whenever it fills. Most runs fill a
+// few dozen intervals, so the store starts small.
+const initialSlots = 16
 
 // occBuckets is the number of MSHR-occupancy histogram buckets; bucket
 // i covers occupancy fractions [i/8, (i+1)/8).
