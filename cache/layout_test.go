@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"runtime"
 	"testing"
 	"unsafe"
 )
@@ -43,5 +44,28 @@ func TestShardLayout(t *testing.T) {
 		if uintptr(unsafe.Pointer(sh))%lineSize != 0 {
 			t.Fatalf("shard %d was allocated at %p, not on a %d-byte line", i, sh, lineSize)
 		}
+	}
+}
+
+// TestFootprint pins the heap a CARE ShardedCache of 2^18 uint64
+// entries allocates when it is built: at most 22 bytes per entry. An
+// entry costs 16 bytes of key and value, a tag byte, CARE's state byte
+// and an eighth of its set's occupancy word; each shard adds CARE's
+// SHT and the training records of its 64 sampled sets. The shard count
+// is fixed, so the result does not depend on GOMAXPROCS.
+func TestFootprint(t *testing.T) {
+	const entries, maxPerEntry = 1 << 18, 22
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c, err := NewSharded(Options[uint64, uint64]{Capacity: entries, Policy: "care", Shards: 8})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(c)
+	if perEntry := float64(after.TotalAlloc-before.TotalAlloc) / entries; perEntry > maxPerEntry {
+		t.Errorf("NewSharded allocated %.2f bytes per entry, want at most %d", perEntry, maxPerEntry)
+	} else {
+		t.Logf("%.2f bytes per entry", perEntry)
 	}
 }

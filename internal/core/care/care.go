@@ -37,6 +37,8 @@ const (
 	// epvMax is the 2-bit eviction priority ceiling; EPV==epvMax
 	// marks the eviction candidates.
 	epvMax = 3
+	// pmcsMax is the 2-bit PMCS ceiling.
+	pmcsMax = 3
 )
 
 // Default DTRM parameters (§V-F).
@@ -79,17 +81,30 @@ type shtEntry struct {
 	pd uint8 // PMC degree
 }
 
-// blockMeta is the per-block metadata CARE maintains: the 2-bit EPV
-// everywhere, plus the training bits (signature, R, PMCS, prefetch)
-// the hardware would keep only in sampled sets.
-type blockMeta struct {
-	epv        uint8
-	sig        uint16
-	reused     bool // the R bit
-	pmcs       uint8
-	prefetched bool // still in prefetched state
-	writeback  bool // filled by a writeback (never trains)
-	valid      bool
+// Every block's state byte holds its EPV and its prefetched bit, the
+// per-block metadata of Table V. The EPV field is 3 bits wide though
+// Table V budgets 2: a flipped high bit (a meta-flip fault) then stays
+// visible to CheckInvariants instead of aliasing a legal EPV.
+const (
+	epvMask uint8 = 7
+	// prefetchedBit marks a block still in prefetched state (§V-E).
+	prefetchedBit uint8 = 1 << 3
+)
+
+// validState reports whether b is a state byte CARE can hold: an EPV
+// within its 2-bit ceiling, the prefetched bit, and nothing else.
+func validState(b uint8) bool { return b&^prefetchedBit <= epvMax }
+
+// trainRec is the SHT-training metadata Table V keeps only for blocks
+// of the sampled sets: the signature, the R bit and the PMCS, plus
+// whether the block was filled by a writeback and whether it was ever
+// filled, which OnEvict reads before training.
+type trainRec struct {
+	sig       uint16
+	pmcs      uint8
+	reused    bool // the R bit
+	writeback bool // filled by a writeback (never trains)
+	valid     bool
 }
 
 // Policy is the CARE cache management framework. It implements
@@ -103,11 +118,15 @@ type blockMeta struct {
 // invalidate the line another core's hits read (TestPolicyLayout).
 type Policy struct {
 	// Read by OnHit (and by every other callback).
-	sht []shtEntry
-	// blocks holds every block's metadata, set by set: way w of set
-	// s is blocks[s*ways+w].
-	blocks  []blockMeta
-	ways    int
+	//
+	// state holds every block's state byte, set by set: way w of set s
+	// is state[s*ways+w].
+	state []uint8
+	// train holds the sampled sets' training records: way w of the
+	// i-th sampled set is train[i*ways+w].
+	train   []trainRec
+	sht     *[shtEntries]shtEntry
+	ways    int32
 	sampled replacement.SampledSets
 
 	// Read-only after construction.
@@ -200,18 +219,19 @@ func (p *Policy) Name() string { return p.name }
 
 // Init implements cache.Policy.
 func (p *Policy) Init(sets, ways int) {
-	p.sht = make([]shtEntry, shtEntries)
+	p.sht = new([shtEntries]shtEntry)
 	for i := range p.sht {
 		// Start counters mid-range so cold signatures are Moderate.
 		p.sht[i] = shtEntry{rc: 1, pd: 3}
 	}
-	p.ways = ways
-	p.blocks = make([]blockMeta, sets*ways)
+	p.ways = int32(ways)
+	p.state = make([]uint8, sets*ways)
 	sampledWant := p.cfg.SampledSets
 	if sampledWant <= 0 {
 		sampledWant = 64
 	}
 	p.sampled = replacement.NewSampledSets(sets, sampledWant)
+	p.train = make([]trainRec, p.sampled.Count(sets)*ways)
 	p.period = p.cfg.DTRMPeriod
 	if p.period == 0 {
 		p.period = uint64(sets*ways) / 2
@@ -277,7 +297,7 @@ func (p *Policy) quantizePMCS(cost float64) uint8 {
 	case cost < p.pmcLow:
 		return 0
 	case cost > p.pmcHigh:
-		return 3
+		return pmcsMax
 	default:
 		return 1
 	}
@@ -324,19 +344,19 @@ func (p *Policy) dtrmOnMiss(cost float64) {
 // Victim implements cache.Policy: pick randomly among EPV==3 blocks;
 // if none exists, age the whole set and retry (§V-D).
 func (p *Policy) Victim(set int, info cache.AccessInfo) int {
-	base := set * p.ways
-	metas := p.blocks[base : base+p.ways]
+	ways := int(p.ways)
+	states := p.state[set*ways : set*ways+ways]
 	for {
 		count := 0
-		for w := range metas {
-			if metas[w].epv >= epvMax {
+		for _, b := range states {
+			if b&epvMask >= epvMax {
 				count++
 			}
 		}
 		if count > 0 {
 			pick := int(p.rng.next() % uint64(count))
-			for w := range metas {
-				if metas[w].epv >= epvMax {
+			for w, b := range states {
+				if b&epvMask >= epvMax {
 					if pick == 0 {
 						return w
 					}
@@ -344,8 +364,10 @@ func (p *Policy) Victim(set int, info cache.AccessInfo) int {
 				}
 			}
 		}
-		for w := range metas {
-			metas[w].epv++
+		// Every EPV is below epvMax, so no increment carries out of
+		// the EPV field.
+		for w := range states {
+			states[w]++
 		}
 	}
 }
@@ -353,7 +375,6 @@ func (p *Policy) Victim(set int, info cache.AccessInfo) int {
 // OnHit implements cache.Policy: SHT training plus the hit-promotion
 // policy of Table IV and the prefetch rules of §V-E.
 func (p *Policy) OnHit(set, way int, info cache.AccessInfo) {
-	m := &p.blocks[set*p.ways+way]
 	if info.Kind == mem.Writeback {
 		// Writeback hits neither train nor promote (§V-D).
 		return
@@ -364,24 +385,28 @@ func (p *Policy) OnHit(set, way int, info cache.AccessInfo) {
 	sig := replacement.Signature(info.PC, false)
 	r, _ := p.classify(sig)
 
+	ways := int(p.ways)
 	// SHT training on the first re-reference (sampled sets only).
-	if p.sampled.Sampled(set) && !m.writeback && !m.reused {
-		m.reused = true
-		if e := &p.sht[m.sig]; e.rc < rcMax {
-			e.rc++
+	if i, ok := p.sampled.Index(set); ok {
+		if t := &p.train[i*ways+way]; !t.writeback && !t.reused {
+			t.reused = true
+			if e := &p.sht[t.sig]; e.rc < rcMax {
+				e.rc++
+			}
 		}
 	}
 
+	b := &p.state[set*ways+way]
 	// Prefetch-aware promotion (§V-E).
-	if m.prefetched {
+	if *b&prefetchedBit != 0 {
 		if info.Kind == mem.Prefetch {
 			// Re-referenced only by prefetches: leave EPV alone.
 			return
 		}
 		// First demand touch of a prefetched block: most prefetched
-		// blocks are single-use, so raise its eviction priority.
-		m.prefetched = false
-		m.epv = epvMax
+		// blocks are single-use, so clear the bit and raise its
+		// eviction priority.
+		*b = epvMax
 		return
 	}
 	if info.Kind == mem.Prefetch {
@@ -390,46 +415,53 @@ func (p *Policy) OnHit(set, way int, info cache.AccessInfo) {
 	}
 
 	// Standard hit-promotion from the SBP prediction of the current
-	// access's signature (Table IV).
+	// access's signature (Table IV). The prefetched bit is clear, so
+	// *b is the EPV.
 	if r == lowReuse {
-		if m.epv > 0 {
-			m.epv--
+		if *b > 0 {
+			*b--
 		}
-	} else if m.epv != 0 {
+	} else if *b != 0 {
 		// A store of an unchanged value would still dirty the line.
-		m.epv = 0
+		*b = 0
 	}
 }
 
 // OnFill implements cache.Policy: quantize the measured cost, store
-// metadata, run DTRM, and apply the insertion policy of Table IV.
+// metadata, run DTRM, and apply the insertion policy of Table IV. Only
+// a sampled set's block gets a training record.
 func (p *Policy) OnFill(set, way int, info cache.AccessInfo) {
-	m := &p.blocks[set*p.ways+way]
-	*m = blockMeta{valid: true}
+	ways := int(p.ways)
+	i, sampled := p.sampled.Index(set)
+	b := &p.state[set*ways+way]
 
 	if info.Kind == mem.Writeback {
 		// Writebacks are non-demand background requests: highest
 		// eviction priority, no training metadata (§V-D).
-		m.writeback = true
-		m.epv = epvMax
+		if sampled {
+			p.train[i*ways+way] = trainRec{writeback: true, valid: true}
+		}
+		*b = epvMax
 		p.stats.InsertWriteback++
-		p.stats.InsertEPV[m.epv]++
+		p.stats.InsertEPV[epvMax]++
 		return
 	}
 
 	cost := p.costOf(info)
-	m.sig = replacement.Signature(info.PC, info.Kind == mem.Prefetch)
-	m.pmcs = p.quantizePMCS(cost)
-	m.prefetched = info.Kind == mem.Prefetch
+	sig := replacement.Signature(info.PC, info.Kind == mem.Prefetch)
+	if sampled {
+		p.train[i*ways+way] = trainRec{sig: sig, pmcs: p.quantizePMCS(cost), valid: true}
+	}
 	p.dtrmOnMiss(cost)
 
-	r, c := p.classify(m.sig)
+	var epv uint8
+	r, c := p.classify(sig)
 	switch r {
 	case highReuse:
-		m.epv = 0
+		epv = 0
 		p.stats.InsertHighReuse++
 	case lowReuse:
-		m.epv = epvMax
+		epv = epvMax
 		p.stats.InsertLowReuse++
 	default:
 		p.stats.InsertModerate++
@@ -437,36 +469,44 @@ func (p *Policy) OnFill(set, way int, info cache.AccessInfo) {
 		// bites: keep High-Cost blocks, shed Low-Cost ones.
 		switch c {
 		case lowCost:
-			m.epv = epvMax
+			epv = epvMax
 			p.stats.InsertLowCost++
 		case highCost:
-			m.epv = 0
+			epv = 0
 			p.stats.InsertHighCost++
 		default:
-			m.epv = 2
+			epv = 2
 		}
 	}
-	p.stats.InsertEPV[m.epv]++
+	p.stats.InsertEPV[epv]++
+	if info.Kind == mem.Prefetch {
+		epv |= prefetchedBit
+	}
+	*b = epv
 }
 
 // OnEvict implements cache.Policy: train RC on dead blocks and PD
 // from the evicted block's PMCS (§V-B), sampled sets only.
 func (p *Policy) OnEvict(set, way int, info cache.AccessInfo) {
-	m := &p.blocks[set*p.ways+way]
-	if !m.valid || m.writeback || !p.sampled.Sampled(set) {
+	i, ok := p.sampled.Index(set)
+	if !ok {
 		return
 	}
-	e := &p.sht[m.sig]
-	if !m.reused && e.rc > 0 {
+	t := &p.train[i*int(p.ways)+way]
+	if !t.valid || t.writeback {
+		return
+	}
+	e := &p.sht[t.sig]
+	if !t.reused && e.rc > 0 {
 		e.rc--
 	}
-	switch m.pmcs {
+	switch t.pmcs {
 	case 0:
 		// Future misses from this signature are predicted cheap.
 		if e.pd > 0 {
 			e.pd--
 		}
-	case 3:
+	case pmcsMax:
 		if e.pd < pdMax {
 			e.pd++
 		}
@@ -479,9 +519,10 @@ func (p *Policy) OnEvict(set, way int, info cache.AccessInfo) {
 // invariant checker calls it each interval; a violation means the
 // metadata was corrupted (by a bug or an injected fault).
 func (p *Policy) CheckInvariants() error {
-	for i := range p.blocks {
-		if epv := p.blocks[i].epv; epv > epvMax {
-			return fmt.Errorf("care: set %d way %d EPV %d exceeds 2-bit ceiling %d", i/p.ways, i%p.ways, epv, epvMax)
+	ways := int(p.ways)
+	for i, b := range p.state {
+		if epv := b & epvMask; epv > epvMax {
+			return fmt.Errorf("care: set %d way %d EPV %d exceeds 2-bit ceiling %d", i/ways, i%ways, epv, epvMax)
 		}
 	}
 	for sig := range p.sht {
@@ -498,9 +539,10 @@ func (p *Policy) CheckInvariants() error {
 // invariant CheckInvariants enforces. It reports whether (set, way)
 // was in range.
 func (p *Policy) CorruptMetadata(set, way int) bool {
-	if set < 0 || way < 0 || way >= p.ways || set*p.ways+way >= len(p.blocks) {
+	ways := int(p.ways)
+	if set < 0 || way < 0 || way >= ways || set*ways+way >= len(p.state) {
 		return false
 	}
-	p.blocks[set*p.ways+way].epv ^= 1 << 2
+	p.state[set*ways+way] ^= 1 << 2
 	return true
 }

@@ -2,7 +2,9 @@ package care
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"care/internal/cache"
 	"care/internal/mem"
@@ -46,32 +48,32 @@ func TestInsertionTableIV(t *testing.T) {
 	// High-Reuse → EPV 0.
 	p.sht[sig] = shtEntry{rc: rcMax, pd: 3}
 	p.OnFill(0, 0, fillInfo(pc, mem.Load, 100))
-	if p.blocks[0].epv != 0 {
-		t.Fatalf("High-Reuse insertion EPV = %d, want 0", p.blocks[0].epv)
+	if p.state[0]&epvMask != 0 {
+		t.Fatalf("High-Reuse insertion EPV = %d, want 0", p.state[0]&epvMask)
 	}
 	// Low-Reuse → EPV 3.
 	p.sht[sig] = shtEntry{rc: 0, pd: 3}
 	p.OnFill(0, 1, fillInfo(pc, mem.Load, 100))
-	if p.blocks[1].epv != epvMax {
-		t.Fatalf("Low-Reuse insertion EPV = %d, want 3", p.blocks[1].epv)
+	if p.state[1]&epvMask != epvMax {
+		t.Fatalf("Low-Reuse insertion EPV = %d, want 3", p.state[1]&epvMask)
 	}
 	// Moderate-Reuse + Low-Cost → EPV 3.
 	p.sht[sig] = shtEntry{rc: 3, pd: 0}
 	p.OnFill(0, 2, fillInfo(pc, mem.Load, 100))
-	if p.blocks[2].epv != epvMax {
-		t.Fatalf("Moderate/Low-Cost insertion EPV = %d, want 3", p.blocks[2].epv)
+	if p.state[2]&epvMask != epvMax {
+		t.Fatalf("Moderate/Low-Cost insertion EPV = %d, want 3", p.state[2]&epvMask)
 	}
 	// Moderate-Reuse + High-Cost → EPV 0.
 	p.sht[sig] = shtEntry{rc: 3, pd: pdMax}
 	p.OnFill(0, 3, fillInfo(pc, mem.Load, 100))
-	if p.blocks[3].epv != 0 {
-		t.Fatalf("Moderate/High-Cost insertion EPV = %d, want 0", p.blocks[3].epv)
+	if p.state[3]&epvMask != 0 {
+		t.Fatalf("Moderate/High-Cost insertion EPV = %d, want 0", p.state[3]&epvMask)
 	}
 	// Moderate-Reuse + Moderate-Cost → EPV 2.
 	p.sht[sig] = shtEntry{rc: 3, pd: 3}
 	p.OnFill(1, 0, fillInfo(pc, mem.Load, 100))
-	if p.blocks[p.ways].epv != 2 {
-		t.Fatalf("Moderate/Moderate insertion EPV = %d, want 2", p.blocks[p.ways].epv)
+	if p.state[p.ways]&epvMask != 2 {
+		t.Fatalf("Moderate/Moderate insertion EPV = %d, want 2", p.state[p.ways]&epvMask)
 	}
 }
 
@@ -83,26 +85,26 @@ func TestHitPromotionTableIV(t *testing.T) {
 	// Moderate-Reuse hit → EPV 0.
 	p.sht[sig] = shtEntry{rc: 3, pd: 3}
 	p.OnFill(0, 0, fillInfo(pc, mem.Load, 100))
-	p.blocks[0].epv = 2
+	p.state[0] = 2
 	p.OnHit(0, 0, fillInfo(pc, mem.Load, 0))
-	if p.blocks[0].epv != 0 {
-		t.Fatalf("Moderate-Reuse hit EPV = %d, want 0", p.blocks[0].epv)
+	if p.state[0]&epvMask != 0 {
+		t.Fatalf("Moderate-Reuse hit EPV = %d, want 0", p.state[0]&epvMask)
 	}
 
 	// Low-Reuse hit → EPV decremented, not reset.
 	p.sht[sig] = shtEntry{rc: 0, pd: 3}
 	p.OnFill(0, 1, fillInfo(pc, mem.Load, 100))
-	if p.blocks[1].epv != epvMax {
+	if p.state[1]&epvMask != epvMax {
 		t.Fatal("setup: low-reuse fill should be EPV 3")
 	}
 	p.OnHit(0, 1, fillInfo(pc, mem.Load, 0))
-	if p.blocks[1].epv != epvMax-1 {
-		t.Fatalf("Low-Reuse hit EPV = %d, want %d", p.blocks[1].epv, epvMax-1)
+	if p.state[1]&epvMask != epvMax-1 {
+		t.Fatalf("Low-Reuse hit EPV = %d, want %d", p.state[1]&epvMask, epvMax-1)
 	}
 	// Decrements saturate at 0.
-	p.blocks[1].epv = 0
+	p.state[1] = 0
 	p.OnHit(0, 1, fillInfo(pc, mem.Load, 0))
-	if p.blocks[1].epv != 0 {
+	if p.state[1]&epvMask != 0 {
 		t.Fatal("EPV decrement must saturate at 0")
 	}
 }
@@ -113,27 +115,27 @@ func TestPrefetchRules(t *testing.T) {
 
 	// Prefetch fill, then first demand hit: EPV jumps to 3.
 	p.OnFill(0, 0, fillInfo(pc, mem.Prefetch, 100))
-	if !p.blocks[0].prefetched {
+	if p.state[0]&prefetchedBit == 0 {
 		t.Fatal("prefetch fill should be marked prefetched")
 	}
 	p.OnHit(0, 0, fillInfo(pc, mem.Load, 0))
-	if p.blocks[0].epv != epvMax {
-		t.Fatalf("first demand touch of prefetched block EPV = %d, want 3", p.blocks[0].epv)
+	if p.state[0]&epvMask != epvMax {
+		t.Fatalf("first demand touch of prefetched block EPV = %d, want 3", p.state[0]&epvMask)
 	}
-	if p.blocks[0].prefetched {
+	if p.state[0]&prefetchedBit != 0 {
 		t.Fatal("demand touch should clear prefetched state")
 	}
 	// Subsequent demand hit: normal promotion (EPV 0 for non-low-reuse).
 	p.OnHit(0, 0, fillInfo(pc, mem.Load, 0))
-	if p.blocks[0].epv != 0 {
-		t.Fatalf("subsequent demand hit EPV = %d, want 0", p.blocks[0].epv)
+	if p.state[0]&epvMask != 0 {
+		t.Fatalf("subsequent demand hit EPV = %d, want 0", p.state[0]&epvMask)
 	}
 
 	// Prefetched block re-referenced only by prefetches: EPV frozen.
 	p.OnFill(0, 1, fillInfo(pc, mem.Prefetch, 100))
-	before := p.blocks[1].epv
+	before := p.state[1]
 	p.OnHit(0, 1, fillInfo(pc, mem.Prefetch, 0))
-	if p.blocks[1].epv != before || !p.blocks[1].prefetched {
+	if p.state[1] != before || p.state[1]&prefetchedBit == 0 {
 		t.Fatal("prefetch-only re-reference must not change EPV or state")
 	}
 }
@@ -141,13 +143,13 @@ func TestPrefetchRules(t *testing.T) {
 func TestWritebackRules(t *testing.T) {
 	p := newPolicy(t, 16, 4)
 	p.OnFill(0, 0, cache.AccessInfo{Kind: mem.Writeback})
-	if p.blocks[0].epv != epvMax {
+	if p.state[0]&epvMask != epvMax {
 		t.Fatal("writebacks insert at EPV 3")
 	}
 	// Writeback hit: no promotion.
-	p.blocks[0].epv = 2
+	p.state[0] = 2
 	p.OnHit(0, 0, cache.AccessInfo{Kind: mem.Writeback})
-	if p.blocks[0].epv != 2 {
+	if p.state[0]&epvMask != 2 {
 		t.Fatal("writeback hits must not promote")
 	}
 	// Eviction of a writeback block must not train the SHT.
@@ -198,25 +200,30 @@ func TestSHTTrainingOnHitAndEvict(t *testing.T) {
 
 func TestVictimPicksEPV3AndAges(t *testing.T) {
 	p := newPolicy(t, 4, 4)
-	for w := 0; w < p.ways; w++ {
-		p.blocks[w] = blockMeta{valid: true, epv: 1}
+	for w := 0; w < int(p.ways); w++ {
+		p.state[w] = 1
 	}
-	p.blocks[2].epv = epvMax
+	p.state[2] = epvMax
 	if v := p.Victim(0, cache.AccessInfo{}); v != 2 {
 		t.Fatalf("victim = %d, want the EPV-3 block (2)", v)
 	}
-	// No EPV-3 block: ageing must raise everyone until one appears.
-	for w := 0; w < p.ways; w++ {
-		p.blocks[w].epv = 0
+	// No EPV-3 block: ageing must raise everyone until one appears,
+	// and must not touch a block's prefetched bit.
+	for w := 0; w < int(p.ways); w++ {
+		p.state[w] = 0
 	}
+	p.state[1] = prefetchedBit
 	v := p.Victim(0, cache.AccessInfo{})
 	if v < 0 || v >= 4 {
 		t.Fatalf("victim out of range: %d", v)
 	}
-	for w := 0; w < p.ways; w++ {
-		if p.blocks[w].epv != epvMax {
-			t.Fatalf("ageing should bring all EPVs to 3, way %d = %d", w, p.blocks[w].epv)
+	for w := 0; w < int(p.ways); w++ {
+		if p.state[w]&epvMask != epvMax {
+			t.Fatalf("ageing should bring all EPVs to 3, way %d = %d", w, p.state[w]&epvMask)
 		}
+	}
+	if p.state[1] != prefetchedBit|epvMax {
+		t.Fatalf("ageing changed way 1's prefetched bit: state %#x", p.state[1])
 	}
 }
 
@@ -224,8 +231,8 @@ func TestVictimRandomTieBreakCoversCandidates(t *testing.T) {
 	p := newPolicy(t, 4, 4)
 	seen := map[int]bool{}
 	for i := 0; i < 200; i++ {
-		for w := 0; w < p.ways; w++ {
-			p.blocks[w] = blockMeta{valid: true, epv: epvMax}
+		for w := 0; w < int(p.ways); w++ {
+			p.state[w] = epvMax
 		}
 		seen[p.Victim(0, cache.AccessInfo{})] = true
 	}
@@ -313,14 +320,14 @@ func TestMCAREUsesMLPCost(t *testing.T) {
 	// PMC says costly, MLP says cheap: M-CARE must follow MLP.
 	info := cache.AccessInfo{PC: pc, Kind: mem.Load, PMC: 1e6, MLPCost: 0}
 	p.OnFill(0, 0, info)
-	if p.blocks[0].pmcs != 0 {
-		t.Fatalf("M-CARE PMCS = %d, want 0 (driven by MLPCost)", p.blocks[0].pmcs)
+	if p.train[0].pmcs != 0 {
+		t.Fatalf("M-CARE PMCS = %d, want 0 (driven by MLPCost)", p.train[0].pmcs)
 	}
 	care := New(Config{Seed: 1})
 	care.Init(16, 4)
 	care.OnFill(0, 0, info)
-	if care.blocks[0].pmcs != 3 {
-		t.Fatalf("CARE PMCS = %d, want 3 (driven by PMC)", care.blocks[0].pmcs)
+	if care.train[0].pmcs != 3 {
+		t.Fatalf("CARE PMCS = %d, want 3 (driven by PMC)", care.train[0].pmcs)
 	}
 }
 
@@ -352,6 +359,49 @@ func TestHardwareCostMatchesTableV(t *testing.T) {
 				t.Errorf("%s = %.4fKB, want %.4fKB", it.Name, it.KB(), want)
 			}
 		}
+	}
+}
+
+// TestMetadataMatchesTableV checks that a Policy keeps the per-block
+// metadata Table V budgets: one state byte (EPV and prefetch bit) for
+// every block, and a training record (signature, R, PMCS) only for the
+// blocks of the sampled sets. It checks the paper's LLC, whose 2048
+// sets train 64, and the 4-set shard of a 2^10-entry care/cache split
+// over 16 shards, whose every set trains.
+func TestMetadataMatchesTableV(t *testing.T) {
+	hw := PaperHWConfig()
+	cases := []struct {
+		name                string
+		sets, ways, sampled int
+	}{
+		{"Table V", hw.CapacityBytes / hw.BlockBytes / hw.Ways, hw.Ways, hw.SampledSets},
+		{"care/cache shard", 4, 16, 4},
+	}
+	if unsafe.Sizeof(trainRec{}) > 8 {
+		t.Errorf("a training record is %d bytes, want at most 8", unsafe.Sizeof(trainRec{}))
+	}
+	for _, tc := range cases {
+		p := New(Config{})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		p.Init(tc.sets, tc.ways)
+		runtime.ReadMemStats(&after)
+		blocks, sampledBlocks := tc.sets*tc.ways, tc.sampled*tc.ways
+		if len(p.state) != blocks || cap(p.state) != blocks {
+			t.Errorf("%s: %d state bytes (cap %d), want one per block (%d)", tc.name, len(p.state), cap(p.state), blocks)
+		}
+		if len(p.train) != sampledBlocks || cap(p.train) != sampledBlocks {
+			t.Errorf("%s: %d training records (cap %d), want one per sampled block (%d×%d)",
+				tc.name, len(p.train), cap(p.train), tc.sampled, tc.ways)
+		}
+		// Init makes three allocations: the SHT, the state bytes and
+		// the training records. Allow each a page of size-class
+		// rounding.
+		budget := uint64(unsafe.Sizeof(*p.sht)) + uint64(blocks) + uint64(sampledBlocks)*uint64(unsafe.Sizeof(trainRec{}))
+		if got := after.TotalAlloc - before.TotalAlloc; got > budget+3*8192 {
+			t.Errorf("%s: Init allocated %d bytes, want at most %d (+ rounding)", tc.name, got, budget)
+		}
+		runtime.KeepAlive(p)
 	}
 }
 
@@ -407,9 +457,9 @@ func TestEPVStaysInRange(t *testing.T) {
 		case 3:
 			p.Victim(set, cache.AccessInfo{})
 		}
-		for i, m := range p.blocks {
-			if m.epv > epvMax {
-				t.Fatalf("EPV out of range at (%d,%d): %d", i/p.ways, i%p.ways, m.epv)
+		for i, b := range p.state {
+			if !validState(b) {
+				t.Fatalf("state out of range at (%d,%d): %#x", i/4, i%4, b)
 			}
 		}
 	}

@@ -18,8 +18,9 @@ func TestPolicyLayout(t *testing.T) {
 		off, size uintptr
 	}
 	hitRead := []field{
+		{"state", unsafe.Offsetof(p.state), unsafe.Sizeof(p.state)},
+		{"train", unsafe.Offsetof(p.train), unsafe.Sizeof(p.train)},
 		{"sht", unsafe.Offsetof(p.sht), unsafe.Sizeof(p.sht)},
-		{"blocks", unsafe.Offsetof(p.blocks), unsafe.Sizeof(p.blocks)},
 		{"ways", unsafe.Offsetof(p.ways), unsafe.Sizeof(p.ways)},
 		{"sampled", unsafe.Offsetof(p.sampled), unsafe.Sizeof(p.sampled)},
 	}

@@ -8,12 +8,14 @@ import (
 
 // Checkpoint implements checkpoint.Component on a freshly Init'd
 // policy of identical geometry and configuration. It walks the SHT,
-// the per-block metadata, the tie-break RNG, and the full DTRM
-// threshold/epoch machinery (§V-F); configuration (sampling stride,
-// period length, cost signal) is rebuilt by New/NewMCARE + Init.
+// every block's state byte, the sampled sets' training records, the
+// tie-break RNG, and the full DTRM threshold/epoch machinery (§V-F);
+// configuration (sampling stride, period length, cost signal) is
+// rebuilt by New/NewMCARE + Init.
 func (p *Policy) Checkpoint(s *checkpoint.State) {
-	checkpoint.Table(s, p.sht, walkSHT)
-	checkpoint.Grid(s, p.blocks, p.ways, p.walkMeta)
+	checkpoint.Table(s, p.sht[:], walkSHT)
+	checkpoint.Grid(s, p.state, int(p.ways), p.walkState)
+	checkpoint.Grid(s, p.train, int(p.ways), walkTrain)
 	checkpoint.Uint(s, &p.rng)
 	s.Float64(&p.pmcLow)
 	s.Float64(&p.pmcHigh)
@@ -42,21 +44,33 @@ func walkSHT(s *checkpoint.State, sht []shtEntry) {
 	})
 }
 
-// walkMeta walks one set's block metadata. A signature or EPV that
-// would index outside the SHT or the EPV counters is corrupt.
-func (p *Policy) walkMeta(s *checkpoint.State, row []blockMeta) {
-	for i := range row {
-		m := &row[i]
-		checkpoint.Uint(s, &m.epv)
-		checkpoint.Uint(s, &m.sig)
-		s.Bool(&m.reused)
-		checkpoint.Uint(s, &m.pmcs)
-		s.Bool(&m.prefetched)
-		s.Bool(&m.writeback)
-		s.Bool(&m.valid)
-		if s.Restoring() && (int(m.sig) >= len(p.sht) || int(m.epv) >= len(p.stats.InsertEPV)) {
-			s.Fail(fmt.Errorf("%w: %s: block signature %d or EPV %d out of range",
-				checkpoint.ErrCorrupt, p.name, m.sig, m.epv))
+// walkState walks one set's state bytes. A restored byte with bits
+// outside the EPV and the prefetched bit, or an EPV above its 2-bit
+// ceiling, is corrupt. Saving stores the bytes as they are, a flipped
+// EPV included.
+func (p *Policy) walkState(s *checkpoint.State, row []uint8) {
+	checkpoint.Uints(s, row)
+	if !s.Restoring() || s.Err() != nil {
+		return
+	}
+	for _, b := range row {
+		if !validState(b) {
+			s.Fail(fmt.Errorf("%w: %s: block state %#x out of range", checkpoint.ErrCorrupt, p.name, b))
+			return
 		}
+	}
+}
+
+// walkTrain walks one sampled set's training records. A signature
+// that would index outside the SHT, or a PMCS above its 2-bit
+// ceiling, is corrupt.
+func walkTrain(s *checkpoint.State, row []trainRec) {
+	for i := range row {
+		t := &row[i]
+		checkpoint.Index(s, &t.sig, shtEntries, "block signature")
+		s.Bool(&t.reused)
+		checkpoint.Index(s, &t.pmcs, pmcsMax+1, "block PMCS")
+		s.Bool(&t.writeback)
+		s.Bool(&t.valid)
 	}
 }

@@ -30,16 +30,39 @@ func Signature(pc mem.Addr, prefetch bool) uint16 {
 
 // SampledSets marks every 1-in-`stride` set as sampled, the standard
 // set-sampling scheme SHiP/CARE use to bound training overhead (64
-// sampled sets for a 2048-set LLC ⇒ stride 32).
-type SampledSets struct{ stride int }
+// sampled sets for a 2048-set LLC ⇒ stride 32). The stride is 32 bits
+// so the sampler and a policy's way count share one word of the
+// policy's hit-path cache line.
+type SampledSets struct{ stride int32 }
 
 // NewSampledSets samples `want` sets out of `total`.
 func NewSampledSets(total, want int) SampledSets {
 	if want <= 0 || want >= total {
 		return SampledSets{stride: 1}
 	}
-	return SampledSets{stride: total / want}
+	return SampledSets{stride: int32(total / want)}
 }
 
 // Sampled reports whether set participates in training.
-func (s SampledSets) Sampled(set int) bool { return s.stride <= 1 || set%s.stride == 0 }
+func (s SampledSets) Sampled(set int) bool { return s.stride <= 1 || set%int(s.stride) == 0 }
+
+// Index reports whether set participates in training and, if it does,
+// its number among the sampled sets, in [0, Count(total)), so a
+// policy can keep training state for the sampled sets only.
+func (s SampledSets) Index(set int) (int, bool) {
+	if s.stride <= 1 {
+		return set, true
+	}
+	if set%int(s.stride) != 0 {
+		return 0, false
+	}
+	return set / int(s.stride), true
+}
+
+// Count returns how many of total sets are sampled.
+func (s SampledSets) Count(total int) int {
+	if s.stride <= 1 {
+		return total
+	}
+	return (total + int(s.stride) - 1) / int(s.stride)
+}

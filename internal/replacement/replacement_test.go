@@ -63,13 +63,39 @@ func TestSampledSets(t *testing.T) {
 			count++
 		}
 	}
-	if count != 64 {
-		t.Fatalf("sampled %d sets, want 64", count)
+	if count != 64 || s.Count(2048) != 64 {
+		t.Fatalf("sampled %d sets, Count %d, want 64", count, s.Count(2048))
 	}
 	all := NewSampledSets(16, 0)
 	for i := 0; i < 16; i++ {
 		if !all.Sampled(i) {
 			t.Fatal("want=0 should sample everything")
+		}
+	}
+}
+
+// TestSampledSetsIndex checks that Index numbers exactly the sampled
+// sets, densely and in order, for strides that do and do not divide
+// the set count.
+func TestSampledSetsIndex(t *testing.T) {
+	for _, g := range []struct{ total, want int }{{2048, 64}, {16, 0}, {16, 64}, {200, 64}, {100, 7}, {1, 1}} {
+		s := NewSampledSets(g.total, g.want)
+		next := 0
+		for set := 0; set < g.total; set++ {
+			i, ok := s.Index(set)
+			if ok != s.Sampled(set) {
+				t.Fatalf("%+v: set %d Index sampled %v, Sampled %v", g, set, ok, s.Sampled(set))
+			}
+			if !ok {
+				continue
+			}
+			if i != next {
+				t.Fatalf("%+v: set %d has index %d, want %d", g, set, i, next)
+			}
+			next++
+		}
+		if next != s.Count(g.total) {
+			t.Fatalf("%+v: %d sampled sets, Count %d", g, next, s.Count(g.total))
 		}
 	}
 }
