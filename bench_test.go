@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"care"
-	"care/internal/harness"
 )
 
 // benchOptions returns a reduced-budget configuration so the full
@@ -32,10 +31,9 @@ func benchOptions() care.ExperimentOptions {
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		// Start every iteration cold, so each one times the
+		// Every call starts cold, so each iteration times the
 		// simulations rather than memo hits.
-		harness.ResetCache()
-		if err := care.RunExperiment(id, io.Discard, benchOptions()); err != nil {
+		if err := care.RunExperiment(context.Background(), id, io.Discard, benchOptions()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -325,8 +325,11 @@ type ExperimentOptions = harness.Options
 func Experiments() []string { return harness.IDs() }
 
 // RunExperiment regenerates one of the paper's tables or figures,
-// writing the report to out.
-func RunExperiment(id string, out io.Writer, opts ExperimentOptions) error {
+// writing the report to out. Each call starts cold, on a campaign of
+// its own, so it simulates every run the experiment reads. Cancelling
+// ctx lets the simulations already running finish and skips the rest
+// with an error wrapping ctx's error.
+func RunExperiment(ctx context.Context, id string, out io.Writer, opts ExperimentOptions) error {
 	opts.Out = out
-	return harness.Run(id, opts)
+	return harness.NewCampaign().Run(ctx, id, opts)
 }

@@ -89,7 +89,7 @@ func TestPublicGAPTrace(t *testing.T) {
 
 func TestPublicExperiment(t *testing.T) {
 	var buf bytes.Buffer
-	err := care.RunExperiment("tab2", &buf, care.ExperimentOptions{})
+	err := care.RunExperiment(context.Background(), "tab2", &buf, care.ExperimentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -159,29 +160,34 @@ func main() {
 		exps = append(exps, e)
 	}
 
-	// First SIGINT/SIGTERM winds the campaign down: in-flight
+	// First SIGINT/SIGTERM cancels the campaign's context: in-flight
 	// simulations finish (their results, telemetry, and the degradation
 	// report still print), pending ones are skipped, supervised runs
 	// stop retrying. A second signal aborts immediately.
+	ctx, stop := context.WithCancel(context.Background())
+	defer stop()
 	sig := make(chan os.Signal, 2)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-sig
 		fmt.Fprintln(os.Stderr, "care-bench: stop requested — finishing in-flight simulations (interrupt again to abort)")
-		harness.Interrupt()
+		stop()
 		<-sig
 		os.Exit(130)
 	}()
 
+	// One campaign runs every experiment, so those that read the same
+	// simulations (fig7, fig8 and tab10; fig7 and fig11) share them.
+	campaign := harness.NewCampaign()
 	stopProfile := startCPUProfile(*cpuProfile)
 	failed := false
 	for _, e := range exps {
-		if harness.Interrupted() {
+		if ctx.Err() != nil {
 			break
 		}
 		fmt.Printf("== %s: %s ==\n", e.ID, e.Title)
 		start := time.Now()
-		if err := harness.Run(e.ID, opts); err != nil {
+		if err := campaign.Run(ctx, e.ID, opts); err != nil {
 			fmt.Fprintf(os.Stderr, "care-bench: %s: %v\n", e.ID, err)
 			// Degrade instead of aborting: the error above names every
 			// failed run, and the remaining experiments still execute.
@@ -191,7 +197,7 @@ func main() {
 		fmt.Printf("(%s in %s)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
 	stopProfile()
-	if harness.Interrupted() {
+	if ctx.Err() != nil {
 		fmt.Fprintln(os.Stderr, "care-bench: interrupted — results above are partial")
 		os.Exit(1)
 	}

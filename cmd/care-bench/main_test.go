@@ -43,8 +43,9 @@ func (b *syncBuffer) String() string {
 }
 
 // TestSignalGracefulStop interrupts a running campaign and verifies
-// the wind-down contract: in-flight simulations finish, the partial
-// notice prints, and the process exits 1 (not 130, not 0).
+// the wind-down contract: in-flight simulations finish, the pending
+// ones are skipped with an error naming the cancelled context, the
+// partial notice prints, and the process exits 1 (not 130, not 0).
 func TestSignalGracefulStop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns a real campaign process")
@@ -81,11 +82,55 @@ func TestSignalGracefulStop(t *testing.T) {
 	}
 	for _, want := range []string{
 		"stop requested — finishing in-flight simulations",
+		"skipped: context canceled",
 		"interrupted — results above are partial",
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("output missing %q:\n%s", want, out.String())
 		}
+	}
+}
+
+// TestSecondSignalAborts: a second signal during the wind-down exits
+// at once with status 130, without waiting for the in-flight
+// simulation, which here would run for seconds.
+func TestSecondSignalAborts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a real campaign process")
+	}
+	cmd := exec.Command(os.Args[0],
+		"-run", "fig3", "-workloads", "429.mcf",
+		"-scale", "64", "-warmup", "5000", "-measure", "20000000")
+	cmd.Env = append(os.Environ(), "CARE_BENCH_REEXEC=1")
+	out := &syncBuffer{}
+	cmd.Stdout = out
+	cmd.Stderr = out
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Process.Kill() // a failed check leaves no long simulation behind
+	signalOnce := func(after string, settle time.Duration) {
+		t.Helper()
+		deadline := time.Now().Add(30 * time.Second)
+		for !strings.Contains(out.String(), after) {
+			if time.Now().After(deadline) {
+				t.Fatalf("no %q in the output:\n%s", after, out.String())
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		time.Sleep(settle)
+		if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The settle lets the one simulation start, so the first signal
+	// leaves it in flight rather than skipping it and ending the run.
+	signalOnce("== fig3", 200*time.Millisecond)
+	signalOnce("stop requested", 0)
+	err := cmd.Wait()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 130 {
+		t.Fatalf("twice-signalled campaign exited %v, want code 130; output:\n%s", err, out.String())
 	}
 }
 

@@ -44,13 +44,14 @@ func walkSHT(s *checkpoint.State, sht []shtEntry) {
 	})
 }
 
-// walkState walks one set's state bytes. A restored byte with bits
-// outside the EPV and the prefetched bit, or an EPV above its 2-bit
-// ceiling, is corrupt. Saving stores the bytes as they are, a flipped
-// EPV included.
+// walkState walks one set's state bytes. A byte with bits outside
+// the EPV and the prefetched bit, or an EPV above its 2-bit ceiling,
+// is corrupt, whether it is restored or saved: a policy whose metadata
+// was flipped refuses to checkpoint, so no file holds state that a
+// restore would refuse.
 func (p *Policy) walkState(s *checkpoint.State, row []uint8) {
 	checkpoint.Uints(s, row)
-	if !s.Restoring() || s.Err() != nil {
+	if s.Err() != nil {
 		return
 	}
 	for _, b := range row {

@@ -1,8 +1,10 @@
 package care
 
 import (
+	"encoding/binary"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"care/internal/cache"
@@ -10,10 +12,12 @@ import (
 	"care/internal/mem"
 )
 
-// TestRestoreRefusesOutOfRangeMetadata saves a policy whose metadata
-// holds one out-of-range value and checks that restoring it is
-// ErrCorrupt. Saving stores the metadata as it is, so a flipped EPV
-// (the meta-flip fault) is written and then refused on restore.
+// TestRestoreRefusesOutOfRangeMetadata checks that a policy whose
+// metadata holds one out-of-range value is ErrCorrupt. A block state
+// byte is refused both ways: saving one fails, so a flipped EPV (the
+// meta-flip fault, CorruptMetadata) never reaches a checkpoint, and a
+// payload that holds one fails to restore. A training record, which no
+// fault reaches, is saved as it is and refused on restore.
 func TestRestoreRefusesOutOfRangeMetadata(t *testing.T) {
 	const sets, ways = 64, 4 // Config{SampledSets: 16}: every 4th set trains
 	cases := []struct {
@@ -45,8 +49,14 @@ func TestRestoreRefusesOutOfRangeMetadata(t *testing.T) {
 				src.OnFill(i/ways, i%ways, cache.AccessInfo{PC: mem.Addr(i), Kind: kind, PMC: float64(i % 500)})
 			}
 			tc.mut(src)
+			bad := slices.IndexFunc(src.state, func(b uint8) bool { return !validState(b) })
 			payload, err := checkpoint.Encode(src.Checkpoint)
-			if err != nil {
+			switch {
+			case bad >= 0 && !errors.Is(err, checkpoint.ErrCorrupt):
+				t.Fatalf("save with block state %#x: got %v, want ErrCorrupt", src.state[bad], err)
+			case bad >= 0:
+				payload = withState(t, src, bad)
+			case err != nil:
 				t.Fatalf("save: %v", err)
 			}
 			dst := New(Config{SampledSets: 16, Seed: 1})
@@ -66,4 +76,29 @@ func TestRestoreRefusesOutOfRangeMetadata(t *testing.T) {
 			}
 		})
 	}
+}
+
+// withState returns p's checkpoint payload holding block state byte i
+// as it is, which saving refuses when it is out of range: it saves p
+// with the byte set to 0 and to 1, and splices the byte in where the
+// two payloads differ.
+func withState(t *testing.T, p *Policy, i int) []byte {
+	t.Helper()
+	b := p.state[i]
+	defer func() { p.state[i] = b }()
+	p.state[i] = 0
+	zero, err := checkpoint.Encode(p.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.state[i] = 1
+	one, err := checkpoint.Encode(p.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := 0
+	for zero[at] == one[at] {
+		at++
+	}
+	return slices.Concat(zero[:at], binary.AppendUvarint(nil, uint64(b)), zero[at+1:])
 }

@@ -7,13 +7,6 @@ import (
 	"care/internal/sim"
 )
 
-func init() {
-	register(Experiment{ID: "abl-dtrm", Title: "Ablation: CARE with and without DTRM, and with static threshold variants", Run: runAblDTRM})
-	register(Experiment{ID: "abl-sample", Title: "Ablation: CARE SHT training with 16/64/256 sampled sets", Run: runAblSample})
-	register(Experiment{ID: "abl-mshr", Title: "Ablation: CARE sensitivity to LLC MSHR size (concurrency headroom)", Run: runAblMSHR})
-	register(Experiment{ID: "abl-prefetch", Title: "Ablation: CARE-vs-LRU gap under different L2 prefetchers", Run: runAblPrefetch})
-}
-
 // ablWorkloads resolves the ablations' workloads: the option override
 // or the default subset.
 func (o *Options) ablWorkloads() []string {

@@ -1,11 +1,5 @@
 package harness
 
-func init() {
-	register(Experiment{ID: "fig9", Title: "Normalized IPC, 4-core multi-copy GAP with prefetching", Run: runFig9})
-	register(Experiment{ID: "fig12", Title: "GAP speedup at 4/8/16 cores with prefetching", Run: runScalabilityGAP(true)})
-	register(Experiment{ID: "fig14", Title: "GAP speedup at 4/8/16 cores without prefetching (incl. Mockingjay)", Run: runScalabilityGAP(false)})
-}
-
 // runFig9 reproduces Figure 9: normalized IPC for the 15 GAP
 // kernel-dataset workloads (4-core multi-copy, prefetching on).
 func runFig9(o *Options) error {

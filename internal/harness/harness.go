@@ -1,7 +1,9 @@
 // Package harness defines one named, runnable experiment per table
-// and figure of the paper's evaluation (the index in DESIGN.md §4).
-// cmd/care-bench and bench_test.go drive these; each experiment
-// prints the same rows/series the paper reports.
+// and figure of the paper's evaluation (the index in DESIGN.md §4),
+// listed in one table sorted by ID. Experiments run through a
+// Campaign, which memoises the simulations they share; its context
+// stops it. cmd/care-bench and bench_test.go drive these; each
+// experiment prints the same rows/series the paper reports.
 package harness
 
 import (
@@ -11,11 +13,10 @@ import (
 	"io"
 	"runtime"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	careplc "care/internal/core/care"
@@ -77,7 +78,7 @@ type Options struct {
 	// actually executes gets its own collector; the per-run series are
 	// merged (sorted by tag) and written to TelemetryOut after the
 	// experiment finishes. Memoised runs recalled from a previous
-	// experiment in the same process do not re-emit series.
+	// experiment in the same campaign do not re-emit series.
 	Telemetry string
 	// TelemetryInterval is the sampling interval in cycles
 	// (0 = telemetry.DefaultInterval).
@@ -92,15 +93,9 @@ type Options struct {
 	// faulted simulation is retried, resuming from its last good
 	// checkpoint when one exists (0 or 1 = no retries).
 	MaxAttempts int
-	// RetryBackoff is the base delay before the first retry (default
-	// 100ms); it doubles per attempt up to maxRetryBackoff. The actual
-	// sleep is "equal jitter": at least half the capped delay, the rest
-	// randomised deterministically from RetryJitterSeed so parallel
-	// workers never retry in lockstep yet campaigns replay on an
-	// identical schedule.
-	RetryBackoff time.Duration
-	// RetryJitterSeed varies the deterministic backoff jitter (0 is a
-	// valid seed; the schedule is always reproducible).
+	// RetryJitterSeed varies the deterministic jitter of the retry
+	// backoff (see retryDelay; 0 is a valid seed, and the schedule is
+	// always reproducible).
 	RetryJitterSeed uint64
 	// ResumeExisting makes even a run's first attempt resume from its
 	// checkpoint file when one exists. Campaign experiments leave this
@@ -119,14 +114,14 @@ type Options struct {
 	// faults (kill-at, ckpt-corrupt) apply to first attempts only.
 	Faults *faultinject.Config
 	// Report, when non-nil, accumulates per-simulation outcomes
-	// (completed/retried/dropped); Run creates one automatically for
+	// (completed/retried/dropped); Campaign.Run creates one for
 	// supervised campaigns and prints its summary.
 	Report *Report
 
 	// TelemetryRegistry, when non-nil, receives every supervised run's
 	// interval series (tagged TelemetryTag + run tag). care-server
 	// shares one registry across jobs and writes it on /metrics and at
-	// shutdown; with Telemetry set, Run replaces it with a fresh
+	// shutdown; with Telemetry set, Campaign.Run replaces it with a fresh
 	// registry for the experiment and writes that to TelemetryOut.
 	TelemetryRegistry *telemetry.Registry
 	// TelemetryTag prefixes the series tags of supervised runs (e.g. a
@@ -137,6 +132,11 @@ type Options struct {
 	// run (see runKey.seed), so in-package tests can check that a
 	// verdict holds beyond the default streams.
 	traceSeed uint64
+
+	// ctx and campaign are the running campaign's context and memo,
+	// set by Campaign.Run for the experiment it runs.
+	ctx      context.Context
+	campaign *Campaign
 }
 
 // supervised reports whether runs go through the retry supervisor.
@@ -233,42 +233,55 @@ type Experiment struct {
 	Run func(o *Options) error
 }
 
-var experiments = map[string]Experiment{}
-
-func register(e Experiment) {
-	if _, dup := experiments[e.ID]; dup {
-		panic("harness: duplicate experiment " + e.ID)
-	}
-	experiments[e.ID] = e
+// experiments is every experiment, sorted by ID.
+var experiments = []Experiment{
+	{ID: "abl-dtrm", Title: "Ablation: CARE with and without DTRM, and with static threshold variants", Run: runAblDTRM},
+	{ID: "abl-mshr", Title: "Ablation: CARE sensitivity to LLC MSHR size (concurrency headroom)", Run: runAblMSHR},
+	{ID: "abl-prefetch", Title: "Ablation: CARE-vs-LRU gap under different L2 prefetchers", Run: runAblPrefetch},
+	{ID: "abl-sample", Title: "Ablation: CARE SHT training with 16/64/256 sampled sets", Run: runAblSample},
+	{ID: "fig10", Title: "Weighted speedup over 4-core mixed workloads with prefetching", Run: runFig10},
+	{ID: "fig11", Title: "SPEC speedup at 4/8/16 cores with prefetching", Run: runScalabilitySpec(true)},
+	{ID: "fig12", Title: "GAP speedup at 4/8/16 cores with prefetching", Run: runScalabilityGAP(true)},
+	{ID: "fig13", Title: "SPEC speedup at 4/8/16 cores without prefetching (incl. Mockingjay)", Run: runScalabilitySpec(false)},
+	{ID: "fig14", Title: "GAP speedup at 4/8/16 cores without prefetching (incl. Mockingjay)", Run: runScalabilityGAP(false)},
+	{ID: "fig3", Title: "Percentage of LLC misses with hit-miss overlapping (4-core multi-copy, LRU)", Run: runFig3},
+	{ID: "fig5", Title: "Distribution of PMC (single core, LRU, 16 workloads)", Run: runFig5},
+	{ID: "fig7", Title: "Normalized IPC, 4-core multi-copy SPEC with prefetching", Run: runFig7},
+	{ID: "fig8", Title: "LLC pure miss rate (pMR), 4-core multi-copy SPEC with prefetching", Run: runFig8},
+	{ID: "fig9", Title: "Normalized IPC, 4-core multi-copy GAP with prefetching", Run: runFig9},
+	{ID: "svc", Title: "care/cache library hit ratio on service traffic (not in the paper)", Run: runSvc},
+	{ID: "tab1", Title: "MLP-based cost of the study case (Figure 2 / Table I)", Run: runTab1},
+	{ID: "tab10", Title: "Average pMR and PMC per scheme (4-core SPEC with prefetching)", Run: runTab10},
+	{ID: "tab11", Title: "Average Overlapping Cycles Per Access (AOCPA) vs core count", Run: runTab11},
+	{ID: "tab2", Title: "PMC of the study case (Figure 2 / Table II)", Run: runTab2},
+	{ID: "tab3", Title: "Distribution and median of per-PC PMC deltas", Run: runTab3},
+	{ID: "tab5", Title: "Hardware cost of CARE (16-way 2MB LLC)", Run: runTab5},
+	{ID: "tab6", Title: "Hardware cost comparison across frameworks", Run: runTab6},
+	{ID: "tab7", Title: "Simulated system configuration (full-size and as scaled)", Run: runTab7},
+	{ID: "tab8", Title: "Single-core LLC MPKI of the evaluated SPEC workloads", Run: runTab8},
 }
 
 // Get returns the experiment with the given ID.
 func Get(id string) (Experiment, error) {
-	e, ok := experiments[id]
-	if !ok {
-		return Experiment{}, fmt.Errorf("harness: unknown experiment %q (have %v)", id, IDs())
+	for _, e := range experiments {
+		if e.ID == id {
+			return e, nil
+		}
 	}
-	return e, nil
+	return Experiment{}, fmt.Errorf("harness: unknown experiment %q (have %v)", id, IDs())
 }
 
-// IDs lists registered experiments in sorted order.
+// IDs lists the experiment IDs in sorted order.
 func IDs() []string {
-	out := make([]string, 0, len(experiments))
-	for id := range experiments {
-		out = append(out, id)
+	out := make([]string, len(experiments))
+	for i, e := range experiments {
+		out[i] = e.ID
 	}
-	sort.Strings(out)
 	return out
 }
 
 // All returns the experiments sorted by ID.
-func All() []Experiment {
-	out := make([]Experiment, 0, len(experiments))
-	for _, id := range IDs() {
-		out = append(out, experiments[id])
-	}
-	return out
-}
+func All() []Experiment { return slices.Clone(experiments) }
 
 // PanicError is a panic recovered from an experiment or one of its
 // simulation workers, tagged with the experiment (or job) that raised
@@ -287,33 +300,38 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("harness: %s panicked: %v\n%s", e.ID, e.Value, e.Stack)
 }
 
-// ErrInterrupted marks simulations skipped because the campaign
-// received a stop request (SIGINT/SIGTERM in care-bench).
-var ErrInterrupted = errors.New("harness: campaign interrupted")
+// Campaign runs experiments that share simulations: Figures 7 and 8
+// and Table X read the same 4-core runs, and Figures 11 and 13 reuse
+// Figure 7's 4-core cells. It memoises every fault-free result by its
+// run key, so an experiment recalls what an earlier one in the same
+// campaign simulated. A Campaign is safe for concurrent use.
+type Campaign struct {
+	mu   sync.Mutex
+	runs map[runKey]sim.Result
+}
 
-var interrupted atomic.Bool
-
-// Interrupt asks running campaigns to wind down: simulations already
-// executing finish normally (so their results and telemetry are
-// reported), pending jobs fail with ErrInterrupted, and supervised
-// runs stop retrying. Safe to call from a signal handler goroutine.
-func Interrupt() { interrupted.Store(true) }
-
-// Interrupted reports whether Interrupt has been called.
-func Interrupted() bool { return interrupted.Load() }
-
-// ResetInterrupt clears the interrupt flag (tests use it).
-func ResetInterrupt() { interrupted.Store(false) }
+// NewCampaign returns a campaign that has simulated nothing yet.
+func NewCampaign() *Campaign { return &Campaign{runs: map[runKey]sim.Result{}} }
 
 // Run executes one experiment by ID with defaulted options. Panics
 // raised by the experiment body are recovered and returned as a
-// *PanicError tagged with the experiment ID.
-func Run(id string, o Options) (err error) {
+// *PanicError tagged with the experiment ID. Cancelling ctx stops the
+// campaign: simulations already running finish (so their results and
+// telemetry are reported), simulations not yet started fail with an
+// error wrapping ctx's error, and supervised runs start no further
+// attempt.
+func (c *Campaign) Run(ctx context.Context, id string, o Options) error {
 	e, err := Get(id)
 	if err != nil {
 		return err
 	}
+	return c.run(ctx, e, o)
+}
+
+// run executes e within the campaign.
+func (c *Campaign) run(ctx context.Context, e Experiment, o Options) (err error) {
 	o.Defaults()
+	o.ctx, o.campaign = ctx, c
 	if o.Telemetry != "" {
 		if !telemetry.ValidFormat(o.Telemetry) {
 			return fmt.Errorf("harness: telemetry format %q (have %s)",
@@ -326,7 +344,7 @@ func Run(id string, o Options) (err error) {
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			err = &PanicError{ID: "experiment " + id, Value: r, Stack: debug.Stack()}
+			err = &PanicError{ID: "experiment " + e.ID, Value: r, Stack: debug.Stack()}
 		}
 	}()
 	runErr := e.Run(&o)
@@ -384,18 +402,6 @@ type runKey struct {
 	care       careplc.Config // CARE tuning
 	llcMSHR    int            // LLC MSHR entries
 	l2Prefetch string         // L2 prefetcher name
-}
-
-var (
-	memoMu sync.Mutex
-	memo   = map[runKey]sim.Result{}
-)
-
-// ResetCache clears the memoised results (tests use it).
-func ResetCache() {
-	memoMu.Lock()
-	defer memoMu.Unlock()
-	memo = map[runKey]sim.Result{}
 }
 
 // specTraces builds cores copies of one synthetic workload, core i
@@ -563,21 +569,24 @@ func runAttempt(ctx context.Context, key runKey, o *Options, ckptPath string, re
 // runSim executes (or recalls) one simulation through the
 // supervisor, which with no retries, checkpoint directory or faults
 // configured is exactly one attempt. Several experiments share runs,
-// so every result of a run without injected faults is memoised (and
-// recalled without simulating again); faults perturb a run, so faulted
-// runs neither read nor fill the memo.
-func runSim(key runKey, o *Options) (sim.Result, error) {
-	memoMu.Lock()
-	r, ok := memo[key]
-	memoMu.Unlock()
+// so every result of a run without injected faults is memoised in the
+// campaign (and recalled without simulating again); faults perturb a
+// run, so faulted runs neither read nor fill the memo. The campaign's
+// context schedules the attempts, but each attempt runs without its
+// cancellation: a stop lets the running simulation finish.
+func (o *Options) runSim(key runKey) (sim.Result, error) {
+	c := o.campaign
+	c.mu.Lock()
+	r, ok := c.runs[key]
+	c.mu.Unlock()
 	if ok && o.Faults == nil {
 		return r, nil
 	}
-	r, err := o.superviseSim(context.Background(), key)
+	r, err := o.superviseSim(o.ctx, context.WithoutCancel(o.ctx), key)
 	if err == nil && o.Faults == nil {
-		memoMu.Lock()
-		memo[key] = r
-		memoMu.Unlock()
+		c.mu.Lock()
+		c.runs[key] = r
+		c.mu.Unlock()
 	}
 	return r, err
 }
@@ -663,8 +672,8 @@ func grid(o *Options, rows, cols int, key func(i, j int) runKey) ([][]sim.Result
 		cell[c] = n
 	}
 	runs := make([]sim.Result, len(keys))
-	err := parallel(len(keys), o.Parallelism, func(n int) (err error) {
-		runs[n], err = runSim(keys[n], o)
+	err := parallel(o.ctx, len(keys), o.Parallelism, func(n int) (err error) {
+		runs[n], err = o.runSim(keys[n])
 		return err
 	})
 	if err != nil {
@@ -770,9 +779,10 @@ func (o *Options) applyGuards(cfg *sim.Config) {
 // returned, joined — a campaign summary names every failed simulation
 // instead of just the first. A panicking job is recovered into a
 // *PanicError so one bad worker fails its experiment without killing
-// the process. After Interrupt, jobs not yet started are skipped with
-// ErrInterrupted while in-flight jobs run to completion.
-func parallel(n, workers int, job func(i int) error) error {
+// the process. Once ctx is done, jobs not yet started are skipped
+// with an error wrapping ctx's error while in-flight jobs run to
+// completion.
+func parallel(ctx context.Context, n, workers int, job func(i int) error) error {
 	if workers < 1 {
 		workers = 1
 	}
@@ -794,8 +804,8 @@ func parallel(n, workers int, job func(i int) error) error {
 					}
 				}
 			}()
-			if Interrupted() {
-				errs[i] = fmt.Errorf("job %d skipped: %w", i, ErrInterrupted)
+			if err := ctx.Err(); err != nil {
+				errs[i] = fmt.Errorf("job %d skipped: %w", i, err)
 				return
 			}
 			errs[i] = job(i)

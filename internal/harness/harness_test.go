@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -28,11 +29,12 @@ func tiny() Options {
 	}
 }
 
-func runExp(t *testing.T, id string, o Options) string {
+// runExp runs experiment id on campaign c and returns its report.
+func runExp(t *testing.T, c *Campaign, id string, o Options) string {
 	t.Helper()
 	var buf bytes.Buffer
 	o.Out = &buf
-	if err := Run(id, o); err != nil {
+	if err := c.Run(context.Background(), id, o); err != nil {
 		t.Fatalf("Run(%s): %v", id, err)
 	}
 	if buf.Len() == 0 {
@@ -96,20 +98,33 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+// TestExperimentTable: the experiment table is sorted by ID, its IDs
+// are unique, and every entry runs something.
+func TestExperimentTable(t *testing.T) {
+	for i, e := range experiments {
+		if e.Run == nil {
+			t.Errorf("experiment %s has no Run", e.ID)
+		}
+		if i > 0 && experiments[i-1].ID >= e.ID {
+			t.Errorf("experiment %s follows %s: the table must be sorted by ID, with no ID twice", e.ID, experiments[i-1].ID)
+		}
+	}
+}
+
 func TestStaticExperiments(t *testing.T) {
-	out := runExp(t, "tab1", tiny())
+	out := runExp(t, NewCampaign(), "tab1", tiny())
 	if !strings.Contains(out, "5.0000") {
 		t.Fatalf("tab1 should show A's MLP cost of 5:\n%s", out)
 	}
-	out = runExp(t, "tab2", tiny())
+	out = runExp(t, NewCampaign(), "tab2", tiny())
 	if !strings.Contains(out, "Active pure miss cycles: 5") {
 		t.Fatalf("tab2 should show 5 active pure miss cycles:\n%s", out)
 	}
-	out = runExp(t, "tab5", tiny())
+	out = runExp(t, NewCampaign(), "tab5", tiny())
 	if !strings.Contains(out, "26.6") {
 		t.Fatalf("tab5 should total ≈26.64KB:\n%s", out)
 	}
-	out = runExp(t, "tab6", tiny())
+	out = runExp(t, NewCampaign(), "tab6", tiny())
 	for _, fw := range []string{"LRU", "SHiP++", "Hawkeye", "Glider", "Mockingjay", "CARE", "SBAR"} {
 		if !strings.Contains(out, fw) {
 			t.Fatalf("tab6 missing %s:\n%s", fw, out)
@@ -118,7 +133,8 @@ func TestStaticExperiments(t *testing.T) {
 }
 
 func TestFig3(t *testing.T) {
-	out := runExp(t, "fig3", tiny())
+	t.Parallel()
+	out := runExp(t, NewCampaign(), "fig3", tiny())
 	if !strings.Contains(out, "429.mcf") || !strings.Contains(out, "MEAN") {
 		t.Fatalf("fig3 output malformed:\n%s", out)
 	}
@@ -126,13 +142,14 @@ func TestFig3(t *testing.T) {
 }
 
 func TestFig5AndTab3(t *testing.T) {
+	t.Parallel()
 	o := tiny()
-	out := runExp(t, "fig5", o)
+	out := runExp(t, NewCampaign(), "fig5", o)
 	if !strings.Contains(out, "350+") {
 		t.Fatalf("fig5 must include the open-ended bin:\n%s", out)
 	}
 	checkDigest(t, "fig5", out)
-	out = runExp(t, "tab3", o)
+	out = runExp(t, NewCampaign(), "tab3", o)
 	if !strings.Contains(out, "median") {
 		t.Fatalf("tab3 must report medians:\n%s", out)
 	}
@@ -140,7 +157,8 @@ func TestFig5AndTab3(t *testing.T) {
 }
 
 func TestTab8(t *testing.T) {
-	out := runExp(t, "tab8", tiny())
+	t.Parallel()
+	out := runExp(t, NewCampaign(), "tab8", tiny())
 	if !strings.Contains(out, "MPKI") {
 		t.Fatalf("tab8 malformed:\n%s", out)
 	}
@@ -148,31 +166,36 @@ func TestTab8(t *testing.T) {
 }
 
 func TestFig7Fig8Tab10ShareRuns(t *testing.T) {
-	ResetCache()
+	t.Parallel()
+	c := NewCampaign()
 	o := tiny()
-	out := runExp(t, "fig7", o)
+	out := runExp(t, c, "fig7", o)
 	if !strings.Contains(out, "GEOMEAN") || !strings.Contains(out, "care") {
 		t.Fatalf("fig7 malformed:\n%s", out)
 	}
 	checkDigest(t, "fig7", out)
-	// fig8 and tab10 reuse the memoised runs: they must be fast and
-	// consistent.
-	out8 := runExp(t, "fig8", o)
+	// fig8 and tab10 reuse the campaign's memoised runs: they must be
+	// fast and consistent.
+	before := len(c.runs)
+	out8 := runExp(t, c, "fig8", o)
 	if !strings.Contains(out8, "MEAN") {
 		t.Fatalf("fig8 malformed:\n%s", out8)
 	}
 	checkDigest(t, "fig8", out8)
-	out10 := runExp(t, "tab10", o)
+	out10 := runExp(t, c, "tab10", o)
 	if !strings.Contains(out10, "pMR") || !strings.Contains(out10, "PMC") {
 		t.Fatalf("tab10 malformed:\n%s", out10)
 	}
 	checkDigest(t, "tab10", out10)
+	if len(c.runs) != before {
+		t.Errorf("fig8 and tab10 simulated %d runs fig7 had not", len(c.runs)-before)
+	}
 
 	// Without lru among the schemes, fig7 still normalises to an LRU
 	// baseline it runs itself.
 	o.Schemes = []string{"care"}
 	o.CSV = true
-	out = runExp(t, "fig7", o)
+	out = runExp(t, c, "fig7", o)
 	rows := strings.Split(strings.TrimSpace(out), "\n")
 	if len(rows) != len(o.Workloads)+2 {
 		t.Fatalf("fig7 -schemes care has %d lines, want %d:\n%s", len(rows), len(o.Workloads)+2, out)
@@ -197,6 +220,7 @@ func TestFig7Fig8Tab10ShareRuns(t *testing.T) {
 // budget saved about a second but narrowed SHiP++'s lead to 3.1
 // points; a 2k warmup narrowed it to 1.8.
 func TestFig7Ordering(t *testing.T) {
+	t.Parallel()
 	o := Options{
 		Scale:   32,
 		Warmup:  5_000,
@@ -204,7 +228,7 @@ func TestFig7Ordering(t *testing.T) {
 		Schemes: []string{"lru", "ship++", "care"},
 		CSV:     true,
 	}
-	out := runExp(t, "fig7", o)
+	out := runExp(t, NewCampaign(), "fig7", o)
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	var header, geomean []string
 	for _, l := range lines {
@@ -233,7 +257,8 @@ func TestFig7Ordering(t *testing.T) {
 }
 
 func TestFig10(t *testing.T) {
-	out := runExp(t, "fig10", tiny())
+	t.Parallel()
+	out := runExp(t, NewCampaign(), "fig10", tiny())
 	if !strings.Contains(out, "GEOMEAN") || !strings.Contains(out, "best for") {
 		t.Fatalf("fig10 malformed:\n%s", out)
 	}
@@ -241,13 +266,14 @@ func TestFig10(t *testing.T) {
 }
 
 func TestScalability(t *testing.T) {
-	o := tiny()
-	out := runExp(t, "fig11", o)
+	t.Parallel()
+	c, o := NewCampaign(), tiny()
+	out := runExp(t, c, "fig11", o)
 	if !strings.Contains(out, "cores") {
 		t.Fatalf("fig11 malformed:\n%s", out)
 	}
 	checkDigest(t, "fig11", out)
-	out = runExp(t, "fig13", o)
+	out = runExp(t, c, "fig13", o)
 	if !strings.Contains(out, "care") {
 		t.Fatalf("fig13 malformed:\n%s", out)
 	}
@@ -255,9 +281,10 @@ func TestScalability(t *testing.T) {
 }
 
 func TestGAPExperiments(t *testing.T) {
+	t.Parallel()
 	o := tiny()
 	o.Workloads = nil
-	out := runExp(t, "fig9", o)
+	out := runExp(t, NewCampaign(), "fig9", o)
 	for _, wl := range []string{"bfs-or", "pr-tw", "sssp-ur", "GEOMEAN"} {
 		if !strings.Contains(out, wl) {
 			t.Fatalf("fig9 missing %s:\n%s", wl, out)
@@ -267,7 +294,8 @@ func TestGAPExperiments(t *testing.T) {
 }
 
 func TestTab11(t *testing.T) {
-	out := runExp(t, "tab11", tiny())
+	t.Parallel()
+	out := runExp(t, NewCampaign(), "tab11", tiny())
 	if !strings.Contains(out, "AOCPA") {
 		t.Fatalf("tab11 malformed:\n%s", out)
 	}
@@ -279,16 +307,18 @@ func TestUnknownWorkloadErrors(t *testing.T) {
 	o.Workloads = []string{"does-not-exist"}
 	o.Out = &bytes.Buffer{}
 	o.Defaults()
-	if err := Run("fig7", o); err == nil {
+	if err := NewCampaign().Run(context.Background(), "fig7", o); err == nil {
 		t.Fatal("unknown workload should error")
 	}
 }
 
 func TestAblations(t *testing.T) {
+	t.Parallel()
 	o := tiny()
 	o.Workloads = []string{"429.mcf"}
+	c := NewCampaign()
 	for _, id := range []string{"abl-dtrm", "abl-sample", "abl-mshr"} {
-		out := runExp(t, id, o)
+		out := runExp(t, c, id, o)
 		if !strings.Contains(out, "GEOMEAN") && !strings.Contains(out, "MSHR") {
 			t.Fatalf("%s output malformed:\n%s", id, out)
 		}
@@ -299,7 +329,7 @@ func TestAblations(t *testing.T) {
 func TestCSVOutput(t *testing.T) {
 	o := tiny()
 	o.CSV = true
-	out := runExp(t, "tab8", o)
+	out := runExp(t, NewCampaign(), "tab8", o)
 	if !strings.Contains(out, "workload,suite,LLC MPKI") {
 		t.Fatalf("CSV header missing:\n%s", out)
 	}
@@ -309,13 +339,12 @@ func TestCSVOutput(t *testing.T) {
 }
 
 func TestRunRecoversExperimentPanic(t *testing.T) {
-	register(Experiment{
+	e := Experiment{
 		ID:    "zz-test-panic",
 		Title: "test-only: panics on purpose",
 		Run:   func(o *Options) error { panic("policy exploded") },
-	})
-	defer delete(experiments, "zz-test-panic")
-	err := Run("zz-test-panic", tiny())
+	}
+	err := NewCampaign().run(context.Background(), e, tiny())
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("want *PanicError, got %v", err)
@@ -335,7 +364,7 @@ func TestParallelRecoversWorkerPanic(t *testing.T) {
 	// One worker panics; the others must finish and the process must
 	// survive with a tagged error.
 	ran := make([]bool, 8)
-	err := parallel(8, 4, func(i int) error {
+	err := parallel(context.Background(), 8, 4, func(i int) error {
 		if i == 3 {
 			panic("worker blew up")
 		}
@@ -354,11 +383,9 @@ func TestParallelRecoversWorkerPanic(t *testing.T) {
 }
 
 func TestGuardRailsAbortRunawaySimulation(t *testing.T) {
-	ResetCache()
-	defer ResetCache()
 	o := tiny()
 	o.MaxCycles = 500 // far below what warmup needs
-	err := Run("tab8", o)
+	err := NewCampaign().Run(context.Background(), "tab8", o)
 	if !errors.Is(err, sim.ErrCycleLimit) {
 		t.Fatalf("want sim.ErrCycleLimit through the harness, got %v", err)
 	}

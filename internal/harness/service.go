@@ -8,10 +8,6 @@ import (
 	"care/internal/synth"
 )
 
-func init() {
-	register(Experiment{ID: "svc", Title: "care/cache library hit ratio on service traffic (not in the paper)", Run: runSvc})
-}
-
 // The service replay is fixed: every cell replays the same number of
 // operations into a cache of the same size, so the hit ratios and
 // eviction counts are exactly reproducible and comparable across

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"encoding/csv"
 	"errors"
 	"strconv"
@@ -16,11 +17,12 @@ import (
 // workload, the library's claim. A policy the library cannot drive
 // fails the experiment with the library's typed error.
 func TestSvc(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("svc replays 400k operations per cell; skipped in -short")
 	}
 	var buf bytes.Buffer
-	if err := Run("svc", Options{Out: &buf, CSV: true, Schemes: []string{"lru", "care"}}); err != nil {
+	if err := NewCampaign().Run(context.Background(), "svc", Options{Out: &buf, CSV: true, Schemes: []string{"lru", "care"}}); err != nil {
 		t.Fatalf("Run(svc): %v", err)
 	}
 	rows, err := csv.NewReader(&buf).ReadAll()
@@ -61,7 +63,7 @@ func TestSvc(t *testing.T) {
 		t.Errorf("scan-flood: care hit ratio %.2f%% does not beat lru %.2f%%", care, lru)
 	}
 
-	err = Run("svc", Options{Schemes: []string{"hawkeye"}})
+	err = NewCampaign().Run(context.Background(), "svc", Options{Schemes: []string{"hawkeye"}})
 	var unsupported *cache.ErrUnsupportedPolicy
 	if !errors.As(err, &unsupported) {
 		t.Fatalf("svc with hawkeye: got %v, want *cache.ErrUnsupportedPolicy", err)

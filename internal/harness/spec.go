@@ -13,20 +13,6 @@ import (
 	"care/internal/trace"
 )
 
-func init() {
-	register(Experiment{ID: "fig3", Title: "Percentage of LLC misses with hit-miss overlapping (4-core multi-copy, LRU)", Run: runFig3})
-	register(Experiment{ID: "fig5", Title: "Distribution of PMC (single core, LRU, 16 workloads)", Run: runFig5})
-	register(Experiment{ID: "tab3", Title: "Distribution and median of per-PC PMC deltas", Run: runTab3})
-	register(Experiment{ID: "tab8", Title: "Single-core LLC MPKI of the evaluated SPEC workloads", Run: runTab8})
-	register(Experiment{ID: "fig7", Title: "Normalized IPC, 4-core multi-copy SPEC with prefetching", Run: runFig7})
-	register(Experiment{ID: "fig8", Title: "LLC pure miss rate (pMR), 4-core multi-copy SPEC with prefetching", Run: runFig8})
-	register(Experiment{ID: "tab10", Title: "Average pMR and PMC per scheme (4-core SPEC with prefetching)", Run: runTab10})
-	register(Experiment{ID: "fig10", Title: "Weighted speedup over 4-core mixed workloads with prefetching", Run: runFig10})
-	register(Experiment{ID: "fig11", Title: "SPEC speedup at 4/8/16 cores with prefetching", Run: runScalabilitySpec(true)})
-	register(Experiment{ID: "fig13", Title: "SPEC speedup at 4/8/16 cores without prefetching (incl. Mockingjay)", Run: runScalabilitySpec(false)})
-	register(Experiment{ID: "tab11", Title: "Average Overlapping Cycles Per Access (AOCPA) vs core count", Run: runTab11})
-}
-
 // runFig3 reproduces Figure 3: with plain LRU, what share of LLC
 // misses overlap base access cycles from their own core?
 func runFig3(o *Options) error {
@@ -80,7 +66,7 @@ func runFig5(o *Options) error {
 		return err
 	}
 	hists := make([]*stats.Histogram, len(profiles))
-	err = parallel(len(profiles), o.Parallelism, func(i int) error {
+	err = parallel(o.ctx, len(profiles), o.Parallelism, func(i int) error {
 		samples, err := pmcSamples(profiles[i], o)
 		if err != nil {
 			return err
@@ -122,7 +108,7 @@ func runTab3(o *Options) error {
 		median float64
 	}
 	rows := make([]row, len(profiles))
-	err = parallel(len(profiles), o.Parallelism, func(i int) error {
+	err = parallel(o.ctx, len(profiles), o.Parallelism, func(i int) error {
 		samples, err := pmcSamples(profiles[i], o)
 		if err != nil {
 			return err

@@ -9,14 +9,6 @@ import (
 	"care/internal/stats"
 )
 
-func init() {
-	register(Experiment{ID: "tab1", Title: "MLP-based cost of the study case (Figure 2 / Table I)", Run: runTab1})
-	register(Experiment{ID: "tab2", Title: "PMC of the study case (Figure 2 / Table II)", Run: runTab2})
-	register(Experiment{ID: "tab5", Title: "Hardware cost of CARE (16-way 2MB LLC)", Run: runTab5})
-	register(Experiment{ID: "tab6", Title: "Hardware cost comparison across frameworks", Run: runTab6})
-	register(Experiment{ID: "tab7", Title: "Simulated system configuration (full-size and as scaled)", Run: runTab7})
-}
-
 func runTab1(o *Options) error {
 	results, total := studycase.RunPaper()
 	t := stats.NewTable("miss", "MLP-based cost")

@@ -172,7 +172,7 @@ func (o *Options) Supervise(ctx context.Context, spec RunSpec) (sim.Result, erro
 	if err := spec.Validate(); err != nil {
 		return sim.Result{}, err
 	}
-	return o.superviseSim(ctx, spec.key())
+	return o.superviseSim(ctx, ctx, spec.key())
 }
 
 // SimError attaches the simulation's identity to a failure so a
@@ -304,29 +304,27 @@ func (o *Options) checkpointPath(key runKey) string {
 	return filepath.Join(o.CheckpointDir, key.checkpointFile())
 }
 
-// maxRetryBackoff caps the doubling retry delay.
-const maxRetryBackoff = 2 * time.Second
+// retryBackoff is the delay before the first retry; it doubles per
+// attempt up to maxRetryBackoff.
+const (
+	retryBackoff    = 100 * time.Millisecond
+	maxRetryBackoff = 2 * time.Second
+)
 
 // retryDelay computes the jittered backoff before retry attempt n
-// (n >= 2): the base delay doubles per attempt and is capped at
+// (n >= 2): retryBackoff doubles per attempt and is capped at
 // maxRetryBackoff, then "equal jitter" keeps at least half of it and
 // randomises the rest so parallel workers retrying simultaneously
 // (e.g. after a shared-resource hiccup) do not stampede in lockstep.
 // The jitter is a pure function of (tag, attempt, seed), so a given
 // campaign configuration retries on an identical schedule every run —
 // chaos tests stay deterministic.
-func retryDelay(tag string, attempt int, backoff time.Duration, seed uint64) time.Duration {
-	d := backoff
-	for i := 2; i < attempt; i++ {
+func retryDelay(tag string, attempt int, seed uint64) time.Duration {
+	d := retryBackoff
+	for i := 2; i < attempt && d < maxRetryBackoff; i++ {
 		d *= 2
-		if d >= maxRetryBackoff {
-			d = maxRetryBackoff
-			break
-		}
 	}
-	if d > maxRetryBackoff {
-		d = maxRetryBackoff
-	}
+	d = min(d, maxRetryBackoff)
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s/%d/%d", tag, attempt, seed)
 	frac := float64(h.Sum64()%(1<<20)) / (1 << 20) // [0, 1)
@@ -339,36 +337,27 @@ func retryDelay(tag string, attempt int, backoff time.Duration, seed uint64) tim
 // deterministic jitter, resuming from the newest usable checkpoint
 // (falling back from the live file to its rotated predecessor to a
 // from-scratch restart when restores are refused). Retries stop when
-// the attempt budget or ctx runs out. A run that exhausts its attempts
-// is recorded as dropped and its last error returned with full
-// context; the rest of the campaign keeps running. A ctx cancellation
-// is not a drop: the interrupted run's error returns directly
-// (wrapping sim.ErrInterrupted) and no outcome is recorded, because
-// the caller requeues or resumes it from the last scheduled
-// checkpoint, which the stop leaves untouched.
-func (o *Options) superviseSim(ctx context.Context, key runKey) (sim.Result, error) {
+// the attempt budget or ctx runs out. Each attempt runs under run: a
+// care-server job passes ctx itself, so cancelling it stops the
+// running simulation, and a campaign passes ctx without its
+// cancellation, so the running simulation finishes. A run that
+// exhausts its attempts is recorded as dropped and its last error
+// returned with full context; the rest of the campaign keeps running.
+// A ctx cancellation is not a drop: the interrupted run's error
+// returns directly (wrapping sim.ErrInterrupted) and no outcome is
+// recorded, because the caller requeues or resumes it from the last
+// scheduled checkpoint, which the stop leaves untouched.
+func (o *Options) superviseSim(ctx, run context.Context, key runKey) (sim.Result, error) {
 	maxAttempts := o.MaxAttempts
 	if maxAttempts < 1 {
 		maxAttempts = 1
-	}
-	backoff := o.RetryBackoff
-	if backoff <= 0 {
-		backoff = 100 * time.Millisecond
 	}
 	ckptPath := o.checkpointPath(key)
 	oc := Outcome{Tag: key.tag()}
 	var lastErr error
 	for attempt := 1; attempt <= maxAttempts; attempt++ {
-		if attempt > 1 {
-			// A stop request ends the retry loop: the run is reported
-			// dropped with its last real failure.
-			if Interrupted() {
-				break
-			}
-			delay := retryDelay(oc.Tag, attempt, backoff, o.RetryJitterSeed)
-			if !sleepCtx(ctx, delay) {
-				break
-			}
+		if attempt > 1 && !sleepCtx(ctx, retryDelay(oc.Tag, attempt, o.RetryJitterSeed)) {
+			break
 		}
 		oc.Attempts = attempt
 		// First attempts resume too when ResumeExisting is set
@@ -376,7 +365,7 @@ func (o *Options) superviseSim(ctx context.Context, key runKey) (sim.Result, err
 		// killed jobs from their last checkpoint instead of starting
 		// over).
 		resume := (attempt > 1 || o.ResumeExisting) && ckptPath != ""
-		r, resumed, err := runAttempt(ctx, key, o, ckptPath, resume, attempt)
+		r, resumed, err := runAttempt(run, key, o, ckptPath, resume, attempt)
 		if resumed {
 			oc.Resumed++
 		}
@@ -386,15 +375,16 @@ func (o *Options) superviseSim(ctx context.Context, key runKey) (sim.Result, err
 			return r, nil
 		}
 		lastErr = err
-		if errors.Is(err, sim.ErrInterrupted) && ctx.Err() != nil {
+		if errors.Is(err, sim.ErrInterrupted) && run.Err() != nil {
 			// Cancelled mid-run: the last scheduled checkpoint (when
 			// configured) is on disk; hand the interruption straight back.
 			return r, err
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		// Cancelled while sleeping between attempts: the run is not
-		// dropped (the caller requeues it), so no outcome is recorded.
+		// Cancelled before the run could complete, between attempts or
+		// during one that run let finish: the run is not dropped (the
+		// caller requeues it), so no outcome is recorded.
 		return sim.Result{}, errors.Join(sim.ErrInterrupted, err, lastErr)
 	}
 	oc.Err = lastErr

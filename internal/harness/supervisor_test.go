@@ -40,7 +40,6 @@ func supervisedOpts(t *testing.T, dir string) *Options {
 		Warmup:          3000,
 		CheckpointDir:   dir,
 		CheckpointEvery: 4000,
-		RetryBackoff:    time.Millisecond,
 		Report:          NewReport(),
 	}
 	o.Defaults()
@@ -68,12 +67,13 @@ func lastCheckpointCycle(t *testing.T, path string) uint64 {
 // back to its rotated predecessor), the run completes bit-identical to
 // an unfaulted one, and the degradation report is accurate.
 func TestSupervisorChaosRecovery(t *testing.T) {
+	t.Parallel()
 	key := chaosKey()
 
 	// Baseline: same schedule, no faults, supervised (so the checkpoint
 	// quiesce schedule matches the chaos run's).
 	base := supervisedOpts(t, t.TempDir())
-	want, err := base.superviseSim(context.Background(), key)
+	want, err := base.superviseSim(context.Background(), context.Background(), key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestSupervisorChaosRecovery(t *testing.T) {
 	chaos := supervisedOpts(t, t.TempDir())
 	chaos.MaxAttempts = 3
 	chaos.Faults = &faultinject.Config{Seed: 11, KillAtCycle: killAt, CkptCorruptNth: 2}
-	got, err := chaos.superviseSim(context.Background(), key)
+	got, err := chaos.superviseSim(context.Background(), context.Background(), key)
 	if err != nil {
 		t.Fatalf("chaos run did not recover: %v", err)
 	}
@@ -113,6 +113,7 @@ func TestSupervisorChaosRecovery(t *testing.T) {
 // as the clean run, warmup intervals included, because the checkpoint
 // carries the whole series.
 func TestResumedRunRegistersWholeSeries(t *testing.T) {
+	t.Parallel()
 	key := chaosKey()
 	run := func(faults *faultinject.Config) []telemetry.Series {
 		t.Helper()
@@ -121,7 +122,7 @@ func TestResumedRunRegistersWholeSeries(t *testing.T) {
 		o.TelemetryInterval = 2000
 		o.MaxAttempts = 2
 		o.Faults = faults
-		if _, err := o.superviseSim(context.Background(), key); err != nil {
+		if _, err := o.superviseSim(context.Background(), context.Background(), key); err != nil {
 			t.Fatal(err)
 		}
 		if faults != nil {
@@ -132,7 +133,7 @@ func TestResumedRunRegistersWholeSeries(t *testing.T) {
 		return o.TelemetryRegistry.Series()
 	}
 	base := supervisedOpts(t, t.TempDir())
-	if _, err := base.superviseSim(context.Background(), key); err != nil {
+	if _, err := base.superviseSim(context.Background(), context.Background(), key); err != nil {
 		t.Fatal(err)
 	}
 	killAt := lastCheckpointCycle(t, base.checkpointPath(key)) + 50
@@ -162,7 +163,7 @@ func intervals(series []telemetry.Series) int {
 func TestAttemptFallbackSkipsCorruptCheckpoint(t *testing.T) {
 	key := chaosKey()
 	o := supervisedOpts(t, t.TempDir())
-	want, err := o.superviseSim(context.Background(), key)
+	want, err := o.superviseSim(context.Background(), context.Background(), key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestSupervisorDropsAndReports(t *testing.T) {
 	// Kill during warmup: no checkpoint exists yet and no retries are
 	// budgeted, so the run must be dropped.
 	o.Faults = &faultinject.Config{Seed: 5, KillAtCycle: 2000}
-	_, err := o.superviseSim(context.Background(), key)
+	_, err := o.superviseSim(context.Background(), context.Background(), key)
 	var se *SimError
 	if !errors.As(err, &se) {
 		t.Fatalf("dropped run returned %T (%v), want *SimError", err, err)
@@ -225,17 +226,17 @@ func TestSupervisorDropsAndReports(t *testing.T) {
 // caller's context is not done; a run whose every attempt times out
 // is dropped after its attempt budget.
 func TestTimeoutIsPerAttemptDeadline(t *testing.T) {
+	t.Parallel()
 	key := chaosKey()
 	key.measure = 50_000_000
 	o := &Options{
-		Timeout:      50 * time.Millisecond,
-		MaxAttempts:  2,
-		RetryBackoff: time.Millisecond,
-		Report:       NewReport(),
+		Timeout:     50 * time.Millisecond,
+		MaxAttempts: 2,
+		Report:      NewReport(),
 	}
 	o.Defaults()
 	start := time.Now()
-	_, err := o.superviseSim(context.Background(), key)
+	_, err := o.superviseSim(context.Background(), context.Background(), key)
 	if took := time.Since(start); took > 30*time.Second {
 		t.Fatalf("two 50ms attempts took %s", took)
 	}
@@ -257,16 +258,17 @@ func TestTimeoutIsPerAttemptDeadline(t *testing.T) {
 // TestSupervisorRestartsWithoutCheckpoint verifies a kill before the
 // first checkpoint retries from scratch and completes.
 func TestSupervisorRestartsWithoutCheckpoint(t *testing.T) {
+	t.Parallel()
 	key := chaosKey()
 	base := supervisedOpts(t, t.TempDir())
-	want, err := base.superviseSim(context.Background(), key)
+	want, err := base.superviseSim(context.Background(), context.Background(), key)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := supervisedOpts(t, t.TempDir())
 	o.MaxAttempts = 2
 	o.Faults = &faultinject.Config{Seed: 5, KillAtCycle: 2000}
-	got, err := o.superviseSim(context.Background(), key)
+	got, err := o.superviseSim(context.Background(), context.Background(), key)
 	if err != nil {
 		t.Fatalf("retry from scratch failed: %v", err)
 	}
@@ -282,7 +284,7 @@ func TestSupervisorRestartsWithoutCheckpoint(t *testing.T) {
 // TestParallelReportsAllErrors covers the campaign-summary fix: every
 // failed job's error must surface, not just the first.
 func TestParallelReportsAllErrors(t *testing.T) {
-	err := parallel(4, 2, func(i int) error {
+	err := parallel(context.Background(), 4, 2, func(i int) error {
 		if i%2 == 1 {
 			return fmt.Errorf("job %d exploded", i)
 		}
@@ -298,21 +300,48 @@ func TestParallelReportsAllErrors(t *testing.T) {
 	}
 }
 
-// TestInterruptSkipsPendingJobs verifies the SIGINT path: after
-// Interrupt, queued jobs fail with ErrInterrupted instead of running.
-func TestInterruptSkipsPendingJobs(t *testing.T) {
-	defer ResetInterrupt()
-	Interrupt()
+// TestParallelSkipsJobsOnceCancelled verifies the stop path: under a
+// cancelled context no queued job runs, and each fails with an error
+// wrapping context.Canceled.
+func TestParallelSkipsJobsOnceCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
 	ran := 0
-	err := parallel(3, 1, func(i int) error {
+	err := parallel(ctx, 3, 1, func(i int) error {
 		ran++
 		return nil
 	})
 	if ran != 0 {
-		t.Fatalf("%d jobs ran after interrupt", ran)
+		t.Fatalf("%d jobs ran under a cancelled context", ran)
 	}
-	if !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("skipped jobs: got %v, want ErrInterrupted", err)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("skipped jobs: got %v, want an error wrapping context.Canceled", err)
+	}
+}
+
+// TestCancelledCampaignStartsNoRetry: once a campaign's context is
+// cancelled, the attempt already running finishes and no retry starts.
+// The run is not dropped; its error wraps context.Canceled and the
+// attempt's own failure.
+func TestCancelledCampaignStartsNoRetry(t *testing.T) {
+	t.Parallel()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	o := supervisedOpts(t, t.TempDir())
+	o.MaxAttempts = 3
+	// The kill fails the first attempt during warmup; a retry, which
+	// runs without it, would complete.
+	o.Faults = &faultinject.Config{Seed: 5, KillAtCycle: 2000}
+	o.ctx, o.campaign = ctx, NewCampaign()
+	_, err := o.runSim(chaosKey())
+	if !errors.Is(err, faultinject.ErrKilled) {
+		t.Fatalf("got %v, want the running attempt to reach its kill", err)
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want an error wrapping context.Canceled", err)
+	}
+	if oc := o.Report.Outcomes(); len(oc) != 0 {
+		t.Fatalf("a stopped run was recorded: %+v", oc)
 	}
 }
 

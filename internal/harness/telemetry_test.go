@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"care/internal/telemetry"
@@ -13,6 +14,7 @@ import (
 // -race this also exercises the per-simulation collector / shared
 // registry split.
 func TestTelemetryMergedOutput(t *testing.T) {
+	t.Parallel()
 	for _, tc := range []struct {
 		id     string
 		series int
@@ -22,14 +24,13 @@ func TestTelemetryMergedOutput(t *testing.T) {
 		{"abl-mshr", 16}, // 4 MSHR sizes x 2 workloads x {lru, care}
 	} {
 		t.Run(tc.id, func(t *testing.T) {
-			ResetCache() // memoised runs skip collection; start cold
 			var tel bytes.Buffer
 			o := tiny()
 			o.Parallelism = 4
 			o.Telemetry = "jsonl"
 			o.TelemetryInterval = 2000
 			o.TelemetryOut = &tel
-			runExp(t, tc.id, o)
+			runExp(t, NewCampaign(), tc.id, o) // a cold campaign collects every run
 
 			series, err := telemetry.ReadJSONL(&tel)
 			if err != nil {
@@ -64,42 +65,45 @@ func TestTelemetryMergedOutput(t *testing.T) {
 func TestTelemetryBadFormat(t *testing.T) {
 	o := tiny()
 	o.Telemetry = "xml"
-	if err := Run("fig7", o); err == nil {
+	if err := NewCampaign().Run(context.Background(), "fig7", o); err == nil {
 		t.Fatal("invalid telemetry format should error")
 	}
 }
 
 // TestTelemetryMemoisedRunsSkipCollection: a second telemetry run over
-// already-memoised simulations produces no series (documented
-// behaviour) rather than stale or duplicated ones.
+// simulations its campaign already memoised produces no series
+// (documented behaviour) rather than stale or duplicated ones.
 func TestTelemetryMemoisedRunsSkipCollection(t *testing.T) {
-	ResetCache()
+	t.Parallel()
+	c := NewCampaign()
 	o := tiny()
-	runExp(t, "fig7", o) // populate the memo without telemetry
+	runExp(t, c, "fig7", o) // populate the memo without telemetry
 
 	var tel bytes.Buffer
 	o2 := tiny()
 	o2.Telemetry = "jsonl"
 	o2.TelemetryOut = &tel
-	runExp(t, "fig7", o2)
+	runExp(t, c, "fig7", o2)
 	if tel.Len() != 0 {
 		t.Errorf("memoised rerun emitted %d bytes of telemetry, want none", tel.Len())
 	}
 }
 
 // TestScalabilitySharesFig7Runs: fig11's 4-core runs are fig7's, so
-// fig11 after fig7 at -cores 4 simulates nothing new, and the stream
+// fig11 after fig7 in one campaign at -cores 4 simulates nothing new,
+// and the stream
 // both write begins one series per run, with no tag twice.
 func TestScalabilitySharesFig7Runs(t *testing.T) {
-	ResetCache()
+	t.Parallel()
+	c := NewCampaign()
 	var tel bytes.Buffer
 	o := tiny()
 	o.CoreCounts = []int{4}
 	o.Telemetry = "jsonl"
 	o.TelemetryInterval = 2000
 	o.TelemetryOut = &tel
-	runExp(t, "fig7", o)
-	runExp(t, "fig11", o)
+	runExp(t, c, "fig7", o)
+	runExp(t, c, "fig11", o)
 
 	// ReadJSONL parses each run as its own series.
 	series, err := telemetry.ReadJSONL(&tel)

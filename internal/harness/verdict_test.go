@@ -90,7 +90,7 @@ func TestFig9Verdict(t *testing.T) {
 		Schemes: []string{"lru", "ship++", "care"}, CSV: true,
 	}
 	forSeeds(t, o, func(t *testing.T, o Options) {
-		gm := row(t, runExp(t, "fig9", o), "GEOMEAN")
+		gm := row(t, runExp(t, NewCampaign(), "fig9", o), "GEOMEAN")
 		t.Logf("fig9 GEOMEAN %v", gm)
 		if gm["care"] <= 1 {
 			t.Errorf("CARE's GAP geomean %.4f does not beat LRU", gm["care"])
@@ -112,7 +112,7 @@ func TestFig10Verdict(t *testing.T) {
 	t.Parallel()
 	o := Options{Scale: 32, Warmup: 5_000, Measure: 10_000, Mixes: 6, CSV: true}
 	forSeeds(t, o, func(t *testing.T, o Options) {
-		gm := row(t, runExp(t, "fig10", o), "GEOMEAN")
+		gm := row(t, runExp(t, NewCampaign(), "fig10", o), "GEOMEAN")
 		t.Logf("fig10 GEOMEAN %v", gm)
 		family := max(gm["care"], gm["m-care"])
 		for scheme, v := range gm {
@@ -138,13 +138,14 @@ func TestScalabilityVerdict(t *testing.T) {
 		Schemes: []string{"lru", "care"}, CSV: true,
 	}
 	forSeeds(t, o, func(t *testing.T, o Options) {
-		out := runExp(t, "fig11", o)
+		c := NewCampaign()
+		out := runExp(t, c, "fig11", o)
 		four, eight := row(t, out, "4")["care"], row(t, out, "8")["care"]
 		t.Logf("fig11 CARE over LRU: %.4f at 4 cores, %.4f at 8", four, eight)
 		if eight <= four {
 			t.Errorf("CARE's gain over LRU does not grow with cores: %.4f at 4, %.4f at 8", four, eight)
 		}
-		out = runExp(t, "tab11", o)
+		out = runExp(t, c, "tab11", o)
 		four, eight = row(t, out, "4")["AOCPA (SPEC mean)"], row(t, out, "8")["AOCPA (SPEC mean)"]
 		t.Logf("tab11 AOCPA: %.2f at 4 cores, %.2f at 8", four, eight)
 		if eight <= four {
