@@ -362,11 +362,15 @@ func (c *Cache) SetClock(cycle uint64) {
 func (c *Cache) Stats() *Stats { return &c.stats }
 
 // ResetStats zeroes the counters (end of warmup) without touching
-// cache contents or in-flight requests.
+// cache contents or in-flight requests, and the policy's own counters
+// when it keeps any (CARE's).
 func (c *Cache) ResetStats() {
 	c.stats = Stats{
 		PerCoreDemandAccesses: make([]uint64, c.Cores),
 		PerCoreDemandMisses:   make([]uint64, c.Cores),
+	}
+	if p, ok := c.policy.(interface{ ResetStats() }); ok {
+		p.ResetStats()
 	}
 }
 

@@ -244,6 +244,11 @@ func (p *Policy) Init(sets, ways int) {
 // Stats returns the live CARE counters.
 func (p *Policy) Stats() *Stats { return &p.stats }
 
+// ResetStats zeroes the counters without touching the SHT, the block
+// state or DTRM; the LLC calls it from its own ResetStats, so the
+// counters cover the measured region as the cache's do.
+func (p *Policy) ResetStats() { p.stats = Stats{} }
+
 // Thresholds returns the current DTRM thresholds (PMC_low, PMC_high).
 func (p *Policy) Thresholds() (low, high float64) { return p.pmcLow, p.pmcHigh }
 

@@ -26,12 +26,19 @@ func (p *Policy) Checkpoint(s *checkpoint.State) {
 }
 
 // walkSHT walks the SHT's entries, each counter as checkpoint.Uint
-// does. Saving appends the whole table in one loop.
+// does. Saving appends the whole table in one loop. A restored counter
+// above its 3-bit ceiling is corrupt; no fault reaches the SHT, so a
+// save never holds one.
 func walkSHT(s *checkpoint.State, sht []shtEntry) {
 	if s.Restoring() {
 		for i := range sht {
-			checkpoint.Uint(s, &sht[i].rc)
-			checkpoint.Uint(s, &sht[i].pd)
+			e := &sht[i]
+			checkpoint.Uint(s, &e.rc)
+			checkpoint.Uint(s, &e.pd)
+			if s.Err() == nil && (e.rc > rcMax || e.pd > pdMax) {
+				s.Fail(fmt.Errorf("%w: SHT entry %#x out of range (rc=%d pd=%d)", checkpoint.ErrCorrupt, i, e.rc, e.pd))
+				return
+			}
 		}
 		return
 	}

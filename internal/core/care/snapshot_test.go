@@ -16,8 +16,9 @@ import (
 // metadata holds one out-of-range value is ErrCorrupt. A block state
 // byte is refused both ways: saving one fails, so a flipped EPV (the
 // meta-flip fault, CorruptMetadata) never reaches a checkpoint, and a
-// payload that holds one fails to restore. A training record, which no
-// fault reaches, is saved as it is and refused on restore.
+// payload that holds one fails to restore. A training record or an SHT
+// counter, which no fault reaches, is saved as it is and refused on
+// restore.
 func TestRestoreRefusesOutOfRangeMetadata(t *testing.T) {
 	const sets, ways = 64, 4 // Config{SampledSets: 16}: every 4th set trains
 	cases := []struct {
@@ -36,6 +37,8 @@ func TestRestoreRefusesOutOfRangeMetadata(t *testing.T) {
 		{"PMCS 255", func(p *Policy) { p.train[6].pmcs = 255 }, checkpoint.ErrCorrupt},
 		{"signature at SHT size", func(p *Policy) { p.train[6].sig = shtEntries }, checkpoint.ErrCorrupt},
 		{"signature 0xffff", func(p *Policy) { p.train[6].sig = 0xffff }, checkpoint.ErrCorrupt},
+		{"SHT RC 8", func(p *Policy) { p.sht[9].rc = rcMax + 1 }, checkpoint.ErrCorrupt},
+		{"SHT PD 255", func(p *Policy) { p.sht[9].pd = 255 }, checkpoint.ErrCorrupt},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"care/internal/cache"
+	"care/internal/policy"
 	"care/internal/synth"
 	"care/internal/trace"
 )
@@ -182,6 +183,37 @@ func TestCAREWiring(t *testing.T) {
 	}
 	if s2.CAREStats() != nil {
 		t.Fatal("LRU system must not expose CARE stats")
+	}
+}
+
+// TestCARECountersCoverMeasuredRegion: after a run with a warmup,
+// CARE's counters cover the measured region as the LLC's do. Every
+// fill the LLC counts makes exactly one OnFill, which counts one
+// insertion by EPV and one by class.
+func TestCARECountersCoverMeasuredRegion(t *testing.T) {
+	for _, pol := range []policy.Policy{policy.CARE, policy.MCARE} {
+		cfg := ScaledConfig(2, 32)
+		cfg.LLCPolicy = pol
+		cfg.Prefetch = true
+		traces := mcfTraces(2)
+		_, out, err := Execute(context.Background(), Job{
+			Build:   func() (*System, error) { return New(cfg, traces) },
+			Warmup:  10000,
+			Measure: 20000,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fills := out.System.LLC().Stats().Fills
+		cs := out.System.CAREStats()
+		var epv uint64
+		for _, n := range cs.InsertEPV {
+			epv += n
+		}
+		class := cs.InsertHighReuse + cs.InsertLowReuse + cs.InsertModerate + cs.InsertWriteback
+		if fills == 0 || epv != fills || class != fills {
+			t.Errorf("%s: measured LLC fills %d, CARE insertions by EPV %d, by class %d", pol, fills, epv, class)
+		}
 	}
 }
 

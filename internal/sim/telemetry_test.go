@@ -4,6 +4,10 @@ import (
 	"reflect"
 	"testing"
 
+	"care/internal/cache"
+	careplc "care/internal/core/care"
+	"care/internal/cpu"
+	"care/internal/dram"
 	"care/internal/telemetry"
 )
 
@@ -34,6 +38,39 @@ func TestTelemetryResultsIdentical(t *testing.T) {
 	withTel, _ := telemetryRun(t, cfg, 2, 2000, 5000, 20000)
 	if !reflect.DeepEqual(base, withTel) {
 		t.Fatalf("telemetry perturbed the simulation:\nwithout: %+v\nwith:    %+v", base, withTel)
+	}
+}
+
+// TestResetStatsZeroesCollectorCounters pins what Collector.Bind and
+// Rebase rely on when they start the baseline from zero: right after
+// ResetStats every counter the collector reads is zero, the cores',
+// every cache's, the DRAM's and CARE's.
+func TestResetStatsZeroesCollectorCounters(t *testing.T) {
+	cfg := ScaledConfig(2, 32)
+	cfg.LLCPolicy = "care"
+	cfg.Telemetry = telemetry.NewCollector(telemetry.Options{Interval: 2000, Tag: "reset"})
+	s, err := New(cfg, mcfTraces(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustRun(t, s, 10000)
+	s.ResetStats()
+	for i, c := range s.cores {
+		if st := *c.Stats(); st != (cpu.Stats{}) {
+			t.Errorf("core %d after ResetStats: %+v", i, st)
+		}
+	}
+	for _, c := range s.allCaches() {
+		zero := cache.Stats{PerCoreDemandAccesses: make([]uint64, c.Cores), PerCoreDemandMisses: make([]uint64, c.Cores)}
+		if st := *c.Stats(); !reflect.DeepEqual(st, zero) {
+			t.Errorf("%s after ResetStats: %+v", c.Name, st)
+		}
+	}
+	if st := *s.mem.Stats(); st != (dram.Stats{}) {
+		t.Errorf("DRAM after ResetStats: %+v", st)
+	}
+	if st := *s.CAREStats(); st != (careplc.Stats{}) {
+		t.Errorf("CARE after ResetStats: %+v", st)
 	}
 }
 

@@ -9,9 +9,10 @@ import (
 // Checkpoint implements checkpoint.Component on a bound collector
 // with identical interval and core count. It walks the interval start
 // first, then the whole completed series (see walkSeries), the
-// watermarks, the delta baseline and the in-progress occupancy
-// histogram, so a resumed run's Series() matches the uninterrupted
-// run's, warmup included.
+// watermarks, the in-progress occupancy histogram and the baseline
+// (the components' own Stats values at the last boundary), so a
+// resumed run's Series() matches the uninterrupted run's, warmup
+// included.
 func (c *Collector) Checkpoint(s *checkpoint.State) {
 	if s.Restoring() && !c.bound {
 		s.Fail(fmt.Errorf("%w: telemetry: restore target is unbound", checkpoint.ErrNotCheckpointable))
@@ -24,19 +25,16 @@ func (c *Collector) Checkpoint(s *checkpoint.State) {
 	checkpoint.Int(s, &c.index)
 	s.Bool(&c.warm)
 	checkpoint.Uints(s, c.occHist[:])
-	p := &c.prev
-	for _, xs := range [][]uint64{p.coreInstr, p.coreCycles, p.coreMem, p.coreStall, p.coreLLCMiss} {
-		checkpoint.Table(s, xs, checkpoint.Uints)
+	b := &c.base
+	checkpoint.Each(s, b.cores, checkpoint.Plain)
+	checkpoint.Plain(s, &b.llc)
+	checkpoint.Plain(s, &b.dram)
+	checkpoint.Plain(s, &b.care)
+	if s.Restoring() && s.Err() == nil &&
+		(len(b.llc.PerCoreDemandAccesses) != len(c.cores) || len(b.llc.PerCoreDemandMisses) != len(c.cores)) {
+		s.Fail(checkpoint.Mismatchf("telemetry: LLC baseline sized for %d cores, collector has %d",
+			len(b.llc.PerCoreDemandMisses), len(c.cores)))
 	}
-	for _, x := range []*uint64{
-		&p.llcAccesses, &p.llcHits, &p.llcMisses, &p.llcPure, &p.llcMSHRStall,
-		&p.dramReads, &p.dramWrites, &p.dramRowHits, &p.dramRowMisses,
-		&p.careRaises, &p.careLowers, &p.careCostly,
-	} {
-		checkpoint.Uint(s, x)
-	}
-	s.Float64(&p.llcPMCSum)
-	checkpoint.Uints(s, p.careEPV[:])
 	if s.Restoring() {
 		c.closed = false
 	}

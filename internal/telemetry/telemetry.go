@@ -196,22 +196,26 @@ type Meta struct {
 	MSHRCapacity int    `json:"mshr_capacity"`
 }
 
-// prevCounters holds the raw counter values at the previous interval
-// boundary; snapshots subtract it to produce deltas.
-type prevCounters struct {
-	coreInstr   []uint64
-	coreCycles  []uint64
-	coreMem     []uint64
-	coreStall   []uint64
-	coreLLCMiss []uint64
+// baseline holds the components' own counters as they stood at the
+// last interval boundary; snapshots subtract it to produce deltas.
+// Every counter the collector reads is zero when Bind runs (the system
+// is fresh) and again right after ResetStats, so Bind and Rebase start
+// the baseline from zero values instead of reading the counters.
+type baseline struct {
+	cores []cpu.Stats
+	// llc's per-core slices are the collector's own, copied into at
+	// each boundary.
+	llc  cache.Stats
+	dram dram.Stats
+	care careplc.Stats
+}
 
-	llcAccesses, llcHits, llcMisses, llcPure, llcMSHRStall uint64
-	llcPMCSum                                              float64
-
-	dramReads, dramWrites, dramRowHits, dramRowMisses uint64
-
-	careRaises, careLowers, careCostly uint64
-	careEPV                            [4]uint64
+// zeroBaseline is the baseline of n cores' zero counters.
+func zeroBaseline(n int) baseline {
+	return baseline{
+		cores: make([]cpu.Stats, n),
+		llc:   cache.Stats{PerCoreDemandAccesses: make([]uint64, n), PerCoreDemandMisses: make([]uint64, n)},
+	}
 }
 
 // Collector snapshots counter deltas at a fixed cycle interval. It is
@@ -240,7 +244,7 @@ type Collector struct {
 	care  *careplc.Policy
 	meta  Meta
 
-	prev    prevCounters
+	base    baseline
 	occHist [occBuckets]uint32
 
 	// slots[:count] are the completed intervals, warmup included;
@@ -274,8 +278,8 @@ func (c *Collector) Bind(cores []*cpu.Core, llc *cache.Cache, mem *dram.DRAM) er
 	if c.bound {
 		return errors.New("telemetry: collector already bound (one collector per simulation)")
 	}
-	if len(cores) == 0 || llc == nil || mem == nil {
-		return errors.New("telemetry: Bind needs cores, an LLC, and a DRAM model")
+	if len(cores) == 0 || llc == nil || mem == nil || llc.Cores != len(cores) {
+		return errors.New("telemetry: Bind needs cores, an LLC shared by them, and a DRAM model")
 	}
 	c.bound = true
 	c.cores = cores
@@ -292,19 +296,11 @@ func (c *Collector) Bind(cores []*cpu.Core, llc *cache.Cache, mem *dram.DRAM) er
 		MSHRCapacity: llc.MSHRFile().Capacity(),
 	}
 
-	n := len(cores)
-	c.prev = prevCounters{
-		coreInstr:   make([]uint64, n),
-		coreCycles:  make([]uint64, n),
-		coreMem:     make([]uint64, n),
-		coreStall:   make([]uint64, n),
-		coreLLCMiss: make([]uint64, n),
-	}
+	c.base = zeroBaseline(len(cores))
 	c.grow()
 	c.start = 0
 	c.next = c.interval
 	c.nextOcc = c.occStride
-	c.readPrev()
 	return nil
 }
 
@@ -372,8 +368,9 @@ func (c *Collector) grow() {
 // Rebase realigns the collector with freshly reset statistics: the
 // simulator calls it from ResetStats at the end of warmup. Interval
 // numbering restarts at 0 (the completed warmup intervals stay in the
-// series, marked Warmup), and the counter baseline is re-read so the
-// first measured interval's deltas are exact.
+// series, marked Warmup), and the baseline restarts at zero, as the
+// counters just did, so the first measured interval's deltas are
+// exact.
 func (c *Collector) Rebase(cycle uint64) {
 	if !c.bound {
 		return
@@ -384,44 +381,7 @@ func (c *Collector) Rebase(cycle uint64) {
 	c.next = cycle + c.interval
 	c.nextOcc = cycle + c.occStride
 	c.occHist = [occBuckets]uint32{}
-	c.readPrev()
-}
-
-// readPrev captures the current raw counter values as the delta
-// baseline.
-func (c *Collector) readPrev() {
-	p := &c.prev
-	for i, core := range c.cores {
-		st := core.Stats()
-		p.coreInstr[i] = st.Retired
-		p.coreCycles[i] = st.Cycles
-		p.coreMem[i] = st.MemRefs()
-		p.coreStall[i] = st.ROBStallCycles
-	}
-	ls := c.llc.Stats()
-	for i := range p.coreLLCMiss {
-		if i < len(ls.PerCoreDemandMisses) {
-			p.coreLLCMiss[i] = ls.PerCoreDemandMisses[i]
-		}
-	}
-	p.llcAccesses = ls.Accesses()
-	p.llcHits = ls.Hits()
-	p.llcMisses = ls.Misses()
-	p.llcPure = ls.PureMisses
-	p.llcMSHRStall = ls.MSHRStallCycles
-	p.llcPMCSum = ls.PMCSum
-	ds := c.mem.Stats()
-	p.dramReads = ds.Reads
-	p.dramWrites = ds.Writes
-	p.dramRowHits = ds.RowHits
-	p.dramRowMisses = ds.RowMisses
-	if c.care != nil {
-		cs := c.care.Stats()
-		p.careRaises = cs.DTRMRaises
-		p.careLowers = cs.DTRMLowers
-		p.careCostly = cs.CostlyMisses
-		p.careEPV = cs.InsertEPV
-	}
+	c.base = zeroBaseline(len(c.cores))
 }
 
 // snapshot closes the interval [c.start, cycle): computes deltas into
@@ -437,60 +397,45 @@ func (c *Collector) snapshot(cycle uint64) {
 	iv.End = cycle
 	iv.Warmup = c.warm
 
-	p := &c.prev
+	b := &c.base
+	ls := c.llc.Stats()
 	for i, core := range c.cores {
-		st := core.Stats()
+		st, was := core.Stats(), &b.cores[i]
 		cs := &iv.Cores[i]
-		cs.Instructions = st.Retired - p.coreInstr[i]
-		cs.Cycles = st.Cycles - p.coreCycles[i]
-		cs.MemRefs = st.MemRefs() - p.coreMem[i]
-		cs.ROBStallCycles = st.ROBStallCycles - p.coreStall[i]
-		cs.IPC = 0
+		cs.Instructions = st.Retired - was.Retired
+		cs.Cycles = st.Cycles - was.Cycles
+		cs.MemRefs = st.MemRefs() - was.MemRefs()
+		cs.ROBStallCycles = st.ROBStallCycles - was.ROBStallCycles
+		cs.LLCMisses = ls.PerCoreDemandMisses[i] - b.llc.PerCoreDemandMisses[i]
+		cs.IPC, cs.MPKI = 0, 0
 		if cs.Cycles > 0 {
 			cs.IPC = float64(cs.Instructions) / float64(cs.Cycles)
 		}
-		p.coreInstr[i] = st.Retired
-		p.coreCycles[i] = st.Cycles
-		p.coreMem[i] = st.MemRefs()
-		p.coreStall[i] = st.ROBStallCycles
-	}
-
-	ls := c.llc.Stats()
-	for i := range iv.Cores {
-		var miss uint64
-		if i < len(ls.PerCoreDemandMisses) {
-			miss = ls.PerCoreDemandMisses[i]
-		}
-		cs := &iv.Cores[i]
-		cs.LLCMisses = miss - p.coreLLCMiss[i]
-		p.coreLLCMiss[i] = miss
-		cs.MPKI = 0
 		if cs.Instructions > 0 {
 			cs.MPKI = float64(cs.LLCMisses) / float64(cs.Instructions) * 1000
 		}
+		*was = *st
 	}
-	l := &iv.LLC
-	l.Accesses = ls.Accesses() - p.llcAccesses
-	l.Hits = ls.Hits() - p.llcHits
-	l.Misses = ls.Misses() - p.llcMisses
-	l.PureMisses = ls.PureMisses - p.llcPure
-	l.MSHRStallCycles = ls.MSHRStallCycles - p.llcMSHRStall
-	pmcDelta := ls.PMCSum - p.llcPMCSum
+
+	l, was := &iv.LLC, &b.llc
+	l.Accesses = ls.Accesses() - was.Accesses()
+	l.Hits = ls.Hits() - was.Hits()
+	l.Misses = ls.Misses() - was.Misses()
+	l.PureMisses = ls.PureMisses - was.PureMisses
+	l.MSHRStallCycles = ls.MSHRStallCycles - was.MSHRStallCycles
 	l.MissRate, l.PureMissRate, l.MeanPMC = 0, 0, 0
 	if l.Accesses > 0 {
 		l.MissRate = float64(l.Misses) / float64(l.Accesses)
 		l.PureMissRate = float64(l.PureMisses) / float64(l.Accesses)
 	}
 	if l.Misses > 0 {
-		l.MeanPMC = pmcDelta / float64(l.Misses)
+		l.MeanPMC = (ls.PMCSum - was.PMCSum) / float64(l.Misses)
 	}
 	l.QueueDepth = c.llc.QueueLen()
-	p.llcAccesses += l.Accesses
-	p.llcHits += l.Hits
-	p.llcMisses += l.Misses
-	p.llcPure += l.PureMisses
-	p.llcMSHRStall += l.MSHRStallCycles
-	p.llcPMCSum = ls.PMCSum
+	acc, miss := was.PerCoreDemandAccesses, was.PerCoreDemandMisses
+	*was = *ls
+	was.PerCoreDemandAccesses = append(acc[:0], ls.PerCoreDemandAccesses...)
+	was.PerCoreDemandMisses = append(miss[:0], ls.PerCoreDemandMisses...)
 
 	iv.MSHR = MSHRSample{
 		Occupancy: c.llc.MSHRFile().Len(),
@@ -501,19 +446,16 @@ func (c *Collector) snapshot(cycle uint64) {
 
 	ds := c.mem.Stats()
 	d := &iv.DRAM
-	d.Reads = ds.Reads - p.dramReads
-	d.Writes = ds.Writes - p.dramWrites
-	d.RowHits = ds.RowHits - p.dramRowHits
-	d.RowMisses = ds.RowMisses - p.dramRowMisses
+	d.Reads = ds.Reads - b.dram.Reads
+	d.Writes = ds.Writes - b.dram.Writes
+	d.RowHits = ds.RowHits - b.dram.RowHits
+	d.RowMisses = ds.RowMisses - b.dram.RowMisses
 	d.RowHitRate = 0
 	if t := d.RowHits + d.RowMisses; t > 0 {
 		d.RowHitRate = float64(d.RowHits) / float64(t)
 	}
 	d.QueueDepth = c.mem.QueueDepth()
-	p.dramReads = ds.Reads
-	p.dramWrites = ds.Writes
-	p.dramRowHits = ds.RowHits
-	p.dramRowMisses = ds.RowMisses
+	b.dram = *ds
 
 	if c.care != nil {
 		cs := c.care.Stats()
@@ -522,17 +464,14 @@ func (c *Collector) snapshot(cycle uint64) {
 			PMCLow:       low,
 			PMCHigh:      high,
 			Epoch:        c.care.Epochs(),
-			Raises:       cs.DTRMRaises - p.careRaises,
-			Lowers:       cs.DTRMLowers - p.careLowers,
-			CostlyMisses: cs.CostlyMisses - p.careCostly,
+			Raises:       cs.DTRMRaises - b.care.DTRMRaises,
+			Lowers:       cs.DTRMLowers - b.care.DTRMLowers,
+			CostlyMisses: cs.CostlyMisses - b.care.CostlyMisses,
 		}
 		for i := range iv.CARE.InsertEPV {
-			iv.CARE.InsertEPV[i] = cs.InsertEPV[i] - p.careEPV[i]
+			iv.CARE.InsertEPV[i] = cs.InsertEPV[i] - b.care.InsertEPV[i]
 		}
-		p.careRaises = cs.DTRMRaises
-		p.careLowers = cs.DTRMLowers
-		p.careCostly = cs.CostlyMisses
-		p.careEPV = cs.InsertEPV
+		b.care = *cs
 	}
 
 	c.index++

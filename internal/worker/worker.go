@@ -304,7 +304,7 @@ func (w *Worker) runJob(ctx context.Context, slot int, claim careapi.ClaimRespon
 	st := &jobState{}
 	hbDone := make(chan struct{})
 	hbStop := make(chan struct{})
-	go w.heartbeat(jobCtx, jb.ID, token, slot, ckptPath, &jb.Spec, st, cancelJob, hbStop, hbDone)
+	go w.heartbeat(jobCtx, jb.ID, token, slot, ckptPath, st, cancelJob, hbStop, hbDone)
 
 	result, err := w.execute(runCtx, jb, dir, spec)
 
@@ -422,13 +422,15 @@ func (w *Worker) fetchArtifact(ctx context.Context, job string, token int, ckptP
 // heartbeat renews the lease until the job ends, learning about
 // server-side cancels and fencing, reporting the job's progress
 // watermark, and uploading the latest on-schedule checkpoint so the
-// job can migrate if this worker dies. Transient heartbeat failures
-// are tolerated — the server re-arms a replayed lease after its own
-// restart — but a definitive stale_lease rejection means custody is
-// gone: the heartbeat stops and the job context is cancelled with
-// errLeaseLost.
+// job can migrate if this worker dies. Each tick reads the checkpoint
+// once: the watermark and the upload both come from those bytes, so
+// the watermark always describes a file that verifies. Transient
+// heartbeat failures are tolerated — the server re-arms a replayed
+// lease after its own restart — but a definitive stale_lease rejection
+// means custody is gone: the heartbeat stops and the job context is
+// cancelled with errLeaseLost.
 func (w *Worker) heartbeat(ctx context.Context, job string, token, slot int, ckptPath string,
-	spec *careapi.JobSpec, st *jobState, cancelJob context.CancelCauseFunc, stop <-chan struct{}, done chan<- struct{}) {
+	st *jobState, cancelJob context.CancelCauseFunc, stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
 	start := time.Now()
 	tick := time.NewTicker(w.heartbeatEvery())
@@ -442,7 +444,8 @@ func (w *Worker) heartbeat(ctx context.Context, job string, token, slot int, ckp
 			return
 		case <-tick.C:
 		}
-		resp, err := w.client.Heartbeat(ctx, w.cfg.Name, job, token, w.progress(slot, ckptPath, spec, start))
+		data, sum := readCheckpoint(ckptPath, uploaded)
+		resp, err := w.client.Heartbeat(ctx, w.cfg.Name, job, token, progress(slot, data, start))
 		if err != nil {
 			if IsStaleLease(err) {
 				w.logf("care-worker %s: %s heartbeat fenced as stale (token %d)", w.cfg.Name, job, token)
@@ -462,22 +465,56 @@ func (w *Worker) heartbeat(ctx context.Context, job string, token, slot int, ckp
 			cancelJob(errCancelRequested)
 			return
 		}
-		uploaded = w.maybeUpload(ctx, job, token, ckptPath, uploaded)
+		if data == nil || sum == uploaded {
+			continue
+		}
+		// Every checkpoint file is on the schedule (a stop writes none),
+		// so any of them may seed another worker's resume.
+		if err := w.client.UploadArtifact(ctx, w.cfg.Name, job, token, data); err == nil {
+			uploaded = sum
+		} else if ctx.Err() == nil && !IsStaleLease(err) {
+			// An upload cut short by the job ending is no failure, and
+			// a fenced one is reported by the next heartbeat, which
+			// comes back stale too and ends the loop.
+			w.logf("care-worker %s: %s artifact upload: %v", w.cfg.Name, job, err)
+		}
 	}
 }
 
+// readCheckpoint reads the job's live checkpoint and returns its bytes
+// and their hash. It returns nil bytes before the first checkpoint
+// lands and for a read that does not verify as a complete container (a
+// read racing the simulator's save; the next heartbeat sees the
+// settled file). Bytes that hash to verified, the last upload, were
+// verified then and are not parsed again.
+func readCheckpoint(path string, verified uint64) ([]byte, uint64) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, 0
+	}
+	h := fnv.New64a()
+	h.Write(data)
+	sum := h.Sum64()
+	if sum != verified {
+		if _, err := checkpoint.Verify(bytes.NewReader(data)); err != nil {
+			return nil, 0
+		}
+	}
+	return data, sum
+}
+
 // progress builds the heartbeat's watermark from the job's latest
-// on-schedule checkpoint: its meta frame carries the simulation clock
-// and the run-schedule position. Before the first checkpoint lands
-// (or while the simulator is mid-save) only the elapsed wall clock is
-// reported. Best-effort by design — a torn read just means this
-// heartbeat repeats the previous watermark's schedule position.
-func (w *Worker) progress(slot int, ckptPath string, spec *careapi.JobSpec, start time.Time) *careapi.Progress {
+// on-schedule checkpoint, data: its meta frame carries the simulation
+// clock and the run-schedule position. Without a checkpoint (none yet,
+// or a torn read) only the elapsed wall clock is reported.
+func progress(slot int, data []byte, start time.Time) *careapi.Progress {
 	p := &careapi.Progress{Slot: slot, ElapsedMS: time.Since(start).Milliseconds()}
 	var m sim.RunMeta
-	if err := checkpoint.Load(ckptPath, func(r *checkpoint.Reader) error {
-		return r.Frame("meta", m.Checkpoint)
-	}); err != nil {
+	r, err := checkpoint.NewReader(bytes.NewReader(data))
+	if err == nil {
+		err = r.Frame("meta", m.Checkpoint)
+	}
+	if err != nil {
 		return p
 	}
 	p.Phase, p.Cycles, p.Instructions = m.Phase, m.Cycle, m.Done
@@ -485,38 +522,6 @@ func (w *Worker) progress(slot int, ckptPath string, spec *careapi.JobSpec, star
 		p.Checkpoint = m.Done / m.Every
 	}
 	return p
-}
-
-// maybeUpload ships the live checkpoint if its hash differs from last,
-// the hash of the last upload, and returns the hash now uploaded. Only
-// files that verify as complete containers are sent (a read racing
-// the simulator's in-place save is rejected here rather than at the
-// server). Every checkpoint file is on the schedule — a stop writes
-// none — so any of them may seed another worker's resume.
-func (w *Worker) maybeUpload(ctx context.Context, job string, token int, ckptPath string, last uint64) uint64 {
-	data, err := os.ReadFile(ckptPath)
-	if err != nil {
-		return last // no checkpoint yet
-	}
-	h := fnv.New64a()
-	h.Write(data)
-	sum := h.Sum64()
-	if sum == last {
-		return last
-	}
-	if _, err := checkpoint.Verify(bytes.NewReader(data)); err != nil {
-		return last // torn read; next heartbeat sees the settled file
-	}
-	if err := w.client.UploadArtifact(ctx, w.cfg.Name, job, token, data); err != nil {
-		if ctx.Err() == nil && !IsStaleLease(err) {
-			// An upload cut short by the job ending is no failure, and
-			// a fenced one is reported by the next heartbeat, which
-			// comes back stale too and ends the loop.
-			w.logf("care-worker %s: %s artifact upload: %v", w.cfg.Name, job, err)
-		}
-		return last
-	}
-	return sum
 }
 
 // jobOptions builds the harness supervision options for one job. Each
